@@ -14,6 +14,13 @@ The r-integral has kinks at r = |t - rho| and r = t + rho, and the cap
 measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
 quadrature splits at both breakpoints and uses a square-root substitution on
 the two edge pieces; interior pieces use Gauss-Legendre in ln r.
+
+ball_mass_batch builds the nodes of all radii t of one centre in a single
+array pass: two searchsorted calls find each shell's inner grid boundaries in
+quad_boundaries, the ragged piece lists are laid out with repeat/cumsum, wide
+pieces are subdivided, and the interior and edge nodes are written into one
+flat array, each shell's block ordered interior pieces, lower edge, upper
+edge.  One cap_fraction call and one bincount then give every mass.
 """
 
 from __future__ import annotations
@@ -97,73 +104,103 @@ def cap_fraction(kernel: CapKernel, rho, t, r):
 
 
 _MAX_PIECE_LOGWIDTH = 0.5 * math.log(10.0)
+_MID_X, _MID_W = _leggauss01(_MID_NODES)
+_EDGE_X, _EDGE_W = _leggauss01(_EDGE_NODES)
 
 
-def _partial_nodes(f: "RadialFunction", a: float, b: float):
-    """Quadrature nodes/weights for int_a^b g(r) dr over the partial shell.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index and position within the segment of every element of
+    consecutive segments with the given lengths."""
+    seg = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return seg, np.arange(seg.size) - start[seg]
 
-    The interval is split at the grid-cell boundaries it crosses (pieces
-    wider than half a decade, possible beyond the grid, are subdivided).
-    The two pieces touching the shell edges use a square-root substitution
-    for the cap's half-power behavior there; interior pieces integrate in
-    ln r with Gauss-Legendre.  Returns flat (r_nodes, weights) arrays.
+
+def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
+    """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
+
+    Each shell is split at the grid-cell boundaries it crosses (pieces wider
+    than half a decade, possible beyond the grid, are subdivided).  The two
+    pieces touching the shell edges use a square-root substitution for the
+    cap's half-power behavior there; interior pieces integrate in ln r with
+    Gauss-Legendre.  All shells are built at once; returns flat
+    (r_nodes, weights, owner) arrays, owner indexing t, with each shell's
+    nodes contiguous and ordered interior pieces, lower edge, upper edge.
     """
     pts = f.quad_boundaries
-    lo = max(a, 1e-14 * pts[0])
+    a = np.abs(t - rho)
+    b = t + rho
+    if math.isinf(f.tail_exponent) or f.values[-1] == 0.0:
+        b = np.minimum(b, f.grid.r_max)
+    owner = np.flatnonzero(b > a)
+    a, b = a[owner], b[owner]
+    anchored = a > 0.0
+    lo = np.maximum(a, 1e-14 * pts[0])
     # the cap's half-power structure at the shell edges lives on the scale of
     # the shell width, so the substituted edge pieces must cover a fixed
     # fraction of it: boundaries inside the edge zones are absorbed
     width_r = b - lo
-    lo_zone = min(lo + 0.25 * width_r, 2.0 * lo) if a > 0.0 else lo
-    hi_zone = max(b - 0.25 * width_r, 0.5 * b)
-    inner = pts[(pts > lo_zone) & (pts < hi_zone)]
-    bounds = np.concatenate([[lo], inner, [b]])
-    if bounds.size == 2:
-        bounds = np.array([bounds[0], math.sqrt(bounds[0] * bounds[1]), bounds[1]])
+    lo_zone = np.where(anchored, np.minimum(lo + 0.25 * width_r, 2.0 * lo), lo)
+    hi_zone = np.maximum(b - 0.25 * width_r, 0.5 * b)
+    first = np.searchsorted(pts, lo_zone, side="right")
+    n_inner = np.maximum(np.searchsorted(pts, hi_zone, side="left") - first, 0)
+
+    # per shell: lo, the inner boundaries (their geometric midpoint if none), b
+    n_between = np.maximum(n_inner, 1)
+    seg, k = _ragged(n_between + 2)
+    inner = pts[np.clip(first[seg] + k - 1, 0, pts.size - 1)]
+    bounds = np.where(n_inner[seg] > 0, inner, np.sqrt(lo * b)[seg])
+    is_first = k == 0
+    is_last = k == n_between[seg] + 1
+    bounds[is_first] = lo
+    bounds[is_last] = b
+
+    piece = np.flatnonzero(~is_last)
+    pseg = seg[piece]
+    left = bounds[piece]
+    la = np.log(left)
+    logw = np.log(bounds[piece + 1]) - la
+    lo_edge = is_first[piece] & anchored[pseg]
+    hi_edge = is_last[piece + 1]
     # subdivide wide interior pieces geometrically; anchored edge pieces are
     # exempt (the square-root substitution absorbs their width)
-    la = np.log(bounds[:-1])
-    logw = np.log(bounds[1:]) - la
     nsplit = np.maximum(1, np.ceil(logw / _MAX_PIECE_LOGWIDTH).astype(int))
-    nsplit[-1] = 1
-    if a > 0.0:
-        nsplit[0] = 1
-    if int(nsplit.max()) > 1:
-        total = int(nsplit.sum())
-        starts = np.concatenate([[0], np.cumsum(nsplit)[:-1]])
-        within = np.arange(total) - np.repeat(starts, nsplit)
-        new_la = np.repeat(la, nsplit) + np.repeat(logw / nsplit, nsplit) * within
-        bounds = np.append(np.exp(new_la), bounds[-1])
+    nsplit[lo_edge | hi_edge] = 1
+    split = np.zeros(owner.size, dtype=bool)
+    split[pseg[nsplit > 1]] = True
+    # a subdivided shell takes all its lower piece ends from exp(ln r)
+    sub, j = _ragged(nsplit)
+    sseg = pseg[sub]
+    p0 = np.where(split[sseg], np.exp(la[sub] + (logw / nsplit)[sub] * j), left[sub])
+    hi_edge = hi_edge[sub]
+    p1 = np.where(hi_edge, b[sseg], np.append(p0[1:], 0.0))
+    lo_edge = lo_edge[sub]
+    mid = ~(lo_edge | hi_edge)
 
-    npieces = bounds.size - 1
-    p0, p1 = bounds[:-1], bounds[1:]
-    lo_edge = 0 if a > 0.0 else None
-    hi_edge = npieces - 1
+    # lay each shell's nodes out as interior pieces, lower edge, upper edge
+    order = np.argsort(3 * sseg + lo_edge + 2 * hi_edge, kind="stable")
+    count = np.where(mid, _MID_NODES, _EDGE_NODES)
+    offset = np.empty_like(count)
+    offset[order] = np.cumsum(count[order]) - count[order]
+    r = np.empty(int(count.sum()))
+    w = np.empty_like(r)
 
-    mid_mask = np.ones(npieces, dtype=bool)
-    if lo_edge is not None:
-        mid_mask[lo_edge] = False
-    mid_mask[hi_edge] = False
+    m = np.flatnonzero(mid)
+    pos = offset[m, None] + np.arange(_MID_NODES)
+    lam_a = np.log(p0[m])[:, None]
+    width = np.log(p1[m])[:, None] - lam_a
+    r_mid = np.exp(lam_a + width * _MID_X)
+    r[pos] = r_mid
+    w[pos] = width * _MID_W * r_mid
 
-    chunks_r, chunks_w = [], []
-    if mid_mask.any():
-        nodes, wts = _leggauss01(_MID_NODES)
-        lam_a = np.log(p0[mid_mask])[:, None]
-        width = (np.log(p1[mid_mask]) - np.log(p0[mid_mask]))[:, None]
-        r = np.exp(lam_a + width * nodes[None, :])
-        chunks_r.append(r.ravel())
-        chunks_w.append((width * wts[None, :] * r).ravel())
-    enodes, ewts = _leggauss01(_EDGE_NODES)
-    if lo_edge is not None:
-        width = p1[lo_edge] - p0[lo_edge]
-        r = p0[lo_edge] + width * enodes**2
-        chunks_r.append(r)
-        chunks_w.append(2.0 * width * enodes * ewts)
-    width = p1[hi_edge] - p0[hi_edge]
-    r = p1[hi_edge] - width * enodes**2
-    chunks_r.append(r)
-    chunks_w.append(2.0 * width * enodes * ewts)
-    return np.concatenate(chunks_r), np.concatenate(chunks_w)
+    e = np.flatnonzero(~mid)
+    pos = offset[e, None] + np.arange(_EDGE_NODES)
+    width = (p1[e] - p0[e])[:, None]
+    r[pos] = np.where(
+        lo_edge[e, None], p0[e, None] + width * _EDGE_X**2, p1[e, None] - width * _EDGE_X**2
+    )
+    w[pos] = 2.0 * width * _EDGE_X * _EDGE_W
+    return r, w, np.repeat(owner[sseg[order]], count[order])
 
 
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
@@ -191,23 +228,9 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho == 0.0:
         return out
 
-    # partial shell |t - rho| < r < t + rho: gather all nodes, one kernel call
-    hard_cutoff = math.isinf(f.tail_exponent) or f.values[-1] == 0.0
-    node_r, node_w, owners = [], [], []
-    for i, t in enumerate(t_arr):
-        a, b = abs(t - rho), t + rho
-        if hard_cutoff:
-            b = min(b, f.grid.r_max)
-        if b <= a or b <= 0.0:
-            continue
-        r_nodes, wts = _partial_nodes(f, a, b)
-        node_r.append(r_nodes)
-        node_w.append(wts)
-        owners.append(np.full(r_nodes.size, i))
-    if node_r:
-        r_flat = np.concatenate(node_r)
-        w_flat = np.concatenate(node_w)
-        o_flat = np.concatenate(owners)
+    # partial shell |t - rho| < r < t + rho: all nodes, one kernel call
+    r_flat, w_flat, o_flat = _partial_shell_nodes(f, rho, t_arr)
+    if o_flat.size:
         frac = cap_fraction(kernel, rho, t_arr[o_flat], r_flat)
         contrib = f(r_flat) * frac * r_flat ** (n - 1) * w_flat
         partial = np.bincount(o_flat, weights=contrib, minlength=t_arr.size)

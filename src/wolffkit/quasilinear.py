@@ -267,14 +267,21 @@ def find_fast_ground_state(
         best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
         for _ in range(cfg.depth):
             mid = math.sqrt(lo * hi)
+            if mid == lo or mid == hi:
+                # lo and hi are adjacent doubles: every further step would
+                # re-shoot this endpoint, whose trajectory is already known
+                t_end = t_lo if mid == lo else t_hi
+                if t_end.r_reached >= best.r_reached:
+                    best = t_end
+                break
             t_mid = shoot(params, cfg.a, mid, shoot_cfg)
             c_mid = _outcome(params, t_mid, exps.q0)
             if t_mid.r_reached >= best.r_reached:
                 best = t_mid
             if c_mid == c_lo:
-                lo = mid
+                lo, t_lo = mid, t_mid
             else:
-                hi = mid
+                hi, t_hi = mid, t_mid
         b_star = math.sqrt(lo * hi)
         final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
         if final.r_reached < best.r_reached:

@@ -341,7 +341,9 @@ def standard_battery(n: int, seed: int = 0, count: int = 20) -> list[RadialFunct
         kind = k % 4
         if kind == 3:
             R = float(rng.uniform(0.5, 2.0))
-            grid = RadialGrid.per_decade(R / 100.0, R, 16)
+            # one ulp below R/100 makes r_min smaller than the exact R/100, so
+            # the rounded span R/r_min cannot fall below the grid's minimum 100
+            grid = RadialGrid.per_decade(math.nextafter(R / 100.0, 0.0), R, 16)
             battery.append(
                 RadialFunction(
                     grid, np.ones(grid.count), head_exponent=0.0, tail_exponent=math.inf
@@ -432,7 +434,8 @@ def check_inequalities(
             den = lp_norm(fl, p, 0.0, n=n)
             fam_hls.append(float(num) / float(den))
             wimg = wolff_eval(fl, n, params.beta, params.gamma, cfg)
-            rimg = riesz_eval(fl, n, alpha, cfg)
+            # with sigma = 0 the weighted source is fl itself
+            rimg = img if sigma == 0.0 else riesz_eval(fl, n, alpha, cfg)
             num2 = float(lp_norm(rimg, p / g, 0.0, n=n)) ** (1.0 / g)
             den2 = float(lp_norm(wimg, p, 0.0, n=n))
             fam_cmp.append(num2 / den2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,43 @@ def test_ball_mass_batch_matches_scalar():
     batch = ball_mass_batch(k, f, 1.3, ts)
     singles = np.array([ball_mass(k, f, 1.3, float(t)) for t in ts])
     assert np.allclose(batch, singles, rtol=1e-13)
+
+
+def _lens_volume(n, R, d, t):
+    """Volume of B_R(0) n B_t(x), |x| = d, as two hyperspherical-cap volumes."""
+    unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    if d >= R + t:
+        return 0.0
+    if d <= abs(R - t):
+        return unit * min(R, t) ** n
+
+    def cap(a, c):  # volume of {y in B_a : y_1 > c}, |c| <= a
+        half = 0.5 * unit * a**n * betainc((n + 1) / 2, 0.5, 1.0 - (c / a) ** 2)
+        return half if c >= 0.0 else unit * a**n - half
+
+    c = (d * d + R * R - t * t) / (2.0 * d)
+    return cap(R, c) + cap(t, d - c)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ball_mass_batch_lens_volume_oracle(n):
+    # uniform density cut off at R: the mass over B_t(x) is the lens volume;
+    # t = rho starts the shell at r -> 0, whose wide pieces get subdivided
+    R = 1.5
+    grid = RadialGrid.per_decade(R / 1000.0, R, 16)
+    ones = RadialFunction(grid, np.ones(grid.count), tail_exponent=math.inf)
+    k = CapKernel(n)
+    cases = [
+        (0.8, [0.3, 0.8, 1.2, 2.0]),  # t < rho, t = rho, t > rho
+        (1e-3, [5e-4, 1e-3, 0.5, 1.49]),  # rho << R
+        (0.5, [10.0, 1e3]),  # t >> R
+        (5.0, [4.0, 5.0, 6.0]),  # centre outside the support
+        (100.0, [99.0, 100.0, 100.5, 101.4]),  # rho, t >> R
+    ]
+    for rho, ts in cases:
+        got = ball_mass_batch(k, ones, rho, np.array(ts))
+        want = np.array([_lens_volume(n, R, rho, t) for t in ts])
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0), (rho, ts)
 
 
 def test_ball_mass_divergent_head_error():

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from wolffkit.errors import NoBracketError, ParameterError
-from wolffkit.params import Parameters
+from wolffkit import quasilinear
+from wolffkit.params import Parameters, exponents
 from wolffkit.potential import weighted_source, wolff_eval_at
 from wolffkit.quasilinear import (
     GroundStateConfig,
     ShootConfig,
+    _outcome,
     find_fast_ground_state,
     flux_identity_residual,
     shoot,
@@ -88,3 +92,45 @@ def test_separatrix_consistent_with_integral_formulation():
     k1 = res.u(rho) / w
     assert k1.max() / k1.min() <= 1.2
     assert np.median(k1) == pytest.approx(1.0 / sphere_surface(params.n), rel=0.05)
+
+
+def test_bisection_stops_at_adjacent_doubles(monkeypatch):
+    # reference: the bisection run to full depth, which keeps re-shooting an
+    # endpoint once lo and hi are adjacent doubles
+    params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
+    q0 = exponents(params).q0
+    lo, hi = cfg.bracket
+    t_lo, t_hi = shoot(params, cfg.a, lo, cfg.shoot), shoot(params, cfg.a, hi, cfg.shoot)
+    c_lo = _outcome(params, t_lo, q0)
+    best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
+    for _ in range(cfg.depth):
+        mid = math.sqrt(lo * hi)
+        t_mid = shoot(params, cfg.a, mid, cfg.shoot)
+        if t_mid.r_reached >= best.r_reached:
+            best = t_mid
+        if _outcome(params, t_mid, q0) == c_lo:
+            lo = mid
+        else:
+            hi = mid
+    b_star = math.sqrt(lo * hi)
+    final = shoot(params, cfg.a, b_star, cfg.shoot)
+    if final.r_reached < best.r_reached:
+        final = best
+
+    shots = []
+
+    def counting_shoot(params, a, b, cfg=None):
+        shots.append(b)
+        return shoot(params, a, b, cfg)
+
+    monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
+    res = find_fast_ground_state(params, cfg)
+    bisection = shots[:-1]  # the last shot is the final one at b_star
+    assert len(set(bisection)) == len(bisection) < cfg.depth + 2
+    assert res.trace[0]["b_star"] == b_star
+    assert res.trace[0]["r_reached"] == final.r_reached
+    for prof, comp in ((res.u, final.u), (res.v, final.v)):
+        k = prof.grid.count
+        assert np.array_equal(prof.grid.points, final.r[:k])
+        assert np.array_equal(prof.values, comp[:k])

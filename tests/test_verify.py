@@ -5,9 +5,12 @@ import pytest
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from wolffkit.errors import ParameterError
+from wolffkit import verify
 from wolffkit.params import Parameters
+from wolffkit.potential import riesz_eval
 from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
 from wolffkit.verify import (
+    SCALE_FAMILY,
     check_equivalence_theorem,
     check_fast_rates,
     check_inequalities,
@@ -102,8 +105,17 @@ def test_inequalities_reject_violated_exponent_relation():
         check_inequalities(0, PINNED, p=2.0, q=2.0 * 1.1)
 
 
-def test_inequality_ratio_boundedness_small_battery():
+def test_inequality_ratio_boundedness_small_battery(monkeypatch):
+    calls = []
+
+    def counting_riesz(*args, **kwargs):
+        calls.append(args[0])
+        return riesz_eval(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "riesz_eval", counting_riesz)
     entries = check_inequalities(0, PINNED, count=4)
+    # sigma1 = 0: the weighted source is the profile itself, evaluated once
+    assert len(calls) == 4 * len(SCALE_FAMILY)
     hls = _status(entries, "weighted_hls_ratio")
     cmp_ = _status(entries, "wolff_riesz_comparison")
     const = _status(entries, "comparison_constant_second_order")
@@ -126,6 +138,14 @@ def test_standard_battery_is_deterministic():
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
         assert np.array_equal(fa.grid.points, fb.grid.points)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_standard_battery_builds_for_every_seed(n):
+    # the ball-indicator grids span at least the required two decades
+    for seed in range(300):
+        battery = standard_battery(n, seed=seed)
+        assert len(battery) == 20
 
 
 def test_run_suite_loglimit_structure_and_determinism():
