@@ -21,11 +21,23 @@ quad_boundaries, the ragged piece lists are laid out with repeat/cumsum, wide
 pieces are subdivided, and the interior and edge nodes are written into one
 flat array, each shell's block ordered interior pieces, lower edge, upper
 edge.  One cap_fraction call and one bincount then give every mass.
+
+Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
+depends on the values of f, only on the source grid's geometry and the
+centre's radii, so ball_mass_batch keeps that factor (the kernel weights) for
+reuse, the way an FFTW plan is kept: a repeat call on the same geometry
+regenerates the nodes and costs f(r) * weights plus one bincount.  The store
+is keyed per grid by (n, quad_boundaries, truncation radius), the only inputs
+of the node layout besides the centre, and per centre by (rho, t).  It holds
+one grid at a time, is cleared when the grid key changes, and is capped at
+_KERNEL_WEIGHT_BYTES; an 81-point grid's 81 centres of wolff_eval take about
+11 MB.  Access is locked, since potential evaluates centres on a thread pool.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -41,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EDGE_NODES = 20
 _MID_NODES = 10
+_KERNEL_WEIGHT_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,13 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(seg.size) - start[seg]
 
 
+def _truncation_radius(f: "RadialFunction"):
+    """Radius beyond which f vanishes (a hard tail cut-off), or None."""
+    if math.isinf(f.tail_exponent) or f.values[-1] == 0.0:
+        return f.grid.r_max
+    return None
+
+
 def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
 
@@ -130,8 +150,9 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     pts = f.quad_boundaries
     a = np.abs(t - rho)
     b = t + rho
-    if math.isinf(f.tail_exponent) or f.values[-1] == 0.0:
-        b = np.minimum(b, f.grid.r_max)
+    r_cut = _truncation_radius(f)
+    if r_cut is not None:
+        b = np.minimum(b, r_cut)
     owner = np.flatnonzero(b > a)
     a, b = a[owner], b[owner]
     anchored = a > 0.0
@@ -203,6 +224,37 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     return r, w, np.repeat(owner[sseg[order]], count[order])
 
 
+class _KernelWeightStore:
+    """Kernel weights of one source grid's centres, bounded by max_bytes."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._lock = threading.Lock()
+        self._grid = None
+        self._weights = {}
+
+    def get(self, grid_key, centre_key):
+        with self._lock:
+            return self._weights.get(centre_key) if grid_key == self._grid else None
+
+    def put(self, grid_key, centre_key, weights: np.ndarray):
+        weights.setflags(write=False)
+        with self._lock:
+            if grid_key != self._grid:
+                self._grid, self._weights, self.nbytes = grid_key, {}, 0
+            if centre_key not in self._weights and self.nbytes + weights.nbytes <= self.max_bytes:
+                self._weights[centre_key] = weights
+                self.nbytes += weights.nbytes
+
+    def clear(self):
+        with self._lock:
+            self._grid, self._weights, self.nbytes = None, {}, 0
+
+
+_kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
+
+
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
@@ -228,12 +280,17 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho == 0.0:
         return out
 
-    # partial shell |t - rho| < r < t + rho: all nodes, one kernel call
+    # partial shell |t - rho| < r < t + rho: all nodes, one kernel call, whose
+    # weights are kept for the next call on the same geometry
     r_flat, w_flat, o_flat = _partial_shell_nodes(f, rho, t_arr)
     if o_flat.size:
-        frac = cap_fraction(kernel, rho, t_arr[o_flat], r_flat)
-        contrib = f(r_flat) * frac * r_flat ** (n - 1) * w_flat
-        partial = np.bincount(o_flat, weights=contrib, minlength=t_arr.size)
+        grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
+        centre_key = (rho, t_arr.tobytes())
+        kw = _kernel_weights.get(grid_key, centre_key)
+        if kw is None:
+            kw = cap_fraction(kernel, rho, t_arr[o_flat], r_flat) * r_flat ** (n - 1) * w_flat
+            _kernel_weights.put(grid_key, centre_key, kw)
+        partial = np.bincount(o_flat, weights=f(r_flat) * kw, minlength=t_arr.size)
         out += kernel.surface * partial
     return out
 

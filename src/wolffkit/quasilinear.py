@@ -283,7 +283,11 @@ def find_fast_ground_state(
             else:
                 hi, t_hi = mid, t_mid
         b_star = math.sqrt(lo * hi)
-        final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
+        if final_stop == shoot_cfg.r_stop and b_star in (lo, hi):
+            # the bisection already shot this endpoint to the same radius
+            final = t_lo if b_star == lo else t_hi
+        else:
+            final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
         if final.r_reached < best.r_reached:
             final = best
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
 from .params import Parameters, RegimeReport, Subcriticality, classify_regime, exponents, validate
 from .potential import PotentialConfig, weighted_source, wolff_eval
-from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_surface
+from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, is_infinite, sphere_surface
 
 OVERFLOW_GUARD = 1e150
 
@@ -212,21 +212,9 @@ def _normalize(params, u, v, cfg: SolveConfig, u_ref: float, v_ref: float):
     the total masses instead.
     """
     if cfg.normalization is Normalization.NONE:
-        return u, v, 1.0, 1.0
-    if cfg.normalization is Normalization.FIX_MASS:
-        n = params.n
-        mu_mass = u.total_mass(n)
-        nu_mass = v.total_mass(n)
-        from .radial import is_infinite
-
-        if is_infinite(mu_mass) or is_infinite(nu_mass):
-            raise ParameterError("FixMass normalization requires finite total masses")
-        mu = u_ref / float(mu_mass)
-        nu = v_ref / float(nu_mass)
-    else:  # FIX_VALUE_AT_ONE
-        mu = u_ref / float(u(cfg.norm_radius))
-        nu = v_ref / float(v(cfg.norm_radius))
-    return u.scaled(mu), v.scaled(nu), mu, nu
+        return u, v
+    u_now, v_now = _references(params, u, v, cfg)
+    return u.scaled(u_ref / u_now), v.scaled(v_ref / v_now)
 
 
 def _undo_effective_constants(params, u, v, c1: float, c2: float):
@@ -246,14 +234,12 @@ def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: S
     u_new = _geometric_mix(u, u_img, cfg.damping)
     v_new = _geometric_mix(v, v_img, cfg.damping)
     u_ref, v_ref = _references(params, u, v, cfg)
-    u_out, v_out, _, _ = _normalize(params, u_new, v_new, cfg, u_ref, v_ref)
-    return u_out, v_out
+    return _normalize(params, u_new, v_new, cfg, u_ref, v_ref)
 
 
 def _references(params, u, v, cfg: SolveConfig):
+    """The anchored quantities of (u, v): total masses or values at norm_radius."""
     if cfg.normalization is Normalization.FIX_MASS:
-        from .radial import is_infinite
-
         mu_mass = u.total_mass(params.n)
         nu_mass = v.total_mass(params.n)
         if is_infinite(mu_mass) or is_infinite(nu_mass):
@@ -317,7 +303,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
             break
         u = _geometric_mix(u, u_img, cfg.damping)
         v = _geometric_mix(v, v_img, cfg.damping)
-        u, v, _, _ = _normalize(params, u, v, cfg, u_ref, v_ref)
+        u, v = _normalize(params, u, v, cfg, u_ref, v_ref)
 
     if anchored and converged:
         u, v = _undo_effective_constants(params, u, v, c1_eff, c2_eff)

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, WolffkitError
 from .params import (
     Parameters,
     Regime,
@@ -542,9 +542,9 @@ def _obtain_solution(params: Parameters) -> Optional[SolveResult]:
     if abs(params.beta - 1.0) <= 1e-12:
         try:
             return find_fast_ground_state(params)
-        except Exception:
+        except WolffkitError:
             pass
     try:
         return solve_system(params, SolveConfig(max_iters=25))
-    except Exception:
+    except WolffkitError:
         return None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wolffkit import geometry
 from wolffkit.radial import RadialFunction, RadialGrid
 
 
@@ -26,3 +27,19 @@ def power_tail_profile(grid: RadialGrid, scale: float, m: float) -> RadialFuncti
     """Smooth bump (1 + (r/scale)^2)^(-m/2) with the matching declared tail."""
     vals = (1.0 + (grid.points / scale) ** 2) ** (-m / 2.0)
     return RadialFunction(grid, vals, head_exponent=0.0, tail_exponent=m)
+
+
+@pytest.fixture
+def cap_calls(monkeypatch):
+    """Empty the kernel-weight store and count cap_fraction calls."""
+    geometry._kernel_weights.clear()
+    calls = []
+    cap_fraction = geometry.cap_fraction
+
+    def counting(kernel, rho, t, r):
+        calls.append(np.size(r))
+        return cap_fraction(kernel, rho, t, r)
+
+    monkeypatch.setattr(geometry, "cap_fraction", counting)
+    yield calls
+    geometry._kernel_weights.clear()

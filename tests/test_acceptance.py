@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wolffkit.errors import WolffkitError
 from wolffkit.params import (
     Parameters,
     Subcriticality,
@@ -175,7 +176,7 @@ def test_criterion_7_fast_rate_recovery(regime_name):
     source = "picard"
     try:
         result = solve_system(params, SolveConfig(max_iters=25, rel_tol=5e-3, damping=0.8))
-    except Exception:
+    except WolffkitError:
         result = None
     if result is None or not result.converged:
         source = "shooting"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.special import betainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wolffkit import geometry
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.geometry import CapKernel, ball_mass, ball_mass_batch, cap_fraction
 from wolffkit.radial import RadialFunction, RadialGrid, unit_ball_volume
@@ -189,3 +192,117 @@ def test_indicator_shifted_center_matches_quadrature():
     frac = cap_fraction(k, rho, t, r)
     oracle = np.trapezoid(frac * r**3, r) * k.surface
     assert ball_mass(k, ind, rho, t) == pytest.approx(oracle, rel=1e-6)
+
+
+# -- the kernel-weight store ----------------------------------------------
+
+
+def _store_profiles(n):
+    """The five profile kinds: power tail, bump, ball indicator, kinked, log tail."""
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    return [
+        RadialFunction(g, r**-1.0 / (1.0 + r) ** (n + 1), head_exponent=1.0, tail_exponent=n + 2.0),
+        power_tail_profile(g, 0.5, n + 3.0),
+        indicator_of_ball(1.5),
+        RadialFunction(g, np.where(r < 1.0, 1.0, 0.0) + np.where((r > 2) & (r < 5), 0.5, 0.0)),
+        RadialFunction(
+            g,
+            (1.0 + r**2) ** (-(n + 1) / 2) * (1.0 + np.log1p(r)),
+            tail_exponent=n + 1.0,
+            tail_log_power=1.0,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stored_weights_match_cold_values(n, cap_calls):
+    # weights stored for f serve another source g on the same geometry
+    k = CapKernel(n)
+    ts = np.geomspace(1e-3, 1e4, 60)
+    for f in _store_profiles(n):
+        g = f.with_values(f.values * (1.0 + 0.3 * np.sin(np.log(f.grid.points)) ** 2))
+        for rho in (0.3, 1.0, 40.0):
+            geometry._kernel_weights.clear()
+            cold = ball_mass_batch(k, g, rho, ts)
+            geometry._kernel_weights.clear()
+            ball_mass_batch(k, f, rho, ts)
+            before = len(cap_calls)
+            warm = ball_mass_batch(k, g, rho, ts)
+            assert len(cap_calls) == before  # served from the store
+            assert np.allclose(warm, cold, rtol=1e-13, atol=0.0)
+
+
+def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    f = power_tail_profile(grid, 1.0, 9.0)
+    ts = np.geomspace(1e-2, 1e3, 40)
+    variants = [
+        (CapKernel(4), f),
+        (CapKernel(5), f),  # another dimension
+        (CapKernel(5), f.with_values(f.values, tail_exponent=math.inf)),  # hard cut-off
+        (CapKernel(5), f.with_values(np.append(f.values[:-1], 0.0))),  # vanishing last value
+    ]
+    for k, g in variants:
+        before = len(cap_calls)
+        got = ball_mass_batch(k, g, 2.0, ts)
+        assert len(cap_calls) == before + 1
+        geometry._kernel_weights.clear()
+        assert np.array_equal(got, ball_mass_batch(k, g, 2.0, ts))
+
+
+def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
+    k = CapKernel(3)
+    ts = np.geomspace(1e-3, 1e4, 200)
+    store = geometry._kernel_weights
+    for j in range(12):  # distinct grids: each one replaces the last
+        grid = RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16)
+        f = power_tail_profile(grid, 1.0, 6.0)
+        for rho in np.geomspace(0.1, 10.0, 5):
+            ball_mass_batch(k, f, float(rho), ts)
+        assert 0 < store.nbytes <= store.max_bytes
+    # one grid with more centres than the cap admits
+    monkeypatch.setattr(store, "max_bytes", 3 * store.nbytes // 5)
+    store.clear()
+    for rho in np.geomspace(0.1, 10.0, 5):
+        ball_mass_batch(k, f, float(rho), ts)
+    assert 0 < store.nbytes <= store.max_bytes
+    before = len(cap_calls)
+    for rho in np.geomspace(0.1, 10.0, 5):
+        ball_mass_batch(k, f, float(rho), ts)
+    assert 0 < len(cap_calls) - before < 5  # the centres that did not fit
+
+
+def test_store_stress_concurrent_grids_and_centres():
+    # more threads than cores, switching often: grid changes, inserts and
+    # lookups interleave; a lost update would break the byte count or hand
+    # a centre another grid's weights
+    store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(400):
+                grid = int(rng.integers(3))
+                centre = int(rng.integers(64))
+                got = store.get(grid, centre)
+                if got is not None and not np.all(got == 1000 * grid + centre):
+                    errors.append((grid, centre))
+                store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
+        except Exception as exc:  # surfaced through the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert store.nbytes == sum(w.nbytes for w in store._weights.values()) <= store.max_bytes

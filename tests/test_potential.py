@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wolffkit import geometry
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.potential import (
     PotentialConfig,
@@ -177,3 +178,40 @@ def test_parameter_validation(unit_indicator):
 def test_config_round_trip():
     cfg = PotentialConfig(t_min=1e-4, t_max=1e5, t_nodes_per_decade=24, tail_correction=False)
     assert PotentialConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
+    # the solver's grid: 81 centres, two sources as in one system-map application
+    grid = RadialGrid.per_decade(1e-2, 1e3, 16)
+    u = power_tail_profile(grid, 1.0, 3.0)
+    v = weighted_source(0.0, 2.0, power_tail_profile(grid, 0.7, 3.5))
+    wu = wolff_eval(u, 5, 1.0, 2.0)
+    wolff_eval(v, 5, 1.0, 2.0)
+    assert grid.count == 81 and len(cap_calls) == 81
+    geometry._kernel_weights.clear()
+    assert np.array_equal(wolff_eval(u, 5, 1.0, 2.0).values, wu.values)
+
+
+def test_changed_t_resolution_misses_the_store(cap_calls):
+    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 7.0)
+    rhos = [0.5, 2.0]
+    wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+    before = len(cap_calls)
+    fine = wolff_eval_at(f, 5, 1.0, 2.0, rhos, PotentialConfig(t_nodes_per_decade=24))
+    assert len(cap_calls) == before + len(rhos)
+    geometry._kernel_weights.clear()
+    cold = wolff_eval_at(f, 5, 1.0, 2.0, rhos, PotentialConfig(t_nodes_per_decade=24))
+    assert np.array_equal(fine, cold)
+
+
+def test_thread_pool_gives_single_thread_values(cap_calls, monkeypatch):
+    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 7.0)
+    rhos = np.geomspace(0.05, 50.0, 12)
+    monkeypatch.setenv("WOLFFKIT_THREADS", "1")
+    single = wolff_eval_at(f, 4, 1.0, 1.8, rhos)
+    geometry._kernel_weights.clear()
+    monkeypatch.setenv("WOLFFKIT_THREADS", "2")
+    cold = wolff_eval_at(f, 4, 1.0, 1.8, rhos)  # centres fill the store concurrently
+    warm = wolff_eval_at(f, 4, 1.0, 1.8, rhos)
+    assert len(cap_calls) == 2 * rhos.size
+    assert np.array_equal(cold, single) and np.array_equal(warm, single)

@@ -126,11 +126,30 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
 
     monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
     res = find_fast_ground_state(params, cfg)
-    bisection = shots[:-1]  # the last shot is the final one at b_star
-    assert len(set(bisection)) == len(bisection) < cfg.depth + 2
+    # no b is shot twice: the final trajectory is the bisection's own shot at
+    # b_star, which the full-depth reference shoots once more
+    assert len(set(shots)) == len(shots) < cfg.depth + 2
+    assert b_star in shots
     assert res.trace[0]["b_star"] == b_star
     assert res.trace[0]["r_reached"] == final.r_reached
     for prof, comp in ((res.u, final.u), (res.v, final.v)):
         k = prof.grid.count
         assert np.array_equal(prof.grid.points, final.r[:k])
         assert np.array_equal(prof.values, comp[:k])
+
+
+def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
+    params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4), final_r_stop=1e5)
+    shots = []
+
+    def counting_shoot(params, a, b, cfg=None):
+        shots.append((b, cfg.r_stop))
+        return shoot(params, a, b, cfg)
+
+    monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
+    res = find_fast_ground_state(params, cfg)
+    b_star = res.trace[0]["b_star"]
+    assert shots[-1] == (b_star, 1e5)
+    assert all(r_stop == 1e4 for _, r_stop in shots[:-1])
+    assert b_star in [b for b, _ in shots[:-1]]  # re-shot to the farther radius

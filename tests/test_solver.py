@@ -70,6 +70,22 @@ def test_picard_step_identity_damping_is_plain_image():
     assert np.array_equal(step_v.values, img_v.values)
 
 
+def test_picard_step_fix_mass_keeps_total_masses():
+    # n = 5, beta*gamma = 1.6: the images decay like r^{-17/3}, so every
+    # iterate has a finite total mass to anchor
+    params = Parameters(5, 1.0, 1.6, 2.0, 2.0, 0.0, 0.0)
+    grid = RadialGrid.per_decade(1e-2, 1e2, 8)
+    r = grid.points
+    u = RadialFunction(grid, 3.0 * (1.0 + r**2) ** -3.5, tail_exponent=7.0)
+    v = RadialFunction(grid, 0.5 * (1.0 + (r / 2.0) ** 2) ** -4.0, tail_exponent=8.0)
+    cfg = SolveConfig(normalization=Normalization.FIX_MASS)
+    u_new, v_new = picard_step(params, u, v, cfg)
+    for old, new in ((u, u_new), (v, v_new)):
+        assert new.total_mass(5) == pytest.approx(old.total_mass(5), rel=1e-12)
+    # the anchor is the mass, not the value at norm_radius
+    assert abs(u_new(cfg.norm_radius) / u(cfg.norm_radius) - 1.0) > 1e-3
+
+
 def test_picard_step_rejects_vanishing_iterate():
     grid = default_solver_grid()
     zero = RadialFunction(grid, np.zeros(grid.count), tail_exponent=math.inf)
