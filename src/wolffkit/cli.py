@@ -17,14 +17,9 @@ from .errors import ProfileFormatError, WolffkitError
 from .params import PARAM_KEYS, Parameters, classify_regime
 from .potential import PotentialConfig, riesz_eval, wolff_eval
 from .quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
-from .radial import RadialFunction, read_profile, write_profile
+from .radial import read_profile, write_profile
 from .solver import SolveConfig, solve_system
 from .verify import SUITES, run_suite
-
-
-def load_profile(path) -> RadialFunction:
-    """Load a CSV + JSON-sidecar profile, with validation errors surfaced."""
-    return read_profile(path)
 
 
 def _load_params(args) -> Parameters:
@@ -65,7 +60,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = _load_params(args)
-    source = load_profile(args.source)
+    source = read_profile(args.source)
     cfg = None
     if args.config:
         with open(args.config) as fh:

@@ -20,18 +20,22 @@ array pass: two searchsorted calls find each shell's inner grid boundaries in
 quad_boundaries, the ragged piece lists are laid out with repeat/cumsum, wide
 pieces are subdivided, and the interior and edge nodes are written into one
 flat array, each shell's block ordered interior pieces, lower edge, upper
-edge.  One cap_fraction call and one bincount then give every mass.
+edge.  One cap_fraction call and one add.reduceat then give every mass.
 
 Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
-depends on the values of f, only on the source grid's geometry and the
-centre's radii, so ball_mass_batch keeps that factor (the kernel weights) for
-reuse, the way an FFTW plan is kept: a repeat call on the same geometry
-regenerates the nodes and costs f(r) * weights plus one bincount.  The store
-is keyed per grid by (n, quad_boundaries, truncation radius), the only inputs
-of the node layout besides the centre, and per centre by (rho, t).  It holds
-one grid at a time, is cleared when the grid key changes, and is capped at
-_KERNEL_WEIGHT_BYTES; an 81-point grid's 81 centres of wolff_eval take about
-11 MB.  Access is locked, since potential evaluates centres on a thread pool.
+(the kernel weights) depends on the values of f, only on the source grid's
+geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
+plan, the way an FFTW plan is kept: the nodes, the kernel weights, and the
+start offset and t index of each non-empty shell.  A repeat call on the same
+geometry skips node generation and costs f at the stored nodes times the
+weights plus one add.reduceat over the shells; cold and repeat calls share
+that sum, so they agree bit for bit.  The store is keyed per grid by (n,
+quad_boundaries, truncation radius), the only inputs of the node layout
+besides the centre, and per centre by (rho, t).  It holds one grid at a time,
+is cleared when the grid key changes, and is capped at _KERNEL_WEIGHT_BYTES;
+a plan takes 16 bytes per node, so an 81-point grid's 81 centres of
+wolff_eval take about 23 MB.  Access is locked, since potential evaluates
+centres on a thread pool.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy.special import betainc
@@ -224,32 +228,60 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     return r, w, np.repeat(owner[sseg[order]], count[order])
 
 
+class _CentrePlan(NamedTuple):
+    """A centre's partial-shell quadrature, free of f: nodes r, kernel weights
+    cap_fraction * r^{n-1} * w, and per non-empty shell the offset of its
+    first node and its index into t."""
+
+    r: np.ndarray
+    kw: np.ndarray
+    starts: np.ndarray
+    t_index: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self)
+
+
+def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
+    """Build a centre's read-only plan, or None when every shell is empty."""
+    r, w, owner = _partial_shell_nodes(f, rho, t)
+    if not owner.size:
+        return None
+    kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
+    # owner is non-decreasing, so each shell's nodes form one run
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    plan = _CentrePlan(r, kw, starts, owner[starts])
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 class _KernelWeightStore:
-    """Kernel weights of one source grid's centres, bounded by max_bytes."""
+    """Plans of one source grid's centres, bounded by max_bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
         self._lock = threading.Lock()
         self._grid = None
-        self._weights = {}
+        self._plans = {}
 
     def get(self, grid_key, centre_key):
         with self._lock:
-            return self._weights.get(centre_key) if grid_key == self._grid else None
+            return self._plans.get(centre_key) if grid_key == self._grid else None
 
-    def put(self, grid_key, centre_key, weights: np.ndarray):
-        weights.setflags(write=False)
+    def put(self, grid_key, centre_key, plan):
         with self._lock:
             if grid_key != self._grid:
-                self._grid, self._weights, self.nbytes = grid_key, {}, 0
-            if centre_key not in self._weights and self.nbytes + weights.nbytes <= self.max_bytes:
-                self._weights[centre_key] = weights
-                self.nbytes += weights.nbytes
+                self._grid, self._plans, self.nbytes = grid_key, {}, 0
+            if centre_key not in self._plans and self.nbytes + plan.nbytes <= self.max_bytes:
+                self._plans[centre_key] = plan
+                self.nbytes += plan.nbytes
 
     def clear(self):
         with self._lock:
-            self._grid, self._weights, self.nbytes = None, {}, 0
+            self._grid, self._plans, self.nbytes = None, {}, 0
 
 
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
@@ -280,18 +312,16 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho == 0.0:
         return out
 
-    # partial shell |t - rho| < r < t + rho: all nodes, one kernel call, whose
-    # weights are kept for the next call on the same geometry
-    r_flat, w_flat, o_flat = _partial_shell_nodes(f, rho, t_arr)
-    if o_flat.size:
-        grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
-        centre_key = (rho, t_arr.tobytes())
-        kw = _kernel_weights.get(grid_key, centre_key)
-        if kw is None:
-            kw = cap_fraction(kernel, rho, t_arr[o_flat], r_flat) * r_flat ** (n - 1) * w_flat
-            _kernel_weights.put(grid_key, centre_key, kw)
-        partial = np.bincount(o_flat, weights=f(r_flat) * kw, minlength=t_arr.size)
-        out += kernel.surface * partial
+    # partial shell |t - rho| < r < t + rho, from the plan kept for this geometry
+    grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
+    centre_key = (rho, t_arr.tobytes())
+    plan = _kernel_weights.get(grid_key, centre_key)
+    if plan is None:
+        plan = _centre_plan(kernel, f, rho, t_arr)
+        if plan is None:
+            return out
+        _kernel_weights.put(grid_key, centre_key, plan)
+    out[plan.t_index] += kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
     return out
 
 

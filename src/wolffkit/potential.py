@@ -196,25 +196,13 @@ def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: fl
         )
 
 
-def _mass_far(f: RadialFunction, n: int, rho: float, t: np.ndarray) -> np.ndarray:
-    """Ball mass for t >> rho: symmetric cumulative average kills the O(rho/t) term."""
-    return 0.5 * (f.cumulative_mass(n, t - rho) + f.cumulative_mass(n, t + rho))
-
-
-def _log_integrand_tail(f, n, rho, inv_power, a_decay, tau):
-    t = np.exp(tau)
-    mass = _mass_far(f, n, rho, t)
-    out = np.full(tau.shape, -np.inf)
-    pos = mass > 0.0
-    out[pos] = inv_power * np.log(mass[pos]) - a_decay * tau[pos]
-    return out
-
-
 def _tail_piece(f, n, rho, inv_power, a_decay, tau_max, growth) -> float:
     """int_{tau_max}^inf mass^{inv_power} e^{-a_decay tau} dtau, truncated window.
 
     growth is the asymptotic log-slope of mass^{inv_power}; the effective
-    decay rate a_decay - growth must be positive for convergence.
+    decay rate a_decay - growth must be positive for convergence.  For
+    t >> rho the ball mass is the symmetric cumulative average, which kills
+    the O(rho/t) term; all panels' nodes take one cumulative_mass call.
     """
     a_eff = a_decay - growth
     if a_eff <= BORDERLINE_TOL:
@@ -224,14 +212,16 @@ def _tail_piece(f, n, rho, inv_power, a_decay, tau_max, growth) -> float:
         )
     span = _TAIL_DECAY_SPAN / a_eff
     nodes, wts = _leggauss01(_PANEL_NODES)
-    total = 0.0
     edges = np.linspace(tau_max, tau_max + span, _TAIL_PANELS + 1)
-    for k in range(_TAIL_PANELS):
-        width = edges[k + 1] - edges[k]
-        tau = edges[k] + width * nodes
-        logg = _log_integrand_tail(f, n, rho, inv_power, a_decay, tau)
-        total += width * float(np.dot(wts, np.exp(logg)))
-    return total
+    widths = np.diff(edges)
+    tau = (edges[:-1, None] + widths[:, None] * nodes).ravel()
+    t = np.exp(tau)
+    both = f.cumulative_mass(n, np.concatenate([t - rho, t + rho]))
+    mass = 0.5 * (both[: t.size] + both[t.size :])
+    logg = np.full(tau.shape, -np.inf)
+    pos = mass > 0.0
+    logg[pos] = inv_power * np.log(mass[pos]) - a_decay * tau[pos]
+    return float((np.exp(logg).reshape(_TAIL_PANELS, _PANEL_NODES) @ wts) @ widths)
 
 
 def _head_piece(f, n, rho, inv_power, a_decay, t_min) -> float:

@@ -177,7 +177,7 @@ class GroundStateConfig:
     clean_fraction: float = 0.1
 
 
-def _outcome(params: Parameters, traj: Trajectory, slow_u: float) -> str:
+def _outcome(traj: Trajectory) -> str:
     if traj.event is not None:
         return f"hit_{traj.event[0]}"
     return "survive"
@@ -259,7 +259,7 @@ def find_fast_ground_state(
         lo, hi = cfg.bracket
         t_lo = shoot(params, cfg.a, lo, shoot_cfg)
         t_hi = shoot(params, cfg.a, hi, shoot_cfg)
-        c_lo, c_hi = _outcome(params, t_lo, exps.q0), _outcome(params, t_hi, exps.q0)
+        c_lo, c_hi = _outcome(t_lo), _outcome(t_hi)
         if c_lo == c_hi:
             raise NoBracketError(
                 f"both bracket endpoints classify as {c_lo}; widen the bracket"
@@ -275,7 +275,7 @@ def find_fast_ground_state(
                     best = t_end
                 break
             t_mid = shoot(params, cfg.a, mid, shoot_cfg)
-            c_mid = _outcome(params, t_mid, exps.q0)
+            c_mid = _outcome(t_mid)
             if t_mid.r_reached >= best.r_reached:
                 best = t_mid
             if c_mid == c_lo:

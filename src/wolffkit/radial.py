@@ -159,7 +159,8 @@ class RadialFunction:
 
     @cached_property
     def _cells(self):
-        """Per-cell interpolation data: slope of the log-log power law."""
+        """Per-cell interpolation data: slope of the log-log power law and ln of
+        the left value (-inf where it vanishes)."""
         r = self.grid.points
         v = self.values
         va, vb = v[:-1], v[1:]
@@ -168,7 +169,8 @@ class RadialFunction:
         m = np.zeros(va.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             m[power] = -np.log(vb[power] / va[power]) / dlr[power]
-        return {"power": power, "m": m}
+            log_va = np.log(va)
+        return {"power": power, "m": m, "log_va": log_va}
 
     @cached_property
     def quad_boundaries(self) -> np.ndarray:
@@ -195,16 +197,26 @@ class RadialFunction:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty_like(r)
         pts = self.grid.points
         v = self.values
+        cells = self._cells
+
+        # the power-cell formula on every point, then the linear cells, the
+        # head and the tail patched over it; off the grid it may overflow
+        idx = np.clip(np.searchsorted(pts, r, side="right") - 1, 0, pts.size - 2)
+        ra = pts[idx]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.exp(cells["log_va"][idx] - cells["m"][idx] * np.log(r / ra))
+        if not cells["power"].all():
+            lin = np.flatnonzero(~cells["power"][idx])
+            il = idx[lin]
+            frac = (r[lin] - ra[lin]) / (pts[il + 1] - ra[lin])
+            out[lin] = v[il] + (v[il + 1] - v[il]) * frac
 
         head = r < pts[0]
-        tail = r > pts[-1]
-        body = ~(head | tail)
-
         if head.any():
             out[head] = v[0] * (r[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
+        tail = r > pts[-1]
         if tail.any():
             if math.isinf(self.tail_exponent) or v[-1] == 0.0:
                 out[tail] = 0.0
@@ -213,23 +225,6 @@ class RadialFunction:
                 if self.tail_log_power != 0.0:
                     factor = factor * (np.log(r[tail]) / np.log(pts[-1])) ** self.tail_log_power
                 out[tail] = v[-1] * factor
-        if body.any():
-            rb = r[body]
-            idx = np.clip(np.searchsorted(pts, rb, side="right") - 1, 0, pts.size - 2)
-            cells = self._cells
-            power, m = cells["power"][idx], cells["m"][idx]
-            ra, rb_hi = pts[idx], pts[idx + 1]
-            va, vb = v[idx], v[idx + 1]
-            res = np.empty_like(rb)
-            if power.any():
-                res[power] = np.exp(
-                    np.log(va[power]) - m[power] * np.log(rb[power] / ra[power])
-                )
-            lin = ~power
-            if lin.any():
-                frac = (rb[lin] - ra[lin]) / (rb_hi[lin] - ra[lin])
-                res[lin] = va[lin] + (vb[lin] - va[lin]) * frac
-            out[body] = res
         return float(out[0]) if scalar else out
 
     # -- constructors ------------------------------------------------------

@@ -149,9 +149,12 @@ def potential_images(params: Parameters, u: RadialFunction, v: RadialFunction, c
     """One application of the system's right-hand side to (u, v)."""
     n, beta, gamma = params.n, params.beta, params.gamma
     src_u = weighted_source(params.sigma1, params.q, v)
-    src_v = weighted_source(params.sigma2, params.p, u)
     u_img = wolff_eval(src_u, n, beta, gamma, cfg.potential, u.grid)
-    v_img = wolff_eval(src_v, n, beta, gamma, cfg.potential, v.grid)
+    if v is u and params.sigma1 == params.sigma2 and params.p == params.q:
+        v_img = u_img  # both components have the same source and grid
+    else:
+        src_v = weighted_source(params.sigma2, params.p, u)
+        v_img = wolff_eval(src_v, n, beta, gamma, cfg.potential, v.grid)
     if cfg.coefficients is not None:
         c1, c2 = cfg.coefficients
         u_img = u_img.with_values(u_img.values * c1(u.grid.points))

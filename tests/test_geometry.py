@@ -230,7 +230,7 @@ def test_stored_weights_match_cold_values(n, cap_calls):
             before = len(cap_calls)
             warm = ball_mass_batch(k, g, rho, ts)
             assert len(cap_calls) == before  # served from the store
-            assert np.allclose(warm, cold, rtol=1e-13, atol=0.0)
+            assert np.array_equal(warm, cold)
 
 
 def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
@@ -261,6 +261,8 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
         for rho in np.geomspace(0.1, 10.0, 5):
             ball_mass_batch(k, f, float(rho), ts)
         assert 0 < store.nbytes <= store.max_bytes
+        assert store.nbytes == sum(a.nbytes for plan in store._plans.values() for a in plan)
+        assert not any(a.flags.writeable for plan in store._plans.values() for a in plan)
     # one grid with more centres than the cap admits
     monkeypatch.setattr(store, "max_bytes", 3 * store.nbytes // 5)
     store.clear()
@@ -271,6 +273,18 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     for rho in np.geomspace(0.1, 10.0, 5):
         ball_mass_batch(k, f, float(rho), ts)
     assert 0 < len(cap_calls) - before < 5  # the centres that did not fit
+
+
+def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
+    # a truncated source far from the centre: no t leaves a partial shell
+    # inside r <= 1, so only the covered mass remains
+    ind = indicator_of_ball(1.0)
+    k = CapKernel(4)
+    ts = np.array([10.0, 50.0, 150.0, 1e3])
+    got = ball_mass_batch(k, ind, 100.0, ts)
+    assert np.allclose(got, [0.0, 0.0, unit_ball_volume(4), unit_ball_volume(4)], rtol=1e-12)
+    assert got[0] == got[1] == 0.0
+    assert not cap_calls and geometry._kernel_weights.nbytes == 0
 
 
 def test_store_stress_concurrent_grids_and_centres():
@@ -305,4 +319,4 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert store.nbytes == sum(w.nbytes for w in store._weights.values()) <= store.max_bytes
+    assert store.nbytes == sum(w.nbytes for w in store._plans.values()) <= store.max_bytes

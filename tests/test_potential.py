@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from wolffkit import geometry
+from wolffkit import geometry, potential
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.potential import (
     PotentialConfig,
@@ -14,6 +16,7 @@ from wolffkit.potential import (
 from wolffkit.radial import (
     RadialFunction,
     RadialGrid,
+    _leggauss01,
     fit_decay_rate,
     sphere_surface,
     unit_ball_volume,
@@ -215,3 +218,46 @@ def test_thread_pool_gives_single_thread_values(cap_calls, monkeypatch):
     warm = wolff_eval_at(f, 4, 1.0, 1.8, rhos)
     assert len(cap_calls) == 2 * rhos.size
     assert np.array_equal(cold, single) and np.array_equal(warm, single)
+
+
+def _tail_piece_by_panels(f, n, rho, inv_power, a_decay, tau_max, growth):
+    """Reference: the t > t_max window one Gauss-Legendre panel at a time."""
+    span = potential._TAIL_DECAY_SPAN / (a_decay - growth)
+    nodes, wts = _leggauss01(potential._PANEL_NODES)
+    edges = np.linspace(tau_max, tau_max + span, potential._TAIL_PANELS + 1)
+    total = 0.0
+    for k in range(potential._TAIL_PANELS):
+        width = edges[k + 1] - edges[k]
+        tau = edges[k] + width * nodes
+        t = np.exp(tau)
+        mass = 0.5 * (f.cumulative_mass(n, t - rho) + f.cumulative_mass(n, t + rho))
+        logg = np.full(tau.shape, -np.inf)
+        pos = mass > 0.0
+        logg[pos] = inv_power * np.log(mass[pos]) - a_decay * tau[pos]
+        total += width * float(np.dot(wts, np.exp(logg)))
+    return total
+
+
+def test_tail_piece_matches_panel_loop():
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    n = 5
+    log_tail = RadialFunction(
+        g, (1.0 + r**2) ** (-n / 2) * (1.0 + np.log1p(r)), tail_exponent=n, tail_log_power=1.0
+    )
+    slow = power_tail_profile(g, 1.0, 4.0)  # T = 4 < n
+    tau_max = math.log(100.0 * g.r_max)
+    # (source, inv_power, a_decay, growth): Wolff at (beta, gamma) = (1, 1.6)
+    # and (1, 2), and the Riesz potential of order 2 (inv_power = 1)
+    cases = [
+        (log_tail, 1.0 / 0.6, (n - 1.6) / 0.6, 0.0),
+        (log_tail, 1.0, n - 2.0, 0.0),
+        (slow, 1.0 / 0.6, (n - 1.6) / 0.6, (n - 4.0) / 0.6),
+        (slow, 1.0, n - 2.0, n - 4.0),
+    ]
+    for f, inv_power, a_decay, growth in cases:
+        for rho in (0.0, 0.03, 1.0, 70.0):
+            got = potential._tail_piece(f, n, rho, inv_power, a_decay, tau_max, growth)
+            want = _tail_piece_by_panels(f, n, rho, inv_power, a_decay, tau_max, growth)
+            assert got > 0.0
+            assert abs(got - want) <= 1e-14 * want

@@ -5,7 +5,7 @@ import pytest
 
 from wolffkit.errors import NoBracketError, ParameterError
 from wolffkit import quasilinear
-from wolffkit.params import Parameters, exponents
+from wolffkit.params import Parameters
 from wolffkit.potential import weighted_source, wolff_eval_at
 from wolffkit.quasilinear import (
     GroundStateConfig,
@@ -99,17 +99,16 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
     # endpoint once lo and hi are adjacent doubles
     params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
-    q0 = exponents(params).q0
     lo, hi = cfg.bracket
     t_lo, t_hi = shoot(params, cfg.a, lo, cfg.shoot), shoot(params, cfg.a, hi, cfg.shoot)
-    c_lo = _outcome(params, t_lo, q0)
+    c_lo = _outcome(t_lo)
     best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
     for _ in range(cfg.depth):
         mid = math.sqrt(lo * hi)
         t_mid = shoot(params, cfg.a, mid, cfg.shoot)
         if t_mid.r_reached >= best.r_reached:
             best = t_mid
-        if _outcome(params, t_mid, q0) == c_lo:
+        if _outcome(t_mid) == c_lo:
             lo = mid
         else:
             hi = mid

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,82 @@ def test_interpolation_zero_cells_fall_back_to_linear():
     f = RadialFunction(g, vals, tail_exponent=math.inf)
     mid = math.sqrt(g.points[10] * g.points[11])
     assert 0.0 < f(mid) < 1.0
+
+
+def _call_by_region(f, r):
+    """Reference: __call__ as head, tail and body masks, with the body split
+    into power and linear cells and ln of each point's left value.  Returns
+    the values and the mask of points evaluated on power cells."""
+    out = np.empty_like(r)
+    pts, v = f.grid.points, f.values
+    head, tail = r < pts[0], r > pts[-1]
+    body = ~(head | tail)
+    out[head] = v[0] * (r[head] / pts[0]) ** (-f.head_exponent) if v[0] > 0 else 0.0
+    if math.isinf(f.tail_exponent) or v[-1] == 0.0:
+        out[tail] = 0.0
+    else:
+        factor = (r[tail] / pts[-1]) ** (-f.tail_exponent)
+        if f.tail_log_power != 0.0:
+            factor = factor * (np.log(r[tail]) / np.log(pts[-1])) ** f.tail_log_power
+        out[tail] = v[-1] * factor
+    rb = r[body]
+    idx = np.clip(np.searchsorted(pts, rb, side="right") - 1, 0, pts.size - 2)
+    power, m = f._cells["power"][idx], f._cells["m"][idx]
+    ra, rb_hi, va, vb = pts[idx], pts[idx + 1], v[idx], v[idx + 1]
+    res = np.empty_like(rb)
+    res[power] = np.exp(np.log(va[power]) - m[power] * np.log(rb[power] / ra[power]))
+    lin = ~power
+    res[lin] = va[lin] + (vb[lin] - va[lin]) * (rb[lin] - ra[lin]) / (rb_hi[lin] - ra[lin])
+    out[body] = res
+    on_power = np.zeros(r.size, dtype=bool)
+    on_power[np.flatnonzero(body)[power]] = True
+    return out, on_power
+
+
+def _call_profiles():
+    """Head-singular, power-tail, log-tail, hard-cutoff and zero-cell profiles."""
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    kinked = np.where(r < 1.0, 1.0, 0.0) + np.where((r > 2.0) & (r < 5.0), 0.5, 0.0)
+    return [
+        RadialFunction(g, r**-1.5 / (1.0 + r) ** 3, head_exponent=1.5, tail_exponent=4.5),
+        power_tail_profile(g, 1.0, 6.0),
+        RadialFunction(
+            g, (1.0 + r**2) ** -2 * (1.0 + np.log1p(r)), tail_exponent=4.0, tail_log_power=1.0
+        ),
+        RadialFunction(g, np.exp(-r), tail_exponent=math.inf),
+        RadialFunction(g, kinked, tail_exponent=3.0),
+        RadialFunction(g, np.append(kinked[:-1] + 0.25, 0.0), tail_exponent=3.0),
+    ]
+
+
+def test_one_pass_call_matches_region_formulas():
+    for f in _call_profiles():
+        pts = f.grid.points
+        # below, across and beyond the grid, with every grid point and the
+        # geometric midpoint of every cell
+        r = np.concatenate(
+            [np.geomspace(1e-6, 1e7, 2001), pts, np.sqrt(pts[:-1] * pts[1:])]
+        )
+        got = f(r)
+        want, on_power = _call_by_region(f, r)
+        assert np.array_equal(got[on_power], want[on_power])
+        rest = ~on_power
+        assert np.all(np.abs(got[rest] - want[rest]) <= 1e-15 * np.abs(want[rest]))
+        assert all(f(float(x)) == y for x, y in zip(r[::97], got[::97]))
+
+
+def test_call_far_off_the_grid_raises_no_numeric_warning():
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    rising = RadialFunction(g, g.points**2, tail_exponent=3.0)
+    steep = RadialFunction(g, np.exp(-g.points) * g.points**-40.0, head_exponent=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = np.array([1e3, 1e150, 1e300])
+        far = rising(r)
+        near = steep(np.array([0.0, 1e-300, 1e-200]))
+    assert np.array_equal(far, rising.values[-1] * (r / g.r_max) ** -3.0)
+    assert np.array_equal(near, np.full(3, steep.values[0]))
 
 
 def test_lp_norm_indicator_is_ball_volume(unit_indicator):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wolffkit import solver
 from wolffkit.errors import (
     DegenerateIterationError,
     NotConvergedError,
@@ -196,3 +197,35 @@ def test_solve_config_from_dict():
     assert cfg.grid.r_max == pytest.approx(1e2)
     with pytest.raises(ParameterError):
         SolveConfig(damping=1.5)
+
+
+@pytest.mark.parametrize("coefficients", [False, True])
+def test_potential_images_of_one_profile_take_one_wolff_eval(monkeypatch, coefficients):
+    grid = default_solver_grid()
+    u = bubble_profile(5, grid)
+    cfg = SolveConfig()
+    if coefficients:
+        wobble = 1.0 + 0.5 * np.sin(np.log(grid.points))
+        c1 = RadialFunction(grid, wobble, tail_exponent=0.0)
+        c2 = RadialFunction(grid, 3.0 - wobble, tail_exponent=0.0)
+        cfg = SolveConfig(coefficients=(c1, c2))
+    calls = []
+    wolff_eval = solver.wolff_eval
+
+    def counting(*args):
+        calls.append(args[0])
+        return wolff_eval(*args)
+
+    monkeypatch.setattr(solver, "wolff_eval", counting)
+    once = potential_images(CRITICAL_SCALAR, u, u, cfg)
+    assert len(calls) == 1
+    twice = potential_images(CRITICAL_SCALAR, u, u.with_values(u.values), cfg)
+    assert len(calls) == 3
+    for a, b in zip(once, twice):
+        assert np.array_equal(a.values, b.values)
+        assert (a.tail_exponent, a.tail_log_power) == (b.tail_exponent, b.tail_log_power)
+    # the same profile under unequal exponents still needs both images
+    other = Parameters(5, 1.0, 2.0, 7 / 3, 2.5, 0.0, 0.0)
+    img_u, img_v = potential_images(other, u, u, cfg)
+    assert len(calls) == 5
+    assert not np.array_equal(img_u.values, img_v.values)
