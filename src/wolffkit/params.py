@@ -110,13 +110,11 @@ class RegimeReport:
         }
 
 
-def validate(params: Parameters) -> Parameters:
-    """Return the tuple unchanged iff every admissibility constraint holds.
+def validate_operator(n: int, beta: float, gamma: float) -> None:
+    """Admissibility of the Wolff operator W_{beta,gamma} on R^n.
 
     Raises ParameterError naming the first violated constraint.
     """
-    n, beta, gamma = params.n, params.beta, params.gamma
-    p, q, s1, s2 = params.p, params.q, params.sigma1, params.sigma2
     if not (isinstance(n, int) and n >= 3):
         raise ParameterError(f"n >= 3 violated (n = {n})")
     if not (1.0 < gamma <= 2.0):
@@ -125,6 +123,16 @@ def validate(params: Parameters) -> Parameters:
         raise ParameterError(f"beta > 0 violated (beta = {beta})")
     if not beta * gamma < n:
         raise ParameterError(f"beta*gamma < n violated (beta*gamma = {beta * gamma}, n = {n})")
+
+
+def validate(params: Parameters) -> Parameters:
+    """Return the tuple unchanged iff every admissibility constraint holds.
+
+    Raises ParameterError naming the first violated constraint.
+    """
+    n, beta, gamma = params.n, params.beta, params.gamma
+    p, q, s1, s2 = params.p, params.q, params.sigma1, params.sigma2
+    validate_operator(n, beta, gamma)
     if not p > 1.0:
         raise ParameterError(f"p > 1 violated (p = {p})")
     if not q > 1.0:

@@ -4,9 +4,10 @@ The nonlinear potential of index (beta, gamma) is
 
     W(f)(x) = int_0^inf ( t^{beta*gamma - n} int_{B_t(x)} f )^{1/(gamma-1)} dt/t,
 
-and the Riesz potential of order alpha is evaluated through the layer-cake
-form I_alpha(f)(x) = (n - alpha) int_0^inf mass(|x|, t) t^{alpha-n} dt/t, so
-both operators ride on the same sphere-ball geometry kernel.  The outer
+and the Riesz potential of order alpha is its gamma = 2 case in layer-cake
+form, I_alpha(f)(x) = (n - alpha) int_0^inf mass(|x|, t) t^{alpha-n} dt/t
+= (n - alpha) W_{alpha/2,2}(f)(x), so both operators run on one engine,
+wolff_eval_at, over the same sphere-ball geometry kernel.  The outer
 t-integral runs in tau = ln t with composite Gauss-Legendre panels, panel
 boundaries at the structural radii |rho - r| and rho + r of the source grid
 edges, analytic closure below t_min, and a truncated exponential-window rule
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
 from .geometry import CapKernel, ball_mass_batch
+from .params import validate_operator
 from .radial import (
     BORDERLINE_TOL,
     RadialFunction,
@@ -178,12 +180,7 @@ def _classify_source_tail(f: RadialFunction, n: int):
 
 
 def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: float):
-    if not (isinstance(n, int) and n >= 3):
-        raise ParameterError(f"n >= 3 violated (n = {n})")
-    if not (1.0 < gamma <= 2.0):
-        raise ParameterError(f"gamma out of (1,2] (gamma = {gamma})")
-    if beta <= 0.0 or beta * gamma >= n:
-        raise ParameterError(f"need 0 < beta*gamma < n, got beta*gamma = {beta * gamma}")
+    """The source's divergence checks; the operator's own live in params."""
     if f.head_exponent >= n and f.values[0] > 0.0:
         raise DivergentIntegralError(
             f"source head exponent {f.head_exponent} >= n: non-integrable near the origin"
@@ -262,6 +259,7 @@ def wolff_eval_at(
     cfg: Optional[PotentialConfig] = None,
 ) -> np.ndarray:
     """Wolff potential of f sampled at the given center distances."""
+    validate_operator(n, beta, gamma)
     _check_wolff_preconditions(f, n, beta, gamma)
     cfg = cfg or PotentialConfig()
     rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
@@ -334,49 +332,10 @@ def riesz_eval_at(
     rho_values,
     cfg: Optional[PotentialConfig] = None,
 ) -> np.ndarray:
-    """Riesz potential I_alpha(f) at the given center distances (layer-cake form)."""
+    """Riesz potential I_alpha(f) = (n - alpha) W_{alpha/2,2}(f) at the given center distances."""
     if not (0.0 < alpha < n):
         raise ParameterError(f"alpha out of (0, n) (alpha = {alpha})")
-    if f.head_exponent >= n and f.values[0] > 0.0:
-        raise DivergentIntegralError(
-            f"source head exponent {f.head_exponent} >= n: non-integrable near the origin"
-        )
-    klass, T, _ = _classify_source_tail(f, n)
-    if klass is not _SourceClass.FINITE and T <= alpha + BORDERLINE_TOL:
-        raise DivergentIntegralError(
-            f"source tail exponent {T} <= alpha = {alpha}: the Riesz integral diverges"
-        )
-    cfg = cfg or PotentialConfig()
-    rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
-    r_ref = np.clip(rhos[rhos > 0], f.grid.r_min, None)
-    eval_lo = float(r_ref.min()) if r_ref.size else f.grid.r_min
-    eval_hi = float(rhos.max()) if rhos.size else f.grid.r_max
-    t_min, t_max = cfg.resolve(f, eval_lo, max(eval_hi, f.grid.r_max))
-
-    if not np.any(f.values > 0.0):
-        return np.zeros(rhos.size)
-
-    a_decay = n - alpha
-    growth = n - T if klass is _SourceClass.SLOW else 0.0
-    kernel = CapKernel(n)
-    tau_lo, tau_hi = math.log(t_min), math.log(t_max)
-    slope_cap = max(alpha, n - alpha, n)
-    nodes01, wts01 = _leggauss01(_PANEL_NODES)
-
-    def one(rho: float) -> float:
-        bounds = _tau_panels(tau_lo, tau_hi, _structural_radii(rho, f), cfg.t_nodes_per_decade, slope_cap)
-        widths = np.diff(bounds)
-        tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
-        t = np.exp(tau)
-        mass = ball_mass_batch(kernel, f, rho, t)
-        integrand = mass * np.exp(-a_decay * tau)
-        main = float(np.dot(integrand.reshape(-1, _PANEL_NODES) @ wts01, widths))
-        total = main + _head_piece(f, n, rho, 1.0, a_decay, t_min)
-        if cfg.tail_correction:
-            total += _tail_piece(f, n, rho, 1.0, a_decay, tau_hi, growth)
-        return (n - alpha) * total
-
-    return np.asarray(_parallel_map(one, [float(r) for r in rhos]))
+    return (n - alpha) * wolff_eval_at(f, n, alpha / 2.0, 2.0, rho_values, cfg)
 
 
 def riesz_eval(
@@ -386,7 +345,11 @@ def riesz_eval(
     cfg: Optional[PotentialConfig] = None,
     eval_grid: Optional[RadialGrid] = None,
 ) -> RadialFunction:
-    """Riesz potential of f sampled on eval_grid (default: the source grid)."""
+    """Riesz potential of f sampled on eval_grid (default: the source grid).
+
+    The values are riesz_eval_at's; the declared output tail is the
+    gamma = 2, beta = alpha/2 case of wolff_eval's.
+    """
     grid = eval_grid if eval_grid is not None else f.grid
     values = riesz_eval_at(f, n, alpha, grid.points, cfg)
     klass, T, L = _classify_source_tail(f, n)

@@ -203,17 +203,20 @@ def _geometric_mix(old: RadialFunction, new: RadialFunction, theta: float) -> Ra
     )
 
 
-def _normalize(params, u, v, cfg: SolveConfig, u_ref: float, v_ref: float):
-    """Re-anchor amplitudes; the amplitude mode of the damped map never contracts.
+def _damped_update(params, u, v, u_img, v_img, cfg: SolveConfig, u_ref: float, v_ref: float):
+    """Mix (u, v) toward their images, then re-anchor the amplitudes to (u_ref, v_ref).
 
-    The log-amplitude linearization of the damped iteration has spectral
-    radius 1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping, so the
+    The amplitude mode of the damped map never contracts: the log-amplitude
+    linearization of the damped iteration has spectral radius
+    1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping, so the
     amplitude direction must be projected out.  FixValueAtOne rescales both
     components to their reference values at the anchor radius, which makes
     the iteration target the system with constant coefficients (mu, nu);
     solve_system undoes those constants exactly on exit.  FixMass anchors
     the total masses instead.
     """
+    u = _geometric_mix(u, u_img, cfg.damping)
+    v = _geometric_mix(v, v_img, cfg.damping)
     if cfg.normalization is Normalization.NONE:
         return u, v
     u_now, v_now = _references(params, u, v, cfg)
@@ -234,10 +237,8 @@ def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: S
     """One damped, normalized iteration of the system map."""
     _check_positive(u, v)
     u_img, v_img = potential_images(params, u, v, cfg)
-    u_new = _geometric_mix(u, u_img, cfg.damping)
-    v_new = _geometric_mix(v, v_img, cfg.damping)
     u_ref, v_ref = _references(params, u, v, cfg)
-    return _normalize(params, u_new, v_new, cfg, u_ref, v_ref)
+    return _damped_update(params, u, v, u_img, v_img, cfg, u_ref, v_ref)
 
 
 def _references(params, u, v, cfg: SolveConfig):
@@ -304,9 +305,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         if max(res_u, res_v) <= cfg.rel_tol:
             converged = True
             break
-        u = _geometric_mix(u, u_img, cfg.damping)
-        v = _geometric_mix(v, v_img, cfg.damping)
-        u, v = _normalize(params, u, v, cfg, u_ref, v_ref)
+        u, v = _damped_update(params, u, v, u_img, v_img, cfg, u_ref, v_ref)
 
     if anchored and converged:
         u, v = _undo_effective_constants(params, u, v, c1_eff, c2_eff)

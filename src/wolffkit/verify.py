@@ -401,6 +401,11 @@ def check_inequalities(
     The convolution inequality requires 1/p - 1/q = (alpha + sigma)/n with
     q > n/(n - alpha) (alpha = beta*gamma, sigma = sigma1); explicitly
     supplied exponents violating the relation raise ParameterError.
+
+    At gamma = 2 the comparison ratio is the constant n - alpha, checked by
+    comparison_constant_second_order.  Both potentials run on one engine
+    there, so that entry checks only the argument mapping and the (n - alpha)
+    factor; the oracle tests carry the accuracy evidence.
     """
     validate(params)
     n = params.n
@@ -470,7 +475,14 @@ def check_riesz_identity(
     count: int = 6,
     seed: int = 0,
 ) -> list[CheckEntry]:
-    """Pointwise agreement of the gamma = 2 potential with the Riesz form."""
+    """Pointwise agreement of the gamma = 2 potential with the Riesz form.
+
+    riesz_eval computes (n - alpha) W_{alpha/2,2} on wolff_eval's engine, so
+    this checks only the argument mapping alpha = 2 beta and the (n - alpha)
+    factor, and reads round-off.  The accuracy of both potentials is checked
+    against independent oracles (shell theorem, 2F1 spherical mean) in the
+    acceptance tests.
+    """
     n = params.n
     alpha = params.beta * 2.0
     if alpha >= n:

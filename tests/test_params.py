@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wolffkit.errors import InterchangeWarning, ParameterError
+from wolffkit.potential import wolff_eval
+from wolffkit.radial import RadialFunction, RadialGrid
 from wolffkit.params import (
     Parameters,
     Regime,
@@ -23,22 +25,41 @@ def test_validate_accepts_admissible_tuple():
     assert validate(p) is p
 
 
-@pytest.mark.parametrize(
-    "params, fragment",
-    [
-        (Parameters(3, 1.0, 3.0, 2.0, 2.0), "gamma out of (1,2]"),
-        (Parameters(4, 2.0, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
-        (Parameters(2, 1.0, 2.0, 2.0, 2.0), "n >= 3"),
-        (Parameters(5, -1.0, 2.0, 2.0, 2.0), "beta > 0"),
-        (Parameters(5, 1.0, 2.0, 0.5, 2.0), "p > 1"),
-        (Parameters(5, 1.0, 2.0, 2.0, 1.0), "q > 1"),
-        (Parameters(5, 1.0, 2.0, 2.0, 2.0, -3.0, 0.0), "sigma1 out of"),
-        (Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.5), "sigma2 out of"),
-    ],
-)
+VIOLATIONS = [
+    (Parameters(3, 1.0, 3.0, 2.0, 2.0), "gamma out of (1,2]"),
+    (Parameters(4, 2.0, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
+    (Parameters(2, 1.0, 2.0, 2.0, 2.0), "n >= 3"),
+    (Parameters(5, -1.0, 2.0, 2.0, 2.0), "beta > 0"),
+    (Parameters(5, 1.0, 2.0, 0.5, 2.0), "p > 1"),
+    (Parameters(5, 1.0, 2.0, 2.0, 1.0), "q > 1"),
+    (Parameters(5, 1.0, 2.0, 2.0, 2.0, -3.0, 0.0), "sigma1 out of"),
+    (Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.5), "sigma2 out of"),
+    (Parameters(5, 1.0, 2.5, 2.0, 2.0), "gamma out of (1,2]"),
+    (Parameters(3, 1.5, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
+    (Parameters(5, 0.0, 2.0, 2.0, 2.0), "beta > 0"),
+]
+# the operator's own constraints, which validate and the potential
+# evaluators share through validate_operator
+OPERATOR_VIOLATIONS = [
+    (params, fragment)
+    for params, fragment in VIOLATIONS
+    if fragment.startswith(("gamma", "beta", "n "))
+]
+
+
+@pytest.mark.parametrize("params, fragment", VIOLATIONS)
 def test_validate_names_violated_constraint(params, fragment):
     with pytest.raises(ParameterError, match=None) as err:
         validate(params)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("params, fragment", OPERATOR_VIOLATIONS)
+def test_wolff_eval_names_the_same_operator_constraint(params, fragment):
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    f = RadialFunction(grid, (1.0 + grid.points**2) ** -4.5, tail_exponent=9.0)
+    with pytest.raises(ParameterError) as err:
+        wolff_eval(f, params.n, params.beta, params.gamma)
     assert fragment in str(err.value)
 
 

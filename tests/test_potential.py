@@ -176,6 +176,8 @@ def test_parameter_validation(unit_indicator):
         wolff_eval(unit_indicator, 5, 3.0, 2.0)  # beta*gamma >= n
     with pytest.raises(ParameterError, match="alpha"):
         riesz_eval(unit_indicator, 5, 6.0)
+    with pytest.raises(ParameterError, match="n >= 3 violated"):
+        riesz_eval(unit_indicator.scaled(0.0), 2, 1.0)  # even where no quadrature would run
 
 
 def test_config_round_trip():
