@@ -9,10 +9,22 @@ models on both sides:
 
 Between nodes the profile is interpolated linearly in (ln r, ln f), which is
 exact on power laws; cells with a vanishing endpoint fall back to linear
-interpolation in r.  Weighted integrals use closed forms on the power-law
-pieces, composite Gauss-Legendre in ln r where a non-power factor appears,
-and Gauss-Laguerre for log-corrected tails.  Divergent norms are reported
-through the symbolic sentinel ``INFINITE`` rather than a float infinity.
+interpolation in r.
+
+Every body integral, the masses of cumulative_mass and total_mass and the
+weighted norms of lp_norm, goes through one cell rule,
+RadialFunction._cell_integrals, which gives int_{r_a}^x r^{k-1} f(r)^p dr for
+x inside the cell [r_a, r_b]:
+
+    power cell, f = v_a (r/r_a)^{-m}:  (f(x)^p x^k - v_a^p r_a^k) / (k - m p),
+                                       or v_a^p r_a^k ln(x/r_a) where k = m p
+    cell with a vanishing endpoint:    16-node Gauss-Legendre in ln r
+
+with k = n for masses and k = n + w for norms of weight r^w.  The head model
+has one closed form, _head_integral; the two tails keep their own rules, one
+to a finite radius and one to infinity, with Gauss-Legendre and Gauss-Laguerre
+for log-corrected tails.  Divergent norms are reported through the symbolic
+sentinel ``INFINITE`` rather than a float infinity.
 """
 
 from __future__ import annotations
@@ -229,10 +241,6 @@ class RadialFunction:
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, func, **models) -> "RadialFunction":
-        return cls(grid, np.asarray([func(r) for r in grid.points], dtype=float), **models)
-
     def with_values(self, values, **model_overrides) -> "RadialFunction":
         models = {
             "head_exponent": self.head_exponent,
@@ -264,76 +272,56 @@ class RadialFunction:
 
     # -- cumulative mass ---------------------------------------------------
 
+    def _head_integral(self, x, k: float, p: float) -> np.ndarray:
+        """int_0^x r^{k-1} f(r)^p dr on the head model (x <= r_min, k > h p)."""
+        v0, h, rm = self.values[0], self.head_exponent, self.grid.r_min
+        return v0**p * rm**k * (x / rm) ** (k - h * p) / (k - h * p)
+
+    def _cell_integrals(self, idx: np.ndarray, x: np.ndarray, k: float, p: float = 1.0, fx=None):
+        """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx.
+
+        fx is f(x) when the caller has it (x on the grid); otherwise it comes
+        from the cell's power law.  See the module docstring for the rule.
+        """
+        r, v, cells = self.grid.points, self.values, self._cells
+        ra, va, m = r[idx], v[idx], cells["m"][idx]
+        if fx is None:
+            fx = np.exp(cells["log_va"][idx] - m * np.log(x / ra))
+        expo = k - m * p
+        near0 = np.abs(expo) < 1e-12
+        # telescoped power-cell integral: stable for arbitrarily steep cells
+        out = (fx**p * x**k - va**p * ra**k) / np.where(near0, 1.0, expo)
+        if near0.any():
+            out[near0] = va[near0] ** p * ra[near0] ** k * np.log(x[near0] / ra[near0])
+        if not cells["power"].all():
+            # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
+            lin = np.flatnonzero(~cells["power"][idx])
+            a, b = ra[lin, None], r[idx[lin] + 1, None]
+            fa, fb = va[lin, None], v[idx[lin] + 1, None]
+            nodes, wts = _leggauss01(16)
+            la = np.log(a)
+            width = np.log(x[lin, None]) - la
+            rr = np.exp(la + width * nodes)
+            fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
+            out[lin] = width[:, 0] * ((fr**p * rr**k) @ wts)
+        return out
+
     def _head_mass(self, n: int, x: np.ndarray) -> np.ndarray:
         """s_{n-1} * integral_0^x f r^{n-1} dr for x <= r_min."""
-        v0, h = self.values[0], self.head_exponent
-        if v0 == 0.0:
+        if self.values[0] == 0.0:
             return np.zeros_like(x)
-        if h >= n:
+        if self.head_exponent >= n:
             raise DivergentIntegralError(
-                f"head exponent {h} >= n = {n}: mass near the origin diverges"
+                f"head exponent {self.head_exponent} >= n = {n}: mass near the origin diverges"
             )
-        rm = self.grid.r_min
-        return sphere_surface(n) * v0 * rm**h * x ** (n - h) / (n - h)
+        return sphere_surface(n) * self._head_integral(x, n, 1.0)
 
     @lru_cache(maxsize=4)
-    def _mass_tables(self, n: int):
-        """Closed-form cell masses and prefix sums for dimension n."""
+    def _mass_prefix(self, n: int) -> np.ndarray:
+        """Mass inside each grid point: head plus the preceding whole cells."""
         r = self.grid.points
-        v = self.values
-        ra, rb = r[:-1], r[1:]
-        va, vb = v[:-1], v[1:]
-        cells = self._cells
-        power, m = cells["power"], cells["m"]
-        cell = np.zeros(ra.size)
-        expo = n - m
-        near0 = np.abs(expo) < 1e-12
-        safe = power & ~near0
-        # telescoped power-cell integral: stable for arbitrarily steep cells
-        cell[safe] = (vb[safe] * rb[safe] ** n - va[safe] * ra[safe] ** n) / expo[safe]
-        logc = power & near0
-        cell[logc] = va[logc] * ra[logc] ** n * np.log(rb[logc] / ra[logc])
-        lin = ~power
-        if lin.any():
-            c1 = (vb[lin] - va[lin]) / (rb[lin] - ra[lin])
-            c0 = va[lin] - c1 * ra[lin]
-            cell[lin] = c0 * (rb[lin] ** n - ra[lin] ** n) / n + c1 * (
-                rb[lin] ** (n + 1) - ra[lin] ** (n + 1)
-            ) / (n + 1)
-        s = sphere_surface(n)
-        cell = s * cell
-        head = float(self._head_mass(n, np.array([self.grid.r_min]))[0]) if v[0] > 0 else 0.0
-        prefix = np.concatenate([[0.0], np.cumsum(cell)]) + head
-        return {"cell": cell, "prefix": prefix, "m": m, "power": power}
-
-    def _partial_cell_mass(self, n: int, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mass of cell idx between its left edge and x (x inside the cell)."""
-        r = self.grid.points
-        v = self.values
-        tables = self._mass_tables(n)
-        ra = r[idx]
-        va = v[idx]
-        m = tables["m"][idx]
-        power = tables["power"][idx]
-        out = np.zeros_like(x)
-        expo = n - m
-        near0 = np.abs(expo) < 1e-12
-        safe = power & ~near0
-        if safe.any():
-            fx = np.exp(np.log(va[safe]) - m[safe] * np.log(x[safe] / ra[safe]))
-            out[safe] = (fx * x[safe] ** n - va[safe] * ra[safe] ** n) / expo[safe]
-        logc = power & near0
-        out[logc] = va[logc] * ra[logc] ** n * np.log(x[logc] / ra[logc])
-        lin = ~power
-        if lin.any():
-            rb = r[idx[lin] + 1]
-            vb = v[idx[lin] + 1]
-            c1 = (vb - va[lin]) / (rb - ra[lin])
-            c0 = va[lin] - c1 * ra[lin]
-            out[lin] = c0 * (x[lin] ** n - ra[lin] ** n) / n + c1 * (
-                x[lin] ** (n + 1) - ra[lin] ** (n + 1)
-            ) / (n + 1)
-        return sphere_surface(n) * out
+        cell = sphere_surface(n) * self._cell_integrals(np.arange(r.size - 1), r[1:], n, fx=self.values[1:])
+        return np.concatenate([[0.0], np.cumsum(cell)]) + float(self._head_mass(n, r[:1])[0])
 
     def _tail_mass_to(self, n: int, x: np.ndarray) -> np.ndarray:
         """Mass of the declared tail model between r_max and x (x >= r_max)."""
@@ -362,7 +350,7 @@ class RadialFunction:
         if np.any(x < 0.0):
             raise ParameterError("cumulative mass requires x >= 0")
         pts = self.grid.points
-        tables = self._mass_tables(n)
+        prefix = self._mass_prefix(n)
         out = np.empty_like(x)
 
         head = x <= pts[0]
@@ -370,12 +358,12 @@ class RadialFunction:
             out[head] = self._head_mass(n, x[head])
         tail = x >= pts[-1]
         if tail.any():
-            out[tail] = tables["prefix"][-1] + self._tail_mass_to(n, x[tail])
+            out[tail] = prefix[-1] + self._tail_mass_to(n, x[tail])
         body = ~(head | tail)
         if body.any():
             xb = x[body]
             idx = np.clip(np.searchsorted(pts, xb, side="right") - 1, 0, pts.size - 2)
-            out[body] = tables["prefix"][idx] + self._partial_cell_mass(n, idx, xb)
+            out[body] = prefix[idx] + sphere_surface(n) * self._cell_integrals(idx, xb, n)
         return out
 
     def total_mass(self, n: int) -> NormValue:
@@ -387,8 +375,7 @@ class RadialFunction:
                 return INFINITE
             if abs(a) <= BORDERLINE_TOL and L >= -1.0 - BORDERLINE_TOL:
                 return INFINITE
-        tables = self._mass_tables(n)
-        body = float(tables["prefix"][-1])
+        body = float(self._mass_prefix(n)[-1])
         return body + self._tail_norm_integral(p=1.0, weight=0.0, n=n)
 
     # -- weighted Lp machinery ----------------------------------------------
@@ -445,48 +432,12 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
             return INFINITE
 
     s = sphere_surface(n)
-    total = 0.0
-    if v0 > 0.0:
-        rm = f.grid.r_min
-        total += s * v0**p * rm ** (w + n) / (w + n - h * p)
-    total += _body_norm_integral(f, p, w, n)
+    r = f.grid.points
+    total = s * float(f._head_integral(r[0], w + n, p)) if v0 > 0.0 else 0.0
+    body = f._cell_integrals(np.arange(r.size - 1), r[1:], w + n, p, fx=f.values[1:])
+    total += s * float(np.sum(body))
     total += f._tail_norm_integral(p, w, n)
     return total ** (1.0 / p)
-
-
-def _body_norm_integral(f: RadialFunction, p: float, w: float, n: int) -> float:
-    """s_{n-1} int_{r_min}^{r_max} r^w f^p r^{n-1} dr with closed-form power cells."""
-    r = f.grid.points
-    v = f.values
-    cells = f._cells
-    power, m = cells["power"], cells["m"]
-    ra, rb = r[:-1], r[1:]
-    va, vb = v[:-1], v[1:]
-    total = np.zeros(ra.size)
-    expo = w + n - m * p
-    near0 = np.abs(expo) < 1e-12
-    safe = power & ~near0
-    # telescoped form of the power-cell integral, stable for steep cells
-    total[safe] = (
-        vb[safe] ** p * rb[safe] ** (w + n) - va[safe] ** p * ra[safe] ** (w + n)
-    ) / expo[safe]
-    logc = power & near0
-    total[logc] = va[logc] ** p * ra[logc] ** (w + n) * np.log(rb[logc] / ra[logc])
-    lin = ~power
-    if lin.any():
-        # vanishing endpoint: integrate (linear interp)^p numerically in ln r
-        nodes, wts = _leggauss01(16)
-        idxs = np.nonzero(lin)[0]
-        for k in idxs:
-            if va[k] == 0.0 and vb[k] == 0.0:
-                continue
-            la, lb = math.log(ra[k]), math.log(rb[k])
-            lam = la + (lb - la) * nodes
-            rr = np.exp(lam)
-            frac = (rr - ra[k]) / (rb[k] - ra[k])
-            fv = va[k] + (vb[k] - va[k]) * frac
-            total[k] = (lb - la) * float(np.dot(wts, fv**p * rr ** (w + n)))
-    return sphere_surface(n) * float(np.sum(total))
 
 
 @dataclass(frozen=True)

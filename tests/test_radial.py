@@ -297,3 +297,72 @@ def test_read_profile_errors(tmp_path):
     )
     with pytest.raises(ProfileFormatError, match="negative"):
         read_profile(path)
+
+
+def _slopes_at_k_over_p(r):
+    """Slope 3 on [1, 10] and 3/2 on [10, 100]: at n = 3 the masses and the
+    p = 1 norm meet k = m p on the first stretch, the p = 2 norm on the second."""
+    if r <= 1.0:
+        return 1.0
+    if r <= 10.0:
+        return r**-3.0
+    if r <= 100.0:
+        return 1e-3 * (r / 10.0) ** -1.5
+    return 1e-3 * 10.0**-1.5 * (r / 100.0) ** -5.0
+
+
+def _compact_support(pts):
+    """Zero, a linear rise over one cell, 1/r, a linear fall to zero over one
+    cell, zero: exactly the interpolant of its grid values."""
+    a, b, c, d = pts[20], pts[21], pts[40], pts[41]
+
+    def f(r):
+        if r <= a or r >= d:
+            return 0.0
+        if r < b:
+            return (r - a) / (b - a) / b
+        if r <= c:
+            return 1.0 / r
+        return (d - r) / (d - c) / c
+
+    return f, [a, b, c, d]
+
+
+def _quad_integral(func, n, p, upper, breaks):
+    """s_{n-1} int_0^upper r^{n-1} func(r)^p dr, adaptive quadrature between breaks."""
+    edges = [0.0] + [b for b in breaks if b < upper] + [upper]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += integrate.quad(lambda r: r ** (n - 1) * func(r) ** p, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return sphere_surface(n) * total
+
+
+def _cell_rule_case(kind):
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    if kind == "log cells":
+        func, breaks = _slopes_at_k_over_p, [1.0, 10.0, 100.0]
+        f = RadialFunction(g, [func(r) for r in g.points], tail_exponent=5.0)
+        xs = [0.005, 0.5, 3.7, 37.0, 500.0]
+    else:
+        func, breaks = _compact_support(g.points)
+        f = RadialFunction(g, [func(r) for r in g.points], tail_exponent=math.inf)
+        xs = [math.sqrt(breaks[0] * breaks[1]), 1.0, math.sqrt(breaks[2] * breaks[3]), 50.0, 200.0]
+    return f, func, breaks, xs
+
+
+@pytest.mark.parametrize("kind", ["log cells", "vanishing cells"])
+@pytest.mark.parametrize("quantity", ["mass", "norm p=1", "norm p=2"])
+def test_cell_rule_branches_against_quad(kind, quantity):
+    # the log form (k = m p) and the Gauss-Legendre rule of cells with a
+    # vanishing endpoint, each against quadrature of the exact profile
+    f, func, breaks, xs = _cell_rule_case(kind)
+    n = 3
+    if quantity == "mass":
+        got = f.cumulative_mass(n, np.array(xs))
+        oracle = [_quad_integral(func, n, 1.0, x, breaks) for x in xs]
+        assert np.allclose(got, oracle, rtol=1e-10, atol=0.0)
+        assert float(f.total_mass(n)) == pytest.approx(_quad_integral(func, n, 1.0, np.inf, breaks), rel=1e-10)
+    else:
+        p = float(quantity[-1])
+        oracle = _quad_integral(func, n, p, np.inf, breaks) ** (1.0 / p)
+        assert lp_norm(f, p, 0.0, n) == pytest.approx(oracle, rel=1e-10)
