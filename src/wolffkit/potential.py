@@ -43,7 +43,6 @@ from .radial import (
     RadialFunction,
     RadialGrid,
     _leggauss01,
-    unit_ball_volume,
 )
 
 _PANEL_NODES = 8
@@ -221,27 +220,22 @@ def _tail_piece(f, n, rho, inv_power, a_decay, tau_max, growth) -> float:
     return float((np.exp(logg).reshape(_TAIL_PANELS, _PANEL_NODES) @ wts) @ widths)
 
 
-def _head_piece(f, n, rho, inv_power, a_decay, t_min) -> float:
-    """Analytic t < t_min closure: mass ~ f(rho) omega_n t^n near t = 0."""
-    if rho > 0.0:
-        f_rho = float(f(rho))
-        if f_rho <= 0.0:
-            return 0.0
-        rate = n * inv_power - a_decay  # local integrand slope in tau
-        if rate <= 0.0:
-            raise DivergentIntegralError("outer integral diverges at t = 0")
-        return (f_rho * unit_ball_volume(n)) ** inv_power * t_min**rate / rate
-    # evaluation at the origin: mass(0, t) follows the head model exactly
-    v0, h = f.values[0], f.head_exponent
-    if v0 == 0.0:
+def _head_piece(f, n, rho, inv_power, a_decay, t_min, mass0, t0) -> float:
+    """Analytic t < t_min closure: mass ~ c t^e near t = 0.
+
+    e is n off the origin and n - h at the origin (the head model).  c is read
+    from the mass the quadrature holds at its first node t0, which also sees
+    a jump of f at rho: there the ball holds half of f(rho) omega_n t^n.
+    """
+    if mass0 <= 0.0:
         return 0.0
-    coeff = f.cumulative_mass(n, np.array([t_min]))[0] / t_min ** (n - h)
-    rate = (n - h) * inv_power - a_decay
+    e = n if rho > 0.0 else n - f.head_exponent
+    rate = e * inv_power - a_decay  # local integrand slope in tau
     if rate <= 0.0:
         raise DivergentIntegralError(
-            f"potential diverges at the origin (head exponent {h} too strong)"
+            f"potential diverges at the origin (head exponent {f.head_exponent} too strong)"
         )
-    return coeff**inv_power * t_min**rate / rate
+    return (mass0 / t0**e) ** inv_power * t_min**rate / rate
 
 
 def _wolff_growth(klass: str, T: float, n: int, inv_power: float) -> float:
@@ -290,7 +284,7 @@ def wolff_eval_at(
         mass = ball_mass_batch(kernel, f, rho, t)
         integrand = np.where(mass > 0.0, mass**inv_power * np.exp(-a_decay * tau), 0.0)
         main = float(np.dot(integrand.reshape(-1, _PANEL_NODES) @ wts01, widths))
-        total = main + _head_piece(f, n, rho, inv_power, a_decay, t_min)
+        total = main + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
         if cfg.tail_correction:
             total += _tail_piece(f, n, rho, inv_power, a_decay, tau_hi, growth)
         return total

@@ -185,6 +185,22 @@ def test_config_round_trip():
     assert PotentialConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize("n, beta, gamma", [(5, 0.3, 2.0), (3, 0.3, 2.0)])
+@pytest.mark.parametrize("source", ["bump", "ball"])
+def test_head_closure_matches_a_lower_t_min(unit_indicator, source, n, beta, gamma):
+    # below t_min the outer integral is closed analytically; at small beta*gamma
+    # that piece is percents of the potential, and at r_max of the ball the
+    # density jumps, so the ball there holds half of f(rho) omega_n t^n
+    if source == "bump":
+        f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 9.0)
+    else:
+        f = unit_indicator
+    rhos = np.append(f.grid.points[::4], f.grid.r_max)
+    got = wolff_eval_at(f, n, beta, gamma, rhos)
+    ref = wolff_eval_at(f, n, beta, gamma, rhos, PotentialConfig(t_min=f.grid.r_min / 1e4))
+    assert np.max(np.abs(got / ref - 1.0)) < 1e-4
+
+
 def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
     # the solver's grid: 81 centres, two sources as in one system-map application
     grid = RadialGrid.per_decade(1e-2, 1e3, 16)
