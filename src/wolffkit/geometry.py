@@ -34,8 +34,9 @@ quad_boundaries, truncation radius), the only inputs of the node layout
 besides the centre, and per centre by (rho, t).  It holds one grid at a time,
 is cleared when the grid key changes, and is capped at _KERNEL_WEIGHT_BYTES;
 a plan takes 16 bytes per node, so an 81-point grid's 81 centres of
-wolff_eval take about 23 MB.  Access is locked, since potential evaluates
-centres on a thread pool.
+wolff_eval take about 23 MB.  The store is module-global, so access is
+locked: a caller that evaluates potentials from several threads could
+otherwise pass get's grid-key comparison and then read another grid's plan.
 """
 
 from __future__ import annotations

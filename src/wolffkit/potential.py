@@ -26,10 +26,7 @@ integral diverge and raises DivergentIntegralError.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,7 +58,6 @@ class PotentialConfig:
     t_min: Optional[float] = None
     t_max: Optional[float] = None
     t_nodes_per_decade: int = 16
-    tail_correction: bool = True
 
     def __post_init__(self):
         if self.t_nodes_per_decade < 16:
@@ -85,12 +81,11 @@ class PotentialConfig:
             "t_min": self.t_min,
             "t_max": self.t_max,
             "t_nodes_per_decade": self.t_nodes_per_decade,
-            "tail_correction": self.tail_correction,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PotentialConfig":
-        known = {k: data[k] for k in ("t_min", "t_max", "t_nodes_per_decade", "tail_correction") if k in data}
+        known = {k: data[k] for k in ("t_min", "t_max", "t_nodes_per_decade") if k in data}
         return cls(**known)
 
 
@@ -111,21 +106,9 @@ def weighted_source(sigma: float, exponent: float, f: RadialFunction) -> RadialF
 
 
 def _thread_count() -> int:
-    env = os.environ.get("WOLFFKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
-def _parallel_map(func, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) < 4:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
+    """Centres are evaluated one after another; perfbench/worker.py imports
+    this to record the pool size in its results."""
+    return 1
 
 
 def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, nodes_per_decade: int, slope_cap: float):
@@ -276,7 +259,8 @@ def wolff_eval_at(
     slope_cap = max(bg, n - bg, n) * inv_power
     nodes01, wts01 = _leggauss01(_PANEL_NODES)
 
-    def one(rho: float) -> float:
+    out = np.empty(rhos.size)
+    for i, rho in enumerate(rhos.tolist()):
         bounds = _tau_panels(tau_lo, tau_hi, _structural_radii(rho, f), cfg.t_nodes_per_decade, slope_cap)
         widths = np.diff(bounds)
         tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
@@ -284,12 +268,12 @@ def wolff_eval_at(
         mass = ball_mass_batch(kernel, f, rho, t)
         integrand = np.where(mass > 0.0, mass**inv_power * np.exp(-a_decay * tau), 0.0)
         main = float(np.dot(integrand.reshape(-1, _PANEL_NODES) @ wts01, widths))
-        total = main + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
-        if cfg.tail_correction:
-            total += _tail_piece(f, n, rho, inv_power, a_decay, tau_hi, growth)
-        return total
-
-    return np.asarray(_parallel_map(one, [float(r) for r in rhos]))
+        out[i] = (
+            main
+            + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
+            + _tail_piece(f, n, rho, inv_power, a_decay, tau_hi, growth)
+        )
+    return out
 
 
 def _output_tail_model(klass: str, T: float, L: float, n: int, bg: float, g: float):
@@ -352,8 +336,3 @@ def riesz_eval(
     return RadialFunction(
         grid, values, head_exponent=0.0, tail_exponent=tail, tail_log_power=log_power
     )
-
-
-def load_potential_config(path) -> PotentialConfig:
-    with open(path) as fh:
-        return PotentialConfig.from_dict(json.load(fh))

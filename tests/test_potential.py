@@ -181,7 +181,7 @@ def test_parameter_validation(unit_indicator):
 
 
 def test_config_round_trip():
-    cfg = PotentialConfig(t_min=1e-4, t_max=1e5, t_nodes_per_decade=24, tail_correction=False)
+    cfg = PotentialConfig(t_min=1e-4, t_max=1e5, t_nodes_per_decade=24)
     assert PotentialConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -223,19 +223,6 @@ def test_changed_t_resolution_misses_the_store(cap_calls):
     geometry._kernel_weights.clear()
     cold = wolff_eval_at(f, 5, 1.0, 2.0, rhos, PotentialConfig(t_nodes_per_decade=24))
     assert np.array_equal(fine, cold)
-
-
-def test_thread_pool_gives_single_thread_values(cap_calls, monkeypatch):
-    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 7.0)
-    rhos = np.geomspace(0.05, 50.0, 12)
-    monkeypatch.setenv("WOLFFKIT_THREADS", "1")
-    single = wolff_eval_at(f, 4, 1.0, 1.8, rhos)
-    geometry._kernel_weights.clear()
-    monkeypatch.setenv("WOLFFKIT_THREADS", "2")
-    cold = wolff_eval_at(f, 4, 1.0, 1.8, rhos)  # centres fill the store concurrently
-    warm = wolff_eval_at(f, 4, 1.0, 1.8, rhos)
-    assert len(cap_calls) == 2 * rhos.size
-    assert np.array_equal(cold, single) and np.array_equal(warm, single)
 
 
 def _tail_piece_by_panels(f, n, rho, inv_power, a_decay, tau_max, growth):
