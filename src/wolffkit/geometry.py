@@ -7,8 +7,14 @@ to a one-dimensional integral
 
 where cap_fraction is the fraction of the sphere of radius r (centered at
 the origin) that lies inside B_t(x).  The fraction is the normalized measure
-of a hyperspherical cap, expressed through the regularized incomplete beta
-function of sin^2(theta*), with cos(theta*) = (rho^2 + r^2 - t^2)/(2 rho r).
+of a hyperspherical cap, (1/2) I_x((n-1)/2, 1/2) with x = sin^2(theta*) and
+cos(theta*) = (rho^2 + r^2 - t^2)/(2 rho r), or one minus that on the far
+side.  n is an integer, so the incomplete beta function has half-integer
+parameters and is elementary (DLMF 8.17): for odd n = 2m+1 it is
+x^m R(x) / (1 + sqrt(1-x) P(x)), a quotient of polynomials with positive
+coefficients, and for even n it is (2/pi)(arcsin sqrt(x) - sqrt(x(1-x)) Q(x))
+above x = 1/2 and a power series below, where the arcsine form cancels.
+The coefficients are exact rationals, built once per dimension.
 
 The r-integral has kinks at r = |t - rho| and r = t + rho, and the cap
 measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
@@ -28,15 +34,23 @@ geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
 plan, the way an FFTW plan is kept: the nodes, the kernel weights, and the
 start offset and t index of each non-empty shell.  A repeat call on the same
 geometry skips node generation and costs f at the stored nodes times the
-weights plus one add.reduceat over the shells; cold and repeat calls share
-that sum, so they agree bit for bit.  The store is keyed per grid by (n,
-quad_boundaries, truncation radius), the only inputs of the node layout
-besides the centre, and per centre by (rho, t).  It holds one grid at a time,
-is cleared when the grid key changes, and is capped at _KERNEL_WEIGHT_BYTES;
-a plan takes 16 bytes per node, so an 81-point grid's 81 centres of
-wolff_eval take about 23 MB.  The store is module-global, so access is
-locked: a caller that evaluates potentials from several threads could
-otherwise pass get's grid-key comparison and then read another grid's plan.
+weights plus one add.reduceat over the shells.  The store is keyed per grid
+by (n, quad_boundaries, truncation radius), the only inputs of the node
+layout besides the centre, and per centre by (rho, t).  It holds one grid at
+a time and is cleared when the grid key changes.
+
+The store also keeps, per centre, those partial-shell sums for the last
+source it served, keyed by the source's grid points, values and head and
+tail models (the grid key holds only quad_boundaries).  A call with the same
+grid, centre and source, such as the Wolff image of a source whose Riesz
+image was just taken, adds the stored sums and does not evaluate f again.
+Cold, repeat and stored sums come from one computation, so they agree bit
+for bit.  Plans and sums share the cap _KERNEL_WEIGHT_BYTES; a plan takes
+16 bytes per node, so an 81-point grid's 81 centres of wolff_eval take about
+23 MB, and their sums about 0.17 MB.  The store is module-global, so access
+is locked: a caller that evaluates potentials from several threads could
+otherwise pass a key comparison and then read another grid's plan or
+another source's sums.
 """
 
 from __future__ import annotations
@@ -44,11 +58,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DivergentIntegralError, ParameterError
 from .radial import _leggauss01, sphere_surface, unit_ball_volume
@@ -79,9 +93,75 @@ class CapKernel:
     def ball_volume(self) -> float:
         return unit_ball_volume(self.n)
 
-    @cached_property
-    def _half_order(self) -> float:
-        return (self.n - 1) / 2.0
+
+# below this x the even-n closed form cancels; the series takes over
+_SERIES_SWITCH = 0.5
+
+
+def _half_pochhammer(k: int) -> Fraction:
+    """(1/2)_k = (1/2)(3/2)...(k - 1/2)."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= Fraction(2 * i + 1, 2)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _beta_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, lowest degree first, of _regularized_beta's forms:
+    (R, P) for odd n and (Q, S) for even n, exact rationals rounded once.
+
+    With m = (n-1) // 2: P is the first m terms of (1-x)^{-1/2}, and
+    1 - (1-x) P^2 = x^m R, whose coefficients are all positive.  Q follows
+    from the recurrence in a from I_x(1/2, 1/2) = (2/pi) arcsin sqrt(x)
+    (DLMF 8.17), and x^m sqrt(x) S(x) is the series
+    x^a/(a B(a, 1/2)) sum_k a/(a+k) (1/2)_k/k! x^k with a = m + 1/2,
+    truncated where its terms fall below 2^-54 at the switch.
+    """
+    m = (n - 1) // 2
+    if n % 2:
+        p = [_half_pochhammer(k) / math.factorial(k) for k in range(m)]
+        square = [sum(p[i] * p[k - i] for i in range(m) if 0 <= k - i < m) for k in range(2 * m)]
+        first = [square[k - 1] - square[k] for k in range(m, 2 * m)]  # R
+        second = p
+    else:
+        a = Fraction(2 * m + 1, 2)
+        first = [math.factorial(j) / (2 * _half_pochhammer(j + 1)) for j in range(m)]  # Q
+        norm = math.factorial(m) / (_half_pochhammer(m + 1) * math.pi)  # 1 / (a B(a, 1/2))
+        second, c, k = [], Fraction(1), 0  # c = (1/2)_k / k!
+        while c * Fraction(_SERIES_SWITCH) ** k >= Fraction(1, 2**54):
+            second.append(norm * float(a / (a + k) * c))
+            c *= Fraction(2 * k + 1, 2 * k + 2)
+            k += 1
+    out = np.array(first, dtype=float), np.array(second, dtype=float)
+    for c in out:
+        c.setflags(write=False)
+    return out
+
+
+def _horner(coefficients: np.ndarray, x):
+    acc = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _regularized_beta(n: int, x: np.ndarray) -> np.ndarray:
+    """I_x((n-1)/2, 1/2) for x in [0, 1], with m = (n-1) // 2.
+
+    Odd n:  x^m R(x) / (1 + sqrt(1-x) P(x)), where nothing cancels.
+    Even n: (2/pi)(arcsin sqrt(x) - sqrt(x(1-x)) Q(x)) from _SERIES_SWITCH
+    up, and x^m sqrt(x) S(x) below it, where that difference cancels.
+    """
+    m = (n - 1) // 2
+    first, second = _beta_coefficients(n)
+    if n % 2:
+        return x**m * _horner(first, x) / (1.0 + np.sqrt(1.0 - x) * _horner(second, x))
+    root, co_root = np.sqrt(x), np.sqrt(1.0 - x)
+    # arctan2 keeps arcsin sqrt(x) well conditioned as x -> 1
+    closed = (2.0 / math.pi) * (np.arctan2(root, co_root) - root * co_root * _horner(first, x))
+    series = x**m * root * _horner(second, x)
+    return np.where(x < _SERIES_SWITCH, series, closed)
 
 
 def cap_fraction(kernel: CapKernel, rho, t, r):
@@ -102,22 +182,18 @@ def cap_fraction(kernel: CapKernel, rho, t, r):
     if np.any(rho < 0.0):
         raise ParameterError("center distance rho must be nonnegative")
 
-    rho, t, r = np.broadcast_arrays(rho, t, r)
-    out = np.zeros(rho.shape, dtype=float)
-
-    full = r <= t - rho
-    empty = np.abs(rho - r) >= t
-    out[full] = 1.0
-    partial = ~(full | empty)
-    if partial.any():
-        rp, tp, rr = rho[partial], t[partial], r[partial]
+    # the cap formula runs on every element and np.where keeps it on the
+    # partial shells only; at rho = 0 it divides by zero, but there every
+    # shell is full or empty
+    with np.errstate(divide="ignore", invalid="ignore"):
         # cancellation-free sin^2(theta*) via the factored discriminant
-        num = (tp**2 - (rp - rr) ** 2) * ((rp + rr) ** 2 - tp**2)
-        den = (2.0 * rp * rr) ** 2
-        x = np.clip(num / den, 0.0, 1.0)
-        cos_t = (rp**2 + rr**2 - tp**2) / (2.0 * rp * rr)
-        half = 0.5 * betainc(kernel._half_order, 0.5, x)
-        out[partial] = np.where(cos_t >= 0.0, half, 1.0 - half)
+        t2, gap = t**2, rho - r
+        num = (t2 - gap**2) * ((rho + r) ** 2 - t2)
+        x = np.clip(num / (2.0 * rho * r) ** 2, 0.0, 1.0)
+        half = 0.5 * _regularized_beta(kernel.n, x)
+        # cos(theta*) >= 0 puts the cap on the near side of the sphere
+        cap = np.where(rho**2 + r**2 >= t2, half, 1.0 - half)
+    out = np.where(r <= t - rho, 1.0, np.where(np.abs(gap) >= t, 0.0, cap))
     return float(out[0]) if scalar else out
 
 
@@ -259,14 +335,13 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
 
 
 class _KernelWeightStore:
-    """Plans of one source grid's centres, bounded by max_bytes."""
+    """Plans of one source grid's centres, and each centre's partial-shell
+    masses of the last source served, bounded together by max_bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
-        self.nbytes = 0
         self._lock = threading.Lock()
-        self._grid = None
-        self._plans = {}
+        self._reset(None)
 
     def get(self, grid_key, centre_key):
         with self._lock:
@@ -275,14 +350,36 @@ class _KernelWeightStore:
     def put(self, grid_key, centre_key, plan):
         with self._lock:
             if grid_key != self._grid:
-                self._grid, self._plans, self.nbytes = grid_key, {}, 0
-            if centre_key not in self._plans and self.nbytes + plan.nbytes <= self.max_bytes:
-                self._plans[centre_key] = plan
-                self.nbytes += plan.nbytes
+                self._reset(grid_key)
+            self._admit(self._plans, centre_key, plan)
+
+    def get_sums(self, grid_key, source_key, centre_key):
+        with self._lock:
+            if grid_key == self._grid and source_key == self._source:
+                return self._sums.get(centre_key)
+            return None
+
+    def put_sums(self, grid_key, source_key, centre_key, sums):
+        with self._lock:
+            if grid_key != self._grid:
+                self._reset(grid_key)
+            if source_key != self._source:
+                self.nbytes -= sum(s.nbytes for s in self._sums.values())
+                self._source, self._sums = source_key, {}
+            self._admit(self._sums, centre_key, sums)
 
     def clear(self):
         with self._lock:
-            self._grid, self._plans, self.nbytes = None, {}, 0
+            self._reset(None)
+
+    def _reset(self, grid_key):
+        self._grid, self._plans, self._source, self._sums = grid_key, {}, None, {}
+        self.nbytes = 0
+
+    def _admit(self, table, key, value):
+        if key not in table and self.nbytes + value.nbytes <= self.max_bytes:
+            table[key] = value
+            self.nbytes += value.nbytes
 
 
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
@@ -313,16 +410,30 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho == 0.0:
         return out
 
-    # partial shell |t - rho| < r < t + rho, from the plan kept for this geometry
+    # partial shell |t - rho| < r < t + rho: the sums kept for this source,
+    # else f on the plan kept for this geometry
     grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
     centre_key = (rho, t_arr.tobytes())
-    plan = _kernel_weights.get(grid_key, centre_key)
-    if plan is None:
-        plan = _centre_plan(kernel, f, rho, t_arr)
+    source_key = (
+        f.grid.points.tobytes(),
+        f.values.tobytes(),
+        f.head_exponent,
+        f.tail_exponent,
+        f.tail_log_power,
+    )
+    sums = _kernel_weights.get_sums(grid_key, source_key, centre_key)
+    if sums is None:
+        plan = _kernel_weights.get(grid_key, centre_key)
         if plan is None:
-            return out
-        _kernel_weights.put(grid_key, centre_key, plan)
-    out[plan.t_index] += kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
+            plan = _centre_plan(kernel, f, rho, t_arr)
+            if plan is None:
+                return out
+            _kernel_weights.put(grid_key, centre_key, plan)
+        sums = np.zeros(t_arr.size)
+        sums[plan.t_index] = kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
+        sums.setflags(write=False)
+        _kernel_weights.put_sums(grid_key, source_key, centre_key, sums)
+    out += sums
     return out
 
 

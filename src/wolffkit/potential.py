@@ -52,7 +52,9 @@ class PotentialConfig:
     """Truncation and resolution of the outer t-integral.
 
     Unset truncations resolve to t_min = r_min/10 and t_max = 100*r_max of
-    the working grid (source and evaluation ranges combined).
+    the working grid (source and evaluation ranges combined), so the default
+    t_min also lies below every positive centre.  A set t_min must lie
+    below the source grid's r_min.
     """
 
     t_min: Optional[float] = None
@@ -70,8 +72,8 @@ class PotentialConfig:
         r_hi = max(f.grid.r_max, eval_r_max)
         t_min = self.t_min if self.t_min is not None else r_lo / 10.0
         t_max = self.t_max if self.t_max is not None else 100.0 * r_hi
-        if not t_min < r_lo:
-            raise ParameterError(f"t_min = {t_min} must lie below the working r_min = {r_lo}")
+        if not t_min < f.grid.r_min:
+            raise ParameterError(f"t_min = {t_min} must lie below the source r_min = {f.grid.r_min}")
         if not t_max > 4.0 * r_hi:
             raise ParameterError(f"t_max = {t_max} must exceed 4 * working r_max = {4 * r_hi}")
         return t_min, t_max
@@ -240,8 +242,9 @@ def wolff_eval_at(
     _check_wolff_preconditions(f, n, beta, gamma)
     cfg = cfg or PotentialConfig()
     rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
-    r_ref = np.clip(rhos[rhos > 0], f.grid.r_min, None)
-    eval_lo = float(r_ref.min()) if r_ref.size else f.grid.r_min
+    # the t < t_min closure assumes t << rho, so t_min follows the smallest centre
+    positive = rhos[rhos > 0]
+    eval_lo = float(positive.min()) if positive.size else f.grid.r_min
     eval_hi = float(rhos.max()) if rhos.size else f.grid.r_max
     t_min, t_max = cfg.resolve(f, eval_lo, max(eval_hi, f.grid.r_max))
 

@@ -4,7 +4,8 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from numpy.polynomial import polynomial as P
+from scipy.special import beta, betainc, factorial, poch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,8 +57,64 @@ def test_cap_fraction_monte_carlo_oracle_four_dimensions():
     assert abs(got - frac_mc) < 4 * sigma
 
 
+def _beta_oracle_points():
+    """x from 1e-300 to 1, dense on both sides of the even-n series switch."""
+    s = geometry._SERIES_SWITCH
+    near = s * (1.0 + np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3]))
+    edges = [0.0, np.nextafter(s, 0.0), np.nextafter(s, 1.0), np.nextafter(1.0, 0.0), 1.0]
+    return np.concatenate([np.geomspace(1e-300, 1.0, 3001), np.linspace(0.0, 1.0, 2001), near, edges])
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closed_form_cap_measure_matches_betainc(n):
+    # scipy's betainc is the independent oracle of I_x((n-1)/2, 1/2); below the
+    # smallest normal double only absolute rounding is left
+    x = _beta_oracle_points()
+    got = geometry._regularized_beta(n, x)
+    want = betainc((n - 1) / 2.0, 0.5, x)
+    assert np.all(np.abs(got - want) <= 1e-12 * want + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closed_form_coefficients_match_gamma_functions(n):
+    # the series terms past the first few weigh too little below the switch
+    # for the betainc comparison to see them; check every coefficient itself
+    m = (n - 1) // 2
+    first, second = geometry._beta_coefficients(n)
+    k = np.arange(second.size)
+    if n % 2:
+        assert np.allclose(second, poch(0.5, k) / factorial(k), rtol=1e-15, atol=0.0)  # P
+        # 1 - (1-x) P^2 = x^m R, term by term
+        lhs = P.polysub([1.0], P.polymul([1.0, -1.0], P.polymul(second, second)))
+        assert np.allclose(lhs, np.concatenate([np.zeros(m), first]), rtol=0.0, atol=1e-15)
+        assert first.size == m
+    else:
+        a = m + 0.5
+        j = np.arange(m)
+        assert np.allclose(first, math.pi / (2.0 * (j + 0.5) * beta(j + 0.5, 0.5)), rtol=1e-14, atol=0.0)
+        want = poch(0.5, k) / (beta(a, 0.5) * (a + k) * factorial(k))
+        assert np.allclose(second, want, rtol=1e-14, atol=0.0)
+        assert want[-1] * geometry._SERIES_SWITCH ** k[-1] < 1e-16 * want[0]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cap_fraction_matches_betainc_on_partial_shells(n):
+    rng = np.random.default_rng(n)
+    rho = rng.uniform(0.01, 10.0, 4000)
+    t = rng.uniform(0.01, 10.0, 4000)
+    a, b = np.abs(t - rho), t + rho
+    r = a + rng.uniform(0.0, 1.0, 4000) * (b - a)
+    inside = (r > a) & (r < b)
+    rho, t, r = rho[inside], t[inside], r[inside]
+    x = np.clip((t**2 - (rho - r) ** 2) * ((rho + r) ** 2 - t**2) / (2.0 * rho * r) ** 2, 0.0, 1.0)
+    half = 0.5 * betainc((n - 1) / 2.0, 0.5, x)
+    want = np.where(rho**2 + r**2 >= t**2, half, 1.0 - half)
+    got = cap_fraction(CapKernel(n), rho, t, r)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @given(
-    st.integers(min_value=3, max_value=7),
+    st.integers(min_value=3, max_value=10),
     st.floats(min_value=0.1, max_value=3.0),
     st.floats(min_value=0.1, max_value=3.0),
 )
@@ -255,24 +312,109 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     k = CapKernel(3)
     ts = np.geomspace(1e-3, 1e4, 200)
     store = geometry._kernel_weights
+
+    def held(store):
+        return [a for plan in store._plans.values() for a in plan] + list(store._sums.values())
+
     for j in range(12):  # distinct grids: each one replaces the last
         grid = RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16)
         f = power_tail_profile(grid, 1.0, 6.0)
         for rho in np.geomspace(0.1, 10.0, 5):
             ball_mass_batch(k, f, float(rho), ts)
+        assert len(store._sums) == 5
         assert 0 < store.nbytes <= store.max_bytes
-        assert store.nbytes == sum(a.nbytes for plan in store._plans.values() for a in plan)
-        assert not any(a.flags.writeable for plan in store._plans.values() for a in plan)
-    # one grid with more centres than the cap admits
+        assert store.nbytes == sum(a.nbytes for a in held(store))
+        assert not any(a.flags.writeable for a in held(store))
+    # a new source replaces the sums and keeps the byte count exact
+    g = f.with_values(2.0 * f.values)
+    ball_mass_batch(k, g, 0.1, ts)
+    assert len(store._sums) == 1 and store.nbytes == sum(a.nbytes for a in held(store))
+    # one grid with more centres than the cap admits; g's sums cannot serve f
     monkeypatch.setattr(store, "max_bytes", 3 * store.nbytes // 5)
     store.clear()
     for rho in np.geomspace(0.1, 10.0, 5):
-        ball_mass_batch(k, f, float(rho), ts)
+        ball_mass_batch(k, g, float(rho), ts)
     assert 0 < store.nbytes <= store.max_bytes
+    assert store.nbytes == sum(a.nbytes for a in held(store))
     before = len(cap_calls)
     for rho in np.geomspace(0.1, 10.0, 5):
         ball_mass_batch(k, f, float(rho), ts)
     assert 0 < len(cap_calls) - before < 5  # the centres that did not fit
+    assert store.nbytes == sum(a.nbytes for a in held(store)) <= store.max_bytes
+
+
+@pytest.fixture
+def source_calls(monkeypatch):
+    """Sizes of the arrays every RadialFunction.__call__ evaluates."""
+    calls = []
+    call = RadialFunction.__call__
+
+    def counting(self, r):
+        calls.append(np.size(r))
+        return call(self, r)
+
+    monkeypatch.setattr(RadialFunction, "__call__", counting)
+    return calls
+
+
+def _sums_source():
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = grid.points
+    return RadialFunction(
+        grid, r**-1.0 * (1.0 + r**2) ** -4.0, head_exponent=1.0, tail_exponent=9.0, tail_log_power=0.5
+    )
+
+
+def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls):
+    # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives:
+    # its ball masses come from the stored sums, without evaluating f again
+    k = CapKernel(5)
+    f = _sums_source()
+    copy = RadialFunction(
+        RadialGrid(f.grid.points.copy()), f.values.copy(), f.head_exponent, f.tail_exponent, f.tail_log_power
+    )
+    ts = np.geomspace(1e-3, 1e4, 120)
+    rhos = (0.005, 0.3, 1.0, 40.0)
+    first = [ball_mass_batch(k, f, rho, ts) for rho in rhos]
+    assert len(cap_calls) == len(source_calls) == len(rhos)
+    again = [ball_mass_batch(k, copy, rho, ts) for rho in rhos]
+    assert len(cap_calls) == len(source_calls) == len(rhos)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    # a centre the sums do not hold yet still takes one evaluation
+    ball_mass_batch(k, copy, 2.0, ts)
+    assert len(source_calls) == len(rhos) + 1
+
+
+def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
+    k = CapKernel(5)
+    f = _sums_source()
+    pts = f.grid.points.copy()
+    pts[2] *= 0.99  # not a quadrature boundary: the plans still serve
+    moved = RadialFunction(RadialGrid(pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
+    assert np.array_equal(moved.quad_boundaries, f.quad_boundaries)
+    nudged = f.values.copy()
+    nudged[40] = np.nextafter(nudged[40], 1.0)
+    variants = [
+        f.with_values(nudged),
+        f.with_values(f.values, head_exponent=1.2),
+        f.with_values(f.values, tail_exponent=9.5),
+        f.with_values(f.values, tail_log_power=0.0),
+        moved,
+    ]
+    ts = np.geomspace(1e-3, 1e4, 120)
+    for rho in (0.005, 1.0):
+        ball_mass_batch(k, f, rho, ts)
+        for g in variants:
+            caps, calls = len(cap_calls), len(source_calls)
+            warm = ball_mass_batch(k, g, rho, ts)
+            assert len(cap_calls) == caps  # the plan serves g
+            assert len(source_calls) == calls + 1  # f's sums do not
+            ball_mass_batch(k, f, rho, ts)
+            assert len(source_calls) == calls + 2  # one source at a time
+            geometry._kernel_weights.clear()
+            assert np.array_equal(warm, ball_mass_batch(k, g, rho, ts))
+            ball_mass_batch(k, f, rho, ts)
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -288,9 +430,9 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
 
 
 def test_store_stress_concurrent_grids_and_centres():
-    # more threads than cores, switching often: grid changes, inserts and
-    # lookups interleave; a lost update would break the byte count or hand
-    # a centre another grid's weights
+    # more threads than cores, switching often: grid and source changes,
+    # inserts and lookups interleave; a lost update would break the byte
+    # count or hand a centre another grid's weights or another source's sums
     store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
     errors = []
 
@@ -300,10 +442,15 @@ def test_store_stress_concurrent_grids_and_centres():
             for _ in range(400):
                 grid = int(rng.integers(3))
                 centre = int(rng.integers(64))
+                source = int(rng.integers(2))
                 got = store.get(grid, centre)
                 if got is not None and not np.all(got == 1000 * grid + centre):
                     errors.append((grid, centre))
                 store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
+                sums = store.get_sums(grid, source, centre)
+                if sums is not None and not np.all(sums == -(1000 * grid + 100 * source + centre)):
+                    errors.append((grid, source, centre))
+                store.put_sums(grid, source, centre, np.full(5, -(1000.0 * grid + 100 * source + centre)))
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -319,4 +466,5 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert store.nbytes == sum(w.nbytes for w in store._plans.values()) <= store.max_bytes
+    held = list(store._plans.values()) + list(store._sums.values())
+    assert store.nbytes == sum(w.nbytes for w in held) <= store.max_bytes

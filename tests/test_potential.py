@@ -201,6 +201,22 @@ def test_head_closure_matches_a_lower_t_min(unit_indicator, source, n, beta, gam
     assert np.max(np.abs(got / ref - 1.0)) < 1e-4
 
 
+@pytest.mark.parametrize("n, beta, gamma", [(3, 0.8, 2.0), (5, 1.0, 2.0)])
+def test_default_t_min_follows_a_centre_below_r_min(n, beta, gamma):
+    # the t < t_min closure assumes t << rho; at rho = r_min/10 a t_min of
+    # r_min/10 = rho is off by 2.8e-3 and 6.0e-4 on this head-singular profile
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = grid.points
+    f = RadialFunction(grid, r**-1.5 * (1.0 + r**2) ** -3.0, head_exponent=1.5, tail_exponent=7.5)
+    got = wolff_eval_at(f, n, beta, gamma, [1e-3])
+    ref = wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=1e-8))
+    assert abs(got[0] / ref[0] - 1.0) < 1e-5
+    # a set t_min is still checked against the source's r_min only
+    wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=5e-3))
+    with pytest.raises(ParameterError, match="source r_min"):
+        wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=1e-2))
+
+
 def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
     # the solver's grid: 81 centres, two sources as in one system-map application
     grid = RadialGrid.per_decade(1e-2, 1e3, 16)
