@@ -35,9 +35,14 @@ def main():
     ap.add_argument("--json", action="store_true", help="emit machine-readable rows")
     args = ap.parse_args()
 
+    ps = {args.p_min + (args.p_max - args.p_min) * k / (args.points - 1) for k in range(args.points)}
+    # the log-corrected borderline p * fast rate = n is a single point that a
+    # uniform step rarely hits, so it is sampled as well
+    p_log = args.n * (args.gamma - 1.0) / (args.n - args.beta * args.gamma)
+    if args.p_min < p_log < args.p_max and all(abs(p - p_log) > 1e-9 for p in ps):
+        ps.add(p_log)
     rows = []
-    for k in range(args.points):
-        p = args.p_min + (args.p_max - args.p_min) * k / (args.points - 1)
+    for p in sorted(ps):
         q = critical_q(args.n, args.beta, args.gamma, p)
         if q is None or q <= 1.0 or q < p - 1e-9:
             continue

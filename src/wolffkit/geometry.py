@@ -39,18 +39,19 @@ by (n, quad_boundaries, truncation radius), the only inputs of the node
 layout besides the centre, and per centre by (rho, t).  It holds one grid at
 a time and is cleared when the grid key changes.
 
-The store also keeps, per centre, those partial-shell sums for the last
-source it served, keyed by the source's grid points, values and head and
-tail models (the grid key holds only quad_boundaries).  A call with the same
-grid, centre and source, such as the Wolff image of a source whose Riesz
-image was just taken, adds the stored sums and does not evaluate f again.
-Cold, repeat and stored sums come from one computation, so they agree bit
-for bit.  Plans and sums share the cap _KERNEL_WEIGHT_BYTES; a plan takes
+The store also keeps, per centre, the whole ball masses (covered part plus
+partial shells) for the last source it served, keyed by the source's grid
+points, values and head and tail models (the grid key holds only
+quad_boundaries).  A call with the same grid, centre and source, such as the
+Wolff image of a source whose Riesz image was just taken, returns a copy of
+the stored masses and neither evaluates f nor calls cumulative_mass again.
+Cold, repeat and stored masses come from one computation, so they agree bit
+for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES; a plan takes
 16 bytes per node, so an 81-point grid's 81 centres of wolff_eval take about
-23 MB, and their sums about 0.17 MB.  The store is module-global, so access
+23 MB, and their masses about 0.17 MB.  The store is module-global, so access
 is locked: a caller that evaluates potentials from several threads could
 otherwise pass a key comparison and then read another grid's plan or
-another source's sums.
+another source's masses.
 """
 
 from __future__ import annotations
@@ -335,8 +336,8 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
 
 
 class _KernelWeightStore:
-    """Plans of one source grid's centres, and each centre's partial-shell
-    masses of the last source served, bounded together by max_bytes."""
+    """Plans of one source grid's centres, and each centre's ball masses of
+    the last source served, bounded together by max_bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -353,27 +354,27 @@ class _KernelWeightStore:
                 self._reset(grid_key)
             self._admit(self._plans, centre_key, plan)
 
-    def get_sums(self, grid_key, source_key, centre_key):
+    def get_masses(self, grid_key, source_key, centre_key):
         with self._lock:
             if grid_key == self._grid and source_key == self._source:
-                return self._sums.get(centre_key)
+                return self._masses.get(centre_key)
             return None
 
-    def put_sums(self, grid_key, source_key, centre_key, sums):
+    def put_masses(self, grid_key, source_key, centre_key, masses):
         with self._lock:
             if grid_key != self._grid:
                 self._reset(grid_key)
             if source_key != self._source:
-                self.nbytes -= sum(s.nbytes for s in self._sums.values())
-                self._source, self._sums = source_key, {}
-            self._admit(self._sums, centre_key, sums)
+                self.nbytes -= sum(m.nbytes for m in self._masses.values())
+                self._source, self._masses = source_key, {}
+            self._admit(self._masses, centre_key, masses)
 
     def clear(self):
         with self._lock:
             self._reset(None)
 
     def _reset(self, grid_key):
-        self._grid, self._plans, self._source, self._sums = grid_key, {}, None, {}
+        self._grid, self._plans, self._source, self._masses = grid_key, {}, None, {}
         self.nbytes = 0
 
     def _admit(self, table, key, value):
@@ -402,6 +403,22 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
             f"head exponent {f.head_exponent} >= n = {n}: ball mass covering the origin diverges"
         )
 
+    # the masses kept for this source, else the covered part plus f on the
+    # plan kept for this geometry; at rho = 0 every shell is full or empty
+    if rho > 0.0:
+        grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
+        centre_key = (rho, t_arr.tobytes())
+        source_key = (
+            f.grid.points.tobytes(),
+            f.values.tobytes(),
+            f.head_exponent,
+            f.tail_exponent,
+            f.tail_log_power,
+        )
+        masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
+        if masses is not None:
+            return masses.copy()
+
     out = np.zeros(t_arr.size)
     covered = t_arr > rho
     if covered.any():
@@ -410,30 +427,17 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho == 0.0:
         return out
 
-    # partial shell |t - rho| < r < t + rho: the sums kept for this source,
-    # else f on the plan kept for this geometry
-    grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
-    centre_key = (rho, t_arr.tobytes())
-    source_key = (
-        f.grid.points.tobytes(),
-        f.values.tobytes(),
-        f.head_exponent,
-        f.tail_exponent,
-        f.tail_log_power,
-    )
-    sums = _kernel_weights.get_sums(grid_key, source_key, centre_key)
-    if sums is None:
-        plan = _kernel_weights.get(grid_key, centre_key)
+    # partial shell |t - rho| < r < t + rho
+    plan = _kernel_weights.get(grid_key, centre_key)
+    if plan is None:
+        plan = _centre_plan(kernel, f, rho, t_arr)
         if plan is None:
-            plan = _centre_plan(kernel, f, rho, t_arr)
-            if plan is None:
-                return out
-            _kernel_weights.put(grid_key, centre_key, plan)
-        sums = np.zeros(t_arr.size)
-        sums[plan.t_index] = kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
-        sums.setflags(write=False)
-        _kernel_weights.put_sums(grid_key, source_key, centre_key, sums)
-    out += sums
+            return out
+        _kernel_weights.put(grid_key, centre_key, plan)
+    out[plan.t_index] += kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
+    masses = out.copy()
+    masses.setflags(write=False)
+    _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)
     return out
 
 

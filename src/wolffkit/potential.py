@@ -8,10 +8,11 @@ and the Riesz potential of order alpha is its gamma = 2 case in layer-cake
 form, I_alpha(f)(x) = (n - alpha) int_0^inf mass(|x|, t) t^{alpha-n} dt/t
 = (n - alpha) W_{alpha/2,2}(f)(x), so both operators run on one engine,
 wolff_eval_at, over the same sphere-ball geometry kernel.  The outer
-t-integral runs in tau = ln t with composite Gauss-Legendre panels, panel
-boundaries at the structural radii |rho - r| and rho + r of the source grid
-edges, analytic closure below t_min, and a truncated exponential-window rule
-above t_max driven by the closed-form cumulative mass.
+t-integral runs in tau = ln t as one sum over composite Gauss-Legendre panels,
+with panel boundaries at the structural radii |rho - r| and rho + r of the
+source grid edges and an analytic closure below t_min.  The last 8 panels are
+the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
+mass is the symmetric average of the closed-form cumulative mass.
 
 The declared tail of the output follows the mass trichotomy of the source
 tail exponent T against the dimension n:
@@ -177,34 +178,6 @@ def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: fl
         )
 
 
-def _tail_piece(f, n, rho, inv_power, a_decay, tau_max, growth) -> float:
-    """int_{tau_max}^inf mass^{inv_power} e^{-a_decay tau} dtau, truncated window.
-
-    growth is the asymptotic log-slope of mass^{inv_power}; the effective
-    decay rate a_decay - growth must be positive for convergence.  For
-    t >> rho the ball mass is the symmetric cumulative average, which kills
-    the O(rho/t) term; all panels' nodes take one cumulative_mass call.
-    """
-    a_eff = a_decay - growth
-    if a_eff <= BORDERLINE_TOL:
-        raise DivergentIntegralError(
-            "outer integral beyond t_max diverges (effective decay rate "
-            f"{a_eff:.3e} <= 0)"
-        )
-    span = _TAIL_DECAY_SPAN / a_eff
-    nodes, wts = _leggauss01(_PANEL_NODES)
-    edges = np.linspace(tau_max, tau_max + span, _TAIL_PANELS + 1)
-    widths = np.diff(edges)
-    tau = (edges[:-1, None] + widths[:, None] * nodes).ravel()
-    t = np.exp(tau)
-    both = f.cumulative_mass(n, np.concatenate([t - rho, t + rho]))
-    mass = 0.5 * (both[: t.size] + both[t.size :])
-    logg = np.full(tau.shape, -np.inf)
-    pos = mass > 0.0
-    logg[pos] = inv_power * np.log(mass[pos]) - a_decay * tau[pos]
-    return float((np.exp(logg).reshape(_TAIL_PANELS, _PANEL_NODES) @ wts) @ widths)
-
-
 def _head_piece(f, n, rho, inv_power, a_decay, t_min, mass0, t0) -> float:
     """Analytic t < t_min closure: mass ~ c t^e near t = 0.
 
@@ -221,12 +194,6 @@ def _head_piece(f, n, rho, inv_power, a_decay, t_min, mass0, t0) -> float:
             f"potential diverges at the origin (head exponent {f.head_exponent} too strong)"
         )
     return (mass0 / t0**e) ** inv_power * t_min**rate / rate
-
-
-def _wolff_growth(klass: str, T: float, n: int, inv_power: float) -> float:
-    if klass is _SourceClass.SLOW:
-        return (n - T) * inv_power
-    return 0.0
 
 
 def wolff_eval_at(
@@ -256,26 +223,39 @@ def wolff_eval_at(
     bg = beta * gamma
     a_decay = (n - bg) * inv_power
     klass, T, _ = _classify_source_tail(f, n)
-    growth = _wolff_growth(klass, T, n, inv_power)
+    # beyond t_max mass^{inv_power} grows like t^{(n - T) inv_power} for a slow
+    # source tail, so the integrand decays at the rate a_eff in tau
+    a_eff = a_decay - ((n - T) * inv_power if klass is _SourceClass.SLOW else 0.0)
+    if a_eff <= BORDERLINE_TOL:
+        raise DivergentIntegralError(
+            "outer integral beyond t_max diverges (effective decay rate "
+            f"{a_eff:.3e} <= 0)"
+        )
     kernel = CapKernel(n)
     tau_lo, tau_hi = math.log(t_min), math.log(t_max)
     slope_cap = max(bg, n - bg, n) * inv_power
     nodes01, wts01 = _leggauss01(_PANEL_NODES)
+    # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
+    window = np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
+    far = _TAIL_PANELS * _PANEL_NODES
 
     out = np.empty(rhos.size)
     for i, rho in enumerate(rhos.tolist()):
-        bounds = _tau_panels(tau_lo, tau_hi, _structural_radii(rho, f), cfg.t_nodes_per_decade, slope_cap)
+        tau_panels = _tau_panels(tau_lo, tau_hi, _structural_radii(rho, f), cfg.t_nodes_per_decade, slope_cap)
+        bounds = np.concatenate([tau_panels, window])
         widths = np.diff(bounds)
         tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
         t = np.exp(tau)
-        mass = ball_mass_batch(kernel, f, rho, t)
-        integrand = np.where(mass > 0.0, mass**inv_power * np.exp(-a_decay * tau), 0.0)
-        main = float(np.dot(integrand.reshape(-1, _PANEL_NODES) @ wts01, widths))
-        out[i] = (
-            main
-            + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
-            + _tail_piece(f, n, rho, inv_power, a_decay, tau_hi, growth)
-        )
+        # in the window t >> rho, and the symmetric cumulative average of the
+        # ball mass kills its O(rho/t) term
+        both = f.cumulative_mass(n, np.concatenate([t[-far:] - rho, t[-far:] + rho]))
+        mass = np.concatenate([ball_mass_batch(kernel, f, rho, t[:-far]), 0.5 * (both[:far] + both[far:])])
+        # in logs: at the window's far end mass^{inv_power} overflows where
+        # e^{-a tau} underflows; a mass <= 0 gives exp(-inf) = 0
+        with np.errstate(divide="ignore"):
+            integrand = np.exp(inv_power * np.log(np.maximum(mass, 0.0)) - a_decay * tau)
+        panel_sum = float((integrand.reshape(-1, _PANEL_NODES) @ wts01) @ widths)
+        out[i] = panel_sum + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
     return out
 
 

@@ -255,10 +255,12 @@ def find_fast_ground_state(
             )
         b_star = cfg.a
         final = traj
+        shots = 1
     else:
         lo, hi = cfg.bracket
         t_lo = shoot(params, cfg.a, lo, shoot_cfg)
         t_hi = shoot(params, cfg.a, hi, shoot_cfg)
+        shots = 2
         c_lo, c_hi = _outcome(t_lo), _outcome(t_hi)
         if c_lo == c_hi:
             raise NoBracketError(
@@ -275,6 +277,7 @@ def find_fast_ground_state(
                     best = t_end
                 break
             t_mid = shoot(params, cfg.a, mid, shoot_cfg)
+            shots += 1
             c_mid = _outcome(t_mid)
             if t_mid.r_reached >= best.r_reached:
                 best = t_mid
@@ -288,10 +291,16 @@ def find_fast_ground_state(
             final = t_lo if b_star == lo else t_hi
         else:
             final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
+            shots += 1
         if final.r_reached < best.r_reached:
             final = best
 
-    residual = flux_identity_residual(params, final)
+    residual_u = flux_identity_residual(params, final)
+    # v's flux identity is u's for the swapped system and components
+    residual_v = flux_identity_residual(
+        params.swapped(),
+        replace(final, u=final.v, v=final.u, flux_u=final.flux_v, flux_v=final.flux_u),
+    )
     reach = final.r_reached
     hit = final.hit_zero
     clean_hi = reach if scalar else reach * cfg.clean_fraction
@@ -332,9 +341,9 @@ def find_fast_ground_state(
     return SolveResult(
         u=u_prof,
         v=v_prof,
-        residual_u=residual,
-        residual_v=residual,
-        iterations=cfg.depth if not scalar else 1,
+        residual_u=residual_u,
+        residual_v=residual_v,
+        iterations=shots,  # trajectories shot
         converged=converged,
         rate_u=rate_u,
         rate_v=rate_v,

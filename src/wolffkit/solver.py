@@ -15,7 +15,7 @@ relative sup-distance between the iterate and its potential image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -66,13 +66,23 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveConfig":
+        # the profile-valued fields cannot come from a config file
+        settable = {f.name for f in fields(cls)} - {"custom_initial", "coefficients"}
+        unknown = sorted(set(data) - settable)
+        if unknown:
+            raise ParameterError(f"unknown solve config keys: {unknown}")
         kwargs = dict(data)
-        if "normalization" in kwargs:
-            kwargs["normalization"] = Normalization(kwargs["normalization"])
-        if "initial" in kwargs:
-            kwargs["initial"] = Ansatz(kwargs["initial"])
+        try:
+            if "normalization" in kwargs:
+                kwargs["normalization"] = Normalization(kwargs["normalization"])
+            if "initial" in kwargs:
+                kwargs["initial"] = Ansatz(kwargs["initial"])
+        except ValueError as exc:  # the enum names the value it rejects
+            raise ParameterError(f"solve config: {exc}") from None
         if "grid" in kwargs:
             gspec = kwargs["grid"]
+            if not isinstance(gspec, dict) or not {"r_min", "r_max"} <= gspec.keys():
+                raise ParameterError(f"solve config grid needs r_min and r_max, got {gspec!r}")
             kwargs["grid"] = RadialGrid.per_decade(
                 gspec["r_min"], gspec["r_max"], gspec.get("nodes_per_decade", 16)
             )

@@ -27,7 +27,7 @@ from wolffkit.params import (
     subcriticality,
 )
 from wolffkit.geometry import CapKernel, ball_mass
-from wolffkit.potential import riesz_eval, riesz_eval_at, wolff_eval, wolff_eval_at
+from wolffkit.potential import riesz_eval_at, wolff_eval, wolff_eval_at
 from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state, shoot
 from wolffkit.radial import (
     RadialFunction,
@@ -114,20 +114,10 @@ def _battery(n):
     ]
 
 
-def test_criterion_4_riesz_identity():
-    worst = 0.0
-    for n, alpha in [(5, 2.0), (4, 1.5)]:
-        for f in _battery(n):
-            w = wolff_eval(f, n, alpha / 2.0, 2.0)
-            r = riesz_eval(f, n, alpha)
-            rel = float(np.max(np.abs(w.values / (r.values / (n - alpha)) - 1.0)))
-            worst = max(worst, rel)
-    report(4, "second-order Riesz identity", worst <= 1e-3, f"worst rel={worst:.2e}")
-
-
-# Criterion 4 compares riesz_eval with wolff_eval, which share one engine, so
-# the evidence for either sits with the benchmark's oracles: Newton's shell
-# theorem and the 2F1 spherical mean, integrated in r with no wolffkit code.
+# Criterion 4: riesz_eval runs on wolff_eval's engine, so comparing the two
+# would compare a code path with itself.  The evidence for either sits with
+# the benchmark's oracles: Newton's shell theorem and the 2F1 spherical mean,
+# integrated in r with no wolffkit code.
 # The module is loaded by path so that one reference implementation serves
 # both the benchmark and this suite.
 ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
@@ -150,7 +140,7 @@ def _oracle_profiles():
     }
 
 
-@pytest.mark.parametrize("n, alpha", [(3, 1.6), (5, 1.2), (5, 2.0)])
+@pytest.mark.parametrize("n, alpha", [(3, 1.6), (4, 1.5), (5, 1.2), (5, 2.0)])
 def test_criterion_4_riesz_against_spherical_mean_oracle(oracles, n, alpha):
     for name, f in _oracle_profiles().items():
         rho = f.grid.points[::4]
@@ -160,7 +150,7 @@ def test_criterion_4_riesz_against_spherical_mean_oracle(oracles, n, alpha):
         assert err <= ORACLE_RTOL, (name, err)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_criterion_4_wolff_gamma2_against_shell_theorem_oracle(oracles, n):
     for name, f in _oracle_profiles().items():
         rho = f.grid.points[::4]
@@ -352,12 +342,10 @@ def test_criterion_11_inequality_ratio_boundedness():
     entries = {e.name: e for e in check_inequalities(11, params, count=20)}
     hls = entries["weighted_hls_ratio"]
     cmp_ = entries["wolff_riesz_comparison"]
-    const = entries["comparison_constant_second_order"]
-    ok = hls.status == "pass" and cmp_.status == "pass" and const.status == "pass"
+    ok = hls.status == "pass" and cmp_.status == "pass"
     report(
         11,
         "inequality ratio boundedness",
         ok,
-        f"hls spread={hls.measured:.3f} cmp spread={cmp_.measured:.3f} "
-        f"gamma2 dev={const.measured:.2e}",
+        f"hls spread={hls.measured:.3f} cmp spread={cmp_.measured:.3f}",
     )

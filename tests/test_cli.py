@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from wolffkit.cli import main
 from wolffkit.radial import read_profile, unit_ball_volume, write_profile
 
 from conftest import indicator_of_ball
@@ -156,6 +157,25 @@ def test_solve_writes_result_directory(tmp_path):
     assert report["predicted"]["regime"] == "FastFast"
     assert report["rate_u"]["exponent"] == pytest.approx(3.0, rel=0.05)
     assert (out_dir / "u.csv").exists() and (out_dir / "v.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"max_iters": 4, "max_iter": 4}, "max_iter"),
+        ({"coefficients": [1.0, 1.0]}, "coefficients"),  # profiles, not JSON values
+        ({"grid": {"r_min": 1e-2, "nodes_per_decade": 16}}, "r_max"),
+        ({"grid": 16}, "16"),
+        ({"normalization": "FixMas"}, "FixMas"),
+    ],
+)
+def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["solve", *PARAMS, "--config", str(cfg_path), "--out", str(tmp_path / "res")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and named in err["message"]
 
 
 def test_verify_loglimit_report_and_determinism(tmp_path):

@@ -314,22 +314,22 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     store = geometry._kernel_weights
 
     def held(store):
-        return [a for plan in store._plans.values() for a in plan] + list(store._sums.values())
+        return [a for plan in store._plans.values() for a in plan] + list(store._masses.values())
 
     for j in range(12):  # distinct grids: each one replaces the last
         grid = RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16)
         f = power_tail_profile(grid, 1.0, 6.0)
         for rho in np.geomspace(0.1, 10.0, 5):
             ball_mass_batch(k, f, float(rho), ts)
-        assert len(store._sums) == 5
+        assert len(store._masses) == 5
         assert 0 < store.nbytes <= store.max_bytes
         assert store.nbytes == sum(a.nbytes for a in held(store))
         assert not any(a.flags.writeable for a in held(store))
-    # a new source replaces the sums and keeps the byte count exact
+    # a new source replaces the masses and keeps the byte count exact
     g = f.with_values(2.0 * f.values)
     ball_mass_batch(k, g, 0.1, ts)
-    assert len(store._sums) == 1 and store.nbytes == sum(a.nbytes for a in held(store))
-    # one grid with more centres than the cap admits; g's sums cannot serve f
+    assert len(store._masses) == 1 and store.nbytes == sum(a.nbytes for a in held(store))
+    # one grid with more centres than the cap admits; g's masses cannot serve f
     monkeypatch.setattr(store, "max_bytes", 3 * store.nbytes // 5)
     store.clear()
     for rho in np.geomspace(0.1, 10.0, 5):
@@ -365,9 +365,18 @@ def _sums_source():
     )
 
 
-def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls):
+def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, monkeypatch):
     # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives:
-    # its ball masses come from the stored sums, without evaluating f again
+    # its ball masses come from the stored masses, without evaluating f or
+    # its cumulative mass again
+    mass_calls = []
+    cumulative_mass = RadialFunction.cumulative_mass
+
+    def counting(self, n, r):
+        mass_calls.append(np.size(r))
+        return cumulative_mass(self, n, r)
+
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
     k = CapKernel(5)
     f = _sums_source()
     copy = RadialFunction(
@@ -376,12 +385,15 @@ def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls):
     ts = np.geomspace(1e-3, 1e4, 120)
     rhos = (0.005, 0.3, 1.0, 40.0)
     first = [ball_mass_batch(k, f, rho, ts) for rho in rhos]
-    assert len(cap_calls) == len(source_calls) == len(rhos)
+    assert len(cap_calls) == len(source_calls) == len(mass_calls) == len(rhos)
     again = [ball_mass_batch(k, copy, rho, ts) for rho in rhos]
-    assert len(cap_calls) == len(source_calls) == len(rhos)
+    assert len(cap_calls) == len(source_calls) == len(mass_calls) == len(rhos)
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
-    # a centre the sums do not hold yet still takes one evaluation
+    # a hit hands out a copy: writing to it leaves the stored masses intact
+    again[0][:] = -1.0
+    assert np.array_equal(ball_mass_batch(k, copy, rhos[0], ts), first[0])
+    # a centre the masses do not hold yet still takes one evaluation
     ball_mass_batch(k, copy, 2.0, ts)
     assert len(source_calls) == len(rhos) + 1
 
@@ -409,7 +421,7 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
             caps, calls = len(cap_calls), len(source_calls)
             warm = ball_mass_batch(k, g, rho, ts)
             assert len(cap_calls) == caps  # the plan serves g
-            assert len(source_calls) == calls + 1  # f's sums do not
+            assert len(source_calls) == calls + 1  # f's masses do not
             ball_mass_batch(k, f, rho, ts)
             assert len(source_calls) == calls + 2  # one source at a time
             geometry._kernel_weights.clear()
@@ -432,7 +444,7 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
 def test_store_stress_concurrent_grids_and_centres():
     # more threads than cores, switching often: grid and source changes,
     # inserts and lookups interleave; a lost update would break the byte
-    # count or hand a centre another grid's weights or another source's sums
+    # count or hand a centre another grid's weights or another source's masses
     store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
     errors = []
 
@@ -447,10 +459,10 @@ def test_store_stress_concurrent_grids_and_centres():
                 if got is not None and not np.all(got == 1000 * grid + centre):
                     errors.append((grid, centre))
                 store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
-                sums = store.get_sums(grid, source, centre)
-                if sums is not None and not np.all(sums == -(1000 * grid + 100 * source + centre)):
+                masses = store.get_masses(grid, source, centre)
+                if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
                     errors.append((grid, source, centre))
-                store.put_sums(grid, source, centre, np.full(5, -(1000.0 * grid + 100 * source + centre)))
+                store.put_masses(grid, source, centre, np.full(5, -(1000.0 * grid + 100 * source + centre)))
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -466,5 +478,5 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    held = list(store._plans.values()) + list(store._sums.values())
+    held = list(store._plans.values()) + list(store._masses.values())
     assert store.nbytes == sum(w.nbytes for w in held) <= store.max_bytes

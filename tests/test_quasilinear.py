@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from wolffkit.errors import NoBracketError, ParameterError
 from wolffkit import quasilinear
@@ -135,6 +136,17 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
         k = prof.grid.count
         assert np.array_equal(prof.grid.points, final.r[:k])
         assert np.array_equal(prof.values, comp[:k])
+    # the report counts the trajectories shot and gives each component its
+    # own flux identity: m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0
+    assert res.iterations == len(shots)
+    assert res.residual_u == flux_identity_residual(params, final)
+    u, r = np.maximum(final.u, 0.0), final.r
+    n_s2 = params.n + params.sigma2
+    mass_v = cumulative_trapezoid(r**n_s2 * u**params.p, np.log(r), initial=0.0)
+    mass_v += u[0] ** params.p * r[0] ** n_s2 / n_s2
+    residual_v = np.max(np.abs(final.flux_v + mass_v)) / np.max(np.abs(final.flux_v))
+    assert res.residual_v == pytest.approx(residual_v, rel=1e-12)
+    assert res.residual_v != pytest.approx(res.residual_u, rel=0.1)
 
 
 def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
@@ -152,3 +164,4 @@ def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
     assert shots[-1] == (b_star, 1e5)
     assert all(r_stop == 1e4 for _, r_stop in shots[:-1])
     assert b_star in [b for b, _ in shots[:-1]]  # re-shot to the farther radius
+    assert res.iterations == len(shots)
