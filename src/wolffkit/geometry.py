@@ -35,7 +35,7 @@ plan, the way an FFTW plan is kept: the nodes, the kernel weights, and the
 start offset and t index of each non-empty shell.  A repeat call on the same
 geometry skips node generation and costs f at the stored nodes times the
 weights plus one add.reduceat over the shells.  The store is keyed per grid
-by (n, quad_boundaries, truncation radius), the only inputs of the node
+by (n, quad_boundaries, cut-off flag), the only inputs of the node
 layout besides the centre, and per centre by (rho, t).  It holds one grid at
 a time and is cleared when the grid key changes.
 
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DivergentIntegralError, ParameterError
+from .errors import ParameterError
 from .radial import _leggauss01, sphere_surface, unit_ball_volume
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -211,13 +211,6 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(seg.size) - start[seg]
 
 
-def _truncation_radius(f: "RadialFunction"):
-    """Radius beyond which f vanishes (a hard tail cut-off), or None."""
-    if math.isinf(f.tail_exponent) or f.values[-1] == 0.0:
-        return f.grid.r_max
-    return None
-
-
 def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
 
@@ -232,9 +225,8 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     pts = f.quad_boundaries
     a = np.abs(t - rho)
     b = t + rho
-    r_cut = _truncation_radius(f)
-    if r_cut is not None:
-        b = np.minimum(b, r_cut)
+    if f.cut_off:
+        b = np.minimum(b, f.grid.r_max)
     owner = np.flatnonzero(b > a)
     a, b = a[owner], b[owner]
     anchored = a > 0.0
@@ -398,15 +390,11 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
         raise ParameterError("ball radius t must be positive")
     if rho < 0.0:
         raise ParameterError("center distance rho must be nonnegative")
-    if f.head_exponent >= n and f.values[0] > 0.0 and np.any(t_arr > rho):
-        raise DivergentIntegralError(
-            f"head exponent {f.head_exponent} >= n = {n}: ball mass covering the origin diverges"
-        )
 
     # the masses kept for this source, else the covered part plus f on the
     # plan kept for this geometry; at rho = 0 every shell is full or empty
     if rho > 0.0:
-        grid_key = (n, f.quad_boundaries.tobytes(), _truncation_radius(f))
+        grid_key = (n, f.quad_boundaries.tobytes(), f.cut_off)
         centre_key = (rho, t_arr.tobytes())
         source_key = (
             f.grid.points.tobytes(),

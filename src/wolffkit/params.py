@@ -85,8 +85,6 @@ class Exponents:
     fast_rate_u: float           # (n - beta*gamma)/(gamma - 1)
     v_threshold: float           # p*fast_rate_u - sigma2, compared against n
     intermediate_rate_v: float   # (p*fast_rate_u - (beta*gamma + sigma2))/(gamma - 1)
-    slow_endpoint_u: float       # (q*fast_rate_u - (beta*gamma + sigma1))/(gamma - 1)
-    slow_endpoint_v: float       # (p*fast_rate_u - (beta*gamma + sigma2))/(gamma - 1)
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,6 @@ def exponents(params: Parameters) -> Exponents:
         fast_rate_u=fast,
         v_threshold=p * fast - s2,
         intermediate_rate_v=(p * fast - (bg + s2)) / g,
-        slow_endpoint_u=(q * fast - (bg + s1)) / g,
-        slow_endpoint_v=(p * fast - (bg + s2)) / g,
     )
 
 

@@ -98,12 +98,11 @@ def weighted_source(sigma: float, exponent: float, f: RadialFunction) -> RadialF
         raise ParameterError(f"source exponent must be positive, got {exponent}")
     r = f.grid.points
     values = r**sigma * f.values**exponent
-    tail = exponent * f.tail_exponent - sigma if not math.isinf(f.tail_exponent) else math.inf
     return RadialFunction(
         f.grid,
         values,
         head_exponent=exponent * f.head_exponent - sigma,
-        tail_exponent=tail,
+        tail_exponent=exponent * f.tail_exponent - sigma,
         tail_log_power=exponent * f.tail_log_power,
     )
 
@@ -153,20 +152,16 @@ class _SourceClass:
 
 def _classify_source_tail(f: RadialFunction, n: int):
     T, L = f.tail_exponent, f.tail_log_power
-    if f.values[-1] == 0.0 or math.isinf(T):
-        return _SourceClass.FINITE, T, L
-    if T > n + BORDERLINE_TOL:
+    if f.tail_integrable(n):
         return _SourceClass.FINITE, T, L
     if abs(T - n) <= BORDERLINE_TOL:
-        if L < -1.0 - BORDERLINE_TOL:
-            return _SourceClass.FINITE, T, L
         return _SourceClass.BORDERLINE, T, L
     return _SourceClass.SLOW, T, L
 
 
 def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: float):
     """The source's divergence checks; the operator's own live in params."""
-    if f.head_exponent >= n and f.values[0] > 0.0:
+    if not f.head_integrable(n):
         raise DivergentIntegralError(
             f"source head exponent {f.head_exponent} >= n: non-integrable near the origin"
         )

@@ -11,20 +11,24 @@ Between nodes the profile is interpolated linearly in (ln r, ln f), which is
 exact on power laws; cells with a vanishing endpoint fall back to linear
 interpolation in r.
 
-Every body integral, the masses of cumulative_mass and total_mass and the
-weighted norms of lp_norm, goes through one cell rule,
-RadialFunction._cell_integrals, which gives int_{r_a}^x r^{k-1} f(r)^p dr for
-x inside the cell [r_a, r_b]:
+RadialFunction alone decides what its model does outside the grid, through
+three predicates (k = n for masses, k = n + w for norms of weight r^w):
+cut_off (f vanishes beyond r_max: T = inf or f(r_max) = 0), head_integrable
+(k > h p) and tail_integrable (T p > k, or T p = k with L p < -1).  Every
+integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
+lp_norm, is a head, cells and a tail, each with one rule:
 
-    power cell, f = v_a (r/r_a)^{-m}:  (f(x)^p x^k - v_a^p r_a^k) / (k - m p),
-                                       or v_a^p r_a^k ln(x/r_a) where k = m p
-    cell with a vanishing endpoint:    16-node Gauss-Legendre in ln r
+    head  v_0^p r_min^k (x/r_min)^{k-hp} / (k - hp); a zero head gives 0
+    cell  power cell f = v_a (r/r_a)^{-m}: (f(x)^p x^k - v_a^p r_a^k) / (k - mp),
+          or v_a^p r_a^k ln(x/r_a) where k = mp; 16-node Gauss-Legendre in
+          ln r on a cell with a vanishing endpoint
+    tail  v_N^p r_max^k expm1(a ln(x/r_max)) / a with a = k - Tp, or its limit
+          at a = 0; with a log factor, 32-node Gauss-Legendre in ln r to a
+          finite x, Gauss-Laguerre to infinity, or the pure-log closed form
+          v_N^p r_max^k ln(r_max) / (-Lp - 1) at a = 0
 
-with k = n for masses and k = n + w for norms of weight r^w.  The head model
-has one closed form, _head_integral; the two tails keep their own rules, one
-to a finite radius and one to infinity, with Gauss-Legendre and Gauss-Laguerre
-for log-corrected tails.  Divergent norms are reported through the symbolic
-sentinel ``INFINITE`` rather than a float infinity.
+Divergent norms are reported through the symbolic sentinel ``INFINITE``
+rather than a float infinity.
 """
 
 from __future__ import annotations
@@ -230,7 +234,7 @@ class RadialFunction:
             out[head] = v[0] * (r[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
         tail = r > pts[-1]
         if tail.any():
-            if math.isinf(self.tail_exponent) or v[-1] == 0.0:
+            if self.cut_off:
                 out[tail] = 0.0
             else:
                 factor = (r[tail] / pts[-1]) ** (-self.tail_exponent)
@@ -270,12 +274,65 @@ class RadialFunction:
             tail_log_power=self.tail_log_power,
         )
 
-    # -- cumulative mass ---------------------------------------------------
+    # -- the model outside the grid ------------------------------------------
 
-    def _head_integral(self, x, k: float, p: float) -> np.ndarray:
-        """int_0^x r^{k-1} f(r)^p dr on the head model (x <= r_min, k > h p)."""
+    @cached_property
+    def cut_off(self) -> bool:
+        """Whether f vanishes beyond r_max: an infinite tail exponent or a
+        vanishing last value."""
+        return math.isinf(self.tail_exponent) or self.values[-1] == 0.0
+
+    def head_integrable(self, k: float, p: float = 1.0) -> bool:
+        """Whether int_0^{r_min} r^{k-1} f(r)^p dr converges: k > h p, or f(r_min) = 0."""
+        return self.values[0] == 0.0 or k - self.head_exponent * p > BORDERLINE_TOL
+
+    def tail_integrable(self, k: float, p: float = 1.0) -> bool:
+        """Whether int_{r_max}^inf r^{k-1} f(r)^p dr converges: T p > k, or
+        T p = k with L p < -1, or a cut-off tail."""
+        if self.cut_off:
+            return True
+        a = self.tail_exponent * p - k
+        if abs(a) <= BORDERLINE_TOL:
+            return self.tail_log_power * p < -1.0 - BORDERLINE_TOL
+        return a > 0.0
+
+    def _head_integral(self, x, k: float, p: float = 1.0):
+        """int_0^x r^{k-1} f(r)^p dr on the head model (x <= r_min)."""
         v0, h, rm = self.values[0], self.head_exponent, self.grid.r_min
+        if v0 == 0.0:
+            return np.zeros_like(x)
+        if not self.head_integrable(k, p):
+            raise DivergentIntegralError(
+                f"head exponent {h} >= k/p = {k / p}: the integral near the origin diverges"
+            )
         return v0**p * rm**k * (x / rm) ** (k - h * p) / (k - h * p)
+
+    def _tail_integral(self, k: float, p: float = 1.0, x=math.inf):
+        """int_{r_max}^x r^{k-1} f(r)^p dr on the tail model, x >= r_max; to
+        x = inf only where tail_integrable holds."""
+        if self.cut_off:
+            return np.zeros_like(x)
+        rm, Lp = self.grid.r_max, self.tail_log_power * p
+        scale = self.values[-1] ** p * rm**k
+        a = k - self.tail_exponent * p
+        if Lp == 0.0:
+            span = np.log(x / rm)
+            if abs(a) <= BORDERLINE_TOL:
+                return scale * span
+            return scale * np.expm1(a * span) / a
+        # in lam = ln r the integrand is scale e^{a (lam - lam0)} (lam/lam0)^{Lp}
+        lam0 = math.log(rm)
+        if np.ndim(x) == 0 and math.isinf(x):
+            if abs(a) <= BORDERLINE_TOL:
+                return scale * lam0 / (-Lp - 1.0)  # pure log, Lp < -1
+            nodes, wts = _laggauss(96)
+            return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
+        nodes, wts = _leggauss01(32)
+        width = np.log(x) - lam0
+        lam = lam0 + np.outer(width, nodes)
+        return scale * ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp) @ wts) * width
+
+    # -- cumulative mass ---------------------------------------------------
 
     def _cell_integrals(self, idx: np.ndarray, x: np.ndarray, k: float, p: float = 1.0, fx=None):
         """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx.
@@ -306,43 +363,13 @@ class RadialFunction:
             out[lin] = width[:, 0] * ((fr**p * rr**k) @ wts)
         return out
 
-    def _head_mass(self, n: int, x: np.ndarray) -> np.ndarray:
-        """s_{n-1} * integral_0^x f r^{n-1} dr for x <= r_min."""
-        if self.values[0] == 0.0:
-            return np.zeros_like(x)
-        if self.head_exponent >= n:
-            raise DivergentIntegralError(
-                f"head exponent {self.head_exponent} >= n = {n}: mass near the origin diverges"
-            )
-        return sphere_surface(n) * self._head_integral(x, n, 1.0)
-
     @lru_cache(maxsize=4)
     def _mass_prefix(self, n: int) -> np.ndarray:
         """Mass inside each grid point: head plus the preceding whole cells."""
         r = self.grid.points
-        cell = sphere_surface(n) * self._cell_integrals(np.arange(r.size - 1), r[1:], n, fx=self.values[1:])
-        return np.concatenate([[0.0], np.cumsum(cell)]) + float(self._head_mass(n, r[:1])[0])
-
-    def _tail_mass_to(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Mass of the declared tail model between r_max and x (x >= r_max)."""
-        vN, T, L = self.values[-1], self.tail_exponent, self.tail_log_power
-        if vN == 0.0 or math.isinf(T):
-            return np.zeros_like(x)
-        rm = self.grid.r_max
         s = sphere_surface(n)
-        a = n - T
-        if L == 0.0:
-            if abs(a) < 1e-12:
-                return s * vN * rm**n * np.log(x / rm)
-            return s * vN * rm**T * (x**a - rm**a) / a
-        # tail model in lam = ln r: v_N r_max^T e^{a lam} (lam/lam0)^L, Gauss-Legendre
-        lam0 = math.log(rm)
-        lamx = np.log(x)
-        nodes, wts = _leggauss01(32)
-        width = lamx - lam0
-        lam = lam0 + np.outer(width, nodes)
-        integ = np.exp(a * lam) * (lam / lam0) ** L
-        return s * vN * rm**T * (integ @ wts) * width
+        cell = s * self._cell_integrals(np.arange(r.size - 1), r[1:], n, fx=self.values[1:])
+        return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(r[0], n))
 
     def cumulative_mass(self, n: int, x) -> np.ndarray:
         """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model."""
@@ -351,93 +378,43 @@ class RadialFunction:
             raise ParameterError("cumulative mass requires x >= 0")
         pts = self.grid.points
         prefix = self._mass_prefix(n)
+        s = sphere_surface(n)
         out = np.empty_like(x)
 
         head = x <= pts[0]
         if head.any():
-            out[head] = self._head_mass(n, x[head])
+            out[head] = s * self._head_integral(x[head], n)
         tail = x >= pts[-1]
         if tail.any():
-            out[tail] = prefix[-1] + self._tail_mass_to(n, x[tail])
+            out[tail] = prefix[-1] + s * self._tail_integral(n, 1.0, x[tail])
         body = ~(head | tail)
         if body.any():
             xb = x[body]
             idx = np.clip(np.searchsorted(pts, xb, side="right") - 1, 0, pts.size - 2)
-            out[body] = prefix[idx] + sphere_surface(n) * self._cell_integrals(idx, xb, n)
+            out[body] = prefix[idx] + s * self._cell_integrals(idx, xb, n)
         return out
-
-    def total_mass(self, n: int) -> NormValue:
-        """Mass over all of R^n, or INFINITE when the tail makes it diverge."""
-        T, L = self.tail_exponent, self.tail_log_power
-        if self.values[-1] > 0.0 and not math.isinf(T):
-            a = T - n
-            if a < -BORDERLINE_TOL:
-                return INFINITE
-            if abs(a) <= BORDERLINE_TOL and L >= -1.0 - BORDERLINE_TOL:
-                return INFINITE
-        body = float(self._mass_prefix(n)[-1])
-        return body + self._tail_norm_integral(p=1.0, weight=0.0, n=n)
-
-    # -- weighted Lp machinery ----------------------------------------------
-
-    def _tail_norm_integral(self, p: float, weight: float, n: int) -> float:
-        """integral_{r_max}^inf r^weight f(r)^p r^{n-1} dr times s_{n-1}, assumed convergent."""
-        vN, T, L = self.values[-1], self.tail_exponent, self.tail_log_power
-        if vN == 0.0 or math.isinf(T):
-            return 0.0
-        a = T * p - weight - n
-        s = sphere_surface(n)
-        rm = self.grid.r_max
-        Lp = L * p
-        if abs(a) <= BORDERLINE_TOL:
-            # only reachable when Lp < -1: pure log integral
-            lam0 = math.log(rm)
-            return s * vN**p * rm ** (weight + n) * lam0 / (-Lp - 1.0)
-        if Lp == 0.0:
-            return s * vN**p * rm ** (weight + n) / a
-        lam0 = math.log(rm)
-        x, w = _laggauss(96)
-        phi = ((lam0 + x / a) / lam0) ** Lp
-        return s * vN**p * rm ** (weight + n) / a * float(np.dot(w, phi))
 
 
 def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 3) -> NormValue:
     """Weighted norm (s_{n-1} int_0^inf r^w f(r)^p r^{n-1} dr)^{1/p}.
 
-    Head and tail contributions come from the declared power-law models, so
-    finiteness is decided exactly by exponent arithmetic; divergent integrals
-    return the symbolic INFINITE.
+    f.head_integrable and f.tail_integrable decide finiteness exactly on the
+    declared models; a divergent norm is INFINITE.  p = 1, w = 0 gives the mass.
     """
     if p < 1.0:
         raise ParameterError(f"norm exponent p must be >= 1, got {p}")
     w = weight_exponent
-    v0, h = f.values[0], f.head_exponent
-    vN, T, L = f.values[-1], f.tail_exponent, f.tail_log_power
-
-    if w <= -n and v0 > 0.0 and h >= 0.0:
+    k = n + w
+    if w <= -n and f.values[0] > 0.0 and f.head_exponent >= 0.0:
         raise ParameterError(
             f"weight exponent {w} <= -n gives a non-integrable singularity at the origin"
         )
-    # head convergence: w + n - h*p > 0 required when the head does not vanish
-    if v0 > 0.0:
-        head_margin = w + n - h * p
-        if head_margin <= BORDERLINE_TOL:
-            return INFINITE
-    # tail convergence: T*p - w - n > 0, or borderline with strong log decay
-    if vN > 0.0 and not math.isinf(T):
-        a = T * p - w - n
-        if a < -BORDERLINE_TOL:
-            return INFINITE
-        if abs(a) <= BORDERLINE_TOL and L * p >= -1.0 - BORDERLINE_TOL:
-            return INFINITE
-
-    s = sphere_surface(n)
+    if not (f.head_integrable(k, p) and f.tail_integrable(k, p)):
+        return INFINITE
     r = f.grid.points
-    total = s * float(f._head_integral(r[0], w + n, p)) if v0 > 0.0 else 0.0
-    body = f._cell_integrals(np.arange(r.size - 1), r[1:], w + n, p, fx=f.values[1:])
-    total += s * float(np.sum(body))
-    total += f._tail_norm_integral(p, w, n)
-    return total ** (1.0 / p)
+    body = f._cell_integrals(np.arange(r.size - 1), r[1:], k, p, fx=f.values[1:])
+    total = float(f._head_integral(r[0], k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
+    return (sphere_surface(n) * total) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
 from .params import Parameters, RegimeReport, Subcriticality, classify_regime, exponents, validate
 from .potential import PotentialConfig, weighted_source, wolff_eval
-from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, is_infinite, sphere_surface
+from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, is_infinite, lp_norm, sphere_surface
 
 OVERFLOW_GUARD = 1e150
 
@@ -38,7 +38,6 @@ class Normalization(Enum):
 class Ansatz(Enum):
     FAST = "FastAnsatz"
     SLOW = "SlowAnsatz"
-    CUSTOM = "Custom"
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class SolveConfig:
     rel_tol: float = 5e-3
     normalization: Normalization = Normalization.FIX_VALUE_AT_ONE
     initial: Ansatz = Ansatz.FAST
-    custom_initial: Optional[tuple[RadialFunction, RadialFunction]] = None
+    custom_initial: Optional[tuple[RadialFunction, RadialFunction]] = None  # the start and its grid, when set
     coefficients: Optional[tuple[RadialFunction, RadialFunction]] = None
     grid: Optional[RadialGrid] = None
     potential: PotentialConfig = field(default_factory=PotentialConfig)
@@ -143,16 +142,14 @@ def make_ansatz(kind: Ansatz, params: Parameters, grid: RadialGrid):
             grid, v_vals, head_exponent=0.0, tail_exponent=b, tail_log_power=ell
         )
         return u, v
-    if kind is Ansatz.SLOW:
-        exps = exponents(params)
-        u = RadialFunction(
-            grid, (1.0 + r**2) ** (-exps.q0 / 2.0), head_exponent=0.0, tail_exponent=exps.q0
-        )
-        v = RadialFunction(
-            grid, (1.0 + r**2) ** (-exps.p0 / 2.0), head_exponent=0.0, tail_exponent=exps.p0
-        )
-        return u, v
-    raise ParameterError("make_ansatz requires FAST or SLOW (use custom_initial for CUSTOM)")
+    exps = exponents(params)
+    u = RadialFunction(
+        grid, (1.0 + r**2) ** (-exps.q0 / 2.0), head_exponent=0.0, tail_exponent=exps.q0
+    )
+    v = RadialFunction(
+        grid, (1.0 + r**2) ** (-exps.p0 / 2.0), head_exponent=0.0, tail_exponent=exps.p0
+    )
+    return u, v
 
 
 def potential_images(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: SolveConfig):
@@ -204,11 +201,7 @@ def _geometric_mix(old: RadialFunction, new: RadialFunction, theta: float) -> Ra
         old.grid,
         vals,
         head_exponent=mix(old.head_exponent, new.head_exponent),
-        tail_exponent=(
-            math.inf
-            if math.isinf(old.tail_exponent) or math.isinf(new.tail_exponent)
-            else mix(old.tail_exponent, new.tail_exponent)
-        ),
+        tail_exponent=mix(old.tail_exponent, new.tail_exponent),
         tail_log_power=mix(old.tail_log_power, new.tail_log_power),
     )
 
@@ -254,8 +247,8 @@ def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: S
 def _references(params, u, v, cfg: SolveConfig):
     """The anchored quantities of (u, v): total masses or values at norm_radius."""
     if cfg.normalization is Normalization.FIX_MASS:
-        mu_mass = u.total_mass(params.n)
-        nu_mass = v.total_mass(params.n)
+        mu_mass = lp_norm(u, 1.0, 0.0, params.n)
+        nu_mass = lp_norm(v, 1.0, 0.0, params.n)
         if is_infinite(mu_mass) or is_infinite(nu_mass):
             raise ParameterError("FixMass normalization requires finite total masses")
         return float(mu_mass), float(nu_mass)
@@ -284,12 +277,11 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         raise ParameterError(
             "subcritical parameters refused by default (set allow_subcritical to override)"
         )
-    grid = cfg.grid if cfg.grid is not None else default_solver_grid()
-    if cfg.initial is Ansatz.CUSTOM:
-        if cfg.custom_initial is None:
-            raise ParameterError("Ansatz.CUSTOM requires custom_initial")
+    if cfg.custom_initial is not None:
         u, v = cfg.custom_initial
+        grid = u.grid
     else:
+        grid = cfg.grid if cfg.grid is not None else default_solver_grid()
         u, v = make_ansatz(cfg.initial, params, grid)
 
     u_ref, v_ref = _references(params, u, v, cfg)

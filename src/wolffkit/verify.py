@@ -469,17 +469,17 @@ def run_suite(
         raise ParameterError(f"unknown suite {suite!r}; choose from {SUITES}")
     checks: list[CheckEntry] = []
     needs_solution = suite in ("all", "rates", "integrability")
-    result = solve_result
+    result, why_none = solve_result, ""
     if needs_solution and result is None:
-        result = _obtain_solution(params)
+        result, why_none = _obtain_solution(params)
     if suite in ("all", "rates"):
         if result is None:
-            checks.append(_skipped("fast_rate_u", "fast decay-rate trichotomy", "no solver available"))
+            checks.append(_skipped("fast_rate_u", "fast decay-rate trichotomy", why_none))
         else:
             checks.extend(check_fast_rates(result, params))
     if suite in ("all", "integrability"):
         if result is None:
-            checks.append(_skipped("integrability", "optimal integrability interval", "no solver available"))
+            checks.append(_skipped("integrability", "optimal integrability interval", why_none))
         else:
             checks.extend(check_integrability(result, params))
         checks.extend(check_equivalence_theorem(params))
@@ -491,17 +491,20 @@ def run_suite(
     return VerificationReport(params=params, checks=checks)
 
 
-def _obtain_solution(params: Parameters) -> Optional[SolveResult]:
-    """Ground state via shooting when available (beta = 1), else the Picard solver."""
+def _obtain_solution(params: Parameters) -> tuple[Optional[SolveResult], str]:
+    """Ground state via shooting when available (beta = 1), else the Picard
+    solver; without one, the error each solver raised."""
     from .quasilinear import find_fast_ground_state
     from .solver import SolveConfig, solve_system
 
+    failures = []
     if abs(params.beta - 1.0) <= 1e-12:
         try:
-            return find_fast_ground_state(params)
-        except WolffkitError:
-            pass
+            return find_fast_ground_state(params), ""
+        except WolffkitError as exc:
+            failures.append(f"shooting raised {type(exc).__name__}: {exc}")
     try:
-        return solve_system(params, SolveConfig(max_iters=25))
-    except WolffkitError:
-        return None
+        return solve_system(params, SolveConfig(max_iters=25)), ""
+    except WolffkitError as exc:
+        failures.append(f"picard raised {type(exc).__name__}: {exc}")
+    return None, "no solution: " + "; ".join(failures)

@@ -157,6 +157,25 @@ def test_wolff_divergence_errors():
         riesz_eval(too_slow, 5, 2.0)
 
 
+def test_head_closure_diverges_at_the_origin():
+    # the head is integrable (h = 3 < n = 5), but at rho = 0 the t-integrand
+    # grows like t^{(n - h) - (n - beta*gamma)} = t^{-1} below t_min
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    f = RadialFunction(g, r**-3.0 * (1.0 + r**2) ** -3.0, head_exponent=3.0, tail_exponent=9.0)
+    assert f.head_integrable(5)
+    with pytest.raises(DivergentIntegralError, match="potential diverges at the origin"):
+        wolff_eval_at(f, 5, 1.0, 2.0, [0.0])
+    assert wolff_eval_at(f, 5, 1.0, 2.0, [1.0])[0] > 0.0
+
+
+def test_vanishing_decay_rate_beyond_t_max_raises():
+    # beta*gamma = n - 2e-11: the integrand decays at 2e-11 per e-fold of t
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    with pytest.raises(DivergentIntegralError, match="effective decay rate 2.000e-11"):
+        wolff_eval_at(power_tail_profile(g, 1.0, 9.0), 3, 1.5 - 1e-11, 2.0, [1.0])
+
+
 def test_config_invariants(unit_indicator):
     with pytest.raises(ParameterError):
         wolff_eval(unit_indicator, 5, 1.0, 2.0, PotentialConfig(t_min=0.5))

@@ -74,6 +74,19 @@ def test_system_separatrix_fast_rates():
     assert res.rate_v.exponent == pytest.approx(3.0, rel=0.05)
 
 
+def test_logarithmic_separatrix_rates_and_log_scale():
+    # the benchmark's Logarithmic tuple: both rates (n - beta*gamma)/(gamma - 1)
+    # = 3, and v carries (ln r)^{1/(gamma - 1)}; bounds are the benchmark's
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e6), final_r_stop=1e6)
+    res = find_fast_ground_state(params, cfg)
+    assert res.converged
+    assert res.trace[0]["log_scale"] > 1.0  # rescaled to anchor the log factor
+    assert res.rate_u.exponent == pytest.approx(3.0, rel=0.05)
+    assert res.rate_v.exponent == pytest.approx(3.0, rel=0.05)
+    assert res.rate_v.log_power == pytest.approx(1.0, abs=0.3)
+
+
 def test_no_bracket_raises():
     params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     with pytest.raises(NoBracketError):

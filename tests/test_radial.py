@@ -195,9 +195,70 @@ def test_lp_norm_finiteness_decided_by_exponents(tail, p, n):
 def test_total_mass():
     g = RadialGrid.per_decade(1e-2, 1.0, 24)
     ind = RadialFunction(g, np.ones(g.count), tail_exponent=math.inf)
-    assert float(ind.total_mass(3)) == pytest.approx(unit_ball_volume(3), rel=1e-12)
+    assert float(lp_norm(ind, 1.0, 0.0, 3)) == pytest.approx(unit_ball_volume(3), rel=1e-12)
     slow = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 2.0)
-    assert slow.total_mass(5) is INFINITE
+    assert lp_norm(slow, 1.0, 0.0, 5) is INFINITE
+
+
+@pytest.mark.parametrize("n, p", [(3, 1.0), (5, 2.0)])
+def test_borderline_tail_integrable_exactly_below_log_power_minus_one(n, p):
+    # T p = k: the tail converges iff L p < -1
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    k = float(n)
+    T = k / p
+    for L, finite in ((-2.0 / p, True), (-1.5 / p, True), (-1.0 / p, False), (0.0, False), (1.0 / p, False)):
+        f = RadialFunction(g, (1.0 + g.points**2) ** (-T / 2.0), tail_exponent=T, tail_log_power=L)
+        assert f.tail_integrable(k, p) is finite
+        assert (lp_norm(f, p, 0.0, n) is INFINITE) is not finite
+    # off the borderline the log power does not matter
+    f = RadialFunction(g, (1.0 + g.points**2) ** (-T / 2.0), tail_exponent=T + 0.1, tail_log_power=5.0)
+    assert f.tail_integrable(k, p)
+    f = RadialFunction(g, (1.0 + g.points**2) ** (-T / 2.0), tail_exponent=T - 0.1, tail_log_power=-5.0)
+    assert not f.tail_integrable(k, p)
+
+
+def test_head_integrable_decides_lp_norm_at_the_origin():
+    # k - h p <= 0 diverges at the origin; a vanishing head never does
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    f = RadialFunction(g, r**-1.5 * (1.0 + r**2) ** -3.0, head_exponent=1.5, tail_exponent=7.5)
+    n = 3
+    assert f.head_integrable(n, 1.0) and not is_infinite(lp_norm(f, 1.0, 0.0, n))
+    assert not f.head_integrable(n, 2.0) and lp_norm(f, 2.0, 0.0, n) is INFINITE  # k = h p
+    assert not f.head_integrable(n, 3.0) and lp_norm(f, 3.0, 0.0, n) is INFINITE  # k < h p
+    assert not f.head_integrable(n - 1.0, 2.0) and lp_norm(f, 2.0, -1.0, n) is INFINITE
+    vals = f.values.copy()
+    vals[0] = 0.0
+    zero_head = f.with_values(vals)
+    assert zero_head.head_integrable(n, 3.0)
+    assert not is_infinite(lp_norm(zero_head, 3.0, 0.0, n))
+
+
+def test_cut_off_tails():
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    bump = power_tail_profile(g, 1.0, 2.0)
+    assert not bump.cut_off and not bump.tail_integrable(3.0)
+    vals = bump.values.copy()
+    vals[-1] = 0.0
+    for f in (bump.with_values(vals), bump.with_values(bump.values, tail_exponent=math.inf)):
+        assert f.cut_off and f.tail_integrable(3.0, 1.0)
+        assert float(f(1e3)) == 0.0
+        assert float(f._tail_integral(3.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("n, p, L", [(3, 1.0, -2.0), (5, 1.0, -3.5), (4, 2.0, -1.5)])
+def test_pure_log_tail_integral_against_quad(n, p, L):
+    # T p = k with L p < -1: the closed form v_N^p r_max^k ln(r_max) / (-L p - 1)
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    T = n / p
+    f = RadialFunction(g, (1.0 + g.points**2) ** (-T / 2.0), tail_exponent=T, tail_log_power=L)
+    lam0, vN = math.log(g.r_max), f.values[-1]
+
+    def integrand(lam):  # r^{k-1} f(r)^p dr = r^n f(r)^p d(ln r) on the tail model
+        return vN**p * g.r_max**n * (lam / lam0) ** (L * p)
+
+    oracle = integrate.quad(integrand, lam0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert float(f._tail_integral(float(n), p)) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_cumulative_mass_matches_quadrature():
@@ -361,7 +422,6 @@ def test_cell_rule_branches_against_quad(kind, quantity):
         got = f.cumulative_mass(n, np.array(xs))
         oracle = [_quad_integral(func, n, 1.0, x, breaks) for x in xs]
         assert np.allclose(got, oracle, rtol=1e-10, atol=0.0)
-        assert float(f.total_mass(n)) == pytest.approx(_quad_integral(func, n, 1.0, np.inf, breaks), rel=1e-10)
     else:
         p = float(quantity[-1])
         oracle = _quad_integral(func, n, p, np.inf, breaks) ** (1.0 / p)

@@ -10,7 +10,7 @@ from wolffkit.errors import (
     ParameterError,
 )
 from wolffkit.params import Parameters, classify_regime
-from wolffkit.radial import RadialFunction, RadialGrid
+from wolffkit.radial import RadialFunction, RadialGrid, lp_norm
 from wolffkit.solver import (
     Ansatz,
     Normalization,
@@ -82,7 +82,7 @@ def test_picard_step_fix_mass_keeps_total_masses():
     cfg = SolveConfig(normalization=Normalization.FIX_MASS)
     u_new, v_new = picard_step(params, u, v, cfg)
     for old, new in ((u, u_new), (v, v_new)):
-        assert new.total_mass(5) == pytest.approx(old.total_mass(5), rel=1e-12)
+        assert lp_norm(new, 1.0, 0.0, 5) == pytest.approx(lp_norm(old, 1.0, 0.0, 5), rel=1e-12)
     # the anchor is the mass, not the value at norm_radius
     assert abs(u_new(cfg.norm_radius) / u(cfg.norm_radius) - 1.0) > 1e-3
 
@@ -115,7 +115,6 @@ def test_solver_converges_from_bubble_and_matches_it():
         rel_tol=5e-3,
         damping=1.0,
         grid=grid,
-        initial=Ansatz.CUSTOM,
         custom_initial=(u0, u0),
     )
     res = solve_system(CRITICAL_SCALAR, cfg)
@@ -124,6 +123,17 @@ def test_solver_converges_from_bubble_and_matches_it():
     rel = np.abs(res.u.values / u0.values - 1.0)
     assert rel.max() <= 2e-2
     assert res.rate_u.exponent == pytest.approx(3.0, rel=0.02)
+
+
+def test_custom_initial_is_the_starting_pair():
+    # unanchored, the first residual sees the start's amplitude: the exact
+    # bubble sits at the 16-node floor, the unit-amplitude FAST ansatz at 0.75;
+    # the start's grid, not the default one, also sets the rate-fit window
+    u0 = bubble_profile(5, RadialGrid.per_decade(1e-2, 1e2, 16))
+    cfg = SolveConfig(max_iters=1, damping=1.0, normalization=Normalization.NONE, custom_initial=(u0, u0))
+    res = solve_system(CRITICAL_SCALAR, cfg)
+    assert res.trace[0]["residual_u"] <= 1e-2
+    assert res.rate_u.window == (1.0, 100.0)
 
 
 def test_converged_result_solves_unit_coefficient_system():

@@ -149,6 +149,16 @@ def test_run_suite_loglimit_structure_and_determinism():
         assert {"name", "paper_ref", "status", "measured", "expected", "tolerance"} <= set(entry)
 
 
+def test_run_suite_names_why_no_solver_ran():
+    # subcritical and scalar: the shot hits zero and Picard refuses the tuple
+    report = run_suite(Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.0), suite="rates")
+    (entry,) = report.checks
+    assert entry.status == "skipped"
+    reason = entry.details["reason"]
+    assert "NoBracketError" in reason and "scalar trajectory hit zero" in reason
+    assert "ParameterError" in reason and "subcritical parameters refused" in reason
+
+
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(ParameterError, match="unknown suite"):
         run_suite(PINNED, suite="everything")
