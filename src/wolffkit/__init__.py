@@ -50,8 +50,6 @@ from .radial import (
     write_profile,
 )
 from .solver import (
-    Ansatz,
-    Normalization,
     SolveConfig,
     SolveResult,
     bubble_profile,
@@ -63,7 +61,6 @@ from .solver import (
 from .verify import (
     CheckEntry,
     VerificationReport,
-    check_equivalence_theorem,
     check_fast_rates,
     check_inequalities,
     check_integrability,

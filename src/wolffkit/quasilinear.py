@@ -34,15 +34,20 @@ from .params import Parameters, classify_regime, exponents, validate
 from .radial import RadialFunction, RadialGrid, fit_decay_rate
 from .solver import SolveResult
 
+R_START = 1e-4  # end of the series start; integration begins here
+RTOL = 1e-12
+ATOL = 1e-300
+METHOD = "DOP853"
+SAMPLES_PER_DECADE = 24
+BISECTION_DEPTH = 60
+# fraction of the reached radius still free of separatrix peel-off;
+# bisection to machine precision keeps roughly the first tenth clean
+CLEAN_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class ShootConfig:
-    r_start: float = 1e-4
     r_stop: float = 1e4
-    rtol: float = 1e-12
-    atol: float = 1e-300
-    method: str = "DOP853"
-    samples_per_decade: int = 24
 
 
 @dataclass(frozen=True)
@@ -121,17 +126,17 @@ def shoot(
     hit_v.terminal = True
     hit_v.direction = -1.0
 
-    s0, s1_ = math.log(cfg.r_start), math.log(cfg.r_stop)
-    y0 = _series_start(params, a, b, cfg.r_start)
+    s0, s1_ = math.log(R_START), math.log(cfg.r_stop)
+    y0 = _series_start(params, a, b, R_START)
     decades = (s1_ - s0) / math.log(10.0)
-    s_eval = np.linspace(s0, s1_, max(32, int(decades * cfg.samples_per_decade)))
+    s_eval = np.linspace(s0, s1_, max(32, int(decades * SAMPLES_PER_DECADE)))
     sol = solve_ivp(
         rhs,
         (s0, s1_),
         y0,
-        method=cfg.method,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
+        method=METHOD,
+        rtol=RTOL,
+        atol=ATOL,
         t_eval=s_eval,
         events=(hit_u, hit_v),
         dense_output=False,
@@ -168,13 +173,9 @@ def flux_identity_residual(params: Parameters, traj: Trajectory) -> float:
 class GroundStateConfig:
     a: float = 1.0
     bracket: tuple[float, float] = (1e-2, 1e2)
-    depth: int = 60
     shoot: ShootConfig = field(default_factory=ShootConfig)
     fit_decades: float = 2.0
     final_r_stop: Optional[float] = None  # defaults to shoot.r_stop
-    # fraction of the reached radius still free of separatrix peel-off;
-    # bisection to machine precision keeps roughly the first tenth clean
-    clean_fraction: float = 0.1
 
 
 def _outcome(traj: Trajectory) -> str:
@@ -267,7 +268,7 @@ def find_fast_ground_state(
                 f"both bracket endpoints classify as {c_lo}; widen the bracket"
             )
         best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
-        for _ in range(cfg.depth):
+        for _ in range(BISECTION_DEPTH):
             mid = math.sqrt(lo * hi)
             if mid == lo or mid == hi:
                 # lo and hi are adjacent doubles: every further step would
@@ -303,7 +304,7 @@ def find_fast_ground_state(
     )
     reach = final.r_reached
     hit = final.hit_zero
-    clean_hi = reach if scalar else reach * cfg.clean_fraction
+    clean_hi = reach if scalar else reach * CLEAN_FRACTION
     keep = final.r <= clean_hi * (1.0 + 1e-12)
     final = Trajectory(
         r=final.r[keep],

@@ -5,39 +5,29 @@ The iteration maps a positive pair (u, v) to the potential images
     u~ = c1 * W(r^{sigma1} v^q),    v~ = c2 * W(r^{sigma2} u^p),
 
 applies geometric damping u' = u^{1-theta} u~^theta (which preserves
-positivity and power-law tails exactly), and optionally renormalizes along
-the system's spatial scaling family u -> lam^{q0} u(lam r), v -> lam^{p0}
-v(lam r), which is the zero mode that stalls convergence at critical
-parameters.  Convergence is declared on the fixed-point residual, the
-relative sup-distance between the iterate and its potential image.
+positivity and power-law tails exactly), and re-anchors the amplitudes so
+that u and v keep their starting values at r = ANCHOR_RADIUS.  Nothing fixes
+the other zero mode of critical parameters, the dilation family
+u -> lam^{q0} u(lam r), v -> lam^{p0} v(lam r).  Convergence is declared on
+the fixed-point residual, the relative sup-distance between the iterate and
+its potential image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
-from .params import Parameters, RegimeReport, Subcriticality, classify_regime, exponents, validate
+from .params import Parameters, RegimeReport, Subcriticality, classify_regime, validate
 from .potential import PotentialConfig, weighted_source, wolff_eval
-from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, is_infinite, lp_norm, sphere_surface
+from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_surface
 
 OVERFLOW_GUARD = 1e150
-
-
-class Normalization(Enum):
-    FIX_VALUE_AT_ONE = "FixValueAtOne"
-    FIX_MASS = "FixMass"
-    NONE = "None"
-
-
-class Ansatz(Enum):
-    FAST = "FastAnsatz"
-    SLOW = "SlowAnsatz"
+ANCHOR_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -45,14 +35,10 @@ class SolveConfig:
     damping: float = 0.8
     max_iters: int = 60
     rel_tol: float = 5e-3
-    normalization: Normalization = Normalization.FIX_VALUE_AT_ONE
-    initial: Ansatz = Ansatz.FAST
     custom_initial: Optional[tuple[RadialFunction, RadialFunction]] = None  # the start and its grid, when set
     coefficients: Optional[tuple[RadialFunction, RadialFunction]] = None
     grid: Optional[RadialGrid] = None
     potential: PotentialConfig = field(default_factory=PotentialConfig)
-    norm_radius: float = 1.0
-    allow_subcritical: bool = False
     strict: bool = False  # raise NotConvergedError instead of returning converged=False
 
     def __post_init__(self):
@@ -71,13 +57,6 @@ class SolveConfig:
         if unknown:
             raise ParameterError(f"unknown solve config keys: {unknown}")
         kwargs = dict(data)
-        try:
-            if "normalization" in kwargs:
-                kwargs["normalization"] = Normalization(kwargs["normalization"])
-            if "initial" in kwargs:
-                kwargs["initial"] = Ansatz(kwargs["initial"])
-        except ValueError as exc:  # the enum names the value it rejects
-            raise ParameterError(f"solve config: {exc}") from None
         if "grid" in kwargs:
             gspec = kwargs["grid"]
             if not isinstance(gspec, dict) or not {"r_min", "r_max"} <= gspec.keys():
@@ -119,36 +98,23 @@ def default_solver_grid() -> RadialGrid:
     return RadialGrid.per_decade(1e-2, 1e3, 16)
 
 
-def make_ansatz(kind: Ansatz, params: Parameters, grid: RadialGrid):
-    """Initial profile pair with the predicted tail behavior built in.
+def make_ansatz(params: Parameters, grid: RadialGrid):
+    """Initial profile pair with the predicted fast-decay tails built in.
 
-    FAST uses the classified fast-decay exponents (with the log factor in
-    the borderline regime); SLOW uses the (q0, p0) slow tails, which reduce
-    to the classical slow rate (2+sigma)/(p-1) in the scalar second-order
-    case.  The slow pair is a heuristic starting point only.
+    The tails are the classified fast-decay exponents, with the log factor
+    in the borderline regime.
     """
     validate(params)
     r = grid.points
-    if kind is Ansatz.FAST:
-        report = classify_regime(params)
-        a = report.predicted_u_exponent
-        b = report.predicted_v_exponent
-        ell = report.v_log_power
-        u = RadialFunction(grid, (1.0 + r**2) ** (-a / 2.0), head_exponent=0.0, tail_exponent=a)
-        v_vals = (1.0 + r**2) ** (-b / 2.0)
-        if ell != 0.0:
-            v_vals = v_vals * (1.0 + 0.5 * np.log1p(r**2)) ** ell
-        v = RadialFunction(
-            grid, v_vals, head_exponent=0.0, tail_exponent=b, tail_log_power=ell
-        )
-        return u, v
-    exps = exponents(params)
-    u = RadialFunction(
-        grid, (1.0 + r**2) ** (-exps.q0 / 2.0), head_exponent=0.0, tail_exponent=exps.q0
-    )
-    v = RadialFunction(
-        grid, (1.0 + r**2) ** (-exps.p0 / 2.0), head_exponent=0.0, tail_exponent=exps.p0
-    )
+    report = classify_regime(params)
+    a = report.predicted_u_exponent
+    b = report.predicted_v_exponent
+    ell = report.v_log_power
+    u = RadialFunction(grid, (1.0 + r**2) ** (-a / 2.0), head_exponent=0.0, tail_exponent=a)
+    v_vals = (1.0 + r**2) ** (-b / 2.0)
+    if ell != 0.0:
+        v_vals = v_vals * (1.0 + 0.5 * np.log1p(r**2)) ** ell
+    v = RadialFunction(grid, v_vals, head_exponent=0.0, tail_exponent=b, tail_log_power=ell)
     return u, v
 
 
@@ -206,23 +172,20 @@ def _geometric_mix(old: RadialFunction, new: RadialFunction, theta: float) -> Ra
     )
 
 
-def _damped_update(params, u, v, u_img, v_img, cfg: SolveConfig, u_ref: float, v_ref: float):
+def _damped_update(u, v, u_img, v_img, damping: float, u_ref: float, v_ref: float):
     """Mix (u, v) toward their images, then re-anchor the amplitudes to (u_ref, v_ref).
 
     The amplitude mode of the damped map never contracts: the log-amplitude
     linearization of the damped iteration has spectral radius
     1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping, so the
-    amplitude direction must be projected out.  FixValueAtOne rescales both
-    components to their reference values at the anchor radius, which makes
-    the iteration target the system with constant coefficients (mu, nu);
-    solve_system undoes those constants exactly on exit.  FixMass anchors
-    the total masses instead.
+    amplitude direction must be projected out.  Both components are rescaled
+    to their reference values at ANCHOR_RADIUS, which makes the iteration
+    target the system with constant coefficients (mu, nu); solve_system
+    undoes those constants exactly on exit.
     """
-    u = _geometric_mix(u, u_img, cfg.damping)
-    v = _geometric_mix(v, v_img, cfg.damping)
-    if cfg.normalization is Normalization.NONE:
-        return u, v
-    u_now, v_now = _references(params, u, v, cfg)
+    u = _geometric_mix(u, u_img, damping)
+    v = _geometric_mix(v, v_img, damping)
+    u_now, v_now = _anchor_values(u, v)
     return u.scaled(u_ref / u_now), v.scaled(v_ref / v_now)
 
 
@@ -237,22 +200,15 @@ def _undo_effective_constants(params, u, v, c1: float, c2: float):
 
 
 def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: SolveConfig):
-    """One damped, normalized iteration of the system map."""
+    """One damped iteration of the system map, re-anchored to u and v at ANCHOR_RADIUS."""
     _check_positive(u, v)
     u_img, v_img = potential_images(params, u, v, cfg)
-    u_ref, v_ref = _references(params, u, v, cfg)
-    return _damped_update(params, u, v, u_img, v_img, cfg, u_ref, v_ref)
+    u_ref, v_ref = _anchor_values(u, v)
+    return _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
 
 
-def _references(params, u, v, cfg: SolveConfig):
-    """The anchored quantities of (u, v): total masses or values at norm_radius."""
-    if cfg.normalization is Normalization.FIX_MASS:
-        mu_mass = lp_norm(u, 1.0, 0.0, params.n)
-        nu_mass = lp_norm(v, 1.0, 0.0, params.n)
-        if is_infinite(mu_mass) or is_infinite(nu_mass):
-            raise ParameterError("FixMass normalization requires finite total masses")
-        return float(mu_mass), float(nu_mass)
-    return float(u(cfg.norm_radius)), float(v(cfg.norm_radius))
+def _anchor_values(u: RadialFunction, v: RadialFunction):
+    return float(u(ANCHOR_RADIUS)), float(v(ANCHOR_RADIUS))
 
 
 def _check_positive(u: RadialFunction, v: RadialFunction):
@@ -264,52 +220,45 @@ def _check_positive(u: RadialFunction, v: RadialFunction):
 
 
 def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Iterate the damped system map from the configured ansatz.
+    """Iterate the damped system map from the fast ansatz or cfg.custom_initial.
 
-    Refuses subcritical parameter tuples unless allow_subcritical is set
-    (no ground states are expected there).  Non-convergence is reported via
-    converged=False (or NotConvergedError when cfg.strict).
+    Refuses subcritical parameter tuples, where no ground states are
+    expected.  Non-convergence is reported via converged=False (or
+    NotConvergedError when cfg.strict).
     """
     cfg = cfg or SolveConfig()
     validate(params)
     report = classify_regime(params)
-    if report.subcriticality is Subcriticality.SUBCRITICAL and not cfg.allow_subcritical:
-        raise ParameterError(
-            "subcritical parameters refused by default (set allow_subcritical to override)"
-        )
+    if report.subcriticality is Subcriticality.SUBCRITICAL:
+        raise ParameterError("subcritical parameters refused: no ground state is expected there")
     if cfg.custom_initial is not None:
         u, v = cfg.custom_initial
         grid = u.grid
     else:
         grid = cfg.grid if cfg.grid is not None else default_solver_grid()
-        u, v = make_ansatz(cfg.initial, params, grid)
+        u, v = make_ansatz(params, grid)
 
-    u_ref, v_ref = _references(params, u, v, cfg)
-    anchored = cfg.normalization is not Normalization.NONE
+    u_ref, v_ref = _anchor_values(u, v)
     trace = []
     res_u = res_v = math.inf
-    c1_eff = c2_eff = 1.0
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         _check_positive(u, v)
         u_img, v_img = potential_images(params, u, v, cfg)
-        if anchored:
-            # residual against the image of the effective constant-coefficient
-            # system; the constants are undone exactly on exit
-            c1_eff = float(u(cfg.norm_radius)) / float(u_img(cfg.norm_radius))
-            c2_eff = float(v(cfg.norm_radius)) / float(v_img(cfg.norm_radius))
-            res_u, res_v = _residual_pair(u, v, u_img.scaled(c1_eff), v_img.scaled(c2_eff))
-        else:
-            res_u, res_v = _residual_pair(u, v, u_img, v_img)
+        # residual against the image of the effective constant-coefficient
+        # system; the constants are undone exactly on exit
+        (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
+        c1_eff, c2_eff = u_at / u_img_at, v_at / v_img_at
+        res_u, res_v = _residual_pair(u, v, u_img.scaled(c1_eff), v_img.scaled(c2_eff))
         trace.append({"iteration": k, "residual_u": res_u, "residual_v": res_v})
         iterations = k
         if max(res_u, res_v) <= cfg.rel_tol:
             converged = True
             break
-        u, v = _damped_update(params, u, v, u_img, v_img, cfg, u_ref, v_ref)
+        u, v = _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
 
-    if anchored and converged:
+    if converged:
         u, v = _undo_effective_constants(params, u, v, c1_eff, c2_eff)
     if not converged and cfg.strict:
         raise NotConvergedError(

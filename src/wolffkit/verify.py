@@ -17,14 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ParameterError, WolffkitError
-from .params import (
-    Parameters,
-    Regime,
-    classify_regime,
-    exponents,
-    integrability_interval,
-    validate,
-)
+from .params import Parameters, integrability_interval, validate
 from .potential import PotentialConfig, riesz_eval, weighted_source, wolff_eval
 from .radial import (
     RadialFunction,
@@ -33,7 +26,7 @@ from .radial import (
     is_infinite,
     lp_norm,
 )
-from .solver import Ansatz, SolveResult, make_ansatz
+from .solver import SolveResult
 
 EXPONENT_RTOL = 0.05
 LOG_POWER_ATOL = 0.3
@@ -187,73 +180,6 @@ def check_integrability(result: SolveResult, params: Parameters) -> list[CheckEn
                 0.0,
             )
         )
-        bounded = bool(np.max(f.values) < np.inf and f.head_exponent <= 0.0)
-        out.append(
-            _entry(
-                f"{tag}_bounded",
-                "ground-state boundedness",
-                bounded,
-                float(np.max(f.values)),
-                "finite sup-norm",
-                0.0,
-            )
-        )
-    return out
-
-
-# -- equivalence between integrability and fast decay -------------------------
-
-
-def check_equivalence_theorem(
-    params: Parameters, grid: Optional[RadialGrid] = None
-) -> list[CheckEntry]:
-    """Both directions on synthetic tails: fast tails are integrable, slow are not."""
-    ref = "integrable iff fast-decaying"
-    grid = grid or RadialGrid.per_decade(1e-2, 1e4, 16)
-    exps = exponents(params)
-    n = params.n
-    u_fast, v_fast = make_ansatz(Ansatz.FAST, params, grid)
-    u_slow, v_slow = make_ansatz(Ansatz.SLOW, params, grid)
-    out = []
-    nu = lp_norm(u_fast, exps.r0, 0.0, n=n)
-    nv = lp_norm(v_fast, exps.s0, 0.0, n=n)
-    out.append(
-        _entry(
-            "fast_tail_is_integrable",
-            ref,
-            not is_infinite(nu) and not is_infinite(nv),
-            [nu, nv],
-            "finite",
-            0.0,
-            norm_exponents=[exps.r0, exps.s0],
-        )
-    )
-    report = classify_regime(params)
-    if report.regime is Regime.LOGARITHMIC:
-        out.append(
-            _entry(
-                "log_tail_is_integrable",
-                ref,
-                not is_infinite(nv),
-                nv,
-                "finite",
-                0.0,
-                log_power=report.v_log_power,
-            )
-        )
-    nu_slow = lp_norm(u_slow, exps.r0, 0.0, n=n)
-    nv_slow = lp_norm(v_slow, exps.s0, 0.0, n=n)
-    out.append(
-        _entry(
-            "slow_tail_not_integrable",
-            ref,
-            is_infinite(nu_slow) and is_infinite(nv_slow),
-            [nu_slow, nv_slow],
-            "Infinite",
-            0.0,
-            tail_exponents=[exps.q0, exps.p0],
-        )
-    )
     return out
 
 
@@ -482,7 +408,6 @@ def run_suite(
             checks.append(_skipped("integrability", "optimal integrability interval", why_none))
         else:
             checks.extend(check_integrability(result, params))
-        checks.extend(check_equivalence_theorem(params))
     if suite in ("all", "loglimit"):
         checks.extend(check_log_limit(params, lam=1.0))
         checks.extend(check_log_limit(params, lam=2.0))

@@ -36,7 +36,7 @@ from wolffkit.radial import (
     lp_norm,
     unit_ball_volume,
 )
-from wolffkit.solver import Ansatz, SolveConfig, bubble_profile, make_ansatz, solve_system, system_residual
+from wolffkit.solver import SolveConfig, bubble_profile, make_ansatz, solve_system, system_residual
 from wolffkit.verify import check_inequalities, log_tail_expression
 
 from conftest import indicator_of_ball, power_tail_profile
@@ -302,7 +302,7 @@ def test_criterion_9_optimal_integrability():
         params = Parameters(n, beta, gamma, p, q, s1, s2)
         try:
             (u_low, _), (v_low, _) = integrability_interval(params)
-            u, v = make_ansatz(Ansatz.FAST, params, grid)
+            u, v = make_ansatz(params, grid)
         except Exception:
             continue
         if min(u_low, v_low) < 1.0:

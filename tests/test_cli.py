@@ -166,7 +166,10 @@ def test_solve_writes_result_directory(tmp_path):
         ({"coefficients": [1.0, 1.0]}, "coefficients"),  # profiles, not JSON values
         ({"grid": {"r_min": 1e-2, "nodes_per_decade": 16}}, "r_max"),
         ({"grid": 16}, "16"),
-        ({"normalization": "FixMas"}, "FixMas"),
+        ({"normalization": "FixMas"}, "normalization"),
+        ({"initial": "fast"}, "initial"),
+        ({"norm_radius": 1.0}, "norm_radius"),
+        ({"allow_subcritical": True}, "allow_subcritical"),
     ],
 )
 def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):

@@ -78,6 +78,14 @@ def test_exponents_direct_substitution():
     assert e.s0 == pytest.approx(3.0, abs=1e-14)
 
 
+def test_exponents_reduce_to_scalar_slow_rate():
+    # second-order scalar case: the slow rate is (2 + sigma)/(p - 1)
+    e = exponents(Parameters(3, 1.0, 2.0, 5.0, 5.0, -0.5, -0.5))
+    assert e.q0 == pytest.approx((2.0 - 0.5) / (5.0 - 1.0), rel=1e-12)
+    assert e.q0 == pytest.approx(0.375, rel=1e-12)
+    assert e.p0 == pytest.approx(e.q0, rel=1e-12)
+
+
 def test_exponents_against_exact_rational_arithmetic():
     # independent oracle: the defining quotient evaluated in exact rationals
     n, beta, gamma = 5, Fraction(1), Fraction(3, 2)

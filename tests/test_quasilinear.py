@@ -117,7 +117,7 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
     t_lo, t_hi = shoot(params, cfg.a, lo, cfg.shoot), shoot(params, cfg.a, hi, cfg.shoot)
     c_lo = _outcome(t_lo)
     best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
-    for _ in range(cfg.depth):
+    for _ in range(quasilinear.BISECTION_DEPTH):
         mid = math.sqrt(lo * hi)
         t_mid = shoot(params, cfg.a, mid, cfg.shoot)
         if t_mid.r_reached >= best.r_reached:
@@ -141,7 +141,7 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
     res = find_fast_ground_state(params, cfg)
     # no b is shot twice: the final trajectory is the bisection's own shot at
     # b_star, which the full-depth reference shoots once more
-    assert len(set(shots)) == len(shots) < cfg.depth + 2
+    assert len(set(shots)) == len(shots) < quasilinear.BISECTION_DEPTH + 2
     assert b_star in shots
     assert res.trace[0]["b_star"] == b_star
     assert res.trace[0]["r_reached"] == final.r_reached

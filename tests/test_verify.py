@@ -11,7 +11,6 @@ from wolffkit.potential import riesz_eval
 from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
 from wolffkit.verify import (
     SCALE_FAMILY,
-    check_equivalence_theorem,
     check_fast_rates,
     check_inequalities,
     check_integrability,
@@ -71,16 +70,6 @@ def test_check_log_limit_lambda_scaling():
     e2 = _status(check_log_limit(PINNED, lam=2.0), "log_limit_at_1e5")
     assert e2.expected == pytest.approx(e1.expected / 8.0, rel=1e-12)
     assert 0.0 < e2.measured < e1.measured  # positive and decreasing in lambda
-
-
-def test_equivalence_checks_on_synthetic_tails():
-    entries = check_equivalence_theorem(PINNED)
-    assert _status(entries, "fast_tail_is_integrable").status == "pass"
-    assert _status(entries, "slow_tail_not_integrable").status == "pass"
-    log_params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
-    entries = check_equivalence_theorem(log_params)
-    assert _status(entries, "log_tail_is_integrable").status == "pass"
-    assert _status(entries, "slow_tail_not_integrable").status == "pass"
 
 
 def test_fast_rate_checks_skip_when_not_converged():
