@@ -34,24 +34,35 @@ geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
 plan, the way an FFTW plan is kept: the nodes, the kernel weights, and the
 start offset and t index of each non-empty shell.  A repeat call on the same
 geometry skips node generation and costs f at the stored nodes times the
-weights plus one add.reduceat over the shells.  The store is keyed per grid
-by (n, quad_boundaries, cut-off flag), the only inputs of the node
-layout besides the centre, and per centre by (rho, t).  It holds one grid at
-a time and is cleared when the grid key changes.
+weights plus one add.reduceat over the shells.  The first time the store
+serves a plan again, it locates the plan's nodes on the source grid
+(RadialFunction.locate: each node's slot and offset s = ln(r / r_cell)) and
+keeps that located form in place of the radii, so every later source on the
+grid is evaluated at the nodes by a gather, a multiply-add and an exp
+(RadialFunction.at_located) instead of a search.  A plan is located only on
+reuse, because most one-shot grids are never served twice, and only where
+the larger form fits under the cap; a plan that does not fit keeps its radii
+and still serves.  The store is keyed per grid by (n, layout_key, cut-off
+flag): layout_key, the grid's points and which cells have a vanishing
+endpoint, fixes the located slots and offsets and quad_boundaries, the node
+layout's only other input besides the centre.  Per centre the key is
+(rho, t).  The store holds one grid at a time and is cleared when
+the grid key changes.
 
 The store also keeps, per centre, the whole ball masses (covered part plus
-partial shells) for the last source it served, keyed by the source's grid
-points, values and head and tail models (the grid key holds only
-quad_boundaries).  A call with the same grid, centre and source, such as the
-Wolff image of a source whose Riesz image was just taken, returns a copy of
-the stored masses and neither evaluates f nor calls cumulative_mass again.
-Cold, repeat and stored masses come from one computation, so they agree bit
-for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES; a plan takes
-16 bytes per node, so an 81-point grid's 81 centres of wolff_eval take about
-23 MB, and their masses about 0.17 MB.  The store is module-global, so access
-is locked: a caller that evaluates potentials from several threads could
-otherwise pass a key comparison and then read another grid's plan or
-another source's masses.
+partial shells) for the last source it served, keyed by the source's values
+and head and tail models.  A call with the same grid, centre and source, such
+as the Wolff image of a source whose Riesz image was just taken, returns a
+copy of the stored masses and neither evaluates f nor calls cumulative_mass
+again.  Cold, repeat, located and stored masses come from one computation, so
+they agree bit for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES.
+A plan takes 16 bytes per node (radius and kernel weight), 17 once located
+(a uint8 slot on grids of up to 255 points, the offset and the kernel
+weight), so the 81 centres of a wolff_eval on the solver's 81-point grid,
+1.42 M nodes, take 24.5 MB located (23.0 MB before), and their masses
+0.16 MB.  The store is module-global, so access is locked: a caller that
+evaluates potentials from several threads could otherwise pass a key
+comparison and then read another grid's plan or another source's masses.
 """
 
 from __future__ import annotations
@@ -301,9 +312,13 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
 class _CentrePlan(NamedTuple):
     """A centre's partial-shell quadrature, free of f: nodes r, kernel weights
     cap_fraction * r^{n-1} * w, and per non-empty shell the offset of its
-    first node and its index into t."""
+    first node and its index into t.  The located form holds, in place of r
+    (then empty), each node's slot and offset s on the source grid (see
+    RadialFunction.locate)."""
 
     r: np.ndarray
+    slot: np.ndarray
+    s: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
     t_index: np.ndarray
@@ -311,6 +326,23 @@ class _CentrePlan(NamedTuple):
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self)
+
+    def source_values(self, f: "RadialFunction") -> np.ndarray:
+        """f at the nodes."""
+        return f(self.r) if self.r.size else f.at_located(self.slot, self.s)
+
+    def located(self, f: "RadialFunction") -> "_CentrePlan":
+        """The plan with its nodes located on f's grid; the slot takes the
+        smallest unsigned type that holds the grid's point count."""
+        slot, s = f.locate(self.r)
+        plan = self._replace(r=_NO_NODES, slot=slot.astype(np.min_scalar_type(f.grid.count)), s=s)
+        for a in plan:
+            a.setflags(write=False)
+        return plan
+
+
+_NO_NODES = np.empty(0)
+_NO_NODES.setflags(write=False)
 
 
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
@@ -321,7 +353,7 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
     kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
     # owner is non-decreasing, so each shell's nodes form one run
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(r, kw, starts, owner[starts])
+    plan = _CentrePlan(r, _NO_NODES, _NO_NODES, kw, starts, owner[starts])
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -345,6 +377,17 @@ class _KernelWeightStore:
             if grid_key != self._grid:
                 self._reset(grid_key)
             self._admit(self._plans, centre_key, plan)
+
+    def locate(self, grid_key, centre_key, plan, f):
+        """Plan's located form, kept in its place where the cap allows."""
+        located = plan.located(f)
+        with self._lock:
+            growth = located.nbytes - plan.nbytes
+            held = grid_key == self._grid and self._plans.get(centre_key) is plan
+            if held and self.nbytes + growth <= self.max_bytes:
+                self._plans[centre_key] = located
+                self.nbytes += growth
+        return located
 
     def get_masses(self, grid_key, source_key, centre_key):
         with self._lock:
@@ -394,10 +437,9 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     # the masses kept for this source, else the covered part plus f on the
     # plan kept for this geometry; at rho = 0 every shell is full or empty
     if rho > 0.0:
-        grid_key = (n, f.quad_boundaries.tobytes(), f.cut_off)
+        grid_key = (n, f.layout_key, f.cut_off)
         centre_key = (rho, t_arr.tobytes())
         source_key = (
-            f.grid.points.tobytes(),
             f.values.tobytes(),
             f.head_exponent,
             f.tail_exponent,
@@ -422,7 +464,10 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
         if plan is None:
             return out
         _kernel_weights.put(grid_key, centre_key, plan)
-    out[plan.t_index] += kernel.surface * np.add.reduceat(f(plan.r) * plan.kw, plan.starts)
+    elif plan.r.size:  # served again: locate its nodes once
+        plan = _kernel_weights.locate(grid_key, centre_key, plan, f)
+    fr = plan.source_values(f)
+    out[plan.t_index] += kernel.surface * np.add.reduceat(fr * plan.kw, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
     _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)

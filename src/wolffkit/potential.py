@@ -12,7 +12,8 @@ t-integral runs in tau = ln t as one sum over composite Gauss-Legendre panels,
 with panel boundaries at the structural radii |rho - r| and rho + r of the
 source grid edges and an analytic closure below t_min.  The last 8 panels are
 the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
-mass is the symmetric average of the closed-form cumulative mass.
+mass is the symmetric average of the closed-form cumulative mass, taken for
+every centre in one call.
 
 The declared tail of the output follows the mass trichotomy of the source
 tail exponent T against the dimension n:
@@ -233,6 +234,14 @@ def wolff_eval_at(
     # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
     window = np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
     far = _TAIL_PANELS * _PANEL_NODES
+    # the window's t nodes are every centre's: in the window t >> rho, and
+    # the symmetric cumulative average of the ball mass kills its O(rho/t)
+    # term, so one cumulative_mass call gives every centre's window masses
+    window_bounds = np.concatenate([[tau_hi], window])
+    t_far = np.exp((window_bounds[:-1, None] + np.diff(window_bounds)[:, None] * nodes01).ravel())
+    both = f.cumulative_mass(n, np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel())
+    minus, plus = both.reshape(2, rhos.size, far)
+    window_mass = 0.5 * (minus + plus)
 
     out = np.empty(rhos.size)
     for i, rho in enumerate(rhos.tolist()):
@@ -241,10 +250,7 @@ def wolff_eval_at(
         widths = np.diff(bounds)
         tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
         t = np.exp(tau)
-        # in the window t >> rho, and the symmetric cumulative average of the
-        # ball mass kills its O(rho/t) term
-        both = f.cumulative_mass(n, np.concatenate([t[-far:] - rho, t[-far:] + rho]))
-        mass = np.concatenate([ball_mass_batch(kernel, f, rho, t[:-far]), 0.5 * (both[:far] + both[far:])])
+        mass = np.concatenate([ball_mass_batch(kernel, f, rho, t[:-far]), window_mass[i]])
         # in logs: at the window's far end mass^{inv_power} overflows where
         # e^{-a tau} underflows; a mass <= 0 gives exp(-inf) = 0
         with np.errstate(divide="ignore"):

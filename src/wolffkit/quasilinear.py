@@ -350,4 +350,5 @@ def find_fast_ground_state(
         rate_v=rate_v,
         report=report,
         trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}],
+        solver="shooting",
     )

@@ -11,6 +11,15 @@ Between nodes the profile is interpolated linearly in (ln r, ln f), which is
 exact on power laws; cells with a vanishing endpoint fall back to linear
 interpolation in r.
 
+Evaluation is two steps, and f(r) runs them in a row.  locate(r) finds each
+radius's slot (0 the head, k the cell [r_{k-1}, r_k), N the tail) and its
+offset: s = ln(r / r_{k-1}) on a power cell, r itself on the head, the tail
+and the linear cells, whose models read r.  at_located(slot, s) is then one
+gather, one multiply-add and one exp, exp(ln v_a - m s), with the head, tail
+and linear-cell models patched over it.  The located form depends only on
+the grid's points and on which values vanish, so a caller that evaluates
+many sources at the same radii (geometry's stored plans) locates them once.
+
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
 cut_off (f vanishes beyond r_max: T = inf or f(r_max) = 0), head_integrable
@@ -209,38 +218,78 @@ class RadialFunction:
                 acc = 0.0
         return pts[np.asarray(keep, dtype=int)]
 
-    def __call__(self, r) -> np.ndarray:
+    @cached_property
+    def _slots(self):
+        """Per-slot tables of the located evaluation.  Slot 0 is the head,
+        slot k (1 <= k < N) the cell [r_{k-1}, r_k) (the last one closed at
+        r_max), slot N the tail; plain marks the slots whose model reads r
+        itself rather than a power law: head, tail and the linear cells (a
+        vanishing endpoint)."""
+        pts, cells = self.grid.points, self._cells
+        pad = lambda a, fill: np.concatenate([[fill], a, [fill]])
+        return {
+            "edges": np.append(pts[:-1], np.nextafter(pts[-1], math.inf)),
+            "left": pad(pts[:-1], 1.0),
+            "log_va": pad(cells["log_va"], 0.0),
+            "m": pad(cells["m"], 0.0),
+            "plain": pad(~cells["power"], True),
+            "linear": pad(~cells["power"], False),
+        }
+
+    @cached_property
+    def layout_key(self) -> bytes:
+        """What locate's results and quad_boundaries depend on: the grid's
+        points and which cells have a vanishing endpoint."""
+        return self.grid.points.tobytes() + self._cells["power"].tobytes()
+
+    def locate(self, r):
+        """Slot and offset of each radius r, for at_located; sources with
+        equal layout_key locate r alike.
+
+        The slot k counts the grid points at or below r (r_max counts in the
+        last cell): 0 is the head, N the tail.  On a power cell the offset is
+        s = ln(r / r_{k-1}); on the plain slots, whose models read r, it is r.
+        """
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        pts = self.grid.points
-        v = self.values
-        cells = self._cells
+        slots = self._slots
+        slot = np.searchsorted(slots["edges"], r, side="right")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.log(r / slots["left"].take(slot))
+        np.copyto(s, r, where=slots["plain"].take(slot))
+        return slot, s
 
-        # the power-cell formula on every point, then the linear cells, the
-        # head and the tail patched over it; off the grid it may overflow
-        idx = np.clip(np.searchsorted(pts, r, side="right") - 1, 0, pts.size - 2)
-        ra = pts[idx]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.exp(cells["log_va"][idx] - cells["m"][idx] * np.log(r / ra))
-        if not cells["power"].all():
-            lin = np.flatnonzero(~cells["power"][idx])
-            il = idx[lin]
-            frac = (r[lin] - ra[lin]) / (pts[il + 1] - ra[lin])
+    def at_located(self, slot, s) -> np.ndarray:
+        """f at radii located by locate: the power law exp(ln v_a - m s) of
+        each cell, with the plain slots patched over it."""
+        slots = self._slots
+        # on a plain slot s is r, and the power law may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.exp(slots["log_va"].take(slot) - slots["m"].take(slot) * s)
+        pts, v = self.grid.points, self.values
+        if not self._cells["power"].all():
+            lin = np.flatnonzero(slots["linear"].take(slot))
+            il = slot[lin] - 1
+            frac = (s[lin] - pts[il]) / (pts[il + 1] - pts[il])
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
-
-        head = r < pts[0]
+        head = slot == 0
         if head.any():
-            out[head] = v[0] * (r[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
-        tail = r > pts[-1]
+            out[head] = v[0] * (s[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
+        tail = slot == pts.size
         if tail.any():
             if self.cut_off:
                 out[tail] = 0.0
             else:
-                factor = (r[tail] / pts[-1]) ** (-self.tail_exponent)
+                r = s[tail]
+                factor = (r / pts[-1]) ** (-self.tail_exponent)
                 if self.tail_log_power != 0.0:
-                    factor = factor * (np.log(r[tail]) / np.log(pts[-1])) ** self.tail_log_power
+                    factor = factor * (np.log(r) / np.log(pts[-1])) ** self.tail_log_power
                 out[tail] = v[-1] * factor
+        return out
+
+    def __call__(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        scalar = r.ndim == 0
+        out = self.at_located(*self.locate(np.atleast_1d(r)))
         return float(out[0]) if scalar else out
 
     # -- constructors ------------------------------------------------------

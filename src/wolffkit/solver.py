@@ -81,9 +81,11 @@ class SolveResult:
     rate_v: RateFit
     report: RegimeReport
     trace: list = field(default_factory=list)
+    solver: str = "picard"  # or "shooting"
 
     def to_report_dict(self):
         return {
+            "solver": self.solver,
             "converged": self.converged,
             "iterations": self.iterations,
             "residual_u": self.residual_u,

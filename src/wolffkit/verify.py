@@ -72,6 +72,7 @@ def _jsonable(value):
 class VerificationReport:
     params: Parameters
     checks: list[CheckEntry]
+    solver: Optional[str] = None  # the solution's solver; None where no solution was read
 
     @property
     def passed(self) -> bool:
@@ -80,6 +81,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "params": self.params.to_dict(),
+            "solver": self.solver,
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -390,7 +392,8 @@ def run_suite(
     seed: int = 0,
     solve_result: Optional[SolveResult] = None,
 ) -> VerificationReport:
-    """Assemble the requested checks into a reproducible report."""
+    """Assemble the requested checks into a reproducible report, naming the
+    solver ("shooting" or "picard") whose solution the checks read."""
     if suite not in SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {SUITES}")
     checks: list[CheckEntry] = []
@@ -413,7 +416,8 @@ def run_suite(
         checks.extend(check_log_limit(params, lam=2.0))
     if suite in ("all", "inequalities"):
         checks.extend(check_inequalities(seed, params))
-    return VerificationReport(params=params, checks=checks)
+    solver = result.solver if needs_solution and result is not None else None
+    return VerificationReport(params=params, checks=checks, solver=solver)
 
 
 def _obtain_solution(params: Parameters) -> tuple[Optional[SolveResult], str]:

@@ -181,6 +181,19 @@ def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, n
     assert err["error"] == "ParameterError" and named in err["message"]
 
 
+def test_verify_rates_report_names_the_solver(tmp_path):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    for out in (out1, out2):
+        run_cli(
+            "verify", "--n", "3", "--beta", "1", "--gamma", "2", "--p", "5", "--q", "5",
+            "--sigma1", "0", "--sigma2", "0", "--suite", "rates",
+            "--out", str(out), "--no-timestamp",
+            check=True,
+        )
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["solver"] == "shooting"
+
+
 def test_verify_loglimit_report_and_determinism(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):
@@ -192,6 +205,7 @@ def test_verify_loglimit_report_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     data = json.loads(out1.read_text())
     assert data["suite"] == "loglimit"
+    assert data["solver"] is None
     assert data["seed"] == 7
     names = {c["name"] for c in data["checks"]}
     assert "log_limit_at_1e5" in names

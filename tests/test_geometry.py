@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from wolffkit import geometry
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.geometry import CapKernel, ball_mass, ball_mass_batch, cap_fraction
+from wolffkit.params import Parameters
 from wolffkit.radial import RadialFunction, RadialGrid, unit_ball_volume
+from wolffkit.solver import SolveConfig, default_solver_grid, make_ansatz, potential_images
 
 from conftest import indicator_of_ball, power_tail_profile
 
@@ -345,15 +347,16 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
 
 @pytest.fixture
 def source_calls(monkeypatch):
-    """Sizes of the arrays every RadialFunction.__call__ evaluates."""
+    """Sizes of the arrays f is evaluated on: RadialFunction.__call__ and a
+    stored plan's located nodes both end in at_located."""
     calls = []
-    call = RadialFunction.__call__
+    at_located = RadialFunction.at_located
 
-    def counting(self, r):
-        calls.append(np.size(r))
-        return call(self, r)
+    def counting(self, slot, s):
+        calls.append(np.size(s))
+        return at_located(self, slot, s)
 
-    monkeypatch.setattr(RadialFunction, "__call__", counting)
+    monkeypatch.setattr(RadialFunction, "at_located", counting)
     return calls
 
 
@@ -401,10 +404,6 @@ def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, mon
 def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
     k = CapKernel(5)
     f = _sums_source()
-    pts = f.grid.points.copy()
-    pts[2] *= 0.99  # not a quadrature boundary: the plans still serve
-    moved = RadialFunction(RadialGrid(pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
-    assert np.array_equal(moved.quad_boundaries, f.quad_boundaries)
     nudged = f.values.copy()
     nudged[40] = np.nextafter(nudged[40], 1.0)
     variants = [
@@ -412,7 +411,6 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
         f.with_values(f.values, head_exponent=1.2),
         f.with_values(f.values, tail_exponent=9.5),
         f.with_values(f.values, tail_log_power=0.0),
-        moved,
     ]
     ts = np.geomspace(1e-3, 1e4, 120)
     for rho in (0.005, 1.0):
@@ -427,6 +425,69 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
             geometry._kernel_weights.clear()
             assert np.array_equal(warm, ball_mass_batch(k, g, rho, ts))
             ball_mass_batch(k, f, rho, ts)
+
+
+def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
+    # a moved point that is not a quadrature boundary leaves quad_boundaries
+    # as they were, but the located nodes' cells are another grid's
+    k = CapKernel(5)
+    f = _sums_source()
+    pts = f.grid.points.copy()
+    pts[2] *= 0.99
+    moved = RadialFunction(RadialGrid(pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
+    assert np.array_equal(moved.quad_boundaries, f.quad_boundaries)
+    ts = np.geomspace(1e-3, 1e4, 120)
+    for rho in (0.005, 1.0):
+        for _ in range(2):  # the second call locates the plan's nodes on f's grid
+            ball_mass_batch(k, f, rho, ts)
+        caps = len(cap_calls)
+        warm = ball_mass_batch(k, moved, rho, ts)
+        assert len(cap_calls) == caps + 1
+        geometry._kernel_weights.clear()
+        assert np.array_equal(warm, ball_mass_batch(k, moved, rho, ts))
+
+
+def _located_plans(store):
+    return [plan for plan in store._plans.values() if not plan.r.size]
+
+
+def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
+    # two system-map applications on the solver's default 81-point grid:
+    # every plan is served again and kept in its located form
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    cfg = SolveConfig()
+    u, v = make_ansatz(params, default_solver_grid())
+    store = geometry._kernel_weights
+    first = potential_images(params, u, v, cfg)
+    potential_images(params, u, v, cfg)
+    assert len(cap_calls) == len(store._plans) == len(_located_plans(store)) == u.grid.count == 81
+    assert store.nbytes <= store.max_bytes
+    assert store.nbytes == sum(plan.nbytes for plan in store._plans.values()) + sum(
+        m.nbytes for m in store._masses.values()
+    )
+    located = _located_plans(store)[0]
+    assert located.slot.dtype == np.uint8 and not located.slot.flags.writeable
+    geometry._kernel_weights.clear()
+    cold = potential_images(params, u, v, cfg)
+    for a, b in zip(first, cold):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_located_plans_take_only_free_room(cap_calls):
+    # on a 121-point grid not every plan fits under the cap: a repeat map
+    # rebuilds only the centres whose plans are not stored, as many as
+    # before plans were located (109 stored, 2 x 12 rebuilt)
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    grid = RadialGrid.per_decade(1e-2, 1e3, 24)
+    cfg = SolveConfig(grid=grid)
+    u, v = make_ansatz(params, grid)
+    store = geometry._kernel_weights
+    potential_images(params, u, v, cfg)
+    assert len(store._plans) == 109
+    before = len(cap_calls)
+    potential_images(params, u, v, cfg)
+    assert len(cap_calls) - before == 2 * (grid.count - 109)
+    assert 0 < len(_located_plans(store)) < 109 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):

@@ -20,6 +20,7 @@ from wolffkit.radial import (
 )
 
 from conftest import indicator_of_ball, power_tail_profile
+from lens_oracle import wolff_unit_ball
 
 
 def wolff_indicator_at_origin(n, beta, gamma):
@@ -273,3 +274,55 @@ def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max():
         got = wolff_eval_at(f, n, 1.0, 2.0, rhos)
         want = wolff_eval_at(f, n, 1.0, 2.0, rhos, longer)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
+    # the window's t nodes are every centre's, so one cumulative_mass call
+    # covers all centres; each centre's ball masses add one call for the
+    # covered part until the store holds them
+    calls = []
+    cumulative_mass = RadialFunction.cumulative_mass
+
+    def counting(self, n, x):
+        calls.append(np.size(x))
+        return cumulative_mass(self, n, x)
+
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    f = RadialFunction(
+        g, (1.0 + r**2) ** -3 * (1.0 + np.log1p(r)), tail_exponent=6.0, tail_log_power=1.0
+    )
+    rhos = [0.05, 1.0, 7.0, 100.0]
+    cfg = PotentialConfig(t_min=1e-4, t_max=1e5)
+    together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+    assert len(calls) == len(rhos) + 1
+    wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+    assert len(calls) == len(rhos) + 2  # the masses are stored
+    # bit for bit what one call per centre gives
+    geometry._kernel_weights.clear()
+    apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
+    assert np.array_equal(together, apart)
+
+
+# (n, beta, gamma): gamma from 1.2 to 2, n from 3 to 6
+LENS_CASES = [
+    (3, 1.0, 1.6),
+    (5, 1.0, 1.6),
+    (5, 1.25, 1.6),
+    (3, 0.5, 1.5),
+    (5, 1.0, 2.0),
+    (4, 1.0, 1.3),
+    (6, 0.8, 1.2),
+    (6, 2.5, 1.2),
+]
+
+
+@pytest.mark.parametrize("n, beta, gamma", LENS_CASES)
+def test_wolff_unit_ball_matches_lens_oracle(unit_indicator, n, beta, gamma):
+    # the oracle shares no code with wolffkit: cap volumes by betainc, the
+    # t-integral by adaptive quad; centres from 0 to 100, r_max = 1 included
+    rhos = np.array([0.0, 0.05, 0.5, 0.9, unit_indicator.grid.r_max, 1.1, 2.0, 10.0, 100.0])
+    got = wolff_eval_at(unit_indicator, n, beta, gamma, rhos)
+    want = np.array([wolff_unit_ball(n, beta, gamma, rho) for rho in rhos])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-6

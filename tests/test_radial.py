@@ -119,6 +119,27 @@ def test_one_pass_call_matches_region_formulas():
         assert all(f(float(x)) == y for x, y in zip(r[::97], got[::97]))
 
 
+def test_located_evaluation_matches_region_formulas_bit_for_bit():
+    # what a stored plan keeps: slots in the smallest unsigned type and the
+    # offsets; its evaluation is the region formulas' everywhere, linear
+    # cells, head and tail included
+    for f in _call_profiles():
+        pts = f.grid.points
+        r = np.concatenate(
+            [np.geomspace(1e-6, 1e7, 2001), pts, np.sqrt(pts[:-1] * pts[1:])]
+        )
+        slot, s = f.locate(r)
+        got = f.at_located(slot.astype(np.min_scalar_type(f.grid.count)), s)
+        assert np.array_equal(got, _call_by_region(f, r)[0])
+        assert np.array_equal(got, f(r))
+        # a source with other values but the same vanishing cells has the
+        # same located form
+        g = f.with_values(f.values * (1.0 + 0.5 * np.cos(np.log(pts)) ** 2))
+        g_slot, g_s = g.locate(r)
+        assert np.array_equal(g_slot, slot) and np.array_equal(g_s, s)
+        assert np.array_equal(g.at_located(slot, s), g(r))
+
+
 def test_call_far_off_the_grid_raises_no_numeric_warning():
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     rising = RadialFunction(g, g.points**2, tail_exponent=3.0)

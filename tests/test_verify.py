@@ -9,6 +9,8 @@ from wolffkit import verify
 from wolffkit.params import Parameters
 from wolffkit.potential import riesz_eval
 from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
+from wolffkit.radial import RadialGrid
+from wolffkit.solver import SolveConfig, solve_system
 from wolffkit.verify import (
     SCALE_FAMILY,
     check_fast_rates,
@@ -133,7 +135,8 @@ def test_run_suite_loglimit_structure_and_determinism():
     r2 = run_suite(PINNED, suite="loglimit", seed=1)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert d1 == d2
-    assert set(d1) == {"params", "checks"}
+    assert set(d1) == {"params", "solver", "checks"}
+    assert d1["solver"] is None  # the log limit reads no solution
     for entry in d1["checks"]:
         assert {"name", "paper_ref", "status", "measured", "expected", "tolerance"} <= set(entry)
 
@@ -142,10 +145,20 @@ def test_run_suite_names_why_no_solver_ran():
     # subcritical and scalar: the shot hits zero and Picard refuses the tuple
     report = run_suite(Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.0), suite="rates")
     (entry,) = report.checks
-    assert entry.status == "skipped"
+    assert entry.status == "skipped" and report.solver is None
     reason = entry.details["reason"]
     assert "NoBracketError" in reason and "scalar trajectory hit zero" in reason
     assert "ParameterError" in reason and "subcritical parameters refused" in reason
+
+
+def test_run_suite_names_the_solver():
+    shot = find_fast_ground_state(PINNED, GroundStateConfig(shoot=ShootConfig(r_stop=1e4)))
+    report = run_suite(PINNED, suite="rates", solve_result=shot)
+    assert report.solver == "shooting" and report.to_dict()["solver"] == "shooting"
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    picard = solve_system(PINNED, SolveConfig(max_iters=1, grid=grid))
+    assert run_suite(PINNED, suite="rates", solve_result=picard).solver == "picard"
+    assert picard.to_report_dict()["solver"] == "picard"
 
 
 def test_run_suite_rejects_unknown_suite():
