@@ -2,7 +2,9 @@
 
 All structured output is JSON (profiles travel as CSV with a JSON sidecar).
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage error.
+2 usage error.  Every report.json (solve, shoot, verify) carries provenance:
+the wolffkit, numpy and scipy versions and the settings as resolved, so that
+with --no-timestamp a report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .errors import ProfileFormatError, WolffkitError
 from .params import PARAM_KEYS, Parameters, classify_regime
 from .potential import PotentialConfig, riesz_eval, wolff_eval
@@ -73,12 +79,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _provenance(config: dict) -> dict:
+    """What made a report: the library versions and the resolved settings."""
+    return {"wolffkit": __version__, "numpy": np.__version__, "scipy": scipy.__version__, "config": config}
+
+
 def _solve_report(result, out_dir: Path, command: str, args, started: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_profile(result.u, out_dir / "u.csv")
     write_profile(result.v, out_dir / "v.csv")
     report = result.to_report_dict()
     report["command"] = command
+    report["provenance"] = _provenance(result.config)
     if not getattr(args, "no_timestamp", False):
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S") + f" ({time.time() - started:.1f}s)"
     _json_out(report, out_dir / "report.json")
@@ -119,6 +131,9 @@ def _cmd_verify(args) -> int:
     data = report.to_dict()
     data["seed"] = args.seed
     data["suite"] = args.suite
+    data["provenance"] = _provenance(
+        {"suite": args.suite, "seed": args.seed, "solver": report.solver_config}
+    )
     if not args.no_timestamp:
         data["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     _json_out(data, args.out)

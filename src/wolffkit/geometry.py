@@ -42,20 +42,35 @@ grid is evaluated at the nodes by a gather, a multiply-add and an exp
 (RadialFunction.at_located) instead of a search.  A plan is located only on
 reuse, because most one-shot grids are never served twice, and only where
 the larger form fits under the cap; a plan that does not fit keeps its radii
-and still serves.  The store is keyed per grid by (n, layout_key, cut-off
-flag): layout_key, the grid's points and which cells have a vanishing
-endpoint, fixes the located slots and offsets and quad_boundaries, the node
-layout's only other input besides the centre.  Per centre the key is
-(rho, t).  The store holds one grid at a time and is cleared when
-the grid key changes.
+and still serves.
+
+Plans live in the grid's frame (RadialFunction.frame): c = 2^-e with
+c r_min in [1/2, 1).  A plan is built from c rho and c t, on c times the
+quadrature boundaries, so its nodes are c r and its kernel weights c^n times
+the caller's (they carry r^{n-1} dr); the located plain-slot offsets are c r
+too.  A mass is then s_{n-1} c^-n times the sum over the plan, c^-n applied
+as one scalar by ldexp, exactly; a grid whose c^-n leaves the floating-point
+range raises ParameterError rather than returning inf.  Grids that differ by a
+power-of-two dilation, like the dilation family of verify.check_inequalities,
+have the same points in their frames and ask for the same c rho and c t, so
+they share one set of plans: the store is keyed per grid by (n, layout_key,
+cut-off flag), layout_key being c times the points plus which cells have a
+vanishing endpoint (what the located slots and offsets and quad_boundaries
+depend on), and per centre by (c rho, c t).  The store holds one grid at a
+time and is cleared when the grid key changes.
 
 The store also keeps, per centre, the whole ball masses (covered part plus
-partial shells) for the last source it served, keyed by the source's values
-and head and tail models.  A call with the same grid, centre and source, such
-as the Wolff image of a source whose Riesz image was just taken, returns a
-copy of the stored masses and neither evaluates f nor calls cumulative_mass
-again.  Cold, repeat, located and stored masses come from one computation, so
-they agree bit for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES.
+partial shells) for the last source it served, keyed by the source's values,
+its head and tail models and its frame c.  The masses are in the caller's
+units, and the log-corrected tail (ln r / ln r_max)^L is not dilation-
+covariant, so a source and its twin on a dilated grid share plans but never
+masses.  A call with the same grid, centre and source, such as the Wolff
+image of a source whose Riesz image was just taken, returns a copy of the
+stored masses and neither evaluates f nor calls cumulative_mass again.
+Cold, repeat, located and stored masses come from one computation, so they
+agree bit for bit, and a plan built on one grid of a dilation family is the
+one any other would build.  Plans and masses share the cap
+_KERNEL_WEIGHT_BYTES.
 A plan takes 16 bytes per node (radius and kernel weight), 17 once located
 (a uint8 slot on grids of up to 255 points, the offset and the kernel
 weight), so the 81 centres of a wolff_eval on the solver's 81-point grid,
@@ -223,7 +238,8 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
-    """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
+    """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho,
+    all in f's frame: rho, t, the nodes and the weights are c times radii.
 
     Each shell is split at the grid-cell boundaries it crosses (pieces wider
     than half a decade, possible beyond the grid, are subdivided).  The two
@@ -233,11 +249,11 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     (r_nodes, weights, owner) arrays, owner indexing t, with each shell's
     nodes contiguous and ordered interior pieces, lower edge, upper edge.
     """
-    pts = f.quad_boundaries
+    pts = f.quad_boundaries * f.frame
     a = np.abs(t - rho)
     b = t + rho
     if f.cut_off:
-        b = np.minimum(b, f.grid.r_max)
+        b = np.minimum(b, pts[-1])
     owner = np.flatnonzero(b > a)
     a, b = a[owner], b[owner]
     anchored = a > 0.0
@@ -310,11 +326,11 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
 
 
 class _CentrePlan(NamedTuple):
-    """A centre's partial-shell quadrature, free of f: nodes r, kernel weights
-    cap_fraction * r^{n-1} * w, and per non-empty shell the offset of its
-    first node and its index into t.  The located form holds, in place of r
-    (then empty), each node's slot and offset s on the source grid (see
-    RadialFunction.locate)."""
+    """A centre's partial-shell quadrature, free of f and in the frame of its
+    grid: nodes r c, kernel weights c^n cap_fraction * r^{n-1} * w, and per
+    non-empty shell the offset of its first node and its index into t.  The
+    located form holds, in place of the nodes (then empty), each node's slot
+    and offset s on the source grid (see RadialFunction.locate)."""
 
     r: np.ndarray
     slot: np.ndarray
@@ -329,12 +345,12 @@ class _CentrePlan(NamedTuple):
 
     def source_values(self, f: "RadialFunction") -> np.ndarray:
         """f at the nodes."""
-        return f(self.r) if self.r.size else f.at_located(self.slot, self.s)
+        return f(self.r / f.frame) if self.r.size else f.at_located(self.slot, self.s)
 
     def located(self, f: "RadialFunction") -> "_CentrePlan":
         """The plan with its nodes located on f's grid; the slot takes the
         smallest unsigned type that holds the grid's point count."""
-        slot, s = f.locate(self.r)
+        slot, s = f.locate(self.r / f.frame)
         plan = self._replace(r=_NO_NODES, slot=slot.astype(np.min_scalar_type(f.grid.count)), s=s)
         for a in plan:
             a.setflags(write=False)
@@ -346,7 +362,8 @@ _NO_NODES.setflags(write=False)
 
 
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
-    """Build a centre's read-only plan, or None when every shell is empty."""
+    """Build a centre's read-only plan from rho and t in f's frame, or None
+    when every shell is empty."""
     r, w, owner = _partial_shell_nodes(f, rho, t)
     if not owner.size:
         return None
@@ -421,6 +438,17 @@ class _KernelWeightStore:
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
 
 
+def _frame_surface(kernel: CapKernel, c: float) -> float:
+    """s_{n-1} c^-n, which takes a sum over frame kernel weights back to the
+    caller's units; exact, as c is a power of two."""
+    try:
+        return math.ldexp(kernel.surface, -kernel.n * (math.frexp(c)[1] - 1))
+    except OverflowError:
+        raise ParameterError(
+            f"grid frame {c:g} puts c^-{kernel.n} out of floating-point range"
+        ) from None
+
+
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
@@ -437,13 +465,18 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     # the masses kept for this source, else the covered part plus f on the
     # plan kept for this geometry; at rho = 0 every shell is full or empty
     if rho > 0.0:
+        c = f.frame
         grid_key = (n, f.layout_key, f.cut_off)
-        centre_key = (rho, t_arr.tobytes())
+        t_frame = t_arr * c
+        centre_key = (rho * c, t_frame.tobytes())
+        # the masses are in the caller's units, and the log-corrected tail
+        # is not dilation-covariant, so they are kept per frame
         source_key = (
             f.values.tobytes(),
             f.head_exponent,
             f.tail_exponent,
             f.tail_log_power,
+            c,
         )
         masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
         if masses is not None:
@@ -460,14 +493,14 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     # partial shell |t - rho| < r < t + rho
     plan = _kernel_weights.get(grid_key, centre_key)
     if plan is None:
-        plan = _centre_plan(kernel, f, rho, t_arr)
+        plan = _centre_plan(kernel, f, centre_key[0], t_frame)
         if plan is None:
             return out
         _kernel_weights.put(grid_key, centre_key, plan)
     elif plan.r.size:  # served again: locate its nodes once
         plan = _kernel_weights.locate(grid_key, centre_key, plan, f)
     fr = plan.source_values(f)
-    out[plan.t_index] += kernel.surface * np.add.reduceat(fr * plan.kw, plan.starts)
+    out[plan.t_index] += _frame_surface(kernel, c) * np.add.reduceat(fr * plan.kw, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
     _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)

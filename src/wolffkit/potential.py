@@ -8,9 +8,12 @@ and the Riesz potential of order alpha is its gamma = 2 case in layer-cake
 form, I_alpha(f)(x) = (n - alpha) int_0^inf mass(|x|, t) t^{alpha-n} dt/t
 = (n - alpha) W_{alpha/2,2}(f)(x), so both operators run on one engine,
 wolff_eval_at, over the same sphere-ball geometry kernel.  The outer
-t-integral runs in tau = ln t as one sum over composite Gauss-Legendre panels,
+t-integral runs in tau = ln(c t), c the source grid's power-of-two frame
+(RadialFunction.frame), as one sum over composite Gauss-Legendre panels,
 with panel boundaries at the structural radii |rho - r| and rho + r of the
-source grid edges and an analytic closure below t_min.  The last 8 panels are
+source grid edges and an analytic closure below t_min.  In the frame a grid
+dilated by a power of two gets the same panels, so its ball masses are taken
+on the same stored plans (see geometry).  The last 8 panels are
 the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
 mass is the symmetric average of the closed-form cumulative mass, taken for
 every centre in one call.
@@ -128,7 +131,8 @@ def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, nodes_per_decade: int
 
 
 def _structural_radii(rho: float, f: RadialFunction):
-    """Outer-integral breakpoints: grid-edge transits plus a dyadic ladder at t = rho.
+    """Outer-integral breakpoints: grid-edge transits plus a dyadic ladder at t = rho,
+    as ln(c t) in f's frame.
 
     The inner mass changes most rapidly as the ball boundary sweeps the bulk
     of the source, i.e. for t near rho; grading the panels geometrically
@@ -142,7 +146,8 @@ def _structural_radii(rho: float, f: RadialFunction):
         depth = min(6, max(1, int(math.ceil(math.log2(max(rho / f.grid.r_min, 2.0)))) + 1))
         for j in range(1, depth + 1):
             radii.extend((rho * (1.0 - 2.0**-j), rho * (1.0 + 2.0**-j)))
-    return [math.log(x) for x in radii if x > 0.0]
+    c = f.frame
+    return [math.log(c * x) for x in radii if x > 0.0]
 
 
 class _SourceClass:
@@ -228,7 +233,11 @@ def wolff_eval_at(
             f"{a_eff:.3e} <= 0)"
         )
     kernel = CapKernel(n)
-    tau_lo, tau_hi = math.log(t_min), math.log(t_max)
+    # the panels live in the frame, tau = ln(c t), so that grids dilated by a
+    # power of two ask ball_mass_batch for the same c t and share its plans
+    c = f.frame
+    a_ln_c = a_decay * math.log(c)
+    tau_lo, tau_hi = math.log(c * t_min), math.log(c * t_max)
     slope_cap = max(bg, n - bg, n) * inv_power
     nodes01, wts01 = _leggauss01(_PANEL_NODES)
     # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
@@ -238,7 +247,7 @@ def wolff_eval_at(
     # the symmetric cumulative average of the ball mass kills its O(rho/t)
     # term, so one cumulative_mass call gives every centre's window masses
     window_bounds = np.concatenate([[tau_hi], window])
-    t_far = np.exp((window_bounds[:-1, None] + np.diff(window_bounds)[:, None] * nodes01).ravel())
+    t_far = np.exp((window_bounds[:-1, None] + np.diff(window_bounds)[:, None] * nodes01).ravel()) / c
     both = f.cumulative_mass(n, np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel())
     minus, plus = both.reshape(2, rhos.size, far)
     window_mass = 0.5 * (minus + plus)
@@ -250,11 +259,12 @@ def wolff_eval_at(
         widths = np.diff(bounds)
         tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
         t = np.exp(tau)
+        t /= c
         mass = np.concatenate([ball_mass_batch(kernel, f, rho, t[:-far]), window_mass[i]])
         # in logs: at the window's far end mass^{inv_power} overflows where
-        # e^{-a tau} underflows; a mass <= 0 gives exp(-inf) = 0
+        # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0
         with np.errstate(divide="ignore"):
-            integrand = np.exp(inv_power * np.log(np.maximum(mass, 0.0)) - a_decay * tau)
+            integrand = np.exp(inv_power * np.log(np.maximum(mass, 0.0)) - a_decay * tau + a_ln_c)
         panel_sum = float((integrand.reshape(-1, _PANEL_NODES) @ wts01) @ widths)
         out[i] = panel_sum + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
     return out

@@ -351,4 +351,11 @@ def find_fast_ground_state(
         report=report,
         trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}],
         solver="shooting",
+        config={
+            "a": cfg.a,
+            "bracket": list(cfg.bracket),
+            "r_stop": shoot_cfg.r_stop,
+            "final_r_stop": final_stop,
+            "fit_decades": cfg.fit_decades,
+        },
     )

@@ -13,12 +13,16 @@ interpolation in r.
 
 Evaluation is two steps, and f(r) runs them in a row.  locate(r) finds each
 radius's slot (0 the head, k the cell [r_{k-1}, r_k), N the tail) and its
-offset: s = ln(r / r_{k-1}) on a power cell, r itself on the head, the tail
-and the linear cells, whose models read r.  at_located(slot, s) is then one
-gather, one multiply-add and one exp, exp(ln v_a - m s), with the head, tail
-and linear-cell models patched over it.  The located form depends only on
-the grid's points and on which values vanish, so a caller that evaluates
-many sources at the same radii (geometry's stored plans) locates them once.
+offset: s = ln(r / r_{k-1}) on a power cell, and r c on the head, the tail
+and the linear cells, whose models read r.  c = 2^-e is the grid's frame,
+the power of two with c r_min in [1/2, 1), so r c and r = s / c are exact.
+at_located(slot, s) is then one gather, one multiply-add and one exp,
+exp(ln v_a - m s), with the head, tail and linear-cell models patched over
+it.  The located form depends only on the grid's points in the frame (c times
+the points, layout_key) and on which values vanish, so a caller that
+evaluates many sources at the same radii (geometry's stored plans) locates
+them once, and the located form of r on a grid is that of r / 2^k on the
+grid dilated by 2^-k.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -237,59 +241,73 @@ class RadialFunction:
         }
 
     @cached_property
+    def frame(self) -> float:
+        """The power of two c = 2^-e with c r_min in [1/2, 1).  Grids that
+        differ by a power-of-two dilation have the same points in their
+        frames, c times the points, and scaling by c is exact."""
+        return math.ldexp(1.0, -math.frexp(self.grid.r_min)[1])
+
+    @cached_property
     def layout_key(self) -> bytes:
-        """What locate's results and quad_boundaries depend on: the grid's
-        points and which cells have a vanishing endpoint."""
-        return self.grid.points.tobytes() + self._cells["power"].tobytes()
+        """What locate's results and quad_boundaries depend on, in the frame:
+        the grid's points times c and which cells have a vanishing endpoint."""
+        return (self.grid.points * self.frame).tobytes() + self._cells["power"].tobytes()
 
     def locate(self, r):
         """Slot and offset of each radius r, for at_located; sources with
-        equal layout_key locate r alike.
+        equal layout_key locate radii with equal c r alike.
 
         The slot k counts the grid points at or below r (r_max counts in the
         last cell): 0 is the head, N the tail.  On a power cell the offset is
-        s = ln(r / r_{k-1}); on the plain slots, whose models read r, it is r.
+        s = ln(r / r_{k-1}); on the plain slots, whose models read r, it is
+        r c, r in the frame.
         """
-        r = np.asarray(r, dtype=float)
+        return self._locate(np.asarray(r, dtype=float), self.frame)
+
+    def at_located(self, slot, s) -> np.ndarray:
+        """f at radii located by locate: the power law exp(ln v_a - m s) of
+        each cell, with the plain slots, r = s / c, patched over it."""
+        return self._at_located(slot, s, self.frame)
+
+    def _locate(self, r, c):
         slots = self._slots
         slot = np.searchsorted(slots["edges"], r, side="right")
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.log(r / slots["left"].take(slot))
-        np.copyto(s, r, where=slots["plain"].take(slot))
+        np.multiply(r, c, out=s, where=slots["plain"].take(slot))
         return slot, s
 
-    def at_located(self, slot, s) -> np.ndarray:
-        """f at radii located by locate: the power law exp(ln v_a - m s) of
-        each cell, with the plain slots patched over it."""
+    def _at_located(self, slot, s, c) -> np.ndarray:
         slots = self._slots
-        # on a plain slot s is r, and the power law may overflow
+        # on a plain slot s is r c, and the power law may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.exp(slots["log_va"].take(slot) - slots["m"].take(slot) * s)
         pts, v = self.grid.points, self.values
         if not self._cells["power"].all():
             lin = np.flatnonzero(slots["linear"].take(slot))
             il = slot[lin] - 1
-            frac = (s[lin] - pts[il]) / (pts[il + 1] - pts[il])
+            frac = (s[lin] / c - pts[il]) / (pts[il + 1] - pts[il])
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
         head = slot == 0
         if head.any():
-            out[head] = v[0] * (s[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
+            out[head] = v[0] * (s[head] / (c * pts[0])) ** (-self.head_exponent) if v[0] > 0 else 0.0
         tail = slot == pts.size
         if tail.any():
             if self.cut_off:
                 out[tail] = 0.0
             else:
-                r = s[tail]
-                factor = (r / pts[-1]) ** (-self.tail_exponent)
+                st = s[tail]
+                factor = (st / (c * pts[-1])) ** (-self.tail_exponent)
                 if self.tail_log_power != 0.0:
-                    factor = factor * (np.log(r) / np.log(pts[-1])) ** self.tail_log_power
+                    factor = factor * (np.log(st / c) / np.log(pts[-1])) ** self.tail_log_power
                 out[tail] = v[-1] * factor
         return out
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        out = self.at_located(*self.locate(np.atleast_1d(r)))
+        # with c = 1 the plain offsets are r itself, which no radius overflows
+        out = self._at_located(*self._locate(np.atleast_1d(r), 1.0), 1.0)
         return float(out[0]) if scalar else out
 
     # -- constructors ------------------------------------------------------

@@ -82,6 +82,7 @@ class SolveResult:
     report: RegimeReport
     trace: list = field(default_factory=list)
     solver: str = "picard"  # or "shooting"
+    config: dict = field(default_factory=dict)  # the settings as the solver resolved them
 
     def to_report_dict(self):
         return {
@@ -283,6 +284,16 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         rate_v=rate_v,
         report=report,
         trace=trace,
+        config={
+            "damping": cfg.damping,
+            "max_iters": cfg.max_iters,
+            "rel_tol": cfg.rel_tol,
+            "strict": cfg.strict,
+            "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "count": grid.count},
+            "initial": "ansatz" if cfg.custom_initial is None else "custom",
+            "coefficients": cfg.coefficients is not None,
+            "potential": cfg.potential.to_dict(),
+        },
     )
 
 

@@ -73,6 +73,7 @@ class VerificationReport:
     params: Parameters
     checks: list[CheckEntry]
     solver: Optional[str] = None  # the solution's solver; None where no solution was read
+    solver_config: Optional[dict] = None  # that solver's resolved settings
 
     @property
     def passed(self) -> bool:
@@ -416,8 +417,13 @@ def run_suite(
         checks.extend(check_log_limit(params, lam=2.0))
     if suite in ("all", "inequalities"):
         checks.extend(check_inequalities(seed, params))
-    solver = result.solver if needs_solution and result is not None else None
-    return VerificationReport(params=params, checks=checks, solver=solver)
+    read = needs_solution and result is not None
+    return VerificationReport(
+        params=params,
+        checks=checks,
+        solver=result.solver if read else None,
+        solver_config=result.config if read else None,
+    )
 
 
 def _obtain_solution(params: Parameters) -> tuple[Optional[SolveResult], str]:

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,3 +45,17 @@ def cap_calls(monkeypatch):
     monkeypatch.setattr(geometry, "cap_fraction", counting)
     yield calls
     geometry._kernel_weights.clear()
+
+
+# the benchmark's oracles (Newton's shell theorem, the 2F1 spherical mean and
+# the profile evaluator Profile), loaded by path so that one reference
+# implementation serves both the benchmark and the tests
+ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+@pytest.fixture(scope="session")
+def oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

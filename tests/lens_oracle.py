@@ -1,4 +1,15 @@
-"""Wolff potential of the unit-ball indicator, computed apart from wolffkit.
+"""Ball masses and the Wolff potential of the unit-ball indicator, computed
+apart from wolffkit.
+
+The mass of a radial density f over B_t(x), |x| = rho, is
+s_{n-1} int_0^inf f(r) r^{n-1} c(rho, t, r) dr, where c is the fraction of the
+sphere of radius r inside the ball: 1 for r <= t - rho, 0 outside
+|t - rho| < r < t + rho, and in between the normalized measure of a polar cap,
+(1/2) I_{sin^2 theta}((n-1)/2, 1/2) or one minus it, with
+cos theta = (rho^2 + r^2 - t^2) / (2 rho r).  ball_mass integrates it by
+adaptive quadrature, split at the profile's grid points (the kinks of its
+interpolant) and at both shell edges; the profile is any callable with the
+grid radii in ``r``, such as the benchmark's ``oracles.Profile``.
 
 The inner mass of the indicator over B_t(x), |x| = rho, is the lens volume
 |B_1 ∩ B_t(x)|: the two caps cut off by the radical hyperplane, each the
@@ -20,6 +31,34 @@ from scipy.special import betainc
 
 def ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def cap_fraction(n: int, rho: float, t: float, r: float) -> float:
+    """Fraction of the sphere of radius r about 0 inside B_t(x), |x| = rho > 0."""
+    if r <= t - rho:
+        return 1.0
+    if r >= t + rho or r <= rho - t:
+        return 0.0
+    cos = (rho**2 + r**2 - t**2) / (2.0 * rho * r)
+    half = 0.5 * betainc((n - 1) / 2.0, 0.5, max(0.0, 1.0 - cos**2))
+    return half if cos >= 0.0 else 1.0 - half
+
+
+def ball_mass(profile, n: int, rho: float, t: float) -> float:
+    """s_{n-1} int_0^inf f(r) r^{n-1} c(rho, t, r) dr by adaptive quad."""
+    knots = profile.r
+
+    def integral(g, a, b):
+        inner = knots[(knots > a) & (knots < b)]
+        return quad(g, a, b, points=inner, epsabs=0.0, epsrel=1e-12, limit=100 + 2 * inner.size)[0]
+
+    def density(r):
+        return float(profile(r)) * r ** (n - 1)
+
+    covered = integral(density, 0.0, t - rho) if t > rho else 0.0
+    shell = integral(lambda r: density(r) * cap_fraction(n, rho, t, r), abs(t - rho), t + rho)
+    surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return surface * (covered + shell)
 
 
 def _cap_volume(n: int, radius: float, c: float) -> float:

@@ -9,7 +9,6 @@ inside criterion 8b validates the identity itself.
 """
 
 import ast
-import importlib.util
 import math
 import warnings
 from pathlib import Path
@@ -39,7 +38,7 @@ from wolffkit.radial import (
 from wolffkit.solver import SolveConfig, bubble_profile, make_ansatz, solve_system, system_residual
 from wolffkit.verify import check_inequalities, log_tail_expression
 
-from conftest import indicator_of_ball, power_tail_profile
+from conftest import ORACLES_PATH, indicator_of_ball, power_tail_profile
 
 warnings.filterwarnings("ignore")
 
@@ -116,20 +115,9 @@ def _battery(n):
 
 # Criterion 4: riesz_eval runs on wolff_eval's engine, so comparing the two
 # would compare a code path with itself.  The evidence for either sits with
-# the benchmark's oracles: Newton's shell theorem and the 2F1 spherical mean,
-# integrated in r with no wolffkit code.
-# The module is loaded by path so that one reference implementation serves
-# both the benchmark and this suite.
-ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+# the benchmark's oracles (the conftest fixture): Newton's shell theorem and
+# the 2F1 spherical mean, integrated in r with no wolffkit code.
 ORACLE_RTOL = 1e-3
-
-
-@pytest.fixture(scope="module")
-def oracles():
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _oracle_profiles():
@@ -160,8 +148,8 @@ def test_criterion_4_wolff_gamma2_against_shell_theorem_oracle(oracles, n):
         assert err <= ORACLE_RTOL, (name, err)
 
 
-def test_oracle_module_imports_nothing_from_wolffkit():
-    tree = ast.parse(ORACLES_PATH.read_text(), filename=str(ORACLES_PATH))
+def _wolffkit_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -169,7 +157,16 @@ def test_oracle_module_imports_nothing_from_wolffkit():
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
     assert imported, "no imports found; the parse is not reading the oracle module"
-    offending = [m for m in imported if m.split(".")[0] == "wolffkit" or m.startswith(".")]
+    return [m for m in imported if m.split(".")[0] == "wolffkit" or m.startswith(".")]
+
+
+def test_oracle_module_imports_nothing_from_wolffkit():
+    offending = _wolffkit_imports(ORACLES_PATH)
+    assert not offending, offending
+
+
+def test_lens_oracle_imports_nothing_from_wolffkit():
+    offending = _wolffkit_imports(Path(__file__).with_name("lens_oracle.py"))
     assert not offending, offending
 
 

@@ -4,7 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
+import wolffkit
 from wolffkit.cli import main
 from wolffkit.radial import read_profile, unit_ball_volume, write_profile
 
@@ -114,16 +116,31 @@ def test_eval_missing_sidecar_is_domain_error(tmp_path):
     assert "sidecar" in json.loads(result.stderr)["message"]
 
 
+def _check_provenance(report, config):
+    provenance = report["provenance"]
+    assert provenance["wolffkit"] == wolffkit.__version__
+    assert provenance["numpy"] == np.__version__
+    assert provenance["scipy"] == scipy.__version__
+    assert provenance["config"] == config
+
+
 def test_shoot_writes_result_directory(tmp_path):
+    # with --no-timestamp the report, provenance included, repeats byte for byte
+    for name in ("res", "again"):
+        run_cli(
+            "shoot",
+            "--n", "3", "--beta", "1", "--gamma", "2",
+            "--p", "5", "--q", "5", "--sigma1", "0", "--sigma2", "0",
+            "--a", "1.0", "--out", str(tmp_path / name), "--no-timestamp",
+            check=True,
+        )
     out_dir = tmp_path / "res"
-    run_cli(
-        "shoot",
-        "--n", "3", "--beta", "1", "--gamma", "2",
-        "--p", "5", "--q", "5", "--sigma1", "0", "--sigma2", "0",
-        "--a", "1.0", "--out", str(out_dir), "--no-timestamp",
-        check=True,
-    )
+    assert (out_dir / "report.json").read_bytes() == (tmp_path / "again" / "report.json").read_bytes()
     report = json.loads((out_dir / "report.json").read_text())
+    _check_provenance(
+        report,
+        {"a": 1.0, "bracket": [0.01, 100.0], "r_stop": 1e4, "final_r_stop": 1e4, "fit_decades": 2.0},
+    )
     assert report["converged"] is True
     assert report["command"] == "shoot"
     assert (out_dir / "u.csv").exists() and (out_dir / "u.json").exists()
@@ -153,6 +170,9 @@ def test_solve_writes_result_directory(tmp_path):
     )
     report = json.loads((out_dir / "report.json").read_text())
     assert report["command"] == "solve"
+    config = report["provenance"]["config"]
+    assert config["grid"] == {"r_min": 1e-2, "r_max": 1e2, "count": 65}
+    assert config["max_iters"] == 4 and config["damping"] == 0.8
     assert report["converged"] is True
     assert report["predicted"]["regime"] == "FastFast"
     assert report["rate_u"]["exponent"] == pytest.approx(3.0, rel=0.05)
@@ -191,7 +211,9 @@ def test_verify_rates_report_names_the_solver(tmp_path):
             check=True,
         )
     assert out1.read_bytes() == out2.read_bytes()
-    assert json.loads(out1.read_text())["solver"] == "shooting"
+    report = json.loads(out1.read_text())
+    assert report["solver"] == "shooting"
+    assert report["provenance"]["config"]["solver"]["final_r_stop"] == 1e4
 
 
 def test_verify_loglimit_report_and_determinism(tmp_path):
@@ -204,6 +226,7 @@ def test_verify_loglimit_report_and_determinism(tmp_path):
         )
     assert out1.read_bytes() == out2.read_bytes()
     data = json.loads(out1.read_text())
+    _check_provenance(data, {"suite": "loglimit", "seed": 7, "solver": None})
     assert data["suite"] == "loglimit"
     assert data["solver"] is None
     assert data["seed"] == 7

@@ -246,6 +246,48 @@ def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
     assert np.array_equal(wolff_eval(u, 5, 1.0, 2.0).values, wu.values)
 
 
+@pytest.mark.parametrize("n, beta, gamma", [(3, 1.0, 1.6), (5, 1.0, 2.0), (5, 0.3, 2.0)])
+def test_dilation_homogeneity_shares_plans_at_powers_of_two(cap_calls, n, beta, gamma):
+    # W f_lam(x) = lam^{-beta gamma/(gamma-1)} W f(lam x), f_lam(r) = f(lam r).
+    # In the frame a grid dilated by 4 asks for the same c t as the base
+    # grid and is served by its plans; a grid dilated by 3 is not, and takes
+    # another node layout (quad_boundaries merges its cells otherwise)
+    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 7.0)
+    rhos = np.geomspace(0.05, 50.0, 7)
+    base = wolff_eval_at(f, n, beta, gamma, rhos)
+    assert len(cap_calls) == rhos.size
+    power = beta * gamma / (gamma - 1.0)
+    for lam, calls, rtol in ((4.0, rhos.size, 1e-12), (3.0, 2 * rhos.size, 1e-5)):
+        got = wolff_eval_at(f.dilate(lam), n, beta, gamma, rhos / lam)
+        assert len(cap_calls) == calls
+        assert np.max(np.abs(got / (lam**-power * base) - 1.0)) <= rtol
+    geometry._kernel_weights.clear()
+
+
+def test_log_tail_twin_on_shared_plans_matches_its_cold_value(cap_calls):
+    # dilate refuses log tails, so the twin on the grid x 2 is built by hand:
+    # same values, same L.  It shares f's plans but not f's masses, and its
+    # potential is not a rescaling of f's, as (ln r / ln r_max)^L is not
+    # dilation-covariant; taking f's masses would give wrong numbers
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = grid.points
+    f = RadialFunction(grid, (1.0 + r**2) ** -2.0 * (1.0 + np.log1p(r)), tail_exponent=4.0, tail_log_power=1.0)
+    twin = RadialFunction(RadialGrid(2.0 * r), f.values, tail_exponent=4.0, tail_log_power=1.0)
+    rhos = np.geomspace(0.05, 50.0, 7)
+    for beta, gamma in ((1.0, 2.0), (1.0, 1.6)):
+        geometry._kernel_weights.clear()
+        cold = wolff_eval_at(twin, 3, beta, gamma, 2.0 * rhos)
+        geometry._kernel_weights.clear()
+        of_f = wolff_eval_at(f, 3, beta, gamma, rhos)
+        before = len(cap_calls)
+        warm = wolff_eval_at(twin, 3, beta, gamma, 2.0 * rhos)
+        assert len(cap_calls) == before  # f's plans serve the twin
+        assert np.array_equal(warm, cold)
+        rescaled = 2.0 ** (beta * gamma / (gamma - 1.0)) * of_f
+        assert np.max(np.abs(warm / rescaled - 1.0)) > 1e-5  # 3.1e-5 and 1.1e-4 measured
+    geometry._kernel_weights.clear()
+
+
 def test_changed_t_resolution_misses_the_store(cap_calls):
     f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 7.0)
     rhos = [0.5, 2.0]

@@ -138,6 +138,25 @@ def test_located_evaluation_matches_region_formulas_bit_for_bit():
         g_slot, g_s = g.locate(r)
         assert np.array_equal(g_slot, slot) and np.array_equal(g_s, s)
         assert np.array_equal(g.at_located(slot, s), g(r))
+        # a twin on the grid dilated by 2, built by hand so that the log tail
+        # comes along: it locates r / 2 as f locates r, and reads that
+        # located form as its own values at r / 2
+        twin = RadialFunction(
+            RadialGrid(pts / 2.0), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power
+        )
+        assert twin.frame == 2.0 * f.frame and twin.layout_key == f.layout_key
+        t_slot, t_s = twin.locate(r / 2.0)
+        assert np.array_equal(t_slot, slot) and np.array_equal(t_s, s)
+        assert np.array_equal(twin.at_located(slot, s), twin(r / 2.0))
+
+
+@pytest.mark.parametrize("r_min", [1e-30, 1e-2, 0.5, 1.0, 3.0, 1e30])
+def test_frame_puts_r_min_in_half_to_one(r_min):
+    f = RadialFunction(RadialGrid.per_decade(r_min, 1e3 * r_min, 8), np.ones(25))
+    mantissa, exponent = math.frexp(f.frame)
+    assert mantissa == 0.5  # a power of two
+    assert 0.5 <= f.frame * r_min < 1.0
+    assert math.frexp(f.dilate(8.0).frame) == (0.5, exponent + 3)
 
 
 def test_call_far_off_the_grid_raises_no_numeric_warning():
@@ -151,6 +170,13 @@ def test_call_far_off_the_grid_raises_no_numeric_warning():
         near = steep(np.array([0.0, 1e-300, 1e-200]))
     assert np.array_equal(far, rising.values[-1] * (r / g.r_max) ** -3.0)
     assert np.array_equal(near, np.full(3, steep.values[0]))
+    # on a grid at 1e-30 the frame is 2^99, and 1e280 in the frame overflows;
+    # f(r) reads r itself
+    tiny = RadialGrid.per_decade(1e-30, 1e-26, 16)
+    slow = RadialFunction(tiny, np.ones(tiny.count), tail_exponent=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert slow(1e280) == (1e280 / tiny.r_max) ** -0.5 > 0.0
 
 
 def test_lp_norm_indicator_is_ball_volume(unit_indicator):

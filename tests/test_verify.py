@@ -114,6 +114,16 @@ def test_inequality_ratio_boundedness_small_battery(monkeypatch):
     assert cmp_.status == "pass"
 
 
+def test_inequality_family_builds_each_centre_plan_once(cap_calls):
+    # the benchmark's inequalities operation: two bumps on one 65-point grid,
+    # each at the five dilations of SCALE_FAMILY, all powers of two, with a
+    # Riesz and a Wolff image per grid.  Every dilated grid has the base
+    # grid's points in its frame, so the 65 centre plans are built once
+    # (650 when each grid kept its own store)
+    check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)
+    assert len(cap_calls) == 65
+
+
 def test_standard_battery_is_deterministic():
     a = standard_battery(5, seed=3, count=6)
     b = standard_battery(5, seed=3, count=6)
