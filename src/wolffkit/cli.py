@@ -81,7 +81,12 @@ def _cmd_eval(args) -> int:
 
 def _provenance(config: dict) -> dict:
     """What made a report: the library versions and the resolved settings."""
-    return {"wolffkit": __version__, "numpy": np.__version__, "scipy": scipy.__version__, "config": config}
+    return {
+        "wolffkit": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "config": config,
+    }
 
 
 def _solve_report(result, out_dir: Path, command: str, args, started: float):

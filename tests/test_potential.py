@@ -271,7 +271,8 @@ def test_log_tail_twin_on_shared_plans_matches_its_cold_value(cap_calls):
     # dilation-covariant; taking f's masses would give wrong numbers
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     r = grid.points
-    f = RadialFunction(grid, (1.0 + r**2) ** -2.0 * (1.0 + np.log1p(r)), tail_exponent=4.0, tail_log_power=1.0)
+    values = (1.0 + r**2) ** -2.0 * (1.0 + np.log1p(r))
+    f = RadialFunction(grid, values, tail_exponent=4.0, tail_log_power=1.0)
     twin = RadialFunction(RadialGrid(2.0 * r), f.values, tail_exponent=4.0, tail_log_power=1.0)
     rhos = np.geomspace(0.05, 50.0, 7)
     for beta, gamma in ((1.0, 2.0), (1.0, 1.6)):
