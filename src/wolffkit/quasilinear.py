@@ -17,7 +17,9 @@ regular series start u(r) = u(0) - O(r^{(gamma+sigma1)/(gamma-1)}) on [0, r0].
 Ground states are captured by bisection on v(0): trajectories are classified
 by which component first hits zero (or by surviving to r_stop with a slow
 tail), and the separatrix between two different outcome classes carries the
-fast-decay profile.
+fast-decay profile.  The bisection reads only each shot's outcome and reach,
+so it classifies shots on the integrator's own steps without sampling them;
+one chosen trajectory is then sampled for the profiles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .errors import NoBracketError, ParameterError
 from .params import Parameters, classify_regime, exponents, validate
@@ -40,6 +43,7 @@ ATOL = 1e-300
 METHOD = "DOP853"
 SAMPLES_PER_DECADE = 24
 BISECTION_DEPTH = 60
+EVENT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's brentq tolerances for event roots
 # fraction of the reached radius still free of separatrix peel-off;
 # bisection to machine precision keeps roughly the first tenth clean
 CLEAN_FRACTION = 0.1
@@ -81,6 +85,49 @@ def _series_start(params: Parameters, a: float, b: float, r0: float):
     return np.array([u0, v0, mu0, mv0])
 
 
+def _rhs(params: Parameters):
+    """The flux-form right-hand side in s = ln r, evaluated on Python floats."""
+    n, inv = params.n, 1.0 / (params.gamma - 1.0)
+    gamma_n = params.gamma - n
+    k_u, k_v = n + params.sigma1, n + params.sigma2
+    p, q = params.p, params.q
+
+    def rhs(s, y):
+        u, v, mu, mv = y.tolist()
+        r_pow = math.exp(s * gamma_n * inv)
+        du = -((max(-mu, 0.0)) ** inv) * r_pow
+        dv = -((max(-mv, 0.0)) ** inv) * r_pow
+        vq = max(v, 0.0) ** q
+        up = max(u, 0.0) ** p
+        es = math.exp(s)
+        dmu = -(es**k_u) * vq
+        dmv = -(es**k_v) * up
+        return (du, dv, dmu, dmv)
+
+    return rhs
+
+
+def _start(params: Parameters, a: float, b: float, r_stop: float):
+    """Series start y0 at R_START and the sample points s_eval (s = ln r) to r_stop."""
+    validate(params)
+    if abs(params.beta - 1.0) > 1e-12:
+        raise ParameterError(f"shooting requires beta = 1, got beta = {params.beta}")
+    if a <= 0.0 or b <= 0.0:
+        raise ParameterError("initial values u(0), v(0) must be positive")
+    s0, s_stop = math.log(R_START), math.log(r_stop)
+    decades = (s_stop - s0) / math.log(10.0)
+    s_eval = np.linspace(s0, s_stop, max(32, int(decades * SAMPLES_PER_DECADE)))
+    return _series_start(params, a, b, R_START), s_eval
+
+
+def _start_event(y0: np.ndarray) -> Optional[tuple[str, float]]:
+    """A component whose series start is already non-positive hits zero at R_START."""
+    for k, name in enumerate("uv"):
+        if y0[k] <= 0.0:
+            return (name, R_START)
+    return None
+
+
 def shoot(
     params: Parameters,
     a: float,
@@ -91,29 +138,15 @@ def shoot(
 
     Requires beta = 1 (the differential side of the correspondence) and
     positive initial data.  Stops when a component crosses zero or at
-    r_stop, whichever comes first.
+    r_stop, whichever comes first; a component that is already non-positive
+    at R_START hits zero there, and the trajectory is that one point.
     """
-    validate(params)
-    if abs(params.beta - 1.0) > 1e-12:
-        raise ParameterError(f"shooting requires beta = 1, got beta = {params.beta}")
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterError("initial values u(0), v(0) must be positive")
     cfg = cfg or ShootConfig()
-    n, g = params.n, params.gamma - 1.0
-    s1, s2, p, q = params.sigma1, params.sigma2, params.p, params.q
-    inv = 1.0 / g
-
-    def rhs(s, y):
-        u, v, mu, mv = y
-        r_pow = math.exp(s * (params.gamma - n) * inv)
-        du = -((max(-mu, 0.0)) ** inv) * r_pow
-        dv = -((max(-mv, 0.0)) ** inv) * r_pow
-        vq = max(v, 0.0) ** q
-        up = max(u, 0.0) ** p
-        es = math.exp(s)
-        dmu = -(es ** (n + s1)) * vq
-        dmv = -(es ** (n + s2)) * up
-        return (du, dv, dmu, dmv)
+    y0, s_eval = _start(params, a, b, cfg.r_stop)
+    event = _start_event(y0)
+    if event is not None:
+        r = np.array([R_START])
+        return Trajectory(r=r, u=y0[:1], v=y0[1:2], flux_u=y0[2:3], flux_v=y0[3:], event=event)
 
     def hit_u(s, y):
         return y[0]
@@ -126,13 +159,9 @@ def shoot(
     hit_v.terminal = True
     hit_v.direction = -1.0
 
-    s0, s1_ = math.log(R_START), math.log(cfg.r_stop)
-    y0 = _series_start(params, a, b, R_START)
-    decades = (s1_ - s0) / math.log(10.0)
-    s_eval = np.linspace(s0, s1_, max(32, int(decades * SAMPLES_PER_DECADE)))
     sol = solve_ivp(
-        rhs,
-        (s0, s1_),
+        _rhs(params),
+        (s_eval[0], s_eval[-1]),
         y0,
         method=METHOD,
         rtol=RTOL,
@@ -153,6 +182,44 @@ def shoot(
     return Trajectory(
         r=r, u=sol.y[0], v=sol.y[1], flux_u=sol.y[2], flux_v=sol.y[3], event=event
     )
+
+
+def _classify(
+    params: Parameters, a: float, b: float, r_stop: float
+) -> tuple[Optional[tuple[str, float]], float]:
+    """(event, r_reached) of shoot(params, a, b, ShootConfig(r_stop)), unsampled.
+
+    Steps DOP853 directly and applies solve_ivp's rules: a downward zero
+    crossing of u or v within a step is rooted by brentq on that step's
+    dense output, the earliest root ends the shot (u first on a tie), and
+    the reach is the last sample point at or below the end.  So both values
+    equal shoot()'s bit for bit, while no sample is interpolated and no
+    dense output is built on steps without a crossing.
+    """
+    y0, s_eval = _start(params, a, b, r_stop)
+    event = _start_event(y0)
+    if event is not None:
+        return event, R_START
+    solver = DOP853(_rhs(params), s_eval[0], y0, s_eval[-1], rtol=RTOL, atol=ATOL)
+    s_end = s_eval[-1]
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise ParameterError(f"integration failed: {message}")
+        # both components were positive after the previous step, so a
+        # downward crossing (g >= 0, g_new <= 0) is g_new <= 0
+        crossed = [k for k in (0, 1) if solver.y[k] <= 0.0]
+        if crossed:
+            sol = solver.dense_output()
+            t_old, t = solver.t_old, solver.t
+            s_end, k = min(
+                (brentq(lambda s: sol(s)[k], t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL), k)
+                for k in crossed
+            )
+            event = ("uv"[k], float(math.exp(s_end)))
+            break
+    reached = s_eval[: np.searchsorted(s_eval, s_end, "right")]
+    return event, float(np.exp(reached)[-1])
 
 
 def flux_identity_residual(params: Parameters, traj: Trajectory) -> float:
@@ -178,9 +245,9 @@ class GroundStateConfig:
     final_r_stop: Optional[float] = None  # defaults to shoot.r_stop
 
 
-def _outcome(traj: Trajectory) -> str:
-    if traj.event is not None:
-        return f"hit_{traj.event[0]}"
+def _outcome(event: Optional[tuple[str, float]]) -> str:
+    if event is not None:
+        return f"hit_{event[0]}"
     return "survive"
 
 
@@ -236,7 +303,15 @@ def find_fast_ground_state(
     trajectory suffices.  Otherwise v(0) is bisected between two initial
     values whose trajectories classify differently (which component hits
     zero first, or survival with a slow tail); raises NoBracketError when
-    the bracket endpoints classify identically.
+    the bracket endpoints classify identically.  Bisection shots are
+    classified without sampling them (`_classify`); then one trajectory is
+    shot with samples: the separatrix estimate b_star, or the shot that
+    reached farther if b_star's own reach was shorter.  When final_r_stop
+    differs from shoot.r_stop, b_star is shot to final_r_stop instead, and
+    the farthest bisection shot is sampled as well if that reach is shorter.
+    `iterations` counts every integration, classified and sampled; the
+    trace holds the result's b_star entry followed by one entry per
+    classified shot (b, outcome, r_reached).
     """
     cfg = cfg or GroundStateConfig()
     validate(params)
@@ -247,6 +322,13 @@ def find_fast_ground_state(
     )
     shoot_cfg = cfg.shoot
     final_stop = cfg.final_r_stop if cfg.final_r_stop is not None else shoot_cfg.r_stop
+    steps = []  # one entry per classified shot
+
+    def classify(b: float) -> tuple[str, float]:
+        event, reach = _classify(params, cfg.a, b, shoot_cfg.r_stop)
+        outcome = _outcome(event)
+        steps.append({"b": b, "outcome": outcome, "r_reached": reach})
+        return outcome, reach
 
     if scalar:
         traj = shoot(params, cfg.a, cfg.a, replace(shoot_cfg, r_stop=final_stop))
@@ -259,42 +341,39 @@ def find_fast_ground_state(
         shots = 1
     else:
         lo, hi = cfg.bracket
-        t_lo = shoot(params, cfg.a, lo, shoot_cfg)
-        t_hi = shoot(params, cfg.a, hi, shoot_cfg)
-        shots = 2
-        c_lo, c_hi = _outcome(t_lo), _outcome(t_hi)
+        (c_lo, r_lo), (c_hi, r_hi) = classify(lo), classify(hi)
         if c_lo == c_hi:
             raise NoBracketError(
                 f"both bracket endpoints classify as {c_lo}; widen the bracket"
             )
-        best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
+        best_b, best_r = (lo, r_lo) if r_lo >= r_hi else (hi, r_hi)
         for _ in range(BISECTION_DEPTH):
             mid = math.sqrt(lo * hi)
             if mid == lo or mid == hi:
                 # lo and hi are adjacent doubles: every further step would
-                # re-shoot this endpoint, whose trajectory is already known
-                t_end = t_lo if mid == lo else t_hi
-                if t_end.r_reached >= best.r_reached:
-                    best = t_end
+                # re-shoot this endpoint, whose outcome is already known
+                r_end = r_lo if mid == lo else r_hi
+                if r_end >= best_r:
+                    best_b, best_r = mid, r_end
                 break
-            t_mid = shoot(params, cfg.a, mid, shoot_cfg)
-            shots += 1
-            c_mid = _outcome(t_mid)
-            if t_mid.r_reached >= best.r_reached:
-                best = t_mid
+            c_mid, r_mid = classify(mid)
+            if r_mid >= best_r:
+                best_b, best_r = mid, r_mid
             if c_mid == c_lo:
-                lo, t_lo = mid, t_mid
+                lo, r_lo = mid, r_mid
             else:
-                hi, t_hi = mid, t_mid
+                hi, r_hi = mid, r_mid
         b_star = math.sqrt(lo * hi)
+        shots = len(steps) + 1
         if final_stop == shoot_cfg.r_stop and b_star in (lo, hi):
-            # the bisection already shot this endpoint to the same radius
-            final = t_lo if b_star == lo else t_hi
+            # the bisection already knows this endpoint's reach
+            r_star = r_lo if b_star == lo else r_hi
+            final = shoot(params, cfg.a, b_star if r_star >= best_r else best_b, shoot_cfg)
         else:
             final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
-            shots += 1
-        if final.r_reached < best.r_reached:
-            final = best
+            if final.r_reached < best_r:
+                final = shoot(params, cfg.a, best_b, shoot_cfg)
+                shots += 1
 
     residual_u = flux_identity_residual(params, final)
     # v's flux identity is u's for the swapped system and components
@@ -344,12 +423,12 @@ def find_fast_ground_state(
         v=v_prof,
         residual_u=residual_u,
         residual_v=residual_v,
-        iterations=shots,  # trajectories shot
+        iterations=shots,  # integrations, classified and sampled
         converged=converged,
         rate_u=rate_u,
         rate_v=rate_v,
         report=report,
-        trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}],
+        trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}] + steps,
         solver="shooting",
         config={
             "a": cfg.a,

@@ -108,50 +108,103 @@ def test_separatrix_consistent_with_integral_formulation():
     assert np.median(k1) == pytest.approx(1.0 / sphere_surface(params.n), rel=0.05)
 
 
-def test_bisection_stops_at_adjacent_doubles(monkeypatch):
-    # reference: the bisection run to full depth, which keeps re-shooting an
-    # endpoint once lo and hi are adjacent doubles
-    params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+FASTFAST = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+INTERMEDIATE = Parameters(5, 1.0, 2.0, 1.4, 49 / 11, 0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def full_depth_bisection():
+    """The FastFast bisection at r_stop = 1e4 run to full depth with sampled shots.
+
+    It keeps re-shooting an endpoint once lo and hi are adjacent doubles.
+    Returns the config, every shot by b, b_star and the reference final
+    trajectory.
+    """
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
     lo, hi = cfg.bracket
-    t_lo, t_hi = shoot(params, cfg.a, lo, cfg.shoot), shoot(params, cfg.a, hi, cfg.shoot)
-    c_lo = _outcome(t_lo)
-    best = t_lo if t_lo.r_reached >= t_hi.r_reached else t_hi
+    shots = {b: shoot(FASTFAST, cfg.a, b, cfg.shoot) for b in (lo, hi)}
+    c_lo = _outcome(shots[lo].event)
+    best = shots[lo] if shots[lo].r_reached >= shots[hi].r_reached else shots[hi]
     for _ in range(quasilinear.BISECTION_DEPTH):
         mid = math.sqrt(lo * hi)
-        t_mid = shoot(params, cfg.a, mid, cfg.shoot)
+        t_mid = shots[mid] = shoot(FASTFAST, cfg.a, mid, cfg.shoot)
         if t_mid.r_reached >= best.r_reached:
             best = t_mid
-        if _outcome(t_mid) == c_lo:
+        if _outcome(t_mid.event) == c_lo:
             lo = mid
         else:
             hi = mid
     b_star = math.sqrt(lo * hi)
-    final = shoot(params, cfg.a, b_star, cfg.shoot)
+    final = shoot(FASTFAST, cfg.a, b_star, cfg.shoot)
     if final.r_reached < best.r_reached:
         final = best
+    return cfg, shots, b_star, final
 
-    shots = []
+
+def _counting(monkeypatch):
+    """Record the b of every classified and every sampled shot."""
+    classified, sampled = [], []
+    classify, shoot_ = quasilinear._classify, quasilinear.shoot
+
+    def counting_classify(params, a, b, r_stop):
+        classified.append((b, r_stop))
+        return classify(params, a, b, r_stop)
 
     def counting_shoot(params, a, b, cfg=None):
-        shots.append(b)
-        return shoot(params, a, b, cfg)
+        sampled.append((b, cfg.r_stop))
+        return shoot_(params, a, b, cfg)
 
+    monkeypatch.setattr(quasilinear, "_classify", counting_classify)
     monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
+    return classified, sampled
+
+
+def test_classify_matches_shoot_at_every_bisection_b(full_depth_bisection):
+    # tolerance 0: the unsampled classification reads the outcome and reach
+    # that the sampled shot reports, at every b of the bisection
+    cfg, shots, _, final = full_depth_bisection
+    for b, t in shots.items():
+        assert quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop) == (
+            t.event,
+            t.r_reached,
+        )
+    res = find_fast_ground_state(FASTFAST, cfg)
+    for prof, comp in ((res.u, final.u), (res.v, final.v)):
+        k = prof.grid.count
+        assert np.array_equal(prof.grid.points, final.r[:k])
+        assert np.array_equal(prof.values, comp[:k])
+
+
+def test_non_positive_start_hits_zero_at_series_start():
+    # at b = 200 the series start gives u(R_START) = -16.8: u has already hit zero
+    traj = shoot(INTERMEDIATE, 1.0, 200.0)
+    assert traj.event == ("u", quasilinear.R_START)
+    assert traj.r_reached == quasilinear.R_START
+    assert traj.u[0] < 0.0 and traj.r.size == 1
+    assert quasilinear._classify(INTERMEDIATE, 1.0, 200.0, 1e4) == (traj.event, traj.r_reached)
+
+
+def test_bisection_stops_at_adjacent_doubles(full_depth_bisection, monkeypatch):
+    params = FASTFAST
+    cfg, _, b_star, final = full_depth_bisection
+    classified, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
-    # no b is shot twice: the final trajectory is the bisection's own shot at
-    # b_star, which the full-depth reference shoots once more
+    # no b is classified twice, and only the final trajectory is sampled:
+    # the bisection's own shot at b_star, which the full-depth reference
+    # shoots once more
+    shots = [b for b, _ in classified]
     assert len(set(shots)) == len(shots) < quasilinear.BISECTION_DEPTH + 2
     assert b_star in shots
+    assert sampled == [(b_star, cfg.shoot.r_stop)]
     assert res.trace[0]["b_star"] == b_star
     assert res.trace[0]["r_reached"] == final.r_reached
     for prof, comp in ((res.u, final.u), (res.v, final.v)):
         k = prof.grid.count
         assert np.array_equal(prof.grid.points, final.r[:k])
         assert np.array_equal(prof.values, comp[:k])
-    # the report counts the trajectories shot and gives each component its
-    # own flux identity: m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0
-    assert res.iterations == len(shots)
+    # the report counts the integrations and gives each component its own
+    # flux identity: m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0
+    assert res.iterations == len(classified) + len(sampled)
     assert res.residual_u == flux_identity_residual(params, final)
     u, r = np.maximum(final.u, 0.0), final.r
     n_s2 = params.n + params.sigma2
@@ -162,19 +215,31 @@ def test_bisection_stops_at_adjacent_doubles(monkeypatch):
     assert res.residual_v != pytest.approx(res.residual_u, rel=0.1)
 
 
+def test_trace_records_each_bisection_shot(monkeypatch):
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e3))
+    classified, _ = _counting(monkeypatch)
+    res = find_fast_ground_state(FASTFAST, cfg)
+    steps = res.trace[1:]
+    assert [(e["b"], cfg.shoot.r_stop) for e in steps] == classified
+    assert set(res.trace[0]) == {"b_star", "r_reached", "log_scale"}
+    # the bisection ends on adjacent doubles, one of them b_star, whose
+    # last classifications differ
+    outcome = {e["b"]: e["outcome"] for e in steps}
+    b_star = res.trace[0]["b_star"]
+    (other,) = [b for b in outcome if b != b_star and np.nextafter(b, b_star) == b_star]
+    assert outcome[b_star] != outcome[other]
+    assert "trace" not in res.to_report_dict()
+
+
 def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
-    params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+    params = FASTFAST
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4), final_r_stop=1e5)
-    shots = []
-
-    def counting_shoot(params, a, b, cfg=None):
-        shots.append((b, cfg.r_stop))
-        return shoot(params, a, b, cfg)
-
-    monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
+    classified, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
     b_star = res.trace[0]["b_star"]
-    assert shots[-1] == (b_star, 1e5)
-    assert all(r_stop == 1e4 for _, r_stop in shots[:-1])
-    assert b_star in [b for b, _ in shots[:-1]]  # re-shot to the farther radius
-    assert res.iterations == len(shots)
+    # b_star is sampled to 1e5; if that shot hits zero short of the
+    # bisection's farthest reach, the farthest shot is sampled to 1e4 too
+    assert sampled[0] == (b_star, 1e5) and len(sampled) <= 2
+    assert all(r_stop == 1e4 for _, r_stop in classified + sampled[1:])
+    assert b_star in [b for b, _ in classified]  # re-shot to the farther radius
+    assert res.iterations == len(classified) + len(sampled)
