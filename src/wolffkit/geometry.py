@@ -21,8 +21,10 @@ measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
 quadrature splits at both breakpoints and uses a square-root substitution on
 the two edge pieces; interior pieces use Gauss-Legendre in ln r.
 
-ball_mass_batch builds the nodes of all radii t of one centre in a single
-array pass: two searchsorted calls find each shell's inner grid boundaries in
+ball_mass_batch takes one centre per call, which is the unit its plans and
+stored masses are kept in; potential.wolff_eval_at calls it once per centre
+and writes the masses into one flat array.  It builds the nodes of all radii
+t of one centre in a single array pass: two searchsorted calls find each shell's inner grid boundaries in
 quad_boundaries, the ragged piece lists are laid out with repeat/cumsum, wide
 pieces are subdivided, and the interior and edge nodes are written into one
 flat array, each shell's block ordered interior pieces, lower edge, upper
@@ -61,7 +63,8 @@ time and is cleared when the grid key changes.
 
 The store also keeps, per centre, the whole ball masses (covered part plus
 partial shells) for the last source it served, keyed by the source's values,
-its head and tail models and its frame c.  The masses are in the caller's
+its head and tail models and its frame c (RadialFunction.source_key, built
+once per source rather than once per centre).  The masses are in the caller's
 units, and the log-corrected tail (ln r / ln r_max)^L is not dilation-
 covariant, so a source and its twin on a dilated grid share plans but never
 masses.  A call with the same grid, centre and source, such as the Wolff
@@ -469,15 +472,9 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
         grid_key = (n, f.layout_key, f.cut_off)
         t_frame = t_arr * c
         centre_key = (rho * c, t_frame.tobytes())
-        # the masses are in the caller's units, and the log-corrected tail
-        # is not dilation-covariant, so they are kept per frame
-        source_key = (
-            f.values.tobytes(),
-            f.head_exponent,
-            f.tail_exponent,
-            f.tail_log_power,
-            c,
-        )
+        # the masses are in the caller's units, so they are kept per source
+        # and frame
+        source_key = f.source_key
         masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
         if masses is not None:
             return masses.copy()
@@ -500,7 +497,8 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     elif plan.r.size:  # served again: locate its nodes once
         plan = _kernel_weights.locate(grid_key, centre_key, plan, f)
     fr = plan.source_values(f)
-    out[plan.t_index] += _frame_surface(kernel, c) * np.add.reduceat(fr * plan.kw, plan.starts)
+    fr *= plan.kw
+    out[plan.t_index] += _frame_surface(kernel, c) * np.add.reduceat(fr, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
     _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)

@@ -18,6 +18,22 @@ the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
 mass is the symmetric average of the closed-form cumulative mass, taken for
 every centre in one call.
 
+Nothing in the panels depends on f's values, so wolff_eval_at keeps them as
+a t-layout (_TLayout): per centre the panel widths and, at every node,
+ln(c t), and c t below t_max, all centres in flat arrays.  A layout is keyed
+in the frame by c rho of every centre, c t_min, c t_max, c r_min, c r_max,
+t_nodes_per_decade, slope_cap and a_eff, which is all it reads, so a
+dilation family shares one; the last layouts are kept up to 2 MiB
+(_LAYOUT_BYTES; 0.40 MB on the solver's 81-point grid).  A warm map then
+asks ball_mass_batch for each centre's masses straight into one flat array
+and takes the integrand's exp and log, the panel sums (one matrix-vector
+product with the Gauss weights) and the sum of each centre's panels (one
+add.reduceat) once for all centres, with the t < t_min closure vectorised
+too.  ball_mass_batch stays one call per centre: its plans and stored
+masses are kept per centre, keyed by (c rho, c t), and the benchmark's
+layer tracer (perfbench/spans.py) counts its calls per centre; one call for
+all centres needs one flat plan of all centres first.
+
 The declared tail of the output follows the mass trichotomy of the source
 tail exponent T against the dimension n:
 
@@ -32,8 +48,8 @@ integral diverge and raises DivergentIntegralError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +58,7 @@ from .geometry import CapKernel, ball_mass_batch
 from .params import validate_operator
 from .radial import (
     BORDERLINE_TOL,
+    LruStore,
     RadialFunction,
     RadialGrid,
     _leggauss01,
@@ -50,6 +67,7 @@ from .radial import (
 _PANEL_NODES = 8
 _TAIL_PANELS = 8
 _TAIL_DECAY_SPAN = 40.0
+_LAYOUT_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,8 +110,12 @@ class PotentialConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PotentialConfig":
-        known = {k: data[k] for k in ("t_min", "t_max", "t_nodes_per_decade") if k in data}
-        return cls(**known)
+        if not isinstance(data, dict):
+            raise ParameterError(f"potential config must be an object, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParameterError(f"unknown potential config keys: {unknown}")
+        return cls(**data)
 
 
 def weighted_source(sigma: float, exponent: float, f: RadialFunction) -> RadialFunction:
@@ -130,24 +152,23 @@ def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, nodes_per_decade: int
     return np.array(sorted(bounds))
 
 
-def _structural_radii(rho: float, f: RadialFunction):
+def _structural_radii(c_rho: float, c_r_min: float, c_r_max: float):
     """Outer-integral breakpoints: grid-edge transits plus a dyadic ladder at t = rho,
-    as ln(c t) in f's frame.
+    as ln(c t), from rho and the source grid's r_min and r_max in the frame.
 
     The inner mass changes most rapidly as the ball boundary sweeps the bulk
     of the source, i.e. for t near rho; grading the panels geometrically
     toward ln(rho) resolves that transition for any source concentration.
     """
     radii = []
-    for r in (f.grid.r_min, f.grid.r_max):
-        radii.extend((abs(rho - r), rho + r))
-    if rho > 0.0:
-        radii.append(rho)
-        depth = min(6, max(1, int(math.ceil(math.log2(max(rho / f.grid.r_min, 2.0)))) + 1))
+    for r in (c_r_min, c_r_max):
+        radii.extend((abs(c_rho - r), c_rho + r))
+    if c_rho > 0.0:
+        radii.append(c_rho)
+        depth = min(6, max(1, int(math.ceil(math.log2(max(c_rho / c_r_min, 2.0)))) + 1))
         for j in range(1, depth + 1):
-            radii.extend((rho * (1.0 - 2.0**-j), rho * (1.0 + 2.0**-j)))
-    c = f.frame
-    return [math.log(c * x) for x in radii if x > 0.0]
+            radii.extend((c_rho * (1.0 - 2.0**-j), c_rho * (1.0 + 2.0**-j)))
+    return [math.log(x) for x in radii if x > 0.0]
 
 
 class _SourceClass:
@@ -179,22 +200,92 @@ def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: fl
         )
 
 
-def _head_piece(f, n, rho, inv_power, a_decay, t_min, mass0, t0) -> float:
-    """Analytic t < t_min closure: mass ~ c t^e near t = 0.
+def _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass0, t0) -> np.ndarray:
+    """Analytic t < t_min closure of every centre: mass ~ k t^e near t = 0.
 
-    e is n off the origin and n - h at the origin (the head model).  c is read
+    e is n off the origin and n - h at the origin (the head model).  k is read
     from the mass the quadrature holds at its first node t0, which also sees
     a jump of f at rho: there the ball holds half of f(rho) omega_n t^n.
     """
-    if mass0 <= 0.0:
-        return 0.0
-    e = n if rho > 0.0 else n - f.head_exponent
+    e = np.where(rhos > 0.0, float(n), n - f.head_exponent)
     rate = e * inv_power - a_decay  # local integrand slope in tau
-    if rate <= 0.0:
+    live = mass0 > 0.0
+    if np.any(rate[live] <= 0.0):
         raise DivergentIntegralError(
             f"potential diverges at the origin (head exponent {f.head_exponent} too strong)"
         )
-    return (mass0 / t0**e) ** inv_power * t_min**rate / rate
+    out = np.zeros(rhos.size)
+    e, rate = e[live], rate[live]
+    out[live] = (mass0[live] / t0[live] ** e) ** inv_power * t_min**rate / rate
+    return out
+
+
+class _TLayout(NamedTuple):
+    """The t-panels of a set of centres, in the frame and free of f's values.
+
+    Per centre the nodes run panels below t_max, then the window's; tau holds
+    ln(c t) at all of them, centre after centre, and ct holds c t at the
+    nodes below t_max only (ball_mass_batch's radii).  widths are the panel
+    widths in tau, centre after centre; node_starts, ct_starts and
+    panel_starts are each centre's first entry in tau, ct and widths (node
+    and ct offsets with a closing entry).  ct_far is c t at the window nodes,
+    which every centre shares."""
+
+    tau: np.ndarray
+    ct: np.ndarray
+    widths: np.ndarray
+    node_starts: np.ndarray
+    ct_starts: np.ndarray
+    panel_starts: np.ndarray
+    ct_far: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self)
+
+
+def _build_layout(c_rhos, c_t_min, c_t_max, c_r_min, c_r_max, nodes_per_decade, slope_cap, a_eff):
+    """Every centre's t-panels from the layout key's components (see the
+    module docstring), lengths in the frame: c rho, c t_min, c t_max, c r_min
+    and c r_max."""
+    nodes01, _ = _leggauss01(_PANEL_NODES)
+    tau_lo, tau_hi = math.log(c_t_min), math.log(c_t_max)
+    # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
+    window = np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
+    far = _TAIL_PANELS * _PANEL_NODES
+    taus, widths = [], []
+    for c_rho in c_rhos.tolist():
+        radii = _structural_radii(c_rho, c_r_min, c_r_max)
+        panels = _tau_panels(tau_lo, tau_hi, radii, nodes_per_decade, slope_cap)
+        bounds = np.concatenate([panels, window])
+        widths.append(np.diff(bounds))
+        taus.append((bounds[:-1, None] + widths[-1][:, None] * nodes01[None, :]).ravel())
+    sizes = np.array([tau.size for tau in taus])
+    layout = _TLayout(
+        np.concatenate(taus),
+        np.exp(np.concatenate([tau[:-far] for tau in taus])),
+        np.concatenate(widths),
+        np.concatenate([[0], np.cumsum(sizes)]),
+        np.concatenate([[0], np.cumsum(sizes - far)]),
+        np.concatenate([[0], np.cumsum([w.size for w in widths])[:-1]]),
+        np.exp(taus[0][-far:]),
+    )
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+_layouts = LruStore(_LAYOUT_BYTES)
+
+
+def _layout(c_rhos, *scalars) -> _TLayout:
+    """The kept layout of _build_layout's arguments, built and kept on a miss."""
+    key = (c_rhos.tobytes(), *scalars)
+    layout = _layouts.get(key)
+    if layout is None:
+        layout = _build_layout(c_rhos, *scalars)
+        _layouts.put(key, layout, layout.nbytes + len(key[0]))
+    return layout
 
 
 def wolff_eval_at(
@@ -216,7 +307,7 @@ def wolff_eval_at(
     eval_hi = float(rhos.max()) if rhos.size else f.grid.r_max
     t_min, t_max = cfg.resolve(f, eval_lo, max(eval_hi, f.grid.r_max))
 
-    if not np.any(f.values > 0.0):
+    if not (rhos.size and np.any(f.values > 0.0)):
         return np.zeros(rhos.size)
 
     g = gamma - 1.0
@@ -234,40 +325,47 @@ def wolff_eval_at(
         )
     kernel = CapKernel(n)
     # the panels live in the frame, tau = ln(c t), so that grids dilated by a
-    # power of two ask ball_mass_batch for the same c t and share its plans
+    # power of two ask ball_mass_batch for the same c t and share its plans,
+    # and share one layout
     c = f.frame
-    a_ln_c = a_decay * math.log(c)
-    tau_lo, tau_hi = math.log(c * t_min), math.log(c * t_max)
     slope_cap = max(bg, n - bg, n) * inv_power
-    nodes01, wts01 = _leggauss01(_PANEL_NODES)
-    # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
-    window = np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
-    far = _TAIL_PANELS * _PANEL_NODES
+    layout = _layout(
+        c * rhos,
+        c * t_min,
+        c * t_max,
+        c * f.grid.r_min,
+        c * f.grid.r_max,
+        cfg.t_nodes_per_decade,
+        slope_cap,
+        a_eff,
+    )
+    far = layout.ct_far.size
+    starts, ct_starts = layout.node_starts, layout.ct_starts
     # the window's t nodes are every centre's: in the window t >> rho, and
     # the symmetric cumulative average of the ball mass kills its O(rho/t)
     # term, so one cumulative_mass call gives every centre's window masses
-    window_bounds = np.concatenate([[tau_hi], window])
-    t_far = np.exp((window_bounds[:-1, None] + np.diff(window_bounds)[:, None] * nodes01).ravel()) / c
+    t_far = layout.ct_far / c
     both = f.cumulative_mass(n, np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel())
     minus, plus = both.reshape(2, rhos.size, far)
     window_mass = 0.5 * (minus + plus)
-
-    out = np.empty(rhos.size)
+    # every centre's masses, panels below t_max then the window, in one array
+    mass = np.empty(layout.tau.size)
+    t = layout.ct / c
     for i, rho in enumerate(rhos.tolist()):
-        tau_panels = _tau_panels(tau_lo, tau_hi, _structural_radii(rho, f), cfg.t_nodes_per_decade, slope_cap)
-        bounds = np.concatenate([tau_panels, window])
-        widths = np.diff(bounds)
-        tau = (bounds[:-1, None] + widths[:, None] * nodes01[None, :]).ravel()
-        t = np.exp(tau)
-        t /= c
-        mass = np.concatenate([ball_mass_batch(kernel, f, rho, t[:-far]), window_mass[i]])
-        # in logs: at the window's far end mass^{inv_power} overflows where
-        # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0
-        with np.errstate(divide="ignore"):
-            integrand = np.exp(inv_power * np.log(np.maximum(mass, 0.0)) - a_decay * tau + a_ln_c)
-        panel_sum = float((integrand.reshape(-1, _PANEL_NODES) @ wts01) @ widths)
-        out[i] = panel_sum + _head_piece(f, n, rho, inv_power, a_decay, t_min, mass[0], t[0])
-    return out
+        lo, hi = ct_starts[i], ct_starts[i + 1]
+        at = starts[i] + hi - lo
+        mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi])
+        mass[at : starts[i + 1]] = window_mass[i]
+    # in logs: at the window's far end mass^{inv_power} overflows where
+    # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0
+    a_ln_c = a_decay * math.log(c)
+    with np.errstate(divide="ignore"):
+        log_mass = np.log(np.maximum(mass, 0.0))
+    integrand = np.exp(inv_power * log_mass - a_decay * layout.tau + a_ln_c)
+    _, wts01 = _leggauss01(_PANEL_NODES)
+    panels = (integrand.reshape(-1, _PANEL_NODES) @ wts01) * layout.widths
+    head = _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass[starts[:-1]], t[ct_starts[:-1]])
+    return np.add.reduceat(panels, layout.panel_starts) + head
 
 
 def _output_tail_model(klass: str, T: float, L: float, n: int, bg: float, g: float):

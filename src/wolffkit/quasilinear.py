@@ -73,16 +73,29 @@ class Trajectory:
 
 
 def _series_start(params: Parameters, a: float, b: float, r0: float):
-    """Regular expansion at the origin through the first correction order."""
+    """Regular expansion at the origin through the first correction order.
+
+    Raises ParameterError where u(0) = a or v(0) = b is too large for the
+    expansion's powers in floating point.
+    """
     n, g = params.n, params.gamma - 1.0
     s1, s2 = params.sigma1, params.sigma2
-    mu0 = -(b**params.q) * r0 ** (n + s1) / (n + s1)
-    mv0 = -(a**params.p) * r0 ** (n + s2) / (n + s2)
-    cu = g / (params.gamma + s1) * (b**params.q / (n + s1)) ** (1.0 / g)
-    cv = g / (params.gamma + s2) * (a**params.p / (n + s2)) ** (1.0 / g)
-    u0 = a - cu * r0 ** ((params.gamma + s1) / g)
-    v0 = b - cv * r0 ** ((params.gamma + s2) / g)
-    return np.array([u0, v0, mu0, mv0])
+    try:
+        mu0 = -(b**params.q) * r0 ** (n + s1) / (n + s1)
+        mv0 = -(a**params.p) * r0 ** (n + s2) / (n + s2)
+        cu = g / (params.gamma + s1) * (b**params.q / (n + s1)) ** (1.0 / g)
+        cv = g / (params.gamma + s2) * (a**params.p / (n + s2)) ** (1.0 / g)
+        u0 = a - cu * r0 ** ((params.gamma + s1) / g)
+        v0 = b - cv * r0 ** ((params.gamma + s2) / g)
+        y0 = np.array([u0, v0, mu0, mv0])
+    except OverflowError:
+        y0 = np.full(4, math.nan)
+    if not np.all(np.isfinite(y0)):
+        raise ParameterError(
+            f"series start out of floating-point range at u(0) = {a!r}, v(0) = {b!r}: "
+            "u(0)^p, v(0)^q and their 1/(gamma - 1) powers must stay finite"
+        )
+    return y0
 
 
 def _rhs(params: Parameters):

@@ -40,6 +40,13 @@ lp_norm, is a head, cells and a tail, each with one rule:
           finite x, Gauss-Laguerre to infinity, or the pure-log closed form
           v_N^p r_max^k ln(r_max) / (-Lp - 1) at a = 0
 
+The Gauss-Legendre rule of a log tail to finite x, its weighted integrand
+sums and its widths ln(x / r_max), depends on f only through ln r_max, a and
+L p, so it is kept per (ln r_max, a, L p, x) in a 2 MiB least-recently-used
+store: every Picard iterate on one grid shares its tail model, and the
+potential asks for the same radii each map (0.31 MB on the solver's 81-point
+grid with a log-corrected source).
+
 Divergent norms are reported through the symbolic sentinel ``INFINITE``
 rather than a float infinity.
 """
@@ -49,6 +56,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -111,6 +120,46 @@ def _leggauss01(m: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=4)
 def _laggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(m)
+
+
+class LruStore:
+    """Values bounded by max_bytes in all (keys included, as the caller counts
+    them), the least recently used dropped first; thread-safe.  It keeps what
+    does not depend on a source's values: the log-tail rules here and the
+    potential's t-layouts."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._lock = threading.Lock()
+        self._items = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key):
+        with self._lock:
+            item = self._items.get(key)
+            if item is None:
+                return None
+            self._items.move_to_end(key)
+            return item[0]
+
+    def put(self, key, value, nbytes: int):
+        with self._lock:
+            if key in self._items or nbytes > self.max_bytes:
+                return
+            self._items[key] = (value, nbytes)
+            self.nbytes += nbytes
+            while self.nbytes > self.max_bytes:
+                _, (_, dropped) = self._items.popitem(last=False)
+                self.nbytes -= dropped
+
+    def clear(self):
+        with self._lock:
+            self._items.clear()
+            self.nbytes = 0
+
+
+# the log-tail quadrature of _tail_integral, per (ln r_max, a, L p, x)
+_log_tail_rules = LruStore(2 * 2**20)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +302,19 @@ class RadialFunction:
         the grid's points times c and which cells have a vanishing endpoint."""
         return (self.grid.points * self.frame).tobytes() + self._cells["power"].tobytes()
 
+    @cached_property
+    def source_key(self) -> tuple:
+        """What f's masses depend on beyond the grid's layout: the values, the
+        head and tail models and the frame (a log-corrected tail is not
+        dilation-covariant, so twins on dilated grids differ here)."""
+        return (
+            self.values.tobytes(),
+            self.head_exponent,
+            self.tail_exponent,
+            self.tail_log_power,
+            self.frame,
+        )
+
     def locate(self, r):
         """Slot and offset of each radius r, for at_located; sources with
         equal layout_key locate radii with equal c r alike.
@@ -279,9 +341,13 @@ class RadialFunction:
 
     def _at_located(self, slot, s, c) -> np.ndarray:
         slots = self._slots
+        index = slot.astype(np.intp, copy=False)  # take would convert it twice
+        out = slots["m"].take(index)
+        out *= s
+        np.subtract(slots["log_va"].take(index), out, out=out)
         # on a plain slot s is r c, and the power law may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(slots["log_va"].take(slot) - slots["m"].take(slot) * s)
+            np.exp(out, out=out)
         pts, v = self.grid.points, self.values
         if not self._cells["power"].all():
             lin = np.flatnonzero(slots["linear"].take(slot))
@@ -394,10 +460,21 @@ class RadialFunction:
                 return scale * lam0 / (-Lp - 1.0)  # pure log, Lp < -1
             nodes, wts = _laggauss(96)
             return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
-        nodes, wts = _leggauss01(32)
-        width = np.log(x) - lam0
-        lam = lam0 + np.outer(width, nodes)
-        return scale * ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp) @ wts) * width
+        # the rule is free of f's values, and Picard iterates share their
+        # tail models, so it is kept per (ln r_max, a, L p, x)
+        x = np.asarray(x, dtype=float)
+        key = (lam0, a, Lp, x.tobytes())
+        rule = _log_tail_rules.get(key)
+        if rule is None:
+            nodes, wts = _leggauss01(32)
+            width = np.log(x) - lam0
+            lam = lam0 + np.outer(width, nodes)
+            rule = ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp) @ wts, width)
+            for arr in rule:
+                arr.setflags(write=False)
+            _log_tail_rules.put(key, rule, 3 * x.nbytes)
+        shape, width = rule
+        return scale * shape * width
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -457,7 +534,8 @@ class RadialFunction:
         body = ~(head | tail)
         if body.any():
             xb = x[body]
-            idx = np.clip(np.searchsorted(pts, xb, side="right") - 1, 0, pts.size - 2)
+            # r_min < xb < r_max, so idx >= 0 already
+            idx = np.minimum(np.searchsorted(pts, xb, side="right") - 1, pts.size - 2)
             out[body] = prefix[idx] + s * self._cell_integrals(idx, xb, n)
         return out
 

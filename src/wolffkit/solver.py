@@ -16,6 +16,7 @@ its potential image.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -61,6 +62,9 @@ class SolveConfig:
             gspec = kwargs["grid"]
             if not isinstance(gspec, dict) or not {"r_min", "r_max"} <= gspec.keys():
                 raise ParameterError(f"solve config grid needs r_min and r_max, got {gspec!r}")
+            unknown = sorted(set(gspec) - {"r_min", "r_max", "nodes_per_decade"})
+            if unknown:
+                raise ParameterError(f"unknown solve config grid keys: {unknown}")
             kwargs["grid"] = RadialGrid.per_decade(
                 gspec["r_min"], gspec["r_max"], gspec.get("nodes_per_decade", 16)
             )
@@ -71,6 +75,15 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's profiles, residuals, fitted rates and trace.
+
+    A Picard trace holds one entry per iteration: its residuals, the
+    effective constants c1_eff and c2_eff (the iterate over its image at
+    ANCHOR_RADIUS), the damping of the update it made (None on the accepted
+    iterate) and its wall time wall_s.  to_report_dict leaves the trace out,
+    so reports written with --no-timestamp stay byte-identical.
+    """
+
     u: RadialFunction
     v: RadialFunction
     residual_u: float
@@ -247,6 +260,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
+        start = time.perf_counter()
         _check_positive(u, v)
         u_img, v_img = potential_images(params, u, v, cfg)
         # residual against the image of the effective constant-coefficient
@@ -254,12 +268,23 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
         c1_eff, c2_eff = u_at / u_img_at, v_at / v_img_at
         res_u, res_v = _residual_pair(u, v, u_img.scaled(c1_eff), v_img.scaled(c2_eff))
-        trace.append({"iteration": k, "residual_u": res_u, "residual_v": res_v})
         iterations = k
-        if max(res_u, res_v) <= cfg.rel_tol:
-            converged = True
+        converged = max(res_u, res_v) <= cfg.rel_tol
+        if not converged:
+            u, v = _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
+        trace.append(
+            {
+                "iteration": k,
+                "residual_u": res_u,
+                "residual_v": res_v,
+                "c1_eff": c1_eff,
+                "c2_eff": c2_eff,
+                "damping": None if converged else cfg.damping,
+                "wall_s": time.perf_counter() - start,
+            }
+        )
+        if converged:
             break
-        u, v = _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
 
     if converged:
         u, v = _undo_effective_constants(params, u, v, c1_eff, c2_eff)

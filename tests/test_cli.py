@@ -88,6 +88,25 @@ def test_eval_wolff_round_trip(tmp_path):
     assert out.values[0] == pytest.approx(center, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [({"t_nodes_per_decde": 32}, "t_nodes_per_decde"), ([32], "[32]")],
+)
+def test_eval_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):
+    src_path = tmp_path / "src.csv"
+    write_profile(indicator_of_ball(1.0), src_path)
+    cfg_path = tmp_path / "potential.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.csv"
+    code = main([
+        "eval", "--op", "wolff", *PARAMS, "--source", str(src_path),
+        "--config", str(cfg_path), "--out", str(out_path),
+    ])
+    assert code == 1 and not out_path.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and named in err["message"]
+
+
 def test_eval_riesz_matches_center_closed_form(tmp_path):
     src = indicator_of_ball(1.0)
     src_path = tmp_path / "src.csv"
@@ -190,6 +209,9 @@ def test_solve_writes_result_directory(tmp_path):
         ({"initial": "fast"}, "initial"),
         ({"norm_radius": 1.0}, "norm_radius"),
         ({"allow_subcritical": True}, "allow_subcritical"),
+        ({"grid": {"r_min": 1e-2, "r_max": 1e3, "nodes_per_decde": 8}}, "nodes_per_decde"),
+        ({"potential": {"t_nodes_per_decde": 32}}, "t_nodes_per_decde"),
+        ({"potential": 32}, "32"),
     ],
 )
 def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wolffkit import geometry
+from wolffkit import geometry, potential
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.potential import (
     PotentialConfig,
@@ -346,6 +346,76 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     geometry._kernel_weights.clear()
     apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
     assert np.array_equal(together, apart)
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """Empty the t-layout store and record the arguments of every layout build."""
+    potential._layouts.clear()
+    calls = []
+    build = potential._build_layout
+
+    def counting(c_rhos, *rest):
+        calls.append((c_rhos.tobytes(), *rest))
+        return build(c_rhos, *rest)
+
+    monkeypatch.setattr(potential, "_build_layout", counting)
+    yield calls
+    potential._layouts.clear()
+
+
+LAYOUT_GRID = RadialGrid.per_decade(1e-2, 1e2, 16)
+LAYOUT_RHOS = [0.0, 0.05, 1.0, 7.0, 100.0]
+LAYOUT_CFG = PotentialConfig(t_min=1e-3, t_max=1e5)
+
+
+def test_warm_layout_serves_a_new_source_bit_for_bit(layout_builds):
+    f = power_tail_profile(LAYOUT_GRID, 1.0, 7.0)
+    g = power_tail_profile(LAYOUT_GRID, 0.5, 9.0)
+    wolff_eval_at(f, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
+    warm = wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
+    assert len(layout_builds) == 1  # the second source builds no layout
+    potential._layouts.clear()
+    assert np.array_equal(wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG), warm)
+    assert len(layout_builds) == 2
+
+
+def test_power_of_two_dilation_shares_the_layout(layout_builds):
+    f = power_tail_profile(LAYOUT_GRID, 1.0, 7.0)
+    wolff_eval_at(f, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
+    lam = 4.0
+    cfg = PotentialConfig(t_min=LAYOUT_CFG.t_min / lam, t_max=LAYOUT_CFG.t_max / lam)
+    wolff_eval_at(f.dilate(lam), 5, 1.0, 2.0, np.array(LAYOUT_RHOS) / lam, cfg)
+    assert len(layout_builds) == 1
+
+
+# each case changes one component of the layout key and nothing else that
+# the layout reads; slope_cap and a_eff are (n, beta, gamma) and source tails
+# with equal a_eff (3) and equal slope_cap (5) respectively
+LAYOUT_KEY_CHANGES = {
+    "c rho": dict(rhos=[0.0, 0.05, 1.5, 7.0, 100.0]),
+    "c t_min": dict(cfg=PotentialConfig(t_min=2e-3, t_max=1e5)),
+    "c t_max": dict(cfg=PotentialConfig(t_min=1e-3, t_max=2e5)),
+    "c r_min": dict(grid=RadialGrid.per_decade(1.2e-2, 1e2, 16)),
+    "c r_max": dict(grid=RadialGrid.per_decade(1e-2, 2e2, 16)),
+    "t_nodes_per_decade": dict(cfg=PotentialConfig(t_min=1e-3, t_max=1e5, t_nodes_per_decade=24)),
+    "slope_cap": dict(op=(6, 1.5, 2.0)),
+    "a_eff": dict(tail=4.5),
+}
+
+
+@pytest.mark.parametrize("component", sorted(LAYOUT_KEY_CHANGES))
+def test_changing_one_layout_key_component_rebuilds(layout_builds, component):
+    def run(grid=LAYOUT_GRID, rhos=LAYOUT_RHOS, cfg=LAYOUT_CFG, op=(5, 1.0, 2.0), tail=7.0):
+        return wolff_eval_at(power_tail_profile(grid, 1.0, tail), *op, rhos, cfg)
+
+    run()
+    changed = run(**LAYOUT_KEY_CHANGES[component])
+    assert len(layout_builds) == 2
+    assert layout_builds[0] != layout_builds[1]
+    potential._layouts.clear()
+    geometry._kernel_weights.clear()
+    assert np.array_equal(run(**LAYOUT_KEY_CHANGES[component]), changed)
 
 
 # (n, beta, gamma): gamma from 1.2 to 2, n from 3 to 6

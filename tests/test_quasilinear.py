@@ -184,6 +184,18 @@ def test_non_positive_start_hits_zero_at_series_start():
     assert quasilinear._classify(INTERMEDIATE, 1.0, 200.0, 1e4) == (traj.event, traj.r_reached)
 
 
+def test_series_start_overflow_is_a_parameter_error_naming_b():
+    # v(0)^q = 1e36 and its 1/(gamma - 1) = 10th power leave the float range
+    params = Parameters(5, 1.0, 1.1, 1.2, 9.0, 0.0, -0.5)
+    with pytest.raises(ParameterError, match=r"v\(0\) = 10000\.0"):
+        shoot(params, 1.0, 1e4, ShootConfig(r_stop=1e8))
+    with pytest.raises(ParameterError, match=r"v\(0\) = 10000\.0"):
+        quasilinear._classify(params, 1.0, 1e4, 1e8)
+    # one decade lower the start is finite (and already non-positive in u)
+    traj = shoot(params, 1.0, 1e3, ShootConfig(r_stop=1e2))
+    assert np.isfinite(traj.u[0]) and traj.event == ("u", quasilinear.R_START)
+
+
 def test_bisection_stops_at_adjacent_doubles(full_depth_bisection, monkeypatch):
     params = FASTFAST
     cfg, _, b_star, final = full_depth_bisection

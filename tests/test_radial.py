@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from wolffkit import radial
 from wolffkit.errors import ParameterError, ProfileFormatError
 from wolffkit.radial import (
     INFINITE,
@@ -473,3 +474,36 @@ def test_cell_rule_branches_against_quad(kind, quantity):
         p = float(quantity[-1])
         oracle = _quad_integral(func, n, p, np.inf, breaks) ** (1.0 / p)
         assert lp_norm(f, p, 0.0, n) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_log_tail_rule_is_kept_per_tail_model_and_radii():
+    # the log tail's quadrature rule is kept per (ln r_max, a = n - T, L, x);
+    # each variant differs in one of them from the first source, whose rule
+    # is in the store, and must give what a cold store gives
+    radial._log_tail_rules.clear()
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    x = np.geomspace(2e2, 1e6, 7)
+
+    def log_tail(grid, T=6.0, L=1.0, scale=1.0):
+        r = grid.points
+        values = scale * (1.0 + r**2) ** (-T / 2.0) * (1.0 + np.log1p(r)) ** L
+        return RadialFunction(grid, values, tail_exponent=T, tail_log_power=L)
+
+    first = log_tail(grid).cumulative_mass(5, x)
+    held = radial._log_tail_rules.nbytes
+    # new values, same tail model and radii: served from the store
+    doubled = log_tail(grid, scale=2.0).cumulative_mass(5, x)
+    assert radial._log_tail_rules.nbytes == held
+    assert np.allclose(doubled, 2.0 * first, rtol=1e-14, atol=0.0)
+    variants = {
+        "ln r_max": (log_tail(RadialGrid.per_decade(1e-2, 1.5e2, 16)), x),
+        "a": (log_tail(grid, T=7.0), x),
+        "L": (log_tail(grid, L=2.0), x),
+        "x": (log_tail(grid), 1.5 * x),
+    }
+    for name, (f, at) in variants.items():
+        warm = f.cumulative_mass(5, at)
+        radial._log_tail_rules.clear()
+        assert np.array_equal(f.cumulative_mass(5, at), warm), name
+        log_tail(grid).cumulative_mass(5, x)  # the first source's rule again
+    radial._log_tail_rules.clear()

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from wolffkit import solver
+from wolffkit.cli import main
 from wolffkit.errors import (
     DegenerateIterationError,
     NotConvergedError,
@@ -214,3 +216,35 @@ def test_potential_images_of_one_profile_take_one_wolff_eval(monkeypatch, coeffi
     img_u, img_v = potential_images(other, u, u, cfg)
     assert len(calls) == 5
     assert not np.array_equal(img_u.values, img_v.values)
+
+
+def test_trace_records_time_constants_and_damping(tmp_path):
+    # FastFast takes 10 iterations on this grid
+    fast_fast = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    cfg = SolveConfig(max_iters=12, rel_tol=5e-3, damping=0.8, grid=grid)
+    start = time.perf_counter()
+    res = solve_system(fast_fast, cfg)
+    elapsed = time.perf_counter() - start
+    assert res.converged and len(res.trace) == res.iterations >= 2
+    keys = {"iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "wall_s"}
+    assert all(set(entry) == keys for entry in res.trace)
+    assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
+    assert all(e["wall_s"] > 0.0 for e in res.trace)
+    assert sum(e["wall_s"] for e in res.trace) <= elapsed
+    # the first entry's constants are the start's over its image at ANCHOR_RADIUS
+    u, v = make_ansatz(fast_fast, grid)
+    u_img, v_img = potential_images(fast_fast, u, v, cfg)
+    assert res.trace[0]["c1_eff"] == u(solver.ANCHOR_RADIUS) / u_img(solver.ANCHOR_RADIUS)
+    assert res.trace[0]["c2_eff"] == v(solver.ANCHOR_RADIUS) / v_img(solver.ANCHOR_RADIUS)
+    assert "trace" not in res.to_report_dict()
+    # the timings stay out of the report: --no-timestamp reports repeat byte for byte
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text('{"max_iters": 2, "grid": {"r_min": 0.01, "r_max": 100.0}}')
+    params = ["--n", "5", "--beta", "1", "--gamma", "2", "--p", str(7 / 3), "--q", str(7 / 3),
+              "--sigma1", "0", "--sigma2", "0"]
+    for name in ("a", "b"):
+        assert main(["solve", *params, "--config", str(cfg_path),
+                     "--out", str(tmp_path / name), "--no-timestamp"]) == 0
+    reports = [(tmp_path / name / "report.json").read_bytes() for name in ("a", "b")]
+    assert reports[0] == reports[1]
