@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("shoot", help="shooting ground state of the differential system")
     _add_param_flags(sub)
     sub.add_argument("--a", type=float, default=1.0, help="u(0)")
-    sub.add_argument("--bracket", default="0.01,100", help="v(0) bisection bracket 'lo,hi'")
+    sub.add_argument("--bracket", default="0.01,100", help="v(0) search bracket 'lo,hi'")
     sub.add_argument("--r-stop", type=float, default=1e4)
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--no-timestamp", action="store_true")

@@ -14,12 +14,19 @@ variables are the integration unknowns, which avoids differentiating
 |u'|^{gamma-2}u' where u' vanishes.  Integration runs in s = ln r after a
 regular series start u(r) = u(0) - O(r^{(gamma+sigma1)/(gamma-1)}) on [0, r0].
 
-Ground states are captured by bisection on v(0): trajectories are classified
-by which component first hits zero (or by surviving to r_stop with a slow
-tail), and the separatrix between two different outcome classes carries the
-fast-decay profile.  The bisection reads only each shot's outcome and reach,
-so it classifies shots on the integrator's own steps without sampling them;
-one chosen trajectory is then sampled for the profiles.
+Ground states are captured as a separatrix in v(0): trajectories are
+classified by which component first hits zero (or by surviving to r_stop
+with a slow tail), and the separatrix between two different outcome classes
+carries the fast-decay profile.  Off the separatrix a shot's relative
+deviation grows like r^k, k = (n - gamma)/(gamma - 1), so the radius r_hit at
+which a component hits zero measures the distance to it: the signed misfit
+-+ r_hit^{-k} is close to linear in v(0) - b_star, and Brent's method finds
+its sign change in far fewer shots than bisection on the class alone.  The
+bisection on the class is then replayed, shooting only its steps within a
+few ulps of Brent's bracket, so the search ends where the bisection ends.
+It reads only each shot's outcome, hit radius and reach, so shots are
+classified on the integrator's own steps without sampling them; one chosen
+trajectory is then sampled for the profiles.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import NoBracketError, ParameterError
 from .params import Parameters, classify_regime, exponents, validate
@@ -42,10 +47,18 @@ RTOL = 1e-12
 ATOL = 1e-300
 METHOD = "DOP853"
 SAMPLES_PER_DECADE = 24
-BISECTION_DEPTH = 60
 EVENT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's brentq tolerances for event roots
-# fraction of the reached radius still free of separatrix peel-off;
-# bisection to machine precision keeps roughly the first tenth clean
+# the separatrix search: Brent's iterations and the bisection's steps stop at
+# MAX_SHOTS each, and each classifies at most one new shot
+MAX_SHOTS = 60
+# relative half-width of the band around Brent's bracket where the outcome
+# class is not taken to be monotone in v(0) (16 ulps at v(0) in [1, 2));
+# also Brent's tolerance in ln v(0)
+SEPARATRIX_BAND = 2.0**-48
+MISFIT_LOG_CAP = 700.0  # |ln| of the misfit stays below this: finite and non-zero
+# fraction of the reached radius still free of separatrix peel-off; a
+# separatrix resolved to adjacent doubles of v(0) keeps roughly the first
+# tenth clean
 CLEAN_FRACTION = 0.1
 
 
@@ -70,6 +83,17 @@ class Trajectory:
     @property
     def r_reached(self) -> float:
         return float(self.r[-1])
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.
+
+    scipy.integrate (with the scipy.special and scipy.optimize it loads) is
+    most of the import time of the package, and only shooting needs it.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 def _series_start(params: Parameters, a: float, b: float, r0: float):
@@ -209,6 +233,9 @@ def _classify(
     equal shoot()'s bit for bit, while no sample is interpolated and no
     dense output is built on steps without a crossing.
     """
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
+
     y0, s_eval = _start(params, a, b, r_stop)
     event = _start_event(y0)
     if event is not None:
@@ -313,18 +340,31 @@ def find_fast_ground_state(
     """Capture the fast-decay ground state as a shooting separatrix.
 
     In the scalar symmetric case (p = q, sigma1 = sigma2, a = b) a single
-    trajectory suffices.  Otherwise v(0) is bisected between two initial
+    trajectory suffices.  Otherwise v(0) is searched between two initial
     values whose trajectories classify differently (which component hits
     zero first, or survival with a slow tail); raises NoBracketError when
-    the bracket endpoints classify identically.  Bisection shots are
-    classified without sampling them (`_classify`); then one trajectory is
-    shot with samples: the separatrix estimate b_star, or the shot that
-    reached farther if b_star's own reach was shorter.  When final_r_stop
-    differs from shoot.r_stop, b_star is shot to final_r_stop instead, and
-    the farthest bisection shot is sampled as well if that reach is shorter.
-    `iterations` counts every integration, classified and sampled; the
-    trace holds the result's b_star entry followed by one entry per
-    classified shot (b, outcome, r_reached).
+    the bracket endpoints classify identically.
+
+    The search has two phases, and no b is classified twice.  Brent's method
+    (brentq in ln v(0), to SEPARATRIX_BAND) finds the sign change of the
+    misfit -+ r_hit^{-k}, negative where a shot classifies as the bracket's
+    lower end; r_hit is the radius where a component hit zero, or r_stop for
+    a survivor.  Then the bisection on the class is replayed from the
+    bracket until its ends are adjacent doubles.  A step within
+    SEPARATRIX_BAND of the tightest sign change that any shot found is
+    classified; a step outside takes the class of its side.  So the search
+    ends on the bisection's b_star and keeps the farthest shot of the
+    bisection's path (best_b), as long as the class is monotone in v(0)
+    outside that band.
+
+    Shots are classified without sampling them (`_classify`); then one
+    trajectory is shot with samples: best_b, which is b_star unless a shot
+    of the path reached farther.  When final_r_stop differs from
+    shoot.r_stop, b_star is shot to final_r_stop instead, and best_b is
+    sampled as well if that reach is shorter.  `iterations` counts every
+    integration, classified and sampled; the trace holds the result's b_star
+    entry followed by one entry per classified shot (b, outcome, r_reached,
+    r_hit; r_hit is None for a survivor).
     """
     cfg = cfg or GroundStateConfig()
     validate(params)
@@ -335,13 +375,14 @@ def find_fast_ground_state(
     )
     shoot_cfg = cfg.shoot
     final_stop = cfg.final_r_stop if cfg.final_r_stop is not None else shoot_cfg.r_stop
-    steps = []  # one entry per classified shot
+    known = {}  # b -> its trace entry, one per classified shot in shot order
 
     def classify(b: float) -> tuple[str, float]:
-        event, reach = _classify(params, cfg.a, b, shoot_cfg.r_stop)
-        outcome = _outcome(event)
-        steps.append({"b": b, "outcome": outcome, "r_reached": reach})
-        return outcome, reach
+        if b not in known:
+            event, reach = _classify(params, cfg.a, b, shoot_cfg.r_stop)
+            r_hit = None if event is None else event[1]
+            known[b] = {"b": b, "outcome": _outcome(event), "r_reached": reach, "r_hit": r_hit}
+        return known[b]["outcome"], known[b]["r_reached"]
 
     if scalar:
         traj = shoot(params, cfg.a, cfg.a, replace(shoot_cfg, r_stop=final_stop))
@@ -353,35 +394,78 @@ def find_fast_ground_state(
         final = traj
         shots = 1
     else:
+        from scipy.optimize import brentq
+
         lo, hi = cfg.bracket
         (c_lo, r_lo), (c_hi, r_hi) = classify(lo), classify(hi)
         if c_lo == c_hi:
             raise NoBracketError(
                 f"both bracket endpoints classify as {c_lo}; widen the bracket"
             )
+        # the deviation from the separatrix grows like r^k, so r_hit^{-k} is
+        # close to linear in b - b_star; its logarithm is capped, so that it
+        # stays finite and non-zero for gamma near 1
+        k = (params.n - params.gamma) / (params.gamma - 1.0)
+        x_lo, x_hi = math.log(lo), math.log(hi)
+
+        def misfit(x: float) -> float:
+            # the ends as given: exp(log(b)) need not round back to b
+            b = lo if x == x_lo else hi if x == x_hi else math.exp(x)
+            outcome, _ = classify(b)
+            r_hit = known[b]["r_hit"]
+            ln_r = math.log(shoot_cfg.r_stop if r_hit is None else r_hit)
+            mag = math.exp(max(-MISFIT_LOG_CAP, min(MISFIT_LOG_CAP, -k * ln_r)))
+            return -mag if outcome == c_lo else mag
+
+        brentq(
+            misfit, x_lo, x_hi, xtol=SEPARATRIX_BAND, rtol=EVENT_TOL, maxiter=MAX_SHOTS, disp=False
+        )
+        # the tightest sign change any shot found, widened by the band;
+        # outside the band the class is read from the side, inside it is shot
+        by_b = sorted(known)
+        b0, b1 = min(
+            (
+                (b0, b1)
+                for b0, b1 in zip(by_b, by_b[1:])
+                if (known[b0]["outcome"] == c_lo) != (known[b1]["outcome"] == c_lo)
+            ),
+            key=lambda pair: pair[1] / pair[0],
+        )
+        band = (b0 * math.exp(-SEPARATRIX_BAND), b1 * math.exp(SEPARATRIX_BAND))
+        lo_below = known[b0]["outcome"] == c_lo
+
+        def is_lo(b: float) -> tuple[bool, Optional[float]]:
+            """(b classifies as c_lo, its reach or None where read from the side)."""
+            if band[0] <= b <= band[1] or b in known:
+                outcome, reach = classify(b)
+                return outcome == c_lo, reach
+            return (b < band[0]) == lo_below, None
+
+        # the bisection on the class, replayed: it ends on the bisection's
+        # b_star and keeps the farthest shot of the bisection's path
         best_b, best_r = (lo, r_lo) if r_lo >= r_hi else (hi, r_hi)
-        for _ in range(BISECTION_DEPTH):
+        for _ in range(MAX_SHOTS):
             mid = math.sqrt(lo * hi)
             if mid == lo or mid == hi:
                 # lo and hi are adjacent doubles: every further step would
-                # re-shoot this endpoint, whose outcome is already known
-                r_end = r_lo if mid == lo else r_hi
+                # re-shoot this endpoint, whose outcome is already known (it
+                # is shot here only if its class was read from its side)
+                r_end = classify(mid)[1]
                 if r_end >= best_r:
                     best_b, best_r = mid, r_end
                 break
-            c_mid, r_mid = classify(mid)
-            if r_mid >= best_r:
+            mid_lo, r_mid = is_lo(mid)
+            if r_mid is not None and r_mid >= best_r:
                 best_b, best_r = mid, r_mid
-            if c_mid == c_lo:
-                lo, r_lo = mid, r_mid
+            if mid_lo:
+                lo = mid
             else:
-                hi, r_hi = mid, r_mid
+                hi = mid
         b_star = math.sqrt(lo * hi)
-        shots = len(steps) + 1
+        shots = len(known) + 1
         if final_stop == shoot_cfg.r_stop and b_star in (lo, hi):
-            # the bisection already knows this endpoint's reach
-            r_star = r_lo if b_star == lo else r_hi
-            final = shoot(params, cfg.a, b_star if r_star >= best_r else best_b, shoot_cfg)
+            # best_b is b_star unless a shot of the path reached farther
+            final = shoot(params, cfg.a, best_b, shoot_cfg)
         else:
             final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
             if final.r_reached < best_r:
@@ -441,7 +525,7 @@ def find_fast_ground_state(
         rate_u=rate_u,
         rate_v=rate_v,
         report=report,
-        trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}] + steps,
+        trace=[{"b_star": b_star, "r_reached": reach, "log_scale": lam}] + list(known.values()),
         solver="shooting",
         config={
             "a": cfg.a,
