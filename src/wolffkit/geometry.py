@@ -78,7 +78,8 @@ A plan takes 16 bytes per node (radius and kernel weight), 17 once located
 (a uint8 slot on grids of up to 255 points, the offset and the kernel
 weight), so the 81 centres of a wolff_eval on the solver's 81-point grid,
 1.42 M nodes, take 24.5 MB located (23.0 MB before), and their masses
-0.16 MB.  The store is module-global, so access is locked: a caller that
+0.16 MB; the 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take
+40.3 MB located (37.7 MB before), so the cap is 48 MiB.  The store is module-global, so access is locked: a caller that
 evaluates potentials from several threads could otherwise pass a key
 comparison and then read another grid's plan or another source's masses.
 """
@@ -102,7 +103,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EDGE_NODES = 20
 _MID_NODES = 10
-_KERNEL_WEIGHT_BYTES = 32 * 2**20
+_KERNEL_WEIGHT_BYTES = 48 * 2**20
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,27 @@ which a component hits zero measures the distance to it: the signed misfit
 its sign change in far fewer shots than bisection on the class alone.  The
 bisection on the class is then replayed, shooting only its steps within a
 few ulps of Brent's bracket, so the search ends where the bisection ends.
-It reads only each shot's outcome, hit radius and reach, so shots are
-classified on the integrator's own steps without sampling them; one chosen
-trajectory is then sampled for the profiles.
+
+Every shot runs on one engine, Hairer's compiled DOP853 (scipy.integrate.ode
+with the "dop853" integrator; Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, 2nd ed., 1993, II.10), with solve_ivp's step-factor
+limits.  It steps freely to r_stop; each accepted step end is recorded, and
+the first one where u or v <= 0 ends the steps.  The zero is then rooted and
+the sample points are filled in by short side integrations from the step
+ends, which never change the step sequence.  So a shot that the search only
+classifies and the same shot sampled for the profiles share their steps,
+event and reach bit for bit, and the search samples the separatrix it
+classified.  The solver and its callbacks are built once per process: scipy's
+dop853 wrapper keeps references to the callbacks of every run, which would
+keep callbacks made per shot, and their step lists, alive.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,11 +56,13 @@ from .radial import RadialFunction, RadialGrid, fit_decay_rate
 from .solver import SolveResult
 
 R_START = 1e-4  # end of the series start; integration begins here
-RTOL = 1e-12
+# 5e-13: at 1e-12, shoot() misses the Hardy-weight exact family at
+# (n, gamma, sigma) = (3, 1.6, -0.5) by 1.6e-6 against a bound of 1e-6
+RTOL = 5e-13
 ATOL = 1e-300
-METHOD = "DOP853"
+MAX_STEPS = 100_000  # DOP853's cap on the steps of one integration
 SAMPLES_PER_DECADE = 24
-EVENT_TOL = 4.0 * np.finfo(float).eps  # solve_ivp's brentq tolerances for event roots
+EVENT_TOL = 4.0 * np.finfo(float).eps  # brentq's tolerances for event roots
 # the separatrix search: Brent's iterations and the bisection's steps stop at
 # MAX_SHOTS each, and each classifies at most one new shot
 MAX_SHOTS = 60
@@ -75,6 +90,7 @@ class Trajectory:
     flux_u: np.ndarray
     flux_v: np.ndarray
     event: Optional[tuple[str, float]]  # ("u"|"v", radius) when a component hit zero
+    steps: int  # accepted DOP853 steps
 
     @property
     def hit_zero(self) -> bool:
@@ -88,8 +104,9 @@ class Trajectory:
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on first use.
 
-    scipy.integrate (with the scipy.special and scipy.optimize it loads) is
-    most of the import time of the package, and only shooting needs it.
+    The shooter no longer calls it.  It is kept under this name because the
+    benchmark's tracer (perfbench/spans.py) wraps quasilinear.solve_ivp and
+    quasilinear.shoot by name, and raises AttributeError if either is gone.
     """
     from scipy.integrate import solve_ivp as _solve_ivp
 
@@ -123,23 +140,27 @@ def _series_start(params: Parameters, a: float, b: float, r0: float):
 
 
 def _rhs(params: Parameters):
-    """The flux-form right-hand side in s = ln r, evaluated on Python floats."""
+    """The flux-form right-hand side in s = ln r, evaluated on Python floats.
+
+    du/ds = r u' is taken as -(-m_u r^{gamma-n})^{1/(gamma-1)}, so the power
+    applies to (r |u'|)^{gamma-1}: for gamma near 1, r^{(gamma-n)/(gamma-1)}
+    and (-m_u)^{1/(gamma-1)} each leave the float range on their own.
+    """
     n, inv = params.n, 1.0 / (params.gamma - 1.0)
     gamma_n = params.gamma - n
     k_u, k_v = n + params.sigma1, n + params.sigma2
     p, q = params.p, params.q
+    exp = math.exp
 
     def rhs(s, y):
         u, v, mu, mv = y.tolist()
-        r_pow = math.exp(s * gamma_n * inv)
-        du = -((max(-mu, 0.0)) ** inv) * r_pow
-        dv = -((max(-mv, 0.0)) ** inv) * r_pow
-        vq = max(v, 0.0) ** q
-        up = max(u, 0.0) ** p
-        es = math.exp(s)
-        dmu = -(es**k_u) * vq
-        dmv = -(es**k_v) * up
-        return (du, dv, dmu, dmv)
+        r_pow = exp(s * gamma_n)
+        return (
+            -((-mu * r_pow) ** inv) if mu < 0.0 else 0.0,
+            -((-mv * r_pow) ** inv) if mv < 0.0 else 0.0,
+            -exp(k_u * s) * v**q if v > 0.0 else 0.0,
+            -exp(k_v * s) * u**p if u > 0.0 else 0.0,
+        )
 
     return rhs
 
@@ -165,6 +186,153 @@ def _start_event(y0: np.ndarray) -> Optional[tuple[str, float]]:
     return None
 
 
+class _Shot:
+    """The integration in progress: its right-hand side and its accepted steps."""
+
+    def __init__(self, params: Parameters):
+        self.rhs = _rhs(params)
+        self.main = True  # record each step end and stop at a zero crossing
+        self.origin = 0.0  # s at t = 0 of a side integration
+        self.steps = []  # (s, [u, v, m_u, m_v]) at the start and each accepted step end
+        self.error = None  # (exception, s) where the right-hand side left the float range
+
+
+# The engine: one compiled DOP853 per process, built on first use.  scipy's
+# dop853 wrapper keeps two references to the right-hand side and the solout
+# callback on every integrate call and never drops them, so callbacks made per
+# shot would keep each shot's step lists alive.  The solver's callbacks are
+# therefore the two module functions below, which read the shot in _active;
+# _LOCK makes one shot at a time the active one.
+_LOCK = threading.Lock()
+_active: Optional[_Shot] = None
+_solver = None
+_NAN = (math.nan,) * 4
+
+
+def _f(t, y):
+    shot = _active
+    try:
+        return shot.rhs(shot.origin + t, y)
+    except ArithmeticError as exc:
+        # an exception must not leave the Fortran callback (the process
+        # crashes); NaN makes DOP853 reject steps until it stops
+        shot.error = (exc, shot.origin + t)
+        return _NAN
+
+
+def _solout(s, y):
+    shot = _active
+    if shot.main:
+        y = y.tolist()
+        shot.steps.append((s, y))
+        if y[0] <= 0.0 or y[1] <= 0.0:
+            return -1
+    return 0
+
+
+def _engine():
+    """The shared compiled DOP853, with solve_ivp's step-factor limits."""
+    global _solver
+    if _solver is None:
+        from scipy.integrate import ode
+
+        solver = ode(_f).set_integrator(
+            "dop853", rtol=RTOL, atol=ATOL, nsteps=MAX_STEPS, dfactor=0.2, ifactor=10.0
+        )
+        # each set_initial_value hands the Fortran code the integrator's
+        # bound _solout, a new object that the two references would leak;
+        # shadowed by the module function, it is one object for good
+        solver._integrator._solout = _solout
+        solver.set_solout(_solout)
+        _solver = solver
+    return _solver
+
+
+def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bool):
+    """One shot from u(0) = a, v(0) = b towards r_stop on the shared DOP853.
+
+    The solver steps freely from the series start; its solout callback
+    records each accepted step end and stops the shot at the first one where
+    u or v <= 0.  The earliest zero of the crossed components on that step
+    ends the shot (u first on a tie): brentq to EVENT_TOL on side
+    integrations from the last positive step end.  With `sample`, y at each
+    sample point up to the end is a side integration from the step end
+    before it.  The samples never touch the step sequence, so a classified
+    and a sampled shot share it.
+
+    Returns (event, r, steps, samples): the event as in Trajectory, the
+    sample radii up to the end, the number of accepted steps, and the
+    samples as [u, v, m_u, m_v] lists (None without `sample`).  Raises
+    ParameterError where DOP853 fails (with scipy's message) or the
+    right-hand side leaves the floating-point range.
+    """
+    global _active
+    from scipy.optimize import brentq
+
+    y0, s_eval = _start(params, a, b, r_stop)
+    event = _start_event(y0)
+    if event is not None:
+        return event, np.array([R_START]), 0, [y0.tolist()]
+
+    def run(t_end: float) -> list:
+        y = solver.integrate(t_end)
+        if shot.error is not None:
+            exc, s = shot.error
+            raise ParameterError(
+                f"right-hand side out of floating-point range at r = {math.exp(s):.6g} "
+                f"({exc}), with n = {params.n} and gamma = {params.gamma!r}"
+            )
+        if solver.get_return_code() < 0:
+            raise ParameterError(f"integration failed: {caught[-1].message}")
+        return y.tolist()
+
+    def side(s_from: float, y_from: list, s: float) -> list:
+        if s == s_from:
+            return y_from
+        shot.origin = s_from  # t = s - s_from: a short span is never lost to rounding
+        solver.set_initial_value(y_from, 0.0)
+        return run(s - s_from)
+
+    with _LOCK, warnings.catch_warnings(record=True) as caught:
+        # a failed integrate warns with scipy's message, which is raised instead
+        warnings.simplefilter("always")
+        solver = _engine()
+        shot = _active = _Shot(params)
+        try:
+            s_end = float(s_eval[-1])
+            solver.set_initial_value(y0, s_eval[0])
+            run(s_end)
+            shot.main = False
+            steps = shot.steps
+            event = None
+            if solver.get_return_code() == 2:  # stopped by solout at a crossing
+                (s_prev, y_prev), (s_cross, y_cross) = steps[-2:]
+
+                def component(k):
+                    return lambda s: y_cross[k] if s == s_cross else side(s_prev, y_prev, s)[k]
+
+                s_end, k = min(
+                    (brentq(component(k), s_prev, s_cross, xtol=EVENT_TOL, rtol=EVENT_TOL), k)
+                    for k in (0, 1)
+                    if y_cross[k] <= 0.0
+                )
+                event = ("uv"[k], float(math.exp(s_end)))
+            else:
+                # the last step ends on s_end up to the rounding of s + (s_end - s)
+                steps[-1] = (s_end, steps[-1][1])
+            s_eval = s_eval[: np.searchsorted(s_eval, s_end, "right")]
+            samples = None
+            if sample:
+                s_steps = [s for s, _ in steps]
+                samples = [
+                    side(*steps[bisect.bisect_right(s_steps, s) - 1], s)
+                    for s in s_eval.tolist()
+                ]
+            return event, np.exp(s_eval), len(steps) - 1, samples
+        finally:
+            _active = None
+
+
 def shoot(
     params: Parameters,
     a: float,
@@ -179,87 +347,22 @@ def shoot(
     at R_START hits zero there, and the trajectory is that one point.
     """
     cfg = cfg or ShootConfig()
-    y0, s_eval = _start(params, a, b, cfg.r_stop)
-    event = _start_event(y0)
-    if event is not None:
-        r = np.array([R_START])
-        return Trajectory(r=r, u=y0[:1], v=y0[1:2], flux_u=y0[2:3], flux_v=y0[3:], event=event)
-
-    def hit_u(s, y):
-        return y[0]
-
-    def hit_v(s, y):
-        return y[1]
-
-    hit_u.terminal = True
-    hit_u.direction = -1.0
-    hit_v.terminal = True
-    hit_v.direction = -1.0
-
-    sol = solve_ivp(
-        _rhs(params),
-        (s_eval[0], s_eval[-1]),
-        y0,
-        method=METHOD,
-        rtol=RTOL,
-        atol=ATOL,
-        t_eval=s_eval,
-        events=(hit_u, hit_v),
-        dense_output=False,
-    )
-    if sol.status == -1:
-        raise ParameterError(f"integration failed: {sol.message}")
-    event = None
-    if sol.status == 1:
-        if sol.t_events[0].size:
-            event = ("u", float(math.exp(sol.t_events[0][0])))
-        elif sol.t_events[1].size:
-            event = ("v", float(math.exp(sol.t_events[1][0])))
-    r = np.exp(sol.t)
-    return Trajectory(
-        r=r, u=sol.y[0], v=sol.y[1], flux_u=sol.y[2], flux_v=sol.y[3], event=event
-    )
+    event, r, steps, samples = _integrate(params, a, b, cfg.r_stop, sample=True)
+    u, v, flux_u, flux_v = np.array(samples).T.copy()
+    return Trajectory(r=r, u=u, v=v, flux_u=flux_u, flux_v=flux_v, event=event, steps=steps)
 
 
 def _classify(
     params: Parameters, a: float, b: float, r_stop: float
-) -> tuple[Optional[tuple[str, float]], float]:
-    """(event, r_reached) of shoot(params, a, b, ShootConfig(r_stop)), unsampled.
+) -> tuple[Optional[tuple[str, float]], float, int]:
+    """(event, r_reached, steps) of shoot(params, a, b, ShootConfig(r_stop)), unsampled.
 
-    Steps DOP853 directly and applies solve_ivp's rules: a downward zero
-    crossing of u or v within a step is rooted by brentq on that step's
-    dense output, the earliest root ends the shot (u first on a tie), and
-    the reach is the last sample point at or below the end.  So both values
-    equal shoot()'s bit for bit, while no sample is interpolated and no
-    dense output is built on steps without a crossing.
+    Runs the same engine as shoot() without its samples, so all three
+    values equal shoot()'s bit for bit: the reach is the last sample point
+    at or below the end, and steps counts the accepted DOP853 steps.
     """
-    from scipy.integrate import DOP853
-    from scipy.optimize import brentq
-
-    y0, s_eval = _start(params, a, b, r_stop)
-    event = _start_event(y0)
-    if event is not None:
-        return event, R_START
-    solver = DOP853(_rhs(params), s_eval[0], y0, s_eval[-1], rtol=RTOL, atol=ATOL)
-    s_end = s_eval[-1]
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise ParameterError(f"integration failed: {message}")
-        # both components were positive after the previous step, so a
-        # downward crossing (g >= 0, g_new <= 0) is g_new <= 0
-        crossed = [k for k in (0, 1) if solver.y[k] <= 0.0]
-        if crossed:
-            sol = solver.dense_output()
-            t_old, t = solver.t_old, solver.t
-            s_end, k = min(
-                (brentq(lambda s: sol(s)[k], t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL), k)
-                for k in crossed
-            )
-            event = ("uv"[k], float(math.exp(s_end)))
-            break
-    reached = s_eval[: np.searchsorted(s_eval, s_end, "right")]
-    return event, float(np.exp(reached)[-1])
+    event, r, steps, _ = _integrate(params, a, b, r_stop, sample=False)
+    return event, float(r[-1]), steps
 
 
 def flux_identity_residual(params: Parameters, traj: Trajectory) -> float:
@@ -357,14 +460,16 @@ def find_fast_ground_state(
     bisection's path (best_b), as long as the class is monotone in v(0)
     outside that band.
 
-    Shots are classified without sampling them (`_classify`); then one
+    Shots are classified without sampling them (`_classify`, on the engine
+    that shoot() runs, so they reach exactly as far sampled); then one
     trajectory is shot with samples: best_b, which is b_star unless a shot
     of the path reached farther.  When final_r_stop differs from
     shoot.r_stop, b_star is shot to final_r_stop instead, and best_b is
     sampled as well if that reach is shorter.  `iterations` counts every
     integration, classified and sampled; the trace holds the result's b_star
     entry followed by one entry per classified shot (b, outcome, r_reached,
-    r_hit; r_hit is None for a survivor).
+    r_hit, steps; r_hit is None for a survivor, steps counts the accepted
+    DOP853 steps).
     """
     cfg = cfg or GroundStateConfig()
     validate(params)
@@ -379,9 +484,9 @@ def find_fast_ground_state(
 
     def classify(b: float) -> tuple[str, float]:
         if b not in known:
-            event, reach = _classify(params, cfg.a, b, shoot_cfg.r_stop)
+            event, reach, steps = _classify(params, cfg.a, b, shoot_cfg.r_stop)
             r_hit = None if event is None else event[1]
-            known[b] = {"b": b, "outcome": _outcome(event), "r_reached": reach, "r_hit": r_hit}
+            known[b] = dict(b=b, outcome=_outcome(event), r_reached=reach, r_hit=r_hit, steps=steps)
         return known[b]["outcome"], known[b]["r_reached"]
 
     if scalar:
@@ -482,13 +587,13 @@ def find_fast_ground_state(
     hit = final.hit_zero
     clean_hi = reach if scalar else reach * CLEAN_FRACTION
     keep = final.r <= clean_hi * (1.0 + 1e-12)
-    final = Trajectory(
+    final = replace(
+        final,
         r=final.r[keep],
         u=final.u[keep],
         v=final.v[keep],
         flux_u=final.flux_u[keep],
         flux_v=final.flux_v[keep],
-        event=final.event,
     )
     window_hi = float(final.r[-1])
     window = (
@@ -500,14 +605,7 @@ def find_fast_ground_state(
     if allow_log and not scalar:
         lam = _canonical_log_scale(params, final, report.predicted_v_exponent, window)
     if lam != 1.0:
-        final = Trajectory(
-            r=final.r / lam,
-            u=lam**exps.q0 * final.u,
-            v=lam**exps.p0 * final.v,
-            flux_u=final.flux_u,
-            flux_v=final.flux_v,
-            event=final.event,
-        )
+        final = replace(final, r=final.r / lam, u=lam**exps.q0 * final.u, v=lam**exps.p0 * final.v)
         window = (window[0] / lam, window[1] / lam)
     u_prof = _profile_from(final, "u")
     v_prof = _profile_from(final, "v")

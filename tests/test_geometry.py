@@ -532,15 +532,16 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
         assert np.array_equal(a.values, b.values)
 
 
-def test_located_plans_take_only_free_room(cap_calls):
-    # on a 121-point grid not every plan fits under the cap: a repeat map
-    # rebuilds only the centres whose plans are not stored, as many as
+def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
+    # on a 121-point grid under a 32 MiB cap not every plan fits: a repeat
+    # map rebuilds only the centres whose plans are not stored, as many as
     # before plans were located (109 stored, 2 x 12 rebuilt)
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
     u, v = make_ansatz(params, grid)
     store = geometry._kernel_weights
+    monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
     assert len(store._plans) == 109
     before = len(cap_calls)

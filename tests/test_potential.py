@@ -246,6 +246,17 @@ def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
     assert np.array_equal(wolff_eval(u, 5, 1.0, 2.0).values, wu.values)
 
 
+def test_store_holds_every_plan_of_the_121_point_grid(cap_calls):
+    # RadialGrid.per_decade(1e-2, 1e3, 24): the 121 centre plans take about
+    # 32 MB and are all kept, so a repeat map builds none
+    grid = RadialGrid.per_decade(1e-2, 1e3, 24)
+    u = power_tail_profile(grid, 1.0, 3.0)
+    wolff_eval(u, 5, 1.0, 2.0)
+    assert grid.count == 121 and len(cap_calls) == 121
+    wolff_eval(u.with_values(3.0 * u.values), 5, 1.0, 2.0)
+    assert len(cap_calls) == 121
+
+
 @pytest.mark.parametrize("n, beta, gamma", [(3, 1.0, 1.6), (5, 1.0, 2.0), (5, 0.3, 2.0)])
 def test_dilation_homogeneity_shares_plans_at_powers_of_two(cap_calls, n, beta, gamma):
     # W f_lam(x) = lam^{-beta gamma/(gamma-1)} W f(lam x), f_lam(r) = f(lam r).

@@ -1,7 +1,11 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,28 +126,30 @@ def full_depth_bisection():
     """The FastFast bisection at r_stop = 1e4 run to full depth with sampled shots.
 
     It keeps re-shooting an endpoint once lo and hi are adjacent doubles.
-    Returns the config, every shot by b, b_star and the reference final
+    Returns the config, every shot by b, b_star, the b of the reference final
+    trajectory (b_star unless a shot of the path reached farther) and that
     trajectory.
     """
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
     lo, hi = cfg.bracket
     shots = {b: shoot(FASTFAST, cfg.a, b, cfg.shoot) for b in (lo, hi)}
     c_lo = _outcome(shots[lo].event)
-    best = shots[lo] if shots[lo].r_reached >= shots[hi].r_reached else shots[hi]
+    best = lo if shots[lo].r_reached >= shots[hi].r_reached else hi
     for _ in range(quasilinear.MAX_SHOTS):
         mid = math.sqrt(lo * hi)
         t_mid = shots[mid] = shoot(FASTFAST, cfg.a, mid, cfg.shoot)
-        if t_mid.r_reached >= best.r_reached:
-            best = t_mid
+        if t_mid.r_reached >= shots[best].r_reached:
+            best = mid
         if _outcome(t_mid.event) == c_lo:
             lo = mid
         else:
             hi = mid
     b_star = math.sqrt(lo * hi)
+    b_final = b_star
     final = shoot(FASTFAST, cfg.a, b_star, cfg.shoot)
-    if final.r_reached < best.r_reached:
-        final = best
-    return cfg, shots, b_star, final
+    if final.r_reached < shots[best].r_reached:
+        b_final, final = best, shots[best]
+    return cfg, shots, b_star, b_final, final
 
 
 def _counting(monkeypatch):
@@ -165,13 +171,14 @@ def _counting(monkeypatch):
 
 
 def test_classify_matches_shoot_at_every_bisection_b(full_depth_bisection):
-    # tolerance 0: the unsampled classification reads the outcome and reach
-    # that the sampled shot reports, at every b of the bisection
-    cfg, shots, _, final = full_depth_bisection
+    # tolerance 0: the unsampled classification reads the outcome, reach and
+    # step count that the sampled shot reports, at every b of the bisection
+    cfg, shots, _, _, final = full_depth_bisection
     for b, t in shots.items():
         assert quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop) == (
             t.event,
             t.r_reached,
+            t.steps,
         )
     res = find_fast_ground_state(FASTFAST, cfg)
     for prof, comp in ((res.u, final.u), (res.v, final.v)):
@@ -186,7 +193,12 @@ def test_non_positive_start_hits_zero_at_series_start():
     assert traj.event == ("u", quasilinear.R_START)
     assert traj.r_reached == quasilinear.R_START
     assert traj.u[0] < 0.0 and traj.r.size == 1
-    assert quasilinear._classify(INTERMEDIATE, 1.0, 200.0, 1e4) == (traj.event, traj.r_reached)
+    assert traj.steps == 0
+    assert quasilinear._classify(INTERMEDIATE, 1.0, 200.0, 1e4) == (
+        traj.event,
+        traj.r_reached,
+        traj.steps,
+    )
 
 
 def test_series_start_overflow_is_a_parameter_error_naming_b():
@@ -201,19 +213,132 @@ def test_series_start_overflow_is_a_parameter_error_naming_b():
     assert np.isfinite(traj.u[0]) and traj.event == ("u", quasilinear.R_START)
 
 
+def test_gamma_near_one_stays_in_float_range():
+    # at gamma = 1.05, r^{(gamma-n)/(gamma-1)} = 1e291 at R_START and
+    # (-m_u)^{1/(gamma-1)} underflows; their product, (r|u'|)^{gamma-1}
+    # raised to 1/(gamma-1), is in range
+    params = Parameters(5, 1.0, 1.05, 1.2, 9.0, 0.0, -0.5)
+    for b in (1.0, 0.01):
+        traj = shoot(params, 1.0, b, ShootConfig(r_stop=1e3))
+        assert traj.event is not None and traj.steps > 0
+        assert quasilinear._classify(params, 1.0, b, 1e3) == (
+            traj.event,
+            traj.r_reached,
+            traj.steps,
+        )
+        for y in (traj.u, traj.v, traj.flux_u, traj.flux_v):
+            assert np.all(np.isfinite(y)) and np.all(np.diff(y) <= 0.0)
+
+
+def test_rhs_overflow_is_a_parameter_error_naming_gamma(monkeypatch):
+    # an exception raised in the compiled solver's callback would crash the
+    # process; the engine reports it once the solver has stopped
+    flux_form = quasilinear._rhs
+
+    def overflowing(params):
+        rhs = flux_form(params)
+
+        def past_one(s, y):
+            if s > 0.0:
+                raise OverflowError("math range error")
+            return rhs(s, y)
+
+        return past_one
+
+    monkeypatch.setattr(quasilinear, "_rhs", overflowing)
+    with pytest.raises(ParameterError, match=r"range at r = 1 .*gamma = 2\.0"):
+        shoot(FASTFAST, 1.0, 1.0, ShootConfig(r_stop=1e2))
+    with pytest.raises(ParameterError, match=r"gamma = 2\.0"):
+        quasilinear._classify(FASTFAST, 1.0, 1.0, 1e2)
+    monkeypatch.undo()
+    assert quasilinear._classify(FASTFAST, 1.0, 1.0, 1e2)[2] > 0  # the engine still works
+
+
+def test_integration_failure_is_a_parameter_error_without_warning(monkeypatch):
+    # a solver built with a 5-step cap fails with scipy's istate -2
+    monkeypatch.setattr(quasilinear, "_solver", None)
+    monkeypatch.setattr(quasilinear, "MAX_STEPS", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="larger nsteps is needed"):
+            shoot(FASTFAST, 1.0, 1.0, ShootConfig(r_stop=1e2))
+
+
+def test_shots_leave_no_memory_behind():
+    # scipy's dop853 wrapper keeps references to the callbacks of every run;
+    # the engine's callbacks are module functions, so the shots' step lists
+    # are freed.  Shots at v(0) near 100 hit zero after about 50 steps, with
+    # a dozen side integrations for the event root.  Measured growth: 1.2 kB;
+    # 2.8 MB with callbacks made per shot, and 53 kB with the integrator's
+    # own bound _solout, a new object on every run.
+    quasilinear._classify(INTERMEDIATE, 1.0, 100.0, 1e4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(200):
+            event, _, steps = quasilinear._classify(INTERMEDIATE, 1.0, 100.0 + 0.01 * k, 1e4)
+            assert event[0] == "u" and steps > 0
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20_000
+
+
+def test_threads_share_the_engine_one_shot_at_a_time():
+    # one solver serves the process; with more threads than cores and a
+    # short switch interval, every classified and sampled shot equals the
+    # same shot made alone
+    cases = [(FASTFAST, 0.5), (FASTFAST, 0.75), (FASTFAST, 1.0)]
+    cases += [(INTERMEDIATE, 0.3), (INTERMEDIATE, 0.6)]
+    alone = [shoot(params, 1.0, b, ShootConfig(r_stop=1e3)) for params, b in cases]
+    got, errors = {}, []
+
+    def worker(i):
+        params, b = cases[i]
+        try:
+            for _ in range(3):
+                classified = quasilinear._classify(params, 1.0, b, 1e3)
+                sampled = shoot(params, 1.0, b, ShootConfig(r_stop=1e3))
+                got.setdefault(i, []).append((classified, sampled))
+        except Exception as exc:  # reported below, with the case that raised it
+            errors.append((i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for i, ref in enumerate(alone):
+        assert len(got[i]) == 3
+        for classified, sampled in got[i]:
+            assert classified == (ref.event, ref.r_reached, ref.steps)
+            assert sampled.event == ref.event and sampled.steps == ref.steps
+            assert np.array_equal(sampled.u, ref.u) and np.array_equal(sampled.flux_v, ref.flux_v)
+
+
 def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
     params = FASTFAST
-    cfg, _, b_star, final = full_depth_bisection
+    cfg, _, b_star, b_final, final = full_depth_bisection
     classified, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
-    # no b is classified twice, and only the final trajectory is sampled:
-    # the search's own shot at the full-depth bisection's b_star, which the
-    # reference shoots once more.  The search classifies 36 shots here;
-    # bisection on the outcome class alone classifies 57.
+    # no b is classified twice, and exactly one trajectory is sampled: the
+    # full-depth bisection's farthest shot (b_star unless a shot of its path
+    # reached farther), which the search has classified.  The search
+    # classifies 35 shots here; bisection on the outcome class alone
+    # classifies 57.
     shots = [b for b, _ in classified]
     assert len(set(shots)) == len(shots) <= 40
-    assert b_star in shots
-    assert sampled == [(b_star, cfg.shoot.r_stop)]
+    assert b_star in shots and b_final in shots
+    assert sampled == [(b_final, cfg.shoot.r_stop)]
     assert res.trace[0]["b_star"] == b_star
     assert res.trace[0]["r_reached"] == final.r_reached
     for prof, comp in ((res.u, final.u), (res.v, final.v)):
@@ -240,17 +365,19 @@ def test_trace_records_each_classified_shot(monkeypatch):
     steps = res.trace[1:]
     assert [(e["b"], cfg.shoot.r_stop) for e in steps] == classified
     assert set(res.trace[0]) == {"b_star", "r_reached", "log_scale"}
-    # the search ends on adjacent doubles, one of them b_star, whose
-    # classifications differ
+    # the search ends on adjacent doubles, one of them b_star: some shot
+    # adjacent to b_star classifies differently
     entry = {e["b"]: e for e in steps}
     b_star = res.trace[0]["b_star"]
-    (other,) = [b for b in entry if b != b_star and np.nextafter(b, b_star) == b_star]
-    assert entry[b_star]["outcome"] != entry[other]["outcome"]
-    # r_hit is the event radius that the search read, None for a survivor
-    for b in (b_star, other):
-        event, reach = quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop)
+    adjacent = [b for b in entry if b != b_star and np.nextafter(b, b_star) == b_star]
+    assert any(entry[b]["outcome"] != entry[b_star]["outcome"] for b in adjacent)
+    # r_hit is the event radius that the search read, None for a survivor;
+    # steps counts the shot's accepted DOP853 steps
+    for b in [b_star] + adjacent:
+        event, reach, n_steps = quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop)
         assert entry[b]["r_hit"] == (None if event is None else event[1])
         assert entry[b]["r_reached"] == reach
+        assert entry[b]["steps"] == n_steps > 0
     assert all(e["r_hit"] is None for e in steps if e["outcome"] == "survive")
     assert "trace" not in res.to_report_dict()
 
@@ -296,7 +423,7 @@ def test_shoot_matches_hardy_weight_exact_family(n, gamma, sigma):
     # U = (1 + r^{(gamma+sigma)/(gamma-1)})^{-(n-gamma)/(gamma+sigma)} solves
     # -Delta_gamma U = K r^sigma U^{p*}, so u(0) U solves the shooter's
     # unit-coefficient system with u(0) = v(0) = K^{1/(p* - gamma + 1)}
-    # (Ghoussoub & Yuan, Trans. AMS 352, 2000); measured 5.6e-11 to 5.3e-7
+    # (Ghoussoub & Yuan, Trans. AMS 352, 2000); measured 2.1e-11 to 1.7e-7
     p_star = gamma * (n + sigma) / (n - gamma) - 1.0
     k = (n + sigma) * ((n - gamma) / (gamma - 1.0)) ** (gamma - 1.0)
     u0 = k ** (1.0 / (p_star - gamma + 1.0))
