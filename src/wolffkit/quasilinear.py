@@ -469,7 +469,9 @@ def find_fast_ground_state(
     integration, classified and sampled; the trace holds the result's b_star
     entry followed by one entry per classified shot (b, outcome, r_reached,
     r_hit, steps; r_hit is None for a survivor, steps counts the accepted
-    DOP853 steps).
+    DOP853 steps).  The profiles, the rate fits and the two flux-identity
+    residuals read the sampled shot up to CLEAN_FRACTION of its reach, or
+    all of it in the scalar case.
     """
     cfg = cfg or GroundStateConfig()
     validate(params)
@@ -577,12 +579,6 @@ def find_fast_ground_state(
                 final = shoot(params, cfg.a, best_b, shoot_cfg)
                 shots += 1
 
-    residual_u = flux_identity_residual(params, final)
-    # v's flux identity is u's for the swapped system and components
-    residual_v = flux_identity_residual(
-        params.swapped(),
-        replace(final, u=final.v, v=final.u, flux_u=final.flux_v, flux_v=final.flux_u),
-    )
     reach = final.r_reached
     hit = final.hit_zero
     clean_hi = reach if scalar else reach * CLEAN_FRACTION
@@ -594,6 +590,12 @@ def find_fast_ground_state(
         v=final.v[keep],
         flux_u=final.flux_u[keep],
         flux_v=final.flux_v[keep],
+    )
+    residual_u = flux_identity_residual(params, final)
+    # v's flux identity is u's for the swapped system and components
+    residual_v = flux_identity_residual(
+        params.swapped(),
+        replace(final, u=final.v, v=final.u, flux_u=final.flux_v, flux_v=final.flux_u),
     )
     window_hi = float(final.r[-1])
     window = (

@@ -1,16 +1,22 @@
-"""Picard fixed-point solver for the coupled weighted potential system.
+"""Anderson-mixed Picard solver for the coupled weighted potential system.
 
 The iteration maps a positive pair (u, v) to the potential images
 
     u~ = c1 * W(r^{sigma1} v^q),    v~ = c2 * W(r^{sigma2} u^p),
 
-applies geometric damping u' = u^{1-theta} u~^theta (which preserves
-positivity and power-law tails exactly), and re-anchors the amplitudes so
-that u and v keep their starting values at r = ANCHOR_RADIUS.  Nothing fixes
-the other zero mode of critical parameters, the dilation family
-u -> lam^{q0} u(lam r), v -> lam^{p0} v(lam r).  Convergence is declared on
-the fixed-point residual, the relative sup-distance between the iterate and
-its potential image.
+and works on the log-values x = (ln u, ln v), which keeps the iterates
+positive.  The residual is r = ln(c_eff * image) - x, where the effective
+constants c_eff make the image agree with the iterate at r = ANCHOR_RADIUS.
+With no history the step is geometric damping u' = u^{1-theta} u~^theta,
+which preserves power-law tails exactly; with the residuals of up to
+ANDERSON_DEPTH earlier iterates it is Anderson mixing (Walker & Ni, SIAM J.
+Numer. Anal. 49(4), 2011).  A rise of the sup residual clears the history.
+After each step the amplitudes are re-anchored so that u and v keep their
+starting values at ANCHOR_RADIUS, which projects out the amplitude mode.
+Nothing fixes the other zero mode of critical parameters, the dilation
+family u -> lam^{q0} u(lam r), v -> lam^{p0} v(lam r).  Convergence is
+declared on the fixed-point residual, the relative sup-distance between the
+iterate and its anchored potential image.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_
 
 OVERFLOW_GUARD = 1e150
 ANCHOR_RADIUS = 1.0
+ANDERSON_DEPTH = 3  # earlier iterates an Anderson step combines at most
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,11 @@ class SolveResult:
 
     A Picard trace holds one entry per iteration: its residuals, the
     effective constants c1_eff and c2_eff (the iterate over its image at
-    ANCHOR_RADIUS), the damping of the update it made (None on the accepted
-    iterate) and its wall time wall_s.  to_report_dict leaves the trace out,
-    so reports written with --no-timestamp stay byte-identical.
+    ANCHOR_RADIUS), the damping of the update it made and the number of
+    earlier iterates that update combined, mixed (0 on a plain or restarted
+    step; both None on the accepted iterate), and its wall time wall_s.
+    to_report_dict leaves the trace out, so reports written with
+    --no-timestamp stay byte-identical.
     """
 
     u: RadialFunction
@@ -188,21 +197,49 @@ def _geometric_mix(old: RadialFunction, new: RadialFunction, theta: float) -> Ra
     )
 
 
-def _damped_update(u, v, u_img, v_img, damping: float, u_ref: float, v_ref: float):
-    """Mix (u, v) toward their images, then re-anchor the amplitudes to (u_ref, v_ref).
+def _update(u, v, u_img, v_img, c_eff, theta: float, refs, history: list):
+    """The next iterate from (u, v) and their images, re-anchored to refs at ANCHOR_RADIUS.
 
-    The amplitude mode of the damped map never contracts: the log-amplitude
-    linearization of the damped iteration has spectral radius
-    1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping, so the
-    amplitude direction must be projected out.  Both components are rescaled
-    to their reference values at ANCHOR_RADIUS, which makes the iteration
-    target the system with constant coefficients (mu, nu); solve_system
-    undoes those constants exactly on exit.
+    On x = (ln u, ln v) with the anchored residual r = ln(c_eff * image) - x,
+    the step is x + theta*r - (dX + theta*dR) gamma, gamma = lstsq(dR, r),
+    where the columns of dX and dR are x - x_j and r - r_j over the earlier
+    iterates j in history.  With an empty history it is the damped geometric
+    mix.  The head and tail models are theta-mixed either way.  history
+    holds the (x, r) pairs of up to ANDERSON_DEPTH earlier iterates, oldest
+    first; the current pair is appended.  Returns the new pair and the number
+    of earlier iterates combined.
+
+    The amplitude mode never contracts: the log-amplitude linearization of
+    the damped iteration has spectral radius
+    1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping.  Rescaling
+    both components to refs projects it out, which makes the iteration
+    target the system with constant coefficients c_eff; solve_system undoes
+    those constants exactly on exit.
     """
-    u = _geometric_mix(u, u_img, damping)
-    v = _geometric_mix(v, v_img, damping)
-    u_now, v_now = _anchor_values(u, v)
-    return u.scaled(u_ref / u_now), v.scaled(v_ref / v_now)
+    x = np.log(np.concatenate([u.values, v.values]))
+    r = np.log(np.concatenate([u_img.values * c_eff[0], v_img.values * c_eff[1]])) - x
+    u_new, v_new = _geometric_mix(u, u_img, theta), _geometric_mix(v, v_img, theta)
+    mixed = len(history)
+    if mixed:
+        dx = np.stack([x - xj for xj, _ in history], axis=1)
+        dr = np.stack([r - rj for _, rj in history], axis=1)
+        gamma = np.linalg.lstsq(dr, r, rcond=None)[0]
+        # the damped mix is the step x + theta*r up to a constant that the
+        # re-anchoring removes, so the mixing enters as a factor
+        factor = np.exp(-(dx + theta * dr) @ gamma)
+        k = u.values.size
+        u_new = u_new.with_values(u_new.values * factor[:k])
+        v_new = v_new.with_values(v_new.values * factor[k:])
+    history.append((x, r))
+    del history[:-ANDERSON_DEPTH]
+    u_now, v_now = _anchor_values(u_new, v_new)
+    return u_new.scaled(refs[0] / u_now), v_new.scaled(refs[1] / v_now), mixed
+
+
+def _effective_constants(u, v, u_img, v_img):
+    """The iterate over its image at ANCHOR_RADIUS, per component."""
+    (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
+    return u_at / u_img_at, v_at / v_img_at
 
 
 def _undo_effective_constants(params, u, v, c1: float, c2: float):
@@ -216,11 +253,15 @@ def _undo_effective_constants(params, u, v, c1: float, c2: float):
 
 
 def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: SolveConfig):
-    """One damped iteration of the system map, re-anchored to u and v at ANCHOR_RADIUS."""
+    """One damped iteration of the system map, re-anchored to u and v at ANCHOR_RADIUS.
+
+    This is solve_system's step with no history.
+    """
     _check_positive(u, v)
     u_img, v_img = potential_images(params, u, v, cfg)
-    u_ref, v_ref = _anchor_values(u, v)
-    return _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
+    c_eff = _effective_constants(u, v, u_img, v_img)
+    u, v, _ = _update(u, v, u_img, v_img, c_eff, cfg.damping, _anchor_values(u, v), [])
+    return u, v
 
 
 def _anchor_values(u: RadialFunction, v: RadialFunction):
@@ -236,7 +277,7 @@ def _check_positive(u: RadialFunction, v: RadialFunction):
 
 
 def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Iterate the damped system map from the fast ansatz or cfg.custom_initial.
+    """Iterate the Anderson-mixed system map from the fast ansatz or cfg.custom_initial.
 
     Refuses subcritical parameter tuples, where no ground states are
     expected.  Non-convergence is reported via converged=False (or
@@ -254,9 +295,10 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         grid = cfg.grid if cfg.grid is not None else default_solver_grid()
         u, v = make_ansatz(params, grid)
 
-    u_ref, v_ref = _anchor_values(u, v)
+    refs = _anchor_values(u, v)
+    history = []
     trace = []
-    res_u = res_v = math.inf
+    res_u = res_v = last_res = math.inf
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
@@ -265,13 +307,17 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         u_img, v_img = potential_images(params, u, v, cfg)
         # residual against the image of the effective constant-coefficient
         # system; the constants are undone exactly on exit
-        (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
-        c1_eff, c2_eff = u_at / u_img_at, v_at / v_img_at
+        c1_eff, c2_eff = _effective_constants(u, v, u_img, v_img)
         res_u, res_v = _residual_pair(u, v, u_img.scaled(c1_eff), v_img.scaled(c2_eff))
         iterations = k
-        converged = max(res_u, res_v) <= cfg.rel_tol
+        res = max(res_u, res_v)
+        converged = res <= cfg.rel_tol
+        mixed = None
         if not converged:
-            u, v = _damped_update(u, v, u_img, v_img, cfg.damping, u_ref, v_ref)
+            if res > last_res:
+                history.clear()  # restart: this step is the plain damped one
+            u, v, mixed = _update(u, v, u_img, v_img, (c1_eff, c2_eff), cfg.damping, refs, history)
+            last_res = res
         trace.append(
             {
                 "iteration": k,
@@ -280,6 +326,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
                 "c1_eff": c1_eff,
                 "c2_eff": c2_eff,
                 "damping": None if converged else cfg.damping,
+                "mixed": mixed,
                 "wall_s": time.perf_counter() - start,
             }
         )
@@ -311,6 +358,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         trace=trace,
         config={
             "damping": cfg.damping,
+            "anderson_depth": ANDERSON_DEPTH,
             "max_iters": cfg.max_iters,
             "rel_tol": cfg.rel_tol,
             "strict": cfg.strict,

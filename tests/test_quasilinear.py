@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -346,14 +347,21 @@ def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
         assert np.array_equal(prof.grid.points, final.r[:k])
         assert np.array_equal(prof.values, comp[:k])
     # the report counts the integrations and gives each component its own
-    # flux identity: m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0
+    # flux identity, m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0, on the
+    # samples the profiles keep: CLEAN_FRACTION of the reach
     assert res.iterations == len(classified) + len(sampled)
-    assert res.residual_u == flux_identity_residual(params, final)
-    u, r = np.maximum(final.u, 0.0), final.r
+    k = res.u.grid.count
+    assert final.r[k - 1] <= quasilinear.CLEAN_FRACTION * final.r_reached < final.r[k]
+    kept = dataclasses.replace(
+        final, r=final.r[:k], u=final.u[:k], v=final.v[:k],
+        flux_u=final.flux_u[:k], flux_v=final.flux_v[:k],
+    )
+    assert res.residual_u == flux_identity_residual(params, kept)
+    u, r, flux_v = np.maximum(kept.u, 0.0), kept.r, kept.flux_v
     n_s2 = params.n + params.sigma2
     mass_v = cumulative_trapezoid(r**n_s2 * u**params.p, np.log(r), initial=0.0)
     mass_v += u[0] ** params.p * r[0] ** n_s2 / n_s2
-    residual_v = np.max(np.abs(final.flux_v + mass_v)) / np.max(np.abs(final.flux_v))
+    residual_v = np.max(np.abs(flux_v + mass_v)) / np.max(np.abs(flux_v))
     assert res.residual_v == pytest.approx(residual_v, rel=1e-12)
     assert res.residual_v != pytest.approx(res.residual_u, rel=0.1)
 

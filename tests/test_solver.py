@@ -219,17 +219,21 @@ def test_potential_images_of_one_profile_take_one_wolff_eval(monkeypatch, coeffi
 
 
 def test_trace_records_time_constants_and_damping(tmp_path):
-    # FastFast takes 10 iterations on this grid
     fast_fast = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     cfg = SolveConfig(max_iters=12, rel_tol=5e-3, damping=0.8, grid=grid)
     start = time.perf_counter()
     res = solve_system(fast_fast, cfg)
     elapsed = time.perf_counter() - start
-    assert res.converged and len(res.trace) == res.iterations >= 2
-    keys = {"iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "wall_s"}
+    assert res.converged and len(res.trace) == res.iterations >= 3
+    keys = {"iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "mixed", "wall_s"}
     assert all(set(entry) == keys for entry in res.trace)
     assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
+    # the residual falls at every step here, so each step combines every
+    # earlier iterate up to the depth
+    mixed = [min(k, solver.ANDERSON_DEPTH) for k in range(res.iterations - 1)]
+    assert [e["mixed"] for e in res.trace] == mixed + [None]
+    assert res.config["anderson_depth"] == solver.ANDERSON_DEPTH
     assert all(e["wall_s"] > 0.0 for e in res.trace)
     assert sum(e["wall_s"] for e in res.trace) <= elapsed
     # the first entry's constants are the start's over its image at ANCHOR_RADIUS
@@ -248,3 +252,48 @@ def test_trace_records_time_constants_and_damping(tmp_path):
                      "--out", str(tmp_path / name), "--no-timestamp"]) == 0
     reports = [(tmp_path / name / "report.json").read_bytes() for name in ("a", "b")]
     assert reports[0] == reports[1]
+
+
+def test_residual_rise_restarts_the_mixing():
+    # the gamma < 2 tuple that no Picard variant converges on: its residual
+    # rises within 8 iterations, and every step taken right after a rise is
+    # the plain damped one
+    params = Parameters(5, 1.25, 1.6, 1.2, 1.65, 0.0, 0.0)
+    res = solve_system(params, SolveConfig(max_iters=8))
+    assert not res.converged and res.iterations == 8
+    sup = [max(e["residual_u"], e["residual_v"]) for e in res.trace]
+    rises = [k for k in range(1, len(sup)) if sup[k] > sup[k - 1]]
+    assert rises
+    assert all(res.trace[k]["mixed"] == 0 for k in rises)
+    assert max(e["mixed"] for e in res.trace) > 0
+
+
+def test_mixed_step_matches_anderson_with_consecutive_differences():
+    # the update combines x - x_j over the history; the textbook form
+    # (Walker & Ni 2011) takes consecutive differences x_{j+1} - x_j, which
+    # span the same columns and so give the same step
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    rng = np.random.default_rng(0)
+    base = -1.5 * np.log1p(grid.points**2)
+    xs = [np.concatenate([base, base]) + 0.1 * rng.standard_normal(2 * grid.count) for _ in range(4)]
+    rs = [0.05 * rng.standard_normal(2 * grid.count) for _ in range(4)]
+    k, theta = grid.count, 0.8
+
+    def pair(vals):
+        return tuple(RadialFunction(grid, np.exp(part), tail_exponent=3.0) for part in (vals[:k], vals[k:]))
+
+    history = list(zip(xs[:3], rs[:3]))
+    u, v = pair(xs[3])
+    u_img, v_img = pair(xs[3] + rs[3])
+    refs = (0.7, 1.3)
+    new_u, new_v, mixed = solver._update(u, v, u_img, v_img, (1.0, 1.0), theta, refs, history)
+    assert mixed == 3 and len(history) == solver.ANDERSON_DEPTH
+    assert np.allclose(history[-1][0], xs[3], rtol=1e-14, atol=1e-14)
+
+    dx = np.stack([xs[j + 1] - xs[j] for j in range(3)], axis=1)
+    dr = np.stack([rs[j + 1] - rs[j] for j in range(3)], axis=1)
+    coef = np.linalg.lstsq(dr, rs[3], rcond=None)[0]
+    want = pair(xs[3] + theta * rs[3] - (dx + theta * dr) @ coef)
+    for got, ref, anchor in zip((new_u, new_v), want, refs):
+        ref = ref.scaled(anchor / float(ref(solver.ANCHOR_RADIUS)))
+        assert np.allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
