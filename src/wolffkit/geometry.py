@@ -33,55 +33,37 @@ edge.  One cap_fraction call and one add.reduceat then give every mass.
 Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
 (the kernel weights) depends on the values of f, only on the source grid's
 geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
-plan, the way an FFTW plan is kept: the nodes, the kernel weights, and the
-start offset and t index of each non-empty shell.  A repeat call on the same
-geometry skips node generation and costs f at the stored nodes times the
-weights plus one add.reduceat over the shells.  The first time the store
-serves a plan again, it locates the plan's nodes on the source grid
-(RadialFunction.locate: each node's slot and offset s = ln(r / r_cell)) and
-keeps that located form in place of the radii, so every later source on the
-grid is evaluated at the nodes by a gather, a multiply-add and an exp
-(RadialFunction.at_located) instead of a search.  A plan is located only on
-reuse, because most one-shot grids are never served twice, and only where
-the larger form fits under the cap; a plan that does not fit keeps its radii
-and still serves.
-
-Plans live in the grid's frame (RadialFunction.frame): c = 2^-e with
-c r_min in [1/2, 1).  A plan is built from c rho and c t, on c times the
-quadrature boundaries, so its nodes are c r and its kernel weights c^n times
-the caller's (they carry r^{n-1} dr); the located plain-slot offsets are c r
-too.  A mass is then s_{n-1} c^-n times the sum over the plan, c^-n applied
-as one scalar by ldexp, exactly; a grid whose c^-n leaves the floating-point
-range raises ParameterError rather than returning inf.  Grids that differ by a
-power-of-two dilation, like the dilation family of verify.check_inequalities,
-have the same points in their frames and ask for the same c rho and c t, so
-they share one set of plans: the store is keyed per grid by (n, layout_key,
-cut-off flag), layout_key being c times the points plus which cells have a
-vanishing endpoint (what the located slots and offsets and quad_boundaries
-depend on), and per centre by (c rho, c t).  The store holds one grid at a
-time and is cleared when the grid key changes.
+plan, the way an FFTW plan is kept.  A plan holds each node located on the
+source grid (RadialFunction.locate: its slot and offset s = ln(r / r_cell)),
+the kernel weights, and the start offset and t index of each non-empty shell.
+Every call, cold or repeat, evaluates f at the nodes from the located form
+(RadialFunction.at_located, the second half of f(r): a gather, a
+multiply-add and an exp), so a repeat call on the same geometry skips node
+generation and the search and costs that evaluation times the weights plus
+one add.reduceat over the shells.  A grid so far from 1 that a kernel weight
+leaves the floating-point range (r^{n-1} overflows) raises ParameterError
+rather than returning inf masses.
+The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
+the points plus which cells have a vanishing endpoint (what the located slots
+and offsets and quad_boundaries depend on), and per centre by (rho, t).  It
+holds one grid at a time and is cleared when the grid key changes.
 
 The store also keeps, per centre, the whole ball masses (covered part plus
-partial shells) for the last source it served, keyed by the source's values,
-its head and tail models and its frame c (RadialFunction.source_key, built
-once per source rather than once per centre).  The masses are in the caller's
-units, and the log-corrected tail (ln r / ln r_max)^L is not dilation-
-covariant, so a source and its twin on a dilated grid share plans but never
-masses.  A call with the same grid, centre and source, such as the Wolff
-image of a source whose Riesz image was just taken, returns a copy of the
-stored masses and neither evaluates f nor calls cumulative_mass again.
-Cold, repeat, located and stored masses come from one computation, so they
-agree bit for bit, and a plan built on one grid of a dilation family is the
-one any other would build.  Plans and masses share the cap
-_KERNEL_WEIGHT_BYTES.
-A plan takes 16 bytes per node (radius and kernel weight), 17 once located
-(a uint8 slot on grids of up to 255 points, the offset and the kernel
-weight), so the 81 centres of a wolff_eval on the solver's 81-point grid,
-1.42 M nodes, take 24.5 MB located (23.0 MB before), and their masses
-0.16 MB; the 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take
-40.3 MB located (37.7 MB before), so the cap is 48 MiB.  The store is module-global, so access is locked: a caller that
-evaluates potentials from several threads could otherwise pass a key
-comparison and then read another grid's plan or another source's masses.
+partial shells) for the last source it served, keyed by the source's values
+and its head and tail models (RadialFunction.source_key, built once per source
+rather than once per centre).  A call with the same grid, centre and source,
+such as the Wolff image of a source whose Riesz image was just taken on the
+same t nodes, returns a copy of the stored masses and neither evaluates f nor
+calls cumulative_mass again.  Cold, repeat and stored masses come from one
+computation, so they agree bit for bit.  Plans and masses share the cap
+_KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on grids
+of up to 255 points, the offset and the kernel weight), so the 81 centres of a
+wolff_eval on the solver's 81-point grid, 1.42 M nodes, take 24.5 MB, and
+their masses 0.16 MB; the 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24)
+take 40.3 MB, so the cap is 48 MiB.  The store is module-global, so access is
+locked: a caller that evaluates potentials from several threads could
+otherwise pass a key comparison and then read another grid's plan or another
+source's masses.
 """
 
 from __future__ import annotations
@@ -242,8 +224,7 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
-    """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho,
-    all in f's frame: rho, t, the nodes and the weights are c times radii.
+    """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
 
     Each shell is split at the grid-cell boundaries it crosses (pieces wider
     than half a decade, possible beyond the grid, are subdivided).  The two
@@ -253,7 +234,7 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     (r_nodes, weights, owner) arrays, owner indexing t, with each shell's
     nodes contiguous and ordered interior pieces, lower edge, upper edge.
     """
-    pts = f.quad_boundaries * f.frame
+    pts = f.quad_boundaries
     a = np.abs(t - rho)
     b = t + rho
     if f.cut_off:
@@ -330,13 +311,11 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
 
 
 class _CentrePlan(NamedTuple):
-    """A centre's partial-shell quadrature, free of f and in the frame of its
-    grid: nodes r c, kernel weights c^n cap_fraction * r^{n-1} * w, and per
-    non-empty shell the offset of its first node and its index into t.  The
-    located form holds, in place of the nodes (then empty), each node's slot
-    and offset s on the source grid (see RadialFunction.locate)."""
+    """A centre's partial-shell quadrature, free of f: each node's slot and
+    offset s on the source grid (see RadialFunction.locate), its kernel
+    weight cap_fraction * r^{n-1} * w, and per non-empty shell the offset of
+    its first node and its index into t."""
 
-    r: np.ndarray
     slot: np.ndarray
     s: np.ndarray
     kw: np.ndarray
@@ -347,34 +326,29 @@ class _CentrePlan(NamedTuple):
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self)
 
-    def source_values(self, f: "RadialFunction") -> np.ndarray:
-        """f at the nodes."""
-        return f(self.r / f.frame) if self.r.size else f.at_located(self.slot, self.s)
-
-    def located(self, f: "RadialFunction") -> "_CentrePlan":
-        """The plan with its nodes located on f's grid; the slot takes the
-        smallest unsigned type that holds the grid's point count."""
-        slot, s = f.locate(self.r / f.frame)
-        plan = self._replace(r=_NO_NODES, slot=slot.astype(np.min_scalar_type(f.grid.count)), s=s)
-        for a in plan:
-            a.setflags(write=False)
-        return plan
-
-
-_NO_NODES = np.empty(0)
-_NO_NODES.setflags(write=False)
-
 
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
-    """Build a centre's read-only plan from rho and t in f's frame, or None
-    when every shell is empty."""
-    r, w, owner = _partial_shell_nodes(f, rho, t)
-    if not owner.size:
-        return None
-    kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
+    """Build a centre's read-only plan, or None when every shell is empty.
+    The slot takes the smallest unsigned type that holds the grid's point
+    count."""
+    # far from 1 the nodes or r^{n-1} overflow, and the check below says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, w, owner = _partial_shell_nodes(f, rho, t)
+        if not owner.size:
+            return None
+        # located before cap_fraction's temporaries, the kept arrays pack
+        # tighter: 6 MB less peak RSS over a map on the solver's grid
+        slot, s = f.locate(r)
+        slot = slot.astype(np.min_scalar_type(f.grid.count))
+        kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
+    if not np.all(np.isfinite(kw)):
+        raise ParameterError(
+            f"kernel weights at rho = {rho:g} leave the floating-point range: "
+            f"r^{kernel.n - 1} overflows on this grid"
+        )
     # owner is non-decreasing, so each shell's nodes form one run
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(r, _NO_NODES, _NO_NODES, kw, starts, owner[starts])
+    plan = _CentrePlan(slot, s, kw, starts, owner[starts])
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -398,17 +372,6 @@ class _KernelWeightStore:
             if grid_key != self._grid:
                 self._reset(grid_key)
             self._admit(self._plans, centre_key, plan)
-
-    def locate(self, grid_key, centre_key, plan, f):
-        """Plan's located form, kept in its place where the cap allows."""
-        located = plan.located(f)
-        with self._lock:
-            growth = located.nbytes - plan.nbytes
-            held = grid_key == self._grid and self._plans.get(centre_key) is plan
-            if held and self.nbytes + growth <= self.max_bytes:
-                self._plans[centre_key] = located
-                self.nbytes += growth
-        return located
 
     def get_masses(self, grid_key, source_key, centre_key):
         with self._lock:
@@ -442,17 +405,6 @@ class _KernelWeightStore:
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
 
 
-def _frame_surface(kernel: CapKernel, c: float) -> float:
-    """s_{n-1} c^-n, which takes a sum over frame kernel weights back to the
-    caller's units; exact, as c is a power of two."""
-    try:
-        return math.ldexp(kernel.surface, -kernel.n * (math.frexp(c)[1] - 1))
-    except OverflowError:
-        raise ParameterError(
-            f"grid frame {c:g} puts c^-{kernel.n} out of floating-point range"
-        ) from None
-
-
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
@@ -469,12 +421,8 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     # the masses kept for this source, else the covered part plus f on the
     # plan kept for this geometry; at rho = 0 every shell is full or empty
     if rho > 0.0:
-        c = f.frame
         grid_key = (n, f.layout_key, f.cut_off)
-        t_frame = t_arr * c
-        centre_key = (rho * c, t_frame.tobytes())
-        # the masses are in the caller's units, so they are kept per source
-        # and frame
+        centre_key = (rho, t_arr.tobytes())
         source_key = f.source_key
         masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
         if masses is not None:
@@ -491,15 +439,13 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     # partial shell |t - rho| < r < t + rho
     plan = _kernel_weights.get(grid_key, centre_key)
     if plan is None:
-        plan = _centre_plan(kernel, f, centre_key[0], t_frame)
+        plan = _centre_plan(kernel, f, rho, t_arr)
         if plan is None:
             return out
         _kernel_weights.put(grid_key, centre_key, plan)
-    elif plan.r.size:  # served again: locate its nodes once
-        plan = _kernel_weights.locate(grid_key, centre_key, plan, f)
-    fr = plan.source_values(f)
+    fr = f.at_located(plan.slot, plan.s)
     fr *= plan.kw
-    out[plan.t_index] += _frame_surface(kernel, c) * np.add.reduceat(fr, plan.starts)
+    out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
     _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)

@@ -8,31 +8,27 @@ and the Riesz potential of order alpha is its gamma = 2 case in layer-cake
 form, I_alpha(f)(x) = (n - alpha) int_0^inf mass(|x|, t) t^{alpha-n} dt/t
 = (n - alpha) W_{alpha/2,2}(f)(x), so both operators run on one engine,
 wolff_eval_at, over the same sphere-ball geometry kernel.  The outer
-t-integral runs in tau = ln(c t), c the source grid's power-of-two frame
-(RadialFunction.frame), as one sum over composite Gauss-Legendre panels,
+t-integral runs in tau = ln t as one sum over composite Gauss-Legendre panels,
 with panel boundaries at the structural radii |rho - r| and rho + r of the
-source grid edges and an analytic closure below t_min.  In the frame a grid
-dilated by a power of two gets the same panels, so its ball masses are taken
-on the same stored plans (see geometry).  The last 8 panels are
+source grid edges and an analytic closure below t_min.  The last 8 panels are
 the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
 mass is the symmetric average of the closed-form cumulative mass, taken for
 every centre in one call.
 
 Nothing in the panels depends on f's values, so wolff_eval_at keeps them as
-a t-layout (_TLayout): per centre the panel widths and, at every node,
-ln(c t), and c t below t_max, all centres in flat arrays.  A layout is keyed
-in the frame by c rho of every centre, c t_min, c t_max, c r_min, c r_max,
-t_nodes_per_decade, slope_cap and a_eff, which is all it reads, so a
-dilation family shares one; the last layouts are kept up to 2 MiB
+a t-layout (_TLayout): per centre the panel widths and, at every node, ln t,
+and t below t_max, all centres in flat arrays.  A layout is keyed by rho of
+every centre, t_min, t_max, r_min, r_max, t_nodes_per_decade, slope_cap and
+a_eff, which is all it reads; the last layouts are kept up to 2 MiB
 (_LAYOUT_BYTES; 0.40 MB on the solver's 81-point grid).  A warm map then
 asks ball_mass_batch for each centre's masses straight into one flat array
 and takes the integrand's exp and log, the panel sums (one matrix-vector
 product with the Gauss weights) and the sum of each centre's panels (one
 add.reduceat) once for all centres, with the t < t_min closure vectorised
 too.  ball_mass_batch stays one call per centre: its plans and stored
-masses are kept per centre, keyed by (c rho, c t), and the benchmark's
-layer tracer (perfbench/spans.py) counts its calls per centre; one call for
-all centres needs one flat plan of all centres first.
+masses are kept per centre, keyed by (rho, t), and the benchmark's layer
+tracer (perfbench/spans.py) counts its calls per centre; one call for all
+centres needs one flat plan of all centres first.
 
 The declared tail of the output follows the mass trichotomy of the source
 tail exponent T against the dimension n:
@@ -152,22 +148,22 @@ def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, nodes_per_decade: int
     return np.array(sorted(bounds))
 
 
-def _structural_radii(c_rho: float, c_r_min: float, c_r_max: float):
+def _structural_radii(rho: float, r_min: float, r_max: float):
     """Outer-integral breakpoints: grid-edge transits plus a dyadic ladder at t = rho,
-    as ln(c t), from rho and the source grid's r_min and r_max in the frame.
+    as ln t, from rho and the source grid's r_min and r_max.
 
     The inner mass changes most rapidly as the ball boundary sweeps the bulk
     of the source, i.e. for t near rho; grading the panels geometrically
     toward ln(rho) resolves that transition for any source concentration.
     """
     radii = []
-    for r in (c_r_min, c_r_max):
-        radii.extend((abs(c_rho - r), c_rho + r))
-    if c_rho > 0.0:
-        radii.append(c_rho)
-        depth = min(6, max(1, int(math.ceil(math.log2(max(c_rho / c_r_min, 2.0)))) + 1))
+    for r in (r_min, r_max):
+        radii.extend((abs(rho - r), rho + r))
+    if rho > 0.0:
+        radii.append(rho)
+        depth = min(6, max(1, int(math.ceil(math.log2(max(rho / r_min, 2.0)))) + 1))
         for j in range(1, depth + 1):
-            radii.extend((c_rho * (1.0 - 2.0**-j), c_rho * (1.0 + 2.0**-j)))
+            radii.extend((rho * (1.0 - 2.0**-j), rho * (1.0 + 2.0**-j)))
     return [math.log(x) for x in radii if x > 0.0]
 
 
@@ -221,41 +217,40 @@ def _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass0, t0) -> np.ndarray:
 
 
 class _TLayout(NamedTuple):
-    """The t-panels of a set of centres, in the frame and free of f's values.
+    """The t-panels of a set of centres, free of f's values.
 
     Per centre the nodes run panels below t_max, then the window's; tau holds
-    ln(c t) at all of them, centre after centre, and ct holds c t at the
-    nodes below t_max only (ball_mass_batch's radii).  widths are the panel
-    widths in tau, centre after centre; node_starts, ct_starts and
-    panel_starts are each centre's first entry in tau, ct and widths (node
-    and ct offsets with a closing entry).  ct_far is c t at the window nodes,
-    which every centre shares."""
+    ln t at all of them, centre after centre, and t holds t at the nodes
+    below t_max only (ball_mass_batch's radii).  widths are the panel widths
+    in tau, centre after centre; node_starts, t_starts and panel_starts are
+    each centre's first entry in tau, t and widths (node and t offsets with a
+    closing entry).  t_far is t at the window nodes, which every centre
+    shares."""
 
     tau: np.ndarray
-    ct: np.ndarray
+    t: np.ndarray
     widths: np.ndarray
     node_starts: np.ndarray
-    ct_starts: np.ndarray
+    t_starts: np.ndarray
     panel_starts: np.ndarray
-    ct_far: np.ndarray
+    t_far: np.ndarray
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self)
 
 
-def _build_layout(c_rhos, c_t_min, c_t_max, c_r_min, c_r_max, nodes_per_decade, slope_cap, a_eff):
+def _build_layout(rhos, t_min, t_max, r_min, r_max, nodes_per_decade, slope_cap, a_eff):
     """Every centre's t-panels from the layout key's components (see the
-    module docstring), lengths in the frame: c rho, c t_min, c t_max, c r_min
-    and c r_max."""
+    module docstring)."""
     nodes01, _ = _leggauss01(_PANEL_NODES)
-    tau_lo, tau_hi = math.log(c_t_min), math.log(c_t_max)
+    tau_lo, tau_hi = math.log(t_min), math.log(t_max)
     # the window beyond t_max: 8 panels over 40 e-folds of the integrand's decay
     window = np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
     far = _TAIL_PANELS * _PANEL_NODES
     taus, widths = [], []
-    for c_rho in c_rhos.tolist():
-        radii = _structural_radii(c_rho, c_r_min, c_r_max)
+    for rho in rhos.tolist():
+        radii = _structural_radii(rho, r_min, r_max)
         panels = _tau_panels(tau_lo, tau_hi, radii, nodes_per_decade, slope_cap)
         bounds = np.concatenate([panels, window])
         widths.append(np.diff(bounds))
@@ -278,12 +273,12 @@ def _build_layout(c_rhos, c_t_min, c_t_max, c_r_min, c_r_max, nodes_per_decade, 
 _layouts = LruStore(_LAYOUT_BYTES)
 
 
-def _layout(c_rhos, *scalars) -> _TLayout:
+def _layout(rhos, *scalars) -> _TLayout:
     """The kept layout of _build_layout's arguments, built and kept on a miss."""
-    key = (c_rhos.tobytes(), *scalars)
+    key = (rhos.tobytes(), *scalars)
     layout = _layouts.get(key)
     if layout is None:
-        layout = _build_layout(c_rhos, *scalars)
+        layout = _build_layout(rhos, *scalars)
         _layouts.put(key, layout, layout.nbytes + len(key[0]))
     return layout
 
@@ -324,47 +319,32 @@ def wolff_eval_at(
             f"{a_eff:.3e} <= 0)"
         )
     kernel = CapKernel(n)
-    # the panels live in the frame, tau = ln(c t), so that grids dilated by a
-    # power of two ask ball_mass_batch for the same c t and share its plans,
-    # and share one layout
-    c = f.frame
     slope_cap = max(bg, n - bg, n) * inv_power
     layout = _layout(
-        c * rhos,
-        c * t_min,
-        c * t_max,
-        c * f.grid.r_min,
-        c * f.grid.r_max,
-        cfg.t_nodes_per_decade,
-        slope_cap,
-        a_eff,
+        rhos, t_min, t_max, f.grid.r_min, f.grid.r_max, cfg.t_nodes_per_decade, slope_cap, a_eff
     )
-    far = layout.ct_far.size
-    starts, ct_starts = layout.node_starts, layout.ct_starts
+    starts, t_starts, t, t_far = layout.node_starts, layout.t_starts, layout.t, layout.t_far
     # the window's t nodes are every centre's: in the window t >> rho, and
     # the symmetric cumulative average of the ball mass kills its O(rho/t)
     # term, so one cumulative_mass call gives every centre's window masses
-    t_far = layout.ct_far / c
     both = f.cumulative_mass(n, np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel())
-    minus, plus = both.reshape(2, rhos.size, far)
+    minus, plus = both.reshape(2, rhos.size, t_far.size)
     window_mass = 0.5 * (minus + plus)
     # every centre's masses, panels below t_max then the window, in one array
     mass = np.empty(layout.tau.size)
-    t = layout.ct / c
     for i, rho in enumerate(rhos.tolist()):
-        lo, hi = ct_starts[i], ct_starts[i + 1]
+        lo, hi = t_starts[i], t_starts[i + 1]
         at = starts[i] + hi - lo
         mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi])
         mass[at : starts[i + 1]] = window_mass[i]
     # in logs: at the window's far end mass^{inv_power} overflows where
     # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0
-    a_ln_c = a_decay * math.log(c)
     with np.errstate(divide="ignore"):
         log_mass = np.log(np.maximum(mass, 0.0))
-    integrand = np.exp(inv_power * log_mass - a_decay * layout.tau + a_ln_c)
+    integrand = np.exp(inv_power * log_mass - a_decay * layout.tau)
     _, wts01 = _leggauss01(_PANEL_NODES)
     panels = (integrand.reshape(-1, _PANEL_NODES) @ wts01) * layout.widths
-    head = _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass[starts[:-1]], t[ct_starts[:-1]])
+    head = _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass[starts[:-1]], t[t_starts[:-1]])
     return np.add.reduceat(panels, layout.panel_starts) + head
 
 

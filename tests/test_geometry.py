@@ -268,9 +268,10 @@ def test_ball_mass_batch_against_independent_quadrature(n, oracles):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
-def test_power_of_two_dilation_shares_plans_down_to_tiny_radii(cap_calls):
-    # plans hold c r and c^n times the kernel weights; at r_min ~ 1e-30 and
-    # n = 6, c^6 = 2^594 stays in range and the masses scale exactly
+def test_power_of_two_dilation_shares_plans_down_to_tiny_radii():
+    # masses scale as lam^-n under a dilation by 1/lam; at r_min ~ 1e-30 and
+    # n = 6 the kernel weights are ~1e-180, still normal, and the masses keep
+    # that homogeneity to rounding
     k = CapKernel(6)
     f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 9.0)
     tiny = RadialFunction(RadialGrid(f.grid.points * 2.0**-93), f.values, tail_exponent=9.0)
@@ -278,16 +279,15 @@ def test_power_of_two_dilation_shares_plans_down_to_tiny_radii(cap_calls):
     ts = np.geomspace(1e-3, 1e3, 50)
     base = ball_mass_batch(k, f, 0.7, ts)
     got = ball_mass_batch(k, tiny, 0.7 * 2.0**-93, ts * 2.0**-93)
-    assert len(cap_calls) == 1
     assert np.all(got > 0.0)
     assert np.max(np.abs(got / (base * 2.0 ** (-93 * 6)) - 1.0)) <= 1e-13
 
 
-def test_frame_scale_out_of_range_raises():
-    # c^-n of a grid at 1e200 is 2^3990 for n = 6: an error, not inf masses
+def test_kernel_weights_out_of_range_raise():
+    # r^5 on a grid at 1e200 overflows for n = 6: an error, not inf masses
     grid = RadialGrid.per_decade(1e200, 1e202, 16)
     huge = RadialFunction(grid, np.ones(grid.count), tail_exponent=math.inf)
-    with pytest.raises(ParameterError, match="frame"):
+    with pytest.raises(ParameterError, match="floating-point range"):
         ball_mass_batch(CapKernel(6), huge, 3e202, np.array([2.5e202]))
 
 
@@ -407,15 +407,15 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
 @pytest.fixture
 def source_calls(monkeypatch):
     """Sizes of the arrays f is evaluated on: RadialFunction.__call__ and a
-    stored plan's located nodes both end in _at_located."""
+    plan's nodes both end in at_located."""
     calls = []
-    at_located = RadialFunction._at_located
+    at_located = RadialFunction.at_located
 
-    def counting(self, slot, s, c):
+    def counting(self, slot, s):
         calls.append(np.size(s))
-        return at_located(self, slot, s, c)
+        return at_located(self, slot, s)
 
-    monkeypatch.setattr(RadialFunction, "_at_located", counting)
+    monkeypatch.setattr(RadialFunction, "at_located", counting)
     return calls
 
 
@@ -497,8 +497,7 @@ def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
     assert np.array_equal(moved.quad_boundaries, f.quad_boundaries)
     ts = np.geomspace(1e-3, 1e4, 120)
     for rho in (0.005, 1.0):
-        for _ in range(2):  # the second call locates the plan's nodes on f's grid
-            ball_mass_batch(k, f, rho, ts)
+        ball_mass_batch(k, f, rho, ts)
         caps = len(cap_calls)
         warm = ball_mass_batch(k, moved, rho, ts)
         assert len(cap_calls) == caps + 1
@@ -506,25 +505,21 @@ def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
         assert np.array_equal(warm, ball_mass_batch(k, moved, rho, ts))
 
 
-def _located_plans(store):
-    return [plan for plan in store._plans.values() if not plan.r.size]
-
-
 def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     # two system-map applications on the solver's default 81-point grid:
-    # every plan is served again and kept in its located form
+    # every plan is built once, located, and served again
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     cfg = SolveConfig()
     u, v = make_ansatz(params, default_solver_grid())
     store = geometry._kernel_weights
     first = potential_images(params, u, v, cfg)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) == len(store._plans) == len(_located_plans(store)) == u.grid.count == 81
+    assert len(cap_calls) == len(store._plans) == u.grid.count == 81
     assert store.nbytes <= store.max_bytes
     assert store.nbytes == sum(plan.nbytes for plan in store._plans.values()) + sum(
         m.nbytes for m in store._masses.values()
     )
-    located = _located_plans(store)[0]
+    located = next(iter(store._plans.values()))
     assert located.slot.dtype == np.uint8 and not located.slot.flags.writeable
     geometry._kernel_weights.clear()
     cold = potential_images(params, u, v, cfg)
@@ -533,9 +528,9 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 
 def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
-    # on a 121-point grid under a 32 MiB cap not every plan fits: a repeat
-    # map rebuilds only the centres whose plans are not stored, as many as
-    # before plans were located (109 stored, 2 x 12 rebuilt)
+    # on a 121-point grid under a 32 MiB cap not every plan fits: at 17
+    # bytes per node 104 are stored, and a repeat map rebuilds only the
+    # other 17, once per source
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
@@ -543,11 +538,11 @@ def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     store = geometry._kernel_weights
     monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
-    assert len(store._plans) == 109
+    assert len(store._plans) == 104
     before = len(cap_calls)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) - before == 2 * (grid.count - 109)
-    assert 0 < len(_located_plans(store)) < 109 and store.nbytes <= store.max_bytes
+    assert len(cap_calls) - before == 2 * (grid.count - 104)
+    assert len(store._plans) == 104 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):

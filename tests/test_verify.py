@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from wolffkit.errors import ParameterError
@@ -12,13 +13,13 @@ from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_groun
 from wolffkit.radial import RadialGrid
 from wolffkit.solver import SolveConfig, solve_system
 from wolffkit.verify import (
-    SCALE_FAMILY,
     check_fast_rates,
     check_inequalities,
     check_integrability,
     check_log_limit,
     log_tail_expression,
     run_suite,
+    sharp_hls_constant,
     standard_battery,
 )
 
@@ -104,24 +105,61 @@ def test_inequality_ratio_boundedness_small_battery(monkeypatch):
 
     monkeypatch.setattr(verify, "riesz_eval", counting_riesz)
     entries = check_inequalities(0, PINNED, count=4)
-    # sigma1 = 0: the weighted source is the profile itself, evaluated once
-    assert len(calls) == 4 * len(SCALE_FAMILY)
+    # sigma1 = 0: the weighted source is the profile itself, evaluated once,
+    # and the sharp-constant extremal adds one
+    assert len(calls) == 4 + 1
     # gamma = 2 adds no entry comparing the two potentials with each other
-    assert [e.name for e in entries] == ["weighted_hls_ratio", "wolff_riesz_comparison"]
-    hls, cmp_ = entries
+    names = [e.name for e in entries]
+    assert names == ["weighted_hls_ratio", "wolff_riesz_comparison", "sharp_hls_constant"]
+    hls, cmp_, sharp = entries
     assert hls.status == "pass"
     assert hls.measured < 50.0  # far inside the 1e3 window
     assert cmp_.status == "pass"
+    assert sharp.status == "pass"
+    assert abs(sharp.measured / sharp.expected - 1.0) < 2.5e-3  # 2.2e-3 measured
 
 
 def test_inequality_family_builds_each_centre_plan_once(cap_calls):
-    # the benchmark's inequalities operation: two bumps on one 65-point grid,
-    # each at the five dilations of SCALE_FAMILY, all powers of two, with a
-    # Riesz and a Wolff image per grid.  Every dilated grid has the base
-    # grid's points in its frame, so the 65 centre plans are built once
-    # (650 when each grid kept its own store)
+    # the benchmark's inequalities operation: two bumps and the sharp-constant
+    # extremal on one 65-point grid, with a Riesz and a Wolff image per bump
+    # and a Riesz image of the extremal, all on the same t nodes, so the 65
+    # centre plans are built once
     check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)
     assert len(cap_calls) == 65
+
+
+@pytest.mark.parametrize("n, alpha", [(3, 1.6), (5, 2.0), (3, 1.0)])
+def test_sharp_hls_constant_is_the_extremal_ratio(n, alpha):
+    # oracle: the extremal (1 + r^2)^{-(n+alpha)/2} has the closed-form image
+    # pi^{n/2} Gamma(alpha/2)/Gamma((n+alpha)/2) (1 + r^2)^{-(n-alpha)/2}, and
+    # its HLS ratio, both norms by adaptive quadrature, is the sharp constant
+    p, q = 2 * n / (n + alpha), 2 * n / (n - alpha)
+    k = math.pi ** (n / 2) * gamma_fn(alpha / 2) / gamma_fn((n + alpha) / 2)
+
+    def norm(power, exponent):
+        integrand = lambda r: r ** (n - 1) * (1 + r * r) ** (-power * exponent / 2)
+        integral = quad(integrand, 0, math.inf, epsabs=0, epsrel=1e-13)[0]
+        return (2 * math.pi ** (n / 2) / gamma_fn(n / 2) * integral) ** (1 / exponent)
+
+    ratio = k * norm(n - alpha, q) / norm(n + alpha, p)
+    assert sharp_hls_constant(n, alpha) == pytest.approx(ratio, rel=1e-10)
+
+
+def test_sharp_hls_entry_fails_on_a_potential_one_percent_high(monkeypatch):
+    def high_riesz(*args, **kwargs):
+        return riesz_eval(*args, **kwargs).scaled(1.01)
+
+    monkeypatch.setattr(verify, "riesz_eval", high_riesz)
+    entries = {e.name: e for e in check_inequalities(0, PINNED, count=1)}
+    assert entries["sharp_hls_constant"].status == "fail"
+    # a common factor leaves the boundedness entries as they were
+    assert entries["weighted_hls_ratio"].status == "pass"
+
+
+def test_sharp_hls_entry_only_without_weight():
+    params = Parameters(5, 1.0, 2.0, 2.0, 2.75, -0.5, 0.0)
+    names = [e.name for e in check_inequalities(0, params, p=2.5, count=1)]
+    assert names == ["weighted_hls_ratio", "wolff_riesz_comparison"]
 
 
 def test_standard_battery_is_deterministic():
