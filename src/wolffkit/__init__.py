@@ -54,7 +54,6 @@ from .solver import (
     SolveResult,
     bubble_profile,
     make_ansatz,
-    picard_step,
     solve_system,
     system_residual,
 )

@@ -78,7 +78,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .radial import _leggauss01, sphere_surface, unit_ball_volume
+from .radial import _leggauss01, sphere_surface
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radial import RadialFunction
@@ -101,10 +101,6 @@ class CapKernel:
     @cached_property
     def surface(self) -> float:
         return sphere_surface(self.n)
-
-    @cached_property
-    def ball_volume(self) -> float:
-        return unit_ball_volume(self.n)
 
 
 # below this x the even-n closed form cancels; the series takes over

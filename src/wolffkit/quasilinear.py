@@ -397,12 +397,10 @@ def _outcome(event: Optional[tuple[str, float]]) -> str:
 def _profile_from(traj: Trajectory, component: str) -> RadialFunction:
     vals = traj.u if component == "u" else traj.v
     mask = vals > 0.0
-    r = traj.r[mask]
-    v = vals[mask]
-    fit = fit_decay_rate_raw(r, v)
-    return RadialFunction(
-        RadialGrid(r), v, head_exponent=0.0, tail_exponent=fit, tail_log_power=0.0
-    )
+    f = RadialFunction(RadialGrid(traj.r[mask]), vals[mask], head_exponent=0.0)
+    # the declared tail continues the last decade's log-log slope
+    tail = fit_decay_rate(f, (f.grid.r_max / 10.0, f.grid.r_max)).exponent
+    return f.with_values(f.values, tail_exponent=tail)
 
 
 def _canonical_log_scale(
@@ -425,16 +423,6 @@ def _canonical_log_scale(
         return 1.0
     r0 = math.exp(-intercept / slope)
     return float(np.clip(r0, 1e-3, window[0]))
-
-
-def fit_decay_rate_raw(r: np.ndarray, vals: np.ndarray) -> float:
-    """Tail log-log slope over the last decade of a raw sampled trajectory."""
-    r_hi = r[-1]
-    mask = r >= r_hi / 10.0
-    if int(mask.sum()) < 4:
-        mask = np.ones(r.size, dtype=bool)
-    coef = np.polyfit(np.log(r[mask]), np.log(np.maximum(vals[mask], 1e-300)), 1)
-    return float(-coef[0])
 
 
 def find_fast_ground_state(

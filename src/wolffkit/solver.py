@@ -4,19 +4,21 @@ The iteration maps a positive pair (u, v) to the potential images
 
     u~ = c1 * W(r^{sigma1} v^q),    v~ = c2 * W(r^{sigma2} u^p),
 
-and works on the log-values x = (ln u, ln v), which keeps the iterates
-positive.  The residual is r = ln(c_eff * image) - x, where the effective
-constants c_eff make the image agree with the iterate at r = ANCHOR_RADIUS.
-With no history the step is geometric damping u' = u^{1-theta} u~^theta,
+and its state is the log-values x = (ln u, ln v), which keeps the iterates
+positive.  Each iteration forms x and the residual r = ln(c_eff * image) - x
+once, where the effective constants c_eff make the image agree with the
+iterate at r = ANCHOR_RADIUS; each component's fixed-point residual is
+sup |expm1(r)|, the relative sup-distance between the iterate and its
+anchored image, and convergence is declared on it.  The step is
+x + theta*r - (dX + theta*dR) gamma: with no history it is the damped step
+x + theta*r, geometric damping u' = u^{1-theta} u~^theta up to a constant,
 which preserves power-law tails exactly; with the residuals of up to
 ANDERSON_DEPTH earlier iterates it is Anderson mixing (Walker & Ni, SIAM J.
 Numer. Anal. 49(4), 2011).  A rise of the sup residual clears the history.
 After each step the amplitudes are re-anchored so that u and v keep their
 starting values at ANCHOR_RADIUS, which projects out the amplitude mode.
 Nothing fixes the other zero mode of critical parameters, the dilation
-family u -> lam^{q0} u(lam r), v -> lam^{p0} v(lam r).  Convergence is
-declared on the fixed-point residual, the relative sup-distance between the
-iterate and its anchored potential image.
+family u -> lam^{q0} u(lam r), v -> lam^{p0} v(lam r).
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class SolveConfig:
             raise ParameterError(f"rel_tol must be positive (rel_tol = {self.rel_tol})")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
+        if self.custom_initial is not None and self.custom_initial[0].grid != self.custom_initial[1].grid:
+            raise ParameterError("custom_initial u and v must share one grid")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveConfig":
@@ -170,76 +174,62 @@ def system_residual(
     """Pointwise relative sup-residuals of the pair against its potential image."""
     cfg = cfg or SolveConfig()
     u_img, v_img = potential_images(params, u, v, cfg)
-    return _residual_pair(u, v, u_img, v_img, window)
-
-
-def _residual_pair(u, v, u_img, v_img, window=None):
     pts = u.grid.points
-    mask = np.ones(pts.size, dtype=bool)
-    if window is not None:
-        mask = (pts >= window[0]) & (pts <= window[1])
-    res_u = float(np.max(np.abs(u.values[mask] - u_img.values[mask]) / u.values[mask]))
-    res_v = float(np.max(np.abs(v.values[mask] - v_img.values[mask]) / v.values[mask]))
-    return res_u, res_v
+    mask = slice(None) if window is None else (pts >= window[0]) & (pts <= window[1])
+    return _log_residual(u, v, u_img, v_img, (1.0, 1.0), mask)[2]
 
 
-def _geometric_mix(old: RadialFunction, new: RadialFunction, theta: float) -> RadialFunction:
-    if theta >= 1.0:
-        return new
-    vals = old.values ** (1.0 - theta) * new.values**theta
-    mix = lambda a, b: (1.0 - theta) * a + theta * b
-    return RadialFunction(
-        old.grid,
-        vals,
-        head_exponent=mix(old.head_exponent, new.head_exponent),
-        tail_exponent=mix(old.tail_exponent, new.tail_exponent),
-        tail_log_power=mix(old.tail_log_power, new.tail_log_power),
-    )
+def _log_residual(u, v, u_img, v_img, c_eff, mask=slice(None)):
+    """The log-values x = ln(u, v), the residual r = ln(c_eff * image) - x and
+    each component's relative sup-residual |c_eff * image / f - 1| =
+    |expm1(r)| over the grid points in mask; x and r are split at u.values.size."""
+    x = np.log(np.concatenate([u.values, v.values]))
+    r = np.log(np.concatenate([u_img.values * c_eff[0], v_img.values * c_eff[1]])) - x
+    err_u, err_v = np.split(np.abs(np.expm1(r)), [u.values.size])
+    return x, r, (float(np.max(err_u[mask])), float(np.max(err_v[mask])))
 
 
-def _update(u, v, u_img, v_img, c_eff, theta: float, refs, history: list):
-    """The next iterate from (u, v) and their images, re-anchored to refs at ANCHOR_RADIUS.
+def _step(x, r, theta: float, history):
+    """The Anderson step x + theta*r - (dX + theta*dR) gamma, gamma = lstsq(dR, r).
 
-    On x = (ln u, ln v) with the anchored residual r = ln(c_eff * image) - x,
-    the step is x + theta*r - (dX + theta*dR) gamma, gamma = lstsq(dR, r),
-    where the columns of dX and dR are x - x_j and r - r_j over the earlier
-    iterates j in history.  With an empty history it is the damped geometric
-    mix.  The head and tail models are theta-mixed either way.  history
-    holds the (x, r) pairs of up to ANDERSON_DEPTH earlier iterates, oldest
-    first; the current pair is appended.  Returns the new pair and the number
-    of earlier iterates combined.
+    The columns of dX and dR are x - x_j and r - r_j over the (x_j, r_j)
+    pairs in history, the earlier iterates, oldest first; with an empty
+    history the step is the damped x + theta*r.  Returns the step and the
+    number of earlier iterates it combined.
+    """
+    x_new = x + theta * r
+    if history:
+        dx = np.stack([x - xj for xj, _ in history], axis=1)
+        dr = np.stack([r - rj for _, rj in history], axis=1)
+        gamma = np.linalg.lstsq(dr, r, rcond=None)[0]
+        x_new -= (dx + theta * dr) @ gamma
+    return x_new, len(history)
 
-    The amplitude mode never contracts: the log-amplitude linearization of
-    the damped iteration has spectral radius
+
+def _profiles(x, pair, images, theta: float, refs):
+    """The profiles with log-values x, re-anchored to refs at ANCHOR_RADIUS.
+
+    Their head and tail models are theta-mixed between pair and images.  The
+    amplitude mode never contracts: the log-amplitude linearization of the
+    damped iteration has spectral radius
     1 - theta + theta*sqrt(p*q)/(gamma-1) > 1 for any damping.  Rescaling
     both components to refs projects it out, which makes the iteration
     target the system with constant coefficients c_eff; solve_system undoes
     those constants exactly on exit.
     """
-    x = np.log(np.concatenate([u.values, v.values]))
-    r = np.log(np.concatenate([u_img.values * c_eff[0], v_img.values * c_eff[1]])) - x
-    u_new, v_new = _geometric_mix(u, u_img, theta), _geometric_mix(v, v_img, theta)
-    mixed = len(history)
-    if mixed:
-        dx = np.stack([x - xj for xj, _ in history], axis=1)
-        dr = np.stack([r - rj for _, rj in history], axis=1)
-        gamma = np.linalg.lstsq(dr, r, rcond=None)[0]
-        # the damped mix is the step x + theta*r up to a constant that the
-        # re-anchoring removes, so the mixing enters as a factor
-        factor = np.exp(-(dx + theta * dr) @ gamma)
-        k = u.values.size
-        u_new = u_new.with_values(u_new.values * factor[:k])
-        v_new = v_new.with_values(v_new.values * factor[k:])
-    history.append((x, r))
-    del history[:-ANDERSON_DEPTH]
-    u_now, v_now = _anchor_values(u_new, v_new)
-    return u_new.scaled(refs[0] / u_now), v_new.scaled(refs[1] / v_now), mixed
-
-
-def _effective_constants(u, v, u_img, v_img):
-    """The iterate over its image at ANCHOR_RADIUS, per component."""
-    (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
-    return u_at / u_img_at, v_at / v_img_at
+    # undamped, the image's models, also past a cut-off iterate tail (0 * inf)
+    mix = lambda a, b: b if theta == 1.0 else (1.0 - theta) * a + theta * b
+    out = []
+    for vals, f, img, ref in zip(np.split(x, [pair[0].values.size]), pair, images, refs):
+        g = RadialFunction(
+            f.grid,
+            np.exp(vals),
+            head_exponent=mix(f.head_exponent, img.head_exponent),
+            tail_exponent=mix(f.tail_exponent, img.tail_exponent),
+            tail_log_power=mix(f.tail_log_power, img.tail_log_power),
+        )
+        out.append(g.scaled(ref / float(g(ANCHOR_RADIUS))))
+    return out
 
 
 def _undo_effective_constants(params, u, v, c1: float, c2: float):
@@ -250,18 +240,6 @@ def _undo_effective_constants(params, u, v, c1: float, c2: float):
     log_ab = np.linalg.solve(M, np.array([math.log(c1), math.log(c2)]))
     A, B = math.exp(log_ab[0]), math.exp(log_ab[1])
     return u.scaled(A), v.scaled(B)
-
-
-def picard_step(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: SolveConfig):
-    """One damped iteration of the system map, re-anchored to u and v at ANCHOR_RADIUS.
-
-    This is solve_system's step with no history.
-    """
-    _check_positive(u, v)
-    u_img, v_img = potential_images(params, u, v, cfg)
-    c_eff = _effective_constants(u, v, u_img, v_img)
-    u, v, _ = _update(u, v, u_img, v_img, c_eff, cfg.damping, _anchor_values(u, v), [])
-    return u, v
 
 
 def _anchor_values(u: RadialFunction, v: RadialFunction):
@@ -307,8 +285,9 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         u_img, v_img = potential_images(params, u, v, cfg)
         # residual against the image of the effective constant-coefficient
         # system; the constants are undone exactly on exit
-        c1_eff, c2_eff = _effective_constants(u, v, u_img, v_img)
-        res_u, res_v = _residual_pair(u, v, u_img.scaled(c1_eff), v_img.scaled(c2_eff))
+        (u_at, v_at), (u_img_at, v_img_at) = _anchor_values(u, v), _anchor_values(u_img, v_img)
+        c1_eff, c2_eff = u_at / u_img_at, v_at / v_img_at
+        x, r, (res_u, res_v) = _log_residual(u, v, u_img, v_img, (c1_eff, c2_eff))
         iterations = k
         res = max(res_u, res_v)
         converged = res <= cfg.rel_tol
@@ -316,7 +295,10 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
         if not converged:
             if res > last_res:
                 history.clear()  # restart: this step is the plain damped one
-            u, v, mixed = _update(u, v, u_img, v_img, (c1_eff, c2_eff), cfg.damping, refs, history)
+            x_new, mixed = _step(x, r, cfg.damping, history)
+            history.append((x, r))
+            del history[:-ANDERSON_DEPTH]
+            u, v = _profiles(x_new, (u, v), (u_img, v_img), cfg.damping, refs)
             last_res = res
         trace.append(
             {

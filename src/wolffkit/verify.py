@@ -359,6 +359,8 @@ def check_inequalities(
     The convolution inequality requires 1/p - 1/q = (alpha + sigma)/n with
     q > n/(n - alpha) (alpha = beta*gamma, sigma = sigma1); explicitly
     supplied exponents violating the relation raise ParameterError.  The
+    comparison requires p > n(gamma - 1)/(n - alpha), without which both of
+    its norms diverge on the finite-mass battery.  The
     inequalities are dilation-invariant, so each profile is taken at its own
     scale only.
 
@@ -389,6 +391,13 @@ def check_inequalities(
         )
     if q <= n / (n - alpha):
         raise ParameterError(f"q = {q} must exceed n/(n-alpha) = {n / (n - alpha)}")
+    # a finite-mass source's Riesz image decays like r^{alpha-n} and its Wolff
+    # image like r^{(alpha-n)/(gamma-1)}, so both comparison norms diverge
+    if p * (n - alpha) / g <= n:
+        raise ParameterError(
+            f"p = {p} must exceed n(gamma-1)/(n-alpha) = {n * g / (n - alpha)}: "
+            "the comparison norms diverge"
+        )
 
     hls_ratios, cmp_ratios = [], []
     for f in standard_battery(n, seed=battery_seed, count=count):

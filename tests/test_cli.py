@@ -238,6 +238,17 @@ def test_verify_rates_report_names_the_solver(tmp_path):
     assert report["provenance"]["config"]["solver"]["final_r_stop"] == 1e4
 
 
+def test_verify_inequalities_with_divergent_norms_is_json_domain_error(capsys):
+    # at beta*gamma = 2.5 and the default p = 2, p (n - alpha)/(gamma - 1) = 5 = n
+    code = main([
+        "verify", "--n", "5", "--beta", "1.25", "--gamma", "2", "--p", "2", "--q", "3",
+        "--sigma1", "-1", "--sigma2", "0", "--suite", "inequalities",
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "p = 2.0" in err["message"]
+
+
 def test_verify_loglimit_report_and_determinism(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):

@@ -61,6 +61,15 @@ def test_riesz_far_field_is_point_mass_kernel(unit_indicator):
     assert got == pytest.approx(unit_ball_volume(n) * rho ** (alpha - n), rel=1e-3)
 
 
+def test_wolff_of_zero_source_or_no_centres_is_empty_work(unit_indicator):
+    zero = unit_indicator.with_values(np.zeros(unit_indicator.grid.count))
+    for gamma in (2.0, 1.6):
+        got = wolff_eval_at(zero, 5, 1.0, gamma, [0.0, 0.5, 2.0])
+        assert np.array_equal(got, np.zeros(3))
+    none = wolff_eval_at(unit_indicator, 5, 1.0, 2.0, [])
+    assert none.shape == (0,)
+
+
 def test_radial_evaluation_is_deterministic(unit_indicator):
     a = wolff_eval_at(unit_indicator, 5, 1.0, 2.0, [0.3, 1.0, 2.0])
     b = wolff_eval_at(unit_indicator, 5, 1.0, 2.0, [0.3, 1.0, 2.0])

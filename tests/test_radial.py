@@ -302,6 +302,24 @@ def test_cumulative_mass_matches_quadrature():
         assert got == pytest.approx(sphere_surface(4) * oracle, rel=5e-7)
 
 
+@pytest.mark.parametrize("T, L, p, n", [(9.0, 0.5, 1.2, 5), (6.0, 1.0, 1.0, 5)])
+def test_log_tail_integral_to_infinity_matches_mpmath(T, L, p, n):
+    # a log-corrected tail integrated to infinity with k - T p != 0 takes the
+    # Gauss-Laguerre rule; the reference integrates the declared tail
+    # r^{k-1} (v_N (r/r_N)^{-T} (ln r/ln r_N)^L)^p in lam = ln r at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    vals = (1.0 + grid.points**2) ** (-T / 2.0) * (1.0 + np.log1p(grid.points)) ** L
+    f = RadialFunction(grid, vals, tail_exponent=T, tail_log_power=L)
+    got = float(f._tail_integral(n, p))
+    with mpmath.workdps(30):
+        v_end, lam0 = mpmath.mpf(vals[-1]), mpmath.log(mpmath.mpf(grid.r_max))
+        tail = lambda lam: mpmath.exp(n * lam) * (
+            v_end * mpmath.exp(-T * (lam - lam0)) * (lam / lam0) ** L) ** p
+        want = float(mpmath.quad(tail, [lam0, lam0 + 1, lam0 + 10, mpmath.inf]))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_fit_decay_rate_exact_power_law():
     g = RadialGrid.per_decade(1e-2, 1e4, 16)
     f = RadialFunction(g, g.points**-3.0, head_exponent=3.0, tail_exponent=3.0)

@@ -18,7 +18,6 @@ from wolffkit.solver import (
     bubble_profile,
     default_solver_grid,
     make_ansatz,
-    picard_step,
     potential_images,
     solve_system,
     system_residual,
@@ -53,25 +52,39 @@ def test_bubble_profile_is_a_near_fixed_point():
     assert res_v <= 1e-2
 
 
-def test_picard_step_identity_damping_is_plain_image():
-    # undamped, the step is the image rescaled to the iterate's value at r = 1
+def test_undamped_step_is_plain_image():
+    # undamped, the step is the image rescaled to the iterate's value at r = 1;
+    # the bubble's residual (5.3e-3) exceeds the tight rel_tol, so the one
+    # iteration steps, and unconverged the result is that step
     grid = default_solver_grid()
     u = bubble_profile(5, grid)
-    cfg = SolveConfig(damping=1.0)
+    cfg = SolveConfig(max_iters=1, damping=1.0, rel_tol=1e-12, custom_initial=(u, u))
     img_u, img_v = potential_images(CRITICAL_SCALAR, u, u, cfg)
-    step_u, step_v = picard_step(CRITICAL_SCALAR, u, u, cfg)
+    res = solve_system(CRITICAL_SCALAR, cfg)
+    assert not res.converged and res.trace[0]["mixed"] == 0
     anchor = float(u(solver.ANCHOR_RADIUS))
-    for step, img in ((step_u, img_u), (step_v, img_v)):
+    for step, img in ((res.u, img_u), (res.v, img_v)):
         want = img.scaled(anchor / float(img(solver.ANCHOR_RADIUS)))
-        assert np.array_equal(step.values, want.values)
+        assert np.allclose(step.values, want.values, rtol=1e-13, atol=0.0)
+        assert (step.head_exponent, step.tail_exponent, step.tail_log_power) == (
+            img.head_exponent, img.tail_exponent, img.tail_log_power)
         assert step(solver.ANCHOR_RADIUS) == pytest.approx(anchor, rel=1e-14)
 
 
-def test_picard_step_rejects_vanishing_iterate():
+def test_solver_rejects_vanishing_iterate():
     grid = default_solver_grid()
     zero = RadialFunction(grid, np.zeros(grid.count), tail_exponent=math.inf)
+    cfg = SolveConfig(max_iters=1, damping=1.0, rel_tol=1e-12, custom_initial=(zero, zero))
     with pytest.raises(DegenerateIterationError):
-        picard_step(CRITICAL_SCALAR, zero, zero, SolveConfig())
+        solve_system(CRITICAL_SCALAR, cfg)
+
+
+def test_custom_initial_on_two_grids_is_refused():
+    u = bubble_profile(5, default_solver_grid())
+    v = bubble_profile(5, RadialGrid.per_decade(1e-2, 1e2, 16))
+    assert (u.grid.count, v.grid.count) == (81, 65)
+    with pytest.raises(ParameterError, match="one grid"):
+        SolveConfig(custom_initial=(u, v))
 
 
 def test_solver_refuses_subcritical_by_default():
@@ -277,23 +290,17 @@ def test_mixed_step_matches_anderson_with_consecutive_differences():
     base = -1.5 * np.log1p(grid.points**2)
     xs = [np.concatenate([base, base]) + 0.1 * rng.standard_normal(2 * grid.count) for _ in range(4)]
     rs = [0.05 * rng.standard_normal(2 * grid.count) for _ in range(4)]
-    k, theta = grid.count, 0.8
-
-    def pair(vals):
-        return tuple(RadialFunction(grid, np.exp(part), tail_exponent=3.0) for part in (vals[:k], vals[k:]))
+    theta = 0.8
 
     history = list(zip(xs[:3], rs[:3]))
-    u, v = pair(xs[3])
-    u_img, v_img = pair(xs[3] + rs[3])
-    refs = (0.7, 1.3)
-    new_u, new_v, mixed = solver._update(u, v, u_img, v_img, (1.0, 1.0), theta, refs, history)
-    assert mixed == 3 and len(history) == solver.ANDERSON_DEPTH
-    assert np.allclose(history[-1][0], xs[3], rtol=1e-14, atol=1e-14)
+    got, mixed = solver._step(xs[3], rs[3], theta, history)
+    assert mixed == 3 and len(history) == 3  # the step leaves the history as it is
 
     dx = np.stack([xs[j + 1] - xs[j] for j in range(3)], axis=1)
     dr = np.stack([rs[j + 1] - rs[j] for j in range(3)], axis=1)
     coef = np.linalg.lstsq(dr, rs[3], rcond=None)[0]
-    want = pair(xs[3] + theta * rs[3] - (dx + theta * dr) @ coef)
-    for got, ref, anchor in zip((new_u, new_v), want, refs):
-        ref = ref.scaled(anchor / float(ref(solver.ANCHOR_RADIUS)))
-        assert np.allclose(got.values, ref.values, rtol=1e-10, atol=0.0)
+    want = xs[3] + theta * rs[3] - (dx + theta * dr) @ coef
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+    # with no history it is the damped step
+    plain, mixed = solver._step(xs[3], rs[3], theta, [])
+    assert mixed == 0 and np.array_equal(plain, xs[3] + theta * rs[3])

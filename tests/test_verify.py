@@ -96,6 +96,13 @@ def test_inequalities_reject_violated_exponent_relation():
         check_inequalities(0, PINNED, p=2.0, q=2.0 * 1.1)
 
 
+def test_inequalities_reject_divergent_comparison_norms():
+    # p (n - alpha)/(gamma - 1) = 1.5 * 3 <= 5: the Riesz image's L^{p/(gamma-1)}
+    # norm and the Wolff image's L^p norm both diverge
+    with pytest.raises(ParameterError, match="p = 1.5"):
+        check_inequalities(0, Parameters(5, 1.0, 2.0, 2.0, 2.75, -0.5, 0.0), p=1.5, count=4)
+
+
 def test_inequality_ratio_boundedness_small_battery(monkeypatch):
     calls = []
 
