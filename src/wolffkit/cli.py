@@ -116,12 +116,9 @@ def _cmd_solve(args) -> int:
 def _cmd_shoot(args) -> int:
     started = time.time()
     params = _load_params(args)
-    bracket = tuple(float(x) for x in args.bracket.split(","))
-    if len(bracket) != 2:
-        raise WolffkitError(f"--bracket wants 'lo,hi', got {args.bracket!r}")
     cfg = GroundStateConfig(
         a=args.a,
-        bracket=bracket,
+        bracket=tuple(float(x) for x in args.bracket.split(",")),
         shoot=ShootConfig(r_stop=args.r_stop),
         final_r_stop=args.r_stop,
     )

@@ -22,8 +22,8 @@ deviation grows like r^k, k = (n - gamma)/(gamma - 1), so the radius r_hit at
 which a component hits zero measures the distance to it: the signed misfit
 -+ r_hit^{-k} is close to linear in v(0) - b_star, and Brent's method finds
 its sign change in far fewer shots than bisection on the class alone.  The
-bisection on the class is then replayed, shooting only its steps within a
-few ulps of Brent's bracket, so the search ends where the bisection ends.
+tightest sign change of the class that Brent's shots found is then bisected
+down to adjacent doubles.
 
 Every shot runs on one engine, Hairer's compiled DOP853 (scipy.integrate.ode
 with the "dop853" integrator; Hairer, Norsett & Wanner, Solving Ordinary
@@ -64,11 +64,11 @@ MAX_STEPS = 100_000  # DOP853's cap on the steps of one integration
 SAMPLES_PER_DECADE = 24
 EVENT_TOL = 4.0 * np.finfo(float).eps  # brentq's tolerances for event roots
 # the separatrix search: Brent's iterations and the bisection's steps stop at
-# MAX_SHOTS each, and each classifies at most one new shot
+# MAX_SHOTS each, and each classifies at most one new shot; bisection takes a
+# bracket of ratio 1e4 to adjacent doubles in about 55 steps, Brent's in 3-4
 MAX_SHOTS = 60
-# relative half-width of the band around Brent's bracket where the outcome
-# class is not taken to be monotone in v(0) (16 ulps at v(0) in [1, 2));
-# also Brent's tolerance in ln v(0)
+# Brent's tolerance in ln v(0) (16 ulps at v(0) in [1, 2)); the bisection
+# then takes its bracket the last few steps
 SEPARATRIX_BAND = 2.0**-48
 MISFIT_LOG_CAP = 700.0  # |ln| of the misfit stays below this: finite and non-zero
 # fraction of the reached radius still free of separatrix peel-off; a
@@ -77,9 +77,19 @@ MISFIT_LOG_CAP = 700.0  # |ln| of the misfit stays below this: finite and non-ze
 CLEAN_FRACTION = 0.1
 
 
+def _check_r_stop(name: str, r_stop: float) -> None:
+    if not R_START < r_stop < math.inf:
+        raise ParameterError(
+            f"{name} must be finite and above R_START = {R_START}, got {r_stop!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ShootConfig:
     r_stop: float = 1e4
+
+    def __post_init__(self):
+        _check_r_stop("r_stop", self.r_stop)
 
 
 @dataclass(frozen=True)
@@ -387,6 +397,18 @@ class GroundStateConfig:
     fit_decades: float = 2.0
     final_r_stop: Optional[float] = None  # defaults to shoot.r_stop
 
+    def __post_init__(self):
+        if self.final_r_stop is not None:
+            _check_r_stop("final_r_stop", self.final_r_stop)
+        if not 0.0 < self.a < math.inf:
+            raise ParameterError(f"u(0) = a must be finite and positive, got {self.a!r}")
+        if len(self.bracket) != 2 or not 0.0 < self.bracket[0] < self.bracket[1] < math.inf:
+            raise ParameterError(
+                f"bracket must be (lo, hi) with 0 < lo < hi < inf, got {self.bracket!r}"
+            )
+        if not self.fit_decades > 0.0:
+            raise ParameterError(f"fit_decades must be positive, got {self.fit_decades!r}")
+
 
 def _outcome(event: Optional[tuple[str, float]]) -> str:
     if event is not None:
@@ -436,30 +458,27 @@ def find_fast_ground_state(
     zero first, or survival with a slow tail); raises NoBracketError when
     the bracket endpoints classify identically.
 
-    The search has two phases, and no b is classified twice.  Brent's method
-    (brentq in ln v(0), to SEPARATRIX_BAND) finds the sign change of the
-    misfit -+ r_hit^{-k}, negative where a shot classifies as the bracket's
-    lower end; r_hit is the radius where a component hit zero, or r_stop for
-    a survivor.  Then the bisection on the class is replayed from the
-    bracket until its ends are adjacent doubles.  A step within
-    SEPARATRIX_BAND of the tightest sign change that any shot found is
-    classified; a step outside takes the class of its side.  So the search
-    ends on the bisection's b_star and keeps the farthest shot of the
-    bisection's path (best_b), as long as the class is monotone in v(0)
-    outside that band.
+    A shot's class is whether it classifies as the bracket's lower end, and
+    no b is classified twice.  Brent's method (brentq in ln v(0), to
+    SEPARATRIX_BAND) finds the sign change of the misfit -+ r_hit^{-k},
+    negative on the lower end's class; r_hit is the radius where a component
+    hit zero, or r_stop for a survivor.  Then the tightest sign change of
+    the class among the classified shots is bisected geometrically until
+    its ends lo, hi are adjacent doubles, and b_star = sqrt(lo * hi).
 
     Shots are classified without sampling them (`_classify`, on the engine
     that shoot() runs, so they reach exactly as far sampled); then one
-    trajectory is shot with samples: best_b, which is b_star unless a shot
-    of the path reached farther.  When final_r_stop differs from
-    shoot.r_stop, b_star is shot to final_r_stop instead, and best_b is
-    sampled as well if that reach is shorter.  `iterations` counts every
-    integration, classified and sampled; the trace holds the result's b_star
-    entry followed by one entry per classified shot (b, outcome, r_reached,
-    r_hit, steps; r_hit is None for a survivor, steps counts the accepted
-    DOP853 steps).  The profiles, the rate fits and the two flux-identity
-    residuals read the sampled shot up to CLEAN_FRACTION of its reach, or
-    all of it in the scalar case.
+    trajectory is shot with samples: the classified shot that reached
+    farthest, and of equal reaches the one nearest b_star in ln b.  When
+    final_r_stop differs from shoot.r_stop, b_star is shot to final_r_stop
+    instead, and the farthest shot is sampled as well if that reach is
+    shorter.  `iterations` counts every integration, classified and
+    sampled; the trace holds the result's b_star entry followed by one entry
+    per classified shot (b, phase, outcome, r_reached, r_hit, steps; phase
+    is "bracket", "brent" or "bisect", r_hit is None for a survivor, steps
+    counts the accepted DOP853 steps).  The profiles, the rate fits and the
+    two flux-identity residuals read the sampled shot up to CLEAN_FRACTION
+    of its reach, or all of it in the scalar case.
     """
     cfg = cfg or GroundStateConfig()
     validate(params)
@@ -472,12 +491,14 @@ def find_fast_ground_state(
     final_stop = cfg.final_r_stop if cfg.final_r_stop is not None else shoot_cfg.r_stop
     known = {}  # b -> its trace entry, one per classified shot in shot order
 
-    def classify(b: float) -> tuple[str, float]:
+    def classify(b: float, phase: str) -> str:
         if b not in known:
             event, reach, steps = _classify(params, cfg.a, b, shoot_cfg.r_stop)
             r_hit = None if event is None else event[1]
-            known[b] = dict(b=b, outcome=_outcome(event), r_reached=reach, r_hit=r_hit, steps=steps)
-        return known[b]["outcome"], known[b]["r_reached"]
+            known[b] = dict(
+                b=b, phase=phase, outcome=_outcome(event), r_reached=reach, r_hit=r_hit, steps=steps
+            )
+        return known[b]["outcome"]
 
     if scalar:
         traj = shoot(params, cfg.a, cfg.a, replace(shoot_cfg, r_stop=final_stop))
@@ -492,8 +513,8 @@ def find_fast_ground_state(
         from scipy.optimize import brentq
 
         lo, hi = cfg.bracket
-        (c_lo, r_lo), (c_hi, r_hi) = classify(lo), classify(hi)
-        if c_lo == c_hi:
+        c_lo = classify(lo, "bracket")
+        if classify(hi, "bracket") == c_lo:
             raise NoBracketError(
                 f"both bracket endpoints classify as {c_lo}; widen the bracket"
             )
@@ -506,65 +527,41 @@ def find_fast_ground_state(
         def misfit(x: float) -> float:
             # the ends as given: exp(log(b)) need not round back to b
             b = lo if x == x_lo else hi if x == x_hi else math.exp(x)
-            outcome, _ = classify(b)
+            lower = classify(b, "brent") == c_lo
             r_hit = known[b]["r_hit"]
             ln_r = math.log(shoot_cfg.r_stop if r_hit is None else r_hit)
             mag = math.exp(max(-MISFIT_LOG_CAP, min(MISFIT_LOG_CAP, -k * ln_r)))
-            return -mag if outcome == c_lo else mag
+            return -mag if lower else mag
 
         brentq(
             misfit, x_lo, x_hi, xtol=SEPARATRIX_BAND, rtol=EVENT_TOL, maxiter=MAX_SHOTS, disp=False
         )
-        # the tightest sign change any shot found, widened by the band;
-        # outside the band the class is read from the side, inside it is shot
+        def lower(b: float) -> bool:
+            return known[b]["outcome"] == c_lo
+
+        # bisect the tightest sign change that any shot found down to
+        # adjacent doubles; the midpoint replaces the end whose class it shares
         by_b = sorted(known)
-        b0, b1 = min(
-            (
-                (b0, b1)
-                for b0, b1 in zip(by_b, by_b[1:])
-                if (known[b0]["outcome"] == c_lo) != (known[b1]["outcome"] == c_lo)
-            ),
+        lo, hi = min(
+            ((b0, b1) for b0, b1 in zip(by_b, by_b[1:]) if lower(b0) != lower(b1)),
             key=lambda pair: pair[1] / pair[0],
         )
-        band = (b0 * math.exp(-SEPARATRIX_BAND), b1 * math.exp(SEPARATRIX_BAND))
-        lo_below = known[b0]["outcome"] == c_lo
-
-        def is_lo(b: float) -> tuple[bool, Optional[float]]:
-            """(b classifies as c_lo, its reach or None where read from the side)."""
-            if band[0] <= b <= band[1] or b in known:
-                outcome, reach = classify(b)
-                return outcome == c_lo, reach
-            return (b < band[0]) == lo_below, None
-
-        # the bisection on the class, replayed: it ends on the bisection's
-        # b_star and keeps the farthest shot of the bisection's path
-        best_b, best_r = (lo, r_lo) if r_lo >= r_hi else (hi, r_hi)
         for _ in range(MAX_SHOTS):
             mid = math.sqrt(lo * hi)
             if mid == lo or mid == hi:
-                # lo and hi are adjacent doubles: every further step would
-                # re-shoot this endpoint, whose outcome is already known (it
-                # is shot here only if its class was read from its side)
-                r_end = classify(mid)[1]
-                if r_end >= best_r:
-                    best_b, best_r = mid, r_end
                 break
-            mid_lo, r_mid = is_lo(mid)
-            if r_mid is not None and r_mid >= best_r:
-                best_b, best_r = mid, r_mid
-            if mid_lo:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if (classify(mid, "bisect") == c_lo) == lower(lo) else (lo, mid)
         b_star = math.sqrt(lo * hi)
+        # the sampled shot is the classified shot that reached farthest; of
+        # equal reaches (every survivor reaches r_stop) the one nearest b_star
+        best = max(known.values(), key=lambda e: (e["r_reached"], -abs(math.log(e["b"] / b_star))))
         shots = len(known) + 1
-        if final_stop == shoot_cfg.r_stop and b_star in (lo, hi):
-            # best_b is b_star unless a shot of the path reached farther
-            final = shoot(params, cfg.a, best_b, shoot_cfg)
+        if final_stop == shoot_cfg.r_stop:
+            final = shoot(params, cfg.a, best["b"], shoot_cfg)
         else:
             final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
-            if final.r_reached < best_r:
-                final = shoot(params, cfg.a, best_b, shoot_cfg)
+            if final.r_reached < best["r_reached"]:
+                final = shoot(params, cfg.a, best["b"], shoot_cfg)
                 shots += 1
 
     reach = final.r_reached

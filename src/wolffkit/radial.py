@@ -29,9 +29,10 @@ integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
 lp_norm, is a head, cells and a tail, each with one rule:
 
     head  v_0^p r_min^k (x/r_min)^{k-hp} / (k - hp); a zero head gives 0
-    cell  power cell f = v_a (r/r_a)^{-m}: (f(x)^p x^k - v_a^p r_a^k) / (k - mp),
-          or v_a^p r_a^k ln(x/r_a) where k = mp; 16-node Gauss-Legendre in
-          ln r on a cell with a vanishing endpoint
+    cell  power cell f = v_a (r/r_a)^{-m}: v_a^p r_a^k L exprel((k - mp) L) with
+          L = ln(x/r_a) and exprel(z) = expm1(z)/z (1 at z = 0), free of
+          cancellation near k = mp; 16-node Gauss-Legendre in ln r on a cell
+          with a vanishing endpoint
     tail  v_N^p r_max^k expm1(a ln(x/r_max)) / a with a = k - Tp, or its limit
           at a = 0; with a log factor, 32-node Gauss-Legendre in ln r to a
           finite x, Gauss-Laguerre to infinity, or the pure-log closed form
@@ -105,6 +106,12 @@ def sphere_surface(n: int) -> float:
 
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def _exprel(z: np.ndarray) -> np.ndarray:
+    """expm1(z)/z, and its limit 1 at z = 0."""
+    zero = z == 0.0
+    return np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
 
 
 @lru_cache(maxsize=8)
@@ -454,22 +461,15 @@ class RadialFunction:
 
     # -- cumulative mass ---------------------------------------------------
 
-    def _cell_integrals(self, idx: np.ndarray, x: np.ndarray, k: float, p: float = 1.0, fx=None):
+    def _cell_integrals(self, idx: np.ndarray, x: np.ndarray, k: float, p: float = 1.0):
         """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx.
 
-        fx is f(x) when the caller has it (x on the grid); otherwise it comes
-        from the cell's power law.  See the module docstring for the rule.
+        See the module docstring for the rule.
         """
         r, v, cells = self.grid.points, self.values, self._cells
         ra, va, m = r[idx], v[idx], cells["m"][idx]
-        if fx is None:
-            fx = np.exp(cells["log_va"][idx] - m * np.log(x / ra))
-        expo = k - m * p
-        near0 = np.abs(expo) < 1e-12
-        # telescoped power-cell integral: stable for arbitrarily steep cells
-        out = (fx**p * x**k - va**p * ra**k) / np.where(near0, 1.0, expo)
-        if near0.any():
-            out[near0] = va[near0] ** p * ra[near0] ** k * np.log(x[near0] / ra[near0])
+        span = np.log(x / ra)
+        out = va**p * ra**k * span * _exprel((k - m * p) * span)
         if not cells["power"].all():
             # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
             lin = np.flatnonzero(~cells["power"][idx])
@@ -488,7 +488,7 @@ class RadialFunction:
         """Mass inside each grid point: head plus the preceding whole cells."""
         r = self.grid.points
         s = sphere_surface(n)
-        cell = s * self._cell_integrals(np.arange(r.size - 1), r[1:], n, fx=self.values[1:])
+        cell = s * self._cell_integrals(np.arange(r.size - 1), r[1:], n)
         return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(r[0], n))
 
     def cumulative_mass(self, n: int, x) -> np.ndarray:
@@ -533,7 +533,7 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
     if not (f.head_integrable(k, p) and f.tail_integrable(k, p)):
         return INFINITE
     r = f.grid.points
-    body = f._cell_integrals(np.arange(r.size - 1), r[1:], k, p, fx=f.values[1:])
+    body = f._cell_integrals(np.arange(r.size - 1), r[1:], k, p)
     total = float(f._head_integral(r[0], k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
     return (sphere_surface(n) * total) ** (1.0 / p)
 

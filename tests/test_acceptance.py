@@ -238,6 +238,9 @@ def test_criterion_7_fast_rate_recovery(regime_name):
            f"picard, {result.iterations} iterations: {detail}")
 
 
+SHOOTING_INTEGRATIONS = {"FastFast": 25, "Logarithmic": 27, "Intermediate": 33}
+
+
 @pytest.mark.parametrize("regime_name", list(REGIME_CASES))
 def test_criterion_7_fast_rate_recovery_by_shooting(regime_name):
     params = REGIME_CASES[regime_name]
@@ -247,7 +250,9 @@ def test_criterion_7_fast_rate_recovery_by_shooting(regime_name):
     )
     rates_ok, detail = _rate_defects(result, prediction)
     report(7, f"fast-rate recovery by shooting [{regime_name}]", result.converged and rates_ok,
-           f"shooting: {detail}")
+           f"shooting, {result.iterations} integrations: {detail}")
+    # integrations, classified and sampled; measured 24, 26 and 32
+    assert result.iterations <= SHOOTING_INTEGRATIONS[regime_name]
 
 
 HARDY_CASES = {

@@ -223,6 +223,18 @@ def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, n
     assert err["error"] == "ParameterError" and named in err["message"]
 
 
+@pytest.mark.parametrize("r_stop", ["1e-5", "inf"])
+def test_shoot_out_of_range_r_stop_is_json_domain_error(tmp_path, capsys, r_stop):
+    out_dir = tmp_path / "res"
+    code = main([
+        "shoot", "--n", "5", "--beta", "1", "--gamma", "2", "--p", "2", "--q", "2.75",
+        "--sigma1", "0", "--sigma2", "0", "--r-stop", r_stop, "--out", str(out_dir),
+    ])
+    assert code == 1 and not out_dir.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "r_stop" in err["message"]
+
+
 def test_verify_rates_report_names_the_solver(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):

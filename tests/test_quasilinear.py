@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import cumulative_trapezoid
 
 from wolffkit.errors import NoBracketError, ParameterError
@@ -96,6 +97,32 @@ def test_logarithmic_separatrix_rates_and_log_scale():
     assert res.rate_v.log_power == pytest.approx(1.0, abs=0.3)
 
 
+@pytest.mark.parametrize("r_stop", [5e-5, quasilinear.R_START, math.inf, math.nan])
+def test_shoot_config_needs_a_finite_r_stop_past_the_series_start(r_stop):
+    with pytest.raises(ParameterError, match="r_stop"):
+        ShootConfig(r_stop=r_stop)
+    with pytest.raises(ParameterError, match="final_r_stop"):
+        GroundStateConfig(final_r_stop=r_stop)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"a": 0.0}, "a must"),
+        ({"a": math.inf}, "a must"),
+        ({"bracket": (2.0, 1.0)}, "bracket"),
+        ({"bracket": (0.0, 1.0)}, "bracket"),
+        ({"bracket": (1.0, math.inf)}, "bracket"),
+        ({"bracket": (1.0,)}, "bracket"),
+        ({"fit_decades": 0.0}, "fit_decades"),
+        ({"fit_decades": math.nan}, "fit_decades"),
+    ],
+)
+def test_ground_state_config_checks_its_fields(kwargs, named):
+    with pytest.raises(ParameterError, match=named):
+        GroundStateConfig(**kwargs)
+
+
 def test_no_bracket_raises():
     params = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     with pytest.raises(NoBracketError):
@@ -127,30 +154,20 @@ def full_depth_bisection():
     """The FastFast bisection at r_stop = 1e4 run to full depth with sampled shots.
 
     It keeps re-shooting an endpoint once lo and hi are adjacent doubles.
-    Returns the config, every shot by b, b_star, the b of the reference final
-    trajectory (b_star unless a shot of the path reached farther) and that
-    trajectory.
+    Returns the config, every shot by b and b_star.
     """
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
     lo, hi = cfg.bracket
     shots = {b: shoot(FASTFAST, cfg.a, b, cfg.shoot) for b in (lo, hi)}
     c_lo = _outcome(shots[lo].event)
-    best = lo if shots[lo].r_reached >= shots[hi].r_reached else hi
     for _ in range(quasilinear.MAX_SHOTS):
         mid = math.sqrt(lo * hi)
-        t_mid = shots[mid] = shoot(FASTFAST, cfg.a, mid, cfg.shoot)
-        if t_mid.r_reached >= shots[best].r_reached:
-            best = mid
-        if _outcome(t_mid.event) == c_lo:
+        shots[mid] = shoot(FASTFAST, cfg.a, mid, cfg.shoot)
+        if _outcome(shots[mid].event) == c_lo:
             lo = mid
         else:
             hi = mid
-    b_star = math.sqrt(lo * hi)
-    b_final = b_star
-    final = shoot(FASTFAST, cfg.a, b_star, cfg.shoot)
-    if final.r_reached < shots[best].r_reached:
-        b_final, final = best, shots[best]
-    return cfg, shots, b_star, b_final, final
+    return cfg, shots, math.sqrt(lo * hi)
 
 
 def _counting(monkeypatch):
@@ -174,18 +191,13 @@ def _counting(monkeypatch):
 def test_classify_matches_shoot_at_every_bisection_b(full_depth_bisection):
     # tolerance 0: the unsampled classification reads the outcome, reach and
     # step count that the sampled shot reports, at every b of the bisection
-    cfg, shots, _, _, final = full_depth_bisection
+    cfg, shots, _ = full_depth_bisection
     for b, t in shots.items():
         assert quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop) == (
             t.event,
             t.r_reached,
             t.steps,
         )
-    res = find_fast_ground_state(FASTFAST, cfg)
-    for prof, comp in ((res.u, final.u), (res.v, final.v)):
-        k = prof.grid.count
-        assert np.array_equal(prof.grid.points, final.r[:k])
-        assert np.array_equal(prof.values, comp[:k])
 
 
 def test_non_positive_start_hits_zero_at_series_start():
@@ -328,20 +340,30 @@ def test_threads_share_the_engine_one_shot_at_a_time():
 
 def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
     params = FASTFAST
-    cfg, _, b_star, b_final, final = full_depth_bisection
+    cfg, _, b_star = full_depth_bisection
     classified, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
     # no b is classified twice, and exactly one trajectory is sampled: the
-    # full-depth bisection's farthest shot (b_star unless a shot of its path
-    # reached farther), which the search has classified.  The search
-    # classifies 35 shots here; bisection on the outcome class alone
-    # classifies 57.
+    # classified shot that reached farthest, of equal reaches the one nearest
+    # the search's b_star, whose samples the profiles are bit for bit.  b_star lies within Brent's tolerance of the
+    # full-depth bisection's (here it is the same double; on Logarithmic at
+    # r_stop = 1e4 it ends 2.0e-15 away).  The search classifies 33 shots
+    # here; bisection on the outcome class alone classifies 57.
     shots = [b for b, _ in classified]
-    assert len(set(shots)) == len(shots) <= 40
-    assert b_star in shots and b_final in shots
+    assert len(set(shots)) == len(shots) <= 34
+    found = res.trace[0]["b_star"]
+    assert found in shots
+    assert abs(math.log(found / b_star)) <= quasilinear.SEPARATRIX_BAND
+    entries = res.trace[1:]
+    farthest = max(e["r_reached"] for e in entries)
+    b_final = min(
+        (e["b"] for e in entries if e["r_reached"] == farthest),
+        key=lambda b: abs(math.log(b / found)),
+    )
     assert sampled == [(b_final, cfg.shoot.r_stop)]
-    assert res.trace[0]["b_star"] == b_star
-    assert res.trace[0]["r_reached"] == final.r_reached
+    monkeypatch.undo()
+    final = shoot(params, cfg.a, b_final, cfg.shoot)
+    assert res.trace[0]["r_reached"] == final.r_reached == farthest
     for prof, comp in ((res.u, final.u), (res.v, final.v)):
         k = prof.grid.count
         assert np.array_equal(prof.grid.points, final.r[:k])
@@ -373,6 +395,12 @@ def test_trace_records_each_classified_shot(monkeypatch):
     steps = res.trace[1:]
     assert [(e["b"], cfg.shoot.r_stop) for e in steps] == classified
     assert set(res.trace[0]) == {"b_star", "r_reached", "log_scale"}
+    # each shot names the phase that classified it: the two bracket ends,
+    # then Brent's iterates, then the bisection of Brent's tightest bracket
+    phases = [e["phase"] for e in steps]
+    assert phases[:2] == ["bracket", "bracket"]
+    assert phases == sorted(phases, key=["bracket", "brent", "bisect"].index)
+    assert "brent" in phases
     # the search ends on adjacent doubles, one of them b_star: some shot
     # adjacent to b_star classifies differently
     entry = {e["b"]: e for e in steps}
@@ -388,6 +416,130 @@ def test_trace_records_each_classified_shot(monkeypatch):
         assert entry[b]["steps"] == n_steps > 0
     assert all(e["r_hit"] is None for e in steps if e["outcome"] == "survive")
     assert "trace" not in res.to_report_dict()
+
+
+SYNTHETIC_B0 = 1.2345678901234567
+
+
+def _synthetic_search(monkeypatch, lower, scale, brentq=None):
+    """Run the FastFast search (r_stop = 1e4) on synthetic shots.
+
+    A shot at b hits zero in u where lower(b) holds and in v elsewhere, at
+    r_hit = scale |b - SYNTHETIC_B0|^{-1/k} with k = 3, the law the misfit
+    assumes; it survives where r_hit reaches r_stop.  The sampled shot is
+    recorded and stood in for by a real shot near the FastFast separatrix,
+    so that the fits have a profile to read.  brentq, when given, stands in
+    for scipy's.  Returns the result, the classified b in shot order, the
+    sampled b and the synthetic outcome.
+    """
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
+    real = shoot(FASTFAST, 1.0, 1.0528731851723776, cfg.shoot)
+    classified, sampled = [], []
+
+    def synthetic(params, a, b, r_stop):
+        distance = abs(b - SYNTHETIC_B0)
+        r_hit = scale * distance ** (-1.0 / 3.0) if distance > 0.0 else math.inf
+        if r_hit >= r_stop:
+            return None, r_stop, 1
+        return ("u" if lower(b) else "v", r_hit), r_hit, 1
+
+    def classify(params, a, b, r_stop):
+        classified.append(b)
+        return synthetic(params, a, b, r_stop)
+
+    def sample(params, a, b, cfg=None):
+        sampled.append(b)
+        return real
+
+    monkeypatch.setattr(quasilinear, "_classify", classify)
+    monkeypatch.setattr(quasilinear, "shoot", sample)
+    if brentq is not None:
+        monkeypatch.setattr(scipy.optimize, "brentq", brentq)
+    res = find_fast_ground_state(FASTFAST, cfg)
+
+    def outcome(b):
+        return _outcome(synthetic(FASTFAST, cfg.a, b, cfg.shoot.r_stop)[0])
+
+    return res, classified, sampled, outcome
+
+
+def test_search_on_a_monotone_class_ends_on_the_full_bisection_b_star(monkeypatch):
+    # u below SYNTHETIC_B0, v above, survivors within 1e-12 of it: the class
+    # (u or not) is monotone, so the search ends on the adjacent doubles
+    # that a full-depth bisection from the bracket ends on, to the bit
+    res, classified, sampled, outcome = _synthetic_search(
+        monkeypatch, lambda b: b < SYNTHETIC_B0, 1.0
+    )
+    lo, hi = GroundStateConfig().bracket
+    c_lo = outcome(lo)
+    while math.sqrt(lo * hi) not in (lo, hi):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if outcome(mid) == c_lo else (lo, mid)
+    assert res.trace[0]["b_star"] == math.sqrt(lo * hi)
+    assert len(set(classified)) == len(classified)
+    # every survivor reaches r_stop; the one sampled is the nearest to b_star
+    assert outcome(hi) == "survive" and outcome(lo) == "hit_u"
+    assert sampled == [hi]
+
+
+def test_search_across_an_alternating_band_ends_on_a_sign_change(monkeypatch):
+    # within 8 ulps of SYNTHETIC_B0 the outcome alternates from one double to
+    # the next; the search still ends on adjacent doubles of different
+    # class, classifies no b twice and samples the farthest classified shot
+    ulp = math.ulp(SYNTHETIC_B0)
+
+    def lower(b):
+        i = round((b - SYNTHETIC_B0) / ulp)
+        return i % 2 == 0 if abs(i) <= 8 else b < SYNTHETIC_B0
+
+    res, classified, sampled, outcome = _synthetic_search(monkeypatch, lower, 1e-3)
+    assert len(set(classified)) == len(classified)
+    b_star = res.trace[0]["b_star"]
+    assert abs(b_star - SYNTHETIC_B0) <= 9 * ulp
+    entry = {e["b"]: e for e in res.trace[1:]}
+    assert b_star in entry
+    adjacent = [b for b in entry if b != b_star and np.nextafter(b, b_star) == b_star]
+    assert any(
+        (entry[b]["outcome"] == "hit_u") != (entry[b_star]["outcome"] == "hit_u")
+        for b in adjacent
+    )
+    assert "bisect" in [e["phase"] for e in res.trace[1:]]
+    farthest = max(e["r_reached"] for e in entry.values())
+    nearest = min(
+        (b for b, e in entry.items() if e["r_reached"] == farthest),
+        key=lambda b: abs(math.log(b / b_star)),
+    )
+    assert sampled == [nearest]
+
+
+def test_bisection_keeps_a_reversed_sign_change(monkeypatch):
+    # a stand-in for Brent's method leaves the tightest sign change reversed:
+    # its lower end classifies as the bracket's upper end.  Each midpoint must
+    # replace the end whose class it shares, not the end c_lo names.  The
+    # class is reversed within 20 ulps of SYNTHETIC_B0: v below it, u above.
+    ulp = math.ulp(SYNTHETIC_B0)
+
+    def lower(b):
+        return (b < SYNTHETIC_B0) != (abs(b - SYNTHETIC_B0) <= 20 * ulp)
+
+    def two_iterates(f, a, b, **kwargs):
+        for i in (-7, 6):
+            f(math.log(SYNTHETIC_B0 + i * ulp))
+
+    res, classified, _, _ = _synthetic_search(monkeypatch, lower, 1e-3, two_iterates)
+    entries = res.trace[1:]
+    assert [e["phase"] for e in entries[:4]] == ["bracket", "bracket", "brent", "brent"]
+    assert [e["outcome"] for e in entries[2:4]] == ["hit_v", "hit_u"]  # b rising
+    assert entries[2]["b"] < entries[3]["b"]
+    assert len(set(classified)) == len(classified) > 4
+    b_star = res.trace[0]["b_star"]
+    assert entries[2]["b"] <= b_star <= entries[3]["b"]
+    entry = {e["b"]: e for e in entries}
+    adjacent = [b for b in entry if b != b_star and np.nextafter(b, b_star) == b_star]
+    assert any(
+        (entry[b]["outcome"] == "hit_u") != (entry[b_star]["outcome"] == "hit_u")
+        for b in adjacent
+    )
 
 
 def test_final_shot_made_when_final_r_stop_differs(monkeypatch):

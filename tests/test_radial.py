@@ -505,3 +505,29 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
         assert np.array_equal(f.cumulative_mass(5, at), warm), name
         log_tail(grid).cumulative_mass(5, x)  # the first source's rule again
     radial._log_tail_rules.clear()
+
+
+def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
+    # the Logarithmic ansatz's u, raised to p = 5/3, has k - m p ~ 6e-6 in its
+    # last cells at k = n = 5: the exprel form is free of the cancellation
+    # that (f(x)^p x^k - v_a^p r_a^k)/(k - m p) suffered there; measured
+    # 5.7e-16 - 1.1e-15, against 2.3e-10 - 5.5e-10 with that form (f(x) the
+    # grid values) and 1.6e-11 - 1.8e-9 (f(x) from the cell's power law)
+    mpmath = pytest.importorskip("mpmath")
+    from wolffkit.params import Parameters
+    from wolffkit.solver import default_solver_grid, make_ansatz
+
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    u, _ = make_ansatz(params, default_solver_grid())
+    r, vals, k, p = u.grid.points, u.values, 5.0, params.p
+    idx = np.arange(r.size - 6, r.size - 1)
+    got = u._cell_integrals(idx, r[idx + 1], k, p)
+    assert np.all(np.abs(k - u._cells["m"][idx] * p) < 1e-4)
+    with mpmath.workdps(40):
+        for i, g in zip(idx, got):
+            ra, rb = mpmath.mpf(r[i]), mpmath.mpf(r[i + 1])
+            va, vb = mpmath.mpf(vals[i]), mpmath.mpf(vals[i + 1])
+            span = mpmath.log(rb / ra)
+            z = (k + p * mpmath.log(vb / va) / span) * span  # (k - m p) L, exact m
+            want = va**p * ra**k * span * mpmath.expm1(z) / z
+            assert abs(g / want - 1) <= 1e-14
