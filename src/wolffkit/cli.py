@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ProfileFormatError, WolffkitError
+from .errors import ParameterError, ProfileFormatError, WolffkitError
 from .params import PARAM_KEYS, Parameters, classify_regime
 from .potential import PotentialConfig, riesz_eval, wolff_eval
 from .quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
@@ -40,7 +40,7 @@ def _load_params(args) -> Parameters:
             f"missing parameters {missing}; pass --params FILE or all of "
             + " ".join("--" + k for k in PARAM_KEYS)
         )
-    return Parameters(int(values["n"]), *(float(values[k]) for k in PARAM_KEYS[1:]))
+    return Parameters.from_dict(values)
 
 
 def _add_param_flags(sub):
@@ -116,9 +116,13 @@ def _cmd_solve(args) -> int:
 def _cmd_shoot(args) -> int:
     started = time.time()
     params = _load_params(args)
+    try:
+        bracket = tuple(float(x) for x in args.bracket.split(","))
+    except ValueError:
+        raise ParameterError(f"--bracket must be two numbers 'lo,hi', got {args.bracket!r}") from None
     cfg = GroundStateConfig(
         a=args.a,
-        bracket=tuple(float(x) for x in args.bracket.split(",")),
+        bracket=bracket,
         shoot=ShootConfig(r_stop=args.r_stop),
         final_r_stop=args.r_stop,
     )

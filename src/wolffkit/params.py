@@ -10,6 +10,12 @@ the integrable-solution exponents
 with r0 = n/q0 and s0 = n/p0, the fast decay rate (n - beta*gamma)/(gamma-1),
 and the threshold p*(n-beta*gamma)/(gamma-1) - sigma2 whose position relative
 to n selects one of three tail regimes for the second component.
+
+Admissibility (n >= 3, 1 < gamma <= 2, 0 < beta*gamma < n,
+-beta*gamma < sigma_i <= 0, p, q > 1) has one home, validate, and
+Parameters runs it on construction: a tuple that exists is admissible, so
+nothing downstream checks it again.  validate_operator is the (n, beta,
+gamma) part, for the potential evaluators, which take no Parameters.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral, Real
 from typing import Any
 
 from .errors import InterchangeWarning, ParameterError
@@ -48,7 +55,9 @@ class Parameters:
 
     n is the space dimension; beta, gamma index the nonlinear potential;
     p, q are the nonlinearity powers; sigma1, sigma2 are the Hardy-weight
-    exponents attached to the v- and u-nonlinearities respectively.
+    exponents attached to the v- and u-nonlinearities respectively.  A tuple
+    validates itself on construction (validate), so every Parameters in
+    hand is admissible.
     """
 
     n: int
@@ -59,6 +68,9 @@ class Parameters:
     sigma1: float = 0.0
     sigma2: float = 0.0
 
+    def __post_init__(self):
+        validate(self)
+
     def to_dict(self) -> dict[str, Any]:
         return {k: getattr(self, k) for k in PARAM_KEYS}
 
@@ -67,7 +79,13 @@ class Parameters:
         missing = [k for k in PARAM_KEYS if k not in data]
         if missing:
             raise ParameterError(f"missing parameter keys: {missing}")
-        return cls(int(data["n"]), *(float(data[k]) for k in PARAM_KEYS[1:]))
+        try:
+            n, *rest = (float(data[k]) for k in PARAM_KEYS)
+        except (TypeError, ValueError):
+            raise ParameterError(f"parameters must be numbers, got {data!r}") from None
+        if not n.is_integer():
+            raise ParameterError(f"n must be an integer, got {data['n']!r}")
+        return cls(int(n), *rest)
 
     def swapped(self) -> "Parameters":
         """Interchange (p, sigma2) <-> (q, sigma1), i.e. swap the roles of u and v."""
@@ -113,7 +131,7 @@ def validate_operator(n: int, beta: float, gamma: float) -> None:
 
     Raises ParameterError naming the first violated constraint.
     """
-    if not (isinstance(n, int) and n >= 3):
+    if not (isinstance(n, Integral) and n >= 3):
         raise ParameterError(f"n >= 3 violated (n = {n})")
     if not (1.0 < gamma <= 2.0):
         raise ParameterError(f"gamma out of (1,2] (gamma = {gamma})")
@@ -126,8 +144,14 @@ def validate_operator(n: int, beta: float, gamma: float) -> None:
 def validate(params: Parameters) -> Parameters:
     """Return the tuple unchanged iff every admissibility constraint holds.
 
-    Raises ParameterError naming the first violated constraint.
+    Raises ParameterError naming the first violated constraint.  The
+    exponents' denominator p*q - (gamma-1)^2 needs no check of its own:
+    p, q > 1 and gamma <= 2 give p*q > 1 >= (gamma-1)^2.  Parameters runs
+    this on construction.
     """
+    not_real = [k for k in PARAM_KEYS if not isinstance(getattr(params, k), Real)]
+    if not_real:
+        raise ParameterError(f"parameters must be real numbers: {not_real}")
     n, beta, gamma = params.n, params.beta, params.gamma
     p, q, s1, s2 = params.p, params.q, params.sigma1, params.sigma2
     validate_operator(n, beta, gamma)
@@ -139,16 +163,11 @@ def validate(params: Parameters) -> Parameters:
     for name, s in (("sigma1", s1), ("sigma2", s2)):
         if not (-bg < s <= 0.0):
             raise ParameterError(f"{name} out of (-beta*gamma, 0] ({name} = {s})")
-    if not p * q > (gamma - 1.0) ** 2:
-        raise ParameterError(
-            f"p*q > (gamma-1)^2 violated (p*q = {p * q}, (gamma-1)^2 = {(gamma - 1.0) ** 2})"
-        )
     return params
 
 
 def exponents(params: Parameters) -> Exponents:
-    """Evaluate all closed-form exponents for a validated tuple."""
-    validate(params)
+    """Evaluate all closed-form exponents of the tuple."""
     n, bg, g = params.n, params.beta * params.gamma, params.gamma - 1.0
     p, q, s1, s2 = params.p, params.q, params.sigma1, params.sigma2
     den = p * q - g * g
@@ -172,7 +191,6 @@ def subcriticality(params: Parameters, tol: float = EQUALITY_TOL) -> Subcritical
     Equality within ``tol`` is Critical; strictly greater is Subcritical
     (no ground states expected); strictly less is Supercritical.
     """
-    validate(params)
     n, g = params.n, params.gamma - 1.0
     lhs = (n + params.sigma1) / (g + params.q) + (n + params.sigma2) / (g + params.p)
     fast = (n - params.beta * params.gamma) / g
@@ -189,7 +207,6 @@ def classify_regime(params: Parameters, tol: float = EQUALITY_TOL) -> RegimeRepo
     refers to the relabeled pair; if neither labeling satisfies both
     orderings, the tuple is classified as given.
     """
-    validate(params)
     sub = subcriticality(params, tol=tol)
     interchanged = False
     work = params

@@ -37,14 +37,19 @@ tail exponent T against the dimension n:
     T = n           same power with an extra (ln t)^{(L+1)/(gamma-1)} factor
     beta*gamma<T<n  output ~ t^{-(T-beta*gamma)/(gamma-1)} (ln t)^{L/(gamma-1)}
 
-where L is the source's tail log power; T <= beta*gamma makes the outer
-integral diverge and raises DivergentIntegralError.
+where L is the source's tail log power.  _output_tail decides this once per
+call.  Its exponent is also the decay rate in tau = ln t of the outer
+integrand beyond t_max, so it carries the one divergence rule there: an
+exponent <= 0 (T <= beta*gamma on a slow tail) raises DivergentIntegralError
+before any work.  A head that is not integrable raises it too, from the
+cumulative_mass call that every evaluation makes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,10 +86,13 @@ class PotentialConfig:
     t_nodes_per_decade: int = 16
 
     def __post_init__(self):
-        if self.t_nodes_per_decade < 16:
-            raise ParameterError(
-                f"t_nodes_per_decade must be >= 16, got {self.t_nodes_per_decade}"
-            )
+        for name in ("t_min", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, Real) and 0.0 < value < math.inf):
+                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+        npd = self.t_nodes_per_decade
+        if not (isinstance(npd, Real) and npd >= 16):
+            raise ParameterError(f"t_nodes_per_decade must be a number >= 16, got {npd!r}")
 
     def resolve(self, f: RadialFunction, eval_r_min: float, eval_r_max: float):
         r_lo = min(f.grid.r_min, eval_r_min)
@@ -167,33 +175,17 @@ def _structural_radii(rho: float, r_min: float, r_max: float):
     return [math.log(x) for x in radii if x > 0.0]
 
 
-class _SourceClass:
-    FINITE = "finite"
-    BORDERLINE = "borderline"
-    SLOW = "slow"
-
-
-def _classify_source_tail(f: RadialFunction, n: int):
+def _output_tail(f: RadialFunction, n: int, bg: float, g: float):
+    """The image's declared tail (exponent, log_power) under W_{beta,gamma},
+    bg = beta*gamma and g = gamma - 1, from the mass trichotomy of f's tail
+    (see the module docstring).  The exponent is also the decay rate in
+    tau = ln t of the outer integrand beyond t_max."""
     T, L = f.tail_exponent, f.tail_log_power
     if f.tail_integrable(n):
-        return _SourceClass.FINITE, T, L
+        return (n - bg) / g, 0.0
     if abs(T - n) <= BORDERLINE_TOL:
-        return _SourceClass.BORDERLINE, T, L
-    return _SourceClass.SLOW, T, L
-
-
-def _check_wolff_preconditions(f: RadialFunction, n: int, beta: float, gamma: float):
-    """The source's divergence checks; the operator's own live in params."""
-    if not f.head_integrable(n):
-        raise DivergentIntegralError(
-            f"source head exponent {f.head_exponent} >= n: non-integrable near the origin"
-        )
-    klass, T, _ = _classify_source_tail(f, n)
-    if klass is not _SourceClass.FINITE and T <= beta * gamma + BORDERLINE_TOL:
-        raise DivergentIntegralError(
-            f"source tail exponent {T} <= beta*gamma = {beta * gamma}: "
-            "the outer integral diverges"
-        )
+        return (n - bg) / g, (L + 1.0) / g
+    return (T - bg) / g, L / g
 
 
 def _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass0, t0) -> np.ndarray:
@@ -291,9 +283,20 @@ def wolff_eval_at(
     rho_values,
     cfg: Optional[PotentialConfig] = None,
 ) -> np.ndarray:
-    """Wolff potential of f sampled at the given center distances."""
+    """Wolff potential of f sampled at the given center distances.
+
+    Raises DivergentIntegralError where the outer integrand does not decay
+    beyond t_max, and (through f.cumulative_mass) where f's head is not
+    integrable."""
     validate_operator(n, beta, gamma)
-    _check_wolff_preconditions(f, n, beta, gamma)
+    g, bg = gamma - 1.0, beta * gamma
+    # beyond t_max the integrand decays in tau at the rate of the image's tail
+    a_eff, _ = _output_tail(f, n, bg, g)
+    if a_eff <= BORDERLINE_TOL:
+        raise DivergentIntegralError(
+            "outer integral beyond t_max diverges (effective decay rate "
+            f"{a_eff:.3e} <= 0)"
+        )
     cfg = cfg or PotentialConfig()
     rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
     # the t < t_min closure assumes t << rho, so t_min follows the smallest centre
@@ -305,19 +308,8 @@ def wolff_eval_at(
     if not (rhos.size and np.any(f.values > 0.0)):
         return np.zeros(rhos.size)
 
-    g = gamma - 1.0
     inv_power = 1.0 / g
-    bg = beta * gamma
     a_decay = (n - bg) * inv_power
-    klass, T, _ = _classify_source_tail(f, n)
-    # beyond t_max mass^{inv_power} grows like t^{(n - T) inv_power} for a slow
-    # source tail, so the integrand decays at the rate a_eff in tau
-    a_eff = a_decay - ((n - T) * inv_power if klass is _SourceClass.SLOW else 0.0)
-    if a_eff <= BORDERLINE_TOL:
-        raise DivergentIntegralError(
-            "outer integral beyond t_max diverges (effective decay rate "
-            f"{a_eff:.3e} <= 0)"
-        )
     kernel = CapKernel(n)
     slope_cap = max(bg, n - bg, n) * inv_power
     layout = _layout(
@@ -348,15 +340,6 @@ def wolff_eval_at(
     return np.add.reduceat(panels, layout.panel_starts) + head
 
 
-def _output_tail_model(klass: str, T: float, L: float, n: int, bg: float, g: float):
-    fast = (n - bg) / g
-    if klass is _SourceClass.FINITE:
-        return fast, 0.0
-    if klass is _SourceClass.BORDERLINE:
-        return fast, (L + 1.0) / g
-    return (T - bg) / g, L / g
-
-
 def wolff_eval(
     f: RadialFunction,
     n: int,
@@ -368,8 +351,7 @@ def wolff_eval(
     """Wolff potential of f sampled on eval_grid (default: the source grid)."""
     grid = eval_grid if eval_grid is not None else f.grid
     values = wolff_eval_at(f, n, beta, gamma, grid.points, cfg)
-    klass, T, L = _classify_source_tail(f, n)
-    tail, log_power = _output_tail_model(klass, T, L, n, beta * gamma, gamma - 1.0)
+    tail, log_power = _output_tail(f, n, beta * gamma, gamma - 1.0)
     return RadialFunction(
         grid, values, head_exponent=0.0, tail_exponent=tail, tail_log_power=log_power
     )
@@ -402,9 +384,7 @@ def riesz_eval(
     """
     grid = eval_grid if eval_grid is not None else f.grid
     values = riesz_eval_at(f, n, alpha, grid.points, cfg)
-    klass, T, L = _classify_source_tail(f, n)
-    # gamma = 2, beta = alpha/2 specialization of the output-tail trichotomy
-    tail, log_power = _output_tail_model(klass, T, L, n, alpha, 1.0)
+    tail, log_power = _output_tail(f, n, alpha, 1.0)
     return RadialFunction(
         grid, values, head_exponent=0.0, tail_exponent=tail, tail_log_power=log_power
     )

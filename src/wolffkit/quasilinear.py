@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoBracketError, ParameterError
-from .params import Parameters, classify_regime, exponents, validate
+from .params import Parameters, classify_regime, exponents
 from .radial import RadialFunction, RadialGrid, fit_decay_rate
 from .solver import SolveResult
 
@@ -177,7 +177,6 @@ def _rhs(params: Parameters):
 
 def _start(params: Parameters, a: float, b: float, r_stop: float):
     """Series start y0 at R_START and the sample points s_eval (s = ln r) to r_stop."""
-    validate(params)
     if abs(params.beta - 1.0) > 1e-12:
         raise ParameterError(f"shooting requires beta = 1, got beta = {params.beta}")
     if a <= 0.0 or b <= 0.0:
@@ -481,7 +480,6 @@ def find_fast_ground_state(
     of its reach, or all of it in the scalar case.
     """
     cfg = cfg or GroundStateConfig()
-    validate(params)
     report = classify_regime(params)
     exps = exponents(params)
     scalar = (

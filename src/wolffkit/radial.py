@@ -29,10 +29,12 @@ integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
 lp_norm, is a head, cells and a tail, each with one rule:
 
     head  v_0^p r_min^k (x/r_min)^{k-hp} / (k - hp); a zero head gives 0
-    cell  power cell f = v_a (r/r_a)^{-m}: v_a^p r_a^k L exprel((k - mp) L) with
-          L = ln(x/r_a) and exprel(z) = expm1(z)/z (1 at z = 0), free of
-          cancellation near k = mp; 16-node Gauss-Legendre in ln r on a cell
-          with a vanishing endpoint
+    cell  power cell f = v_a (r/r_a)^{-m}: v_a^p r_a^k L exprel(z) with
+          L = ln(x/r_a), z = (k - mp) L and exprel(z) = expm1(z)/z (1 at
+          z = 0), free of cancellation near k = mp; where that product
+          leaves the float range (z > 0 only), f(x)^p x^k L exprel(-z) in
+          logs; 16-node Gauss-Legendre in ln r on a cell with a vanishing
+          endpoint
     tail  v_N^p r_max^k expm1(a ln(x/r_max)) / a with a = k - Tp, or its limit
           at a = 0; with a log factor, 32-node Gauss-Legendre in ln r to a
           finite x, Gauss-Laguerre to infinity, or the pure-log closed form
@@ -58,6 +60,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 from pathlib import Path
 from typing import Union
 
@@ -193,6 +196,12 @@ class RadialGrid:
 
     @classmethod
     def per_decade(cls, r_min: float, r_max: float, nodes_per_decade: int = 16) -> "RadialGrid":
+        real = all(isinstance(x, Real) for x in (r_min, r_max, nodes_per_decade))
+        if not (real and 0.0 < r_min < r_max < math.inf):
+            raise ParameterError(
+                "grid needs numbers with 0 < r_min < r_max < inf, got "
+                f"r_min = {r_min!r}, r_max = {r_max!r}, nodes_per_decade = {nodes_per_decade!r}"
+            )
         decades = math.log10(r_max / r_min)
         count = max(_MIN_COUNT, int(round(decades * nodes_per_decade)) + 1)
         return cls.log_spaced(r_min, r_max, count)
@@ -469,7 +478,17 @@ class RadialFunction:
         r, v, cells = self.grid.points, self.values, self._cells
         ra, va, m = r[idx], v[idx], cells["m"][idx]
         span = np.log(x / ra)
-        out = va**p * ra**k * span * _exprel((k - m * p) * span)
+        z = (k - m * p) * span
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = va**p * ra**k * span * _exprel(z)
+        # on a growing cell (z > 0) e^z may overflow, or v_a^p r_a^k
+        # underflow, and leave the product inf, nan or 0; there
+        # v_a^p r_a^k e^z = f(x)^p x^k is taken in logs, times exprel(-z) < 1
+        lost = (z > 0.0) & (va > 0.0) & ~(np.isfinite(out) & (out > 0.0))
+        if lost.any():
+            zl = z[lost]
+            log_fx = p * cells["log_va"][idx[lost]] + k * np.log(ra[lost]) + zl
+            out[lost] = np.exp(log_fx) * span[lost] * _exprel(-zl)
         if not cells["power"].all():
             # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
             lin = np.flatnonzero(~cells["power"][idx])

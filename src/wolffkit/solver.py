@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
-from .params import Parameters, RegimeReport, Subcriticality, classify_regime, validate
+from .params import Parameters, RegimeReport, Subcriticality, classify_regime
 from .potential import PotentialConfig, weighted_source, wolff_eval
 from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_surface
 
@@ -52,12 +53,14 @@ class SolveConfig:
     strict: bool = False  # raise NotConvergedError instead of returning converged=False
 
     def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ParameterError(f"damping out of (0,1] (damping = {self.damping})")
-        if self.rel_tol <= 0.0:
-            raise ParameterError(f"rel_tol must be positive (rel_tol = {self.rel_tol})")
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
+        if not (isinstance(self.damping, Real) and 0.0 < self.damping <= 1.0):
+            raise ParameterError(f"damping out of (0,1] (damping = {self.damping!r})")
+        if not (isinstance(self.rel_tol, Real) and 0.0 < self.rel_tol < math.inf):
+            raise ParameterError(f"rel_tol must be finite and positive (rel_tol = {self.rel_tol!r})")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 1):
+            raise ParameterError(f"max_iters must be an integer >= 1 (max_iters = {self.max_iters!r})")
+        if not isinstance(self.strict, bool):
+            raise ParameterError(f"strict must be true or false (strict = {self.strict!r})")
         if self.custom_initial is not None and self.custom_initial[0].grid != self.custom_initial[1].grid:
             raise ParameterError("custom_initial u and v must share one grid")
 
@@ -133,7 +136,6 @@ def make_ansatz(params: Parameters, grid: RadialGrid):
     The tails are the classified fast-decay exponents, with the log factor
     in the borderline regime.
     """
-    validate(params)
     r = grid.points
     report = classify_regime(params)
     a = report.predicted_u_exponent
@@ -262,7 +264,6 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     NotConvergedError when cfg.strict).
     """
     cfg = cfg or SolveConfig()
-    validate(params)
     report = classify_regime(params)
     if report.subcriticality is Subcriticality.SUBCRITICAL:
         raise ParameterError("subcritical parameters refused: no ground state is expected there")

@@ -19,7 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ParameterError, WolffkitError
-from .params import Parameters, integrability_interval, validate
+from .params import Parameters, integrability_interval
 from .potential import PotentialConfig, riesz_eval, weighted_source, wolff_eval
 from .radial import (
     RadialFunction,
@@ -219,7 +219,6 @@ def check_log_limit(params: Parameters, lam: float = 1.0) -> list[CheckEntry]:
     2% tolerance at x = 1e5; the entry reports that honestly, and a companion
     entry extrapolates the 1/ln x trend to confirm the limit itself.
     """
-    validate(params)
     if lam <= 0.0:
         raise ParameterError("lam must be positive")
     ref = "borderline log-tail limit"
@@ -372,7 +371,6 @@ def check_inequalities(
     At sigma = 0 a third entry reads the HLS ratio of Lieb's extremal at
     p = 2n/(n + alpha) against the sharp constant (sharp_hls_constant).
     """
-    validate(params)
     n = params.n
     alpha = params.beta * params.gamma
     sigma = params.sigma1

@@ -71,6 +71,16 @@ def test_invalid_parameters_exit_one():
     assert "gamma" in err["message"]
 
 
+@pytest.mark.parametrize("key, value, named", [("p", "x", "numbers"), ("n", 5.5, "integer")])
+def test_params_file_with_a_bad_value_is_json_domain_error(tmp_path, capsys, key, value, named):
+    path = tmp_path / "p.json"
+    data = {"n": 5, "beta": 1, "gamma": 2, "p": 2, "q": 2, "sigma1": 0, "sigma2": 0}
+    path.write_text(json.dumps({**data, key: value}))
+    assert main(["classify", "--params", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and named in err["message"]
+
+
 def test_eval_wolff_round_trip(tmp_path):
     src = indicator_of_ball(1.0)
     src_path = tmp_path / "src.csv"
@@ -90,7 +100,14 @@ def test_eval_wolff_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "config, named",
-    [({"t_nodes_per_decde": 32}, "t_nodes_per_decde"), ([32], "[32]")],
+    [
+        ({"t_nodes_per_decde": 32}, "t_nodes_per_decde"),
+        ([32], "[32]"),
+        ({"t_min": -1}, "t_min"),
+        ({"t_min": 0}, "t_min"),
+        ({"t_max": float("inf")}, "t_max"),  # json writes Infinity, which it reads back
+        ({"t_nodes_per_decade": "x"}, "t_nodes_per_decade"),
+    ],
 )
 def test_eval_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):
     src_path = tmp_path / "src.csv"
@@ -212,6 +229,10 @@ def test_solve_writes_result_directory(tmp_path):
         ({"grid": {"r_min": 1e-2, "r_max": 1e3, "nodes_per_decde": 8}}, "nodes_per_decde"),
         ({"potential": {"t_nodes_per_decde": 32}}, "t_nodes_per_decde"),
         ({"potential": 32}, "32"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"damping": "x"}, "damping"),
+        ({"strict": "no"}, "strict"),
+        ({"grid": {"r_min": -1, "r_max": 1e3}}, "r_min"),
     ],
 )
 def test_solve_malformed_config_is_json_domain_error(tmp_path, capsys, config, named):
@@ -233,6 +254,17 @@ def test_shoot_out_of_range_r_stop_is_json_domain_error(tmp_path, capsys, r_stop
     assert code == 1 and not out_dir.exists()
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParameterError" and "r_stop" in err["message"]
+
+
+def test_shoot_malformed_bracket_is_json_domain_error(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    code = main([
+        "shoot", "--n", "5", "--beta", "1", "--gamma", "2", "--p", "2", "--q", "2.75",
+        "--sigma1", "0", "--sigma2", "0", "--bracket", "a,b", "--out", str(out_dir),
+    ])
+    assert code == 1 and not out_dir.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "'a,b'" in err["message"]
 
 
 def test_verify_rates_report_names_the_solver(tmp_path):

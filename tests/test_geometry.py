@@ -596,3 +596,22 @@ def test_store_stress_concurrent_grids_and_centres():
     assert not errors
     held = list(store._plans.values()) + list(store._masses.values())
     assert store.nbytes == sum(w.nbytes for w in held) <= store.max_bytes
+
+
+_BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
+GEOMETRY_RAISE_SITES = [
+    ("cap rho", lambda: cap_fraction(CapKernel(3), -1.0, 1.0, 1.0), "rho must be nonnegative"),
+    ("batch t", lambda: ball_mass_batch(CapKernel(3), _BUMP, 1.0, np.array([1.0, 0.0])),
+     "ball radius t must be positive"),
+    ("batch rho", lambda: ball_mass_batch(CapKernel(3), _BUMP, -1.0, np.array([1.0])),
+     "rho must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, fragment", GEOMETRY_RAISE_SITES, ids=[s[0] for s in GEOMETRY_RAISE_SITES]
+)
+def test_geometry_raise_sites(site, call, fragment):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert fragment in str(err.value)

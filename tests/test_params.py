@@ -1,6 +1,10 @@
+import dataclasses
 import math
+import re
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +13,7 @@ from wolffkit.errors import InterchangeWarning, ParameterError
 from wolffkit.potential import wolff_eval
 from wolffkit.radial import RadialFunction, RadialGrid
 from wolffkit.params import (
+    PARAM_KEYS,
     Parameters,
     Regime,
     Subcriticality,
@@ -23,20 +28,23 @@ from wolffkit.params import (
 def test_validate_accepts_admissible_tuple():
     p = Parameters(5, 1.0, 2.0, 7 / 3, 7 / 3, 0.0, 0.0)
     assert validate(p) is p
+    # any integral n, numpy's too
+    assert Parameters(np.int64(5), 1.0, 2.0, 7 / 3, 7 / 3).n == 5
 
 
+# argument tuples, not Parameters: a Parameters validates on construction
 VIOLATIONS = [
-    (Parameters(3, 1.0, 3.0, 2.0, 2.0), "gamma out of (1,2]"),
-    (Parameters(4, 2.0, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
-    (Parameters(2, 1.0, 2.0, 2.0, 2.0), "n >= 3"),
-    (Parameters(5, -1.0, 2.0, 2.0, 2.0), "beta > 0"),
-    (Parameters(5, 1.0, 2.0, 0.5, 2.0), "p > 1"),
-    (Parameters(5, 1.0, 2.0, 2.0, 1.0), "q > 1"),
-    (Parameters(5, 1.0, 2.0, 2.0, 2.0, -3.0, 0.0), "sigma1 out of"),
-    (Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.5), "sigma2 out of"),
-    (Parameters(5, 1.0, 2.5, 2.0, 2.0), "gamma out of (1,2]"),
-    (Parameters(3, 1.5, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
-    (Parameters(5, 0.0, 2.0, 2.0, 2.0), "beta > 0"),
+    ((3, 1.0, 3.0, 2.0, 2.0), "gamma out of (1,2]"),
+    ((4, 2.0, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
+    ((2, 1.0, 2.0, 2.0, 2.0), "n >= 3"),
+    ((5, -1.0, 2.0, 2.0, 2.0), "beta > 0"),
+    ((5, 1.0, 2.0, 0.5, 2.0), "p > 1"),
+    ((5, 1.0, 2.0, 2.0, 1.0), "q > 1"),
+    ((5, 1.0, 2.0, 2.0, 2.0, -3.0, 0.0), "sigma1 out of"),
+    ((5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.5), "sigma2 out of"),
+    ((5, 1.0, 2.5, 2.0, 2.0), "gamma out of (1,2]"),
+    ((3, 1.5, 2.0, 2.0, 2.0), "beta*gamma < n violated"),
+    ((5, 0.0, 2.0, 2.0, 2.0), "beta > 0"),
 ]
 # the operator's own constraints, which validate and the potential
 # evaluators share through validate_operator
@@ -49,17 +57,32 @@ OPERATOR_VIOLATIONS = [
 
 @pytest.mark.parametrize("params, fragment", VIOLATIONS)
 def test_validate_names_violated_constraint(params, fragment):
-    with pytest.raises(ParameterError, match=None) as err:
-        validate(params)
+    # construction runs validate
+    with pytest.raises(ParameterError) as err:
+        Parameters(*params)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("params, fragment", VIOLATIONS)
+def test_every_route_to_a_tuple_validates(params, fragment):
+    # from_dict and dataclasses.replace build through __post_init__ too
+    data = dict(zip(PARAM_KEYS, params))
+    data.setdefault("sigma1", 0.0)
+    data.setdefault("sigma2", 0.0)
+    with pytest.raises(ParameterError, match=re.escape(fragment)):
+        Parameters.from_dict(data)
+    valid = Parameters(5, 1.0, 2.0, 7 / 3, 7 / 3, 0.0, 0.0)
+    with pytest.raises(ParameterError, match=re.escape(fragment)):
+        dataclasses.replace(valid, **data)
 
 
 @pytest.mark.parametrize("params, fragment", OPERATOR_VIOLATIONS)
 def test_wolff_eval_names_the_same_operator_constraint(params, fragment):
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     f = RadialFunction(grid, (1.0 + grid.points**2) ** -4.5, tail_exponent=9.0)
+    n, beta, gamma = params[:3]
     with pytest.raises(ParameterError) as err:
-        wolff_eval(f, params.n, params.beta, params.gamma)
+        wolff_eval(f, n, beta, gamma)
     assert fragment in str(err.value)
 
 
@@ -251,3 +274,35 @@ def test_critical_unweighted_intermediate_rate_identity(n, gamma, frac, p):
 @settings(max_examples=60, deadline=None)
 def test_parameters_dict_round_trip(params):
     assert Parameters.from_dict(params.to_dict()) == params
+
+
+def _neither_labeling():
+    # q < p asks for the swap, and after it sigma1 > sigma2; the warning is
+    # raised here as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", InterchangeWarning)
+        classify_regime(Parameters(5, 1.0, 2.0, 3.0, 1.5, -0.5, 0.0))
+
+
+_VALID = {"n": 5, "beta": 1.0, "gamma": 2.0, "p": 2.0, "q": 2.0, "sigma1": 0.0, "sigma2": 0.0}
+PARAMS_RAISE_SITES = [
+    ("from_dict keys", lambda: Parameters.from_dict({"n": 5, "beta": 1.0}), ParameterError,
+     "missing parameter keys: ['gamma', 'p', 'q', 'sigma1', 'sigma2']"),
+    ("not a number", lambda: Parameters(5, 1.0, 2.0, "2", None), ParameterError,
+     "parameters must be real numbers: ['p', 'q']"),
+    ("from_dict number", lambda: Parameters.from_dict({**_VALID, "p": "x"}), ParameterError,
+     "parameters must be numbers"),
+    ("from_dict n", lambda: Parameters.from_dict({**_VALID, "n": 5.5}), ParameterError,
+     "n must be an integer, got 5.5"),
+    ("neither labeling", _neither_labeling, InterchangeWarning,
+     "neither labeling satisfies q >= p and sigma1 <= sigma2"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, error, fragment", PARAMS_RAISE_SITES, ids=[s[0] for s in PARAMS_RAISE_SITES]
+)
+def test_params_raise_sites(site, call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert fragment in str(err.value)

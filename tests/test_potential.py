@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -422,3 +424,28 @@ def test_wolff_unit_ball_matches_lens_oracle(unit_indicator, n, beta, gamma):
     got = wolff_eval_at(unit_indicator, n, beta, gamma, rhos)
     want = np.array([wolff_unit_ball(n, beta, gamma, rho) for rho in rhos])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-6
+
+
+_SOURCE = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
+POTENTIAL_RAISE_SITES = [
+    ("weighted_source", lambda: weighted_source(0.0, 0.0, _SOURCE), ParameterError,
+     "source exponent must be positive"),
+    ("t_min negative", lambda: PotentialConfig(t_min=-1.0), ParameterError, "t_min"),
+    ("t_min zero", lambda: PotentialConfig(t_min=0), ParameterError, "t_min"),
+    ("t_max inf", lambda: PotentialConfig(t_max=math.inf), ParameterError, "t_max"),
+    ("t_nodes type", lambda: PotentialConfig(t_nodes_per_decade="x"), ParameterError,
+     "t_nodes_per_decade"),
+    ("slow tail", lambda: wolff_eval(power_tail_profile(_SOURCE.grid, 1.0, 1.5), 3, 1.0, 1.6),
+     DivergentIntegralError, "outer integral beyond t_max diverges"),
+    ("head", lambda: wolff_eval_at(_SOURCE.with_values(_SOURCE.values, head_exponent=5.0), 5, 1.0, 2.0,
+                                   [1.0]), DivergentIntegralError, "near the origin diverges"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, error, fragment", POTENTIAL_RAISE_SITES, ids=[s[0] for s in POTENTIAL_RAISE_SITES]
+)
+def test_potential_raise_sites(site, call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert fragment in str(err.value)

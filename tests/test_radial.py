@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -531,3 +532,83 @@ def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
             z = (k + p * mpmath.log(vb / va) / span) * span  # (k - m p) L, exact m
             want = va**p * ra**k * span * mpmath.expm1(z) / z
             assert abs(g / want - 1) <= 1e-14
+
+
+def test_rising_cell_far_out_of_float_range_matches_the_earlier_telescoped_form():
+    # the first cell rises from 1e-300 to 1e-20: at p = 2, k = 3 its
+    # (k - m p) L is about 1.3e3, so e^z overflows and v_a^p underflows; the
+    # telescoped form (f(x)^p x^k - v_a^p r_a^k)/(k - m p) gave this value
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    vals = (1.0 + g.points**2) ** -3.0
+    vals[0], vals[1] = 1e-300, 1e-20
+    f = RadialFunction(g, vals, tail_exponent=6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm(f, 2, n=3)
+    assert got == pytest.approx(0.7322291156656563, rel=1e-12)
+
+
+def _profile_files(tmp, rows="default", sidecar="default"):
+    """A profile CSV and sidecar in tmp; rows and sidecar replace the valid ones."""
+    path = tmp / "f.csv"
+    if rows == "default":
+        rows = "r,value\n" + "\n".join(f"{r!r},1.0" for r in np.geomspace(1e-2, 1e2, 20))
+    if rows is not None:
+        path.write_text(rows)
+    if sidecar == "default":
+        sidecar = {"head_exponent": 0.0, "tail_exponent": 3.0, "tail_log_power": 0.0}
+    if sidecar is not None:
+        (tmp / "f.json").write_text(json.dumps(sidecar))
+    return path
+
+
+def _read(tmp, **files):
+    return read_profile(_profile_files(tmp, **files))
+
+
+_G = RadialGrid.per_decade(1e-2, 1e2, 16)
+_ONES = np.ones(_G.count)
+_LOG_TAILED = RadialFunction(_G, _ONES, tail_exponent=3.0, tail_log_power=1.0)
+_SMALL = RadialGrid.per_decade(1e-3, 1.0, 16)
+
+RADIAL_RAISE_SITES = [
+    ("shape", lambda tmp: RadialFunction(_G, _ONES[:-1]), ParameterError, "matching shapes"),
+    ("negative", lambda tmp: RadialFunction(_G, -_ONES), ParameterError, "nonnegative"),
+    ("head", lambda tmp: RadialFunction(_G, _ONES, head_exponent=math.nan), ParameterError,
+     "head_exponent must be finite"),
+    ("log tail r_max <= 1", lambda tmp: RadialFunction(_SMALL, np.ones(_SMALL.count), tail_exponent=3.0,
+                                                        tail_log_power=1.0), ParameterError, "r_max > 1"),
+    ("scaled", lambda tmp: _LOG_TAILED.scaled(-1.0), ParameterError, "amplitude"),
+    ("dilate lam", lambda tmp: RadialFunction(_G, _ONES).dilate(0.0), ParameterError, "positive"),
+    ("dilate log tail", lambda tmp: _LOG_TAILED.dilate(2.0), ParameterError, "log-corrected"),
+    ("cumulative_mass", lambda tmp: _LOG_TAILED.cumulative_mass(3, [-1.0]), ParameterError, "x >= 0"),
+    ("lp_norm", lambda tmp: lp_norm(_LOG_TAILED, 0.5), ParameterError, "p must be >= 1"),
+    ("fit points", lambda tmp: fit_decay_rate(_LOG_TAILED, (1.0, 1.5)), ParameterError, "fewer than 8"),
+    ("fit log window", lambda tmp: fit_decay_rate(_LOG_TAILED, (0.5, 50.0), allow_log=True),
+     ParameterError, "r > 1"),
+    ("per_decade", lambda tmp: RadialGrid.per_decade(-1.0, 1e2), ParameterError, "r_min = -1.0"),
+    ("read csv", lambda tmp: _read(tmp, rows=None), ProfileFormatError, "CSV not found"),
+    ("read sidecar", lambda tmp: _read(tmp, sidecar=None), ProfileFormatError, "missing JSON sidecar"),
+    ("read keys", lambda tmp: _read(tmp, sidecar={"head_exponent": 0.0}), ProfileFormatError,
+     "missing keys: ['tail_exponent', 'tail_log_power']"),
+    ("read header", lambda tmp: _read(tmp, rows="radius,f\n1.0,1.0\n"), ProfileFormatError,
+     "expected header"),
+    ("read row", lambda tmp: _read(tmp, rows="r,value\n1.0\n"), ProfileFormatError, "malformed row"),
+    ("read number", lambda tmp: _read(tmp, rows="r,value\n1.0,x\n"), ProfileFormatError,
+     "non-numeric row"),
+    ("read order", lambda tmp: _read(tmp, rows="r,value\n2.0,1.0\n1.0,1.0\n"), ProfileFormatError,
+     "not strictly increasing"),
+    ("read sign", lambda tmp: _read(tmp, rows="r,value\n1.0,-1.0\n2.0,1.0\n"), ProfileFormatError,
+     "negative profile values"),
+    ("read grid", lambda tmp: _read(tmp, rows="r,value\n1.0,1.0\n2.0,1.0\n"), ProfileFormatError,
+     "grid needs at least 16 points"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, error, fragment", RADIAL_RAISE_SITES, ids=[s[0] for s in RADIAL_RAISE_SITES]
+)
+def test_radial_raise_sites(tmp_path, site, call, error, fragment):
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert fragment in str(err.value)

@@ -35,3 +35,14 @@ def test_bubble_residual_decreases_with_resolution():
     residuals = [float(x) for x in re.findall(r"residual (\S+)", out)]
     assert len(residuals) == 2
     assert residuals[1] < residuals[0]
+
+
+def test_regime_rates_shooting_side_recovers_every_predicted_rate():
+    out = run_script("regime_rates.py", "--skip-picard")
+    pattern = r"shooting\s+u:\s*(\S+) \(predicted (\S+)\)\s+v:\s*(\S+) \(predicted (\S+)\)"
+    lines = re.findall(pattern, out)
+    assert len(lines) == 3, out
+    for u, u_pred, v, v_pred in lines:
+        assert abs(float(u) / float(u_pred) - 1.0) <= 0.05
+        assert abs(float(v) / float(v_pred) - 1.0) <= 0.05
+    assert "NOT converged" not in out

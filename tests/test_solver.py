@@ -304,3 +304,33 @@ def test_mixed_step_matches_anderson_with_consecutive_differences():
     # with no history it is the damped step
     plain, mixed = solver._step(xs[3], rs[3], theta, [])
     assert mixed == 0 and np.array_equal(plain, xs[3] + theta * rs[3])
+
+
+def _huge_start():
+    grid = default_solver_grid()
+    u, v = make_ansatz(CRITICAL_SCALAR, grid)
+    return SolveConfig(custom_initial=(u.scaled(1e160), v))
+
+
+SOLVER_RAISE_SITES = [
+    ("rel_tol", lambda: SolveConfig(rel_tol=0.0), ParameterError, "rel_tol"),
+    ("rel_tol nan", lambda: SolveConfig(rel_tol=math.nan), ParameterError, "rel_tol"),
+    ("max_iters", lambda: SolveConfig(max_iters=0), ParameterError, "max_iters"),
+    ("max_iters float", lambda: SolveConfig.from_dict({"max_iters": 2.5}), ParameterError, "max_iters"),
+    ("strict", lambda: SolveConfig.from_dict({"strict": "no"}), ParameterError, "strict"),
+    ("damping type", lambda: SolveConfig.from_dict({"damping": "x"}), ParameterError, "damping"),
+    ("grid r_min", lambda: SolveConfig.from_dict({"grid": {"r_min": -1, "r_max": 1e3}}), ParameterError,
+     "r_min = -1"),
+    ("overflow guard", lambda: solve_system(CRITICAL_SCALAR, _huge_start()), DegenerateIterationError,
+     "iterate u left the overflow guard window"),
+    ("bubble n", lambda: bubble_profile(2, default_solver_grid()), ParameterError, "n >= 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, error, fragment", SOLVER_RAISE_SITES, ids=[s[0] for s in SOLVER_RAISE_SITES]
+)
+def test_solver_raise_sites(site, call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert fragment in str(err.value)

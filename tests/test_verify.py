@@ -219,3 +219,21 @@ def test_run_suite_names_the_solver():
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(ParameterError, match="unknown suite"):
         run_suite(PINNED, suite="everything")
+
+
+VERIFY_RAISE_SITES = [
+    # 1/p - (alpha + sigma)/n = 1/3 - 2/5 < 0
+    ("q none", lambda: check_inequalities(0, PINNED, p=3.0, count=1), "leaves no admissible q"),
+    # 1/q = 1 - 2/5 gives q = 5/3 = n/(n - alpha)
+    ("q floor", lambda: check_inequalities(0, PINNED, p=1.0, count=1), "must exceed n/(n-alpha)"),
+    ("lam", lambda: check_log_limit(PINNED, lam=0.0), "lam must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, fragment", VERIFY_RAISE_SITES, ids=[s[0] for s in VERIFY_RAISE_SITES]
+)
+def test_verify_raise_sites(site, call, fragment):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert fragment in str(err.value)
