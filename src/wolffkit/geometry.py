@@ -46,7 +46,11 @@ rather than returning inf masses.
 The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
 the points plus which cells have a vanishing endpoint (what the located slots
 and offsets and quad_boundaries depend on), and per centre by (rho, t).  It
-holds one grid at a time and is cleared when the grid key changes.
+holds the plans of several grids, grouped by grid key, so a caller that
+alternates grids (the inequality battery, whose ball indicators sit on their
+own grids) builds each (grid, centre) plan once.  Within the grid being served
+a plan takes only free room; when a plan needs more, the other grids are
+dropped whole, least recently used first, and the grid being served never is.
 
 The store also keeps, per centre, the whole ball masses (covered part plus
 partial shells) for the last source it served, keyed by the source's values
@@ -63,13 +67,15 @@ their masses 0.16 MB; the 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24)
 take 40.3 MB, so the cap is 48 MiB.  The store is module-global, so access is
 locked: a caller that evaluates potentials from several threads could
 otherwise pass a key comparison and then read another grid's plan or another
-source's masses.
+source's masses.  plans_built() counts the plans built in the process, and
+each Picard trace entry reports the ones its iteration built.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -351,54 +357,82 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
 
 
 class _KernelWeightStore:
-    """Plans of one source grid's centres, and each centre's ball masses of
-    the last source served, bounded together by max_bytes."""
+    """Centre plans grouped by source grid, and each centre's ball masses of
+    the last source served, bounded together by max_bytes.
+
+    The grid being served keeps its plans in _plans; the grids served before
+    it wait in _idle, least recently used first.  Within the served grid a
+    plan takes only free room.  When a plan or masses need more, idle grids
+    are dropped whole, oldest first; the served grid is never dropped.
+    plans_built counts the plans handed to put, one per plan built, over the
+    life of the process (clear leaves it as it is)."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
+        self.plans_built = 0
         self._lock = threading.Lock()
-        self._reset(None)
+        self._reset()
 
     def get(self, grid_key, centre_key):
         with self._lock:
-            return self._plans.get(centre_key) if grid_key == self._grid else None
+            if grid_key != self._grid and grid_key not in self._idle:
+                return None
+            self._serve(grid_key)
+            return self._plans.get(centre_key)
 
     def put(self, grid_key, centre_key, plan):
         with self._lock:
-            if grid_key != self._grid:
-                self._reset(grid_key)
+            self.plans_built += 1
+            self._serve(grid_key)
             self._admit(self._plans, centre_key, plan)
 
     def get_masses(self, grid_key, source_key, centre_key):
         with self._lock:
-            if grid_key == self._grid and source_key == self._source:
+            if (grid_key, source_key) == self._source:
                 return self._masses.get(centre_key)
             return None
 
     def put_masses(self, grid_key, source_key, centre_key, masses):
         with self._lock:
-            if grid_key != self._grid:
-                self._reset(grid_key)
-            if source_key != self._source:
+            self._serve(grid_key)
+            if (grid_key, source_key) != self._source:
                 self.nbytes -= sum(m.nbytes for m in self._masses.values())
-                self._source, self._masses = source_key, {}
+                self._source, self._masses = (grid_key, source_key), {}
             self._admit(self._masses, centre_key, masses)
 
     def clear(self):
         with self._lock:
-            self._reset(None)
+            self._reset()
 
-    def _reset(self, grid_key):
-        self._grid, self._plans, self._source, self._masses = grid_key, {}, None, {}
+    def _reset(self):
+        self._grid, self._plans, self._idle = None, {}, OrderedDict()
+        self._source, self._masses = None, {}
         self.nbytes = 0
 
+    def _serve(self, grid_key):
+        # the grid served until now becomes the most recently used idle one
+        if grid_key != self._grid:
+            if self._plans:
+                self._idle[self._grid] = self._plans
+            self._grid, self._plans = grid_key, self._idle.pop(grid_key, {})
+
     def _admit(self, table, key, value):
-        if key not in table and self.nbytes + value.nbytes <= self.max_bytes:
+        if key in table:
+            return
+        while self.nbytes + value.nbytes > self.max_bytes and self._idle:
+            _, dropped = self._idle.popitem(last=False)
+            self.nbytes -= sum(plan.nbytes for plan in dropped.values())
+        if self.nbytes + value.nbytes <= self.max_bytes:
             table[key] = value
             self.nbytes += value.nbytes
 
 
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
+
+
+def plans_built() -> int:
+    """Centre plans built in this process so far, by every thread."""
+    return _kernel_weights.plans_built
 
 
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:

@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
+from .geometry import plans_built
 from .params import Parameters, RegimeReport, Subcriticality, classify_regime
 from .potential import PotentialConfig, weighted_source, wolff_eval
 from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_surface
@@ -95,7 +96,9 @@ class SolveResult:
     effective constants c1_eff and c2_eff (the iterate over its image at
     ANCHOR_RADIUS), the damping of the update it made and the number of
     earlier iterates that update combined, mixed (0 on a plain or restarted
-    step; both None on the accepted iterate), and its wall time wall_s.
+    step; both None on the accepted iterate), its wall time wall_s and
+    the centre plans its potentials built, plans_built (geometry.plans_built:
+    0 once the store holds every plan of the grid).
     to_report_dict leaves the trace out, so reports written with
     --no-timestamp stay byte-identical.
     """
@@ -281,7 +284,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        start = time.perf_counter()
+        start, built = time.perf_counter(), plans_built()
         _check_positive(u, v)
         u_img, v_img = potential_images(params, u, v, cfg)
         # residual against the image of the effective constant-coefficient
@@ -311,6 +314,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
                 "damping": None if converged else cfg.damping,
                 "mixed": mixed,
                 "wall_s": time.perf_counter() - start,
+                "plans_built": plans_built() - built,
             }
         )
         if converged:

@@ -369,39 +369,126 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
         assert np.array_equal(got, ball_mass_batch(k, g, 2.0, ts))
 
 
+def _held(store):
+    """What the store holds: every grid's plans, the served grid's first, and the masses."""
+    plans = [plan for grid in (store._plans, *store._idle.values()) for plan in grid.values()]
+    return plans, list(store._masses.values())
+
+
+def _held_arrays(store):
+    plans, masses = _held(store)
+    return [a for plan in plans for a in plan] + masses
+
+
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     k = CapKernel(3)
     ts = np.geomspace(1e-3, 1e4, 200)
+    rhos = np.geomspace(0.1, 10.0, 5)
     store = geometry._kernel_weights
+    sources = [
+        power_tail_profile(RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16), 1.0, 6.0)
+        for j in range(12)
+    ]
 
-    def held(store):
-        return [a for plan in store._plans.values() for a in plan] + list(store._masses.values())
-
-    for j in range(12):  # distinct grids: each one replaces the last
-        grid = RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16)
-        f = power_tail_profile(grid, 1.0, 6.0)
-        for rho in np.geomspace(0.1, 10.0, 5):
+    def serve(f):
+        for rho in rhos:
             ball_mass_batch(k, f, float(rho), ts)
-        assert len(store._masses) == 5
+        assert len(store._plans) == len(store._masses) == 5
         assert 0 < store.nbytes <= store.max_bytes
-        assert store.nbytes == sum(a.nbytes for a in held(store))
-        assert not any(a.flags.writeable for a in held(store))
+        assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
+        assert not any(a.flags.writeable for a in _held_arrays(store))
+        return store._grid, sum(plan.nbytes for plan in store._plans.values())
+
+    # distinct grids under the full cap: the older grids all stay
+    keys, sizes = zip(*[serve(f) for f in sources])
+    assert list(store._idle) == list(keys[:-1])
+    assert len(cap_calls) == 12 * 5
     # a new source replaces the masses and keeps the byte count exact
-    g = f.with_values(2.0 * f.values)
+    g = sources[-1].with_values(2.0 * sources[-1].values)
     ball_mass_batch(k, g, 0.1, ts)
-    assert len(store._masses) == 1 and store.nbytes == sum(a.nbytes for a in held(store))
-    # one grid with more centres than the cap admits; g's masses cannot serve f
-    monkeypatch.setattr(store, "max_bytes", 3 * store.nbytes // 5)
+    assert len(store._masses) == 1 and store.nbytes == sum(a.nbytes for a in _held_arrays(store))
+    # under room for three grids the cap forces older grids out, whole and
+    # least recently used first, and never a plan of the grid being served
+    monkeypatch.setattr(store, "max_bytes", 3 * max(sizes) + 5 * ts.nbytes)
     store.clear()
-    for rho in np.geomspace(0.1, 10.0, 5):
+    for j, f in enumerate(sources):
+        serve(f)
+        idle = list(store._idle)
+        assert idle == list(keys[j - len(idle) : j])
+        assert all(len(plans) == 5 for plans in store._idle.values())
+        assert len(idle) == min(j, 2)
+    # one grid with more centres than the cap admits; g's masses cannot serve f
+    f = sources[-1]
+    monkeypatch.setattr(store, "max_bytes", 3 * (sizes[-1] + ts.nbytes) // 5)
+    store.clear()
+    for rho in rhos:
         ball_mass_batch(k, g, float(rho), ts)
     assert 0 < store.nbytes <= store.max_bytes
-    assert store.nbytes == sum(a.nbytes for a in held(store))
+    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
     before = len(cap_calls)
-    for rho in np.geomspace(0.1, 10.0, 5):
+    for rho in rhos:
         ball_mass_batch(k, f, float(rho), ts)
     assert 0 < len(cap_calls) - before < 5  # the centres that did not fit
-    assert store.nbytes == sum(a.nbytes for a in held(store)) <= store.max_bytes
+    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store)) <= store.max_bytes
+
+
+def _grid_switch_sources():
+    """A bump on grid A and a ball indicator on grid B, as the inequality battery mixes them."""
+    bump = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 6.0)
+    grid_b = RadialGrid.per_decade(1e-2, 1.0, 16)
+    ball = RadialFunction(grid_b, np.ones(grid_b.count), head_exponent=0.0, tail_exponent=math.inf)
+    return bump, ball
+
+
+_SWITCH_RHOS = (0.05, 0.2, 0.5, 0.9, 3.0)
+
+
+def test_switching_back_to_a_grid_builds_nothing(cap_calls):
+    k = CapKernel(3)
+    ts = np.geomspace(1e-3, 1e4, 120)
+    bump, ball = _grid_switch_sources()
+    for f in (bump, ball):
+        for rho in _SWITCH_RHOS:
+            ball_mass_batch(k, f, rho, ts)
+    assert len(cap_calls) == 2 * len(_SWITCH_RHOS)
+    built = geometry.plans_built()
+    again = [ball_mass_batch(k, bump, rho, ts) for rho in _SWITCH_RHOS]
+    assert len(cap_calls) == 2 * len(_SWITCH_RHOS)  # grid A's plans were kept
+    assert geometry.plans_built() == built
+    geometry._kernel_weights.clear()
+    cold = [ball_mass_batch(k, bump, rho, ts) for rho in _SWITCH_RHOS]
+    assert geometry.plans_built() == built + len(_SWITCH_RHOS)
+    for a, b in zip(again, cold):
+        assert np.array_equal(a, b)
+
+
+def test_eviction_drops_whole_grids(cap_calls, monkeypatch):
+    k = CapKernel(3)
+    ts = np.geomspace(1e-3, 1e4, 120)
+    store = geometry._kernel_weights
+    bump, ball = _grid_switch_sources()
+
+    def serve(f):
+        before = len(cap_calls)
+        masses = [ball_mass_batch(k, f, rho, ts) for rho in _SWITCH_RHOS]
+        return len(cap_calls) - before, sum(plan.nbytes for plan in store._plans.values()), masses
+
+    # a cap that holds one grid's plans and masses, but not both grids' plans
+    _, size_a, _ = serve(bump)
+    _, size_b, _ = serve(ball)
+    masses = len(_SWITCH_RHOS) * ts.nbytes
+    assert min(size_a, size_b) > masses
+    monkeypatch.setattr(store, "max_bytes", max(size_a, size_b) + masses)
+    store.clear()
+    first = serve(bump)[2]
+    for f in (ball, bump, ball):
+        built, size, _ = serve(f)
+        assert built == len(_SWITCH_RHOS)  # the other grid was dropped, so this one is rebuilt
+        assert len(store._plans) == len(_SWITCH_RHOS) and not store._idle
+        assert store.nbytes == size + masses <= store.max_bytes
+    # a rebuilt plan is the cold plan
+    for a, b in zip(first, serve(bump)[2]):
+        assert np.array_equal(a, b)
 
 
 @pytest.fixture
@@ -559,8 +646,9 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
 
 def test_store_stress_concurrent_grids_and_centres():
     # more threads than cores, switching often: grid and source changes,
-    # inserts and lookups interleave; a lost update would break the byte
-    # count or hand a centre another grid's weights or another source's masses
+    # inserts, lookups and the dropping of whole grids interleave; a lost
+    # update would break the byte count or hand a centre another grid's
+    # weights or another source's masses
     store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
     errors = []
 
@@ -594,8 +682,12 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    held = list(store._plans.values()) + list(store._masses.values())
-    assert store.nbytes == sum(w.nbytes for w in held) <= store.max_bytes
+    # the cap holds one grid's plans: grids were dropped, and what is left
+    # counts exactly
+    assert store._grid not in store._idle
+    assert len(store._plans) + sum(len(plans) for plans in store._idle.values()) <= 64
+    plans, masses = _held(store)
+    assert store.nbytes == sum(w.nbytes for w in plans + masses) <= store.max_bytes
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from wolffkit import solver
+from wolffkit import geometry, solver
 from wolffkit.cli import main
 from wolffkit.errors import (
     DegenerateIterationError,
@@ -235,12 +235,18 @@ def test_trace_records_time_constants_and_damping(tmp_path):
     fast_fast = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     cfg = SolveConfig(max_iters=12, rel_tol=5e-3, damping=0.8, grid=grid)
+    geometry._kernel_weights.clear()
     start = time.perf_counter()
     res = solve_system(fast_fast, cfg)
     elapsed = time.perf_counter() - start
     assert res.converged and len(res.trace) == res.iterations >= 3
-    keys = {"iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "mixed", "wall_s"}
+    keys = {
+        "iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "mixed", "wall_s",
+        "plans_built",
+    }
     assert all(set(entry) == keys for entry in res.trace)
+    # the first map builds every centre's plan, and the store serves the rest
+    assert [e["plans_built"] for e in res.trace] == [grid.count] + [0] * (res.iterations - 1)
     assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
     # the residual falls at every step here, so each step combines every
     # earlier iterate up to the depth

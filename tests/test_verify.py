@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from wolffkit.errors import ParameterError
-from wolffkit import verify
+from wolffkit import geometry, verify
 from wolffkit.params import Parameters
 from wolffkit.potential import riesz_eval
 from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state
@@ -133,6 +133,35 @@ def test_inequality_family_builds_each_centre_plan_once(cap_calls):
     # centre plans are built once
     check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)
     assert len(cap_calls) == 65
+
+
+def test_mixed_grid_battery_builds_each_grid_centre_plan_once(cap_calls, monkeypatch):
+    # count = 8 puts two ball indicators, each on its own grid, between the
+    # bumps on the battery grid: the battery grid's 65 plans are kept across
+    # both, so the bumps after a ball indicator and the extremal build none
+    built = []
+    centre_plan = geometry._centre_plan
+
+    def counting(kernel, f, rho, t):
+        built.append((f.layout_key, rho, t.tobytes()))
+        return centre_plan(kernel, f, rho, t)
+
+    monkeypatch.setattr(geometry, "_centre_plan", counting)
+    params = Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0)
+    entries = check_inequalities(0, params, p=1.5, count=8)
+    assert len(built) == len(set(built)) == 65 + 2 * 33
+    # a store cleared before each profile builds its plans cold
+    battery = verify.standard_battery
+
+    def clearing(*args, **kwargs):
+        for f in battery(*args, **kwargs):
+            geometry._kernel_weights.clear()
+            yield f
+
+    monkeypatch.setattr(verify, "standard_battery", clearing)
+    cold = check_inequalities(0, params, p=1.5, count=8)
+    assert len(built) - (65 + 2 * 33) == 7 * 65 + 2 * 33  # six bumps and the extremal
+    assert cold == entries
 
 
 @pytest.mark.parametrize("n, alpha", [(3, 1.6), (5, 2.0), (3, 1.0)])
