@@ -35,12 +35,17 @@ Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
 geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
 plan, the way an FFTW plan is kept.  A plan holds each node located on the
 source grid (RadialFunction.locate: its slot and offset s = ln(r / r_cell)),
-the kernel weights, and the start offset and t index of each non-empty shell.
-Every call, cold or repeat, evaluates f at the nodes from the located form
-(RadialFunction.at_located, the second half of f(r): a gather, a
-multiply-add and an exp), so a repeat call on the same geometry skips node
-generation and the search and costs that evaluation times the weights plus
-one add.reduceat over the shells.  A grid so far from 1 that a kernel weight
+the kernel weights, the start offset and t index of each non-empty shell, the
+positions of the nodes on the head and on the tail (RadialFunction.edges_at),
+and the covered part: the positions in t of the radii t > rho, with t - rho
+located on the grid.  Every call, cold or repeat, takes the covered masses
+from the located radii (RadialFunction.mass_at_located, the second half of
+cumulative_mass) and evaluates f at the nodes from the located form
+(RadialFunction.at_located, the second half of f(r): a gather, a multiply-add
+and an exp, with the head and tail models patched in at the stored
+positions).  A repeat call on the same geometry so skips node generation and
+every search, and costs those evaluations times the weights plus one
+add.reduceat over the shells.  A grid so far from 1 that a kernel weight
 leaves the floating-point range (r^{n-1} overflows) raises ParameterError
 rather than returning inf masses.
 The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
@@ -52,23 +57,38 @@ own grids) builds each (grid, centre) plan once.  Within the grid being served
 a plan takes only free room; when a plan needs more, the other grids are
 dropped whole, least recently used first, and the grid being served never is.
 
+The head and tail factors of a source, its models at the head and tail nodes
+without v_0 and v_N (RadialFunction.edge_factors), depend only on the plan's
+nodes and on the source's head exponent and tail model (edge_key), and a
+Picard solve feeds two such models, u's source and v's, into all its maps.
+The store keeps them per centre for the grid being served, one table per
+model and at most _FACTOR_MODELS tables, the least recently used dropped for
+a new model.  They take only free room and go first when a plan or masses
+need more, and a switch to another grid drops them.
+
 The store also keeps, per centre, the whole ball masses (covered part plus
 partial shells) for the last source it served, keyed by the source's values
 and its head and tail models (RadialFunction.source_key, built once per source
 rather than once per centre).  A call with the same grid, centre and source,
 such as the Wolff image of a source whose Riesz image was just taken on the
 same t nodes, returns a copy of the stored masses and neither evaluates f nor
-calls cumulative_mass again.  Cold, repeat and stored masses come from one
-computation, so they agree bit for bit.  Plans and masses share the cap
-_KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on grids
-of up to 255 points, the offset and the kernel weight), so the 81 centres of a
-wolff_eval on the solver's 81-point grid, 1.42 M nodes, take 24.5 MB, and
-their masses 0.16 MB; the 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24)
-take 40.3 MB, so the cap is 48 MiB.  The store is module-global, so access is
+its covered masses again.  Cold, repeat and stored masses come from one
+computation, so they agree bit for bit.  Plans, factors and masses share the
+cap _KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on
+grids of up to 255 points, the offset and the kernel weight), 2 more per head
+or tail node (a uint16 position) and 10 per covered radius (uint8 position and
+slot, the offset).  So the 81 centres of a wolff_eval on the solver's
+81-point grid, 1.42 M nodes of which 177 k lie on the head or the tail and
+11.6 k covered radii, take 24.9 MB; each source model's factors (8 bytes per
+tail node, and per head node unless the head is flat, as the solver's are)
+take 1.1 MB more and the masses 0.16 MB.  The 121 centres of
+RadialGrid.per_decade(1e-2, 1e3, 24) take 40.8 MB and two models' factors
+3.4 MB, so the cap is 48 MiB.  The store is module-global, so access is
 locked: a caller that evaluates potentials from several threads could
 otherwise pass a key comparison and then read another grid's plan or another
-source's masses.  plans_built() counts the plans built in the process, and
-each Picard trace entry reports the ones its iteration built.
+source's masses.  plans_built() counts the plans built in the process and
+nodes_evaluated() the plan nodes sources were evaluated at; each Picard trace
+entry reports both for its iteration.
 """
 
 from __future__ import annotations
@@ -92,6 +112,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _EDGE_NODES = 20
 _MID_NODES = 10
 _KERNEL_WEIGHT_BYTES = 48 * 2**20
+_FACTOR_MODELS = 2  # a Picard map pair has two source models
 
 
 @dataclass(frozen=True)
@@ -313,16 +334,24 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
 
 
 class _CentrePlan(NamedTuple):
-    """A centre's partial-shell quadrature, free of f: each node's slot and
-    offset s on the source grid (see RadialFunction.locate), its kernel
-    weight cap_fraction * r^{n-1} * w, and per non-empty shell the offset of
-    its first node and its index into t."""
+    """A centre's ball masses, free of f.  The partial-shell quadrature: each
+    node's slot and offset s on the source grid (see RadialFunction.locate),
+    its kernel weight cap_fraction * r^{n-1} * w, and per non-empty shell the
+    offset of its first node and its index into t, and the positions of the
+    nodes on the head and on the tail (RadialFunction.edges_at).  The
+    covered part: the positions in t of the radii t > rho, and t - rho
+    located on the grid."""
 
     slot: np.ndarray
     s: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
     t_index: np.ndarray
+    head_at: np.ndarray
+    tail_at: np.ndarray
+    covered: np.ndarray
+    covered_slot: np.ndarray
+    covered_s: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -331,8 +360,10 @@ class _CentrePlan(NamedTuple):
 
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
     """Build a centre's read-only plan, or None when every shell is empty.
-    The slot takes the smallest unsigned type that holds the grid's point
-    count."""
+    Slots take the smallest unsigned type that holds the grid's point count,
+    and positions the smallest that holds the length of the array they index
+    (the nodes, or t)."""
+    slot_type = np.min_scalar_type(f.grid.count)
     # far from 1 the nodes or r^{n-1} overflow, and the check below says so
     with np.errstate(over="ignore", invalid="ignore"):
         r, w, owner = _partial_shell_nodes(f, rho, t)
@@ -341,7 +372,11 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         # located before cap_fraction's temporaries, the kept arrays pack
         # tighter: 6 MB less peak RSS over a map on the solver's grid
         slot, s = f.locate(r)
-        slot = slot.astype(np.min_scalar_type(f.grid.count))
+        slot = slot.astype(slot_type)
+        head_at, tail_at = (a.astype(np.min_scalar_type(r.size)) for a in f.edges_at(slot))
+        covered = np.flatnonzero(t > rho).astype(np.min_scalar_type(t.size))
+        covered_slot, covered_s = f.locate(t[covered] - rho)
+        covered_slot = covered_slot.astype(slot_type)
         kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
     if not np.all(np.isfinite(kw)):
         raise ParameterError(
@@ -350,26 +385,36 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         )
     # owner is non-decreasing, so each shell's nodes form one run
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(slot, s, kw, starts, owner[starts])
+    plan = _CentrePlan(
+        slot, s, kw, starts, owner[starts], head_at, tail_at, covered, covered_slot, covered_s
+    )
     for a in plan:
         a.setflags(write=False)
     return plan
 
 
 class _KernelWeightStore:
-    """Centre plans grouped by source grid, and each centre's ball masses of
-    the last source served, bounded together by max_bytes.
+    """Centre plans grouped by source grid, each centre's ball masses of the
+    last source served, and the served grid's head and tail factors per
+    source model (RadialFunction.edge_factors and edge_key), bounded
+    together by max_bytes.
 
     The grid being served keeps its plans in _plans; the grids served before
     it wait in _idle, least recently used first.  Within the served grid a
-    plan takes only free room.  When a plan or masses need more, idle grids
-    are dropped whole, oldest first; the served grid is never dropped.
-    plans_built counts the plans handed to put, one per plan built, over the
-    life of the process (clear leaves it as it is)."""
+    plan takes only free room.  Factors sit in _factors, one table per model,
+    at most _FACTOR_MODELS of them, least recently used first; they too take
+    only free room, a new model drops the oldest table and serving another
+    grid drops them all.  When a plan or masses need more room, the factor
+    tables go first, then idle grids whole, oldest first; the served grid is
+    never dropped.  plans_built counts the plans handed to put, one per plan
+    built, and nodes_evaluated the plan nodes at which sources were
+    evaluated, over the life of the process (clear leaves both as they
+    are)."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.plans_built = 0
+        self.nodes_evaluated = 0
         self._lock = threading.Lock()
         self._reset()
 
@@ -400,6 +445,33 @@ class _KernelWeightStore:
                 self._source, self._masses = (grid_key, source_key), {}
             self._admit(self._masses, centre_key, masses)
 
+    def count_nodes(self, count: int):
+        with self._lock:
+            self.nodes_evaluated += count
+
+    def get_factors(self, grid_key, edge_key, centre_key):
+        with self._lock:
+            table = self._factors.get(edge_key) if grid_key == self._grid else None
+            if table is None:
+                return None
+            self._factors.move_to_end(edge_key)
+            return table.get(centre_key)
+
+    def put_factors(self, grid_key, edge_key, centre_key, factors):
+        with self._lock:
+            if grid_key != self._grid:
+                return
+            table = self._factors.get(edge_key)
+            if table is None:
+                if len(self._factors) == _FACTOR_MODELS:
+                    self._drop_factors()
+                table = self._factors[edge_key] = {}
+            self._factors.move_to_end(edge_key)
+            nbytes = sum(a.nbytes for a in factors)
+            if centre_key not in table and self.nbytes + nbytes <= self.max_bytes:
+                table[centre_key] = factors
+                self.nbytes += nbytes
+
     def clear(self):
         with self._lock:
             self._reset()
@@ -407,7 +479,12 @@ class _KernelWeightStore:
     def _reset(self):
         self._grid, self._plans, self._idle = None, {}, OrderedDict()
         self._source, self._masses = None, {}
+        self._factors = OrderedDict()
         self.nbytes = 0
+
+    def _drop_factors(self):
+        _, dropped = self._factors.popitem(last=False)
+        self.nbytes -= sum(a.nbytes for factors in dropped.values() for a in factors)
 
     def _serve(self, grid_key):
         # the grid served until now becomes the most recently used idle one
@@ -415,13 +492,18 @@ class _KernelWeightStore:
             if self._plans:
                 self._idle[self._grid] = self._plans
             self._grid, self._plans = grid_key, self._idle.pop(grid_key, {})
+            while self._factors:
+                self._drop_factors()
 
     def _admit(self, table, key, value):
         if key in table:
             return
-        while self.nbytes + value.nbytes > self.max_bytes and self._idle:
-            _, dropped = self._idle.popitem(last=False)
-            self.nbytes -= sum(plan.nbytes for plan in dropped.values())
+        while self.nbytes + value.nbytes > self.max_bytes and (self._factors or self._idle):
+            if self._factors:
+                self._drop_factors()
+            else:
+                _, dropped = self._idle.popitem(last=False)
+                self.nbytes -= sum(plan.nbytes for plan in dropped.values())
         if self.nbytes + value.nbytes <= self.max_bytes:
             table[key] = value
             self.nbytes += value.nbytes
@@ -433,6 +515,12 @@ _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
 def plans_built() -> int:
     """Centre plans built in this process so far, by every thread."""
     return _kernel_weights.plans_built
+
+
+def nodes_evaluated() -> int:
+    """Plan nodes at which sources were evaluated in this process so far, by
+    every thread; masses served from the store evaluate none."""
+    return _kernel_weights.nodes_evaluated
 
 
 def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
@@ -448,8 +536,9 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
     if rho < 0.0:
         raise ParameterError("center distance rho must be nonnegative")
 
-    # the masses kept for this source, else the covered part plus f on the
-    # plan kept for this geometry; at rho = 0 every shell is full or empty
+    # the masses kept for this source, else f on the plan kept for this
+    # geometry; at rho = 0 every shell is full or empty
+    plan = None
     if rho > 0.0:
         grid_key = (n, f.layout_key, f.cut_off)
         centre_key = (rho, t_arr.tobytes())
@@ -457,23 +546,32 @@ def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values
         masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
         if masses is not None:
             return masses.copy()
+        plan = _kernel_weights.get(grid_key, centre_key)
+        if plan is None:
+            plan = _centre_plan(kernel, f, rho, t_arr)
+            if plan is not None:
+                _kernel_weights.put(grid_key, centre_key, plan)
 
     out = np.zeros(t_arr.size)
-    covered = t_arr > rho
-    if covered.any():
-        out[covered] = f.cumulative_mass(n, np.maximum(t_arr[covered] - rho, 0.0))
-
-    if rho == 0.0:
+    if plan is None:
+        # no partial shell: the covered part alone, and nothing is kept
+        covered = t_arr > rho
+        if covered.any():
+            out[covered] = f.cumulative_mass(n, t_arr[covered] - rho)
         return out
 
+    if plan.covered.size:
+        out[plan.covered] = f.mass_at_located(n, plan.covered_slot, plan.covered_s)
     # partial shell |t - rho| < r < t + rho
-    plan = _kernel_weights.get(grid_key, centre_key)
-    if plan is None:
-        plan = _centre_plan(kernel, f, rho, t_arr)
-        if plan is None:
-            return out
-        _kernel_weights.put(grid_key, centre_key, plan)
-    fr = f.at_located(plan.slot, plan.s)
+    edge_key = f.edge_key
+    factors = _kernel_weights.get_factors(grid_key, edge_key, centre_key)
+    if factors is None:
+        factors = f.edge_factors(plan.s, plan.head_at, plan.tail_at)
+        for a in factors:
+            a.setflags(write=False)
+        _kernel_weights.put_factors(grid_key, edge_key, centre_key, factors)
+    fr = f.at_located(plan.slot, plan.s, (plan.head_at, plan.tail_at, *factors))
+    _kernel_weights.count_nodes(fr.size)
     fr *= plan.kw
     out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
     masses = out.copy()

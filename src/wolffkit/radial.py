@@ -19,11 +19,21 @@ one gather, one multiply-add and one exp, exp(ln v_a - m s), with the head,
 tail and linear-cell models patched over it.  The located form depends only
 on the grid's points and on which values vanish (layout_key), so a caller
 that evaluates many sources at the same radii (geometry's stored plans)
-locates them once.
+locates them once.  The head and tail models are patched in from their
+factors without v_0 and v_N: edges_at(slot) finds where the head and tail
+radii lie, and edge_factors gives (r/r_min)^(-h) and
+(r/r_max)^(-T) (ln r / ln r_max)^L there.  These depend on f only through
+edge_key (h, and (T, L) where the tail is not cut off), so the same caller
+keeps them per model and at_located scales them by v_0 and v_N.
+Masses take the same two steps: cumulative_mass(n, x) is
+mass_at_located(n, *locate(x)), the head rule on slot 0, the tail rule on
+slot N and on a cell the prefix of the cells below plus the cell rule, which
+reads L = s on a power cell and x = s on a linear one.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
-cut_off (f vanishes beyond r_max: T = inf or f(r_max) = 0), head_integrable
+cut_off (f vanishes beyond r_max: T = +inf, the only infinite tail model
+allowed, or f(r_max) = 0), head_integrable
 (k > h p) and tail_integrable (T p > k, or T p = k with L p < -1).  Every
 integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
 lp_norm, is a head, cells and a tail, each with one rule:
@@ -242,6 +252,12 @@ class RadialFunction:
             raise ParameterError("profile values must be finite and nonnegative")
         if not math.isfinite(self.head_exponent):
             raise ParameterError("head_exponent must be finite")
+        if math.isnan(self.tail_exponent) or self.tail_exponent == -math.inf:
+            raise ParameterError(
+                f"tail_exponent must be a number or +inf (a cut-off), got {self.tail_exponent!r}"
+            )
+        if not math.isfinite(self.tail_log_power):
+            raise ParameterError(f"tail_log_power must be finite, got {self.tail_log_power!r}")
         if self.tail_log_power != 0.0 and not math.isinf(self.tail_exponent):
             if self.grid.r_max <= 1.0:
                 raise ParameterError("log-corrected tails require r_max > 1")
@@ -250,8 +266,11 @@ class RadialFunction:
 
     @cached_property
     def _cells(self):
-        """Per-cell interpolation data: slope of the log-log power law and ln of
-        the left value (-inf where it vanishes)."""
+        """Per-cell interpolation data: which cells are power cells (both
+        values positive) and whether all are, the slope of the log-log power
+        law, ln of the left value (-inf where it vanishes) and the located
+        offset of the cell's right end (see locate: its log width on a power
+        cell, the radius itself on a linear one)."""
         r = self.grid.points
         v = self.values
         va, vb = v[:-1], v[1:]
@@ -261,7 +280,8 @@ class RadialFunction:
         with np.errstate(divide="ignore", invalid="ignore"):
             m[power] = -np.log(vb[power] / va[power]) / dlr[power]
             log_va = np.log(va)
-        return {"power": power, "m": m, "log_va": log_va}
+        whole = np.where(power, dlr, r[1:])
+        return {"power": power, "all_power": power.all(), "m": m, "log_va": log_va, "whole": whole}
 
     @cached_property
     def quad_boundaries(self) -> np.ndarray:
@@ -330,9 +350,44 @@ class RadialFunction:
         np.copyto(s, r, where=slots["plain"].take(slot))
         return slot, s
 
-    def at_located(self, slot, s) -> np.ndarray:
+    @cached_property
+    def edge_key(self) -> tuple:
+        """What edge_factors depends on beyond the located radii: the head
+        exponent where f(r_min) > 0 and the tail model where f is not cut off."""
+        head = self.head_exponent if self.values[0] > 0.0 else None
+        return head, None if self.cut_off else (self.tail_exponent, self.tail_log_power)
+
+    def edges_at(self, slot) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the located radii on the head (slot 0) and on
+        the tail (slot N); they depend on the grid alone."""
+        return np.flatnonzero(slot == 0), np.flatnonzero(slot == self.grid.count)
+
+    def edge_factors(self, s, head_at, tail_at) -> tuple[np.ndarray, np.ndarray]:
+        """The head and tail models without v_0 and v_N at the located radii
+        at head_at and tail_at (edges_at), whose offsets s are r there:
+        (r/r_min)^(-h) and (r/r_max)^(-T) (ln r / ln r_max)^L, each empty
+        where its model vanishes (f(r_min) = 0, a cut-off tail), and the
+        head's also where it is flat (h = 0: the factor is 1).  Free of f's
+        values beyond edge_key, so a caller that evaluates many sources at
+        the same radii keeps them per edge_key."""
+        pts = self.grid.points
+        h, tail_model = self.edge_key
+        head = tail = np.empty(0)
+        if h:
+            head = (s[head_at] / pts[0]) ** (-h)
+        if tail_model is not None:
+            T, L = tail_model
+            st = s[tail_at]
+            tail = (st / pts[-1]) ** (-T)
+            if L != 0.0:
+                tail = tail * (np.log(st) / np.log(pts[-1])) ** L
+        return head, tail
+
+    def at_located(self, slot, s, edges=None) -> np.ndarray:
         """f at radii located by locate: the power law exp(ln v_a - m s) of
-        each cell, with the plain slots, whose s is r, patched over it."""
+        each cell, with the plain slots, whose s is r, patched over it.
+        edges are (head_at, tail_at, head, tail), edges_at(slot) and
+        edge_factors, where the caller keeps them; else they are found here."""
         slots = self._slots
         index = slot.astype(np.intp, copy=False)  # take would convert it twice
         out = slots["m"].take(index)
@@ -342,24 +397,17 @@ class RadialFunction:
         with np.errstate(over="ignore", invalid="ignore"):
             np.exp(out, out=out)
         pts, v = self.grid.points, self.values
-        if not self._cells["power"].all():
+        if not self._cells["all_power"]:
             lin = np.flatnonzero(slots["linear"].take(slot))
             il = slot[lin] - 1
             frac = (s[lin] - pts[il]) / (pts[il + 1] - pts[il])
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
-        head = slot == 0
-        if head.any():
-            out[head] = v[0] * (s[head] / pts[0]) ** (-self.head_exponent) if v[0] > 0 else 0.0
-        tail = slot == pts.size
-        if tail.any():
-            if self.cut_off:
-                out[tail] = 0.0
-            else:
-                st = s[tail]
-                factor = (st / pts[-1]) ** (-self.tail_exponent)
-                if self.tail_log_power != 0.0:
-                    factor = factor * (np.log(st) / np.log(pts[-1])) ** self.tail_log_power
-                out[tail] = v[-1] * factor
+        if edges is None:
+            at = self.edges_at(slot)
+            edges = (*at, *self.edge_factors(s, *at))
+        head_at, tail_at, head, tail = edges
+        out[head_at] = (v[0] * head if head.size else v[0]) if v[0] > 0 else 0.0
+        out[tail_at] = 0.0 if self.cut_off else v[-1] * tail
         return out
 
     def __call__(self, r) -> np.ndarray:
@@ -470,44 +518,58 @@ class RadialFunction:
 
     # -- cumulative mass ---------------------------------------------------
 
-    def _cell_integrals(self, idx: np.ndarray, x: np.ndarray, k: float, p: float = 1.0):
-        """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx.
+    def _cell_integrals(self, idx: np.ndarray, s: np.ndarray, k: float, p: float = 1.0):
+        """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx, given
+        as its located offset s (see locate): L = ln(x / r_idx) on a power
+        cell, x itself on a linear one.
 
         See the module docstring for the rule.
         """
         r, v, cells = self.grid.points, self.values, self._cells
-        ra, va, m = r[idx], v[idx], cells["m"][idx]
-        span = np.log(x / ra)
-        z = (k - m * p) * span
+        scale, rate = self._cell_factors(k, p)
+        span = s
+        linear = not cells["all_power"]
+        if linear:
+            lin = np.flatnonzero(~cells["power"][idx])
+            x_lin = s[lin]
+            span = s.copy()
+            span[lin] = 0.0  # the power rule then gives 0 there, replaced below
+        z = rate[idx] * span
         with np.errstate(over="ignore", invalid="ignore"):
-            out = va**p * ra**k * span * _exprel(z)
+            out = scale[idx] * span * _exprel(z)
         # on a growing cell (z > 0) e^z may overflow, or v_a^p r_a^k
         # underflow, and leave the product inf, nan or 0; there
         # v_a^p r_a^k e^z = f(x)^p x^k is taken in logs, times exprel(-z) < 1
-        lost = (z > 0.0) & (va > 0.0) & ~(np.isfinite(out) & (out > 0.0))
-        if lost.any():
+        if not (out.min(initial=math.inf) > 0.0 and out.max(initial=0.0) < math.inf):
+            lost = (z > 0.0) & (v[idx] > 0.0) & ~(np.isfinite(out) & (out > 0.0))
             zl = z[lost]
-            log_fx = p * cells["log_va"][idx[lost]] + k * np.log(ra[lost]) + zl
+            log_fx = p * cells["log_va"][idx[lost]] + k * np.log(r[idx[lost]]) + zl
             out[lost] = np.exp(log_fx) * span[lost] * _exprel(-zl)
-        if not cells["power"].all():
+        if linear:
             # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
-            lin = np.flatnonzero(~cells["power"][idx])
-            a, b = ra[lin, None], r[idx[lin] + 1, None]
-            fa, fb = va[lin, None], v[idx[lin] + 1, None]
+            a, b = r[idx[lin], None], r[idx[lin] + 1, None]
+            fa, fb = v[idx[lin], None], v[idx[lin] + 1, None]
             nodes, wts = _leggauss01(16)
             la = np.log(a)
-            width = np.log(x[lin, None]) - la
+            width = np.log(x_lin[:, None]) - la
             rr = np.exp(la + width * nodes)
             fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
             out[lin] = width[:, 0] * ((fr**p * rr**k) @ wts)
         return out
 
     @lru_cache(maxsize=4)
+    def _cell_factors(self, k: float, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell the cell rule's v_a^p r_a^k and k - m p."""
+        r, v = self.grid.points[:-1], self.values[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v**p * r**k, k - self._cells["m"] * p
+
+    @lru_cache(maxsize=4)
     def _mass_prefix(self, n: int) -> np.ndarray:
         """Mass inside each grid point: head plus the preceding whole cells."""
         r = self.grid.points
         s = sphere_surface(n)
-        cell = s * self._cell_integrals(np.arange(r.size - 1), r[1:], n)
+        cell = s * self._cell_integrals(np.arange(r.size - 1), self._cells["whole"], n)
         return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(r[0], n))
 
     def cumulative_mass(self, n: int, x) -> np.ndarray:
@@ -515,23 +577,25 @@ class RadialFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x < 0.0):
             raise ParameterError("cumulative mass requires x >= 0")
-        pts = self.grid.points
-        prefix = self._mass_prefix(n)
-        s = sphere_surface(n)
-        out = np.empty_like(x)
+        return self.mass_at_located(n, *self.locate(x))
 
-        head = x <= pts[0]
+    def mass_at_located(self, n: int, slot, s) -> np.ndarray:
+        """cumulative_mass at radii located by locate: the head rule on slot 0,
+        the tail rule on slot N, and on a cell the mass of the cells below
+        plus the cell rule."""
+        prefix = self._mass_prefix(n)
+        surface = sphere_surface(n)
+        out = np.empty(s.shape)
+        head = slot == 0
         if head.any():
-            out[head] = s * self._head_integral(x[head], n)
-        tail = x >= pts[-1]
+            out[head] = surface * self._head_integral(s[head], n)
+        tail = slot == self.grid.count
         if tail.any():
-            out[tail] = prefix[-1] + s * self._tail_integral(n, 1.0, x[tail])
+            out[tail] = prefix[-1] + surface * self._tail_integral(n, 1.0, s[tail])
         body = ~(head | tail)
         if body.any():
-            xb = x[body]
-            # r_min < xb < r_max, so idx >= 0 already
-            idx = np.minimum(np.searchsorted(pts, xb, side="right") - 1, pts.size - 2)
-            out[body] = prefix[idx] + s * self._cell_integrals(idx, xb, n)
+            idx = slot[body].astype(np.intp) - 1
+            out[body] = prefix[idx] + surface * self._cell_integrals(idx, s[body], n)
         return out
 
 
@@ -552,7 +616,7 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
     if not (f.head_integrable(k, p) and f.tail_integrable(k, p)):
         return INFINITE
     r = f.grid.points
-    body = f._cell_integrals(np.arange(r.size - 1), r[1:], k, p)
+    body = f._cell_integrals(np.arange(r.size - 1), f._cells["whole"], k, p)
     total = float(f._head_integral(r[0], k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
     return (sphere_surface(n) * total) ** (1.0 / p)
 

@@ -32,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIterationError, NotConvergedError, ParameterError
-from .geometry import plans_built
+from .geometry import nodes_evaluated, plans_built
 from .params import Parameters, RegimeReport, Subcriticality, classify_regime
-from .potential import PotentialConfig, weighted_source, wolff_eval
+from .potential import PotentialConfig, evaluations, weighted_source, wolff_eval
 from .radial import RadialFunction, RadialGrid, RateFit, fit_decay_rate, sphere_surface
 
 OVERFLOW_GUARD = 1e150
@@ -96,9 +96,12 @@ class SolveResult:
     effective constants c1_eff and c2_eff (the iterate over its image at
     ANCHOR_RADIUS), the damping of the update it made and the number of
     earlier iterates that update combined, mixed (0 on a plain or restarted
-    step; both None on the accepted iterate), its wall time wall_s and
-    the centre plans its potentials built, plans_built (geometry.plans_built:
-    0 once the store holds every plan of the grid).
+    step; both None on the accepted iterate), its wall time wall_s, the
+    centre plans its potentials built, plans_built (geometry.plans_built:
+    0 once the store holds every plan of the grid), the potential
+    evaluations it made, potential_evals (potential.evaluations), and the
+    plan nodes its sources were evaluated at, nodes
+    (geometry.nodes_evaluated: 0 for masses the store served).
     to_report_dict leaves the trace out, so reports written with
     --no-timestamp stay byte-identical.
     """
@@ -285,6 +288,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         start, built = time.perf_counter(), plans_built()
+        evals, nodes = evaluations(), nodes_evaluated()
         _check_positive(u, v)
         u_img, v_img = potential_images(params, u, v, cfg)
         # residual against the image of the effective constant-coefficient
@@ -315,6 +319,8 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
                 "mixed": mixed,
                 "wall_s": time.perf_counter() - start,
                 "plans_built": plans_built() - built,
+                "potential_evals": evaluations() - evals,
+                "nodes": nodes_evaluated() - nodes,
             }
         )
         if converged:

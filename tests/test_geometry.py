@@ -370,14 +370,16 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
 
 
 def _held(store):
-    """What the store holds: every grid's plans, the served grid's first, and the masses."""
+    """What the store holds: every grid's plans, the served grid's first, the
+    masses and the head and tail factors."""
     plans = [plan for grid in (store._plans, *store._idle.values()) for plan in grid.values()]
-    return plans, list(store._masses.values())
+    factors = [f for table in store._factors.values() for f in table.values()]
+    return plans, list(store._masses.values()), factors
 
 
 def _held_arrays(store):
-    plans, masses = _held(store)
-    return [a for plan in plans for a in plan] + masses
+    plans, masses, factors = _held(store)
+    return [a for item in plans + factors for a in item] + masses
 
 
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
@@ -485,7 +487,8 @@ def test_eviction_drops_whole_grids(cap_calls, monkeypatch):
         built, size, _ = serve(f)
         assert built == len(_SWITCH_RHOS)  # the other grid was dropped, so this one is rebuilt
         assert len(store._plans) == len(_SWITCH_RHOS) and not store._idle
-        assert store.nbytes == size + masses <= store.max_bytes
+        factors = sum(a.nbytes for f in _held(store)[2] for a in f)
+        assert store.nbytes == size + masses + factors <= store.max_bytes
     # a rebuilt plan is the cold plan
     for a, b in zip(first, serve(bump)[2]):
         assert np.array_equal(a, b)
@@ -498,9 +501,9 @@ def source_calls(monkeypatch):
     calls = []
     at_located = RadialFunction.at_located
 
-    def counting(self, slot, s):
+    def counting(self, slot, s, edges=None):
         calls.append(np.size(s))
-        return at_located(self, slot, s)
+        return at_located(self, slot, s, edges)
 
     monkeypatch.setattr(RadialFunction, "at_located", counting)
     return calls
@@ -517,15 +520,16 @@ def _sums_source():
 def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, monkeypatch):
     # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives:
     # its ball masses come from the stored masses, without evaluating f or
-    # its cumulative mass again
+    # its cumulative mass again (cold or located, masses end in
+    # mass_at_located)
     mass_calls = []
-    cumulative_mass = RadialFunction.cumulative_mass
+    mass_at_located = RadialFunction.mass_at_located
 
-    def counting(self, n, r):
-        mass_calls.append(np.size(r))
-        return cumulative_mass(self, n, r)
+    def counting(self, n, slot, s):
+        mass_calls.append(np.size(s))
+        return mass_at_located(self, n, slot, s)
 
-    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
+    monkeypatch.setattr(RadialFunction, "mass_at_located", counting)
     k = CapKernel(5)
     f = _sums_source()
     copy = RadialFunction(
@@ -603,9 +607,7 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     potential_images(params, u, v, cfg)
     assert len(cap_calls) == len(store._plans) == u.grid.count == 81
     assert store.nbytes <= store.max_bytes
-    assert store.nbytes == sum(plan.nbytes for plan in store._plans.values()) + sum(
-        m.nbytes for m in store._masses.values()
-    )
+    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
     located = next(iter(store._plans.values()))
     assert located.slot.dtype == np.uint8 and not located.slot.flags.writeable
     geometry._kernel_weights.clear()
@@ -616,8 +618,11 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     # on a 121-point grid under a 32 MiB cap not every plan fits: at 17
-    # bytes per node 104 are stored, and a repeat map rebuilds only the
-    # other 17, once per source
+    # bytes per node, 2 more per head or tail node (its uint16 position) and
+    # 10 per covered radius (position, slot, offset) 102 are stored, and a
+    # repeat map rebuilds only the other 19, once per source.  At 17 bytes
+    # per node alone 104 fitted with 92,388 bytes to spare; the positions
+    # and covered radii of those 104 take 591,330 more.
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
@@ -625,11 +630,11 @@ def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     store = geometry._kernel_weights
     monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
-    assert len(store._plans) == 104
+    assert len(store._plans) == 102
     before = len(cap_calls)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) - before == 2 * (grid.count - 104)
-    assert len(store._plans) == 104 and store.nbytes <= store.max_bytes
+    assert len(cap_calls) - before == 2 * (grid.count - 102)
+    assert len(store._plans) == 102 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -645,10 +650,10 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
 
 
 def test_store_stress_concurrent_grids_and_centres():
-    # more threads than cores, switching often: grid and source changes,
-    # inserts, lookups and the dropping of whole grids interleave; a lost
-    # update would break the byte count or hand a centre another grid's
-    # weights or another source's masses
+    # more threads than cores, switching often: grid, source and model
+    # changes, inserts, lookups and the dropping of whole grids and factor
+    # tables interleave; a lost update would break the byte count or hand a
+    # centre another grid's weights or factors or another source's masses
     store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
     errors = []
 
@@ -667,6 +672,12 @@ def test_store_stress_concurrent_grids_and_centres():
                 if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
                     errors.append((grid, source, centre))
                 store.put_masses(grid, source, centre, np.full(5, -(1000.0 * grid + 100 * source + centre)))
+                model = int(rng.integers(3))
+                mark = 0.5 + 1000 * grid + 100 * model + centre
+                factors = store.get_factors(grid, model, centre)
+                if factors is not None and not np.all(factors[0] == mark):
+                    errors.append((grid, model, centre))
+                store.put_factors(grid, model, centre, (np.full(3, mark),))
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -686,8 +697,10 @@ def test_store_stress_concurrent_grids_and_centres():
     # counts exactly
     assert store._grid not in store._idle
     assert len(store._plans) + sum(len(plans) for plans in store._idle.values()) <= 64
-    plans, masses = _held(store)
-    assert store.nbytes == sum(w.nbytes for w in plans + masses) <= store.max_bytes
+    plans, masses, factors = _held(store)
+    assert len(store._factors) <= geometry._FACTOR_MODELS
+    held = sum(w.nbytes for w in plans + masses) + sum(a.nbytes for f in factors for a in f)
+    assert store.nbytes == held <= store.max_bytes
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)

@@ -315,8 +315,8 @@ def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max():
 
 def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     # the window's t nodes are every centre's, so one cumulative_mass call
-    # covers all centres; each centre's ball masses add one call for the
-    # covered part until the store holds them
+    # covers all centres; each centre's covered masses come from the radii
+    # its plan keeps located, without a call
     calls = []
     cumulative_mass = RadialFunction.cumulative_mass
 
@@ -333,13 +333,84 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     rhos = [0.05, 1.0, 7.0, 100.0]
     cfg = PotentialConfig(t_min=1e-4, t_max=1e5)
     together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
-    assert len(calls) == len(rhos) + 1
+    assert len(calls) == 1
     wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
-    assert len(calls) == len(rhos) + 2  # the masses are stored
+    assert len(calls) == 2
     # bit for bit what one call per centre gives
     geometry._kernel_weights.clear()
     apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
     assert np.array_equal(together, apart)
+
+
+def _log_tail_sources():
+    """The Logarithmic tuple's ansatz on the solver's 81-point grid and its
+    two sources: v's (log-corrected tail) and u's."""
+    from wolffkit.params import Parameters
+    from wolffkit.solver import default_solver_grid, make_ansatz
+
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    u, v = make_ansatz(params, default_solver_grid())
+    return params, weighted_source(params.sigma1, params.q, v), weighted_source(params.sigma2, params.p, u)
+
+
+def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
+    # on the solver's grid a warm map makes one cumulative_mass call, for the
+    # window, builds no plan and, for a source model it has seen, no head or
+    # tail factors; a new model builds them once per centre
+    mass_calls, factor_calls = [], []
+    cumulative_mass, edge_factors = RadialFunction.cumulative_mass, RadialFunction.edge_factors
+
+    def counting_mass(self, n, x):
+        mass_calls.append(np.size(x))
+        return cumulative_mass(self, n, x)
+
+    def counting_factors(self, s, head_at, tail_at):
+        factor_calls.append(self.edge_key)
+        return edge_factors(self, s, head_at, tail_at)
+
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
+    monkeypatch.setattr(RadialFunction, "edge_factors", counting_factors)
+    params, log_tailed, other = _log_tail_sources()
+    n, beta, gamma = params.n, params.beta, params.gamma
+    count = log_tailed.grid.count
+    wolff_eval(log_tailed, n, beta, gamma)
+    assert len(cap_calls) == count and len(mass_calls) == 1
+    assert factor_calls == [log_tailed.edge_key] * count
+    # new values, the same (h, T, L): the plans and the factors serve it
+    scaled = log_tailed.with_values(2.0 * log_tailed.values)
+    nodes = geometry.nodes_evaluated()
+    wolff_eval(scaled, n, beta, gamma)
+    assert len(cap_calls) == count and len(mass_calls) == 2 and len(factor_calls) == count
+    assert geometry.nodes_evaluated() - nodes == 1_419_070
+    # another model builds its factors once
+    assert other.edge_key != log_tailed.edge_key
+    wolff_eval(other, n, beta, gamma)
+    wolff_eval(other.with_values(3.0 * other.values), n, beta, gamma)
+    assert len(cap_calls) == count and len(mass_calls) == 4
+    assert factor_calls[count:] == [other.edge_key] * count
+    # the first model's factors are still kept, and serve it bit for bit
+    half = log_tailed.with_values(0.5 * log_tailed.values)
+    warm = wolff_eval(half, n, beta, gamma)
+    assert len(factor_calls) == 2 * count
+    geometry._kernel_weights.clear()
+    assert np.array_equal(warm.values, wolff_eval(half, n, beta, gamma).values)
+
+
+def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
+    # ball masses from a kept plan with kept covered radii and head and tail
+    # factors against a cold computation, on the log-tailed source
+    params, f, _ = _log_tail_sources()
+    kernel = geometry.CapKernel(params.n)
+    g = f.with_values(f.values * (1.0 + 0.25 * np.sin(np.log(f.grid.points)) ** 2))
+    ts = np.geomspace(1e-4, 1e6, 150)
+    rhos = f.grid.points[::8]
+    for rho in rhos:
+        geometry.ball_mass_batch(kernel, f, float(rho), ts)
+    warm = [geometry.ball_mass_batch(kernel, g, float(rho), ts) for rho in rhos]
+    assert len(cap_calls) == rhos.size  # the plans served g
+    for rho, masses in zip(rhos, warm):
+        geometry._kernel_weights.clear()
+        assert np.array_equal(masses, geometry.ball_mass_batch(kernel, g, float(rho), ts))
 
 
 @pytest.fixture

@@ -142,6 +142,68 @@ def test_located_evaluation_matches_region_formulas_bit_for_bit():
         assert np.array_equal(g.at_located(slot, s), g(r))
 
 
+def _mass_by_region(f, n, x):
+    """Reference: cumulative_mass in its earlier branch form, head (x <= r_min),
+    tail (x >= r_max) and body masks, each cell's rule reading x itself."""
+    pts, v, cells = f.grid.points, f.values, f._cells
+    surface = sphere_surface(n)
+
+    def cells_to(idx, x):
+        ra, va, m = pts[idx], v[idx], cells["m"][idx]
+        span = np.log(x / ra)
+        z = (n - m * 1.0) * span
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = va**1.0 * ra**n * span * radial._exprel(z)
+        lost = (z > 0.0) & (va > 0.0) & ~(np.isfinite(out) & (out > 0.0))
+        if lost.any():
+            zl = z[lost]
+            log_fx = cells["log_va"][idx[lost]] + n * np.log(ra[lost]) + zl
+            out[lost] = np.exp(log_fx) * span[lost] * radial._exprel(-zl)
+        lin = np.flatnonzero(~cells["power"][idx])
+        if lin.size:
+            a, b = ra[lin, None], pts[idx[lin] + 1, None]
+            fa, fb = va[lin, None], v[idx[lin] + 1, None]
+            nodes, wts = radial._leggauss01(16)
+            la = np.log(a)
+            width = np.log(x[lin, None]) - la
+            rr = np.exp(la + width * nodes)
+            fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
+            out[lin] = width[:, 0] * ((fr**1.0 * rr**n) @ wts)
+        return out
+
+    whole = surface * cells_to(np.arange(pts.size - 1), pts[1:])
+    prefix = np.concatenate([[0.0], np.cumsum(whole)]) + surface * float(f._head_integral(pts[0], n))
+    out = np.empty_like(x)
+    head, tail = x <= pts[0], x >= pts[-1]
+    body = ~(head | tail)
+    out[head] = surface * f._head_integral(x[head], n)
+    out[tail] = prefix[-1] + surface * f._tail_integral(n, 1.0, x[tail])
+    idx = np.minimum(np.searchsorted(pts, x[body], side="right") - 1, pts.size - 2)
+    out[body] = prefix[idx] + surface * cells_to(idx, x[body])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_located_masses_match_the_branch_form_bit_for_bit(n):
+    # cumulative_mass is mass_at_located(locate(x)); below, across and
+    # beyond the grid it gives the branch form's masses bit for bit.  r_min
+    # and r_max go alone: the located form counts them in the first and
+    # last cell, the branch form in the head and the tail, and a linear
+    # cell's Gauss-Legendre sums (one matrix product per call) may round
+    # with the other radii of the call.  At r_max the branch form took the
+    # whole prefix and the located form adds the last cell to the prefix
+    # before it, which may differ in the last bits
+    for f in _call_profiles():
+        pts = f.grid.points
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 2001), pts[1:-1], np.sqrt(pts[:-1] * pts[1:])])
+        assert np.array_equal(f.cumulative_mass(n, x), _mass_by_region(f, n, x))
+        at_min = np.array([pts[0]])
+        assert np.array_equal(f.cumulative_mass(n, at_min), _mass_by_region(f, n, at_min))
+        at_max = np.array([pts[-1]])
+        got, want = f.cumulative_mass(n, at_max), _mass_by_region(f, n, at_max)
+        assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_call_far_off_the_grid_raises_no_numeric_warning():
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     rising = RadialFunction(g, g.points**2, tail_exponent=3.0)
@@ -522,7 +584,7 @@ def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
     u, _ = make_ansatz(params, default_solver_grid())
     r, vals, k, p = u.grid.points, u.values, 5.0, params.p
     idx = np.arange(r.size - 6, r.size - 1)
-    got = u._cell_integrals(idx, r[idx + 1], k, p)
+    got = u._cell_integrals(idx, np.log(r[idx + 1] / r[idx]), k, p)  # located offsets
     assert np.all(np.abs(k - u._cells["m"][idx] * p) < 1e-4)
     with mpmath.workdps(40):
         for i, g in zip(idx, got):
@@ -552,7 +614,7 @@ def _profile_files(tmp, rows="default", sidecar="default"):
     """A profile CSV and sidecar in tmp; rows and sidecar replace the valid ones."""
     path = tmp / "f.csv"
     if rows == "default":
-        rows = "r,value\n" + "\n".join(f"{r!r},1.0" for r in np.geomspace(1e-2, 1e2, 20))
+        rows = "r,value\n" + "\n".join(f"{float(r)!r},1.0" for r in np.geomspace(1e-2, 1e2, 20))
     if rows is not None:
         path.write_text(rows)
     if sidecar == "default":
@@ -576,6 +638,16 @@ RADIAL_RAISE_SITES = [
     ("negative", lambda tmp: RadialFunction(_G, -_ONES), ParameterError, "nonnegative"),
     ("head", lambda tmp: RadialFunction(_G, _ONES, head_exponent=math.nan), ParameterError,
      "head_exponent must be finite"),
+    ("tail nan", lambda tmp: RadialFunction(_G, _ONES, tail_exponent=math.nan), ParameterError,
+     "tail_exponent must be a number or +inf"),
+    ("tail -inf", lambda tmp: RadialFunction(_G, _ONES, tail_exponent=-math.inf), ParameterError,
+     "tail_exponent must be a number or +inf"),
+    ("tail log +inf", lambda tmp: RadialFunction(_G, _ONES, tail_exponent=3.0, tail_log_power=math.inf),
+     ParameterError, "tail_log_power must be finite"),
+    ("tail log -inf", lambda tmp: RadialFunction(_G, _ONES, tail_exponent=3.0, tail_log_power=-math.inf),
+     ParameterError, "tail_log_power must be finite"),
+    ("tail log nan", lambda tmp: RadialFunction(_G, _ONES, tail_log_power=math.nan), ParameterError,
+     "tail_log_power must be finite"),
     ("log tail r_max <= 1", lambda tmp: RadialFunction(_SMALL, np.ones(_SMALL.count), tail_exponent=3.0,
                                                         tail_log_power=1.0), ParameterError, "r_max > 1"),
     ("scaled", lambda tmp: _LOG_TAILED.scaled(-1.0), ParameterError, "amplitude"),
@@ -602,6 +674,9 @@ RADIAL_RAISE_SITES = [
      "negative profile values"),
     ("read grid", lambda tmp: _read(tmp, rows="r,value\n1.0,1.0\n2.0,1.0\n"), ProfileFormatError,
      "grid needs at least 16 points"),
+    ("read nan", lambda tmp: _read(tmp, sidecar={"head_exponent": 0.0, "tail_exponent": math.nan,
+                                                  "tail_log_power": 0.0}),
+     ProfileFormatError, "tail_exponent must be a number or +inf"),
 ]
 
 

@@ -242,11 +242,15 @@ def test_trace_records_time_constants_and_damping(tmp_path):
     assert res.converged and len(res.trace) == res.iterations >= 3
     keys = {
         "iteration", "residual_u", "residual_v", "c1_eff", "c2_eff", "damping", "mixed", "wall_s",
-        "plans_built",
+        "plans_built", "potential_evals", "nodes",
     }
     assert all(set(entry) == keys for entry in res.trace)
     # the first map builds every centre's plan, and the store serves the rest
     assert [e["plans_built"] for e in res.trace] == [grid.count] + [0] * (res.iterations - 1)
+    # each iteration's two potentials evaluate their sources at every plan node
+    plan_nodes = sum(plan.slot.size for plan in geometry._kernel_weights._plans.values())
+    assert plan_nodes > 0
+    assert all(e["potential_evals"] == 2 and e["nodes"] == 2 * plan_nodes for e in res.trace)
     assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
     # the residual falls at every step here, so each step combines every
     # earlier iterate up to the depth
