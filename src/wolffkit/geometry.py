@@ -23,31 +23,35 @@ the two edge pieces; interior pieces use Gauss-Legendre in ln r.
 
 ball_mass_batch takes one centre per call, which is the unit its plans and
 stored masses are kept in; potential.wolff_eval_at calls it once per centre
-and writes the masses into one flat array.  It builds the nodes of all radii
-t of one centre in a single array pass: two searchsorted calls find each shell's inner grid boundaries in
-quad_boundaries, the ragged piece lists are laid out with repeat/cumsum, wide
-pieces are subdivided, and the interior and edge nodes are written into one
-flat array, each shell's block ordered interior pieces, lower edge, upper
-edge.  One cap_fraction call and one add.reduceat then give every mass.
+and writes the masses into one flat array.  The covered part of a ball, the
+shells r <= t - rho inside it whole, is the closed-form cumulative mass at
+t - rho: a caller with many centres takes every centre's in one
+cumulative_mass call and passes each centre its own (covered=), and a call
+without them takes its own in one call.  Either way each radius's mass is
+the same double (RadialFunction sums every radius's quadrature by itself).
+ball_mass_batch builds the partial-shell nodes of all radii t of one centre
+in a single array pass: two searchsorted calls find each shell's inner grid
+boundaries in quad_boundaries, the ragged piece lists are laid out with
+repeat/cumsum, wide pieces are subdivided, and the interior and edge nodes
+are written into one flat array, each shell's block ordered interior
+pieces, lower edge, upper edge.  One cap_fraction call and one add.reduceat
+then give every partial-shell mass.
 
 Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
 (the kernel weights) depends on the values of f, only on the source grid's
 geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
 plan, the way an FFTW plan is kept.  A plan holds each node located on the
 source grid (RadialFunction.locate: its slot and offset s = ln(r / r_cell)),
-the kernel weights, the start offset and t index of each non-empty shell, the
-positions of the nodes on the head and on the tail (RadialFunction.edges_at),
-and the covered part: the positions in t of the radii t > rho, with t - rho
-located on the grid.  Every call, cold or repeat, takes the covered masses
-from the located radii (RadialFunction.mass_at_located, the second half of
-cumulative_mass) and evaluates f at the nodes from the located form
-(RadialFunction.at_located, the second half of f(r): a gather, a multiply-add
-and an exp, with the head and tail models patched in at the stored
-positions).  A repeat call on the same geometry so skips node generation and
-every search, and costs those evaluations times the weights plus one
-add.reduceat over the shells.  A grid so far from 1 that a kernel weight
-leaves the floating-point range (r^{n-1} overflows) raises ParameterError
-rather than returning inf masses.
+the kernel weights, the start offset and t index of each non-empty shell and
+the positions of the nodes on the head and on the tail
+(RadialFunction.edges_at).  Every call, cold or repeat, evaluates f at the
+nodes from the located form (RadialFunction.at_located, the second half of
+f(r): a gather, a multiply-add and an exp, with the head and tail models
+patched in at the stored positions).  A repeat call on the same geometry so
+skips node generation and every search, and costs that evaluation times the
+weights plus one add.reduceat over the shells.  A grid so far from 1 that a
+kernel weight leaves the floating-point range (r^{n-1} overflows) raises
+ParameterError rather than returning inf masses.
 The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
 the points plus which cells have a vanishing endpoint (what the located slots
 and offsets and quad_boundaries depend on), and per centre by (rho, t).  It
@@ -71,24 +75,26 @@ partial shells) for the last source it served, keyed by the source's values
 and its head and tail models (RadialFunction.source_key, built once per source
 rather than once per centre).  A call with the same grid, centre and source,
 such as the Wolff image of a source whose Riesz image was just taken on the
-same t nodes, returns a copy of the stored masses and neither evaluates f nor
-its covered masses again.  Cold, repeat and stored masses come from one
-computation, so they agree bit for bit.  Plans, factors and masses share the
-cap _KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on
-grids of up to 255 points, the offset and the kernel weight), 2 more per head
-or tail node (a uint16 position) and 10 per covered radius (uint8 position and
-slot, the offset).  So the 81 centres of a wolff_eval on the solver's
-81-point grid, 1.42 M nodes of which 177 k lie on the head or the tail and
-11.6 k covered radii, take 24.9 MB; each source model's factors (8 bytes per
-tail node, and per head node unless the head is flat, as the solver's are)
-take 1.1 MB more and the masses 0.16 MB.  The 121 centres of
-RadialGrid.per_decade(1e-2, 1e3, 24) take 40.8 MB and two models' factors
-3.4 MB, so the cap is 48 MiB.  The store is module-global, so access is
-locked: a caller that evaluates potentials from several threads could
-otherwise pass a key comparison and then read another grid's plan or another
-source's masses.  plans_built() counts the plans built in the process and
-nodes_evaluated() the plan nodes sources were evaluated at; each Picard trace
-entry reports both for its iteration.
+same t nodes, returns a copy of the stored masses and does not evaluate f
+again.  Cold, repeat and stored masses come from one computation, so they
+agree bit for bit.  Plans, factors and masses share the cap
+_KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on grids
+of up to 255 points, the offset and the kernel weight), 2 more per head or
+tail node (a uint16 position) and 16 per non-empty shell (its start and t
+index).  So the 81 centres of a wolff_eval on the solver's 81-point grid,
+1.42 M nodes of which 177 k lie on the head or the tail, take 24.8 MB; each
+source model's factors (8 bytes per tail node, and per head node unless the
+head is flat, as the solver's are) take 1.1 MB more and the masses 0.16 MB.
+The 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 40.6 MB and two
+models' factors 3.4 MB, so the cap is 48 MiB.  The store is module-global,
+so access is locked: a caller that evaluates potentials from several threads
+could otherwise pass a key comparison and then read another grid's plan or
+another source's masses.  A centre takes the lock once to look up its
+masses, plan and factors together (_KernelWeightStore.lookup) and once to
+put its masses, so a warm centre takes it twice; a cold one also puts its
+plan and its factors.  plans_built() counts the plans built in the process
+and nodes_evaluated() the plan nodes sources were evaluated at; each Picard
+trace entry reports both for its iteration.
 """
 
 from __future__ import annotations
@@ -334,13 +340,11 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
 
 
 class _CentrePlan(NamedTuple):
-    """A centre's ball masses, free of f.  The partial-shell quadrature: each
-    node's slot and offset s on the source grid (see RadialFunction.locate),
-    its kernel weight cap_fraction * r^{n-1} * w, and per non-empty shell the
-    offset of its first node and its index into t, and the positions of the
-    nodes on the head and on the tail (RadialFunction.edges_at).  The
-    covered part: the positions in t of the radii t > rho, and t - rho
-    located on the grid."""
+    """A centre's partial-shell quadrature, free of f: each node's slot and
+    offset s on the source grid (see RadialFunction.locate), its kernel
+    weight cap_fraction * r^{n-1} * w, per non-empty shell the offset of its
+    first node and its index into t, and the positions of the nodes on the
+    head and on the tail (RadialFunction.edges_at)."""
 
     slot: np.ndarray
     s: np.ndarray
@@ -349,9 +353,6 @@ class _CentrePlan(NamedTuple):
     t_index: np.ndarray
     head_at: np.ndarray
     tail_at: np.ndarray
-    covered: np.ndarray
-    covered_slot: np.ndarray
-    covered_s: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -361,9 +362,7 @@ class _CentrePlan(NamedTuple):
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
     """Build a centre's read-only plan, or None when every shell is empty.
     Slots take the smallest unsigned type that holds the grid's point count,
-    and positions the smallest that holds the length of the array they index
-    (the nodes, or t)."""
-    slot_type = np.min_scalar_type(f.grid.count)
+    and positions the smallest that holds the node count."""
     # far from 1 the nodes or r^{n-1} overflow, and the check below says so
     with np.errstate(over="ignore", invalid="ignore"):
         r, w, owner = _partial_shell_nodes(f, rho, t)
@@ -372,11 +371,8 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         # located before cap_fraction's temporaries, the kept arrays pack
         # tighter: 6 MB less peak RSS over a map on the solver's grid
         slot, s = f.locate(r)
-        slot = slot.astype(slot_type)
+        slot = slot.astype(np.min_scalar_type(f.grid.count))
         head_at, tail_at = (a.astype(np.min_scalar_type(r.size)) for a in f.edges_at(slot))
-        covered = np.flatnonzero(t > rho).astype(np.min_scalar_type(t.size))
-        covered_slot, covered_s = f.locate(t[covered] - rho)
-        covered_slot = covered_slot.astype(slot_type)
         kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
     if not np.all(np.isfinite(kw)):
         raise ParameterError(
@@ -385,9 +381,7 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         )
     # owner is non-decreasing, so each shell's nodes form one run
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(
-        slot, s, kw, starts, owner[starts], head_at, tail_at, covered, covered_slot, covered_s
-    )
+    plan = _CentrePlan(slot, s, kw, starts, owner[starts], head_at, tail_at)
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -406,9 +400,10 @@ class _KernelWeightStore:
     only free room, a new model drops the oldest table and serving another
     grid drops them all.  When a plan or masses need more room, the factor
     tables go first, then idle grids whole, oldest first; the served grid is
-    never dropped.  plans_built counts the plans handed to put, one per plan
-    built, and nodes_evaluated the plan nodes at which sources were
-    evaluated, over the life of the process (clear leaves both as they
+    never dropped.  A centre looks up all three with one lookup; plans_built
+    counts the plans handed to put, one per plan built, and nodes_evaluated
+    the plan nodes at which the sources of the masses handed to put_masses
+    were evaluated, over the life of the process (clear leaves both as they
     are)."""
 
     def __init__(self, max_bytes: int):
@@ -418,12 +413,23 @@ class _KernelWeightStore:
         self._lock = threading.Lock()
         self._reset()
 
-    def get(self, grid_key, centre_key):
+    def lookup(self, grid_key, source_key, edge_key, centre_key):
+        """(masses, plan, factors) of a centre, each None where not kept: the
+        masses of this source, else the plan of this grid and the factors of
+        this source model (edge_key) there."""
         with self._lock:
+            if (grid_key, source_key) == self._source:
+                masses = self._masses.get(centre_key)
+                if masses is not None:
+                    return masses, None, None
             if grid_key != self._grid and grid_key not in self._idle:
-                return None
+                return None, None, None
             self._serve(grid_key)
-            return self._plans.get(centre_key)
+            table = self._factors.get(edge_key)
+            if table is not None:
+                self._factors.move_to_end(edge_key)
+                table = table.get(centre_key)
+            return None, self._plans.get(centre_key), table
 
     def put(self, grid_key, centre_key, plan):
         with self._lock:
@@ -431,31 +437,16 @@ class _KernelWeightStore:
             self._serve(grid_key)
             self._admit(self._plans, centre_key, plan)
 
-    def get_masses(self, grid_key, source_key, centre_key):
+    def put_masses(self, grid_key, source_key, centre_key, masses, nodes: int):
+        """Keep a centre's masses of this source, whose plan evaluated it at
+        nodes nodes."""
         with self._lock:
-            if (grid_key, source_key) == self._source:
-                return self._masses.get(centre_key)
-            return None
-
-    def put_masses(self, grid_key, source_key, centre_key, masses):
-        with self._lock:
+            self.nodes_evaluated += nodes
             self._serve(grid_key)
             if (grid_key, source_key) != self._source:
                 self.nbytes -= sum(m.nbytes for m in self._masses.values())
                 self._source, self._masses = (grid_key, source_key), {}
             self._admit(self._masses, centre_key, masses)
-
-    def count_nodes(self, count: int):
-        with self._lock:
-            self.nodes_evaluated += count
-
-    def get_factors(self, grid_key, edge_key, centre_key):
-        with self._lock:
-            table = self._factors.get(edge_key) if grid_key == self._grid else None
-            if table is None:
-                return None
-            self._factors.move_to_end(edge_key)
-            return table.get(centre_key)
 
     def put_factors(self, grid_key, edge_key, centre_key, factors):
         with self._lock:
@@ -523,60 +514,71 @@ def nodes_evaluated() -> int:
     return _kernel_weights.nodes_evaluated
 
 
-def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values) -> np.ndarray:
+def check_radii(rho, t=()) -> None:
+    """Refuse centre distances rho that are not >= 0 and ball radii t that
+    are not > 0, NaN among them, naming the first such value: the one home
+    of ball_mass_batch's and wolff_eval_at's precondition on their radii."""
+    rho, t = np.asarray(rho, dtype=float), np.asarray(t, dtype=float)
+    # a NaN makes the min NaN, which fails the comparison
+    if rho.size and not rho.min() >= 0.0:
+        bad = float(rho[~(rho >= 0.0)].flat[0])
+        raise ParameterError(f"center distance rho must be nonnegative, got {bad}")
+    if t.size and not t.min() > 0.0:
+        raise ParameterError(f"ball radius t must be positive, got {float(t[~(t > 0.0)].flat[0])}")
+
+
+def ball_mass_batch(
+    kernel: CapKernel, f: "RadialFunction", rho: float, t_values, covered=None
+) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
     Exact on the declared profile model up to quadrature on the partial
     shell, with full-shell content taken from closed-form cumulative masses.
+    covered, where the caller has them, are those masses,
+    f.cumulative_mass(n, t - rho) at the radii t > rho in order (a caller
+    with many centres takes them in one call); else they are taken here.
     """
     n = kernel.n
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.any(t_arr <= 0.0):
-        raise ParameterError("ball radius t must be positive")
-    if rho < 0.0:
-        raise ParameterError("center distance rho must be nonnegative")
+    check_radii(rho, t_arr)
 
     # the masses kept for this source, else f on the plan kept for this
     # geometry; at rho = 0 every shell is full or empty
-    plan = None
+    plan = factors = None
     if rho > 0.0:
         grid_key = (n, f.layout_key, f.cut_off)
         centre_key = (rho, t_arr.tobytes())
         source_key = f.source_key
-        masses = _kernel_weights.get_masses(grid_key, source_key, centre_key)
+        masses, plan, factors = _kernel_weights.lookup(grid_key, source_key, f.edge_key, centre_key)
         if masses is not None:
             return masses.copy()
-        plan = _kernel_weights.get(grid_key, centre_key)
         if plan is None:
             plan = _centre_plan(kernel, f, rho, t_arr)
             if plan is not None:
                 _kernel_weights.put(grid_key, centre_key, plan)
 
     out = np.zeros(t_arr.size)
+    inside = t_arr > rho
+    if covered is not None:
+        out[inside] = covered
+    elif inside.any():
+        out[inside] = f.cumulative_mass(n, t_arr[inside] - rho)
     if plan is None:
         # no partial shell: the covered part alone, and nothing is kept
-        covered = t_arr > rho
-        if covered.any():
-            out[covered] = f.cumulative_mass(n, t_arr[covered] - rho)
         return out
 
-    if plan.covered.size:
-        out[plan.covered] = f.mass_at_located(n, plan.covered_slot, plan.covered_s)
     # partial shell |t - rho| < r < t + rho
-    edge_key = f.edge_key
-    factors = _kernel_weights.get_factors(grid_key, edge_key, centre_key)
     if factors is None:
         factors = f.edge_factors(plan.s, plan.head_at, plan.tail_at)
         for a in factors:
             a.setflags(write=False)
-        _kernel_weights.put_factors(grid_key, edge_key, centre_key, factors)
+        _kernel_weights.put_factors(grid_key, f.edge_key, centre_key, factors)
     fr = f.at_located(plan.slot, plan.s, (plan.head_at, plan.tail_at, *factors))
-    _kernel_weights.count_nodes(fr.size)
     fr *= plan.kw
     out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
-    _kernel_weights.put_masses(grid_key, source_key, centre_key, masses)
+    _kernel_weights.put_masses(grid_key, source_key, centre_key, masses, fr.size)
     return out
 
 

@@ -12,16 +12,23 @@ t-integral runs in tau = ln t as one sum over composite Gauss-Legendre panels,
 with panel boundaries at the structural radii |rho - r| and rho + r of the
 source grid edges and an analytic closure below t_min.  The last 8 panels are
 the window beyond t_max: 40 e-folds of the integrand's decay, where the ball
-mass is the symmetric average of the closed-form cumulative mass, taken for
-every centre in one call.
+mass is the symmetric average of the closed-form cumulative mass.  Below
+t_max a ball's mass is its covered part, the cumulative mass at t - rho for
+t > rho, plus its partial shells.  One cumulative_mass call per map takes
+both kinds of cumulative mass for every centre, the window's and the
+covered ones, and ball_mass_batch takes each centre's covered masses as
+given.
 
 Nothing in the panels depends on f's values, so wolff_eval_at keeps them as
 a t-layout (_TLayout): per centre the panel widths and, at every node, ln t,
-and t below t_max, all centres in flat arrays.  A layout is keyed by rho of
-every centre, t_min, t_max, r_min, r_max, t_nodes_per_decade, slope_cap and
-a_eff, which is all it reads; the last layouts are kept up to 2 MiB
-(_LAYOUT_BYTES; 0.40 MB on the solver's 81-point grid).  A warm map then
-asks ball_mass_batch for each centre's masses straight into one flat array
+and t below t_max, and the radii of the map's cumulative_mass call, all
+centres in flat arrays.  A layout is keyed by rho of every centre, t_min,
+t_max, r_min, r_max, t_nodes_per_decade, slope_cap and a_eff, which is all
+it reads; the last layouts are kept up to 2 MiB (_LAYOUT_BYTES; 0.58 MB on
+the solver's 81-point grid, whose maps take cumulative masses at 10,368
+window and 11,573 covered radii).  A warm map then makes that one
+cumulative_mass call, asks ball_mass_batch for each centre's masses
+straight into one flat array
 and takes the integrand's exp and log, the panel sums (one matrix-vector
 product with the Gauss weights) and the sum of each centre's panels (one
 add.reduceat) once for all centres, with the t < t_min closure vectorised
@@ -47,7 +54,9 @@ call.  Its exponent is also the decay rate in tau = ln t of the outer
 integrand beyond t_max, so it carries the one divergence rule there: an
 exponent <= 0 (T <= beta*gamma on a slow tail) raises DivergentIntegralError
 before any work.  A head that is not integrable raises it too, from the
-cumulative_mass call that every evaluation makes.
+cumulative_mass call that every evaluation makes.  A centre distance that
+is negative or NaN raises ParameterError (geometry.check_radii), also
+before any work.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
-from .geometry import CapKernel, ball_mass_batch
+from .geometry import CapKernel, ball_mass_batch, check_radii
 from .params import validate_operator
 from .radial import (
     BORDERLINE_TOL,
@@ -223,7 +232,11 @@ class _TLayout(NamedTuple):
     in tau, centre after centre; node_starts, t_starts and panel_starts are
     each centre's first entry in tau, t and widths (node and t offsets with a
     closing entry).  t_far is t at the window nodes, which every centre
-    shares."""
+    shares.  radii are the radii of a map's one cumulative_mass call:
+    t_far - rho, then t_far + rho, of every centre (the window), then
+    t - rho at the t > rho (the covered radii), centre after centre, and
+    covered_starts each centre's first covered radius, with a closing
+    entry."""
 
     tau: np.ndarray
     t: np.ndarray
@@ -232,6 +245,8 @@ class _TLayout(NamedTuple):
     t_starts: np.ndarray
     panel_starts: np.ndarray
     t_far: np.ndarray
+    radii: np.ndarray
+    covered_starts: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -254,14 +269,22 @@ def _build_layout(rhos, t_min, t_max, r_min, r_max, nodes_per_decade, slope_cap,
         widths.append(np.diff(bounds))
         taus.append((bounds[:-1, None] + widths[-1][:, None] * nodes01[None, :]).ravel())
     sizes = np.array([tau.size for tau in taus])
+    t = np.exp(np.concatenate([tau[:-far] for tau in taus]))
+    t_starts = np.concatenate([[0], np.cumsum(sizes - far)])
+    t_far = np.exp(taus[0][-far:])
+    rho_at = np.repeat(rhos, sizes - far)
+    covered = t > rho_at
+    window = np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel()
     layout = _TLayout(
         np.concatenate(taus),
-        np.exp(np.concatenate([tau[:-far] for tau in taus])),
+        t,
         np.concatenate(widths),
         np.concatenate([[0], np.cumsum(sizes)]),
-        np.concatenate([[0], np.cumsum(sizes - far)]),
+        t_starts,
         np.concatenate([[0], np.cumsum([w.size for w in widths])[:-1]]),
-        np.exp(taus[0][-far:]),
+        t_far,
+        np.concatenate([window, t[covered] - rho_at[covered]]),
+        np.concatenate([[0], np.cumsum(covered)])[t_starts],
     )
     for a in layout:
         a.setflags(write=False)
@@ -299,10 +322,13 @@ def wolff_eval_at(
 ) -> np.ndarray:
     """Wolff potential of f sampled at the given center distances.
 
-    Raises DivergentIntegralError where the outer integrand does not decay
-    beyond t_max, and (through f.cumulative_mass) where f's head is not
+    Raises ParameterError on a negative or NaN centre distance, and
+    DivergentIntegralError where the outer integrand does not decay beyond
+    t_max and (through f.cumulative_mass) where f's head is not
     integrable."""
     global _evaluations
+    rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
+    check_radii(rhos)
     validate_operator(n, beta, gamma)
     with _evaluations_lock:
         _evaluations += 1
@@ -315,7 +341,6 @@ def wolff_eval_at(
             f"{a_eff:.3e} <= 0)"
         )
     cfg = cfg or PotentialConfig()
-    rhos = np.atleast_1d(np.asarray(rho_values, dtype=float))
     # the t < t_min closure assumes t << rho, so t_min follows the smallest centre
     positive = rhos[rhos > 0]
     eval_lo = float(positive.min()) if positive.size else f.grid.r_min
@@ -332,19 +357,23 @@ def wolff_eval_at(
     layout = _layout(
         rhos, t_min, t_max, f.grid.r_min, f.grid.r_max, cfg.t_nodes_per_decade, slope_cap, a_eff
     )
-    starts, t_starts, t, t_far = layout.node_starts, layout.t_starts, layout.t, layout.t_far
+    starts, t_starts, t = layout.node_starts, layout.t_starts, layout.t
     # the window's t nodes are every centre's: in the window t >> rho, and
     # the symmetric cumulative average of the ball mass kills its O(rho/t)
-    # term, so one cumulative_mass call gives every centre's window masses
-    both = f.cumulative_mass(n, np.stack([t_far - rhos[:, None], t_far + rhos[:, None]]).ravel())
-    minus, plus = both.reshape(2, rhos.size, t_far.size)
+    # term.  One cumulative_mass call gives every centre's window masses and
+    # its covered masses, which ball_mass_batch takes as given
+    cumulative = f.cumulative_mass(n, layout.radii)
+    window = 2 * layout.t_far.size * rhos.size
+    minus, plus = cumulative[:window].reshape(2, rhos.size, layout.t_far.size)
     window_mass = 0.5 * (minus + plus)
+    covered, covered_starts = cumulative[window:], layout.covered_starts
     # every centre's masses, panels below t_max then the window, in one array
     mass = np.empty(layout.tau.size)
     for i, rho in enumerate(rhos.tolist()):
         lo, hi = t_starts[i], t_starts[i + 1]
         at = starts[i] + hi - lo
-        mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi])
+        own = covered[covered_starts[i] : covered_starts[i + 1]]
+        mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi], covered=own)
         mass[at : starts[i + 1]] = window_mass[i]
     # in logs: at the window's far end mass^{inv_power} overflows where
     # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0

@@ -50,6 +50,11 @@ lp_norm, is a head, cells and a tail, each with one rule:
           finite x, Gauss-Laguerre to infinity, or the pure-log closed form
           v_N^p r_max^k ln(r_max) / (-Lp - 1) at a = 0
 
+Each Gauss-Legendre sum is taken radius by radius (a row sum, where a
+matrix product may round a row differently with the other rows of the call),
+so a mass is a function of the source and the radius alone, and a caller
+may put the radii of many balls in one cumulative_mass call.
+
 The Gauss-Legendre rule of a log tail to finite x, its weighted integrand
 sums and its widths ln(x / r_max), depends on f only through ln r_max, a and
 L p, so it is kept per (ln r_max, a, L p, x) in a 2 MiB least-recently-used
@@ -509,7 +514,7 @@ class RadialFunction:
             nodes, wts = _leggauss01(32)
             width = np.log(x) - lam0
             lam = lam0 + np.outer(width, nodes)
-            rule = ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp) @ wts, width)
+            rule = ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp * wts).sum(axis=1), width)
             for arr in rule:
                 arr.setflags(write=False)
             _log_tail_rules.put(key, rule, 3 * x.nbytes)
@@ -554,7 +559,7 @@ class RadialFunction:
             width = np.log(x_lin[:, None]) - la
             rr = np.exp(la + width * nodes)
             fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
-            out[lin] = width[:, 0] * ((fr**p * rr**k) @ wts)
+            out[lin] = width[:, 0] * (fr**p * rr**k * wts).sum(axis=1)
         return out
 
     @lru_cache(maxsize=4)

@@ -617,12 +617,13 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 
 def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
-    # on a 121-point grid under a 32 MiB cap not every plan fits: at 17
-    # bytes per node, 2 more per head or tail node (its uint16 position) and
-    # 10 per covered radius (position, slot, offset) 102 are stored, and a
-    # repeat map rebuilds only the other 19, once per source.  At 17 bytes
-    # per node alone 104 fitted with 92,388 bytes to spare; the positions
-    # and covered radii of those 104 take 591,330 more.
+    # on a 121-point grid under a 32 MiB cap not every plan fits: 103 are
+    # stored, and a repeat map rebuilds only the other 18, once per source.
+    # Their 1,906,410 nodes at 17 bytes, 211,435 head or tail positions at 2
+    # (uint16) and 415,872 bytes of shell starts and t indices take
+    # 33,247,712 bytes; with the masses and factors 14,176 of the 32 MiB
+    # are left.  Plans that also kept their covered radii located (10 bytes
+    # each: position, slot, offset) fitted 102.
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
@@ -630,11 +631,15 @@ def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     store = geometry._kernel_weights
     monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
-    assert len(store._plans) == 102
+    assert len(store._plans) == 103
+    plans = store._plans.values()
+    assert sum(plan.nbytes for plan in plans) == 33_247_712
+    assert sum(plan.slot.size for plan in plans) == 1_906_410
+    assert store.max_bytes - store.nbytes == 14_176
     before = len(cap_calls)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) - before == 2 * (grid.count - 102)
-    assert len(store._plans) == 102 and store.nbytes <= store.max_bytes
+    assert len(cap_calls) - before == 2 * (grid.count - 103)
+    assert len(store._plans) == 103 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -664,20 +669,19 @@ def test_store_stress_concurrent_grids_and_centres():
                 grid = int(rng.integers(3))
                 centre = int(rng.integers(64))
                 source = int(rng.integers(2))
-                got = store.get(grid, centre)
-                if got is not None and not np.all(got == 1000 * grid + centre):
-                    errors.append((grid, centre))
-                store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
-                masses = store.get_masses(grid, source, centre)
-                if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
-                    errors.append((grid, source, centre))
-                store.put_masses(grid, source, centre, np.full(5, -(1000.0 * grid + 100 * source + centre)))
                 model = int(rng.integers(3))
                 mark = 0.5 + 1000 * grid + 100 * model + centre
-                factors = store.get_factors(grid, model, centre)
+                masses, got, factors = store.lookup(grid, source, model, centre)
+                if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
+                    errors.append((grid, source, centre))
+                if got is not None and not np.all(got == 1000 * grid + centre):
+                    errors.append((grid, centre))
                 if factors is not None and not np.all(factors[0] == mark):
                     errors.append((grid, model, centre))
+                store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
                 store.put_factors(grid, model, centre, (np.full(3, mark),))
+                masses = np.full(5, -(1000.0 * grid + 100 * source + centre))
+                store.put_masses(grid, source, centre, masses, 7)
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -693,6 +697,7 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+    assert store.nodes_evaluated == 6 * 400 * 7
     # the cap holds one grid's plans: grids were dropped, and what is left
     # counts exactly
     assert store._grid not in store._idle
@@ -710,6 +715,12 @@ GEOMETRY_RAISE_SITES = [
      "ball radius t must be positive"),
     ("batch rho", lambda: ball_mass_batch(CapKernel(3), _BUMP, -1.0, np.array([1.0])),
      "rho must be nonnegative"),
+    ("batch t nan", lambda: ball_mass_batch(CapKernel(3), _BUMP, 1.0, np.array([1.0, math.nan])),
+     "ball radius t must be positive, got nan"),
+    ("batch rho nan", lambda: ball_mass_batch(CapKernel(3), _BUMP, math.nan, np.array([1.0])),
+     "center distance rho must be nonnegative, got nan"),
+    ("ball_mass rho nan", lambda: ball_mass(CapKernel(3), _BUMP, math.nan, 1.0),
+     "center distance rho must be nonnegative, got nan"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -315,8 +316,10 @@ def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max():
 
 def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     # the window's t nodes are every centre's, so one cumulative_mass call
-    # covers all centres; each centre's covered masses come from the radii
-    # its plan keeps located, without a call
+    # covers all centres, and every centre's covered radii t - rho ride in
+    # the same call; on a log tail and on a linear cell (a vanishing value)
+    # each radius's mass is its own, so the centres of one map give what
+    # maps of one centre each give, bit for bit
     calls = []
     cumulative_mass = RadialFunction.cumulative_mass
 
@@ -327,19 +330,25 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     r = g.points
-    f = RadialFunction(
+    log_tailed = RadialFunction(
         g, (1.0 + r**2) ** -3 * (1.0 + np.log1p(r)), tail_exponent=6.0, tail_log_power=1.0
     )
+    holed = log_tailed.values.copy()
+    holed[30] = 0.0  # two linear cells around r = 0.75
+    linear = log_tailed.with_values(holed)
     rhos = [0.05, 1.0, 7.0, 100.0]
     cfg = PotentialConfig(t_min=1e-4, t_max=1e5)
-    together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
-    assert len(calls) == 1
-    wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
-    assert len(calls) == 2
-    # bit for bit what one call per centre gives
-    geometry._kernel_weights.clear()
-    apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
-    assert np.array_equal(together, apart)
+    for f in (log_tailed, linear):
+        geometry._kernel_weights.clear()
+        calls.clear()
+        together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+        assert len(calls) == 1
+        wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+        assert len(calls) == 2
+        # bit for bit what one call per centre gives
+        geometry._kernel_weights.clear()
+        apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
+        assert np.array_equal(together, apart)
 
 
 def _log_tail_sources():
@@ -411,6 +420,121 @@ def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
     for rho, masses in zip(rhos, warm):
         geometry._kernel_weights.clear()
         assert np.array_equal(masses, geometry.ball_mass_batch(kernel, g, float(rho), ts))
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
+    # a warm map on the solver's 81-point grid: one cumulative_mass call for
+    # every centre's window (2 x 81 x 64 radii) and covered radii (11,573),
+    # no further mass call from ball_mass_batch, one ball_mass_batch call
+    # per centre, and at most two takings of the store's lock per centre:
+    # one lookup and one put_masses
+    params, f, _ = _log_tail_sources()
+    n, beta, gamma = params.n, params.beta, params.gamma
+    count = f.grid.count
+    wolff_eval(f, n, beta, gamma)  # cold: plans and head and tail factors
+    mass_calls, located_calls, batch_calls = [], [], []
+    cumulative_mass, mass_at_located = RadialFunction.cumulative_mass, RadialFunction.mass_at_located
+    ball_mass_batch = potential.ball_mass_batch
+
+    def counting_mass(self, n, x):
+        mass_calls.append(np.size(x))
+        return cumulative_mass(self, n, x)
+
+    def counting_located(self, n, slot, s):
+        located_calls.append(np.size(s))
+        return mass_at_located(self, n, slot, s)
+
+    def counting_batch(*args, **kwargs):
+        batch_calls.append(np.size(args[3]))
+        return ball_mass_batch(*args, **kwargs)
+
+    lock = _CountingLock()
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
+    monkeypatch.setattr(RadialFunction, "mass_at_located", counting_located)
+    monkeypatch.setattr(potential, "ball_mass_batch", counting_batch)
+    monkeypatch.setattr(geometry._kernel_weights, "_lock", lock)
+    warm = wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma)
+    assert count == 81 and len(cap_calls) == count
+    assert mass_calls == located_calls == [2 * count * 64 + 11_573]
+    assert len(batch_calls) == count
+    assert 0 < lock.taken <= 2 * count
+    monkeypatch.undo()
+    geometry._kernel_weights.clear()
+    assert np.array_equal(warm.values, wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma).values)
+
+
+def _covered_sources():
+    """The log-tailed source of _log_tail_sources and a ball indicator, with
+    their dimension and a second source on the same grid."""
+    params, log_tailed, _ = _log_tail_sources()
+    wobble = 1.0 + 0.25 * np.sin(np.log(log_tailed.grid.points)) ** 2
+    ball = indicator_of_ball(1.5)
+    return [
+        (params.n, log_tailed, log_tailed.with_values(log_tailed.values * wobble)),
+        (3, ball, ball.scaled(3.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["log tail", "ball"])
+def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
+    # covered masses a caller took from its own cumulative_mass call give
+    # ball_mass_batch's masses bit for bit: cold, warm (a kept plan serving
+    # another source) and after clear()
+    n, f, g = _covered_sources()[case]
+    kernel = geometry.CapKernel(n)
+    store = geometry._kernel_weights
+    ts = np.geomspace(1e-4, 1e6, 150)
+    mass = lambda source, rho: geometry.ball_mass_batch(kernel, source, rho, ts)
+
+    def given(source, rho):
+        covered = source.cumulative_mass(n, ts[ts > rho] - rho)
+        return geometry.ball_mass_batch(kernel, source, rho, ts, covered=covered)
+
+    for rho in [0.0, *f.grid.points[::8].tolist(), 3.0 * f.grid.r_max]:
+        store.clear()
+        alone_cold = mass(f, rho)
+        store.clear()
+        assert np.array_equal(given(f, rho), alone_cold)
+        alone_warm = mass(g, rho)  # f's plan serves g
+        store.clear()
+        mass(f, rho)
+        assert np.array_equal(given(g, rho), alone_warm)
+        store.clear()
+        assert np.array_equal(given(g, rho), alone_warm)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["log tail", "ball"])
+def test_maps_give_what_covered_masses_taken_per_centre_give(cap_calls, monkeypatch, case):
+    # a map's covered masses from its one cumulative_mass call against a map
+    # whose ball_mass_batch calls take their own, cold and warm
+    n, f, g = _covered_sources()[case]
+    maps = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
+    ball_mass_batch = geometry.ball_mass_batch
+
+    def taking_its_own(kernel, source, rho, t, covered=None):
+        return ball_mass_batch(kernel, source, rho, t)
+
+    monkeypatch.setattr(potential, "ball_mass_batch", taking_its_own)
+    geometry._kernel_weights.clear()
+    alone = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
+    for a, b in zip(maps, alone):
+        assert np.array_equal(a, b)
 
 
 @pytest.fixture
@@ -510,6 +634,10 @@ POTENTIAL_RAISE_SITES = [
      DivergentIntegralError, "outer integral beyond t_max diverges"),
     ("head", lambda: wolff_eval_at(_SOURCE.with_values(_SOURCE.values, head_exponent=5.0), 5, 1.0, 2.0,
                                    [1.0]), DivergentIntegralError, "near the origin diverges"),
+    ("nan centre", lambda: wolff_eval_at(_SOURCE, 3, 1.0, 1.6, [1.0, math.nan]), ParameterError,
+     "center distance rho must be nonnegative, got nan"),
+    ("negative centre", lambda: riesz_eval_at(_SOURCE, 3, 1.6, [-2.0, 1.0]), ParameterError,
+     "center distance rho must be nonnegative, got -2.0"),
 ]
 
 
@@ -520,3 +648,23 @@ def test_potential_raise_sites(site, call, error, fragment):
     with pytest.raises(error) as err:
         call()
     assert fragment in str(err.value)
+
+
+def test_bad_centres_are_refused_before_any_work(layout_builds, cap_calls, monkeypatch):
+    calls = []
+    cumulative_mass = RadialFunction.cumulative_mass
+
+    def counting(self, n, x):
+        calls.append(np.size(x))
+        return cumulative_mass(self, n, x)
+
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
+    evaluations = potential.evaluations()
+    for rhos in ([math.nan], [0.5, -1.0]):
+        with pytest.raises(ParameterError, match="center distance rho"):
+            wolff_eval_at(_SOURCE, 3, 1.0, 1.6, rhos)
+    for rho, t in ((math.nan, [1.0]), (1.0, [1.0, math.nan])):
+        with pytest.raises(ParameterError, match="got nan"):
+            geometry.ball_mass_batch(geometry.CapKernel(3), _SOURCE, rho, t)
+    assert potential.evaluations() == evaluations
+    assert not (layout_builds or cap_calls or calls) and geometry._kernel_weights.nbytes == 0

@@ -168,7 +168,7 @@ def _mass_by_region(f, n, x):
             width = np.log(x[lin, None]) - la
             rr = np.exp(la + width * nodes)
             fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
-            out[lin] = width[:, 0] * ((fr**1.0 * rr**n) @ wts)
+            out[lin] = width[:, 0] * (fr**1.0 * rr**n * wts).sum(axis=1)
         return out
 
     whole = surface * cells_to(np.arange(pts.size - 1), pts[1:])
@@ -188,11 +188,9 @@ def test_located_masses_match_the_branch_form_bit_for_bit(n):
     # cumulative_mass is mass_at_located(locate(x)); below, across and
     # beyond the grid it gives the branch form's masses bit for bit.  r_min
     # and r_max go alone: the located form counts them in the first and
-    # last cell, the branch form in the head and the tail, and a linear
-    # cell's Gauss-Legendre sums (one matrix product per call) may round
-    # with the other radii of the call.  At r_max the branch form took the
-    # whole prefix and the located form adds the last cell to the prefix
-    # before it, which may differ in the last bits
+    # last cell, the branch form in the head and the tail.  At r_max the
+    # branch form took the whole prefix and the located form adds the last
+    # cell to the prefix before it, which may differ in the last bits
     for f in _call_profiles():
         pts = f.grid.points
         x = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 2001), pts[1:-1], np.sqrt(pts[:-1] * pts[1:])])
@@ -202,6 +200,20 @@ def test_located_masses_match_the_branch_form_bit_for_bit(n):
         at_max = np.array([pts[-1]])
         got, want = f.cumulative_mass(n, at_max), _mass_by_region(f, n, at_max)
         assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_batched_masses_equal_single_radius_masses_bit_for_bit(n):
+    # a radius's Gauss-Legendre sums, on a linear cell or on a log tail, are
+    # its own: a call with many radii gives each the mass a call with that
+    # radius alone gives, bit for bit, so callers may batch radii
+    profiles = _call_profiles()
+    for f in (profiles[5], profiles[2]):  # a linear last cell; a log tail
+        pts = f.grid.points
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 2001), pts, np.sqrt(pts[:-1] * pts[1:])])
+        assert x.size == 2131 and x.max() > pts[-1]
+        alone = np.array([f.cumulative_mass(n, [r])[0] for r in x])
+        assert np.array_equal(f.cumulative_mass(n, x), alone)
 
 
 def test_call_far_off_the_grid_raises_no_numeric_warning():
