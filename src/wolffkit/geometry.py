@@ -41,17 +41,19 @@ Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
 (the kernel weights) depends on the values of f, only on the source grid's
 geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
 plan, the way an FFTW plan is kept.  A plan holds each node located on the
-source grid (RadialFunction.locate: its slot and offset s = ln(r / r_cell)),
-the kernel weights, the start offset and t index of each non-empty shell and
-the positions of the nodes on the head and on the tail
-(RadialFunction.edges_at).  Every call, cold or repeat, evaluates f at the
-nodes from the located form (RadialFunction.at_located, the second half of
-f(r): a gather, a multiply-add and an exp, with the head and tail models
-patched in at the stored positions).  A repeat call on the same geometry so
-skips node generation and every search, and costs that evaluation times the
-weights plus one add.reduceat over the shells.  A grid so far from 1 that a
-kernel weight leaves the floating-point range (r^{n-1} overflows) raises
-ParameterError rather than returning inf masses.
+source grid (RadialFunction.locate: its slot and offset s = ln(r / left)),
+the kernel weights, the start offset and t index of each non-empty shell, and
+the positions of the nodes on the tail with their log-tail offsets
+(RadialFunction.tail_logs).  Nothing in it depends on a source's head or tail
+model, so one plan serves every source on its grid.  Every call, cold or
+repeat, evaluates f at the nodes from the located form
+(RadialFunction.at_located, the second half of f(r): a gather, a
+multiply-add and an exp over every node, head and tail included).  A repeat
+call on the same geometry so skips node generation and every search, and
+costs that evaluation times the weights plus one add.reduceat over the
+shells.  A grid so far from 1 that a kernel weight leaves the floating-point
+range (r^{n-1} overflows) raises ParameterError rather than returning inf
+masses.
 The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
 the points plus which cells have a vanishing endpoint (what the located slots
 and offsets and quad_boundaries depend on), and per centre by (rho, t).  It
@@ -61,15 +63,6 @@ own grids) builds each (grid, centre) plan once.  Within the grid being served
 a plan takes only free room; when a plan needs more, the other grids are
 dropped whole, least recently used first, and the grid being served never is.
 
-The head and tail factors of a source, its models at the head and tail nodes
-without v_0 and v_N (RadialFunction.edge_factors), depend only on the plan's
-nodes and on the source's head exponent and tail model (edge_key), and a
-Picard solve feeds two such models, u's source and v's, into all its maps.
-The store keeps them per centre for the grid being served, one table per
-model and at most _FACTOR_MODELS tables, the least recently used dropped for
-a new model.  They take only free room and go first when a plan or masses
-need more, and a switch to another grid drops them.
-
 The store also keeps, per centre, the whole ball masses (covered part plus
 partial shells) for the last source it served, keyed by the source's values
 and its head and tail models (RadialFunction.source_key, built once per source
@@ -77,24 +70,22 @@ rather than once per centre).  A call with the same grid, centre and source,
 such as the Wolff image of a source whose Riesz image was just taken on the
 same t nodes, returns a copy of the stored masses and does not evaluate f
 again.  Cold, repeat and stored masses come from one computation, so they
-agree bit for bit.  Plans, factors and masses share the cap
-_KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes per node (a uint8 slot on grids
-of up to 255 points, the offset and the kernel weight), 2 more per head or
-tail node (a uint16 position) and 16 per non-empty shell (its start and t
-index).  So the 81 centres of a wolff_eval on the solver's 81-point grid,
-1.42 M nodes of which 177 k lie on the head or the tail, take 24.8 MB; each
-source model's factors (8 bytes per tail node, and per head node unless the
-head is flat, as the solver's are) take 1.1 MB more and the masses 0.16 MB.
-The 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 40.6 MB and two
-models' factors 3.4 MB, so the cap is 48 MiB.  The store is module-global,
-so access is locked: a caller that evaluates potentials from several threads
+agree bit for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES.  A
+plan takes 17 bytes per node (a uint8 slot on grids of up to 255 points, the
+offset and the kernel weight), 10 more per tail node (a uint16 position and a
+float64 log offset) and 16 per non-empty shell (its start and t index).  So
+the 81 centres of a wolff_eval on the solver's 81-point grid, 1.42 M nodes
+of which 142 k lie on the tail, take 25.9 MB and the masses 0.16 MB more.
+The 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 42.2 MB and
+their masses 0.25 MB, so the cap is 48 MiB.  The store is module-global, so
+access is locked: a caller that evaluates potentials from several threads
 could otherwise pass a key comparison and then read another grid's plan or
-another source's masses.  A centre takes the lock once to look up its
-masses, plan and factors together (_KernelWeightStore.lookup) and once to
-put its masses, so a warm centre takes it twice; a cold one also puts its
-plan and its factors.  plans_built() counts the plans built in the process
-and nodes_evaluated() the plan nodes sources were evaluated at; each Picard
-trace entry reports both for its iteration.
+another source's masses.  A centre takes the lock once to look up its masses
+and plan together (_KernelWeightStore.lookup) and once to put its masses, so
+a warm centre takes it twice; a cold one also puts its plan.  plans_built()
+counts the plans built in the process and nodes_evaluated() the plan nodes
+sources were evaluated at; each Picard trace entry reports both for its
+iteration.
 """
 
 from __future__ import annotations
@@ -118,7 +109,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _EDGE_NODES = 20
 _MID_NODES = 10
 _KERNEL_WEIGHT_BYTES = 48 * 2**20
-_FACTOR_MODELS = 2  # a Picard map pair has two source models
 
 
 @dataclass(frozen=True)
@@ -217,12 +207,7 @@ def cap_fraction(kernel: CapKernel, rho, t, r):
     r = np.asarray(r, dtype=float)
     scalar = rho.ndim == 0 and t.ndim == 0 and r.ndim == 0
     rho, t, r = np.atleast_1d(rho), np.atleast_1d(t), np.atleast_1d(r)
-    if np.any(t <= 0.0):
-        raise ParameterError("ball radius t must be positive")
-    if np.any(r <= 0.0):
-        raise ParameterError("shell radius r must be positive")
-    if np.any(rho < 0.0):
-        raise ParameterError("center distance rho must be nonnegative")
+    check_radii(rho, t, r)
 
     # the cap formula runs on every element and np.where keeps it on the
     # partial shells only; at rho = 0 it divides by zero, but there every
@@ -344,15 +329,15 @@ class _CentrePlan(NamedTuple):
     offset s on the source grid (see RadialFunction.locate), its kernel
     weight cap_fraction * r^{n-1} * w, per non-empty shell the offset of its
     first node and its index into t, and the positions of the nodes on the
-    head and on the tail (RadialFunction.edges_at)."""
+    tail with their log-tail offsets (RadialFunction.tail_logs)."""
 
     slot: np.ndarray
     s: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
     t_index: np.ndarray
-    head_at: np.ndarray
     tail_at: np.ndarray
+    tail_logs: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -362,7 +347,7 @@ class _CentrePlan(NamedTuple):
 def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
     """Build a centre's read-only plan, or None when every shell is empty.
     Slots take the smallest unsigned type that holds the grid's point count,
-    and positions the smallest that holds the node count."""
+    and tail positions the smallest that holds the node count."""
     # far from 1 the nodes or r^{n-1} overflow, and the check below says so
     with np.errstate(over="ignore", invalid="ignore"):
         r, w, owner = _partial_shell_nodes(f, rho, t)
@@ -371,8 +356,9 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         # located before cap_fraction's temporaries, the kept arrays pack
         # tighter: 6 MB less peak RSS over a map on the solver's grid
         slot, s = f.locate(r)
+        tail_at, tail_logs = f.tail_logs(slot, s)
         slot = slot.astype(np.min_scalar_type(f.grid.count))
-        head_at, tail_at = (a.astype(np.min_scalar_type(r.size)) for a in f.edges_at(slot))
+        tail_at = tail_at.astype(np.min_scalar_type(r.size))
         kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
     if not np.all(np.isfinite(kw)):
         raise ParameterError(
@@ -381,26 +367,21 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
         )
     # owner is non-decreasing, so each shell's nodes form one run
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(slot, s, kw, starts, owner[starts], head_at, tail_at)
+    plan = _CentrePlan(slot, s, kw, starts, owner[starts], tail_at, tail_logs)
     for a in plan:
         a.setflags(write=False)
     return plan
 
 
 class _KernelWeightStore:
-    """Centre plans grouped by source grid, each centre's ball masses of the
-    last source served, and the served grid's head and tail factors per
-    source model (RadialFunction.edge_factors and edge_key), bounded
-    together by max_bytes.
+    """Centre plans grouped by source grid and each centre's ball masses of
+    the last source served, bounded together by max_bytes.
 
     The grid being served keeps its plans in _plans; the grids served before
     it wait in _idle, least recently used first.  Within the served grid a
-    plan takes only free room.  Factors sit in _factors, one table per model,
-    at most _FACTOR_MODELS of them, least recently used first; they too take
-    only free room, a new model drops the oldest table and serving another
-    grid drops them all.  When a plan or masses need more room, the factor
-    tables go first, then idle grids whole, oldest first; the served grid is
-    never dropped.  A centre looks up all three with one lookup; plans_built
+    plan takes only free room.  When a plan or masses need more room, idle
+    grids are dropped whole, oldest first; the served grid is never dropped.
+    A centre looks up its masses and plan with one lookup; plans_built
     counts the plans handed to put, one per plan built, and nodes_evaluated
     the plan nodes at which the sources of the masses handed to put_masses
     were evaluated, over the life of the process (clear leaves both as they
@@ -413,23 +394,18 @@ class _KernelWeightStore:
         self._lock = threading.Lock()
         self._reset()
 
-    def lookup(self, grid_key, source_key, edge_key, centre_key):
-        """(masses, plan, factors) of a centre, each None where not kept: the
-        masses of this source, else the plan of this grid and the factors of
-        this source model (edge_key) there."""
+    def lookup(self, grid_key, source_key, centre_key):
+        """(masses, plan) of a centre, each None where not kept: the masses
+        of this source, else the plan of this grid."""
         with self._lock:
             if (grid_key, source_key) == self._source:
                 masses = self._masses.get(centre_key)
                 if masses is not None:
-                    return masses, None, None
+                    return masses, None
             if grid_key != self._grid and grid_key not in self._idle:
-                return None, None, None
+                return None, None
             self._serve(grid_key)
-            table = self._factors.get(edge_key)
-            if table is not None:
-                self._factors.move_to_end(edge_key)
-                table = table.get(centre_key)
-            return None, self._plans.get(centre_key), table
+            return None, self._plans.get(centre_key)
 
     def put(self, grid_key, centre_key, plan):
         with self._lock:
@@ -448,21 +424,6 @@ class _KernelWeightStore:
                 self._source, self._masses = (grid_key, source_key), {}
             self._admit(self._masses, centre_key, masses)
 
-    def put_factors(self, grid_key, edge_key, centre_key, factors):
-        with self._lock:
-            if grid_key != self._grid:
-                return
-            table = self._factors.get(edge_key)
-            if table is None:
-                if len(self._factors) == _FACTOR_MODELS:
-                    self._drop_factors()
-                table = self._factors[edge_key] = {}
-            self._factors.move_to_end(edge_key)
-            nbytes = sum(a.nbytes for a in factors)
-            if centre_key not in table and self.nbytes + nbytes <= self.max_bytes:
-                table[centre_key] = factors
-                self.nbytes += nbytes
-
     def clear(self):
         with self._lock:
             self._reset()
@@ -470,12 +431,7 @@ class _KernelWeightStore:
     def _reset(self):
         self._grid, self._plans, self._idle = None, {}, OrderedDict()
         self._source, self._masses = None, {}
-        self._factors = OrderedDict()
         self.nbytes = 0
-
-    def _drop_factors(self):
-        _, dropped = self._factors.popitem(last=False)
-        self.nbytes -= sum(a.nbytes for factors in dropped.values() for a in factors)
 
     def _serve(self, grid_key):
         # the grid served until now becomes the most recently used idle one
@@ -483,18 +439,13 @@ class _KernelWeightStore:
             if self._plans:
                 self._idle[self._grid] = self._plans
             self._grid, self._plans = grid_key, self._idle.pop(grid_key, {})
-            while self._factors:
-                self._drop_factors()
 
     def _admit(self, table, key, value):
         if key in table:
             return
-        while self.nbytes + value.nbytes > self.max_bytes and (self._factors or self._idle):
-            if self._factors:
-                self._drop_factors()
-            else:
-                _, dropped = self._idle.popitem(last=False)
-                self.nbytes -= sum(plan.nbytes for plan in dropped.values())
+        while self.nbytes + value.nbytes > self.max_bytes and self._idle:
+            _, dropped = self._idle.popitem(last=False)
+            self.nbytes -= sum(plan.nbytes for plan in dropped.values())
         if self.nbytes + value.nbytes <= self.max_bytes:
             table[key] = value
             self.nbytes += value.nbytes
@@ -514,17 +465,20 @@ def nodes_evaluated() -> int:
     return _kernel_weights.nodes_evaluated
 
 
-def check_radii(rho, t=()) -> None:
-    """Refuse centre distances rho that are not >= 0 and ball radii t that
-    are not > 0, NaN among them, naming the first such value: the one home
-    of ball_mass_batch's and wolff_eval_at's precondition on their radii."""
-    rho, t = np.asarray(rho, dtype=float), np.asarray(t, dtype=float)
+def check_radii(rho, t=(), r=()) -> None:
+    """Refuse centre distances rho that are not >= 0, and ball radii t and
+    shell radii r that are not > 0, NaN among them, naming the first such
+    value: the one home of cap_fraction's, ball_mass_batch's and
+    wolff_eval_at's precondition on their radii."""
+    rho = np.asarray(rho, dtype=float)
     # a NaN makes the min NaN, which fails the comparison
     if rho.size and not rho.min() >= 0.0:
         bad = float(rho[~(rho >= 0.0)].flat[0])
         raise ParameterError(f"center distance rho must be nonnegative, got {bad}")
-    if t.size and not t.min() > 0.0:
-        raise ParameterError(f"ball radius t must be positive, got {float(t[~(t > 0.0)].flat[0])}")
+    for name, radii in (("ball radius t", t), ("shell radius r", r)):
+        radii = np.asarray(radii, dtype=float)
+        if radii.size and not radii.min() > 0.0:
+            raise ParameterError(f"{name} must be positive, got {float(radii[~(radii > 0.0)].flat[0])}")
 
 
 def ball_mass_batch(
@@ -544,12 +498,12 @@ def ball_mass_batch(
 
     # the masses kept for this source, else f on the plan kept for this
     # geometry; at rho = 0 every shell is full or empty
-    plan = factors = None
+    plan = None
     if rho > 0.0:
         grid_key = (n, f.layout_key, f.cut_off)
         centre_key = (rho, t_arr.tobytes())
         source_key = f.source_key
-        masses, plan, factors = _kernel_weights.lookup(grid_key, source_key, f.edge_key, centre_key)
+        masses, plan = _kernel_weights.lookup(grid_key, source_key, centre_key)
         if masses is not None:
             return masses.copy()
         if plan is None:
@@ -568,12 +522,7 @@ def ball_mass_batch(
         return out
 
     # partial shell |t - rho| < r < t + rho
-    if factors is None:
-        factors = f.edge_factors(plan.s, plan.head_at, plan.tail_at)
-        for a in factors:
-            a.setflags(write=False)
-        _kernel_weights.put_factors(grid_key, f.edge_key, centre_key, factors)
-    fr = f.at_located(plan.slot, plan.s, (plan.head_at, plan.tail_at, *factors))
+    fr = f.at_located(plan.slot, plan.s, (plan.tail_at, plan.tail_logs))
     fr *= plan.kw
     out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
     masses = out.copy()

@@ -36,7 +36,8 @@ too.  ball_mass_batch stays one call per centre: its plans and stored
 masses are kept per centre, keyed by (rho, t), and the benchmark's layer
 tracer (perfbench/spans.py) counts its calls per centre.  One flat pass over
 every centre's nodes would not be faster: on the Logarithmic tuple's warm
-map the gather-multiply-exp of at_located over all 1.42 M nodes at once took
+map the gather-multiply-exp of at_located (one exp rule for every node,
+head and tail included) over all 1.42 M nodes at once took
 16.9 ms against 9.6 ms in 81 per-centre passes, whose arrays stay in cache
 (lower quartiles of 40 runs, one thread, 2-core machine).  evaluations()
 counts the wolff_eval_at calls of the process, which each Picard trace entry

@@ -13,22 +13,21 @@ interpolation in r.
 
 Evaluation is two steps, and f(r) runs them in a row.  locate(r) finds each
 radius's slot (0 the head, k the cell [r_{k-1}, r_k), N the tail) and its
-offset: s = ln(r / r_{k-1}) on a power cell, and r itself on the head, the
-tail and the linear cells, whose models read r.  at_located(slot, s) is then
-one gather, one multiply-add and one exp, exp(ln v_a - m s), with the head,
-tail and linear-cell models patched over it.  The located form depends only
-on the grid's points and on which values vanish (layout_key), so a caller
-that evaluates many sources at the same radii (geometry's stored plans)
-locates them once.  The head and tail models are patched in from their
-factors without v_0 and v_N: edges_at(slot) finds where the head and tail
-radii lie, and edge_factors gives (r/r_min)^(-h) and
-(r/r_max)^(-T) (ln r / ln r_max)^L there.  These depend on f only through
-edge_key (h, and (T, L) where the tail is not cut off), so the same caller
-keeps them per model and at_located scales them by v_0 and v_N.
-Masses take the same two steps: cumulative_mass(n, x) is
-mass_at_located(n, *locate(x)), the head rule on slot 0, the tail rule on
-slot N and on a cell the prefix of the cells below plus the cell rule, which
-reads L = s on a power cell and x = s on a linear one.
+offset: s = ln(r / left) from the slot's left end (r_min on the head, r_max
+on the tail), and r itself on the linear cells, whose model reads r.  The
+head and the tail are power laws in r like the power cells, so at_located(slot,
+s) is one gather, one multiply-add and one exp, exp(ln v_a - m s), on every
+slot: on the head v_a = v_0 and m = h, on the tail v_a = v_N and m = T (+inf
+on a cut-off).  A log tail that is not cut off adds L ln(ln r / ln r_max) =
+L log1p(s / ln r_max) to the exponent at the tail positions (tail_logs), and
+the linear cells are patched over the result.  The located form and
+tail_logs depend only on the grid's points and on which values vanish
+(layout_key), so a caller that evaluates many sources at the same radii
+(geometry's stored plans) locates them once, and nothing it keeps depends on
+a source's head or tail model.  Masses read the same offsets:
+cumulative_mass(n, x) takes the head rule on slot 0, the tail rule on slot N
+and on a cell the prefix of the cells below plus the cell rule, which reads
+L = s on a power cell and x = s on a linear one.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -38,7 +37,8 @@ allowed, or f(r_max) = 0), head_integrable
 integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
 lp_norm, is a head, cells and a tail, each with one rule:
 
-    head  v_0^p r_min^k (x/r_min)^{k-hp} / (k - hp); a zero head gives 0
+    head  v_0^p r_min^k exp((k - hp) ln(x/r_min)) / (k - hp); a zero head
+          gives 0
     cell  power cell f = v_a (r/r_a)^{-m}: v_a^p r_a^k L exprel(z) with
           L = ln(x/r_a), z = (k - mp) L and exprel(z) = expm1(z)/z (1 at
           z = 0), free of cancellation near k = mp; where that product
@@ -56,8 +56,8 @@ so a mass is a function of the source and the radius alone, and a caller
 may put the radii of many balls in one cumulative_mass call.
 
 The Gauss-Legendre rule of a log tail to finite x, its weighted integrand
-sums and its widths ln(x / r_max), depends on f only through ln r_max, a and
-L p, so it is kept per (ln r_max, a, L p, x) in a 2 MiB least-recently-used
+sums, depends on f only through ln r_max, a and L p, so it is kept per
+(ln r_max, a, L p, ln(x / r_max)) in a 2 MiB least-recently-used
 store: every Picard iterate on one grid shares its tail model, and the
 potential asks for the same radii each map (0.31 MB on the solver's 81-point
 grid with a log-corrected source).
@@ -89,6 +89,7 @@ BORDERLINE_TOL = 1e-9
 
 _MIN_COUNT = 16
 _MIN_SPAN = 100.0
+_MAX_FLOAT = float(np.finfo(float).max)
 
 
 class _Infinite:
@@ -180,7 +181,7 @@ class LruStore:
             self.nbytes = 0
 
 
-# the log-tail quadrature of _tail_integral, per (ln r_max, a, L p, x)
+# the log-tail quadrature of _tail_integral, per (ln r_max, a, L p, ln(x / r_max))
 _log_tail_rules = LruStore(2 * 2**20)
 
 
@@ -313,18 +314,23 @@ class RadialFunction:
     def _slots(self):
         """Per-slot tables of the located evaluation.  Slot 0 is the head,
         slot k (1 <= k < N) the cell [r_{k-1}, r_k) (the last one closed at
-        r_max), slot N the tail; plain marks the slots whose model reads r
-        itself rather than a power law: head, tail and the linear cells (a
-        vanishing endpoint)."""
-        pts, cells = self.grid.points, self._cells
-        pad = lambda a, fill: np.concatenate([[fill], a, [fill]])
+        r_max), slot N the tail.  Each slot is the power law
+        v_a (r / left)^(-m): left is r_min on the head, r_{k-1} on a cell and
+        r_max on the tail; ln v_a is -inf where v_a vanishes, m is h on the
+        head (0 where v_0 = 0, whose head is 0 whatever h is) and T on the
+        tail (+inf on a cut-off).  linear marks the cells with a vanishing
+        endpoint, whose model reads r."""
+        pts, v, cells = self.grid.points, self.values, self._cells
+        head_m = self.head_exponent if v[0] > 0.0 else 0.0
+        tail_m = math.inf if self.cut_off else self.tail_exponent
+        with np.errstate(divide="ignore"):
+            log_va = np.log(np.concatenate([v[:1], v]))
         return {
             "edges": np.append(pts[:-1], np.nextafter(pts[-1], math.inf)),
-            "left": pad(pts[:-1], 1.0),
-            "log_va": pad(cells["log_va"], 0.0),
-            "m": pad(cells["m"], 0.0),
-            "plain": pad(~cells["power"], True),
-            "linear": pad(~cells["power"], False),
+            "left": np.concatenate([pts[:1], pts]),
+            "log_va": log_va,
+            "m": np.concatenate([[head_m], cells["m"], [tail_m]]),
+            "linear": np.concatenate([[False], ~cells["power"], [False]]),
         }
 
     @cached_property
@@ -344,75 +350,53 @@ class RadialFunction:
         equal layout_key locate radii alike.
 
         The slot k counts the grid points at or below r (r_max counts in the
-        last cell): 0 is the head, N the tail.  On a power cell the offset is
-        s = ln(r / r_{k-1}); on the plain slots, whose models read r, it is r.
+        last cell): 0 is the head, N the tail.  The offset is
+        s = ln(r / left) from the slot's left end, clipped to the float range
+        so that r = 0 and r = inf read the head and tail models in the limit
+        (a flat model keeps its value, any other over- or underflows to 0 or
+        inf); on a linear cell it is r.
         """
         r = np.asarray(r, dtype=float)
         slots = self._slots
         slot = np.searchsorted(slots["edges"], r, side="right")
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.log(r / slots["left"].take(slot))
-        np.copyto(s, r, where=slots["plain"].take(slot))
+        np.clip(s, -_MAX_FLOAT, _MAX_FLOAT, out=s)
+        np.copyto(s, r, where=slots["linear"].take(slot))
         return slot, s
 
-    @cached_property
-    def edge_key(self) -> tuple:
-        """What edge_factors depends on beyond the located radii: the head
-        exponent where f(r_min) > 0 and the tail model where f is not cut off."""
-        head = self.head_exponent if self.values[0] > 0.0 else None
-        return head, None if self.cut_off else (self.tail_exponent, self.tail_log_power)
+    def tail_logs(self, slot, s) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the located radii on the tail (slot N) and the
+        log-tail model's offset there, ln(ln r / ln r_max) =
+        log1p(s / ln r_max); they depend on the grid alone (and mean nothing
+        where r_max <= 1, which no log tail has)."""
+        at = np.flatnonzero(slot == self.grid.count)
+        with np.errstate(all="ignore"):
+            return at, np.log1p(s[at] / math.log(self.grid.r_max))
 
-    def edges_at(self, slot) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of the located radii on the head (slot 0) and on
-        the tail (slot N); they depend on the grid alone."""
-        return np.flatnonzero(slot == 0), np.flatnonzero(slot == self.grid.count)
-
-    def edge_factors(self, s, head_at, tail_at) -> tuple[np.ndarray, np.ndarray]:
-        """The head and tail models without v_0 and v_N at the located radii
-        at head_at and tail_at (edges_at), whose offsets s are r there:
-        (r/r_min)^(-h) and (r/r_max)^(-T) (ln r / ln r_max)^L, each empty
-        where its model vanishes (f(r_min) = 0, a cut-off tail), and the
-        head's also where it is flat (h = 0: the factor is 1).  Free of f's
-        values beyond edge_key, so a caller that evaluates many sources at
-        the same radii keeps them per edge_key."""
-        pts = self.grid.points
-        h, tail_model = self.edge_key
-        head = tail = np.empty(0)
-        if h:
-            head = (s[head_at] / pts[0]) ** (-h)
-        if tail_model is not None:
-            T, L = tail_model
-            st = s[tail_at]
-            tail = (st / pts[-1]) ** (-T)
-            if L != 0.0:
-                tail = tail * (np.log(st) / np.log(pts[-1])) ** L
-        return head, tail
-
-    def at_located(self, slot, s, edges=None) -> np.ndarray:
+    def at_located(self, slot, s, tail=None) -> np.ndarray:
         """f at radii located by locate: the power law exp(ln v_a - m s) of
-        each cell, with the plain slots, whose s is r, patched over it.
-        edges are (head_at, tail_at, head, tail), edges_at(slot) and
-        edge_factors, where the caller keeps them; else they are found here."""
+        each slot, with L times the log-tail offset added to the exponent on
+        a log tail that is not cut off and the linear cells, whose s is r,
+        patched over it.  tail is tail_logs(slot, s), where the caller keeps
+        it; else it is found here."""
         slots = self._slots
         index = slot.astype(np.intp, copy=False)  # take would convert it twice
         out = slots["m"].take(index)
-        out *= s
-        np.subtract(slots["log_va"].take(index), out, out=out)
-        # on a plain slot s is r, and the power law may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
+        # at s = +-_MAX_FLOAT (r = 0 or inf) the exponent overflows to its limit
+        with np.errstate(over="ignore"):
+            out *= s
+            np.subtract(slots["log_va"].take(index), out, out=out)
+            if self.tail_log_power != 0.0 and not self.cut_off:
+                at, logs = self.tail_logs(slot, s) if tail is None else tail
+                out[at] += self.tail_log_power * logs
             np.exp(out, out=out)
-        pts, v = self.grid.points, self.values
         if not self._cells["all_power"]:
+            pts, v = self.grid.points, self.values
             lin = np.flatnonzero(slots["linear"].take(slot))
             il = slot[lin] - 1
             frac = (s[lin] - pts[il]) / (pts[il + 1] - pts[il])
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
-        if edges is None:
-            at = self.edges_at(slot)
-            edges = (*at, *self.edge_factors(s, *at))
-        head_at, tail_at, head, tail = edges
-        out[head_at] = (v[0] * head if head.size else v[0]) if v[0] > 0 else 0.0
-        out[tail_at] = 0.0 if self.cut_off else v[-1] * tail
         return out
 
     def __call__(self, r) -> np.ndarray:
@@ -474,52 +458,52 @@ class RadialFunction:
             return self.tail_log_power * p < -1.0 - BORDERLINE_TOL
         return a > 0.0
 
-    def _head_integral(self, x, k: float, p: float = 1.0):
-        """int_0^x r^{k-1} f(r)^p dr on the head model (x <= r_min)."""
+    def _head_integral(self, lx, k: float, p: float = 1.0):
+        """int_0^x r^{k-1} f(r)^p dr on the head model, x <= r_min, given as
+        lx = ln(x / r_min)."""
         v0, h, rm = self.values[0], self.head_exponent, self.grid.r_min
         if v0 == 0.0:
-            return np.zeros_like(x)
+            return np.zeros_like(lx)
         if not self.head_integrable(k, p):
             raise DivergentIntegralError(
                 f"head exponent {h} >= k/p = {k / p}: the integral near the origin diverges"
             )
-        return v0**p * rm**k * (x / rm) ** (k - h * p) / (k - h * p)
+        c = k - h * p
+        with np.errstate(over="ignore"):  # lx = -_MAX_FLOAT at x = 0
+            return v0**p * rm**k * np.exp(c * lx) / c
 
-    def _tail_integral(self, k: float, p: float = 1.0, x=math.inf):
-        """int_{r_max}^x r^{k-1} f(r)^p dr on the tail model, x >= r_max; to
-        x = inf only where tail_integrable holds."""
+    def _tail_integral(self, k: float, p: float = 1.0, span=math.inf):
+        """int_{r_max}^x r^{k-1} f(r)^p dr on the tail model, x >= r_max, given
+        as span = ln(x / r_max); to x = inf only where tail_integrable holds."""
         if self.cut_off:
-            return np.zeros_like(x)
+            return np.zeros_like(span)
         rm, Lp = self.grid.r_max, self.tail_log_power * p
         scale = self.values[-1] ** p * rm**k
         a = k - self.tail_exponent * p
         if Lp == 0.0:
-            span = np.log(x / rm)
             if abs(a) <= BORDERLINE_TOL:
                 return scale * span
-            return scale * np.expm1(a * span) / a
+            with np.errstate(over="ignore"):  # span = _MAX_FLOAT at x = inf
+                return scale * np.expm1(a * span) / a
         # in lam = ln r the integrand is scale e^{a (lam - lam0)} (lam/lam0)^{Lp}
         lam0 = math.log(rm)
-        if np.ndim(x) == 0 and math.isinf(x):
+        if np.ndim(span) == 0 and math.isinf(span):
             if abs(a) <= BORDERLINE_TOL:
                 return scale * lam0 / (-Lp - 1.0)  # pure log, Lp < -1
             nodes, wts = _laggauss(96)
             return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
         # the rule is free of f's values, and Picard iterates share their
-        # tail models, so it is kept per (ln r_max, a, L p, x)
-        x = np.asarray(x, dtype=float)
-        key = (lam0, a, Lp, x.tobytes())
-        rule = _log_tail_rules.get(key)
-        if rule is None:
+        # tail models, so it is kept per (ln r_max, a, L p, span)
+        span = np.asarray(span, dtype=float)
+        key = (lam0, a, Lp, span.tobytes())
+        shape = _log_tail_rules.get(key)
+        if shape is None:
             nodes, wts = _leggauss01(32)
-            width = np.log(x) - lam0
-            lam = lam0 + np.outer(width, nodes)
-            rule = ((np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp * wts).sum(axis=1), width)
-            for arr in rule:
-                arr.setflags(write=False)
-            _log_tail_rules.put(key, rule, 3 * x.nbytes)
-        shape, width = rule
-        return scale * shape * width
+            lam = lam0 + np.outer(span, nodes)
+            shape = (np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp * wts).sum(axis=1)
+            shape.setflags(write=False)
+            _log_tail_rules.put(key, shape, 2 * span.nbytes)
+        return scale * shape * span
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -575,19 +559,19 @@ class RadialFunction:
         r = self.grid.points
         s = sphere_surface(n)
         cell = s * self._cell_integrals(np.arange(r.size - 1), self._cells["whole"], n)
-        return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(r[0], n))
+        return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(0.0, n))
 
     def cumulative_mass(self, n: int, x) -> np.ndarray:
-        """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model."""
+        """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model:
+        at the offsets locate gives, the head rule on slot 0, the tail rule on
+        slot N, and on a cell the mass of the cells below plus the cell
+        rule."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < 0.0):
-            raise ParameterError("cumulative mass requires x >= 0")
-        return self.mass_at_located(n, *self.locate(x))
-
-    def mass_at_located(self, n: int, slot, s) -> np.ndarray:
-        """cumulative_mass at radii located by locate: the head rule on slot 0,
-        the tail rule on slot N, and on a cell the mass of the cells below
-        plus the cell rule."""
+        # a NaN makes the min NaN, which fails the comparison
+        if x.size and not x.min() >= 0.0:
+            bad = float(x[~(x >= 0.0)].flat[0])
+            raise ParameterError(f"cumulative mass requires x >= 0, got {bad}")
+        slot, s = self.locate(x)
         prefix = self._mass_prefix(n)
         surface = sphere_surface(n)
         out = np.empty(s.shape)
@@ -599,7 +583,7 @@ class RadialFunction:
             out[tail] = prefix[-1] + surface * self._tail_integral(n, 1.0, s[tail])
         body = ~(head | tail)
         if body.any():
-            idx = slot[body].astype(np.intp) - 1
+            idx = slot[body] - 1
             out[body] = prefix[idx] + surface * self._cell_integrals(idx, s[body], n)
         return out
 
@@ -610,9 +594,12 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
     f.head_integrable and f.tail_integrable decide finiteness exactly on the
     declared models; a divergent norm is INFINITE.  p = 1, w = 0 gives the mass.
     """
-    if p < 1.0:
+    # NaN fails the comparison
+    if not p >= 1.0:
         raise ParameterError(f"norm exponent p must be >= 1, got {p}")
     w = weight_exponent
+    if math.isnan(w):
+        raise ParameterError(f"weight exponent must be a number, got {w}")
     k = n + w
     if w <= -n and f.values[0] > 0.0 and f.head_exponent >= 0.0:
         raise ParameterError(
@@ -622,7 +609,7 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
         return INFINITE
     r = f.grid.points
     body = f._cell_integrals(np.arange(r.size - 1), f._cells["whole"], k, p)
-    total = float(f._head_integral(r[0], k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
+    total = float(f._head_integral(0.0, k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
     return (sphere_surface(n) * total) ** (1.0 / p)
 
 

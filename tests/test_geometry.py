@@ -268,6 +268,21 @@ def test_ball_mass_batch_against_independent_quadrature(n, oracles):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_log_tail_shells_match_independent_quadrature(n, oracles):
+    # shells wholly beyond r_max read the log-corrected tail model alone, a
+    # smooth integrand: masses from the plan's tail nodes and kept tail logs
+    # agree with the oracle's own tail evaluation to rounding (2.1e-15
+    # measured); without the log factor they would be off by ~30 %
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = grid.points
+    f = RadialFunction(grid, (1.0 + r**2) ** -3 * (1.0 + np.log1p(r)), tail_exponent=6.0, tail_log_power=1.0)
+    ts = np.array([50.0, 150.0, 250.0])
+    got = ball_mass_batch(CapKernel(n), f, 400.0, ts)
+    want = [oracle_ball_mass(oracles.Profile.of(f), n, 400.0, t) for t in ts]
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
 def test_power_of_two_dilation_shares_plans_down_to_tiny_radii():
     # masses scale as lam^-n under a dilation by 1/lam; at r_min ~ 1e-30 and
     # n = 6 the kernel weights are ~1e-180, still normal, and the masses keep
@@ -370,16 +385,15 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
 
 
 def _held(store):
-    """What the store holds: every grid's plans, the served grid's first, the
-    masses and the head and tail factors."""
+    """What the store holds: every grid's plans, the served grid's first, and
+    the masses."""
     plans = [plan for grid in (store._plans, *store._idle.values()) for plan in grid.values()]
-    factors = [f for table in store._factors.values() for f in table.values()]
-    return plans, list(store._masses.values()), factors
+    return plans, list(store._masses.values())
 
 
 def _held_arrays(store):
-    plans, masses, factors = _held(store)
-    return [a for item in plans + factors for a in item] + masses
+    plans, masses = _held(store)
+    return [a for plan in plans for a in plan] + masses
 
 
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
@@ -487,8 +501,7 @@ def test_eviction_drops_whole_grids(cap_calls, monkeypatch):
         built, size, _ = serve(f)
         assert built == len(_SWITCH_RHOS)  # the other grid was dropped, so this one is rebuilt
         assert len(store._plans) == len(_SWITCH_RHOS) and not store._idle
-        factors = sum(a.nbytes for f in _held(store)[2] for a in f)
-        assert store.nbytes == size + masses + factors <= store.max_bytes
+        assert store.nbytes == size + masses <= store.max_bytes
     # a rebuilt plan is the cold plan
     for a, b in zip(first, serve(bump)[2]):
         assert np.array_equal(a, b)
@@ -501,9 +514,9 @@ def source_calls(monkeypatch):
     calls = []
     at_located = RadialFunction.at_located
 
-    def counting(self, slot, s, edges=None):
+    def counting(self, slot, s, tail=None):
         calls.append(np.size(s))
-        return at_located(self, slot, s, edges)
+        return at_located(self, slot, s, tail)
 
     monkeypatch.setattr(RadialFunction, "at_located", counting)
     return calls
@@ -520,16 +533,15 @@ def _sums_source():
 def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, monkeypatch):
     # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives:
     # its ball masses come from the stored masses, without evaluating f or
-    # its cumulative mass again (cold or located, masses end in
-    # mass_at_located)
+    # its cumulative mass again
     mass_calls = []
-    mass_at_located = RadialFunction.mass_at_located
+    cumulative_mass = RadialFunction.cumulative_mass
 
-    def counting(self, n, slot, s):
-        mass_calls.append(np.size(s))
-        return mass_at_located(self, n, slot, s)
+    def counting(self, n, x):
+        mass_calls.append(np.size(x))
+        return cumulative_mass(self, n, x)
 
-    monkeypatch.setattr(RadialFunction, "mass_at_located", counting)
+    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
     k = CapKernel(5)
     f = _sums_source()
     copy = RadialFunction(
@@ -617,13 +629,12 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 
 def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
-    # on a 121-point grid under a 32 MiB cap not every plan fits: 103 are
-    # stored, and a repeat map rebuilds only the other 18, once per source.
-    # Their 1,906,410 nodes at 17 bytes, 211,435 head or tail positions at 2
-    # (uint16) and 415,872 bytes of shell starts and t indices take
-    # 33,247,712 bytes; with the masses and factors 14,176 of the 32 MiB
-    # are left.  Plans that also kept their covered radii located (10 bytes
-    # each: position, slot, offset) fitted 102.
+    # on a 121-point grid under a 32 MiB cap not every plan fits: 100 are
+    # stored, and a repeat map rebuilds only the other 21, once per source.
+    # Their 1,839,020 nodes at 17 bytes, 159,980 tail nodes at 10 (a uint16
+    # position and a float64 log offset) and 403,200 bytes of shell starts
+    # and t indices take 33,266,340 bytes; with the masses 42,204 of the
+    # 32 MiB are left.
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
@@ -631,15 +642,16 @@ def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     store = geometry._kernel_weights
     monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
-    assert len(store._plans) == 103
+    assert len(store._plans) == 100
     plans = store._plans.values()
-    assert sum(plan.nbytes for plan in plans) == 33_247_712
-    assert sum(plan.slot.size for plan in plans) == 1_906_410
-    assert store.max_bytes - store.nbytes == 14_176
+    assert sum(plan.nbytes for plan in plans) == 33_266_340
+    assert sum(plan.slot.size for plan in plans) == 1_839_020
+    assert sum(plan.tail_at.size for plan in plans) == 159_980
+    assert store.max_bytes - store.nbytes == 42_204
     before = len(cap_calls)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) - before == 2 * (grid.count - 103)
-    assert len(store._plans) == 103 and store.nbytes <= store.max_bytes
+    assert len(cap_calls) - before == 2 * (grid.count - 100)
+    assert len(store._plans) == 100 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -655,10 +667,10 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
 
 
 def test_store_stress_concurrent_grids_and_centres():
-    # more threads than cores, switching often: grid, source and model
-    # changes, inserts, lookups and the dropping of whole grids and factor
-    # tables interleave; a lost update would break the byte count or hand a
-    # centre another grid's weights or factors or another source's masses
+    # more threads than cores, switching often: grid and source changes,
+    # inserts, lookups and the dropping of whole grids interleave; a lost
+    # update would break the byte count or hand a centre another grid's
+    # weights or another source's masses
     store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
     errors = []
 
@@ -669,17 +681,12 @@ def test_store_stress_concurrent_grids_and_centres():
                 grid = int(rng.integers(3))
                 centre = int(rng.integers(64))
                 source = int(rng.integers(2))
-                model = int(rng.integers(3))
-                mark = 0.5 + 1000 * grid + 100 * model + centre
-                masses, got, factors = store.lookup(grid, source, model, centre)
+                masses, got = store.lookup(grid, source, centre)
                 if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
                     errors.append((grid, source, centre))
                 if got is not None and not np.all(got == 1000 * grid + centre):
                     errors.append((grid, centre))
-                if factors is not None and not np.all(factors[0] == mark):
-                    errors.append((grid, model, centre))
                 store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
-                store.put_factors(grid, model, centre, (np.full(3, mark),))
                 masses = np.full(5, -(1000.0 * grid + 100 * source + centre))
                 store.put_masses(grid, source, centre, masses, 7)
         except Exception as exc:  # surfaced through the assertion below
@@ -702,15 +709,19 @@ def test_store_stress_concurrent_grids_and_centres():
     # counts exactly
     assert store._grid not in store._idle
     assert len(store._plans) + sum(len(plans) for plans in store._idle.values()) <= 64
-    plans, masses, factors = _held(store)
-    assert len(store._factors) <= geometry._FACTOR_MODELS
-    held = sum(w.nbytes for w in plans + masses) + sum(a.nbytes for f in factors for a in f)
-    assert store.nbytes == held <= store.max_bytes
+    plans, masses = _held(store)
+    assert store.nbytes == sum(w.nbytes for w in plans + masses) <= store.max_bytes
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
 GEOMETRY_RAISE_SITES = [
     ("cap rho", lambda: cap_fraction(CapKernel(3), -1.0, 1.0, 1.0), "rho must be nonnegative"),
+    ("cap rho nan", lambda: cap_fraction(CapKernel(3), math.nan, 1.0, 1.0),
+     "center distance rho must be nonnegative, got nan"),
+    ("cap t nan", lambda: cap_fraction(CapKernel(3), 1.0, math.nan, 1.0),
+     "ball radius t must be positive, got nan"),
+    ("cap r nan", lambda: cap_fraction(CapKernel(3), 1.0, 1.0, [1.0, math.nan]),
+     "shell radius r must be positive, got nan"),
     ("batch t", lambda: ball_mass_batch(CapKernel(3), _BUMP, 1.0, np.array([1.0, 0.0])),
      "ball radius t must be positive"),
     ("batch rho", lambda: ball_mass_batch(CapKernel(3), _BUMP, -1.0, np.array([1.0])),

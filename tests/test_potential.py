@@ -362,52 +362,68 @@ def _log_tail_sources():
     return params, weighted_source(params.sigma1, params.q, v), weighted_source(params.sigma2, params.p, u)
 
 
-def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
-    # on the solver's grid a warm map makes one cumulative_mass call, for the
-    # window, builds no plan and, for a source model it has seen, no head or
-    # tail factors; a new model builds them once per centre
-    mass_calls, factor_calls = [], []
-    cumulative_mass, edge_factors = RadialFunction.cumulative_mass, RadialFunction.edge_factors
+def _map_costs(monkeypatch, f, n, beta, gamma):
+    """The cumulative_mass calls, plans built and plan nodes evaluated of
+    one wolff_eval of f, and the image."""
+    mass_calls = []
+    cumulative_mass = RadialFunction.cumulative_mass
 
-    def counting_mass(self, n, x):
+    def counting(self, n, x):
         mass_calls.append(np.size(x))
         return cumulative_mass(self, n, x)
 
-    def counting_factors(self, s, head_at, tail_at):
-        factor_calls.append(self.edge_key)
-        return edge_factors(self, s, head_at, tail_at)
+    plans, nodes = geometry.plans_built(), geometry.nodes_evaluated()
+    with monkeypatch.context() as patch:
+        patch.setattr(RadialFunction, "cumulative_mass", counting)
+        image = wolff_eval(f, n, beta, gamma)
+    return len(mass_calls), geometry.plans_built() - plans, geometry.nodes_evaluated() - nodes, image
 
-    monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
-    monkeypatch.setattr(RadialFunction, "edge_factors", counting_factors)
+
+def _store_holds_plans_and_masses_only():
+    store = geometry._kernel_weights
+    plans = [a for plan in store._plans.values() for a in plan]
+    return store.nbytes == sum(a.nbytes for a in plans + list(store._masses.values()))
+
+
+def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
+    # on the solver's 81-point grid, after a cold map of the log-tailed
+    # source, a map of a source with another tail model (T, L) builds no
+    # plan, makes one cumulative_mass call and evaluates the plans' nodes:
+    # what a plan keeps, the located nodes and the tail logs, is free of the
+    # model, and the store keeps nothing per model
     params, log_tailed, other = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = log_tailed.grid.count
-    wolff_eval(log_tailed, n, beta, gamma)
-    assert len(cap_calls) == count and len(mass_calls) == 1
-    assert factor_calls == [log_tailed.edge_key] * count
-    # new values, the same (h, T, L): the plans and the factors serve it
-    scaled = log_tailed.with_values(2.0 * log_tailed.values)
-    nodes = geometry.nodes_evaluated()
-    wolff_eval(scaled, n, beta, gamma)
-    assert len(cap_calls) == count and len(mass_calls) == 2 and len(factor_calls) == count
-    assert geometry.nodes_evaluated() - nodes == 1_419_070
-    # another model builds its factors once
-    assert other.edge_key != log_tailed.edge_key
-    wolff_eval(other, n, beta, gamma)
-    wolff_eval(other.with_values(3.0 * other.values), n, beta, gamma)
-    assert len(cap_calls) == count and len(mass_calls) == 4
-    assert factor_calls[count:] == [other.edge_key] * count
-    # the first model's factors are still kept, and serve it bit for bit
-    half = log_tailed.with_values(0.5 * log_tailed.values)
-    warm = wolff_eval(half, n, beta, gamma)
-    assert len(factor_calls) == 2 * count
+    model = lambda f: (f.tail_exponent, f.tail_log_power)
+    assert model(other) != model(log_tailed)
+    assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, count)
+    calls, built, nodes, warm = _map_costs(monkeypatch, other, n, beta, gamma)
+    assert (calls, built, nodes) == (1, 0, 1_419_070)
+    assert len(cap_calls) == count and _store_holds_plans_and_masses_only()
     geometry._kernel_weights.clear()
-    assert np.array_equal(warm.values, wolff_eval(half, n, beta, gamma).values)
+    assert np.array_equal(warm.values, wolff_eval(other, n, beta, gamma).values)
+
+
+def test_battery_bumps_with_other_tails_share_their_grid_plans(cap_calls, monkeypatch):
+    # two bumps of the inequality battery sit on one grid with different
+    # tail exponents: the second map builds no plan
+    from wolffkit.verify import standard_battery
+
+    n, beta, gamma = 3, 1.0, 1.6
+    first, second = standard_battery(n, seed=0, count=2)
+    assert first.grid == second.grid and first.tail_exponent != second.tail_exponent
+    calls, built, nodes, _ = _map_costs(monkeypatch, first, n, beta, gamma)
+    assert calls == 1 and built == first.grid.count
+    calls, built, warm_nodes, warm = _map_costs(monkeypatch, second, n, beta, gamma)
+    assert (calls, built, warm_nodes) == (1, 0, nodes)
+    assert len(cap_calls) == first.grid.count and _store_holds_plans_and_masses_only()
+    geometry._kernel_weights.clear()
+    assert np.array_equal(warm.values, wolff_eval(second, n, beta, gamma).values)
 
 
 def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
-    # ball masses from a kept plan with kept covered radii and head and tail
-    # factors against a cold computation, on the log-tailed source
+    # ball masses from a kept plan against a cold computation, on the
+    # log-tailed source
     params, f, _ = _log_tail_sources()
     kernel = geometry.CapKernel(params.n)
     g = f.with_values(f.values * (1.0 + 0.25 * np.sin(np.log(f.grid.points)) ** 2))
@@ -441,24 +457,20 @@ class _CountingLock:
 def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
     # a warm map on the solver's 81-point grid: one cumulative_mass call for
     # every centre's window (2 x 81 x 64 radii) and covered radii (11,573),
-    # no further mass call from ball_mass_batch, one ball_mass_batch call
+    # so no further mass call from ball_mass_batch, one ball_mass_batch call
     # per centre, and at most two takings of the store's lock per centre:
     # one lookup and one put_masses
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = f.grid.count
-    wolff_eval(f, n, beta, gamma)  # cold: plans and head and tail factors
-    mass_calls, located_calls, batch_calls = [], [], []
-    cumulative_mass, mass_at_located = RadialFunction.cumulative_mass, RadialFunction.mass_at_located
+    wolff_eval(f, n, beta, gamma)  # cold: the plans
+    mass_calls, batch_calls = [], []
+    cumulative_mass = RadialFunction.cumulative_mass
     ball_mass_batch = potential.ball_mass_batch
 
     def counting_mass(self, n, x):
         mass_calls.append(np.size(x))
         return cumulative_mass(self, n, x)
-
-    def counting_located(self, n, slot, s):
-        located_calls.append(np.size(s))
-        return mass_at_located(self, n, slot, s)
 
     def counting_batch(*args, **kwargs):
         batch_calls.append(np.size(args[3]))
@@ -466,12 +478,11 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
 
     lock = _CountingLock()
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
-    monkeypatch.setattr(RadialFunction, "mass_at_located", counting_located)
     monkeypatch.setattr(potential, "ball_mass_batch", counting_batch)
     monkeypatch.setattr(geometry._kernel_weights, "_lock", lock)
     warm = wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma)
     assert count == 81 and len(cap_calls) == count
-    assert mass_calls == located_calls == [2 * count * 64 + 11_573]
+    assert mass_calls == [2 * count * 64 + 11_573]
     assert len(batch_calls) == count
     assert 0 < lock.taken <= 2 * count
     monkeypatch.undo()

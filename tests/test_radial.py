@@ -60,20 +60,26 @@ def test_interpolation_zero_cells_fall_back_to_linear():
 
 def _call_by_region(f, r):
     """Reference: __call__ as head, tail and body masks, with the body split
-    into power and linear cells and ln of each point's left value.  Returns
-    the values and the mask of points evaluated on power cells."""
+    into power and linear cells.  The head, the tail and the power cells
+    are power laws exp(ln v_a - m ln(r / r_a)), the tail's times
+    (ln r / ln r_max)^L in the exponent, taken in at_located's order of
+    operations.  Returns the values and the mask of points evaluated on power
+    cells."""
     out = np.empty_like(r)
     pts, v = f.grid.points, f.values
     head, tail = r < pts[0], r > pts[-1]
     body = ~(head | tail)
-    out[head] = v[0] * (r[head] / pts[0]) ** (-f.head_exponent) if v[0] > 0 else 0.0
-    if math.isinf(f.tail_exponent) or v[-1] == 0.0:
+    with np.errstate(divide="ignore"):
+        log_v0, log_vn = np.log(v[0]), np.log(v[-1])
+    out[head] = np.exp(log_v0 - f.head_exponent * np.log(r[head] / pts[0])) if v[0] > 0 else 0.0
+    if f.cut_off:
         out[tail] = 0.0
     else:
-        factor = (r[tail] / pts[-1]) ** (-f.tail_exponent)
+        span = np.log(r[tail] / pts[-1])
+        exponent = log_vn - f.tail_exponent * span
         if f.tail_log_power != 0.0:
-            factor = factor * (np.log(r[tail]) / np.log(pts[-1])) ** f.tail_log_power
-        out[tail] = v[-1] * factor
+            exponent += f.tail_log_power * np.log1p(span / np.log(pts[-1]))
+        out[tail] = np.exp(exponent)
     rb = r[body]
     idx = np.clip(np.searchsorted(pts, rb, side="right") - 1, 0, pts.size - 2)
     power, m = f._cells["power"][idx], f._cells["m"][idx]
@@ -86,6 +92,26 @@ def _call_by_region(f, r):
     on_power = np.zeros(r.size, dtype=bool)
     on_power[np.flatnonzero(body)[power]] = True
     return out, on_power
+
+
+def _edges_as_powers(f, r):
+    """The head and tail models as powers of r, v_0 (r/r_min)^(-h) and
+    v_N (r/r_max)^(-T) (ln r / ln r_max)^L: the values, and the exponent's
+    size beyond ln v_a, |m s| plus the log term's, at every r < r_min or
+    r > r_max (0 elsewhere)."""
+    pts, v = f.grid.points, f.values
+    head, tail = r < pts[0], r > pts[-1]
+    want, size = np.zeros_like(r), np.zeros_like(r)
+    if v[0] > 0:
+        want[head] = v[0] * (r[head] / pts[0]) ** (-f.head_exponent)
+        size[head] = np.abs(f.head_exponent * np.log(r[head] / pts[0]))
+    if not f.cut_off:
+        T, L = f.tail_exponent, f.tail_log_power
+        want[tail] = v[-1] * (r[tail] / pts[-1]) ** (-T) * (np.log(r[tail]) / np.log(pts[-1])) ** L
+        size[tail] = np.abs(T * np.log(r[tail] / pts[-1])) + np.abs(
+            L * np.log(np.log(r[tail]) / np.log(pts[-1]))
+        )
+    return want, size
 
 
 def _call_profiles():
@@ -119,6 +145,12 @@ def test_one_pass_call_matches_region_formulas():
         rest = ~on_power
         assert np.all(np.abs(got[rest] - want[rest]) <= 1e-15 * np.abs(want[rest]))
         assert all(f(float(x)) == y for x, y in zip(r[::97], got[::97]))
+        # the head and tail, exp(ln v_a - m s), against their models as
+        # powers of r: within 32 eps (1 + |m s|), measured 13.7 eps
+        edge = (r < pts[0]) | (r > pts[-1])
+        powers, size = _edges_as_powers(f, r)
+        err = np.abs(got[edge] - powers[edge])
+        assert np.all(err <= 32 * np.finfo(float).eps * (1.0 + size[edge]) * powers[edge])
 
 
 def test_located_evaluation_matches_region_formulas_bit_for_bit():
@@ -144,7 +176,8 @@ def test_located_evaluation_matches_region_formulas_bit_for_bit():
 
 def _mass_by_region(f, n, x):
     """Reference: cumulative_mass in its earlier branch form, head (x <= r_min),
-    tail (x >= r_max) and body masks, each cell's rule reading x itself."""
+    tail (x >= r_max) and body masks, each cell's rule reading x itself and
+    the head and tail rules ln(x / r_min) and ln(x / r_max)."""
     pts, v, cells = f.grid.points, f.values, f._cells
     surface = sphere_surface(n)
 
@@ -172,12 +205,13 @@ def _mass_by_region(f, n, x):
         return out
 
     whole = surface * cells_to(np.arange(pts.size - 1), pts[1:])
-    prefix = np.concatenate([[0.0], np.cumsum(whole)]) + surface * float(f._head_integral(pts[0], n))
+    prefix = np.concatenate([[0.0], np.cumsum(whole)]) + surface * float(f._head_integral(0.0, n))
     out = np.empty_like(x)
     head, tail = x <= pts[0], x >= pts[-1]
     body = ~(head | tail)
-    out[head] = surface * f._head_integral(x[head], n)
-    out[tail] = prefix[-1] + surface * f._tail_integral(n, 1.0, x[tail])
+    with np.errstate(divide="ignore"):  # ln 0 = -inf, whose head mass is 0
+        out[head] = surface * f._head_integral(np.log(x[head] / pts[0]), n)
+    out[tail] = prefix[-1] + surface * f._tail_integral(n, 1.0, np.log(x[tail] / pts[-1]))
     idx = np.minimum(np.searchsorted(pts, x[body], side="right") - 1, pts.size - 2)
     out[body] = prefix[idx] + surface * cells_to(idx, x[body])
     return out
@@ -185,7 +219,7 @@ def _mass_by_region(f, n, x):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_located_masses_match_the_branch_form_bit_for_bit(n):
-    # cumulative_mass is mass_at_located(locate(x)); below, across and
+    # cumulative_mass reads the offsets of locate(x); below, across and
     # beyond the grid it gives the branch form's masses bit for bit.  r_min
     # and r_max go alone: the located form counts them in the first and
     # last cell, the branch form in the head and the tail.  At r_max the
@@ -217,6 +251,9 @@ def test_batched_masses_equal_single_radius_masses_bit_for_bit(n):
 
 
 def test_call_far_off_the_grid_raises_no_numeric_warning():
+    # far off the grid the exponent ln v_a - m s under- or overflows to its
+    # limit; at r = 0 (s clipped to the float range) a flat head keeps its
+    # value, exp(ln v_0)
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     rising = RadialFunction(g, g.points**2, tail_exponent=3.0)
     steep = RadialFunction(g, np.exp(-g.points) * g.points**-40.0, head_exponent=0.0)
@@ -225,14 +262,42 @@ def test_call_far_off_the_grid_raises_no_numeric_warning():
         r = np.array([1e3, 1e150, 1e300])
         far = rising(r)
         near = steep(np.array([0.0, 1e-300, 1e-200]))
-    assert np.array_equal(far, rising.values[-1] * (r / g.r_max) ** -3.0)
-    assert np.array_equal(near, np.full(3, steep.values[0]))
+    powers, size = _edges_as_powers(rising, r)
+    assert np.array_equal(far[1:], [0.0, 0.0]) and np.array_equal(powers[1:], [0.0, 0.0])
+    assert abs(far[0] - powers[0]) <= 32 * np.finfo(float).eps * (1.0 + size[0]) * powers[0]
+    assert np.array_equal(near, np.full(3, np.exp(np.log(steep.values[0]))))
+    assert near[0] == pytest.approx(steep.values[0], rel=1e-13)
     # far above a grid at 1e-30 the tail model reads r / r_max = 1e306
     tiny = RadialGrid.per_decade(1e-30, 1e-26, 16)
     slow = RadialFunction(tiny, np.ones(tiny.count), tail_exponent=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert slow(1e280) == (1e280 / tiny.r_max) ** -0.5 > 0.0
+        assert slow(1e280) == pytest.approx((1e280 / tiny.r_max) ** -0.5, rel=1e-13)
+
+
+def test_origin_reads_the_head_model_in_its_limit():
+    # f(0) is v_0 on a flat head, inf on a singular one (h > 0), 0 where
+    # h < 0 or v_0 = 0, and the mass inside 0 is 0, all without a warning
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    r = g.points
+    zero_head = np.append(0.0, (1.0 + r[1:] ** 2) ** -3)
+    flat = RadialFunction(g, (1.0 + r**2) ** -3, tail_exponent=6.0)
+    cases = [
+        (flat, pytest.approx(flat.values[0], rel=1e-15)),
+        (RadialFunction(g, r**-1.5 / (1.0 + r) ** 3, head_exponent=1.5, tail_exponent=4.5), math.inf),
+        (RadialFunction(g, r**-0.5 / (1.0 + r) ** 3, head_exponent=0.5, tail_exponent=3.5), math.inf),
+        (RadialFunction(g, r**2 / (1.0 + r) ** 8, head_exponent=-2.0, tail_exponent=6.0), 0.0),
+        (RadialFunction(g, zero_head, head_exponent=2.5, tail_exponent=6.0), 0.0),
+        (RadialFunction(g, zero_head, head_exponent=0.0, tail_exponent=6.0), 0.0),
+    ]
+    for f, want in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(np.array([0.0]))[0]
+            masses = [f.cumulative_mass(n, [0.0])[0] for n in (3, 5)]
+        assert got == want
+        assert masses == [0.0, 0.0]
+        assert f(0.0) == got
 
 
 def test_lp_norm_indicator_is_ball_volume(unit_indicator):
@@ -550,7 +615,8 @@ def test_cell_rule_branches_against_quad(kind, quantity):
 
 
 def test_log_tail_rule_is_kept_per_tail_model_and_radii():
-    # the log tail's quadrature rule is kept per (ln r_max, a = n - T, L, x);
+    # the log tail's quadrature rule is kept per (ln r_max, a = n - T, L,
+    # ln(x / r_max));
     # each variant differs in one of them from the first source, whose rule
     # is in the store, and must give what a cold store gives
     radial._log_tail_rules.clear()
@@ -666,7 +732,13 @@ RADIAL_RAISE_SITES = [
     ("dilate lam", lambda tmp: RadialFunction(_G, _ONES).dilate(0.0), ParameterError, "positive"),
     ("dilate log tail", lambda tmp: _LOG_TAILED.dilate(2.0), ParameterError, "log-corrected"),
     ("cumulative_mass", lambda tmp: _LOG_TAILED.cumulative_mass(3, [-1.0]), ParameterError, "x >= 0"),
+    ("cumulative_mass nan", lambda tmp: _LOG_TAILED.cumulative_mass(3, [1.0, math.nan]), ParameterError,
+     "x >= 0, got nan"),
     ("lp_norm", lambda tmp: lp_norm(_LOG_TAILED, 0.5), ParameterError, "p must be >= 1"),
+    ("lp_norm nan", lambda tmp: lp_norm(_LOG_TAILED, math.nan), ParameterError,
+     "p must be >= 1, got nan"),
+    ("lp_norm weight nan", lambda tmp: lp_norm(_LOG_TAILED, 2.0, math.nan), ParameterError,
+     "weight exponent must be a number, got nan"),
     ("fit points", lambda tmp: fit_decay_rate(_LOG_TAILED, (1.0, 1.5)), ParameterError, "fewer than 8"),
     ("fit log window", lambda tmp: fit_decay_rate(_LOG_TAILED, (0.5, 50.0), allow_log=True),
      ParameterError, "r > 1"),
