@@ -162,7 +162,7 @@ def _thread_count() -> int:
 def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, nodes_per_decade: int, slope_cap: float):
     """Panel boundaries in tau: uniform density plus structural breakpoints."""
     h_density = _PANEL_NODES * math.log(10.0) / nodes_per_decade
-    h_slope = 6.0 / max(slope_cap, 1e-3)
+    h_slope = 6.0 / slope_cap
     h = min(h_density, h_slope)
     count = max(1, int(math.ceil((tau_hi - tau_lo) / h)))
     bounds = set(np.linspace(tau_lo, tau_hi, count + 1).tolist())
@@ -346,7 +346,7 @@ def wolff_eval_at(
     positive = rhos[rhos > 0]
     eval_lo = float(positive.min()) if positive.size else f.grid.r_min
     eval_hi = float(rhos.max()) if rhos.size else f.grid.r_max
-    t_min, t_max = cfg.resolve(f, eval_lo, max(eval_hi, f.grid.r_max))
+    t_min, t_max = cfg.resolve(f, eval_lo, eval_hi)
 
     if not (rhos.size and np.any(f.values > 0.0)):
         return np.zeros(rhos.size)
@@ -354,7 +354,7 @@ def wolff_eval_at(
     inv_power = 1.0 / g
     a_decay = (n - bg) * inv_power
     kernel = CapKernel(n)
-    slope_cap = max(bg, n - bg, n) * inv_power
+    slope_cap = n * inv_power  # max(beta*gamma, n - beta*gamma, n) / g, as 0 < beta*gamma < n
     layout = _layout(
         rhos, t_min, t_max, f.grid.r_min, f.grid.r_max, cfg.t_nodes_per_decade, slope_cap, a_eff
     )

@@ -24,10 +24,7 @@ the linear cells are patched over the result.  The located form and
 tail_logs depend only on the grid's points and on which values vanish
 (layout_key), so a caller that evaluates many sources at the same radii
 (geometry's stored plans) locates them once, and nothing it keeps depends on
-a source's head or tail model.  Masses read the same offsets:
-cumulative_mass(n, x) takes the head rule on slot 0, the tail rule on slot N
-and on a cell the prefix of the cells below plus the cell rule, which reads
-L = s on a power cell and x = s on a linear one.
+a source's head or tail model.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -35,20 +32,31 @@ cut_off (f vanishes beyond r_max: T = +inf, the only infinite tail model
 allowed, or f(r_max) = 0), head_integrable
 (k > h p) and tail_integrable (T p > k, or T p = k with L p < -1).  Every
 integral of r^{k-1} f^p, the masses of cumulative_mass and the norms of
-lp_norm, is a head, cells and a tail, each with one rule:
+lp_norm, reads the same offsets and one table per (k, p), kept with the
+profile: per slot the scale v_a^p left^k, the rate k - m p and the prefix,
+the integral over the slots below.  From the slot's left end to a radius at
+offset s the integral is one rule,
 
-    head  v_0^p r_min^k exp((k - hp) ln(x/r_min)) / (k - hp); a zero head
-          gives 0
-    cell  power cell f = v_a (r/r_a)^{-m}: v_a^p r_a^k L exprel(z) with
-          L = ln(x/r_a), z = (k - mp) L and exprel(z) = expm1(z)/z (1 at
-          z = 0), free of cancellation near k = mp; where that product
-          leaves the float range (z > 0 only), f(x)^p x^k L exprel(-z) in
-          logs; 16-node Gauss-Legendre in ln r on a cell with a vanishing
-          endpoint
-    tail  v_N^p r_max^k expm1(a ln(x/r_max)) / a with a = k - Tp, or its limit
-          at a = 0; with a log factor, 32-node Gauss-Legendre in ln r to a
-          finite x, Gauss-Laguerre to infinity, or the pure-log closed form
-          v_N^p r_max^k ln(r_max) / (-Lp - 1) at a = 0
+    scale expm1(rate s) / rate      (scale s at rate = 0)
+
+and on the head, which runs from 0 (s <= 0), scale exp(rate s) / rate.  A
+cut-off tail has scale 0, and a borderline one (|k - T p| <= BORDERLINE_TOL)
+rate 0; the linear cells take scale and rate 0 too, and two patches replace
+the rule where f is not a power law:
+
+    linear cell  (linear interpolant)^p by 16-node Gauss-Legendre in ln r
+    log tail     32-node Gauss-Legendre in ln r to a finite x; to x = inf
+                 (s the clipped float maximum) Gauss-Laguerre, or the
+                 pure-log closed form v_N^p r_max^k ln(r_max) / (-L p - 1)
+                 at rate 0
+
+On a growing cell (rate s > 0) e^{rate s} may overflow, or the scale
+underflow, and the product leave the float range; there scale e^{rate s} =
+f(x)^p x^k is taken in logs.  To x = inf a tail that is not integrable gives
+inf.  cumulative_mass(n, x) is s_{n-1} (prefix + rule) at the offsets of
+locate(x).  The table's last prefix entry, past the tail, is the same sum
+at x = inf, which lp_norm reads, so the mass at infinity is the p = 1 norm
+bit for bit.
 
 Each Gauss-Legendre sum is taken radius by radius (a row sum, where a
 matrix product may round a row differently with the other rows of the call),
@@ -56,8 +64,8 @@ so a mass is a function of the source and the radius alone, and a caller
 may put the radii of many balls in one cumulative_mass call.
 
 The Gauss-Legendre rule of a log tail to finite x, its weighted integrand
-sums, depends on f only through ln r_max, a and L p, so it is kept per
-(ln r_max, a, L p, ln(x / r_max)) in a 2 MiB least-recently-used
+sums, depends on f only through ln r_max, the rate and L p, so it is kept
+per (ln r_max, rate, L p, ln(x / r_max)) in a 2 MiB least-recently-used
 store: every Picard iterate on one grid shares its tail model, and the
 potential asks for the same radii each map (0.31 MB on the solver's 81-point
 grid with a log-corrected source).
@@ -127,12 +135,6 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _exprel(z: np.ndarray) -> np.ndarray:
-    """expm1(z)/z, and its limit 1 at z = 0."""
-    zero = z == 0.0
-    return np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
-
-
 @lru_cache(maxsize=8)
 def _leggauss01(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [0, 1]."""
@@ -181,7 +183,7 @@ class LruStore:
             self.nbytes = 0
 
 
-# the log-tail quadrature of _tail_integral, per (ln r_max, a, L p, ln(x / r_max))
+# the log-tail quadrature of _integrals, per (ln r_max, rate, L p, ln(x / r_max))
 _log_tail_rules = LruStore(2 * 2**20)
 
 
@@ -271,25 +273,6 @@ class RadialFunction:
     # -- interpolation -----------------------------------------------------
 
     @cached_property
-    def _cells(self):
-        """Per-cell interpolation data: which cells are power cells (both
-        values positive) and whether all are, the slope of the log-log power
-        law, ln of the left value (-inf where it vanishes) and the located
-        offset of the cell's right end (see locate: its log width on a power
-        cell, the radius itself on a linear one)."""
-        r = self.grid.points
-        v = self.values
-        va, vb = v[:-1], v[1:]
-        dlr = np.log(r[1:] / r[:-1])
-        power = (va > 0.0) & (vb > 0.0)
-        m = np.zeros(va.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m[power] = -np.log(vb[power] / va[power]) / dlr[power]
-            log_va = np.log(va)
-        whole = np.where(power, dlr, r[1:])
-        return {"power": power, "all_power": power.all(), "m": m, "log_va": log_va, "whole": whole}
-
-    @cached_property
     def quad_boundaries(self) -> np.ndarray:
         """Grid boundaries coarsened to ~quarter-decade pieces for kernel quadrature.
 
@@ -298,13 +281,13 @@ class RadialFunction:
         merged until the accumulated log-width reaches a quarter decade.
         """
         pts = self.grid.points
-        power = self._cells["power"]
+        linear = self._slots["linear"][1:-1]
         limit = 0.125 * math.log(10.0)
         keep = [0]
         acc = 0.0
         for k in range(pts.size - 1):
             acc += math.log(pts[k + 1] / pts[k])
-            boundary_forced = (not power[k]) or (k + 1 < power.size and not power[k + 1])
+            boundary_forced = linear[k] or (k + 1 < linear.size and linear[k + 1])
             if boundary_forced or acc >= limit or k == pts.size - 2:
                 keep.append(k + 1)
                 acc = 0.0
@@ -312,32 +295,46 @@ class RadialFunction:
 
     @cached_property
     def _slots(self):
-        """Per-slot tables of the located evaluation.  Slot 0 is the head,
-        slot k (1 <= k < N) the cell [r_{k-1}, r_k) (the last one closed at
-        r_max), slot N the tail.  Each slot is the power law
-        v_a (r / left)^(-m): left is r_min on the head, r_{k-1} on a cell and
-        r_max on the tail; ln v_a is -inf where v_a vanishes, m is h on the
-        head (0 where v_0 = 0, whose head is 0 whatever h is) and T on the
-        tail (+inf on a cut-off).  linear marks the cells with a vanishing
-        endpoint, whose model reads r."""
-        pts, v, cells = self.grid.points, self.values, self._cells
+        """Per-slot tables of the located evaluation and of the integrals.
+        Slot 0 is the head, slot k (1 <= k < N) the cell [r_{k-1}, r_k) (the
+        last one closed at r_max), slot N the tail.  Each slot is the power
+        law v_a (r / left)^(-m): left is r_min on the head, r_{k-1} on a cell
+        and r_max on the tail, v_a is f(left) (ln v_a -inf where it
+        vanishes); m is h on the head (0 where v_0 = 0, whose head is 0
+        whatever h is), the log-log slope on a cell and T on the tail (+inf
+        on a cut-off).  linear marks the cells with a vanishing endpoint,
+        whose model reads r (m = 0 there), and any_linear whether there is
+        one.  width is the located offset (see locate) of each slot's right
+        end: 0 on the head, the log width of a power cell, r_k on a linear
+        one and the clipped float maximum (x = inf) on the tail."""
+        pts, v = self.grid.points, self.values
+        va, vb = v[:-1], v[1:]
+        dlr = np.log(pts[1:] / pts[:-1])
+        linear = (va == 0.0) | (vb == 0.0)
+        power = ~linear
+        m = np.zeros(va.size)
+        m[power] = -np.log(vb[power] / va[power]) / dlr[power]
         head_m = self.head_exponent if v[0] > 0.0 else 0.0
         tail_m = math.inf if self.cut_off else self.tail_exponent
+        v_a = np.concatenate([v[:1], v])
         with np.errstate(divide="ignore"):
-            log_va = np.log(np.concatenate([v[:1], v]))
+            log_va = np.log(v_a)
         return {
             "edges": np.append(pts[:-1], np.nextafter(pts[-1], math.inf)),
             "left": np.concatenate([pts[:1], pts]),
+            "v_a": v_a,
             "log_va": log_va,
-            "m": np.concatenate([[head_m], cells["m"], [tail_m]]),
-            "linear": np.concatenate([[False], ~cells["power"], [False]]),
+            "m": np.concatenate([[head_m], m, [tail_m]]),
+            "linear": np.concatenate([[False], linear, [False]]),
+            "any_linear": bool(linear.any()),
+            "width": np.concatenate([[0.0], np.where(linear, pts[1:], dlr), [_MAX_FLOAT]]),
         }
 
     @cached_property
     def layout_key(self) -> bytes:
         """What locate's results and quad_boundaries depend on: the grid's
         points and which cells have a vanishing endpoint."""
-        return self.grid.points.tobytes() + self._cells["power"].tobytes()
+        return self.grid.points.tobytes() + self._slots["linear"].tobytes()
 
     @cached_property
     def source_key(self) -> tuple:
@@ -391,7 +388,7 @@ class RadialFunction:
                 at, logs = self.tail_logs(slot, s) if tail is None else tail
                 out[at] += self.tail_log_power * logs
             np.exp(out, out=out)
-        if not self._cells["all_power"]:
+        if slots["any_linear"]:
             pts, v = self.grid.points, self.values
             lin = np.flatnonzero(slots["linear"].take(slot))
             il = slot[lin] - 1
@@ -458,43 +455,106 @@ class RadialFunction:
             return self.tail_log_power * p < -1.0 - BORDERLINE_TOL
         return a > 0.0
 
-    def _head_integral(self, lx, k: float, p: float = 1.0):
-        """int_0^x r^{k-1} f(r)^p dr on the head model, x <= r_min, given as
-        lx = ln(x / r_min)."""
-        v0, h, rm = self.values[0], self.head_exponent, self.grid.r_min
-        if v0 == 0.0:
-            return np.zeros_like(lx)
+    # -- integrals ---------------------------------------------------------
+
+    @cached_property
+    def _tables(self) -> dict:
+        """The integral tables of _table, per (k, p), kept with the profile."""
+        return {}
+
+    def _table(self, k: float, p: float = 1.0) -> dict:
+        """Per slot the scale v_a^p left^k, the rate k - m p and the prefix,
+        the integral of r^{k-1} f^p over the slots below (0 on the head); the
+        prefix's last entry, past the tail, is the integral to x = inf (inf
+        where the tail is not integrable).  A cut-off tail and the linear
+        cells take scale and rate 0, a borderline tail rate 0.  Raises
+        DivergentIntegralError where the head is not integrable."""
+        table = self._tables.get((k, p))
+        if table is not None:  # two threads may both build it; alike
+            return table
         if not self.head_integrable(k, p):
             raise DivergentIntegralError(
-                f"head exponent {h} >= k/p = {k / p}: the integral near the origin diverges"
+                f"head exponent {self.head_exponent} >= k/p = {k / p}: the integral near the origin diverges"
             )
-        c = k - h * p
-        with np.errstate(over="ignore"):  # lx = -_MAX_FLOAT at x = 0
-            return v0**p * rm**k * np.exp(c * lx) / c
-
-    def _tail_integral(self, k: float, p: float = 1.0, span=math.inf):
-        """int_{r_max}^x r^{k-1} f(r)^p dr on the tail model, x >= r_max, given
-        as span = ln(x / r_max); to x = inf only where tail_integrable holds."""
+        slots = self._slots
+        scale = slots["v_a"] ** p * slots["left"] ** k
+        rate = k - slots["m"] * p  # -inf on a cut-off tail, set below
+        scale[slots["linear"]] = rate[slots["linear"]] = 0.0
         if self.cut_off:
-            return np.zeros_like(span)
-        rm, Lp = self.grid.r_max, self.tail_log_power * p
-        scale = self.values[-1] ** p * rm**k
-        a = k - self.tail_exponent * p
-        if Lp == 0.0:
-            if abs(a) <= BORDERLINE_TOL:
-                return scale * span
-            with np.errstate(over="ignore"):  # span = _MAX_FLOAT at x = inf
-                return scale * np.expm1(a * span) / a
+            scale[-1] = rate[-1] = 0.0
+        elif abs(rate[-1]) <= BORDERLINE_TOL:
+            rate[-1] = 0.0
+        table = {"scale": scale, "rate": rate}
+        whole = self._integrals(k, p, np.arange(self.grid.count + 1), slots["width"], table)
+        table["prefix"] = np.concatenate([[0.0], np.cumsum(whole)])
+        self._tables[(k, p)] = table
+        return table
+
+    def _integrals(self, k: float, p: float, slot, s, table=None) -> np.ndarray:
+        """int r^{k-1} f(r)^p dr from each located radius's slot's left end
+        (0 on the head) to the radius, given as its slot and offset (see
+        locate).  See the module docstring for the rule."""
+        table = self._table(k, p) if table is None else table
+        slots, N = self._slots, self.grid.count
+        scale, rate = table["scale"].take(slot), table["rate"].take(slot)
+        flat = rate == 0.0
+        # at s = +-_MAX_FLOAT (x = 0 or inf) rate s overflows to its limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = rate * s
+            out = np.expm1(z)
+            head = np.flatnonzero(slot == 0)
+            out[head] = np.exp(z[head])
+            np.copyto(out, s, where=flat)
+            out *= scale
+            np.divide(out, rate, out=out, where=~flat)
+        # on a growing cell (z > 0) e^z may overflow, or the scale underflow,
+        # and leave the product inf, nan or 0; there scale e^z = f(x)^p x^k
+        # is taken in logs
+        if not (out.min(initial=math.inf) > 0.0 and out.max(initial=0.0) < math.inf):
+            lost = np.flatnonzero((z > 0.0) & (slot < N) & ~(np.isfinite(out) & (out > 0.0)))
+            at, zl = slot[lost], z[lost]
+            log_fx = p * slots["log_va"].take(at) + k * np.log(slots["left"].take(at)) + zl
+            out[lost] = np.exp(log_fx) * -np.expm1(-zl) / rate[lost]
+        if slots["any_linear"]:
+            # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
+            r, v = self.grid.points, self.values
+            lin = np.flatnonzero(slots["linear"].take(slot))
+            idx = slot[lin] - 1
+            a, b = r[idx, None], r[idx + 1, None]
+            fa, fb = v[idx, None], v[idx + 1, None]
+            nodes, wts = _leggauss01(16)
+            la = np.log(a)
+            width = np.log(s[lin, None]) - la
+            rr = np.exp(la + width * nodes)
+            fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
+            out[lin] = width[:, 0] * (fr**p * rr**k * wts).sum(axis=1)
+        log_tail = self.tail_log_power != 0.0 and not self.cut_off
+        integrable = self.tail_integrable(k, p)
+        if log_tail or not integrable:
+            far = s == _MAX_FLOAT  # x = inf, on the tail
+            near = np.flatnonzero((slot == N) & ~far) if log_tail else ()
+            if len(near):
+                out[near] = self._log_tail(table, p, s[near])
+            if not integrable:
+                out[far] = math.inf
+            elif far.any():
+                out[far] = self._log_tail(table, p, math.inf)
+        return out
+
+    def _log_tail(self, table: dict, p: float, span):
+        """int_{r_max}^x r^{k-1} f(r)^p dr on a log tail, x = r_max e^span:
+        32-node Gauss-Legendre in ln r to a finite x, Gauss-Laguerre or the
+        pure-log closed form to x = inf (span = inf)."""
+        scale, a, Lp = table["scale"][-1], float(table["rate"][-1]), self.tail_log_power * p
         # in lam = ln r the integrand is scale e^{a (lam - lam0)} (lam/lam0)^{Lp}
-        lam0 = math.log(rm)
-        if np.ndim(span) == 0 and math.isinf(span):
-            if abs(a) <= BORDERLINE_TOL:
+        lam0 = math.log(self.grid.r_max)
+        if np.ndim(span) == 0:
+            if a == 0.0:
                 return scale * lam0 / (-Lp - 1.0)  # pure log, Lp < -1
             nodes, wts = _laggauss(96)
             return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
         # the rule is free of f's values, and Picard iterates share their
         # tail models, so it is kept per (ln r_max, a, L p, span)
-        span = np.asarray(span, dtype=float)
         key = (lam0, a, Lp, span.tobytes())
         shape = _log_tail_rules.get(key)
         if shape is None:
@@ -505,94 +565,27 @@ class RadialFunction:
             _log_tail_rules.put(key, shape, 2 * span.nbytes)
         return scale * shape * span
 
-    # -- cumulative mass ---------------------------------------------------
-
-    def _cell_integrals(self, idx: np.ndarray, s: np.ndarray, k: float, p: float = 1.0):
-        """int_{r_idx}^x r^{k-1} f(r)^p dr for each x inside cell idx, given
-        as its located offset s (see locate): L = ln(x / r_idx) on a power
-        cell, x itself on a linear one.
-
-        See the module docstring for the rule.
-        """
-        r, v, cells = self.grid.points, self.values, self._cells
-        scale, rate = self._cell_factors(k, p)
-        span = s
-        linear = not cells["all_power"]
-        if linear:
-            lin = np.flatnonzero(~cells["power"][idx])
-            x_lin = s[lin]
-            span = s.copy()
-            span[lin] = 0.0  # the power rule then gives 0 there, replaced below
-        z = rate[idx] * span
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = scale[idx] * span * _exprel(z)
-        # on a growing cell (z > 0) e^z may overflow, or v_a^p r_a^k
-        # underflow, and leave the product inf, nan or 0; there
-        # v_a^p r_a^k e^z = f(x)^p x^k is taken in logs, times exprel(-z) < 1
-        if not (out.min(initial=math.inf) > 0.0 and out.max(initial=0.0) < math.inf):
-            lost = (z > 0.0) & (v[idx] > 0.0) & ~(np.isfinite(out) & (out > 0.0))
-            zl = z[lost]
-            log_fx = p * cells["log_va"][idx[lost]] + k * np.log(r[idx[lost]]) + zl
-            out[lost] = np.exp(log_fx) * span[lost] * _exprel(-zl)
-        if linear:
-            # vanishing endpoint: (linear interpolant)^p by Gauss-Legendre in ln r
-            a, b = r[idx[lin], None], r[idx[lin] + 1, None]
-            fa, fb = v[idx[lin], None], v[idx[lin] + 1, None]
-            nodes, wts = _leggauss01(16)
-            la = np.log(a)
-            width = np.log(x_lin[:, None]) - la
-            rr = np.exp(la + width * nodes)
-            fr = np.maximum(fa + (fb - fa) * ((rr - a) / (b - a)), 0.0)
-            out[lin] = width[:, 0] * (fr**p * rr**k * wts).sum(axis=1)
-        return out
-
-    @lru_cache(maxsize=4)
-    def _cell_factors(self, k: float, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell the cell rule's v_a^p r_a^k and k - m p."""
-        r, v = self.grid.points[:-1], self.values[:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return v**p * r**k, k - self._cells["m"] * p
-
-    @lru_cache(maxsize=4)
-    def _mass_prefix(self, n: int) -> np.ndarray:
-        """Mass inside each grid point: head plus the preceding whole cells."""
-        r = self.grid.points
-        s = sphere_surface(n)
-        cell = s * self._cell_integrals(np.arange(r.size - 1), self._cells["whole"], n)
-        return np.concatenate([[0.0], np.cumsum(cell)]) + s * float(self._head_integral(0.0, n))
-
     def cumulative_mass(self, n: int, x) -> np.ndarray:
         """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model:
-        at the offsets locate gives, the head rule on slot 0, the tail rule on
-        slot N, and on a cell the mass of the cells below plus the cell
-        rule."""
+        at the offsets locate gives, the prefix of the slots below plus the
+        rule of the module docstring; inf at x = inf where the tail is not
+        integrable."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # a NaN makes the min NaN, which fails the comparison
         if x.size and not x.min() >= 0.0:
             bad = float(x[~(x >= 0.0)].flat[0])
             raise ParameterError(f"cumulative mass requires x >= 0, got {bad}")
         slot, s = self.locate(x)
-        prefix = self._mass_prefix(n)
-        surface = sphere_surface(n)
-        out = np.empty(s.shape)
-        head = slot == 0
-        if head.any():
-            out[head] = surface * self._head_integral(s[head], n)
-        tail = slot == self.grid.count
-        if tail.any():
-            out[tail] = prefix[-1] + surface * self._tail_integral(n, 1.0, s[tail])
-        body = ~(head | tail)
-        if body.any():
-            idx = slot[body] - 1
-            out[body] = prefix[idx] + surface * self._cell_integrals(idx, s[body], n)
-        return out
+        return sphere_surface(n) * (self._table(n)["prefix"].take(slot) + self._integrals(n, 1.0, slot, s))
 
 
 def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 3) -> NormValue:
     """Weighted norm (s_{n-1} int_0^inf r^w f(r)^p r^{n-1} dr)^{1/p}.
 
     f.head_integrable and f.tail_integrable decide finiteness exactly on the
-    declared models; a divergent norm is INFINITE.  p = 1, w = 0 gives the mass.
+    declared models; a divergent norm is INFINITE.  The integral is the last
+    prefix entry of f's integral table, cumulative_mass's sum at x = inf, so
+    p = 1, w = 0 gives the mass bit for bit.
     """
     # NaN fails the comparison
     if not p >= 1.0:
@@ -607,10 +600,7 @@ def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 
         )
     if not (f.head_integrable(k, p) and f.tail_integrable(k, p)):
         return INFINITE
-    r = f.grid.points
-    body = f._cell_integrals(np.arange(r.size - 1), f._cells["whole"], k, p)
-    total = float(f._head_integral(0.0, k, p)) + float(np.sum(body)) + float(f._tail_integral(k, p))
-    return (sphere_surface(n) * total) ** (1.0 / p)
+    return float(sphere_surface(n) * f._table(k, p)["prefix"][-1]) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

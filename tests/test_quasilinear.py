@@ -97,6 +97,23 @@ def test_logarithmic_separatrix_rates_and_log_scale():
     assert res.rate_v.log_power == pytest.approx(1.0, abs=0.3)
 
 
+def test_canonical_log_scale_falls_back_to_one():
+    # the anchor r0 of v ~ r^-3 ln(r / r0) comes from a line fit of v r^3
+    # against ln r; with fewer than 8 points in the window, or a slope that
+    # is not positive, the scale is 1
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    r = np.geomspace(1.0, 1e4, 41)
+
+    def traj(v):
+        zero = np.zeros_like(r)
+        return quasilinear.Trajectory(r, np.ones_like(r), v, zero, zero, None, 0)
+
+    log_tail = traj(r**-3.0 * np.log(r / 0.5))
+    assert quasilinear._canonical_log_scale(params, log_tail, 3.0, (10.0, 1e4)) == pytest.approx(0.5, rel=1e-12)
+    assert quasilinear._canonical_log_scale(params, log_tail, 3.0, (10.0, 40.0)) == 1.0  # 7 points
+    assert quasilinear._canonical_log_scale(params, traj(r**-3.5), 3.0, (10.0, 1e4)) == 1.0  # falling
+
+
 @pytest.mark.parametrize("r_stop", [5e-5, quasilinear.R_START, math.inf, math.nan])
 def test_shoot_config_needs_a_finite_r_stop_past_the_series_start(r_stop):
     with pytest.raises(ParameterError, match="r_stop"):

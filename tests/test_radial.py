@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -82,7 +84,7 @@ def _call_by_region(f, r):
         out[tail] = np.exp(exponent)
     rb = r[body]
     idx = np.clip(np.searchsorted(pts, rb, side="right") - 1, 0, pts.size - 2)
-    power, m = f._cells["power"][idx], f._cells["m"][idx]
+    power, m = ~f._slots["linear"][idx + 1], f._slots["m"][idx + 1]
     ra, rb_hi, va, vb = pts[idx], pts[idx + 1], v[idx], v[idx + 1]
     res = np.empty_like(rb)
     res[power] = np.exp(np.log(va[power]) - m[power] * np.log(rb[power] / ra[power]))
@@ -177,22 +179,36 @@ def test_located_evaluation_matches_region_formulas_bit_for_bit():
 def _mass_by_region(f, n, x):
     """Reference: cumulative_mass in its earlier branch form, head (x <= r_min),
     tail (x >= r_max) and body masks, each cell's rule reading x itself and
-    the head and tail rules ln(x / r_min) and ln(x / r_max)."""
-    pts, v, cells = f.grid.points, f.values, f._cells
+    the head and tail rules ln(x / r_min) and ln(x / r_max).  The rules are
+    written out here in the engine's arithmetic, powers taken on arrays as
+    the engine takes them (a scalar power may round differently):
+    scale expm1(rate L) / rate
+    (scale L at rate 0, exp in place of expm1 on the head), a growing cell
+    in logs, 16-node Gauss-Legendre on a cell with a vanishing endpoint and
+    32-node Gauss-Legendre on a log tail."""
+    pts, v = f.grid.points, f.values
     surface = sphere_surface(n)
 
-    def cells_to(idx, x):
-        ra, va, m = pts[idx], v[idx], cells["m"][idx]
-        span = np.log(x / ra)
-        z = (n - m * 1.0) * span
+    def power_rule(scale, rate, span, first=np.expm1):
         with np.errstate(over="ignore", invalid="ignore"):
-            out = va**1.0 * ra**n * span * radial._exprel(z)
-        lost = (z > 0.0) & (va > 0.0) & ~(np.isfinite(out) & (out > 0.0))
+            out = np.where(rate == 0.0, span, first(rate * span)) * scale
+            return np.where(rate == 0.0, out, out / np.where(rate == 0.0, 1.0, rate))
+
+    def cells_to(idx, x):
+        ra, va, vb = pts[idx], v[idx], v[idx + 1]
+        lin = (va == 0.0) | (vb == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where(lin, 0.0, -np.log(vb / va) / np.log(pts[idx + 1] / ra))
+        rate = np.where(lin, 0.0, n - m * 1.0)
+        span = np.log(x / ra)
+        out = power_rule(np.where(lin, 0.0, va**1.0 * ra**n), rate, span)
+        z = rate * span
+        lost = (z > 0.0) & ~(np.isfinite(out) & (out > 0.0))
         if lost.any():
             zl = z[lost]
-            log_fx = cells["log_va"][idx[lost]] + n * np.log(ra[lost]) + zl
-            out[lost] = np.exp(log_fx) * span[lost] * radial._exprel(-zl)
-        lin = np.flatnonzero(~cells["power"][idx])
+            log_fx = 1.0 * np.log(va[lost]) + n * np.log(ra[lost]) + zl
+            out[lost] = np.exp(log_fx) * -np.expm1(-zl) / rate[lost]
+        lin = np.flatnonzero(lin)
         if lin.size:
             a, b = ra[lin, None], pts[idx[lin] + 1, None]
             fa, fb = va[lin, None], v[idx[lin] + 1, None]
@@ -204,16 +220,36 @@ def _mass_by_region(f, n, x):
             out[lin] = width[:, 0] * (fr**1.0 * rr**n * wts).sum(axis=1)
         return out
 
-    whole = surface * cells_to(np.arange(pts.size - 1), pts[1:])
-    prefix = np.concatenate([[0.0], np.cumsum(whole)]) + surface * float(f._head_integral(0.0, n))
+    def head_to(x):
+        h = f.head_exponent if v[0] > 0.0 else 0.0
+        with np.errstate(divide="ignore"):  # ln 0 = -inf, whose head mass is 0
+            lx = np.log(x / pts[0])
+        return power_rule(v[:1] ** 1.0 * pts[:1] ** n, n - h * 1.0, lx, first=np.exp)
+
+    def tail_to(x):
+        span = np.log(x / pts[-1])
+        if f.cut_off:
+            return np.zeros_like(span)
+        scale, rate = v[-1:] ** 1.0 * pts[-1:] ** n, n - f.tail_exponent * 1.0
+        if abs(rate) <= radial.BORDERLINE_TOL:
+            rate = 0.0
+        if f.tail_log_power == 0.0:
+            return power_rule(scale, rate, span)
+        lam0 = math.log(pts[-1])
+        nodes, wts = radial._leggauss01(32)
+        lam = lam0 + np.outer(span, nodes)
+        shape = (np.exp(rate * (lam - lam0)) * (lam / lam0) ** (f.tail_log_power * 1.0) * wts).sum(axis=1)
+        return scale * shape * span
+
+    whole = np.concatenate([head_to(pts[:1]), cells_to(np.arange(pts.size - 1), pts[1:])])
+    prefix = np.concatenate([[0.0], np.cumsum(whole)])
     out = np.empty_like(x)
     head, tail = x <= pts[0], x >= pts[-1]
     body = ~(head | tail)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf, whose head mass is 0
-        out[head] = surface * f._head_integral(np.log(x[head] / pts[0]), n)
-    out[tail] = prefix[-1] + surface * f._tail_integral(n, 1.0, np.log(x[tail] / pts[-1]))
+    out[head] = surface * (0.0 + head_to(x[head]))
+    out[tail] = surface * (prefix[-1] + tail_to(x[tail]))
     idx = np.minimum(np.searchsorted(pts, x[body], side="right") - 1, pts.size - 2)
-    out[body] = prefix[idx] + surface * cells_to(idx, x[body])
+    out[body] = surface * (prefix[idx + 1] + cells_to(idx, x[body]))
     return out
 
 
@@ -248,6 +284,46 @@ def test_batched_masses_equal_single_radius_masses_bit_for_bit(n):
         assert x.size == 2131 and x.max() > pts[-1]
         alone = np.array([f.cumulative_mass(n, [r])[0] for r in x])
         assert np.array_equal(f.cumulative_mass(n, x), alone)
+
+
+def _tails_at_infinity():
+    """The _call_profiles, and a borderline power tail T = n = 3, L = 0 at two
+    amplitudes."""
+    g = RadialGrid.per_decade(1e-2, 1e2, 16)
+    borderline = [RadialFunction(g, c * (1.0 + g.points**2) ** -1.5, tail_exponent=3.0) for c in (1e-6, 1.0)]
+    return _call_profiles() + borderline
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_mass_at_infinity_is_the_p1_norm_on_every_tail(n):
+    # cumulative_mass and lp_norm are one engine: the mass to x = inf is
+    # lp_norm(f, 1, 0, n) bit for bit where the tail is integrable and inf
+    # where it is not, without a warning.  Two engines read 23.117 against
+    # the norm's 23.975 on the log tail at n = 3, overflowed in exp on it at
+    # n = 5, and gave the borderline tail a finite 2.26e303 (an overflow at
+    # amplitude 1)
+    for f in _tails_at_infinity():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = f.cumulative_mass(n, [0.0, 1.0, math.inf])
+            norm = lp_norm(f, 1.0, 0.0, n)
+        if norm is INFINITE:
+            assert mass[2] == math.inf
+        else:
+            assert mass[2] == norm
+        assert mass[0] == 0.0 < mass[1] < mass[2]
+
+
+def test_integral_tables_do_not_keep_a_profile_alive():
+    # the per-(k, p) integral tables live on the profile, so no cache keeps
+    # a profile after its last reference goes
+    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 6.0)
+    f.cumulative_mass(3, [1.0])
+    lp_norm(f, 2.0, 0.0, 3)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_call_far_off_the_grid_raises_no_numeric_warning():
@@ -411,12 +487,13 @@ def test_cut_off_tails():
     for f in (bump.with_values(vals), bump.with_values(bump.values, tail_exponent=math.inf)):
         assert f.cut_off and f.tail_integrable(3.0, 1.0)
         assert float(f(1e3)) == 0.0
-        assert float(f._tail_integral(3.0, 1.0)) == 0.0
+        assert f._integrals(3.0, 1.0, *f.locate([math.inf]))[0] == 0.0  # the tail slot to inf
 
 
-@pytest.mark.parametrize("n, p, L", [(3, 1.0, -2.0), (5, 1.0, -3.5), (4, 2.0, -1.5)])
+@pytest.mark.parametrize("n, p, L", [(3, 1.0, -2.0), (5, 1.0, -3.5), (4, 2.0, -1.5), (3, 1.4, -1.0)])
 def test_pure_log_tail_integral_against_quad(n, p, L):
-    # T p = k with L p < -1: the closed form v_N^p r_max^k ln(r_max) / (-L p - 1)
+    # T p = k with L p < -1: the closed form v_N^p r_max^k ln(r_max) / (-L p - 1);
+    # at n = 3, p = 1.4 the float k - T p is 4.4e-16, within BORDERLINE_TOL
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     T = n / p
     f = RadialFunction(g, (1.0 + g.points**2) ** (-T / 2.0), tail_exponent=T, tail_log_power=L)
@@ -426,7 +503,8 @@ def test_pure_log_tail_integral_against_quad(n, p, L):
         return vN**p * g.r_max**n * (lam / lam0) ** (L * p)
 
     oracle = integrate.quad(integrand, lam0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert float(f._tail_integral(float(n), p)) == pytest.approx(oracle, rel=1e-10)
+    got = f._integrals(float(n), p, *f.locate([math.inf]))[0]  # the tail slot to inf
+    assert got == pytest.approx(oracle, rel=1e-10)
 
 
 def test_cumulative_mass_matches_quadrature():
@@ -451,7 +529,7 @@ def test_log_tail_integral_to_infinity_matches_mpmath(T, L, p, n):
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     vals = (1.0 + grid.points**2) ** (-T / 2.0) * (1.0 + np.log1p(grid.points)) ** L
     f = RadialFunction(grid, vals, tail_exponent=T, tail_log_power=L)
-    got = float(f._tail_integral(n, p))
+    got = f._integrals(n, p, *f.locate([math.inf]))[0]  # the tail slot to inf
     with mpmath.workdps(30):
         v_end, lam0 = mpmath.mpf(vals[-1]), mpmath.log(mpmath.mpf(grid.r_max))
         tail = lambda lam: mpmath.exp(n * lam) * (
@@ -648,10 +726,22 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
     radial._log_tail_rules.clear()
 
 
+def test_lru_store_refuses_values_above_its_cap_and_keys_it_holds():
+    store = radial.LruStore(100)
+    store.put("big", "too big", 101)
+    assert store.get("big") is None and store.nbytes == 0
+    store.put("a", "first", 60)
+    store.put("a", "second", 30)  # a held key keeps its value and its size
+    assert store.get("a") == "first" and store.nbytes == 60
+    store.put("b", "third", 60)  # 120 bytes: a, the least recently used, goes
+    assert store.get("a") is None and store.get("b") == "third" and store.nbytes == 60
+
+
 def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
     # the Logarithmic ansatz's u, raised to p = 5/3, has k - m p ~ 6e-6 in its
-    # last cells at k = n = 5: the exprel form is free of the cancellation
-    # that (f(x)^p x^k - v_a^p r_a^k)/(k - m p) suffered there; measured
+    # last cells at k = n = 5: the rule v_a^p r_a^k expm1(z)/(k - m p), z =
+    # (k - m p) L, is free of the cancellation that
+    # (f(x)^p x^k - v_a^p r_a^k)/(k - m p) suffered there; measured
     # 5.7e-16 - 1.1e-15, against 2.3e-10 - 5.5e-10 with that form (f(x) the
     # grid values) and 1.6e-11 - 1.8e-9 (f(x) from the cell's power law)
     mpmath = pytest.importorskip("mpmath")
@@ -662,8 +752,8 @@ def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
     u, _ = make_ansatz(params, default_solver_grid())
     r, vals, k, p = u.grid.points, u.values, 5.0, params.p
     idx = np.arange(r.size - 6, r.size - 1)
-    got = u._cell_integrals(idx, np.log(r[idx + 1] / r[idx]), k, p)  # located offsets
-    assert np.all(np.abs(k - u._cells["m"][idx] * p) < 1e-4)
+    got = u._integrals(k, p, idx + 1, np.log(r[idx + 1] / r[idx]))  # slots and located offsets
+    assert np.all(np.abs(k - u._slots["m"][idx + 1] * p) < 1e-4)
     with mpmath.workdps(40):
         for i, g in zip(idx, got):
             ra, rb = mpmath.mpf(r[i]), mpmath.mpf(r[i + 1])
@@ -706,6 +796,14 @@ def _read(tmp, **files):
     return read_profile(_profile_files(tmp, **files))
 
 
+def test_read_profile_skips_blank_rows(tmp_path):
+    rows = [f"{float(r)!r},{float(v)!r}" for r, v in zip(np.geomspace(1e-2, 1e2, 20), np.linspace(1.0, 2.0, 20))]
+    plain = _read(tmp_path, rows="r,value\n" + "\n".join(rows) + "\n")
+    spaced = _read(tmp_path, rows="r,value\n\n" + "\n\n".join(rows) + "\n\n")
+    assert np.array_equal(spaced.grid.points, plain.grid.points)
+    assert np.array_equal(spaced.values, plain.values) and spaced.grid.count == 20
+
+
 _G = RadialGrid.per_decade(1e-2, 1e2, 16)
 _ONES = np.ones(_G.count)
 _LOG_TAILED = RadialFunction(_G, _ONES, tail_exponent=3.0, tail_log_power=1.0)
@@ -742,6 +840,12 @@ RADIAL_RAISE_SITES = [
     ("fit points", lambda tmp: fit_decay_rate(_LOG_TAILED, (1.0, 1.5)), ParameterError, "fewer than 8"),
     ("fit log window", lambda tmp: fit_decay_rate(_LOG_TAILED, (0.5, 50.0), allow_log=True),
      ParameterError, "r > 1"),
+    ("grid inf", lambda tmp: RadialGrid(np.append(np.geomspace(1e-2, 1e2, 20), math.inf)), ParameterError,
+     "finite and positive"),
+    ("grid nan", lambda tmp: RadialGrid(np.append(math.nan, np.geomspace(1e-2, 1e2, 20))), ParameterError,
+     "finite and positive"),
+    ("grid zero", lambda tmp: RadialGrid(np.append(0.0, np.geomspace(1e-2, 1e2, 20))), ParameterError,
+     "finite and positive"),
     ("per_decade", lambda tmp: RadialGrid.per_decade(-1.0, 1e2), ParameterError, "r_min = -1.0"),
     ("read csv", lambda tmp: _read(tmp, rows=None), ProfileFormatError, "CSV not found"),
     ("read sidecar", lambda tmp: _read(tmp, sidecar=None), ProfileFormatError, "missing JSON sidecar"),

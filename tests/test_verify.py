@@ -91,6 +91,26 @@ def test_fast_rate_and_integrability_checks_on_separatrix():
         assert e.status == "pass", (e.name, e.measured, e.expected)
 
 
+def test_integrability_check_skips_when_not_converged():
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    picard = solve_system(PINNED, SolveConfig(max_iters=1, grid=grid))
+    assert not picard.converged
+    (entry,) = check_integrability(picard, PINNED)
+    assert entry.status == "skipped" and entry.details["reason"] == "solution not converged"
+
+
+def test_run_suite_integrability_checks_a_solution_or_says_why_not():
+    shot = find_fast_ground_state(PINNED, GroundStateConfig(shoot=ShootConfig(r_stop=1e5)))
+    report = run_suite(PINNED, suite="integrability", solve_result=shot)
+    assert report.solver == "shooting"
+    assert [e.name for e in report.checks] == [e.name for e in check_integrability(shot, PINNED)]
+    # subcritical and scalar: no solver gives a solution
+    report = run_suite(Parameters(5, 1.0, 2.0, 2.0, 2.0, 0.0, 0.0), suite="integrability")
+    (entry,) = report.checks
+    assert entry.name == "integrability" and entry.status == "skipped" and report.solver is None
+    assert "NoBracketError" in entry.details["reason"]
+
+
 def test_inequalities_reject_violated_exponent_relation():
     with pytest.raises(ParameterError, match="violate"):
         check_inequalities(0, PINNED, p=2.0, q=2.0 * 1.1)
@@ -256,6 +276,7 @@ VERIFY_RAISE_SITES = [
     # 1/q = 1 - 2/5 gives q = 5/3 = n/(n - alpha)
     ("q floor", lambda: check_inequalities(0, PINNED, p=1.0, count=1), "must exceed n/(n-alpha)"),
     ("lam", lambda: check_log_limit(PINNED, lam=0.0), "lam must be positive"),
+    ("log tail x", lambda: log_tail_expression(5, 1.0, 2.0, 1.0, 1.0), "requires beta*gamma < n, lam > 0, x > 1"),
 ]
 
 
