@@ -33,9 +33,9 @@ ball_mass_batch builds the partial-shell nodes of all radii t of one centre
 in a single array pass: two searchsorted calls find each shell's inner grid
 boundaries in quad_boundaries, the ragged piece lists are laid out with
 repeat/cumsum, wide pieces are subdivided, and the interior and edge nodes
-are written into one flat array, each shell's block ordered interior
-pieces, lower edge, upper edge.  One cap_fraction call and one add.reduceat
-then give every partial-shell mass.
+are written into one flat array, each shell's block in piece order: lower
+edge, interior pieces, upper edge.  One cap_fraction call and one
+add.reduceat then give every partial-shell mass.
 
 Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
 (the kernel weights) depends on the values of f, only on the source grid's
@@ -54,38 +54,41 @@ costs that evaluation times the weights plus one add.reduceat over the
 shells.  A grid so far from 1 that a kernel weight leaves the floating-point
 range (r^{n-1} overflows) raises ParameterError rather than returning inf
 masses.
-The store is keyed per grid by (n, layout_key, cut-off flag), layout_key being
-the points plus which cells have a vanishing endpoint (what the located slots
-and offsets and quad_boundaries depend on), and per centre by (rho, t).  It
-holds the plans of several grids, grouped by grid key, so a caller that
-alternates grids (the inequality battery, whose ball indicators sit on their
-own grids) builds each (grid, centre) plan once.  Within the grid being served
-a plan takes only free room; when a plan needs more, the other grids are
-dropped whole, least recently used first, and the grid being served never is.
+The store is one ordered table, grid -> centre -> entry, keyed per grid by
+(n, layout_key, cut-off flag), layout_key being the points plus which cells
+have a vanishing endpoint (what the located slots and offsets and
+quad_boundaries depend on), and per centre by (rho, t).  An entry is the
+centre's plan with its whole ball masses (covered part plus partial shells)
+for the last source it served and that source's key: its values and its head
+and tail models (RadialFunction.source_key, built once per source rather
+than once per centre).  A call with the same grid, centre and a bit-equal
+source, such as the Wolff image of a source whose Riesz image was just taken
+on the same t nodes, returns a copy of the entry's masses and builds and
+evaluates nothing; a call with another source evaluates it on the entry's
+plan, and its masses replace the entry's.  Cold, repeat and stored masses
+come from one computation, so they agree bit for bit.  The table holds
+several grids, so a caller that alternates grids (the inequality battery,
+whose ball indicators sit on their own grids) builds each (grid, centre)
+plan once.  The grid being served sits last.  Within it a new entry takes
+only free room; when one needs more, the other grids are dropped whole,
+least recently served first, and the grid being served never is.
 
-The store also keeps, per centre, the whole ball masses (covered part plus
-partial shells) for the last source it served, keyed by the source's values
-and its head and tail models (RadialFunction.source_key, built once per source
-rather than once per centre).  A call with the same grid, centre and source,
-such as the Wolff image of a source whose Riesz image was just taken on the
-same t nodes, returns a copy of the stored masses and does not evaluate f
-again.  Cold, repeat and stored masses come from one computation, so they
-agree bit for bit.  Plans and masses share the cap _KERNEL_WEIGHT_BYTES.  A
-plan takes 17 bytes per node (a uint8 slot on grids of up to 255 points, the
-offset and the kernel weight), 10 more per tail node (a uint16 position and a
-float64 log offset) and 16 per non-empty shell (its start and t index).  So
-the 81 centres of a wolff_eval on the solver's 81-point grid, 1.42 M nodes
-of which 142 k lie on the tail, take 25.9 MB and the masses 0.16 MB more.
-The 121 centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 42.2 MB and
-their masses 0.25 MB, so the cap is 48 MiB.  The store is module-global, so
-access is locked: a caller that evaluates potentials from several threads
-could otherwise pass a key comparison and then read another grid's plan or
-another source's masses.  A centre takes the lock once to look up its masses
-and plan together (_KernelWeightStore.lookup) and once to put its masses, so
-a warm centre takes it twice; a cold one also puts its plan.  plans_built()
-counts the plans built in the process and nodes_evaluated() the plan nodes
-sources were evaluated at; each Picard trace entry reports both for its
-iteration.
+Plans and masses share the cap _KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes
+per node (a uint8 slot on grids of up to 255 points, the offset and the
+kernel weight), 10 more per tail node (a uint16 position and a float64 log
+offset) and 16 per non-empty shell (its start and t index).  So the 81
+centres of a wolff_eval on the solver's 81-point grid, 1.42 M nodes of which
+142 k lie on the tail, take 25.9 MB and their masses 0.16 MB more.  The 121
+centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 42.2 MB and their
+masses 0.25 MB, so the cap is 48 MiB.  The store is module-global, so access
+is locked: a caller that evaluates potentials from several threads could
+otherwise pass a key comparison and then read another grid's plan or another
+source's masses.  A centre takes the lock once to look up its masses or plan
+(_KernelWeightStore.lookup) and, unless its masses were kept, once to put its
+plan and masses (_KernelWeightStore.put), so at most twice, cold or warm.
+plans_built() counts the plans built in the process and nodes_evaluated()
+the plan nodes sources were evaluated at; each Picard trace entry reports
+both for its iteration.
 """
 
 from __future__ import annotations
@@ -246,7 +249,8 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     cap's half-power behavior there; interior pieces integrate in ln r with
     Gauss-Legendre.  All shells are built at once; returns flat
     (r_nodes, weights, owner) arrays, owner indexing t, with each shell's
-    nodes contiguous and ordered interior pieces, lower edge, upper edge.
+    nodes contiguous and in piece order: lower edge, interior pieces, upper
+    edge.
     """
     pts = f.quad_boundaries
     a = np.abs(t - rho)
@@ -298,11 +302,9 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     lo_edge = lo_edge[sub]
     mid = ~(lo_edge | hi_edge)
 
-    # lay each shell's nodes out as interior pieces, lower edge, upper edge
-    order = np.argsort(3 * sseg + lo_edge + 2 * hi_edge, kind="stable")
+    # the pieces come in order, so each shell's nodes do too
     count = np.where(mid, _MID_NODES, _EDGE_NODES)
-    offset = np.empty_like(count)
-    offset[order] = np.cumsum(count[order]) - count[order]
+    offset = np.cumsum(count) - count
     r = np.empty(int(count.sum()))
     w = np.empty_like(r)
 
@@ -321,7 +323,7 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
         lo_edge[e, None], p0[e, None] + width * _EDGE_X**2, p1[e, None] - width * _EDGE_X**2
     )
     w[pos] = 2.0 * width * _EDGE_X * _EDGE_W
-    return r, w, np.repeat(owner[sseg[order]], count[order])
+    return r, w, np.repeat(owner[sseg], count)
 
 
 class _CentrePlan(NamedTuple):
@@ -374,81 +376,62 @@ def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarr
 
 
 class _KernelWeightStore:
-    """Centre plans grouped by source grid and each centre's ball masses of
-    the last source served, bounded together by max_bytes.
+    """One ordered table, source grid -> centre -> entry, bounded by
+    max_bytes, where an entry is (plan, source_key, masses): the centre's
+    plan and its ball masses for the last source it served.
 
-    The grid being served keeps its plans in _plans; the grids served before
-    it wait in _idle, least recently used first.  Within the served grid a
-    plan takes only free room.  When a plan or masses need more room, idle
-    grids are dropped whole, oldest first; the served grid is never dropped.
-    A centre looks up its masses and plan with one lookup; plans_built
-    counts the plans handed to put, one per plan built, and nodes_evaluated
-    the plan nodes at which the sources of the masses handed to put_masses
-    were evaluated, over the life of the process (clear leaves both as they
-    are)."""
+    The grid being served sits last.  Within it a new entry takes only free
+    room; when one needs more, the other grids are dropped whole, least
+    recently served first, and the served grid never is.  A centre looks up
+    its masses or plan with one lookup and hands put its plan and masses in
+    one call.  plans_built counts the plans put that the centre's entry did
+    not hold, one per plan built (or re-admitted after another thread
+    dropped its grid), and nodes_evaluated the plan nodes at which the
+    sources of the masses put were evaluated, over the life of the process
+    (clear leaves both as they are)."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.plans_built = 0
         self.nodes_evaluated = 0
         self._lock = threading.Lock()
-        self._reset()
+        self.clear()
 
     def lookup(self, grid_key, source_key, centre_key):
-        """(masses, plan) of a centre, each None where not kept: the masses
-        of this source, else the plan of this grid."""
+        """(masses, plan) of a centre, each None where not kept: its masses
+        where it last served this source, else its plan."""
         with self._lock:
-            if (grid_key, source_key) == self._source:
-                masses = self._masses.get(centre_key)
-                if masses is not None:
-                    return masses, None
-            if grid_key != self._grid and grid_key not in self._idle:
+            entry = self._grids.get(grid_key, {}).get(centre_key)
+            if entry is None:
                 return None, None
-            self._serve(grid_key)
-            return None, self._plans.get(centre_key)
+            self._grids.move_to_end(grid_key)
+            plan, source, masses = entry
+            return (masses, None) if source == source_key else (None, plan)
 
-    def put(self, grid_key, centre_key, plan):
-        with self._lock:
-            self.plans_built += 1
-            self._serve(grid_key)
-            self._admit(self._plans, centre_key, plan)
-
-    def put_masses(self, grid_key, source_key, centre_key, masses, nodes: int):
-        """Keep a centre's masses of this source, whose plan evaluated it at
-        nodes nodes."""
+    def put(self, grid_key, centre_key, plan, source_key, masses, nodes: int):
+        """Keep a centre's plan with its masses of this source, whose plan
+        evaluated it at nodes nodes, in place of the centre's entry."""
         with self._lock:
             self.nodes_evaluated += nodes
-            self._serve(grid_key)
-            if (grid_key, source_key) != self._source:
-                self.nbytes -= sum(m.nbytes for m in self._masses.values())
-                self._source, self._masses = (grid_key, source_key), {}
-            self._admit(self._masses, centre_key, masses)
+            centres = self._grids.setdefault(grid_key, {})
+            self._grids.move_to_end(grid_key)
+            old = centres.pop(centre_key, None)
+            if old is None or old[0] is not plan:
+                self.plans_built += 1
+            if old is not None:
+                self.nbytes -= old[0].nbytes + old[2].nbytes
+            size = plan.nbytes + masses.nbytes
+            while self.nbytes + size > self.max_bytes and len(self._grids) > 1:
+                _, dropped = self._grids.popitem(last=False)
+                self.nbytes -= sum(p.nbytes + m.nbytes for p, _, m in dropped.values())
+            if self.nbytes + size <= self.max_bytes:
+                centres[centre_key] = (plan, source_key, masses)
+                self.nbytes += size
 
     def clear(self):
         with self._lock:
-            self._reset()
-
-    def _reset(self):
-        self._grid, self._plans, self._idle = None, {}, OrderedDict()
-        self._source, self._masses = None, {}
-        self.nbytes = 0
-
-    def _serve(self, grid_key):
-        # the grid served until now becomes the most recently used idle one
-        if grid_key != self._grid:
-            if self._plans:
-                self._idle[self._grid] = self._plans
-            self._grid, self._plans = grid_key, self._idle.pop(grid_key, {})
-
-    def _admit(self, table, key, value):
-        if key in table:
-            return
-        while self.nbytes + value.nbytes > self.max_bytes and self._idle:
-            _, dropped = self._idle.popitem(last=False)
-            self.nbytes -= sum(plan.nbytes for plan in dropped.values())
-        if self.nbytes + value.nbytes <= self.max_bytes:
-            table[key] = value
-            self.nbytes += value.nbytes
+            self._grids = OrderedDict()
+            self.nbytes = 0
 
 
 _kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
@@ -508,8 +491,6 @@ def ball_mass_batch(
             return masses.copy()
         if plan is None:
             plan = _centre_plan(kernel, f, rho, t_arr)
-            if plan is not None:
-                _kernel_weights.put(grid_key, centre_key, plan)
 
     out = np.zeros(t_arr.size)
     inside = t_arr > rho
@@ -527,7 +508,7 @@ def ball_mass_batch(
     out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
     masses = out.copy()
     masses.setflags(write=False)
-    _kernel_weights.put_masses(grid_key, source_key, centre_key, masses, fr.size)
+    _kernel_weights.put(grid_key, centre_key, plan, source_key, masses, fr.size)
     return out
 
 

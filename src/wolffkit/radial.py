@@ -15,16 +15,16 @@ Evaluation is two steps, and f(r) runs them in a row.  locate(r) finds each
 radius's slot (0 the head, k the cell [r_{k-1}, r_k), N the tail) and its
 offset: s = ln(r / left) from the slot's left end (r_min on the head, r_max
 on the tail), and r itself on the linear cells, whose model reads r.  The
-head and the tail are power laws in r like the power cells, so at_located(slot,
-s) is one gather, one multiply-add and one exp, exp(ln v_a - m s), on every
-slot: on the head v_a = v_0 and m = h, on the tail v_a = v_N and m = T (+inf
-on a cut-off).  A log tail that is not cut off adds L ln(ln r / ln r_max) =
-L log1p(s / ln r_max) to the exponent at the tail positions (tail_logs), and
-the linear cells are patched over the result.  The located form and
-tail_logs depend only on the grid's points and on which values vanish
-(layout_key), so a caller that evaluates many sources at the same radii
-(geometry's stored plans) locates them once, and nothing it keeps depends on
-a source's head or tail model.
+head and the tail are power laws in r like the power cells, so
+at_located(slot, s, tail) is one gather, one multiply-add and one exp,
+exp(ln v_a - m s), on every slot: on the head v_a = v_0 and m = h, on the
+tail v_a = v_N and m = T (+inf on a cut-off).  A log tail that is not cut
+off adds L ln(ln r / ln r_max) = L log1p(s / ln r_max) to the exponent at
+the tail positions (tail = tail_logs(slot, s)), and the linear cells are
+patched over the result.  The located form and tail_logs depend only on the
+grid's points and on which values vanish (layout_key), so a caller that
+evaluates many sources at the same radii (geometry's stored plans) locates
+them once, and nothing it keeps depends on a source's head or tail model.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -371,12 +371,11 @@ class RadialFunction:
         with np.errstate(all="ignore"):
             return at, np.log1p(s[at] / math.log(self.grid.r_max))
 
-    def at_located(self, slot, s, tail=None) -> np.ndarray:
+    def at_located(self, slot, s, tail) -> np.ndarray:
         """f at radii located by locate: the power law exp(ln v_a - m s) of
         each slot, with L times the log-tail offset added to the exponent on
         a log tail that is not cut off and the linear cells, whose s is r,
-        patched over it.  tail is tail_logs(slot, s), where the caller keeps
-        it; else it is found here."""
+        patched over it.  tail is tail_logs(slot, s)."""
         slots = self._slots
         index = slot.astype(np.intp, copy=False)  # take would convert it twice
         out = slots["m"].take(index)
@@ -385,7 +384,7 @@ class RadialFunction:
             out *= s
             np.subtract(slots["log_va"].take(index), out, out=out)
             if self.tail_log_power != 0.0 and not self.cut_off:
-                at, logs = self.tail_logs(slot, s) if tail is None else tail
+                at, logs = tail
                 out[at] += self.tail_log_power * logs
             np.exp(out, out=out)
         if slots["any_linear"]:
@@ -399,7 +398,8 @@ class RadialFunction:
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        out = self.at_located(*self.locate(np.atleast_1d(r)))
+        slot, s = self.locate(np.atleast_1d(r))
+        out = self.at_located(slot, s, self.tail_logs(slot, s))
         return float(out[0]) if scalar else out
 
     # -- constructors ------------------------------------------------------

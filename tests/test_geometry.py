@@ -384,16 +384,23 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
         assert np.array_equal(got, ball_mass_batch(k, g, 2.0, ts))
 
 
-def _held(store):
-    """What the store holds: every grid's plans, the served grid's first, and
-    the masses."""
-    plans = [plan for grid in (store._plans, *store._idle.values()) for plan in grid.values()]
-    return plans, list(store._masses.values())
+def _entries(store):
+    """Every (plan, source_key, masses) entry the store holds, grid by grid,
+    the grid being served last."""
+    return [entry for centres in store._grids.values() for entry in centres.values()]
 
 
 def _held_arrays(store):
-    plans, masses = _held(store)
-    return [a for plan in plans for a in plan] + masses
+    return [a for plan, _, masses in _entries(store) for a in (*plan, masses)]
+
+
+def _served(store):
+    """The key and the centre entries of the grid being served."""
+    return next(reversed(store._grids.items()))
+
+
+def _entry_bytes(centres):
+    return sum(plan.nbytes + masses.nbytes for plan, _, masses in centres.values())
 
 
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
@@ -409,33 +416,39 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     def serve(f):
         for rho in rhos:
             ball_mass_batch(k, f, float(rho), ts)
-        assert len(store._plans) == len(store._masses) == 5
+        grid, centres = _served(store)
+        assert len(centres) == 5
+        assert all(source == f.source_key for _, source, _ in centres.values())
         assert 0 < store.nbytes <= store.max_bytes
         assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
         assert not any(a.flags.writeable for a in _held_arrays(store))
-        return store._grid, sum(plan.nbytes for plan in store._plans.values())
+        return grid, _entry_bytes(centres)
 
-    # distinct grids under the full cap: the older grids all stay
+    # distinct grids under the full cap: the older grids all stay, each
+    # centre with the masses of the source it served
     keys, sizes = zip(*[serve(f) for f in sources])
-    assert list(store._idle) == list(keys[:-1])
+    assert list(store._grids) == list(keys)
     assert len(cap_calls) == 12 * 5
-    # a new source replaces the masses and keeps the byte count exact
+    # a new source replaces one centre's masses, the others keep theirs, and
+    # the byte count stays exact
     g = sources[-1].with_values(2.0 * sources[-1].values)
     ball_mass_batch(k, g, 0.1, ts)
-    assert len(store._masses) == 1 and store.nbytes == sum(a.nbytes for a in _held_arrays(store))
+    held = [source for _, source, _ in store._grids[keys[-1]].values()]
+    assert held.count(g.source_key) == 1 and held.count(sources[-1].source_key) == 4
+    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
     # under room for three grids the cap forces older grids out, whole and
-    # least recently used first, and never a plan of the grid being served
-    monkeypatch.setattr(store, "max_bytes", 3 * max(sizes) + 5 * ts.nbytes)
+    # least recently served first, and never an entry of the grid being served
+    monkeypatch.setattr(store, "max_bytes", 3 * max(sizes))
     store.clear()
     for j, f in enumerate(sources):
         serve(f)
-        idle = list(store._idle)
-        assert idle == list(keys[j - len(idle) : j])
-        assert all(len(plans) == 5 for plans in store._idle.values())
-        assert len(idle) == min(j, 2)
+        kept = list(store._grids)
+        assert kept == list(keys[j + 1 - len(kept) : j + 1])
+        assert all(len(centres) == 5 for centres in store._grids.values())
+        assert len(kept) == min(j + 1, 3)
     # one grid with more centres than the cap admits; g's masses cannot serve f
     f = sources[-1]
-    monkeypatch.setattr(store, "max_bytes", 3 * (sizes[-1] + ts.nbytes) // 5)
+    monkeypatch.setattr(store, "max_bytes", 3 * sizes[-1] // 5)
     store.clear()
     for rho in rhos:
         ball_mass_batch(k, g, float(rho), ts)
@@ -487,21 +500,19 @@ def test_eviction_drops_whole_grids(cap_calls, monkeypatch):
     def serve(f):
         before = len(cap_calls)
         masses = [ball_mass_batch(k, f, rho, ts) for rho in _SWITCH_RHOS]
-        return len(cap_calls) - before, sum(plan.nbytes for plan in store._plans.values()), masses
+        return len(cap_calls) - before, _entry_bytes(_served(store)[1]), masses
 
-    # a cap that holds one grid's plans and masses, but not both grids' plans
+    # a cap that holds either grid's entries, plans and masses, but not both
     _, size_a, _ = serve(bump)
     _, size_b, _ = serve(ball)
-    masses = len(_SWITCH_RHOS) * ts.nbytes
-    assert min(size_a, size_b) > masses
-    monkeypatch.setattr(store, "max_bytes", max(size_a, size_b) + masses)
+    monkeypatch.setattr(store, "max_bytes", max(size_a, size_b))
     store.clear()
     first = serve(bump)[2]
     for f in (ball, bump, ball):
         built, size, _ = serve(f)
         assert built == len(_SWITCH_RHOS)  # the other grid was dropped, so this one is rebuilt
-        assert len(store._plans) == len(_SWITCH_RHOS) and not store._idle
-        assert store.nbytes == size + masses <= store.max_bytes
+        assert len(store._grids) == 1 and len(_served(store)[1]) == len(_SWITCH_RHOS)
+        assert store.nbytes == size <= store.max_bytes
     # a rebuilt plan is the cold plan
     for a, b in zip(first, serve(bump)[2]):
         assert np.array_equal(a, b)
@@ -514,7 +525,7 @@ def source_calls(monkeypatch):
     calls = []
     at_located = RadialFunction.at_located
 
-    def counting(self, slot, s, tail=None):
+    def counting(self, slot, s, tail):
         calls.append(np.size(s))
         return at_located(self, slot, s, tail)
 
@@ -589,6 +600,21 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
             ball_mass_batch(k, f, rho, ts)
 
 
+def test_each_centre_keeps_the_masses_of_its_own_last_source(cap_calls, source_calls):
+    # two sources on one grid, each served last at its own centre: each
+    # centre hands back its own source's masses without evaluating it again
+    k = CapKernel(5)
+    f = _sums_source()
+    g = f.with_values(2.0 * f.values)
+    ts = np.geomspace(1e-3, 1e4, 120)
+    f_masses = ball_mass_batch(k, f, 0.3, ts)
+    g_masses = ball_mass_batch(k, g, 1.0, ts)
+    calls = len(source_calls)
+    assert np.array_equal(ball_mass_batch(k, f, 0.3, ts), f_masses)
+    assert np.array_equal(ball_mass_batch(k, g, 1.0, ts), g_masses)
+    assert len(source_calls) == calls and len(cap_calls) == 2
+
+
 def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
     # a moved point that is not a quadrature boundary leaves quad_boundaries
     # as they were, but the located nodes' cells are another grid's
@@ -617,10 +643,11 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     store = geometry._kernel_weights
     first = potential_images(params, u, v, cfg)
     potential_images(params, u, v, cfg)
-    assert len(cap_calls) == len(store._plans) == u.grid.count == 81
+    (centres,) = store._grids.values()
+    assert len(cap_calls) == len(centres) == u.grid.count == 81
     assert store.nbytes <= store.max_bytes
     assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
-    located = next(iter(store._plans.values()))
+    located = next(iter(centres.values()))[0]
     assert located.slot.dtype == np.uint8 and not located.slot.flags.writeable
     geometry._kernel_weights.clear()
     cold = potential_images(params, u, v, cfg)
@@ -629,12 +656,12 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 
 def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
-    # on a 121-point grid under a 32 MiB cap not every plan fits: 100 are
+    # on a 121-point grid under a 32 MiB cap not every entry fits: 100 are
     # stored, and a repeat map rebuilds only the other 21, once per source.
-    # Their 1,839,020 nodes at 17 bytes, 159,980 tail nodes at 10 (a uint16
-    # position and a float64 log offset) and 403,200 bytes of shell starts
-    # and t indices take 33,266,340 bytes; with the masses 42,204 of the
-    # 32 MiB are left.
+    # Their plans' 1,839,020 nodes at 17 bytes, 159,980 tail nodes at 10 (a
+    # uint16 position and a float64 log offset) and 403,200 bytes of shell
+    # starts and t indices take 33,266,340 bytes; with their masses, 201,600
+    # bytes, 86,492 of the 32 MiB are left.
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     cfg = SolveConfig(grid=grid)
@@ -642,16 +669,18 @@ def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
     store = geometry._kernel_weights
     monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
     potential_images(params, u, v, cfg)
-    assert len(store._plans) == 100
-    plans = store._plans.values()
+    (centres,) = store._grids.values()
+    assert len(centres) == 100
+    plans = [plan for plan, _, _ in centres.values()]
     assert sum(plan.nbytes for plan in plans) == 33_266_340
     assert sum(plan.slot.size for plan in plans) == 1_839_020
     assert sum(plan.tail_at.size for plan in plans) == 159_980
-    assert store.max_bytes - store.nbytes == 42_204
+    assert sum(masses.nbytes for _, _, masses in centres.values()) == 201_600
+    assert store.max_bytes - store.nbytes == 86_492
     before = len(cap_calls)
     potential_images(params, u, v, cfg)
     assert len(cap_calls) - before == 2 * (grid.count - 100)
-    assert len(store._plans) == 100 and store.nbytes <= store.max_bytes
+    assert len(centres) == 100 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -686,9 +715,9 @@ def test_store_stress_concurrent_grids_and_centres():
                     errors.append((grid, source, centre))
                 if got is not None and not np.all(got == 1000 * grid + centre):
                     errors.append((grid, centre))
-                store.put(grid, centre, np.full(40, 1000.0 * grid + centre))
+                plan = np.full(40, 1000.0 * grid + centre) if got is None else got
                 masses = np.full(5, -(1000.0 * grid + 100 * source + centre))
-                store.put_masses(grid, source, centre, masses, 7)
+                store.put(grid, centre, plan, source, masses, 7)
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -705,12 +734,16 @@ def test_store_stress_concurrent_grids_and_centres():
     assert not any(th.is_alive() for th in threads)
     assert not errors
     assert store.nodes_evaluated == 6 * 400 * 7
-    # the cap holds one grid's plans: grids were dropped, and what is left
-    # counts exactly
-    assert store._grid not in store._idle
-    assert len(store._plans) + sum(len(plans) for plans in store._idle.values()) <= 64
-    plans, masses = _held(store)
-    assert store.nbytes == sum(w.nbytes for w in plans + masses) <= store.max_bytes
+    # the cap holds 56 of one grid's 64 entries: grids were dropped, every
+    # entry left is its own grid's and centre's, and the bytes count exactly
+    entries = [
+        (grid, centre, *entry) for grid, centres in store._grids.items() for centre, entry in centres.items()
+    ]
+    assert 0 < len(entries) <= store.max_bytes // (40 * 8 + 5 * 8) == 56
+    for grid, centre, plan, source, masses in entries:
+        assert np.all(plan == 1000 * grid + centre)
+        assert np.all(masses == -(1000 * grid + 100 * source + centre))
+    assert store.nbytes == sum(e[2].nbytes + e[4].nbytes for e in entries) <= store.max_bytes
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)

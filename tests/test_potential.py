@@ -42,6 +42,38 @@ def test_wolff_indicator_closed_form_at_origin(unit_indicator, n, beta, gamma):
     assert got == pytest.approx(wolff_indicator_at_origin(n, beta, gamma), rel=1e-6)
 
 
+def _origin_identity_error(n, gamma, sigma, per_decade):
+    """s_{n-1}^{-1/(gamma-1)} W_{1,gamma}[mu](0) / U(0) - 1 on the Talenti
+    (sigma = 0) or Ghoussoub-Yuan profile U = (1 + r^a)^{-(n-gamma)/(gamma+sigma)},
+    a = (gamma+sigma)/(gamma-1), whose source -Delta_gamma U is
+    mu = c r^sigma U^{p*}, p* = (n+sigma)gamma/(n-gamma) - 1 and
+    c = (n+sigma)((n-gamma)/(gamma-1))^{gamma-1}.  The flux identity
+    |U'|^{gamma-1} = mu(B_r) / (s_{n-1} r^{n-1}) makes U(0) = 1 exactly that
+    multiple of W(0)."""
+    grid = RadialGrid.per_decade(1e-2, 1e3, per_decade)
+    r = grid.points
+    g = gamma - 1.0
+    u = (1.0 + r ** ((gamma + sigma) / g)) ** (-(n - gamma) / (gamma + sigma))
+    p_star = (n + sigma) * gamma / (n - gamma) - 1.0
+    c = (n + sigma) * ((n - gamma) / g) ** g
+    mu = RadialFunction(
+        grid, c * r**sigma * u**p_star, head_exponent=-sigma, tail_exponent=p_star * (n - gamma) / g - sigma
+    )
+    return sphere_surface(n) ** (-1.0 / g) * wolff_eval_at(mu, n, 1.0, gamma, [0.0])[0] - 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.5])
+@pytest.mark.parametrize("n, gamma", [(3, 2.0), (3, 1.6), (3, 1.3), (5, 1.5)])
+def test_wolff_origin_identity_on_exact_profiles(n, gamma, sigma):
+    # the error is second order in the grid spacing: at 16/dec it reads
+    # -1.8e-3 to -2.0e-2, the observed order 1.98-2.00, and the (16, 32)
+    # Richardson value 2.2e-6 to 8.4e-5
+    e16, e32 = (_origin_identity_error(n, gamma, sigma, per) for per in (16, 32))
+    assert abs(e16) <= 3e-2
+    assert 1.8 <= math.log2(e16 / e32) <= 2.2
+    assert abs((4.0 * e32 - e16) / 3.0) <= 2e-4
+
+
 def test_wolff_homogeneity(unit_indicator):
     lam = 3.7
     gamma = 1.6
@@ -381,8 +413,8 @@ def _map_costs(monkeypatch, f, n, beta, gamma):
 
 def _store_holds_plans_and_masses_only():
     store = geometry._kernel_weights
-    plans = [a for plan in store._plans.values() for a in plan]
-    return store.nbytes == sum(a.nbytes for a in plans + list(store._masses.values()))
+    entries = [entry for centres in store._grids.values() for entry in centres.values()]
+    return store.nbytes == sum(a.nbytes for plan, _, masses in entries for a in (*plan, masses))
 
 
 def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
@@ -459,7 +491,7 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
     # every centre's window (2 x 81 x 64 radii) and covered radii (11,573),
     # so no further mass call from ball_mass_batch, one ball_mass_batch call
     # per centre, and at most two takings of the store's lock per centre:
-    # one lookup and one put_masses
+    # one lookup and one put
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = f.grid.count

@@ -46,3 +46,14 @@ def test_regime_rates_shooting_side_recovers_every_predicted_rate():
         assert abs(float(u) / float(u_pred) - 1.0) <= 0.05
         assert abs(float(v) / float(v_pred) - 1.0) <= 0.05
     assert "NOT converged" not in out
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\nimport os  # kept\n\n# a comment\n'
+        'def f():\n    """One line."""\n    return """a string\n    that is code"""\n'
+    )
+    (tmp_path / "b.py").write_text("x = 1\n\n\ny = 2\n")
+    out = run_script("code_lines.py", str(tmp_path))
+    counts = dict(line.split() for line in out.splitlines())
+    assert counts == {"a.py": "4", "b.py": "2", "total": "6"}
