@@ -21,81 +21,67 @@ measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
 quadrature splits at both breakpoints and uses a square-root substitution on
 the two edge pieces; interior pieces use Gauss-Legendre in ln r.
 
-ball_mass_batch takes one centre per call, which is the unit its plans and
-stored masses are kept in; potential.wolff_eval_at calls it once per centre
-and writes the masses into one flat array.  The covered part of a ball, the
-shells r <= t - rho inside it whole, is the closed-form cumulative mass at
-t - rho: a caller with many centres takes every centre's in one
-cumulative_mass call and passes each centre its own (covered=), and a call
-without them takes its own in one call.  Either way each radius's mass is
-the same double (RadialFunction sums every radius's quadrature by itself).
-ball_mass_batch builds the partial-shell nodes of all radii t of one centre
-in a single array pass: two searchsorted calls find each shell's inner grid
-boundaries in quad_boundaries, the ragged piece lists are laid out with
+ball_mass_batch takes one centre per call; potential.wolff_eval_at calls it
+once per centre and writes the masses into one flat array.  The covered
+part of a ball, the shells r <= t - rho inside it whole, is the closed-form
+cumulative mass at t - rho: a caller with many centres takes every centre's
+in one cumulative_mass call and passes each centre its own (covered=), and a
+call without them takes its own in one call.  Either way each radius's mass
+is the same double (RadialFunction sums every radius's quadrature by
+itself).  The partial-shell nodes of all radii t of one centre are built in
+a single array pass (_partial_shell_nodes): two searchsorted calls find each
+shell's inner piece boundaries, the ragged piece lists are laid out with
 repeat/cumsum, wide pieces are subdivided, and the interior and edge nodes
 are written into one flat array, each shell's block in piece order: lower
 edge, interior pieces, upper edge.  One cap_fraction call and one
 add.reduceat then give every partial-shell mass.
 
-Nothing in a centre's nodes or in the factor cap_fraction * r^{n-1} * weight
-(the kernel weights) depends on the values of f, only on the source grid's
-geometry and the centre's radii, so ball_mass_batch keeps them as the centre's
-plan, the way an FFTW plan is kept.  A plan holds each node located on the
-source grid (RadialFunction.locate: its slot and offset s = ln(r / left)),
-the kernel weights, the start offset and t index of each non-empty shell, and
-the positions of the nodes on the tail with their log-tail offsets
-(RadialFunction.tail_logs).  Nothing in it depends on a source's head or tail
-model, so one plan serves every source on its grid.  Every call, cold or
-repeat, evaluates f at the nodes from the located form
-(RadialFunction.at_located, the second half of f(r): a gather, a
-multiply-add and an exp over every node, head and tail included).  A repeat
-call on the same geometry so skips node generation and every search, and
-costs that evaluation times the weights plus one add.reduceat over the
-shells.  A grid so far from 1 that a kernel weight leaves the floating-point
-range (r^{n-1} overflows) raises ParameterError rather than returning inf
-masses.
-The store is one ordered table, grid -> centre -> entry, keyed per grid by
-(n, layout_key, cut-off flag), layout_key being the points plus which cells
-have a vanishing endpoint (what the located slots and offsets and
-quad_boundaries depend on), and per centre by (rho, t).  An entry is the
-centre's plan with its whole ball masses (covered part plus partial shells)
-for the last source it served and that source's key: its values and its head
-and tail models (RadialFunction.source_key, built once per source rather
-than once per centre).  A call with the same grid, centre and a bit-equal
-source, such as the Wolff image of a source whose Riesz image was just taken
-on the same t nodes, returns a copy of the entry's masses and builds and
-evaluates nothing; a call with another source evaluates it on the entry's
-plan, and its masses replace the entry's.  Cold, repeat and stored masses
-come from one computation, so they agree bit for bit.  The table holds
-several grids, so a caller that alternates grids (the inequality battery,
-whose ball indicators sit on their own grids) builds each (grid, centre)
-plan once.  The grid being served sits last.  Within it a new entry takes
-only free room; when one needs more, the other grids are dropped whole,
-least recently served first, and the grid being served never is.
+The masses commute with dilations: the ball mass of f(./lam) at (lam rho,
+lam t) is lam^n times f's at (rho, t).  So a source without a jump on a
+geometric grid (RadialGrid.log_step: every ln(r_{k+1}/r_k) equal to ln q)
+takes its quadrature relative to its centre.  Its pieces split at
+rho q^{m j} for every integer j, m = ceil((ln 10 / 8) / ln q) cells (2 at 16
+points a decade, 8 at 64), and its nodes at rho times those of the
+reference plan (reference_plan, ReferencePlan) built once at rho = 1 per
+(n, ln q, tau), tau = t / rho the relative ball radii.  The plan holds each
+node's virtual cell k, [q^{k-1}, q^k), and offset s in it, the kernel
+weights cap_fraction * r^{n-1} * w, and each shell's first node.  Nothing in
+it depends on f or on the grid's ends, so every grid of that step, every
+centre on it and every source share it.  The grid point r_i reads it as
+RadialFunction.at_virtual: slot k + i, clipped to the head and the tail,
+at offset s + (k + i - clip(k + i, 1, N)) ln q, from the source's slot
+tables extended once by virtual head and tail cells and read through a view
+offset by i; the partial masses then scale by r_i^n.  A centre that is not a
+grid point locates the plan's nodes, scaled by rho, with f.locate.  A
+potential map passes the plan (plan=) when it qualifies; see potential.
 
-Plans and masses share the cap _KERNEL_WEIGHT_BYTES.  A plan takes 17 bytes
-per node (a uint8 slot on grids of up to 255 points, the offset and the
-kernel weight), 10 more per tail node (a uint16 position and a float64 log
-offset) and 16 per non-empty shell (its start and t index).  So the 81
-centres of a wolff_eval on the solver's 81-point grid, 1.42 M nodes of which
-142 k lie on the tail, take 25.9 MB and their masses 0.16 MB more.  The 121
-centres of RadialGrid.per_decade(1e-2, 1e3, 24) take 42.2 MB and their
-masses 0.25 MB, so the cap is 48 MiB.  The store is module-global, so access
-is locked: a caller that evaluates potentials from several threads could
-otherwise pass a key comparison and then read another grid's plan or another
-source's masses.  A centre takes the lock once to look up its masses or plan
-(_KernelWeightStore.lookup) and, unless its masses were kept, once to put its
-plan and masses (_KernelWeightStore.put), so at most twice, cold or warm.
-plans_built() counts the plans built in the process and nodes_evaluated()
-the plan nodes sources were evaluated at; each Picard trace entry reports
-both for its iteration.
+Any other call, a source with a jump (a cut-off tail or a vanishing value,
+whose interpolant has kinks the plan does not know), a grid that is not
+geometric or a map with a set t-range, splits its shells at
+f.quad_boundaries, builds its nodes for the call, evaluates f at them
+directly and keeps nothing.  A grid so far from 1 that a kernel weight or
+rho^n leaves the floating-point range raises ParameterError rather than
+returning inf or zero masses.
+
+Plans are kept in one least-recently-used store of 2 MiB (0.38 MB for the
+plan of the solver's grid at n = 5, 15,590 nodes), and the masses of each
+centre in another of 4 MiB, keyed by (n, the grid's points, rho, t, the
+path) with the key of the source they are of (RadialFunction.source_key):
+its values and its head and tail models.  A call with a bit-equal source,
+such as the Wolff image of a source whose Riesz image was just taken on the
+same t nodes, returns a copy of the kept masses and evaluates nothing; a
+call with another source computes its own, which replace them.  Cold,
+repeat and kept masses come from one computation, so they agree bit for
+bit.  Both stores are locked (radial.LruStore), so threads may share them.
+plans_built() counts the reference plans built in the process and
+nodes_evaluated() the partial-shell nodes sources were evaluated at; each
+Picard trace entry reports both for its iteration.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -104,14 +90,15 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .radial import _leggauss01, sphere_surface
+from .radial import _PIECE_LOGWIDTH, LruStore, _leggauss01, sphere_surface
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radial import RadialFunction
 
 _EDGE_NODES = 20
 _MID_NODES = 10
-_KERNEL_WEIGHT_BYTES = 48 * 2**20
+_PLAN_BYTES = 2 * 2**20
+_MASS_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -240,23 +227,22 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(seg.size) - start[seg]
 
 
-def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
+def _partial_shell_nodes(pts: np.ndarray, rho: float, t: np.ndarray, r_cap=None):
     """Quadrature nodes/weights for int g(r) dr over each shell |t - rho| < r < t + rho.
 
-    Each shell is split at the grid-cell boundaries it crosses (pieces wider
-    than half a decade, possible beyond the grid, are subdivided).  The two
-    pieces touching the shell edges use a square-root substitution for the
-    cap's half-power behavior there; interior pieces integrate in ln r with
-    Gauss-Legendre.  All shells are built at once; returns flat
-    (r_nodes, weights, owner) arrays, owner indexing t, with each shell's
-    nodes contiguous and in piece order: lower edge, interior pieces, upper
-    edge.
+    Each shell is split at the piece boundaries pts it crosses (pieces wider
+    than half a decade, possible beyond pts, are subdivided), and ends at
+    r_cap where one is given.  The two pieces touching the shell edges use a
+    square-root substitution for the cap's half-power behavior there;
+    interior pieces integrate in ln r with Gauss-Legendre.  All shells are
+    built at once; returns flat (r_nodes, weights, owner) arrays, owner
+    indexing t, with each shell's nodes contiguous and in piece order: lower
+    edge, interior pieces, upper edge.
     """
-    pts = f.quad_boundaries
     a = np.abs(t - rho)
     b = t + rho
-    if f.cut_off:
-        b = np.minimum(b, pts[-1])
+    if r_cap is not None:
+        b = np.minimum(b, r_cap)
     owner = np.flatnonzero(b > a)
     a, b = a[owner], b[owner]
     anchored = a > 0.0
@@ -326,126 +312,124 @@ def _partial_shell_nodes(f: "RadialFunction", rho: float, t: np.ndarray):
     return r, w, np.repeat(owner[sseg], count)
 
 
-class _CentrePlan(NamedTuple):
-    """A centre's partial-shell quadrature, free of f: each node's slot and
-    offset s on the source grid (see RadialFunction.locate), its kernel
-    weight cap_fraction * r^{n-1} * w, per non-empty shell the offset of its
-    first node and its index into t, and the positions of the nodes on the
-    tail with their log-tail offsets (RadialFunction.tail_logs)."""
+def _range_error(rho: float, n: int) -> ParameterError:
+    """Kernel weights at rho that leave the floating-point range (r^{n-1} or
+    rho^n over- or underflows on grids far from 1) are refused rather than
+    giving inf or zero masses."""
+    return ParameterError(f"kernel weights at rho = {rho:g} leave the floating-point range for n = {n}")
 
-    slot: np.ndarray
+
+def _cap_weights(kernel: CapKernel, rho, t, r, w) -> np.ndarray:
+    """cap_fraction * r^{n-1} * w."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cap_fraction(kernel, rho, t, r) * r ** (kernel.n - 1) * w
+
+
+class ReferencePlan(NamedTuple):
+    """The partial-shell quadrature of a centre at rho = 1, free of f: the
+    log step ln q = step of the grids it serves; per node its virtual cell
+    j = lo + cell, [q^{j-1}, q^j), its offset s = ln(r / q^{j-1}) and its
+    kernel weight cap_fraction * r^{n-1} * w; per shell the offset of its
+    first node and its index into the relative radii tau = t / rho the plan
+    was built for.  cell runs below span."""
+
+    step: float
+    lo: int
+    span: int
+    cell: np.ndarray
     s: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
     t_index: np.ndarray
-    tail_at: np.ndarray
-    tail_logs: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self)
 
 
-def _centre_plan(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
-    """Build a centre's read-only plan, or None when every shell is empty.
-    Slots take the smallest unsigned type that holds the grid's point count,
-    and tail positions the smallest that holds the node count."""
-    # far from 1 the nodes or r^{n-1} overflow, and the check below says so
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, w, owner = _partial_shell_nodes(f, rho, t)
-        if not owner.size:
-            return None
-        # located before cap_fraction's temporaries, the kept arrays pack
-        # tighter: 6 MB less peak RSS over a map on the solver's grid
-        slot, s = f.locate(r)
-        tail_at, tail_logs = f.tail_logs(slot, s)
-        slot = slot.astype(np.min_scalar_type(f.grid.count))
-        tail_at = tail_at.astype(np.min_scalar_type(r.size))
-        kw = cap_fraction(kernel, rho, t[owner], r) * r ** (kernel.n - 1) * w
-    if not np.all(np.isfinite(kw)):
-        raise ParameterError(
-            f"kernel weights at rho = {rho:g} leave the floating-point range: "
-            f"r^{kernel.n - 1} overflows on this grid"
-        )
-    # owner is non-decreasing, so each shell's nodes form one run
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    plan = _CentrePlan(slot, s, kw, starts, owner[starts], tail_at, tail_logs)
-    for a in plan:
-        a.setflags(write=False)
-    return plan
+_plans = LruStore(_PLAN_BYTES)
+_masses = LruStore(_MASS_BYTES)
+_counts_lock = threading.Lock()
+_counts = {"plans": 0, "nodes": 0}
 
 
-class _KernelWeightStore:
-    """One ordered table, source grid -> centre -> entry, bounded by
-    max_bytes, where an entry is (plan, source_key, masses): the centre's
-    plan and its ball masses for the last source it served.
-
-    The grid being served sits last.  Within it a new entry takes only free
-    room; when one needs more, the other grids are dropped whole, least
-    recently served first, and the served grid never is.  A centre looks up
-    its masses or plan with one lookup and hands put its plan and masses in
-    one call.  plans_built counts the plans put that the centre's entry did
-    not hold, one per plan built (or re-admitted after another thread
-    dropped its grid), and nodes_evaluated the plan nodes at which the
-    sources of the masses put were evaluated, over the life of the process
-    (clear leaves both as they are)."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.plans_built = 0
-        self.nodes_evaluated = 0
-        self._lock = threading.Lock()
-        self.clear()
-
-    def lookup(self, grid_key, source_key, centre_key):
-        """(masses, plan) of a centre, each None where not kept: its masses
-        where it last served this source, else its plan."""
-        with self._lock:
-            entry = self._grids.get(grid_key, {}).get(centre_key)
-            if entry is None:
-                return None, None
-            self._grids.move_to_end(grid_key)
-            plan, source, masses = entry
-            return (masses, None) if source == source_key else (None, plan)
-
-    def put(self, grid_key, centre_key, plan, source_key, masses, nodes: int):
-        """Keep a centre's plan with its masses of this source, whose plan
-        evaluated it at nodes nodes, in place of the centre's entry."""
-        with self._lock:
-            self.nodes_evaluated += nodes
-            centres = self._grids.setdefault(grid_key, {})
-            self._grids.move_to_end(grid_key)
-            old = centres.pop(centre_key, None)
-            if old is None or old[0] is not plan:
-                self.plans_built += 1
-            if old is not None:
-                self.nbytes -= old[0].nbytes + old[2].nbytes
-            size = plan.nbytes + masses.nbytes
-            while self.nbytes + size > self.max_bytes and len(self._grids) > 1:
-                _, dropped = self._grids.popitem(last=False)
-                self.nbytes -= sum(p.nbytes + m.nbytes for p, _, m in dropped.values())
-            if self.nbytes + size <= self.max_bytes:
-                centres[centre_key] = (plan, source_key, masses)
-                self.nbytes += size
-
-    def clear(self):
-        with self._lock:
-            self._grids = OrderedDict()
-            self.nbytes = 0
-
-
-_kernel_weights = _KernelWeightStore(_KERNEL_WEIGHT_BYTES)
+def _count(name: str, amount: int):
+    with _counts_lock:
+        _counts[name] += amount
 
 
 def plans_built() -> int:
-    """Centre plans built in this process so far, by every thread."""
-    return _kernel_weights.plans_built
+    """Reference plans built in this process so far, by every thread."""
+    return _counts["plans"]
 
 
 def nodes_evaluated() -> int:
-    """Plan nodes at which sources were evaluated in this process so far, by
-    every thread; masses served from the store evaluate none."""
-    return _kernel_weights.nodes_evaluated
+    """Partial-shell nodes at which sources were evaluated in this process so
+    far, by every thread; masses served from the memo evaluate none."""
+    return _counts["nodes"]
+
+
+def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> ReferencePlan:
+    """The kept reference plan of (n, step, tau), built and kept on a miss.
+
+    Its shells split at q^{m j} for every integer j, m the fewest cells
+    whose log-width reaches _PIECE_LOGWIDTH (2 at 16 points a decade, 8 at
+    64), so a centre's pieces are its own and not the grid's."""
+    key = (kernel.n, step, tau.tobytes())
+    plan = _plans.get(key)
+    if plan is not None:
+        return plan
+    piece = step * math.ceil(_PIECE_LOGWIDTH / step * (1.0 - 1e-9))
+    a = np.abs(tau - 1.0)
+    lowest = float(a[a > 0.0].min(initial=1.0))
+    j = np.arange(math.floor(math.log(lowest) / piece), math.ceil(math.log(float(tau.max()) + 1.0) / piece) + 1)
+    r, w, owner = _partial_shell_nodes(np.exp(piece * j), 1.0, tau)
+    log_r = np.log(r)
+    below = np.floor(log_r / step)  # the node's virtual cell is below + 1
+    lo = int(below.min()) + 1
+    cell = (below + (1 - lo)).astype(np.intp)
+    # owner is non-decreasing, so each shell's nodes form one run
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    kw = _cap_weights(kernel, 1.0, tau[owner], r, w)
+    plan = ReferencePlan(step, lo, int(cell.max()) + 1, cell, log_r - below * step, kw, starts, owner[starts])
+    for x in plan[3:]:
+        x.setflags(write=False)
+    _count("plans", 1)
+    _plans.put(key, plan, sum(x.nbytes for x in plan[3:]) + len(key[2]))
+    return plan
+
+
+def _reference_shells(kernel: CapKernel, f: "RadialFunction", rho: float, plan: ReferencePlan):
+    """Per shell of the plan f's partial mass at rho, each f at rho times
+    the plan's nodes against their kernel weights, times rho^n.  A grid point
+    r_i reads f through at_virtual shifted by i; any other centre locates its
+    nodes."""
+    if not (rho > 0.0 and abs(kernel.n * math.log(rho)) < 700.0):  # rho^n stays a normal float
+        raise _range_error(rho, kernel.n)
+    scale = rho**kernel.n
+    pts = f.grid.points
+    i = int(np.searchsorted(pts, rho))
+    if i < pts.size and pts[i] == rho:
+        fr = f.at_virtual(plan.cell, plan.s, plan.lo, plan.span, i, plan.step)
+    else:
+        fr = f(rho * np.exp((plan.cell + (plan.lo - 1)) * plan.step + plan.s))
+    fr *= plan.kw
+    return plan.t_index, scale * np.add.reduceat(fr, plan.starts), fr.size
+
+
+def _per_call_shells(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
+    """Per non-empty shell f's partial mass, from nodes split at
+    f.quad_boundaries and built for this call, or None when every shell is
+    empty."""
+    pts = f.quad_boundaries
+    # far from 1 the nodes overflow, and the kernel weights' check says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, w, owner = _partial_shell_nodes(pts, rho, t, pts[-1] if f.cut_off else None)
+    if not owner.size:
+        return None
+    kw = _cap_weights(kernel, rho, t[owner], r, w)
+    if not np.isfinite(kw).all():
+        raise _range_error(rho, kernel.n)
+    fr = f(r)
+    fr *= kw
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return owner[starts], np.add.reduceat(fr, starts), fr.size
 
 
 def check_radii(rho, t=(), r=()) -> None:
@@ -465,7 +449,7 @@ def check_radii(rho, t=(), r=()) -> None:
 
 
 def ball_mass_batch(
-    kernel: CapKernel, f: "RadialFunction", rho: float, t_values, covered=None
+    kernel: CapKernel, f: "RadialFunction", rho: float, t_values, covered=None, plan=None
 ) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
@@ -474,23 +458,21 @@ def ball_mass_batch(
     covered, where the caller has them, are those masses,
     f.cumulative_mass(n, t - rho) at the radii t > rho in order (a caller
     with many centres takes them in one call); else they are taken here.
+    plan, where given, is the reference_plan of f's grid step whose radii
+    tau give t = rho * tau, for a source without a jump at rho > 0; the
+    partial shells then take its quadrature, else quadrature built per call.
     """
     n = kernel.n
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
     check_radii(rho, t_arr)
 
-    # the masses kept for this source, else f on the plan kept for this
-    # geometry; at rho = 0 every shell is full or empty
-    plan = None
+    # the masses kept for this centre, if they are this source's; at
+    # rho = 0 every shell is full or empty
     if rho > 0.0:
-        grid_key = (n, f.layout_key, f.cut_off)
-        centre_key = (rho, t_arr.tobytes())
-        source_key = f.source_key
-        masses, plan = _kernel_weights.lookup(grid_key, source_key, centre_key)
-        if masses is not None:
-            return masses.copy()
-        if plan is None:
-            plan = _centre_plan(kernel, f, rho, t_arr)
+        key = (n, f.grid.points.tobytes(), rho, t_arr.tobytes(), plan is not None)
+        kept = _masses.get(key)
+        if kept is not None and kept[0] == f.source_key:
+            return kept[1].copy()
 
     out = np.zeros(t_arr.size)
     inside = t_arr > rho
@@ -498,17 +480,20 @@ def ball_mass_batch(
         out[inside] = covered
     elif inside.any():
         out[inside] = f.cumulative_mass(n, t_arr[inside] - rho)
-    if plan is None:
+    if plan is not None:
+        shells = _reference_shells(kernel, f, rho, plan)
+    else:
+        shells = _per_call_shells(kernel, f, rho, t_arr)
+    if shells is None:
         # no partial shell: the covered part alone, and nothing is kept
         return out
 
-    # partial shell |t - rho| < r < t + rho
-    fr = f.at_located(plan.slot, plan.s, (plan.tail_at, plan.tail_logs))
-    fr *= plan.kw
-    out[plan.t_index] += kernel.surface * np.add.reduceat(fr, plan.starts)
+    t_index, partial, nodes = shells
+    out[t_index] += kernel.surface * partial
+    _count("nodes", nodes)
     masses = out.copy()
     masses.setflags(write=False)
-    _kernel_weights.put(grid_key, centre_key, plan, source_key, masses, fr.size)
+    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[1]) + len(key[3]))
     return out
 
 

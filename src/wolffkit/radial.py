@@ -16,15 +16,14 @@ radius's slot (0 the head, k the cell [r_{k-1}, r_k), N the tail) and its
 offset: s = ln(r / left) from the slot's left end (r_min on the head, r_max
 on the tail), and r itself on the linear cells, whose model reads r.  The
 head and the tail are power laws in r like the power cells, so
-at_located(slot, s, tail) is one gather, one multiply-add and one exp,
+at_located(slot, s) is one gather, one multiply-add and one exp,
 exp(ln v_a - m s), on every slot: on the head v_a = v_0 and m = h, on the
 tail v_a = v_N and m = T (+inf on a cut-off).  A log tail that is not cut
 off adds L ln(ln r / ln r_max) = L log1p(s / ln r_max) to the exponent at
-the tail positions (tail = tail_logs(slot, s)), and the linear cells are
-patched over the result.  The located form and tail_logs depend only on the
-grid's points and on which values vanish (layout_key), so a caller that
-evaluates many sources at the same radii (geometry's stored plans) locates
-them once, and nothing it keeps depends on a source's head or tail model.
+the tail positions, and the linear cells are patched over the result.
+at_virtual reads nodes given on a geometric grid continued past both ends
+(geometry's reference plans) the same way, from slot tables extended by
+virtual head and tail cells once per profile.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -98,6 +97,9 @@ BORDERLINE_TOL = 1e-9
 _MIN_COUNT = 16
 _MIN_SPAN = 100.0
 _MAX_FLOAT = float(np.finfo(float).max)
+# the kernel quadrature's pieces span the fewest cells whose log-width
+# reaches an eighth of a decade (geometry's reference plans take it too)
+_PIECE_LOGWIDTH = 0.125 * math.log(10.0)
 
 
 class _Infinite:
@@ -149,9 +151,9 @@ def _laggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 class LruStore:
     """Values bounded by max_bytes in all (keys included, as the caller counts
-    them), the least recently used dropped first; thread-safe.  It keeps what
-    does not depend on a source's values: the log-tail rules here and the
-    potential's t-layouts."""
+    them), the least recently used dropped first; thread-safe.  A put
+    replaces the value a key held.  It keeps the log-tail rules here and
+    geometry's reference plans and ball masses."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -169,7 +171,8 @@ class LruStore:
 
     def put(self, key, value, nbytes: int):
         with self._lock:
-            if key in self._items or nbytes > self.max_bytes:
+            self.nbytes -= self._items.pop(key, (None, 0))[1]
+            if nbytes > self.max_bytes:
                 return
             self._items[key] = (value, nbytes)
             self.nbytes += nbytes
@@ -228,6 +231,16 @@ class RadialGrid:
     def r_min(self) -> float:
         return float(self.points[0])
 
+    @cached_property
+    def log_step(self):
+        """ln q where the grid is geometric, every ln(r_{k+1} / r_k) within
+        1e-9 relative of ln q = ln(r_max / r_min) / (N - 1), else None.  It
+        is rounded to 12 significant digits, so the dilations of a grid,
+        whose steps differ from its own by rounding, share one value."""
+        mean = math.log(self.points[-1] / self.points[0]) / (self.points.size - 1)
+        geometric = np.max(np.abs(np.diff(np.log(self.points)) - mean)) <= 1e-9 * mean
+        return float(f"{mean:.12g}") if geometric else None
+
     @property
     def r_max(self) -> float:
         return float(self.points[-1])
@@ -274,15 +287,17 @@ class RadialFunction:
 
     @cached_property
     def quad_boundaries(self) -> np.ndarray:
-        """Grid boundaries coarsened to ~quarter-decade pieces for kernel quadrature.
+        """Grid boundaries coarsened to ~eighth-decade pieces for kernel quadrature.
 
         Boundaries of cells with a vanishing endpoint are always kept (the
         interpolant has a genuine kink there); smooth power-law cells are
-        merged until the accumulated log-width reaches a quarter decade.
+        merged until the accumulated log-width reaches an eighth of a decade,
+        within a relative 1e-9, so that rounding in the sum does not decide
+        the piece count: the dilations of a grid give its pieces.
         """
         pts = self.grid.points
         linear = self._slots["linear"][1:-1]
-        limit = 0.125 * math.log(10.0)
+        limit = _PIECE_LOGWIDTH * (1.0 - 1e-9)
         keep = [0]
         acc = 0.0
         for k in range(pts.size - 1):
@@ -331,20 +346,14 @@ class RadialFunction:
         }
 
     @cached_property
-    def layout_key(self) -> bytes:
-        """What locate's results and quad_boundaries depend on: the grid's
-        points and which cells have a vanishing endpoint."""
-        return self.grid.points.tobytes() + self._slots["linear"].tobytes()
-
-    @cached_property
     def source_key(self) -> tuple:
-        """What f's masses depend on beyond the grid's layout: the values and
-        the head and tail models."""
+        """What f's masses depend on beyond the grid: the values and the head
+        and tail models."""
         return (self.values.tobytes(), self.head_exponent, self.tail_exponent, self.tail_log_power)
 
     def locate(self, r):
-        """Slot and offset of each radius r, for at_located; sources with
-        equal layout_key locate radii alike.
+        """Slot and offset of each radius r, for at_located; sources on one
+        grid with the same vanishing values locate radii alike.
 
         The slot k counts the grid points at or below r (r_max counts in the
         last cell): 0 is the head, N the tail.  The offset is
@@ -362,31 +371,28 @@ class RadialFunction:
         np.copyto(s, r, where=slots["linear"].take(slot))
         return slot, s
 
-    def tail_logs(self, slot, s) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of the located radii on the tail (slot N) and the
-        log-tail model's offset there, ln(ln r / ln r_max) =
-        log1p(s / ln r_max); they depend on the grid alone (and mean nothing
-        where r_max <= 1, which no log tail has)."""
-        at = np.flatnonzero(slot == self.grid.count)
-        with np.errstate(all="ignore"):
-            return at, np.log1p(s[at] / math.log(self.grid.r_max))
-
-    def at_located(self, slot, s, tail) -> np.ndarray:
-        """f at radii located by locate: the power law exp(ln v_a - m s) of
-        each slot, with L times the log-tail offset added to the exponent on
-        a log tail that is not cut off and the linear cells, whose s is r,
-        patched over it.  tail is tail_logs(slot, s)."""
-        slots = self._slots
-        index = slot.astype(np.intp, copy=False)  # take would convert it twice
-        out = slots["m"].take(index)
+    def _power_laws(self, log_va, m, index, s, tail) -> np.ndarray:
+        """exp(ln v_a - m s) with the tables log_va and m read at index, and
+        on a log tail that is not cut off L ln(ln r / ln r_max) =
+        L log1p(offset / ln r_max) added at the positions and tail offsets
+        that tail() gives."""
+        out = m.take(index)
         # at s = +-_MAX_FLOAT (r = 0 or inf) the exponent overflows to its limit
         with np.errstate(over="ignore"):
             out *= s
-            np.subtract(slots["log_va"].take(index), out, out=out)
+            np.subtract(log_va.take(index), out, out=out)
             if self.tail_log_power != 0.0 and not self.cut_off:
-                at, logs = tail
-                out[at] += self.tail_log_power * logs
-            np.exp(out, out=out)
+                at, offset = tail()
+                out[at] += self.tail_log_power * np.log1p(offset / math.log(self.grid.r_max))
+            return np.exp(out, out=out)
+
+    def at_located(self, slot, s) -> np.ndarray:
+        """f at radii located by locate: the power law of each slot, the
+        offset s read on the tail, and the linear cells, whose s is r,
+        patched over it."""
+        slots = self._slots
+        tail = lambda: (at := np.flatnonzero(slot == self.grid.count), s[at])
+        out = self._power_laws(slots["log_va"], slots["m"], slot, s, tail)
         if slots["any_linear"]:
             pts, v = self.grid.points, self.values
             lin = np.flatnonzero(slots["linear"].take(slot))
@@ -395,11 +401,32 @@ class RadialFunction:
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
         return out
 
+    def at_virtual(self, cell, s, lo: int, span: int, shift: int, step: float) -> np.ndarray:
+        """f at shift grid points out along nodes given on a geometric grid of
+        log step ln q = step continued past both ends: virtual cell
+        j = lo + cell is [q^{j-1}, q^j), s the offset from its left end, and
+        cell runs below span.  On the grid point r_shift the node lies in
+        slot clip(j + shift, 0, N) at offset
+        s + (j + shift - clip(j + shift, 1, N)) step, so the head and the
+        tail read as virtual cells whose power law starts at the grid's
+        ends.  Those tables are extended once per (lo, span, step), kept
+        with the profile, and read through a view offset by shift.  For
+        sources without a vanishing value."""
+        N = self.grid.count
+        key = ("virtual", lo, span, step)
+        virtual = self._tables.get(key)
+        if virtual is None:  # two threads may both build it; alike
+            j = np.arange(lo, lo + span + N - 1)
+            index = np.clip(j, 0, N)
+            m = self._slots["m"].take(index)
+            virtual = self._tables[key] = self._slots["log_va"].take(index) - m * ((j - np.clip(j, 1, N)) * step), m
+        tail = lambda: (at := np.flatnonzero(cell >= N - shift - lo), s[at] + (cell[at] + (lo + shift - N)) * step)
+        return self._power_laws(virtual[0][shift:], virtual[1][shift:], cell, s, tail)
+
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        slot, s = self.locate(np.atleast_1d(r))
-        out = self.at_located(slot, s, self.tail_logs(slot, s))
+        out = self.at_located(*self.locate(np.atleast_1d(r)))
         return float(out[0]) if scalar else out
 
     # -- constructors ------------------------------------------------------
@@ -441,6 +468,11 @@ class RadialFunction:
         vanishing last value."""
         return math.isinf(self.tail_exponent) or self.values[-1] == 0.0
 
+    @property
+    def has_jump(self) -> bool:
+        """Whether f has a jump: a cut-off tail or a vanishing value."""
+        return self.cut_off or self._slots["any_linear"]
+
     def head_integrable(self, k: float, p: float = 1.0) -> bool:
         """Whether int_0^{r_min} r^{k-1} f(r)^p dr converges: k > h p, or f(r_min) = 0."""
         return self.values[0] == 0.0 or k - self.head_exponent * p > BORDERLINE_TOL
@@ -459,7 +491,8 @@ class RadialFunction:
 
     @cached_property
     def _tables(self) -> dict:
-        """The integral tables of _table, per (k, p), kept with the profile."""
+        """The integral tables of _table, per (k, p), and at_virtual's, kept
+        with the profile."""
         return {}
 
     def _table(self, k: float, p: float = 1.0) -> dict:

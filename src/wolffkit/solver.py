@@ -97,11 +97,11 @@ class SolveResult:
     ANCHOR_RADIUS), the damping of the update it made and the number of
     earlier iterates that update combined, mixed (0 on a plain or restarted
     step; both None on the accepted iterate), its wall time wall_s, the
-    centre plans its potentials built, plans_built (geometry.plans_built:
-    0 once the store holds every plan of the grid), the potential
-    evaluations it made, potential_evals (potential.evaluations), and the
-    plan nodes its sources were evaluated at, nodes
-    (geometry.nodes_evaluated: 0 for masses the store served).
+    reference plans its potentials built, plans_built (geometry.plans_built:
+    1 in the first iteration, which builds the grid's plan, 0 after), the
+    potential evaluations it made, potential_evals (potential.evaluations),
+    and the partial-shell nodes its sources were evaluated at, nodes
+    (geometry.nodes_evaluated: 0 for masses served from the memo).
     to_report_dict leaves the trace out, so reports written with
     --no-timestamp stay byte-identical.
     """
@@ -147,12 +147,21 @@ def make_ansatz(params: Parameters, grid: RadialGrid):
     a = report.predicted_u_exponent
     b = report.predicted_v_exponent
     ell = report.v_log_power
-    u = RadialFunction(grid, (1.0 + r**2) ** (-a / 2.0), head_exponent=0.0, tail_exponent=a)
     v_vals = (1.0 + r**2) ** (-b / 2.0)
     if ell != 0.0:
         v_vals = v_vals * (1.0 + 0.5 * np.log1p(r**2)) ** ell
-    v = RadialFunction(grid, v_vals, head_exponent=0.0, tail_exponent=b, tail_log_power=ell)
-    return u, v
+    return _with_predicted_tails(report, RadialFunction(grid, (1.0 + r**2) ** (-a / 2.0)), RadialFunction(grid, v_vals))
+
+
+def _with_predicted_tails(report: RegimeReport, u: RadialFunction, v: RadialFunction):
+    """u and v declaring the fast-decay tails the report predicts, the log
+    factor on v's in the borderline regime: the one home of a starting
+    pair's tails, so that a pair carried over from other parameters (a
+    gamma-continuation) starts from this tuple's tails."""
+    return (
+        u.with_values(u.values, tail_exponent=report.predicted_u_exponent, tail_log_power=0.0),
+        v.with_values(v.values, tail_exponent=report.predicted_v_exponent, tail_log_power=report.v_log_power),
+    )
 
 
 def potential_images(params: Parameters, u: RadialFunction, v: RadialFunction, cfg: SolveConfig):
@@ -265,6 +274,9 @@ def _check_positive(u: RadialFunction, v: RadialFunction):
 def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Iterate the Anderson-mixed system map from the fast ansatz or cfg.custom_initial.
 
+    A custom_initial pair keeps its values and takes the tails the params
+    predict, the ansatz's.
+
     Refuses subcritical parameter tuples, where no ground states are
     expected.  Non-convergence is reported via converged=False (or
     NotConvergedError when cfg.strict).
@@ -274,7 +286,7 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     if report.subcriticality is Subcriticality.SUBCRITICAL:
         raise ParameterError("subcritical parameters refused: no ground state is expected there")
     if cfg.custom_initial is not None:
-        u, v = cfg.custom_initial
+        u, v = _with_predicted_tails(report, *cfg.custom_initial)
         grid = u.grid
     else:
         grid = cfg.grid if cfg.grid is not None else default_solver_grid()

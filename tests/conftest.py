@@ -31,10 +31,16 @@ def power_tail_profile(grid: RadialGrid, scale: float, m: float) -> RadialFuncti
     return RadialFunction(grid, vals, head_exponent=0.0, tail_exponent=m)
 
 
+def clear_stores():
+    """Empty geometry's reference plans and kept ball masses."""
+    geometry._plans.clear()
+    geometry._masses.clear()
+
+
 @pytest.fixture
 def cap_calls(monkeypatch):
-    """Empty the kernel-weight store and count cap_fraction calls."""
-    geometry._kernel_weights.clear()
+    """Empty geometry's stores and count cap_fraction calls."""
+    clear_stores()
     calls = []
     cap_fraction = geometry.cap_fraction
 
@@ -44,7 +50,7 @@ def cap_calls(monkeypatch):
 
     monkeypatch.setattr(geometry, "cap_fraction", counting)
     yield calls
-    geometry._kernel_weights.clear()
+    clear_stores()
 
 
 # the benchmark's oracles (Newton's shell theorem, the 2F1 spherical mean and

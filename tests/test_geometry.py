@@ -13,10 +13,11 @@ from wolffkit import geometry
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.geometry import CapKernel, ball_mass, ball_mass_batch, cap_fraction
 from wolffkit.params import Parameters
-from wolffkit.radial import RadialFunction, RadialGrid, unit_ball_volume
+from wolffkit.potential import wolff_eval
+from wolffkit.radial import LruStore, RadialFunction, RadialGrid, unit_ball_volume
 from wolffkit.solver import SolveConfig, default_solver_grid, make_ansatz, potential_images
 
-from conftest import indicator_of_ball, power_tail_profile
+from conftest import clear_stores, indicator_of_ball, power_tail_profile
 from lens_oracle import ball_mass as oracle_ball_mass
 
 
@@ -327,7 +328,18 @@ def test_indicator_shifted_center_matches_quadrature():
     assert ball_mass(k, ind, rho, t) == pytest.approx(oracle, rel=1e-6)
 
 
-# -- the kernel-weight store ----------------------------------------------
+# -- reference plans and kept masses -------------------------------------
+
+
+def _shared_masses(k, f, rho, tau):
+    """ball_mass_batch on the shared path: the reference plan of f's grid
+    step for the relative radii tau, at t = rho tau."""
+    plan = geometry.reference_plan(k, f.grid.log_step, tau)
+    return ball_mass_batch(k, f, rho, rho * tau, plan=plan)
+
+
+def _held_bytes(store):
+    return sum(nbytes for _, nbytes in store._items.values())
 
 
 def _store_profiles(n):
@@ -350,19 +362,27 @@ def _store_profiles(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_stored_weights_match_cold_values(n, cap_calls):
-    # weights stored for f serve another source g on the same geometry
+    # the reference plan built for f serves another source g of its grid
+    # step, on and off the grid points; a source with a jump takes nodes
+    # built per call, every call.  Either way warm masses are cold ones
     k = CapKernel(n)
-    ts = np.geomspace(1e-3, 1e4, 60)
+    tau = np.geomspace(1e-3, 1e4, 60)
     for f in _store_profiles(n):
         g = f.with_values(f.values * (1.0 + 0.3 * np.sin(np.log(f.grid.points)) ** 2))
-        for rho in (0.3, 1.0, 40.0):
-            geometry._kernel_weights.clear()
-            cold = ball_mass_batch(k, g, rho, ts)
-            geometry._kernel_weights.clear()
-            ball_mass_batch(k, f, rho, ts)
+        for rho in (0.3, 1.0, 40.0, float(f.grid.points[20])):
+            if f.has_jump:
+                masses = lambda source: ball_mass_batch(k, source, rho, rho * tau)
+            else:
+                masses = lambda source: _shared_masses(k, source, rho, tau)
+            clear_stores()
             before = len(cap_calls)
-            warm = ball_mass_batch(k, g, rho, ts)
-            assert len(cap_calls) == before  # served from the store
+            cold = masses(g)
+            cold_calls = len(cap_calls) - before  # none where every shell is empty
+            clear_stores()
+            masses(f)
+            before = len(cap_calls)
+            warm = masses(g)
+            assert len(cap_calls) - before == (cold_calls if f.has_jump else 0)
             assert np.array_equal(warm, cold)
 
 
@@ -380,85 +400,52 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
         before = len(cap_calls)
         got = ball_mass_batch(k, g, 2.0, ts)
         assert len(cap_calls) == before + 1
-        geometry._kernel_weights.clear()
+        clear_stores()
         assert np.array_equal(got, ball_mass_batch(k, g, 2.0, ts))
 
 
-def _entries(store):
-    """Every (plan, source_key, masses) entry the store holds, grid by grid,
-    the grid being served last."""
-    return [entry for centres in store._grids.values() for entry in centres.values()]
-
-
-def _held_arrays(store):
-    return [a for plan, _, masses in _entries(store) for a in (*plan, masses)]
-
-
-def _served(store):
-    """The key and the centre entries of the grid being served."""
-    return next(reversed(store._grids.items()))
-
-
-def _entry_bytes(centres):
-    return sum(plan.nbytes + masses.nbytes for plan, _, masses in centres.values())
-
-
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
+    # reference plans and kept masses sit in two least-recently-used stores,
+    # each under its byte cap with an exact byte count; a new source
+    # replaces one centre's masses and the other centres keep theirs
     k = CapKernel(3)
-    ts = np.geomspace(1e-3, 1e4, 200)
+    tau = np.geomspace(1e-3, 1e4, 200)
     rhos = np.geomspace(0.1, 10.0, 5)
-    store = geometry._kernel_weights
-    sources = [
-        power_tail_profile(RadialGrid.per_decade(10.0 ** (-2 - 0.1 * j), 1e2, 16), 1.0, 6.0)
-        for j in range(12)
-    ]
+    plans, masses = geometry._plans, geometry._masses
+    # eight grid steps, eight plans
+    sources = [power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16 + j), 1.0, 6.0) for j in range(8)]
 
     def serve(f):
         for rho in rhos:
-            ball_mass_batch(k, f, float(rho), ts)
-        grid, centres = _served(store)
-        assert len(centres) == 5
-        assert all(source == f.source_key for _, source, _ in centres.values())
-        assert 0 < store.nbytes <= store.max_bytes
-        assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
-        assert not any(a.flags.writeable for a in _held_arrays(store))
-        return grid, _entry_bytes(centres)
+            _shared_masses(k, f, float(rho), tau)
+        for store in (plans, masses):
+            assert 0 < store.nbytes == _held_bytes(store) <= store.max_bytes
+        assert not any(a.flags.writeable for plan, _ in plans._items.values() for a in plan[4:])
+        assert not any(m.flags.writeable for (_, m), _ in masses._items.values())
 
-    # distinct grids under the full cap: the older grids all stay, each
-    # centre with the masses of the source it served
-    keys, sizes = zip(*[serve(f) for f in sources])
-    assert list(store._grids) == list(keys)
-    assert len(cap_calls) == 12 * 5
-    # a new source replaces one centre's masses, the others keep theirs, and
-    # the byte count stays exact
+    for f in sources:
+        serve(f)
+    assert len(cap_calls) == len(plans._items) == 8
     g = sources[-1].with_values(2.0 * sources[-1].values)
-    ball_mass_batch(k, g, 0.1, ts)
-    held = [source for _, source, _ in store._grids[keys[-1]].values()]
+    _shared_masses(k, g, 0.1, tau)
+    held = [source for (source, _), _ in masses._items.values()]
     assert held.count(g.source_key) == 1 and held.count(sources[-1].source_key) == 4
-    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
-    # under room for three grids the cap forces older grids out, whole and
-    # least recently served first, and never an entry of the grid being served
-    monkeypatch.setattr(store, "max_bytes", 3 * max(sizes))
-    store.clear()
+    assert masses.nbytes == _held_bytes(masses)
+    # under room for three plans the least recently used go first, and a
+    # plan built again is the cold plan
+    size = max(nbytes for _, nbytes in plans._items.values())
+    monkeypatch.setattr(plans, "max_bytes", 3 * size)
+    clear_stores()
+    first = [_shared_masses(k, sources[0], float(rho), tau) for rho in rhos]
     for j, f in enumerate(sources):
         serve(f)
-        kept = list(store._grids)
-        assert kept == list(keys[j + 1 - len(kept) : j + 1])
-        assert all(len(centres) == 5 for centres in store._grids.values())
-        assert len(kept) == min(j + 1, 3)
-    # one grid with more centres than the cap admits; g's masses cannot serve f
-    f = sources[-1]
-    monkeypatch.setattr(store, "max_bytes", 3 * sizes[-1] // 5)
-    store.clear()
-    for rho in rhos:
-        ball_mass_batch(k, g, float(rho), ts)
-    assert 0 < store.nbytes <= store.max_bytes
-    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
+        assert len(plans._items) == min(j + 1, 3)
     before = len(cap_calls)
-    for rho in rhos:
-        ball_mass_batch(k, f, float(rho), ts)
-    assert 0 < len(cap_calls) - before < 5  # the centres that did not fit
-    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store)) <= store.max_bytes
+    masses.clear()
+    again = [_shared_masses(k, sources[0], float(rho), tau) for rho in rhos]
+    assert len(cap_calls) == before + 1
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
 
 
 def _grid_switch_sources():
@@ -473,63 +460,47 @@ _SWITCH_RHOS = (0.05, 0.2, 0.5, 0.9, 3.0)
 
 
 def test_switching_back_to_a_grid_builds_nothing(cap_calls):
+    # the bump takes the shared path on grid A, the ball indicator (a jump)
+    # nodes built per call on grid B; back on A the kept plan serves again
     k = CapKernel(3)
-    ts = np.geomspace(1e-3, 1e4, 120)
+    tau = np.geomspace(1e-3, 1e4, 120)
     bump, ball = _grid_switch_sources()
-    for f in (bump, ball):
-        for rho in _SWITCH_RHOS:
-            ball_mass_batch(k, f, rho, ts)
-    assert len(cap_calls) == 2 * len(_SWITCH_RHOS)
+    for rho in _SWITCH_RHOS:
+        _shared_masses(k, bump, rho, tau)
+    assert len(cap_calls) == 1
+    for rho in _SWITCH_RHOS:
+        ball_mass_batch(k, ball, rho, rho * tau)
+    assert len(cap_calls) == 1 + len(_SWITCH_RHOS)
     built = geometry.plans_built()
-    again = [ball_mass_batch(k, bump, rho, ts) for rho in _SWITCH_RHOS]
-    assert len(cap_calls) == 2 * len(_SWITCH_RHOS)  # grid A's plans were kept
+    other = bump.scaled(2.0)  # another source: the kept masses do not answer
+    again = [_shared_masses(k, other, rho, tau) for rho in _SWITCH_RHOS]
+    assert len(cap_calls) == 1 + len(_SWITCH_RHOS)  # grid A's plan was kept
     assert geometry.plans_built() == built
-    geometry._kernel_weights.clear()
-    cold = [ball_mass_batch(k, bump, rho, ts) for rho in _SWITCH_RHOS]
-    assert geometry.plans_built() == built + len(_SWITCH_RHOS)
+    clear_stores()
+    cold = [_shared_masses(k, other, rho, tau) for rho in _SWITCH_RHOS]
+    assert geometry.plans_built() == built + 1
     for a, b in zip(again, cold):
-        assert np.array_equal(a, b)
-
-
-def test_eviction_drops_whole_grids(cap_calls, monkeypatch):
-    k = CapKernel(3)
-    ts = np.geomspace(1e-3, 1e4, 120)
-    store = geometry._kernel_weights
-    bump, ball = _grid_switch_sources()
-
-    def serve(f):
-        before = len(cap_calls)
-        masses = [ball_mass_batch(k, f, rho, ts) for rho in _SWITCH_RHOS]
-        return len(cap_calls) - before, _entry_bytes(_served(store)[1]), masses
-
-    # a cap that holds either grid's entries, plans and masses, but not both
-    _, size_a, _ = serve(bump)
-    _, size_b, _ = serve(ball)
-    monkeypatch.setattr(store, "max_bytes", max(size_a, size_b))
-    store.clear()
-    first = serve(bump)[2]
-    for f in (ball, bump, ball):
-        built, size, _ = serve(f)
-        assert built == len(_SWITCH_RHOS)  # the other grid was dropped, so this one is rebuilt
-        assert len(store._grids) == 1 and len(_served(store)[1]) == len(_SWITCH_RHOS)
-        assert store.nbytes == size <= store.max_bytes
-    # a rebuilt plan is the cold plan
-    for a, b in zip(first, serve(bump)[2]):
         assert np.array_equal(a, b)
 
 
 @pytest.fixture
 def source_calls(monkeypatch):
     """Sizes of the arrays f is evaluated on: RadialFunction.__call__ and a
-    plan's nodes both end in at_located."""
+    plan's nodes off the grid points both end in at_located, a plan's nodes
+    at a grid point in at_virtual."""
     calls = []
-    at_located = RadialFunction.at_located
+    at_located, at_virtual = RadialFunction.at_located, RadialFunction.at_virtual
 
-    def counting(self, slot, s, tail):
+    def counting(self, slot, s):
         calls.append(np.size(s))
-        return at_located(self, slot, s, tail)
+        return at_located(self, slot, s)
+
+    def counting_virtual(self, cell, s, *rest):
+        calls.append(np.size(s))
+        return at_virtual(self, cell, s, *rest)
 
     monkeypatch.setattr(RadialFunction, "at_located", counting)
+    monkeypatch.setattr(RadialFunction, "at_virtual", counting_virtual)
     return calls
 
 
@@ -585,19 +556,20 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
         f.with_values(f.values, tail_exponent=9.5),
         f.with_values(f.values, tail_log_power=0.0),
     ]
-    ts = np.geomspace(1e-3, 1e4, 120)
-    for rho in (0.005, 1.0):
-        ball_mass_batch(k, f, rho, ts)
+    tau = np.geomspace(1e-3, 1e4, 120)
+    # off the grid, below r_min, and on a grid point
+    for rho in (0.005, 1.0, float(f.grid.points[40])):
+        _shared_masses(k, f, rho, tau)
         for g in variants:
             caps, calls = len(cap_calls), len(source_calls)
-            warm = ball_mass_batch(k, g, rho, ts)
-            assert len(cap_calls) == caps  # the plan serves g
+            warm = _shared_masses(k, g, rho, tau)
+            assert len(cap_calls) == caps == 1  # the plan serves g
             assert len(source_calls) == calls + 1  # f's masses do not
-            ball_mass_batch(k, f, rho, ts)
+            _shared_masses(k, f, rho, tau)
             assert len(source_calls) == calls + 2  # one source at a time
-            geometry._kernel_weights.clear()
-            assert np.array_equal(warm, ball_mass_batch(k, g, rho, ts))
-            ball_mass_batch(k, f, rho, ts)
+            geometry._masses.clear()
+            assert np.array_equal(warm, _shared_masses(k, g, rho, tau))
+            _shared_masses(k, f, rho, tau)
 
 
 def test_each_centre_keeps_the_masses_of_its_own_last_source(cap_calls, source_calls):
@@ -616,71 +588,42 @@ def test_each_centre_keeps_the_masses_of_its_own_last_source(cap_calls, source_c
 
 
 def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
-    # a moved point that is not a quadrature boundary leaves quad_boundaries
-    # as they were, but the located nodes' cells are another grid's
+    # a moved point leaves the grid without a log step, so the grid takes
+    # nodes built per call, and f's kept masses do not answer for it
     k = CapKernel(5)
     f = _sums_source()
     pts = f.grid.points.copy()
-    pts[2] *= 0.99
+    pts[3] *= 0.99
     moved = RadialFunction(RadialGrid(pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
-    assert np.array_equal(moved.quad_boundaries, f.quad_boundaries)
+    assert f.grid.log_step is not None and moved.grid.log_step is None
     ts = np.geomspace(1e-3, 1e4, 120)
     for rho in (0.005, 1.0):
         ball_mass_batch(k, f, rho, ts)
-        caps = len(cap_calls)
+        caps, calls = len(cap_calls), len(source_calls)
         warm = ball_mass_batch(k, moved, rho, ts)
-        assert len(cap_calls) == caps + 1
-        geometry._kernel_weights.clear()
+        assert len(cap_calls) == caps + 1 and len(source_calls) == calls + 1
+        clear_stores()
         assert np.array_equal(warm, ball_mass_batch(k, moved, rho, ts))
 
 
 def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     # two system-map applications on the solver's default 81-point grid:
-    # every plan is built once, located, and served again
+    # one reference plan serves every centre of all four maps, and it is
+    # served again after its masses are dropped
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     cfg = SolveConfig()
     u, v = make_ansatz(params, default_solver_grid())
-    store = geometry._kernel_weights
     first = potential_images(params, u, v, cfg)
+    geometry._masses.clear()
     potential_images(params, u, v, cfg)
-    (centres,) = store._grids.values()
-    assert len(cap_calls) == len(centres) == u.grid.count == 81
-    assert store.nbytes <= store.max_bytes
-    assert store.nbytes == sum(a.nbytes for a in _held_arrays(store))
-    located = next(iter(centres.values()))[0]
-    assert located.slot.dtype == np.uint8 and not located.slot.flags.writeable
-    geometry._kernel_weights.clear()
+    assert len(cap_calls) == 1 and u.grid.count == 81
+    ((plan, _),) = geometry._plans._items.values()
+    assert geometry._plans.nbytes <= 2 * 2**20
+    assert plan.cell.size == 15_590 and not plan.cell.flags.writeable
+    clear_stores()
     cold = potential_images(params, u, v, cfg)
     for a, b in zip(first, cold):
         assert np.array_equal(a.values, b.values)
-
-
-def test_located_plans_take_only_free_room(cap_calls, monkeypatch):
-    # on a 121-point grid under a 32 MiB cap not every entry fits: 100 are
-    # stored, and a repeat map rebuilds only the other 21, once per source.
-    # Their plans' 1,839,020 nodes at 17 bytes, 159,980 tail nodes at 10 (a
-    # uint16 position and a float64 log offset) and 403,200 bytes of shell
-    # starts and t indices take 33,266,340 bytes; with their masses, 201,600
-    # bytes, 86,492 of the 32 MiB are left.
-    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
-    grid = RadialGrid.per_decade(1e-2, 1e3, 24)
-    cfg = SolveConfig(grid=grid)
-    u, v = make_ansatz(params, grid)
-    store = geometry._kernel_weights
-    monkeypatch.setattr(store, "max_bytes", 32 * 2**20)
-    potential_images(params, u, v, cfg)
-    (centres,) = store._grids.values()
-    assert len(centres) == 100
-    plans = [plan for plan, _, _ in centres.values()]
-    assert sum(plan.nbytes for plan in plans) == 33_266_340
-    assert sum(plan.slot.size for plan in plans) == 1_839_020
-    assert sum(plan.tail_at.size for plan in plans) == 159_980
-    assert sum(masses.nbytes for _, _, masses in centres.values()) == 201_600
-    assert store.max_bytes - store.nbytes == 86_492
-    before = len(cap_calls)
-    potential_images(params, u, v, cfg)
-    assert len(cap_calls) - before == 2 * (grid.count - 100)
-    assert len(centres) == 100 and store.nbytes <= store.max_bytes
 
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
@@ -692,15 +635,15 @@ def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
     got = ball_mass_batch(k, ind, 100.0, ts)
     assert np.allclose(got, [0.0, 0.0, unit_ball_volume(4), unit_ball_volume(4)], rtol=1e-12)
     assert got[0] == got[1] == 0.0
-    assert not cap_calls and geometry._kernel_weights.nbytes == 0
+    assert not cap_calls and geometry._masses.nbytes == geometry._plans.nbytes == 0
 
 
 def test_store_stress_concurrent_grids_and_centres():
-    # more threads than cores, switching often: grid and source changes,
-    # inserts, lookups and the dropping of whole grids interleave; a lost
-    # update would break the byte count or hand a centre another grid's
-    # weights or another source's masses
-    store = geometry._KernelWeightStore(max_bytes=40 * 8 * 64)
+    # more threads than cores, switching often: lookups, puts that replace a
+    # centre's masses and the dropping of the least recently used entries
+    # interleave on a masses store; a lost update would break the byte
+    # count or hand a centre another centre's or another source's masses
+    store = LruStore(56 * 40)
     errors = []
 
     def worker(seed):
@@ -710,14 +653,10 @@ def test_store_stress_concurrent_grids_and_centres():
                 grid = int(rng.integers(3))
                 centre = int(rng.integers(64))
                 source = int(rng.integers(2))
-                masses, got = store.lookup(grid, source, centre)
-                if masses is not None and not np.all(masses == -(1000 * grid + 100 * source + centre)):
-                    errors.append((grid, source, centre))
-                if got is not None and not np.all(got == 1000 * grid + centre):
+                kept = store.get((grid, centre))
+                if kept is not None and not np.all(kept[1] == 1000 * grid + 100 * kept[0] + centre):
                     errors.append((grid, centre))
-                plan = np.full(40, 1000.0 * grid + centre) if got is None else got
-                masses = np.full(5, -(1000.0 * grid + 100 * source + centre))
-                store.put(grid, centre, plan, source, masses, 7)
+                store.put((grid, centre), (source, np.full(5, 1000.0 * grid + 100 * source + centre)), 40)
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
@@ -733,17 +672,28 @@ def test_store_stress_concurrent_grids_and_centres():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert not errors
-    assert store.nodes_evaluated == 6 * 400 * 7
-    # the cap holds 56 of one grid's 64 entries: grids were dropped, every
-    # entry left is its own grid's and centre's, and the bytes count exactly
-    entries = [
-        (grid, centre, *entry) for grid, centres in store._grids.items() for centre, entry in centres.items()
-    ]
-    assert 0 < len(entries) <= store.max_bytes // (40 * 8 + 5 * 8) == 56
-    for grid, centre, plan, source, masses in entries:
-        assert np.all(plan == 1000 * grid + centre)
-        assert np.all(masses == -(1000 * grid + 100 * source + centre))
-    assert store.nbytes == sum(e[2].nbytes + e[4].nbytes for e in entries) <= store.max_bytes
+    # the cap holds 56 of the 192 keys: entries were dropped, every entry
+    # left is its own key's, and the bytes count exactly
+    entries = list(store._items.items())
+    assert 0 < len(entries) <= 56
+    for (grid, centre), ((source, masses), _) in entries:
+        assert np.all(masses == 1000 * grid + 100 * source + centre)
+    assert store.nbytes == _held_bytes(store) == 40 * len(entries) <= store.max_bytes
+
+
+def test_kept_plans_stay_under_two_mib_at_every_resolution(cap_calls):
+    # the solver's grid at 16, 32 and 64 points a decade: one reference
+    # plan per grid step, well under 2 MiB in all, and a map of a second
+    # source builds none
+    for npd in (16, 32, 64):
+        clear_stores()
+        u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, npd), 1.0, 3.0)
+        before = len(cap_calls)
+        wolff_eval(u, 5, 1.0, 2.0)
+        built = geometry.plans_built()
+        wolff_eval(u.scaled(3.0), 5, 1.0, 2.0)
+        assert geometry.plans_built() == built and len(cap_calls) == before + 1
+        assert len(geometry._plans._items) == 1 and geometry._plans.nbytes <= 2 * 2**20
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)

@@ -22,7 +22,7 @@ from wolffkit.radial import (
     unit_ball_volume,
 )
 
-from conftest import indicator_of_ball, power_tail_profile
+from conftest import clear_stores, indicator_of_ball, power_tail_profile
 from lens_oracle import wolff_unit_ball
 
 
@@ -285,20 +285,21 @@ def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
     v = weighted_source(0.0, 2.0, power_tail_profile(grid, 0.7, 3.5))
     wu = wolff_eval(u, 5, 1.0, 2.0)
     wolff_eval(v, 5, 1.0, 2.0)
-    assert grid.count == 81 and len(cap_calls) == 81
-    geometry._kernel_weights.clear()
+    # one reference plan serves every centre of both maps
+    assert grid.count == 81 and len(cap_calls) == 1
+    clear_stores()
     assert np.array_equal(wolff_eval(u, 5, 1.0, 2.0).values, wu.values)
 
 
 def test_store_holds_every_plan_of_the_121_point_grid(cap_calls):
-    # RadialGrid.per_decade(1e-2, 1e3, 24): the 121 centre plans take about
-    # 40 MB and are all kept, so a repeat map builds none
+    # RadialGrid.per_decade(1e-2, 1e3, 24): the 121 centres read one
+    # reference plan, which is kept, so a repeat map builds none
     grid = RadialGrid.per_decade(1e-2, 1e3, 24)
     u = power_tail_profile(grid, 1.0, 3.0)
     wolff_eval(u, 5, 1.0, 2.0)
-    assert grid.count == 121 and len(cap_calls) == 121
+    assert grid.count == 121 and len(cap_calls) == 1
     wolff_eval(u.with_values(3.0 * u.values), 5, 1.0, 2.0)
-    assert len(cap_calls) == 121
+    assert len(cap_calls) == 1
 
 
 @pytest.mark.parametrize("n, beta, gamma", [(3, 1.0, 1.6), (5, 1.0, 2.0), (5, 0.3, 2.0)])
@@ -322,8 +323,8 @@ def test_changed_t_resolution_misses_the_store(cap_calls):
     wolff_eval_at(f, 5, 1.0, 2.0, rhos)
     before = len(cap_calls)
     fine = wolff_eval_at(f, 5, 1.0, 2.0, rhos, PotentialConfig(t_nodes_per_decade=24))
-    assert len(cap_calls) == before + len(rhos)
-    geometry._kernel_weights.clear()
+    assert len(cap_calls) == before + 1  # the finer panels' reference plan
+    clear_stores()
     cold = wolff_eval_at(f, 5, 1.0, 2.0, rhos, PotentialConfig(t_nodes_per_decade=24))
     assert np.array_equal(fine, cold)
 
@@ -371,14 +372,14 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     rhos = [0.05, 1.0, 7.0, 100.0]
     cfg = PotentialConfig(t_min=1e-4, t_max=1e5)
     for f in (log_tailed, linear):
-        geometry._kernel_weights.clear()
+        clear_stores()
         calls.clear()
         together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
         assert len(calls) == 1
         wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
         assert len(calls) == 2
         # bit for bit what one call per centre gives
-        geometry._kernel_weights.clear()
+        clear_stores()
         apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
         assert np.array_equal(together, apart)
 
@@ -412,27 +413,31 @@ def _map_costs(monkeypatch, f, n, beta, gamma):
 
 
 def _store_holds_plans_and_masses_only():
-    store = geometry._kernel_weights
-    entries = [entry for centres in store._grids.values() for entry in centres.values()]
-    return store.nbytes == sum(a.nbytes for plan, _, masses in entries for a in (*plan, masses))
+    """The stores hold reference plans and (source key, masses) pairs, and
+    count their bytes exactly."""
+    plans = [plan for plan, _ in geometry._plans._items.values()]
+    kept = [value for value, _ in geometry._masses._items.values()]
+    return all(isinstance(p, geometry.ReferencePlan) for p in plans) and all(
+        isinstance(m, np.ndarray) for _, m in kept
+    ) and all(store.nbytes == sum(b for _, b in store._items.values()) for store in (geometry._plans, geometry._masses))
 
 
 def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     # on the solver's 81-point grid, after a cold map of the log-tailed
     # source, a map of a source with another tail model (T, L) builds no
-    # plan, makes one cumulative_mass call and evaluates the plans' nodes:
-    # what a plan keeps, the located nodes and the tail logs, is free of the
-    # model, and the store keeps nothing per model
+    # plan, makes one cumulative_mass call and evaluates the plan's nodes at
+    # every centre: the reference plan is free of the model, and the stores
+    # keep nothing per model but the masses
     params, log_tailed, other = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = log_tailed.grid.count
     model = lambda f: (f.tail_exponent, f.tail_log_power)
     assert model(other) != model(log_tailed)
-    assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, count)
+    assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, 1)
     calls, built, nodes, warm = _map_costs(monkeypatch, other, n, beta, gamma)
-    assert (calls, built, nodes) == (1, 0, 1_419_070)
-    assert len(cap_calls) == count and _store_holds_plans_and_masses_only()
-    geometry._kernel_weights.clear()
+    assert (calls, built, nodes) == (1, 0, count * 15_590)
+    assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
+    clear_stores()
     assert np.array_equal(warm.values, wolff_eval(other, n, beta, gamma).values)
 
 
@@ -445,29 +450,34 @@ def test_battery_bumps_with_other_tails_share_their_grid_plans(cap_calls, monkey
     first, second = standard_battery(n, seed=0, count=2)
     assert first.grid == second.grid and first.tail_exponent != second.tail_exponent
     calls, built, nodes, _ = _map_costs(monkeypatch, first, n, beta, gamma)
-    assert calls == 1 and built == first.grid.count
+    assert calls == 1 and built == 1
     calls, built, warm_nodes, warm = _map_costs(monkeypatch, second, n, beta, gamma)
     assert (calls, built, warm_nodes) == (1, 0, nodes)
-    assert len(cap_calls) == first.grid.count and _store_holds_plans_and_masses_only()
-    geometry._kernel_weights.clear()
+    assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
+    clear_stores()
     assert np.array_equal(warm.values, wolff_eval(second, n, beta, gamma).values)
 
 
 def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
-    # ball masses from a kept plan against a cold computation, on the
-    # log-tailed source
+    # ball masses from a kept reference plan against a cold computation, on
+    # the log-tailed source, at grid points and between them
     params, f, _ = _log_tail_sources()
     kernel = geometry.CapKernel(params.n)
     g = f.with_values(f.values * (1.0 + 0.25 * np.sin(np.log(f.grid.points)) ** 2))
-    ts = np.geomspace(1e-4, 1e6, 150)
-    rhos = f.grid.points[::8]
+    tau = np.geomspace(1e-4, 1e6, 150)
+    rhos = np.concatenate([f.grid.points[::8], f.grid.points[4::8] * 1.01]).tolist()
+
+    def masses(source, rho):
+        plan = geometry.reference_plan(kernel, source.grid.log_step, tau)
+        return geometry.ball_mass_batch(kernel, source, rho, rho * tau, plan=plan)
+
     for rho in rhos:
-        geometry.ball_mass_batch(kernel, f, float(rho), ts)
-    warm = [geometry.ball_mass_batch(kernel, g, float(rho), ts) for rho in rhos]
-    assert len(cap_calls) == rhos.size  # the plans served g
-    for rho, masses in zip(rhos, warm):
-        geometry._kernel_weights.clear()
-        assert np.array_equal(masses, geometry.ball_mass_batch(kernel, g, float(rho), ts))
+        masses(f, rho)
+    warm = [masses(g, rho) for rho in rhos]
+    assert len(cap_calls) == 1  # the plan served g
+    for rho, kept in zip(rhos, warm):
+        clear_stores()
+        assert np.array_equal(kept, masses(g, rho))
 
 
 class _CountingLock:
@@ -488,10 +498,10 @@ class _CountingLock:
 
 def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
     # a warm map on the solver's 81-point grid: one cumulative_mass call for
-    # every centre's window (2 x 81 x 64 radii) and covered radii (11,573),
+    # every centre's window (2 x 81 x 64 radii) and covered radii (81 x 96),
     # so no further mass call from ball_mass_batch, one ball_mass_batch call
-    # per centre, and at most two takings of the store's lock per centre:
-    # one lookup and one put
+    # per centre, at most two takings of the masses store's lock per centre
+    # (one lookup and one put) and one of the plan store's per map
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = f.grid.count
@@ -508,17 +518,18 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
         batch_calls.append(np.size(args[3]))
         return ball_mass_batch(*args, **kwargs)
 
-    lock = _CountingLock()
+    lock, plan_lock = _CountingLock(), _CountingLock()
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
     monkeypatch.setattr(potential, "ball_mass_batch", counting_batch)
-    monkeypatch.setattr(geometry._kernel_weights, "_lock", lock)
+    monkeypatch.setattr(geometry._masses, "_lock", lock)
+    monkeypatch.setattr(geometry._plans, "_lock", plan_lock)
     warm = wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma)
-    assert count == 81 and len(cap_calls) == count
-    assert mass_calls == [2 * count * 64 + 11_573]
+    assert count == 81 and len(cap_calls) == 1
+    assert mass_calls == [2 * count * 64 + count * 96]
     assert len(batch_calls) == count
-    assert 0 < lock.taken <= 2 * count
+    assert 0 < lock.taken <= 2 * count and plan_lock.taken == 1
     monkeypatch.undo()
-    geometry._kernel_weights.clear()
+    clear_stores()
     assert np.array_equal(warm.values, wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma).values)
 
 
@@ -538,27 +549,33 @@ def _covered_sources():
 def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
     # covered masses a caller took from its own cumulative_mass call give
     # ball_mass_batch's masses bit for bit: cold, warm (a kept plan serving
-    # another source) and after clear()
+    # another source) and after the stores are cleared.  The log tail takes
+    # the reference plan off the origin, the ball nodes built per call
     n, f, g = _covered_sources()[case]
     kernel = geometry.CapKernel(n)
-    store = geometry._kernel_weights
-    ts = np.geomspace(1e-4, 1e6, 150)
-    mass = lambda source, rho: geometry.ball_mass_batch(kernel, source, rho, ts)
+    tau = np.geomspace(1e-4, 1e6, 150)
 
-    def given(source, rho):
-        covered = source.cumulative_mass(n, ts[ts > rho] - rho)
-        return geometry.ball_mass_batch(kernel, source, rho, ts, covered=covered)
+    def call(source, rho, covered=None):
+        t = rho * tau if rho > 0.0 else tau
+        if covered is not None:
+            covered = source.cumulative_mass(n, t[t > rho] - rho)
+        plan = None
+        if rho > 0.0 and not source.has_jump:
+            plan = geometry.reference_plan(kernel, source.grid.log_step, tau)
+        return geometry.ball_mass_batch(kernel, source, rho, t, covered=covered, plan=plan)
 
+    mass = lambda source, rho: call(source, rho)
+    given = lambda source, rho: call(source, rho, covered=True)
     for rho in [0.0, *f.grid.points[::8].tolist(), 3.0 * f.grid.r_max]:
-        store.clear()
+        clear_stores()
         alone_cold = mass(f, rho)
-        store.clear()
+        clear_stores()
         assert np.array_equal(given(f, rho), alone_cold)
         alone_warm = mass(g, rho)  # f's plan serves g
-        store.clear()
+        geometry._masses.clear()
         mass(f, rho)
         assert np.array_equal(given(g, rho), alone_warm)
-        store.clear()
+        clear_stores()
         assert np.array_equal(given(g, rho), alone_warm)
 
 
@@ -570,11 +587,11 @@ def test_maps_give_what_covered_masses_taken_per_centre_give(cap_calls, monkeypa
     maps = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
     ball_mass_batch = geometry.ball_mass_batch
 
-    def taking_its_own(kernel, source, rho, t, covered=None):
-        return ball_mass_batch(kernel, source, rho, t)
+    def taking_its_own(kernel, source, rho, t, covered=None, plan=None):
+        return ball_mass_batch(kernel, source, rho, t, plan=plan)
 
     monkeypatch.setattr(potential, "ball_mass_batch", taking_its_own)
-    geometry._kernel_weights.clear()
+    clear_stores()
     alone = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
     for a, b in zip(maps, alone):
         assert np.array_equal(a, b)
@@ -582,18 +599,17 @@ def test_maps_give_what_covered_masses_taken_per_centre_give(cap_calls, monkeypa
 
 @pytest.fixture
 def layout_builds(monkeypatch):
-    """Empty the t-layout store and record the arguments of every layout build."""
-    potential._layouts.clear()
+    """Record the arguments of every layout build: the centres and each
+    centre's panel boundaries."""
     calls = []
     build = potential._build_layout
 
-    def counting(rhos, *rest):
-        calls.append((rhos.tobytes(), *rest))
-        return build(rhos, *rest)
+    def counting(rhos, bounds):
+        calls.append((rhos.tobytes(), b"".join(np.asarray(b).tobytes() for b in bounds)))
+        return build(rhos, bounds)
 
     monkeypatch.setattr(potential, "_build_layout", counting)
-    yield calls
-    potential._layouts.clear()
+    return calls
 
 
 LAYOUT_GRID = RadialGrid.per_decade(1e-2, 1e2, 16)
@@ -602,14 +618,16 @@ LAYOUT_CFG = PotentialConfig(t_min=1e-3, t_max=1e5)
 
 
 def test_warm_layout_serves_a_new_source_bit_for_bit(layout_builds):
+    # a layout is free of the source's values: a second source on the grid
+    # builds the layout the first built, one per map
     f = power_tail_profile(LAYOUT_GRID, 1.0, 7.0)
     g = power_tail_profile(LAYOUT_GRID, 0.5, 9.0)
     wolff_eval_at(f, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
     warm = wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
-    assert len(layout_builds) == 1  # the second source builds no layout
-    potential._layouts.clear()
+    assert len(layout_builds) == 2 and layout_builds[0] == layout_builds[1]
+    clear_stores()
     assert np.array_equal(wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG), warm)
-    assert len(layout_builds) == 2
+    assert len(layout_builds) == 3
 
 
 # each case changes one component of the layout key and nothing else that
@@ -636,8 +654,7 @@ def test_changing_one_layout_key_component_rebuilds(layout_builds, component):
     changed = run(**LAYOUT_KEY_CHANGES[component])
     assert len(layout_builds) == 2
     assert layout_builds[0] != layout_builds[1]
-    potential._layouts.clear()
-    geometry._kernel_weights.clear()
+    clear_stores()
     assert np.array_equal(run(**LAYOUT_KEY_CHANGES[component]), changed)
 
 
@@ -710,4 +727,55 @@ def test_bad_centres_are_refused_before_any_work(layout_builds, cap_calls, monke
         with pytest.raises(ParameterError, match="got nan"):
             geometry.ball_mass_batch(geometry.CapKernel(3), _SOURCE, rho, t)
     assert potential.evaluations() == evaluations
-    assert not (layout_builds or cap_calls or calls) and geometry._kernel_weights.nbytes == 0
+    assert not (layout_builds or cap_calls or calls)
+    assert geometry._masses.nbytes == geometry._plans.nbytes == 0
+
+
+# the shared path: every centre's quadrature is the reference plan's, shifted
+# to the centre, so the maps commute with dilations and grid shifts
+_EQUIVARIANCE_GRID = RadialGrid.per_decade(1e-2, 1e3, 16)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.6])
+@pytest.mark.parametrize("lam", [10 ** (1 / 64), 10 ** (1 / 16), 10.0], ids=["1/64 dec", "1/16 dec", "1 dec"])
+def test_dilation_commutes_with_the_map_at_every_centre(lam, gamma):
+    # W f_lam(x) = lam^{-beta gamma/(gamma-1)} W f(lam x), f_lam(r) = f(lam r),
+    # on a grid dilated by any lam: 1.1e-15 - 4.0e-15 measured, where
+    # quadrature tied to the grid's own range and cells was off by
+    # 1.8e-5 - 8.3e-5
+    r = _EQUIVARIANCE_GRID.points
+    bump = RadialFunction(_EQUIVARIANCE_GRID, (1.0 + r**2) ** -3.5, tail_exponent=7.0)
+    base = wolff_eval_at(bump, 5, 1.0, gamma, r)
+    got = wolff_eval_at(bump.dilate(lam), 5, 1.0, gamma, r / lam)
+    power = gamma / (gamma - 1.0)
+    assert np.max(np.abs(got / (lam**-power * base) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.6])
+def test_one_cell_shift_of_the_source_shifts_the_map_exactly(gamma):
+    # f is flat below r_32 = 1 and r^-7 beyond, so its interpolant is exact
+    # and g(r) = f(r / q), the grid values moved one cell out, is f's
+    # dilation: W g(r_{i+1}) = q^{gamma/(gamma-1)} W f(r_i) at every centre
+    # (2.0e-15 and 4.4e-15 measured, 1.3e-3 and 2.4e-3 with quadrature tied
+    # to the grid's range)
+    r = _EQUIVARIANCE_GRID.points
+    f = RadialFunction(_EQUIVARIANCE_GRID, np.minimum(1.0, r**-7.0), tail_exponent=7.0)
+    g = f.with_values(np.concatenate([[1.0], f.values[:-1]]))
+    q = r[1] / r[0]
+    wf = wolff_eval_at(f, 5, 1.0, gamma, r)
+    wg = wolff_eval_at(g, 5, 1.0, gamma, r)
+    assert np.max(np.abs(wg[1:] / (q ** (gamma / (gamma - 1.0)) * wf[:-1]) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.6])
+def test_centres_off_the_grid_read_the_same_quadrature(cap_calls, gamma):
+    # centres moved off the grid points by a relative 2^-40 locate the
+    # reference plan's nodes themselves instead of reading it shifted: the
+    # map moves by 5e-12 - 1.1e-11, where another quadrature would move it
+    # by ~1e-5
+    r = _EQUIVARIANCE_GRID.points
+    bump = RadialFunction(_EQUIVARIANCE_GRID, (1.0 + r**2) ** -3.5, tail_exponent=7.0)
+    on = wolff_eval_at(bump, 5, 1.0, gamma, r)
+    off = wolff_eval_at(bump, 5, 1.0, gamma, r * (1.0 + 2.0**-40))
+    assert len(cap_calls) == 1  # one plan for both
+    assert np.max(np.abs(off / on - 1.0)) <= 1e-10

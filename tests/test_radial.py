@@ -156,17 +156,15 @@ def test_one_pass_call_matches_region_formulas():
 
 
 def test_located_evaluation_matches_region_formulas_bit_for_bit():
-    # what a stored plan keeps: slots in the smallest unsigned type and the
-    # offsets; its evaluation is the region formulas' everywhere, linear
-    # cells, head and tail included
+    # slots and offsets located once: their evaluation is the region
+    # formulas' everywhere, linear cells, head and tail included
     for f in _call_profiles():
         pts = f.grid.points
         r = np.concatenate(
             [np.geomspace(1e-6, 1e7, 2001), pts, np.sqrt(pts[:-1] * pts[1:])]
         )
         slot, s = f.locate(r)
-        tail = f.tail_logs(slot, s)
-        got = f.at_located(slot.astype(np.min_scalar_type(f.grid.count)), s, tail)
+        got = f.at_located(slot, s)
         assert np.array_equal(got, _call_by_region(f, r)[0])
         assert np.array_equal(got, f(r))
         # a source with other values but the same vanishing cells has the
@@ -174,7 +172,7 @@ def test_located_evaluation_matches_region_formulas_bit_for_bit():
         g = f.with_values(f.values * (1.0 + 0.5 * np.cos(np.log(pts)) ** 2))
         g_slot, g_s = g.locate(r)
         assert np.array_equal(g_slot, slot) and np.array_equal(g_s, s)
-        assert np.array_equal(g.at_located(slot, s, tail), g(r))
+        assert np.array_equal(g.at_located(slot, s), g(r))
 
 
 def _mass_by_region(f, n, x):
@@ -727,15 +725,19 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
     radial._log_tail_rules.clear()
 
 
-def test_lru_store_refuses_values_above_its_cap_and_keys_it_holds():
+def test_lru_store_refuses_values_above_its_cap_and_replaces_keys_it_holds():
     store = radial.LruStore(100)
     store.put("big", "too big", 101)
     assert store.get("big") is None and store.nbytes == 0
     store.put("a", "first", 60)
-    store.put("a", "second", 30)  # a held key keeps its value and its size
-    assert store.get("a") == "first" and store.nbytes == 60
-    store.put("b", "third", 60)  # 120 bytes: a, the least recently used, goes
-    assert store.get("a") is None and store.get("b") == "third" and store.nbytes == 60
+    store.put("a", "second", 30)  # a held key takes the new value and its size
+    assert store.get("a") == "second" and store.nbytes == 30
+    store.put("b", "third", 60)
+    assert store.nbytes == 90
+    store.put("c", "fourth", 40)  # 130 bytes: a, the least recently used, goes
+    assert store.get("a") is None and store.get("b") == "third" and store.nbytes == 100
+    store.put("b", "too big", 101)  # a replacement above the cap drops the key
+    assert store.get("b") is None and store.nbytes == 40
 
 
 def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
@@ -876,3 +878,15 @@ def test_radial_raise_sites(tmp_path, site, call, error, fragment):
     with pytest.raises(error) as err:
         call(tmp_path)
     assert fragment in str(err.value)
+
+
+def test_quad_boundaries_piece_count_is_dilation_invariant():
+    # an eighth-decade piece is two cells at 16 points a decade; summing the
+    # cell widths rounded either side of the limit, which split a grid and
+    # its dilations into 26 and 25 pieces
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    counts = set()
+    for lam in (1.0, 3.0, 1.0 / 3.0, 0.1):
+        f = RadialFunction(RadialGrid(grid.points * lam), np.ones(grid.count), tail_exponent=5.0)
+        counts.add(f.quad_boundaries.size - 1)
+    assert counts == {32}

@@ -1,9 +1,12 @@
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import clear_stores
 from wolffkit import geometry, solver
 from wolffkit.cli import main
 from wolffkit.errors import (
@@ -235,7 +238,7 @@ def test_trace_records_time_constants_and_damping(tmp_path):
     fast_fast = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     cfg = SolveConfig(max_iters=12, rel_tol=5e-3, damping=0.8, grid=grid)
-    geometry._kernel_weights.clear()
+    clear_stores()
     start = time.perf_counter()
     res = solve_system(fast_fast, cfg)
     elapsed = time.perf_counter() - start
@@ -245,11 +248,12 @@ def test_trace_records_time_constants_and_damping(tmp_path):
         "plans_built", "potential_evals", "nodes",
     }
     assert all(set(entry) == keys for entry in res.trace)
-    # the first map builds every centre's plan, and the store serves the rest
-    assert [e["plans_built"] for e in res.trace] == [grid.count] + [0] * (res.iterations - 1)
-    # each iteration's two potentials evaluate their sources at every plan node
-    (centres,) = geometry._kernel_weights._grids.values()
-    plan_nodes = sum(plan.slot.size for plan, _, _ in centres.values())
+    # the first map builds the grid's one reference plan, which serves the rest
+    assert [e["plans_built"] for e in res.trace] == [1] + [0] * (res.iterations - 1)
+    # each iteration's two potentials evaluate their sources at every plan
+    # node of every centre
+    ((plan, _),) = geometry._plans._items.values()
+    plan_nodes = grid.count * plan.cell.size
     assert plan_nodes > 0
     assert all(e["potential_evals"] == 2 and e["nodes"] == 2 * plan_nodes for e in res.trace)
     assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
@@ -345,3 +349,38 @@ def test_solver_raise_sites(site, call, error, fragment):
     with pytest.raises(error) as err:
         call()
     assert fragment in str(err.value)
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gamma_continuation_from_a_converged_pair_takes_the_new_tails(monkeypatch):
+    # n = 5, p = 1.2, beta gamma = 2, q on the critical curve: the converged
+    # gamma = 2 pair passed at gamma = 1.6 declared the gamma = 2 tails, whose
+    # source tail made the potential diverge; its first iterate now declares
+    # the gamma = 1.6 tuple's predicted tails
+    critical_q = _load_script("classify_sweep").critical_q
+    at_2 = Parameters(5, 1.0, 2.0, 1.2, critical_q(5, 1.0, 2.0, 1.2), 0.0, 0.0)
+    at_16 = Parameters(5, 1.25, 1.6, 1.2, critical_q(5, 1.25, 1.6, 1.2), 0.0, 0.0)
+    start = solve_system(at_2)
+    assert start.converged
+    first = []
+    images = solver.potential_images
+
+    def recording(params, u, v, cfg):
+        first.append((u, v))
+        return images(params, u, v, cfg)
+
+    monkeypatch.setattr(solver, "potential_images", recording)
+    res = solve_system(at_16, SolveConfig(max_iters=1, custom_initial=(start.u, start.v)))
+    assert res.iterations == 1
+    report = classify_regime(at_16)
+    u, v = first[0]
+    assert (u.tail_exponent, u.tail_log_power) == (report.predicted_u_exponent, 0.0)
+    assert (v.tail_exponent, v.tail_log_power) == (report.predicted_v_exponent, report.v_log_power)
+    assert np.array_equal(u.values, start.u.values) and np.array_equal(v.values, start.v.values)

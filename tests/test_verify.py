@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from wolffkit.errors import ParameterError
+from conftest import clear_stores
 from wolffkit import geometry, verify
 from wolffkit.params import Parameters
 from wolffkit.potential import riesz_eval
@@ -150,38 +151,36 @@ def test_inequality_ratio_boundedness_small_battery(monkeypatch):
 def test_inequality_family_builds_each_centre_plan_once(cap_calls):
     # the benchmark's inequalities operation: two bumps and the sharp-constant
     # extremal on one 65-point grid, with a Riesz and a Wolff image per bump
-    # and a Riesz image of the extremal, all on the same t nodes, so the 65
-    # centre plans are built once
+    # and a Riesz image of the extremal, all on the same relative t nodes, so
+    # every centre of every map reads one reference plan, built once
+    built = geometry.plans_built()
     check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)
-    assert len(cap_calls) == 65
+    assert len(cap_calls) == 1 and geometry.plans_built() == built + 1
 
 
 def test_mixed_grid_battery_builds_each_grid_centre_plan_once(cap_calls, monkeypatch):
     # count = 8 puts two ball indicators, each on its own grid, between the
-    # bumps on the battery grid: the battery grid's 65 plans are kept across
-    # both, so the bumps after a ball indicator and the extremal build none
-    built = []
-    centre_plan = geometry._centre_plan
-
-    def counting(kernel, f, rho, t):
-        built.append((f.layout_key, rho, t.tobytes()))
-        return centre_plan(kernel, f, rho, t)
-
-    monkeypatch.setattr(geometry, "_centre_plan", counting)
+    # bumps on the battery grid: the ball indicators (jumps) take nodes built
+    # per call and keep no plan, and the battery grid's reference plan is
+    # kept across them, so the bumps after a ball indicator and the extremal
+    # build none
     params = Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0)
+    built = geometry.plans_built()
     entries = check_inequalities(0, params, p=1.5, count=8)
-    assert len(built) == len(set(built)) == 65 + 2 * 33
-    # a store cleared before each profile builds its plans cold
+    assert geometry.plans_built() == built + 1
+    # stores cleared before each profile build the plan cold for each bump
+    # and for the extremal, which follows a ball indicator
     battery = verify.standard_battery
 
     def clearing(*args, **kwargs):
         for f in battery(*args, **kwargs):
-            geometry._kernel_weights.clear()
+            clear_stores()
             yield f
 
     monkeypatch.setattr(verify, "standard_battery", clearing)
+    built = geometry.plans_built()
     cold = check_inequalities(0, params, p=1.5, count=8)
-    assert len(built) - (65 + 2 * 33) == 7 * 65 + 2 * 33  # six bumps and the extremal
+    assert geometry.plans_built() == built + 7  # six bumps and the extremal
     assert cold == entries
 
 
