@@ -67,7 +67,8 @@ Plans are kept in one least-recently-used store of 2 MiB (0.38 MB for the
 plan of the solver's grid at n = 5, 15,590 nodes), and the masses of each
 centre in another of 4 MiB, keyed by (n, the grid's points, rho, t, the
 path) with the key of the source they are of (RadialFunction.source_key):
-its values and its head and tail models.  A call with a bit-equal source,
+its values and its head and tail models.  Every key on a grid holds the
+grid's one RadialGrid.points_key, whose bytes the store counts once.  A call with a bit-equal source,
 such as the Wolff image of a source whose Riesz image was just taken on the
 same t nodes, returns a copy of the kept masses and evaluates nothing; a
 call with another source computes its own, which replace them.  Cold,
@@ -344,7 +345,7 @@ class ReferencePlan(NamedTuple):
 
 
 _plans = LruStore(_PLAN_BYTES)
-_masses = LruStore(_MASS_BYTES)
+_masses = LruStore(_MASS_BYTES, shared=1)
 _counts_lock = threading.Lock()
 _counts = {"plans": 0, "nodes": 0}
 
@@ -469,7 +470,7 @@ def ball_mass_batch(
     # the masses kept for this centre, if they are this source's; at
     # rho = 0 every shell is full or empty
     if rho > 0.0:
-        key = (n, f.grid.points.tobytes(), rho, t_arr.tobytes(), plan is not None)
+        key = (n, f.grid.points_key, rho, t_arr.tobytes(), plan is not None)
         kept = _masses.get(key)
         if kept is not None and kept[0] == f.source_key:
             return kept[1].copy()
@@ -493,7 +494,7 @@ def ball_mass_batch(
     _count("nodes", nodes)
     masses = out.copy()
     masses.setflags(write=False)
-    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[1]) + len(key[3]))
+    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[3]))
     return out
 
 

@@ -9,10 +9,15 @@ reduces, for radial profiles, to the flux form
 
     m_u' = -r^{n-1+sigma1} v^q,     u' = -(-m_u r^{1-n})^{1/(gamma-1)},
 
-with m_u = r^{n-1}|u'|^{gamma-2}u' <= 0 (and symmetrically for v).  The flux
-variables are the integration unknowns, which avoids differentiating
-|u'|^{gamma-2}u' where u' vanishes.  Integration runs in s = ln r after a
-regular series start u(r) = u(0) - O(r^{(gamma+sigma1)/(gamma-1)}) on [0, r0].
+with m_u = r^{n-1}|u'|^{gamma-2}u' < 0 (and symmetrically for v).  The
+integration unknowns are u, v and the logarithms of the fluxes,
+ln(-m_u) and ln(-m_v), in s = ln r, after a regular series start
+u(r) = u(0) - O(r^{(gamma+sigma1)/(gamma-1)}) on [0, r0].  Flux unknowns
+avoid differentiating |u'|^{gamma-2}u' where u' vanishes.  Their logarithms
+make the head's power law m_u ~ -r^{n+sigma1} linear in s, which a DOP853
+step integrates exactly, so the steps there resolve only u's and v's small
+corrections: a separatrix search takes about half the accepted steps that
+the fluxes themselves took.
 
 Ground states are captured as a separatrix in v(0): trajectories are
 classified by which component first hits zero (or by surviving to r_stop
@@ -28,15 +33,17 @@ down to adjacent doubles.
 Every shot runs on one engine, Hairer's compiled DOP853 (scipy.integrate.ode
 with the "dop853" integrator; Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, 2nd ed., 1993, II.10), with solve_ivp's step-factor
-limits.  It steps freely to r_stop; each accepted step end is recorded, and
-the first one where u or v <= 0 ends the steps.  The zero is then rooted and
-the sample points are filled in by short side integrations from the step
-ends, which never change the step sequence.  So a shot that the search only
-classifies and the same shot sampled for the profiles share their steps,
-event and reach bit for bit, and the search samples the separatrix it
-classified.  The solver and its callbacks are built once per process: scipy's
-dop853 wrapper keeps references to the callbacks of every run, which would
-keep callbacks made per shot, and their step lists, alive.
+limits, at the relative tolerance RTOL.  It steps freely to r_stop; each
+accepted step end is recorded, and the first one where u or v <= 0 ends the
+steps.  The zero is then rooted and the sample points are filled in by side
+integrations from the step ends, each tried as one DOP853 step since its
+span lies within an accepted step, which never change the step sequence.
+So a shot that the search only classifies and the same shot sampled for the
+profiles share their steps, event and reach bit for bit, and the search
+samples the separatrix it classified.  The solver and its callbacks are
+built once per process: scipy's dop853 wrapper keeps references to the
+callbacks of every run, which would keep callbacks made per shot, and their
+step lists, alive.
 """
 
 from __future__ import annotations
@@ -56,9 +63,11 @@ from .radial import RadialFunction, RadialGrid, fit_decay_rate
 from .solver import SolveResult
 
 R_START = 1e-4  # end of the series start; integration begins here
-# 5e-13: at 1e-12, shoot() misses the Hardy-weight exact family at
-# (n, gamma, sigma) = (3, 1.6, -0.5) by 1.6e-6 against a bound of 1e-6
-RTOL = 5e-13
+# on ln(-m) a relative tolerance is |ln(-m)| times looser on m (up to 48
+# times at R_START): at 5e-13 shoot() misses the Hardy-weight exact family
+# at (n, gamma, sigma) = (3, 1.6, -0.5) by 1.8e-6 against a bound of 1e-6,
+# at 2e-13 by 5.0e-7; 1e-13 reads 2.7e-7 for 7 % more right-hand sides
+RTOL = 1e-13
 ATOL = 1e-300
 MAX_STEPS = 100_000  # DOP853's cap on the steps of one integration
 SAMPLES_PER_DECADE = 24
@@ -123,22 +132,55 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-def _series_start(params: Parameters, a: float, b: float, r0: float):
-    """Regular expansion at the origin through the first correction order.
+def _rhs(params: Parameters):
+    """The right-hand side in s = ln r for [u, v, ln(-m_u), ln(-m_v)], on Python floats.
 
+    du/ds = r u' = -exp((ln(-m_u) + (gamma - n) s)/(gamma - 1)), and
+    d ln(-m_u)/ds = exp((n + sigma1) s - ln(-m_u)) v^q for v > 0, else 0
+    (and the same for v).  Near the origin ln(-m_u) is linear in s, so a
+    step integrates it exactly, and the 1/(gamma - 1) power is taken of one
+    exponent, which stays in the float range for gamma near 1.
+    """
+    inv = 1.0 / (params.gamma - 1.0)
+    gamma_n = params.gamma - params.n
+    k_u, k_v = params.n + params.sigma1, params.n + params.sigma2
+    p, q = params.p, params.q
+    exp = math.exp
+
+    def rhs(s, y):
+        u, v, lu, lv = y.tolist()
+        return (
+            -exp((lu + gamma_n * s) * inv),
+            -exp((lv + gamma_n * s) * inv),
+            exp(k_u * s - lu) * v**q if v > 0.0 else 0.0,
+            exp(k_v * s - lv) * u**p if u > 0.0 else 0.0,
+        )
+
+    return rhs
+
+
+def _start(params: Parameters, a: float, b: float, r_stop: float):
+    """The series start y0 at R_START and the sample points s_eval (s = ln r) to r_stop.
+
+    y0 = [u, v, ln(-m_u), ln(-m_v)] is the regular expansion at the origin
+    through the first correction order.  The fluxes start from their
+    logarithms, ln(-m_u) = q ln b + (n + sigma1) ln R_START - ln(n + sigma1),
+    so they cannot underflow to 0; u's correction u(0) - u(R_START) is
+    (gamma - 1)/(gamma + sigma1) times -r u' there (and the same for v).
     Raises ParameterError where u(0) = a or v(0) = b is too large for the
     expansion's powers in floating point.
     """
-    n, g = params.n, params.gamma - 1.0
-    s1, s2 = params.sigma1, params.sigma2
+    if abs(params.beta - 1.0) > 1e-12:
+        raise ParameterError(f"shooting requires beta = 1, got beta = {params.beta}")
+    if a <= 0.0 or b <= 0.0:
+        raise ParameterError("initial values u(0), v(0) must be positive")
+    n, g, s0 = params.n, params.gamma - 1.0, math.log(R_START)
+    lu = params.q * math.log(b) + (n + params.sigma1) * s0 - math.log(n + params.sigma1)
+    lv = params.p * math.log(a) + (n + params.sigma2) * s0 - math.log(n + params.sigma2)
     try:
-        mu0 = -(b**params.q) * r0 ** (n + s1) / (n + s1)
-        mv0 = -(a**params.p) * r0 ** (n + s2) / (n + s2)
-        cu = g / (params.gamma + s1) * (b**params.q / (n + s1)) ** (1.0 / g)
-        cv = g / (params.gamma + s2) * (a**params.p / (n + s2)) ** (1.0 / g)
-        u0 = a - cu * r0 ** ((params.gamma + s1) / g)
-        v0 = b - cv * r0 ** ((params.gamma + s2) / g)
-        y0 = np.array([u0, v0, mu0, mv0])
+        du, dv, _, _ = _rhs(params)(s0, np.array([a, b, lu, lv]))
+        u0 = a + g / (params.gamma + params.sigma1) * du
+        y0 = np.array([u0, b + g / (params.gamma + params.sigma2) * dv, lu, lv])
     except OverflowError:
         y0 = np.full(4, math.nan)
     if not np.all(np.isfinite(y0)):
@@ -146,53 +188,8 @@ def _series_start(params: Parameters, a: float, b: float, r0: float):
             f"series start out of floating-point range at u(0) = {a!r}, v(0) = {b!r}: "
             "u(0)^p, v(0)^q and their 1/(gamma - 1) powers must stay finite"
         )
-    return y0
-
-
-def _rhs(params: Parameters):
-    """The flux-form right-hand side in s = ln r, evaluated on Python floats.
-
-    du/ds = r u' is taken as -(-m_u r^{gamma-n})^{1/(gamma-1)}, so the power
-    applies to (r |u'|)^{gamma-1}: for gamma near 1, r^{(gamma-n)/(gamma-1)}
-    and (-m_u)^{1/(gamma-1)} each leave the float range on their own.
-    """
-    n, inv = params.n, 1.0 / (params.gamma - 1.0)
-    gamma_n = params.gamma - n
-    k_u, k_v = n + params.sigma1, n + params.sigma2
-    p, q = params.p, params.q
-    exp = math.exp
-
-    def rhs(s, y):
-        u, v, mu, mv = y.tolist()
-        r_pow = exp(s * gamma_n)
-        return (
-            -((-mu * r_pow) ** inv) if mu < 0.0 else 0.0,
-            -((-mv * r_pow) ** inv) if mv < 0.0 else 0.0,
-            -exp(k_u * s) * v**q if v > 0.0 else 0.0,
-            -exp(k_v * s) * u**p if u > 0.0 else 0.0,
-        )
-
-    return rhs
-
-
-def _start(params: Parameters, a: float, b: float, r_stop: float):
-    """Series start y0 at R_START and the sample points s_eval (s = ln r) to r_stop."""
-    if abs(params.beta - 1.0) > 1e-12:
-        raise ParameterError(f"shooting requires beta = 1, got beta = {params.beta}")
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterError("initial values u(0), v(0) must be positive")
-    s0, s_stop = math.log(R_START), math.log(r_stop)
-    decades = (s_stop - s0) / math.log(10.0)
-    s_eval = np.linspace(s0, s_stop, max(32, int(decades * SAMPLES_PER_DECADE)))
-    return _series_start(params, a, b, R_START), s_eval
-
-
-def _start_event(y0: np.ndarray) -> Optional[tuple[str, float]]:
-    """A component whose series start is already non-positive hits zero at R_START."""
-    for k, name in enumerate("uv"):
-        if y0[k] <= 0.0:
-            return (name, R_START)
-    return None
+    decades = (math.log(r_stop) - s0) / math.log(10.0)
+    return y0, np.linspace(s0, math.log(r_stop), max(32, int(decades * SAMPLES_PER_DECADE)))
 
 
 class _Shot:
@@ -202,7 +199,7 @@ class _Shot:
         self.rhs = _rhs(params)
         self.main = True  # record each step end and stop at a zero crossing
         self.origin = 0.0  # s at t = 0 of a side integration
-        self.steps = []  # (s, [u, v, m_u, m_v]) at the start and each accepted step end
+        self.steps = []  # (s, [u, v, ln(-m_u), ln(-m_v)]) at the start and each accepted step end
         self.error = None  # (exception, s) where the right-hand side left the float range
 
 
@@ -271,7 +268,7 @@ def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bo
 
     Returns (event, r, steps, samples): the event as in Trajectory, the
     sample radii up to the end, the number of accepted steps, and the
-    samples as [u, v, m_u, m_v] lists (None without `sample`).  Raises
+    samples as [u, v, ln(-m_u), ln(-m_v)] lists (None without `sample`).  Raises
     ParameterError where DOP853 fails (with scipy's message) or the
     right-hand side leaves the floating-point range.
     """
@@ -279,9 +276,8 @@ def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bo
     from scipy.optimize import brentq
 
     y0, s_eval = _start(params, a, b, r_stop)
-    event = _start_event(y0)
-    if event is not None:
-        return event, np.array([R_START]), 0, [y0.tolist()]
+    if min(y0[0], y0[1]) <= 0.0:  # a component already hit zero at R_START
+        return ("u" if y0[0] <= 0.0 else "v", R_START), np.array([R_START]), 0, [y0.tolist()]
 
     def run(t_end: float) -> list:
         y = solver.integrate(t_end)
@@ -299,6 +295,8 @@ def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bo
         if s == s_from:
             return y_from
         shot.origin = s_from  # t = s - s_from: a short span is never lost to rounding
+        # tried as one step: the span lies within an accepted step from y_from
+        solver._integrator.first_step = s - s_from
         solver.set_initial_value(y_from, 0.0)
         return run(s - s_from)
 
@@ -309,6 +307,7 @@ def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bo
         shot = _active = _Shot(params)
         try:
             s_end = float(s_eval[-1])
+            solver._integrator.first_step = 0.0  # DOP853 picks the first step
             solver.set_initial_value(y0, s_eval[0])
             run(s_end)
             shot.main = False
@@ -353,12 +352,16 @@ def shoot(
     Requires beta = 1 (the differential side of the correspondence) and
     positive initial data.  Stops when a component crosses zero or at
     r_stop, whichever comes first; a component that is already non-positive
-    at R_START hits zero there, and the trajectory is that one point.
+    at R_START hits zero there, and the trajectory is that one point.  The
+    fluxes are integrated as their logarithms and sampled as
+    flux_u = -exp(ln(-m_u)) and flux_v = -exp(ln(-m_v)).
     """
     cfg = cfg or ShootConfig()
     event, r, steps, samples = _integrate(params, a, b, cfg.r_stop, sample=True)
-    u, v, flux_u, flux_v = np.array(samples).T.copy()
-    return Trajectory(r=r, u=u, v=v, flux_u=flux_u, flux_v=flux_v, event=event, steps=steps)
+    u, v, log_u, log_v = np.array(samples).T.copy()
+    return Trajectory(
+        r=r, u=u, v=v, flux_u=-np.exp(log_u), flux_v=-np.exp(log_v), event=event, steps=steps
+    )
 
 
 def _classify(
@@ -566,14 +569,7 @@ def find_fast_ground_state(
     hit = final.hit_zero
     clean_hi = reach if scalar else reach * CLEAN_FRACTION
     keep = final.r <= clean_hi * (1.0 + 1e-12)
-    final = replace(
-        final,
-        r=final.r[keep],
-        u=final.u[keep],
-        v=final.v[keep],
-        flux_u=final.flux_u[keep],
-        flux_v=final.flux_v[keep],
-    )
+    final = replace(final, **{k: getattr(final, k)[keep] for k in ("r", "u", "v", "flux_u", "flux_v")})
     residual_u = flux_identity_residual(params, final)
     # v's flux identity is u's for the swapped system and components
     residual_v = flux_identity_residual(

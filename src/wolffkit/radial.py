@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -152,13 +152,17 @@ def _laggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
 class LruStore:
     """Values bounded by max_bytes in all (keys included, as the caller counts
     them), the least recently used dropped first; thread-safe.  A put
-    replaces the value a key held.  It keeps the log-tail rules here and
-    geometry's reference plans and ball masses."""
+    replaces the value a key held.  Keys may share a part, key[shared] (a
+    grid's points key), whose bytes count once while any held key has it.
+    It keeps the log-tail rules here and geometry's reference plans and ball
+    masses."""
 
-    def __init__(self, max_bytes: int):
+    def __init__(self, max_bytes: int, shared: Optional[int] = None):
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._items = OrderedDict()
+        self._shared = shared
+        self._holders = {}  # shared part -> the number of held keys that have it
         self.nbytes = 0
 
     def get(self, key):
@@ -169,20 +173,34 @@ class LruStore:
             self._items.move_to_end(key)
             return item[0]
 
+    def _count(self, key, nbytes: int, change: int):
+        """Count a held key in (change = 1) or out (-1): its nbytes and, for
+        the first or the last key that has it, its shared part's bytes."""
+        self.nbytes += change * nbytes
+        if self._shared is not None:
+            part = key[self._shared]
+            held = self._holders.pop(part, 0) + change
+            if held:
+                self._holders[part] = held
+            if held == (change > 0):
+                self.nbytes += change * len(part)
+
     def put(self, key, value, nbytes: int):
         with self._lock:
-            self.nbytes -= self._items.pop(key, (None, 0))[1]
+            if key in self._items:
+                self._count(key, self._items.pop(key)[1], -1)
             if nbytes > self.max_bytes:
                 return
             self._items[key] = (value, nbytes)
-            self.nbytes += nbytes
+            self._count(key, nbytes, 1)
             while self.nbytes > self.max_bytes:
-                _, (_, dropped) = self._items.popitem(last=False)
-                self.nbytes -= dropped
+                dropped, (_, size) = self._items.popitem(last=False)
+                self._count(dropped, size, -1)
 
     def clear(self):
         with self._lock:
             self._items.clear()
+            self._holders.clear()
             self.nbytes = 0
 
 
@@ -244,6 +262,11 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.points[-1])
+
+    @cached_property
+    def points_key(self) -> bytes:
+        """The points as bytes, made once: every store key on this grid holds this one object."""
+        return self.points.tobytes()
 
     @property
     def count(self) -> int:

@@ -419,7 +419,10 @@ def _store_holds_plans_and_masses_only():
     kept = [value for value, _ in geometry._masses._items.values()]
     return all(isinstance(p, geometry.ReferencePlan) for p in plans) and all(
         isinstance(m, np.ndarray) for _, m in kept
-    ) and all(store.nbytes == sum(b for _, b in store._items.values()) for store in (geometry._plans, geometry._masses))
+    ) and all(
+        store.nbytes == sum(b for _, b in store._items.values()) + sum(len(part) for part in store._holders)
+        for store in (geometry._plans, geometry._masses)
+    )
 
 
 def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):

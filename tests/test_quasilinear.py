@@ -40,6 +40,19 @@ def test_shoot_matches_critical_closed_form():
     assert np.max(np.abs(traj.v / exact - 1.0)) <= 1e-4
 
 
+def test_shoot_flux_matches_the_bubbles_closed_form():
+    # m_u = r^2 u'(r) = -(r^3/3)(1 + r^2/3)^{-3/2} on the exact bubble,
+    # differentiated by hand; measured 4.8e-12 on [1e-3, 1e3], where the
+    # series start's truncation at R_START dominates
+    traj = shoot(SCALAR_CUBIC, 1.0, 1.0, ShootConfig(r_stop=1e4))
+    keep = (traj.r >= 1e-3) & (traj.r <= 1e3)
+    r = traj.r[keep]
+    exact = -(r**3 / 3.0) * (1.0 + r**2 / 3.0) ** -1.5
+    assert keep.sum() > 100
+    assert np.max(np.abs(traj.flux_u[keep] / exact - 1.0)) <= 5e-11
+    assert np.max(np.abs(traj.flux_v[keep] / exact - 1.0)) <= 5e-11
+
+
 def test_shoot_requires_unit_beta_and_positive_data():
     with pytest.raises(ParameterError, match="beta"):
         shoot(Parameters(3, 0.5, 2.0, 5.0, 5.0, 0.0, 0.0), 1.0, 1.0)
@@ -166,6 +179,17 @@ FASTFAST = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
 INTERMEDIATE = Parameters(5, 1.0, 2.0, 1.4, 49 / 11, 0.0, 0.0)
 
 
+def test_fast_fast_search_step_budget():
+    # the benchmark's FastFast search to r = 1e6: with the fluxes integrated
+    # as logarithms its shots take 3,163 accepted DOP853 steps in all
+    # (6,153 with the fluxes themselves as unknowns), and b* stays where
+    # the flux unknowns put it, 1.0528731851737583, to 1e-14 relative
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e6), final_r_stop=1e6)
+    res = find_fast_ground_state(FASTFAST, cfg)
+    assert sum(e["steps"] for e in res.trace[1:]) <= 3500
+    assert res.trace[0]["b_star"] == pytest.approx(1.0528731851737583, rel=1e-14, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def full_depth_bisection():
     """The FastFast bisection at r_stop = 1e4 run to full depth with sampled shots.
@@ -245,8 +269,8 @@ def test_series_start_overflow_is_a_parameter_error_naming_b():
 
 def test_gamma_near_one_stays_in_float_range():
     # at gamma = 1.05, r^{(gamma-n)/(gamma-1)} = 1e291 at R_START and
-    # (-m_u)^{1/(gamma-1)} underflows; their product, (r|u'|)^{gamma-1}
-    # raised to 1/(gamma-1), is in range
+    # (-m_u)^{1/(gamma-1)} underflows; the power of their product,
+    # exp((ln(-m_u) + (gamma - n) s)/(gamma - 1)), is in range
     params = Parameters(5, 1.0, 1.05, 1.2, 9.0, 0.0, -0.5)
     for b in (1.0, 0.01):
         traj = shoot(params, 1.0, b, ShootConfig(r_stop=1e3))
@@ -600,7 +624,7 @@ def test_shoot_matches_hardy_weight_exact_family(n, gamma, sigma):
     # U = (1 + r^{(gamma+sigma)/(gamma-1)})^{-(n-gamma)/(gamma+sigma)} solves
     # -Delta_gamma U = K r^sigma U^{p*}, so u(0) U solves the shooter's
     # unit-coefficient system with u(0) = v(0) = K^{1/(p* - gamma + 1)}
-    # (Ghoussoub & Yuan, Trans. AMS 352, 2000); measured 2.1e-11 to 1.7e-7
+    # (Ghoussoub & Yuan, Trans. AMS 352, 2000); measured 3.4e-11 to 2.7e-7
     p_star = gamma * (n + sigma) / (n - gamma) - 1.0
     k = (n + sigma) * ((n - gamma) / (gamma - 1.0)) ** (gamma - 1.0)
     u0 = k ** (1.0 / (p_star - gamma + 1.0))

@@ -740,6 +740,29 @@ def test_lru_store_refuses_values_above_its_cap_and_replaces_keys_it_holds():
     assert store.get("b") is None and store.nbytes == 40
 
 
+def test_lru_store_charges_a_shared_key_part_once_while_a_held_key_has_it():
+    # keys (part, i) with shared=0: the part's bytes count once, however
+    # many held keys have it, and go when the last of them goes
+    store = radial.LruStore(100, shared=0)
+    grid_a, grid_b = b"a" * 10, b"b" * 20
+    store.put((grid_a, 1), "x", 30)
+    store.put((grid_a, 2), "y", 30)
+    assert store.nbytes == 70 and store.get((grid_a, 2)) == "y"
+    store.put((grid_a, 2), "z", 20)  # a replacement keeps the part held
+    assert store.nbytes == 60
+    store.put((grid_b, 1), "w", 20)  # 100 bytes: nothing is dropped
+    assert store.nbytes == 100 and len(store._items) == 3
+    store.put((grid_b, 2), "v", 45)  # drops (grid_a, 1), then (grid_a, 2) and grid_a's part
+    assert list(store._items) == [(grid_b, 1), (grid_b, 2)]
+    assert store.nbytes == 20 + 45 + 20 and store._holders == {grid_b: 2}
+    store.put((grid_b, 1), "too big", 101)
+    store.put((grid_b, 2), "too big", 101)  # the last key with grid_b goes, and its part
+    assert store.nbytes == 0 and store._holders == {}
+    store.put((grid_a, 1), "x", 30)
+    store.clear()
+    assert store.nbytes == 0 and store._holders == {} and store.get((grid_a, 1)) is None
+
+
 def test_power_cell_integrals_near_k_equal_mp_match_mpmath():
     # the Logarithmic ansatz's u, raised to p = 5/3, has k - m p ~ 6e-6 in its
     # last cells at k = n = 5: the rule v_a^p r_a^k expm1(z)/(k - m p), z =

@@ -1,6 +1,7 @@
 """Smoke tests of scripts/: each runs as a subprocess on the package in src/."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -46,6 +47,19 @@ def test_regime_rates_shooting_side_recovers_every_predicted_rate():
         assert abs(float(u) / float(u_pred) - 1.0) <= 0.05
         assert abs(float(v) / float(v_pred) - 1.0) <= 0.05
     assert "NOT converged" not in out
+
+
+def test_shoot_budget_reports_a_search_the_bubble_and_the_hardy_family():
+    out = json.loads(run_script("shoot_budget.py", "--tuples", "FastFast", "--r-stop", "1e3"))
+    assert out["r_stop"] == 1e3 and list(out["searches"]) == ["FastFast"]
+    search = out["searches"]["FastFast"]
+    assert search["shots"]["bracket"] == 2 and search["shots"]["brent"] > 0
+    assert search["steps"] > 10 * sum(search["shots"].values())
+    assert 1.0 < search["b_star"] < 1.1 and search["r_reached"] > 10.0
+    for key in ("rate_u", "rate_v", "v_log_power", "residual_u", "residual_v", "seconds"):
+        assert math.isfinite(search[key]), key
+    assert out["bubble"]["steps"] > 0 and out["bubble"]["error"] < 1e-6
+    assert len(out["hardy"]) == 5 and all(h["error"] < 1e-6 for h in out["hardy"])
 
 
 def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
