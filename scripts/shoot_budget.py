@@ -3,7 +3,8 @@
 bubble and the Hardy-weight exact family, as one JSON document.
 
 Per separatrix search: the classified shots by phase, the accepted DOP853
-steps of all of them, b*, the reach, the fitted rates, the v log power, both
+steps of all of them, the integrations (`iterations`: one per classified
+shot, as final_r_stop is r_stop here), b*, the reach, the fitted rates, the v log power, both
 flux-identity residuals and the wall time.  The bubble (the scalar critical
 case, one shot) gives its steps and its largest relative error against
 (1 + r^2/3)^{-1/2}; each Hardy-family tuple its largest relative error
@@ -40,6 +41,7 @@ def search(params: Parameters, r_stop: float) -> dict:
     return {
         "shots": dict(Counter(e["phase"] for e in shots)),
         "steps": sum(e["steps"] for e in shots),
+        "integrations": res.iterations,
         "b_star": res.trace[0]["b_star"],
         "r_reached": res.trace[0]["r_reached"],
         "rate_u": res.rate_u.exponent,

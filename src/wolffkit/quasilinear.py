@@ -35,13 +35,17 @@ with the "dop853" integrator; Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, 2nd ed., 1993, II.10), with solve_ivp's step-factor
 limits, at the relative tolerance RTOL.  It steps freely to r_stop; each
 accepted step end is recorded, and the first one where u or v <= 0 ends the
-steps.  The zero is then rooted and the sample points are filled in by side
-integrations from the step ends, each tried as one DOP853 step since its
-span lies within an accepted step, which never change the step sequence.
-So a shot that the search only classifies and the same shot sampled for the
-profiles share their steps, event and reach bit for bit, and the search
-samples the separatrix it classified.  The solver and its callbacks are
-built once per process: scipy's dop853 wrapper keeps references to the
+steps.  The zero is then rooted by side integrations from the last positive
+step end.  That is the integration (_integrate): it gives the shot's event,
+reach and accepted steps, which is all the search reads to classify it.
+The sampling (_sample) comes after it, from the steps it kept: each sample
+point is a side integration from the step end before it, tried as one
+DOP853 step since its span lies within an accepted step.  Side integrations
+never change the step sequence, so shoot(), which integrates and then
+samples, and the search, which classifies its shots and samples only the
+farthest one from that shot's own steps, integrate every shot once and read
+the same steps, event and reach bit for bit.  The solver and its callbacks
+are built once per process: scipy's dop853 wrapper keeps references to the
 callbacks of every run, which would keep callbacks made per shot, and their
 step lists, alive.
 """
@@ -52,6 +56,8 @@ import bisect
 import math
 import threading
 import warnings
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -193,14 +199,52 @@ def _start(params: Parameters, a: float, b: float, r_stop: float):
 
 
 class _Shot:
-    """The integration in progress: its right-hand side and its accepted steps."""
+    """One shot on the shared DOP853: its right-hand side, its steps and its end.
+
+    _integrate fills in the accepted steps, the event, the sample points
+    s_eval (s = ln r) up to the end and their radii r; _sample reads the
+    samples off the kept steps.  `caught` holds the warnings of the shot's
+    runs on the engine.
+    """
 
     def __init__(self, params: Parameters):
+        self.params = params
         self.rhs = _rhs(params)
         self.main = True  # record each step end and stop at a zero crossing
         self.origin = 0.0  # s at t = 0 of a side integration
-        self.steps = []  # (s, [u, v, ln(-m_u), ln(-m_v)]) at the start and each accepted step end
+        # s and y = [u, v, ln(-m_u), ln(-m_v)] at the start and each accepted
+        # step end, as doubles: a kept shot holds two buffers, not a Python
+        # object per value
+        self.s, self.y = array("d"), array("d")
         self.error = None  # (exception, s) where the right-hand side left the float range
+        self.event = None  # as in Trajectory
+
+    def step(self, i: int) -> tuple[float, list]:
+        """(s, y) at the i-th recorded point, i >= 0."""
+        return self.s[i], self.y[4 * i : 4 * i + 4].tolist()
+
+    def run(self, t_end: float) -> list:
+        """y at t_end from the engine's initial value, raising its failures."""
+        y = _solver.integrate(t_end)
+        if self.error is not None:
+            exc, s = self.error
+            raise ParameterError(
+                f"right-hand side out of floating-point range at r = {math.exp(s):.6g} "
+                f"({exc}), with n = {self.params.n} and gamma = {self.params.gamma!r}"
+            )
+        if _solver.get_return_code() < 0:
+            raise ParameterError(f"integration failed: {self.caught[-1].message}")
+        return y.tolist()
+
+    def side(self, s_from: float, y_from: list, s: float) -> list:
+        """y at s, integrated from (s_from, y_from) aside from the shot's steps."""
+        if s == s_from:
+            return y_from
+        self.origin = s_from  # t = s - s_from: a short span is never lost to rounding
+        # tried as one step: the span lies within an accepted step from y_from
+        _solver._integrator.first_step = s - s_from
+        _solver.set_initial_value(y_from, 0.0)
+        return self.run(s - s_from)
 
 
 # The engine: one compiled DOP853 per process, built on first use.  scipy's
@@ -230,151 +274,112 @@ def _solout(s, y):
     shot = _active
     if shot.main:
         y = y.tolist()
-        shot.steps.append((s, y))
+        shot.s.append(s)
+        shot.y.fromlist(y)
         if y[0] <= 0.0 or y[1] <= 0.0:
             return -1
     return 0
 
 
-def _engine():
-    """The shared compiled DOP853, with solve_ivp's step-factor limits."""
-    global _solver
-    if _solver is None:
-        from scipy.integrate import ode
+@contextmanager
+def _engaged(shot: _Shot):
+    """The shared compiled DOP853, with solve_ivp's step-factor limits, running `shot`."""
+    global _active, _solver
+    # a failed integrate warns with scipy's message, which run() raises instead
+    with _LOCK, warnings.catch_warnings(record=True) as shot.caught:
+        warnings.simplefilter("always")
+        if _solver is None:
+            from scipy.integrate import ode
 
-        solver = ode(_f).set_integrator(
-            "dop853", rtol=RTOL, atol=ATOL, nsteps=MAX_STEPS, dfactor=0.2, ifactor=10.0
-        )
-        # each set_initial_value hands the Fortran code the integrator's
-        # bound _solout, a new object that the two references would leak;
-        # shadowed by the module function, it is one object for good
-        solver._integrator._solout = _solout
-        solver.set_solout(_solout)
-        _solver = solver
-    return _solver
+            _solver = ode(_f).set_integrator(
+                "dop853", rtol=RTOL, atol=ATOL, nsteps=MAX_STEPS, dfactor=0.2, ifactor=10.0
+            )
+            # each set_initial_value hands the Fortran code the integrator's
+            # bound _solout, a new object that the two references would leak;
+            # shadowed by the module function, it is one object for good
+            _solver._integrator._solout = _solout
+            _solver.set_solout(_solout)
+        _active = shot
+        try:
+            yield
+        finally:
+            _active = None
 
 
-def _integrate(params: Parameters, a: float, b: float, r_stop: float, sample: bool):
-    """One shot from u(0) = a, v(0) = b towards r_stop on the shared DOP853.
+def _integrate(params: Parameters, a: float, b: float, r_stop: float) -> _Shot:
+    """One shot from u(0) = a, v(0) = b towards r_stop on the shared DOP853, unsampled.
 
     The solver steps freely from the series start; its solout callback
     records each accepted step end and stops the shot at the first one where
     u or v <= 0.  The earliest zero of the crossed components on that step
     ends the shot (u first on a tie): brentq to EVENT_TOL on side
-    integrations from the last positive step end.  With `sample`, y at each
-    sample point up to the end is a side integration from the step end
-    before it.  The samples never touch the step sequence, so a classified
-    and a sampled shot share it.
-
-    Returns (event, r, steps, samples): the event as in Trajectory, the
-    sample radii up to the end, the number of accepted steps, and the
-    samples as [u, v, ln(-m_u), ln(-m_v)] lists (None without `sample`).  Raises
-    ParameterError where DOP853 fails (with scipy's message) or the
-    right-hand side leaves the floating-point range.
+    integrations from the last positive step end.  Returns the shot with its
+    event, its steps and its sample points up to the end, which _sample
+    reads.  Raises ParameterError where DOP853 fails (with scipy's message)
+    or the right-hand side leaves the floating-point range.
     """
-    global _active
     from scipy.optimize import brentq
 
     y0, s_eval = _start(params, a, b, r_stop)
+    shot = _Shot(params)
     if min(y0[0], y0[1]) <= 0.0:  # a component already hit zero at R_START
-        return ("u" if y0[0] <= 0.0 else "v", R_START), np.array([R_START]), 0, [y0.tolist()]
+        shot.s, shot.y = array("d", s_eval[:1]), array("d", y0)
+        shot.s_eval, shot.r = s_eval[:1], np.array([R_START])
+        shot.event = ("u" if y0[0] <= 0.0 else "v", R_START)
+        return shot
+    with _engaged(shot):
+        s_end = float(s_eval[-1])
+        _solver._integrator.first_step = 0.0  # DOP853 picks the first step
+        _solver.set_initial_value(y0, s_eval[0])
+        shot.run(s_end)
+        shot.main = False
+        if _solver.get_return_code() == 2:  # stopped by solout at a crossing
+            n = len(shot.s)
+            (s_prev, y_prev), (s_cross, y_cross) = shot.step(n - 2), shot.step(n - 1)
 
-    def run(t_end: float) -> list:
-        y = solver.integrate(t_end)
-        if shot.error is not None:
-            exc, s = shot.error
-            raise ParameterError(
-                f"right-hand side out of floating-point range at r = {math.exp(s):.6g} "
-                f"({exc}), with n = {params.n} and gamma = {params.gamma!r}"
+            def component(k):
+                return lambda s: y_cross[k] if s == s_cross else shot.side(s_prev, y_prev, s)[k]
+
+            s_end, k = min(
+                (brentq(component(k), s_prev, s_cross, xtol=EVENT_TOL, rtol=EVENT_TOL), k)
+                for k in (0, 1)
+                if y_cross[k] <= 0.0
             )
-        if solver.get_return_code() < 0:
-            raise ParameterError(f"integration failed: {caught[-1].message}")
-        return y.tolist()
-
-    def side(s_from: float, y_from: list, s: float) -> list:
-        if s == s_from:
-            return y_from
-        shot.origin = s_from  # t = s - s_from: a short span is never lost to rounding
-        # tried as one step: the span lies within an accepted step from y_from
-        solver._integrator.first_step = s - s_from
-        solver.set_initial_value(y_from, 0.0)
-        return run(s - s_from)
-
-    with _LOCK, warnings.catch_warnings(record=True) as caught:
-        # a failed integrate warns with scipy's message, which is raised instead
-        warnings.simplefilter("always")
-        solver = _engine()
-        shot = _active = _Shot(params)
-        try:
-            s_end = float(s_eval[-1])
-            solver._integrator.first_step = 0.0  # DOP853 picks the first step
-            solver.set_initial_value(y0, s_eval[0])
-            run(s_end)
-            shot.main = False
-            steps = shot.steps
-            event = None
-            if solver.get_return_code() == 2:  # stopped by solout at a crossing
-                (s_prev, y_prev), (s_cross, y_cross) = steps[-2:]
-
-                def component(k):
-                    return lambda s: y_cross[k] if s == s_cross else side(s_prev, y_prev, s)[k]
-
-                s_end, k = min(
-                    (brentq(component(k), s_prev, s_cross, xtol=EVENT_TOL, rtol=EVENT_TOL), k)
-                    for k in (0, 1)
-                    if y_cross[k] <= 0.0
-                )
-                event = ("uv"[k], float(math.exp(s_end)))
-            else:
-                # the last step ends on s_end up to the rounding of s + (s_end - s)
-                steps[-1] = (s_end, steps[-1][1])
-            s_eval = s_eval[: np.searchsorted(s_eval, s_end, "right")]
-            samples = None
-            if sample:
-                s_steps = [s for s, _ in steps]
-                samples = [
-                    side(*steps[bisect.bisect_right(s_steps, s) - 1], s)
-                    for s in s_eval.tolist()
-                ]
-            return event, np.exp(s_eval), len(steps) - 1, samples
-        finally:
-            _active = None
+            shot.event = ("uv"[k], float(math.exp(s_end)))
+        else:
+            # the last step ends on s_end up to the rounding of s + (s_end - s)
+            shot.s[-1] = s_end
+    shot.s_eval = s_eval[: np.searchsorted(s_eval, s_end, "right")]
+    shot.r = np.exp(shot.s_eval)
+    return shot
 
 
-def shoot(
-    params: Parameters,
-    a: float,
-    b: float,
-    cfg: Optional[ShootConfig] = None,
-) -> Trajectory:
-    """Integrate the radial system from u(0) = a, v(0) = b.
+def _sample(shot: _Shot) -> Trajectory:
+    """The trajectory of an integrated shot, sampled off its kept steps.
+
+    y at each sample point is a side integration from the step end before
+    it, so the samples are the same whenever they are taken.  The fluxes
+    are integrated as their logarithms and sampled as
+    flux_u = -exp(ln(-m_u)) and flux_v = -exp(ln(-m_v)).
+    """
+    with _engaged(shot):
+        ys = [shot.side(*shot.step(bisect.bisect_right(shot.s, s) - 1), s) for s in shot.s_eval.tolist()]
+    u, v, log_u, log_v = np.array(ys).T.copy()
+    return Trajectory(
+        r=shot.r, u=u, v=v, flux_u=-np.exp(log_u), flux_v=-np.exp(log_v), event=shot.event,
+        steps=len(shot.s) - 1,
+    )
+
+
+def shoot(params: Parameters, a: float, b: float, cfg: Optional[ShootConfig] = None) -> Trajectory:
+    """Integrate the radial system from u(0) = a, v(0) = b, then sample it.
 
     Requires beta = 1 (the differential side of the correspondence) and
     positive initial data.  Stops when a component crosses zero or at
     r_stop, whichever comes first; a component that is already non-positive
-    at R_START hits zero there, and the trajectory is that one point.  The
-    fluxes are integrated as their logarithms and sampled as
-    flux_u = -exp(ln(-m_u)) and flux_v = -exp(ln(-m_v)).
+    at R_START hits zero there, and the trajectory is that one point.
     """
-    cfg = cfg or ShootConfig()
-    event, r, steps, samples = _integrate(params, a, b, cfg.r_stop, sample=True)
-    u, v, log_u, log_v = np.array(samples).T.copy()
-    return Trajectory(
-        r=r, u=u, v=v, flux_u=-np.exp(log_u), flux_v=-np.exp(log_v), event=event, steps=steps
-    )
-
-
-def _classify(
-    params: Parameters, a: float, b: float, r_stop: float
-) -> tuple[Optional[tuple[str, float]], float, int]:
-    """(event, r_reached, steps) of shoot(params, a, b, ShootConfig(r_stop)), unsampled.
-
-    Runs the same engine as shoot() without its samples, so all three
-    values equal shoot()'s bit for bit: the reach is the last sample point
-    at or below the end, and steps counts the accepted DOP853 steps.
-    """
-    event, r, steps, _ = _integrate(params, a, b, r_stop, sample=False)
-    return event, float(r[-1]), steps
+    return _sample(_integrate(params, a, b, (cfg or ShootConfig()).r_stop))
 
 
 def flux_identity_residual(params: Parameters, traj: Trajectory) -> float:
@@ -468,14 +473,16 @@ def find_fast_ground_state(
     the class among the classified shots is bisected geometrically until
     its ends lo, hi are adjacent doubles, and b_star = sqrt(lo * hi).
 
-    Shots are classified without sampling them (`_classify`, on the engine
-    that shoot() runs, so they reach exactly as far sampled); then one
-    trajectory is shot with samples: the classified shot that reached
-    farthest, and of equal reaches the one nearest b_star in ln b.  When
-    final_r_stop differs from shoot.r_stop, b_star is shot to final_r_stop
-    instead, and the farthest shot is sampled as well if that reach is
-    shorter.  `iterations` counts every integration, classified and
-    sampled; the trace holds the result's b_star entry followed by one entry
+    Each shot is integrated once and classified without sampling it; the
+    search keeps the steps of the shots at the farthest reach so far, and
+    no others.  Then one of them is sampled off its kept steps, with no
+    further integration: the classified shot that reached farthest, and of
+    equal reaches the one nearest b_star in ln b.  When final_r_stop
+    differs from shoot.r_stop, b_star is shot to final_r_stop instead, and
+    the farthest shot is sampled if that reach is shorter.  `iterations`
+    counts the integrations: one per classified shot, plus b_star's to
+    final_r_stop where it differs (1 in the scalar case); the trace holds
+    the result's b_star entry followed by one entry
     per classified shot (b, phase, outcome, r_reached, r_hit, steps; phase
     is "bracket", "brent" or "bisect", r_hit is None for a survivor, steps
     counts the accepted DOP853 steps).  The profiles, the rate fits and the
@@ -491,25 +498,30 @@ def find_fast_ground_state(
     shoot_cfg = cfg.shoot
     final_stop = cfg.final_r_stop if cfg.final_r_stop is not None else shoot_cfg.r_stop
     known = {}  # b -> its trace entry, one per classified shot in shot order
+    farthest = {}  # b -> its shot, for the shots at the farthest reach so far
 
     def classify(b: float, phase: str) -> str:
         if b not in known:
-            event, reach, steps = _classify(params, cfg.a, b, shoot_cfg.r_stop)
-            r_hit = None if event is None else event[1]
+            shot = _integrate(params, cfg.a, b, shoot_cfg.r_stop)
+            reach, event, steps = float(shot.r[-1]), shot.event, len(shot.s) - 1
+            so_far = known[next(iter(farthest))]["r_reached"] if farthest else 0.0
             known[b] = dict(
-                b=b, phase=phase, outcome=_outcome(event), r_reached=reach, r_hit=r_hit, steps=steps
+                b=b, phase=phase, outcome=_outcome(event), r_reached=reach, r_hit=event and event[1],
+                steps=steps,
             )
+            if reach > so_far:
+                farthest.clear()
+            if reach >= so_far:
+                farthest[b] = shot
         return known[b]["outcome"]
 
     if scalar:
-        traj = shoot(params, cfg.a, cfg.a, replace(shoot_cfg, r_stop=final_stop))
-        if traj.hit_zero:
+        final = shoot(params, cfg.a, cfg.a, replace(shoot_cfg, r_stop=final_stop))
+        if final.hit_zero:
             raise NoBracketError(
                 "scalar trajectory hit zero; no positive ground state along this shot"
             )
-        b_star = cfg.a
-        final = traj
-        shots = 1
+        b_star, shots = cfg.a, 1
     else:
         from scipy.optimize import brentq
 
@@ -554,16 +566,15 @@ def find_fast_ground_state(
             lo, hi = (mid, hi) if (classify(mid, "bisect") == c_lo) == lower(lo) else (lo, mid)
         b_star = math.sqrt(lo * hi)
         # the sampled shot is the classified shot that reached farthest; of
-        # equal reaches (every survivor reaches r_stop) the one nearest b_star
+        # equal reaches (every survivor reaches r_stop) the one nearest b_star.
+        # Its steps are kept, so sampling it integrates nothing again
         best = max(known.values(), key=lambda e: (e["r_reached"], -abs(math.log(e["b"] / b_star))))
-        shots = len(known) + 1
-        if final_stop == shoot_cfg.r_stop:
-            final = shoot(params, cfg.a, best["b"], shoot_cfg)
-        else:
+        final = None
+        if final_stop != shoot_cfg.r_stop:
             final = shoot(params, cfg.a, b_star, replace(shoot_cfg, r_stop=final_stop))
-            if final.r_reached < best["r_reached"]:
-                final = shoot(params, cfg.a, best["b"], shoot_cfg)
-                shots += 1
+        shots = len(known) + (final is not None)
+        if final is None or final.r_reached < best["r_reached"]:
+            final = _sample(farthest[best["b"]])
 
     reach = final.r_reached
     hit = final.hit_zero
@@ -599,7 +610,7 @@ def find_fast_ground_state(
         v=v_prof,
         residual_u=residual_u,
         residual_v=residual_v,
-        iterations=shots,  # integrations, classified and sampled
+        iterations=shots,  # integrations: one per classified shot, and b_star's to final_r_stop
         converged=converged,
         rate_u=rate_u,
         rate_v=rate_v,

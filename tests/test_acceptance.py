@@ -251,7 +251,7 @@ def test_criterion_7_fast_rate_recovery_by_shooting(regime_name):
     rates_ok, detail = _rate_defects(result, prediction)
     report(7, f"fast-rate recovery by shooting [{regime_name}]", result.converged and rates_ok,
            f"shooting, {result.iterations} integrations: {detail}")
-    # integrations, classified and sampled; measured 24, 26 and 32
+    # integrations, one per classified shot; measured 22, 25 and 31
     assert result.iterations <= SHOOTING_INTEGRATIONS[regime_name]
 
 

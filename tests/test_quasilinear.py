@@ -7,7 +7,9 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,34 +213,50 @@ def full_depth_bisection():
     return cfg, shots, math.sqrt(lo * hi)
 
 
+def _integrated(params, a, b, r_stop):
+    """(event, r_reached, steps) of one integration, unsampled: what the search reads."""
+    shot = quasilinear._integrate(params, a, b, r_stop)
+    return shot.event, float(shot.r[-1]), len(shot.s) - 1
+
+
 def _counting(monkeypatch):
-    """Record the b of every classified and every sampled shot."""
-    classified, sampled = [], []
-    classify, shoot_ = quasilinear._classify, quasilinear.shoot
+    """Record the (b, r_stop) of every integrated and every sampled shot."""
+    integrated, sampled, origin = [], [], {}
+    integrate, sample = quasilinear._integrate, quasilinear._sample
 
-    def counting_classify(params, a, b, r_stop):
-        classified.append((b, r_stop))
-        return classify(params, a, b, r_stop)
+    def counting_integrate(params, a, b, r_stop):
+        integrated.append((b, r_stop))
+        shot = integrate(params, a, b, r_stop)
+        origin[shot] = (b, r_stop)
+        return shot
 
-    def counting_shoot(params, a, b, cfg=None):
-        sampled.append((b, cfg.r_stop))
-        return shoot_(params, a, b, cfg)
+    def counting_sample(shot):
+        sampled.append(origin[shot])
+        return sample(shot)
 
-    monkeypatch.setattr(quasilinear, "_classify", counting_classify)
-    monkeypatch.setattr(quasilinear, "shoot", counting_shoot)
-    return classified, sampled
+    monkeypatch.setattr(quasilinear, "_integrate", counting_integrate)
+    monkeypatch.setattr(quasilinear, "_sample", counting_sample)
+    return integrated, sampled
 
 
 def test_classify_matches_shoot_at_every_bisection_b(full_depth_bisection):
-    # tolerance 0: the unsampled classification reads the outcome, reach and
-    # step count that the sampled shot reports, at every b of the bisection
+    # tolerance 0: the unsampled integration reads the outcome, reach and
+    # step count that the sampled shot reports, at every b of the bisection;
+    # and each kept shot, sampled only after every other shot was integrated
+    # on the shared engine, gives the fresh shot's samples bit for bit
     cfg, shots, _ = full_depth_bisection
+    kept = {b: quasilinear._integrate(FASTFAST, cfg.a, b, cfg.shoot.r_stop) for b in shots}
     for b, t in shots.items():
-        assert quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop) == (
+        assert (kept[b].event, float(kept[b].r[-1]), len(kept[b].s) - 1) == (
             t.event,
             t.r_reached,
             t.steps,
         )
+    for b in reversed(list(kept)):
+        got, t = quasilinear._sample(kept[b]), shots[b]
+        assert got.event == t.event and got.steps == t.steps
+        for name in ("r", "u", "v", "flux_u", "flux_v"):
+            assert np.array_equal(getattr(got, name), getattr(t, name)), (b, name)
 
 
 def test_non_positive_start_hits_zero_at_series_start():
@@ -248,7 +266,7 @@ def test_non_positive_start_hits_zero_at_series_start():
     assert traj.r_reached == quasilinear.R_START
     assert traj.u[0] < 0.0 and traj.r.size == 1
     assert traj.steps == 0
-    assert quasilinear._classify(INTERMEDIATE, 1.0, 200.0, 1e4) == (
+    assert _integrated(INTERMEDIATE, 1.0, 200.0, 1e4) == (
         traj.event,
         traj.r_reached,
         traj.steps,
@@ -261,7 +279,7 @@ def test_series_start_overflow_is_a_parameter_error_naming_b():
     with pytest.raises(ParameterError, match=r"v\(0\) = 10000\.0"):
         shoot(params, 1.0, 1e4, ShootConfig(r_stop=1e8))
     with pytest.raises(ParameterError, match=r"v\(0\) = 10000\.0"):
-        quasilinear._classify(params, 1.0, 1e4, 1e8)
+        _integrated(params, 1.0, 1e4, 1e8)
     # one decade lower the start is finite (and already non-positive in u)
     traj = shoot(params, 1.0, 1e3, ShootConfig(r_stop=1e2))
     assert np.isfinite(traj.u[0]) and traj.event == ("u", quasilinear.R_START)
@@ -275,7 +293,7 @@ def test_gamma_near_one_stays_in_float_range():
     for b in (1.0, 0.01):
         traj = shoot(params, 1.0, b, ShootConfig(r_stop=1e3))
         assert traj.event is not None and traj.steps > 0
-        assert quasilinear._classify(params, 1.0, b, 1e3) == (
+        assert _integrated(params, 1.0, b, 1e3) == (
             traj.event,
             traj.r_reached,
             traj.steps,
@@ -303,9 +321,9 @@ def test_rhs_overflow_is_a_parameter_error_naming_gamma(monkeypatch):
     with pytest.raises(ParameterError, match=r"range at r = 1 .*gamma = 2\.0"):
         shoot(FASTFAST, 1.0, 1.0, ShootConfig(r_stop=1e2))
     with pytest.raises(ParameterError, match=r"gamma = 2\.0"):
-        quasilinear._classify(FASTFAST, 1.0, 1.0, 1e2)
+        _integrated(FASTFAST, 1.0, 1.0, 1e2)
     monkeypatch.undo()
-    assert quasilinear._classify(FASTFAST, 1.0, 1.0, 1e2)[2] > 0  # the engine still works
+    assert _integrated(FASTFAST, 1.0, 1.0, 1e2)[2] > 0  # the engine still works
 
 
 def test_integration_failure_is_a_parameter_error_without_warning(monkeypatch):
@@ -318,6 +336,19 @@ def test_integration_failure_is_a_parameter_error_without_warning(monkeypatch):
             shoot(FASTFAST, 1.0, 1.0, ShootConfig(r_stop=1e2))
 
 
+def _growth(run) -> int:
+    """Bytes still allocated after run() and a collection, traced by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_shots_leave_no_memory_behind():
     # scipy's dop853 wrapper keeps references to the callbacks of every run;
     # the engine's callbacks are module functions, so the shots' step lists
@@ -325,24 +356,38 @@ def test_shots_leave_no_memory_behind():
     # a dozen side integrations for the event root.  Measured growth: 1.2 kB;
     # 2.8 MB with callbacks made per shot, and 53 kB with the integrator's
     # own bound _solout, a new object on every run.
-    quasilinear._classify(INTERMEDIATE, 1.0, 100.0, 1e4)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    def shots():
         for k in range(200):
-            event, _, steps = quasilinear._classify(INTERMEDIATE, 1.0, 100.0 + 0.01 * k, 1e4)
+            event, _, steps = _integrated(INTERMEDIATE, 1.0, 100.0 + 0.01 * k, 1e4)
             assert event[0] == "u" and steps > 0
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 20_000
+
+    _integrated(INTERMEDIATE, 1.0, 100.0, 1e4)
+    assert _growth(shots) < 20_000
+    # a whole search keeps the steps of its farthest shots until it has
+    # sampled one of them, and none once it returns.  Measured growth of a
+    # FastFast search at r_stop = 1e3: 1.6 kB; 424 kB if every shot's steps
+    # stayed alive.  The sampled shot's alone would add 13 kB, so each shot
+    # is also watched until it is freed.
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e3))
+    find_fast_ground_state(FASTFAST, cfg)
+    assert _growth(lambda: find_fast_ground_state(FASTFAST, cfg)) < 20_000
+    integrate, made = quasilinear._integrate, []
+
+    def watched(*args):
+        shot = integrate(*args)
+        made.append(weakref.ref(shot))
+        return shot
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasilinear, "_integrate", watched)
+        res = find_fast_ground_state(FASTFAST, cfg)
+    gc.collect()
+    assert len(made) == res.iterations and not any(ref() for ref in made)
 
 
 def test_threads_share_the_engine_one_shot_at_a_time():
     # one solver serves the process; with more threads than cores and a
-    # short switch interval, every classified and sampled shot equals the
+    # short switch interval, every unsampled and sampled shot equals the
     # same shot made alone
     cases = [(FASTFAST, 0.5), (FASTFAST, 0.75), (FASTFAST, 1.0)]
     cases += [(INTERMEDIATE, 0.3), (INTERMEDIATE, 0.6)]
@@ -353,7 +398,7 @@ def test_threads_share_the_engine_one_shot_at_a_time():
         params, b = cases[i]
         try:
             for _ in range(3):
-                classified = quasilinear._classify(params, 1.0, b, 1e3)
+                classified = _integrated(params, 1.0, b, 1e3)
                 sampled = shoot(params, 1.0, b, ShootConfig(r_stop=1e3))
                 got.setdefault(i, []).append((classified, sampled))
         except Exception as exc:  # reported below, with the case that raised it
@@ -382,15 +427,16 @@ def test_threads_share_the_engine_one_shot_at_a_time():
 def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
     params = FASTFAST
     cfg, _, b_star = full_depth_bisection
-    classified, sampled = _counting(monkeypatch)
+    integrated, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
-    # no b is classified twice, and exactly one trajectory is sampled: the
-    # classified shot that reached farthest, of equal reaches the one nearest
-    # the search's b_star, whose samples the profiles are bit for bit.  b_star lies within Brent's tolerance of the
+    # no b is integrated twice, and exactly one trajectory is sampled, off
+    # its kept steps: the classified shot that reached farthest, of equal
+    # reaches the one nearest the search's b_star, whose samples the profiles
+    # are bit for bit.  b_star lies within Brent's tolerance of the
     # full-depth bisection's (here it is the same double; on Logarithmic at
     # r_stop = 1e4 it ends 2.0e-15 away).  The search classifies 33 shots
     # here; bisection on the outcome class alone classifies 57.
-    shots = [b for b, _ in classified]
+    shots = [b for b, _ in integrated]
     assert len(set(shots)) == len(shots) <= 34
     found = res.trace[0]["b_star"]
     assert found in shots
@@ -412,7 +458,7 @@ def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
     # the report counts the integrations and gives each component its own
     # flux identity, m_v(r) + int_0^r s^{n-1+sigma2} u^p ds = 0, on the
     # samples the profiles keep: CLEAN_FRACTION of the reach
-    assert res.iterations == len(classified) + len(sampled)
+    assert res.iterations == len(integrated) == len(entries)
     k = res.u.grid.count
     assert final.r[k - 1] <= quasilinear.CLEAN_FRACTION * final.r_reached < final.r[k]
     kept = dataclasses.replace(
@@ -431,10 +477,10 @@ def test_search_ends_on_the_bisection_b_star(full_depth_bisection, monkeypatch):
 
 def test_trace_records_each_classified_shot(monkeypatch):
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e3))
-    classified, _ = _counting(monkeypatch)
+    integrated, _ = _counting(monkeypatch)
     res = find_fast_ground_state(FASTFAST, cfg)
     steps = res.trace[1:]
-    assert [(e["b"], cfg.shoot.r_stop) for e in steps] == classified
+    assert [(e["b"], cfg.shoot.r_stop) for e in steps] == integrated
     assert set(res.trace[0]) == {"b_star", "r_reached", "log_scale"}
     # each shot names the phase that classified it: the two bracket ends,
     # then Brent's iterates, then the bisection of Brent's tightest bracket
@@ -451,7 +497,7 @@ def test_trace_records_each_classified_shot(monkeypatch):
     # r_hit is the event radius that the search read, None for a survivor;
     # steps counts the shot's accepted DOP853 steps
     for b in [b_star] + adjacent:
-        event, reach, n_steps = quasilinear._classify(FASTFAST, cfg.a, b, cfg.shoot.r_stop)
+        event, reach, n_steps = _integrated(FASTFAST, cfg.a, b, cfg.shoot.r_stop)
         assert entry[b]["r_hit"] == (None if event is None else event[1])
         assert entry[b]["r_reached"] == reach
         assert entry[b]["steps"] == n_steps > 0
@@ -467,11 +513,11 @@ def _synthetic_search(monkeypatch, lower, scale, brentq=None):
 
     A shot at b hits zero in u where lower(b) holds and in v elsewhere, at
     r_hit = scale |b - SYNTHETIC_B0|^{-1/k} with k = 3, the law the misfit
-    assumes; it survives where r_hit reaches r_stop.  The sampled shot is
-    recorded and stood in for by a real shot near the FastFast separatrix,
-    so that the fits have a profile to read.  brentq, when given, stands in
-    for scipy's.  Returns the result, the classified b in shot order, the
-    sampled b and the synthetic outcome.
+    assumes; it survives where r_hit reaches r_stop.  Each synthetic shot
+    has one step.  The sampled shot is recorded and stood in for by a real
+    shot near the FastFast separatrix, so that the fits have a profile to
+    read.  brentq, when given, stands in for scipy's.  Returns the result,
+    the integrated b in shot order, the sampled b and the synthetic outcome.
     """
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4))
     real = shoot(FASTFAST, 1.0, 1.0528731851723776, cfg.shoot)
@@ -481,19 +527,20 @@ def _synthetic_search(monkeypatch, lower, scale, brentq=None):
         distance = abs(b - SYNTHETIC_B0)
         r_hit = scale * distance ** (-1.0 / 3.0) if distance > 0.0 else math.inf
         if r_hit >= r_stop:
-            return None, r_stop, 1
-        return ("u" if lower(b) else "v", r_hit), r_hit, 1
+            return None, r_stop
+        return ("u" if lower(b) else "v", r_hit), r_hit
 
-    def classify(params, a, b, r_stop):
+    def integrate(params, a, b, r_stop):
         classified.append(b)
-        return synthetic(params, a, b, r_stop)
+        event, reach = synthetic(params, a, b, r_stop)
+        return SimpleNamespace(b=b, event=event, r=np.array([reach]), s=[None, None])
 
-    def sample(params, a, b, cfg=None):
-        sampled.append(b)
+    def sample(shot):
+        sampled.append(shot.b)
         return real
 
-    monkeypatch.setattr(quasilinear, "_classify", classify)
-    monkeypatch.setattr(quasilinear, "shoot", sample)
+    monkeypatch.setattr(quasilinear, "_integrate", integrate)
+    monkeypatch.setattr(quasilinear, "_sample", sample)
     if brentq is not None:
         monkeypatch.setattr(scipy.optimize, "brentq", brentq)
     res = find_fast_ground_state(FASTFAST, cfg)
@@ -583,18 +630,39 @@ def test_bisection_keeps_a_reversed_sign_change(monkeypatch):
     )
 
 
+def test_search_integrates_each_classified_shot_once(monkeypatch):
+    # one integration per classified shot and none more: the profiles are
+    # sampled from the farthest shot's own kept steps
+    cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e3), final_r_stop=1e3)
+    integrated, sampled = _counting(monkeypatch)
+    res = find_fast_ground_state(FASTFAST, cfg)
+    assert integrated == [(e["b"], 1e3) for e in res.trace[1:]]
+    assert res.iterations == len(integrated)
+    assert len(sampled) == 1 and sampled[0] in integrated
+
+
 def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
     params = FASTFAST
     cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e4), final_r_stop=1e5)
-    classified, sampled = _counting(monkeypatch)
+    integrated, sampled = _counting(monkeypatch)
     res = find_fast_ground_state(params, cfg)
     b_star = res.trace[0]["b_star"]
-    # b_star is sampled to 1e5; if that shot hits zero short of the
-    # bisection's farthest reach, the farthest shot is sampled to 1e4 too
-    assert sampled[0] == (b_star, 1e5) and len(sampled) <= 2
-    assert all(r_stop == 1e4 for _, r_stop in classified + sampled[1:])
+    # b_star is integrated once more, to 1e5, after every classified shot to
+    # 1e4, and sampled; if that shot hits zero short of the bisection's
+    # farthest reach, the farthest shot is sampled off its kept steps too,
+    # with no further integration.  Here b_star's shot falls short.
+    entries = res.trace[1:]
+    classified = [(e["b"], 1e4) for e in entries]
+    assert integrated == classified + [(b_star, 1e5)]
     assert b_star in [b for b, _ in classified]  # re-shot to the farther radius
-    assert res.iterations == len(classified) + len(sampled)
+    farthest = max(e["r_reached"] for e in entries)
+    b_far = min(
+        (e["b"] for e in entries if e["r_reached"] == farthest),
+        key=lambda b: abs(math.log(b / b_star)),
+    )
+    assert sampled == [(b_star, 1e5), (b_far, 1e4)]
+    assert res.trace[0]["r_reached"] == farthest
+    assert res.iterations == len(integrated)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -55,6 +55,7 @@ def test_shoot_budget_reports_a_search_the_bubble_and_the_hardy_family():
     search = out["searches"]["FastFast"]
     assert search["shots"]["bracket"] == 2 and search["shots"]["brent"] > 0
     assert search["steps"] > 10 * sum(search["shots"].values())
+    assert search["integrations"] == sum(search["shots"].values())  # one per classified shot
     assert 1.0 < search["b_star"] < 1.1 and search["r_reached"] > 10.0
     for key in ("rate_u", "rate_v", "v_log_power", "residual_u", "residual_v", "seconds"):
         assert math.isfinite(search[key]), key
