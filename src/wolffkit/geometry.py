@@ -21,20 +21,19 @@ measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
 quadrature splits at both breakpoints and uses a square-root substitution on
 the two edge pieces; interior pieces use Gauss-Legendre in ln r.
 
-ball_mass_batch takes one centre per call; potential.wolff_eval_at calls it
-once per centre and writes the masses into one flat array.  The covered
-part of a ball, the shells r <= t - rho inside it whole, is the closed-form
-cumulative mass at t - rho: a caller with many centres takes every centre's
-in one cumulative_mass call and passes each centre its own (covered=), and a
-call without them takes its own in one call.  Either way each radius's mass
-is the same double (RadialFunction sums every radius's quadrature by
-itself).  The partial-shell nodes of all radii t of one centre are built in
-a single array pass (_partial_shell_nodes): two searchsorted calls find each
-shell's inner piece boundaries, the ragged piece lists are laid out with
-repeat/cumsum, wide pieces are subdivided, and the interior and edge nodes
-are written into one flat array, each shell's block in piece order: lower
-edge, interior pieces, upper edge.  One cap_fraction call and one
-add.reduceat then give every partial-shell mass.
+ball_mass_batch takes one centre per call, map_masses every centre of a
+potential map at once.  The covered part of a ball, the shells
+r <= t - rho inside it whole, is the closed-form cumulative mass at
+t - rho: a map takes every centre's in one cumulative_mass call and passes
+them on (covered=), and a call without them takes its own in one call.
+Either way each radius's mass is the same double (RadialFunction sums every
+radius's quadrature by itself).  The partial-shell nodes of all radii t of
+one centre are built in a single array pass (_partial_shell_nodes): two
+searchsorted calls find each shell's inner piece boundaries, the ragged
+piece lists are laid out with repeat/cumsum, wide pieces are subdivided,
+and the interior and edge nodes are written into one flat array, each
+shell's block in piece order: lower edge, interior pieces, upper edge.  One
+cap_fraction call and one add.reduceat then give every partial-shell mass.
 
 The masses commute with dilations: the ball mass of f(./lam) at (lam rho,
 lam t) is lam^n times f's at (rho, t).  So a source without a jump on a
@@ -43,17 +42,27 @@ takes its quadrature relative to its centre.  Its pieces split at
 rho q^{m j} for every integer j, m = ceil((ln 10 / 8) / ln q) cells (2 at 16
 points a decade, 8 at 64), and its nodes at rho times those of the
 reference plan (reference_plan, ReferencePlan) built once at rho = 1 per
-(n, ln q, tau), tau = t / rho the relative ball radii.  The plan holds each
-node's virtual cell k, [q^{k-1}, q^k), and offset s in it, the kernel
-weights cap_fraction * r^{n-1} * w, and each shell's first node.  Nothing in
-it depends on f or on the grid's ends, so every grid of that step, every
-centre on it and every source share it.  The grid point r_i reads it as
-RadialFunction.at_virtual: slot k + i, clipped to the head and the tail,
-at offset s + (k + i - clip(k + i, 1, N)) ln q, from the source's slot
-tables extended once by virtual head and tail cells and read through a view
-offset by i; the partial masses then scale by r_i^n.  A centre that is not a
-grid point locates the plan's nodes, scaled by rho, with f.locate.  A
-potential map passes the plan (plan=) when it qualifies; see potential.
+(n, ln q, tau), tau = t / rho the relative ball radii.  Nothing in the plan
+depends on f or on the grid's ends, so every grid of that step, every
+centre on it and every source share it.  The plan keeps each distinct node
+once, as its virtual cell k, [q^{k-1}, q^k), and its offset s in it: the
+interior pieces between two splits are shared by every shell that spans
+them (270 nodes in 7,900 of the 15,590 node slots of the solver's plan at
+n = 5), so their kernel weights cap_fraction * r^{n-1} * w form a small
+dense matrix, one row per shell that holds them; each shell's own edge
+nodes follow in shell order with their weights.
+
+_plan_shells takes the partial shells of a block of centres in one pass:
+f once at every distinct node of every centre, then the shared nodes' sums
+by one product with that matrix and the own nodes' by one add.reduceat,
+scaled by rho^n.  Grid points r_i read f through RadialFunction.at_virtual,
+one row per centre: slot k + i, clipped to the head and the tail, at offset
+s + (k + i - clip(k + i, 1, N)) ln q, from the source's slot tables
+extended once by virtual head and tail cells.  A centre that is not a grid
+point evaluates f at rho times the nodes.  The blocks hold about
+_BLOCK_BYTES of node values, and a centre's row does not depend on its
+block, so ball_mass_batch (a plan passed as plan=, a block of one) and
+map_masses agree bit for bit.
 
 Any other call, a source with a jump (a cut-off tail or a vanishing value,
 whose interpolant has kinks the plan does not know), a grid that is not
@@ -63,20 +72,22 @@ directly and keeps nothing.  A grid so far from 1 that a kernel weight or
 rho^n leaves the floating-point range raises ParameterError rather than
 returning inf or zero masses.
 
-Plans are kept in one least-recently-used store of 2 MiB (0.38 MB for the
-plan of the solver's grid at n = 5, 15,590 nodes), and the masses of each
-centre in another of 4 MiB, keyed by (n, the grid's points, rho, t, the
-path) with the key of the source they are of (RadialFunction.source_key):
-its values and its head and tail models.  Every key on a grid holds the
-grid's one RadialGrid.points_key, whose bytes the store counts once.  A call with a bit-equal source,
-such as the Wolff image of a source whose Riesz image was just taken on the
-same t nodes, returns a copy of the kept masses and evaluates nothing; a
-call with another source computes its own, which replace them.  Cold,
-repeat and kept masses come from one computation, so they agree bit for
-bit.  Both stores are locked (radial.LruStore), so threads may share them.
-plans_built() counts the reference plans built in the process and
-nodes_evaluated() the partial-shell nodes sources were evaluated at; each
-Picard trace entry reports both for its iteration.
+Plans are kept in one least-recently-used store of 2 MiB (0.41 MB for the
+plan of the solver's grid at n = 5), and masses in another of 4 MiB, with
+the key of the source they are of (RadialFunction.source_key): its values
+and its head and tail models.  ball_mass_batch keeps each centre's, keyed
+by (n, the grid's points, rho, t, the path), and map_masses each map's,
+keyed by (n, the grid's points, the centres, tau).  Every key on a grid
+holds the grid's one RadialGrid.points_key, whose bytes the store counts
+once.  A call with a bit-equal source, such as the Wolff image of a source
+whose Riesz image was just taken on the same t nodes, returns the kept
+masses and evaluates nothing; a call with another source computes its own,
+which replace them.  Cold, repeat and kept masses come from one
+computation, so they agree bit for bit.  Both stores are locked
+(radial.LruStore), so threads may share them.  plans_built() counts the
+reference plans built in the process and nodes_evaluated() the source
+evaluations made for partial shells; each Picard trace entry reports both
+for its iteration.
 """
 
 from __future__ import annotations
@@ -100,6 +111,8 @@ _EDGE_NODES = 20
 _MID_NODES = 10
 _PLAN_BYTES = 2 * 2**20
 _MASS_BYTES = 4 * 2**20
+# the node values of one block of centres in _plan_shells
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -327,21 +340,26 @@ def _cap_weights(kernel: CapKernel, rho, t, r, w) -> np.ndarray:
 
 
 class ReferencePlan(NamedTuple):
-    """The partial-shell quadrature of a centre at rho = 1, free of f: the
-    log step ln q = step of the grids it serves; per node its virtual cell
-    j = lo + cell, [q^{j-1}, q^j), its offset s = ln(r / q^{j-1}) and its
-    kernel weight cap_fraction * r^{n-1} * w; per shell the offset of its
-    first node and its index into the relative radii tau = t / rho the plan
-    was built for.  cell runs below span."""
+    """The partial-shell quadrature of a centre at rho = 1, free of f, over
+    its distinct nodes: the log step ln q = step of the grids it serves; per
+    node its virtual cell j = lo + cell, [q^{j-1}, q^j), and its offset
+    s = ln(r / q^{j-1}); cell runs below span.  The first weights.shape[1]
+    nodes are shared by several shells, rows the shells that hold them and
+    weights their kernel weights cap_fraction * r^{n-1} * w, one row per
+    shell of rows.  The rest each belong to one shell, in shell order: kw
+    their kernel weights and starts each shell's first.  Shell k is the
+    ball of the relative radius tau[k] the plan was built for."""
 
     step: float
     lo: int
     span: int
     cell: np.ndarray
     s: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
-    t_index: np.ndarray
+    tau: np.ndarray
 
 
 _plans = LruStore(_PLAN_BYTES)
@@ -361,57 +379,97 @@ def plans_built() -> int:
 
 
 def nodes_evaluated() -> int:
-    """Partial-shell nodes at which sources were evaluated in this process so
-    far, by every thread; masses served from the memo evaluate none."""
+    """Source evaluations made for partial shells in this process so far, by
+    every thread: a plan's distinct nodes once per centre, or a call's own
+    nodes; masses served from the memo evaluate none."""
     return _counts["nodes"]
 
 
-def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> ReferencePlan:
-    """The kept reference plan of (n, step, tau), built and kept on a miss.
+def _plan_nodes(kernel: CapKernel, step: float, tau: np.ndarray):
+    """Every node of the reference plan of (n, step, tau), shell after
+    shell: its radius r at rho = 1, its kernel weight and its shell.
 
-    Its shells split at q^{m j} for every integer j, m the fewest cells
+    The shells split at q^{m j} for every integer j, m the fewest cells
     whose log-width reaches _PIECE_LOGWIDTH (2 at 16 points a decade, 8 at
-    64), so a centre's pieces are its own and not the grid's."""
-    key = (kernel.n, step, tau.tobytes())
-    plan = _plans.get(key)
-    if plan is not None:
-        return plan
+    64), so a centre's pieces are its own and not the grid's.  At rho = 1
+    every shell is partial, so the shells run over every tau in order."""
     piece = step * math.ceil(_PIECE_LOGWIDTH / step * (1.0 - 1e-9))
     a = np.abs(tau - 1.0)
     lowest = float(a[a > 0.0].min(initial=1.0))
     j = np.arange(math.floor(math.log(lowest) / piece), math.ceil(math.log(float(tau.max()) + 1.0) / piece) + 1)
     r, w, owner = _partial_shell_nodes(np.exp(piece * j), 1.0, tau)
+    return r, _cap_weights(kernel, 1.0, tau[owner], r, w), owner
+
+
+def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> ReferencePlan:
+    """The kept reference plan of (n, step, tau), built and kept on a miss,
+    for distinct radii tau.  The pieces between two of _plan_nodes' splits
+    are shared by every shell that spans them; each shell's two edge
+    pieces are its own, so every shell owns nodes."""
+    key = (kernel.n, step, tau.tobytes())
+    plan = _plans.get(key)
+    if plan is not None:
+        return plan
+    r, kw, owner = _plan_nodes(kernel, step, tau)
     log_r = np.log(r)
     below = np.floor(log_r / step)  # the node's virtual cell is below + 1
     lo = int(below.min()) + 1
     cell = (below + (1 - lo)).astype(np.intp)
-    # owner is non-decreasing, so each shell's nodes form one run
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    kw = _cap_weights(kernel, 1.0, tau[owner], r, w)
-    plan = ReferencePlan(step, lo, int(cell.max()) + 1, cell, log_r - below * step, kw, starts, owner[starts])
+    s = log_r - below * step
+    # the distinct nodes, equal (cell, s) (cell + i s sorts by cell, then
+    # s, exactly), and the nodes of more than one shell among them
+    _, first, node, count = np.unique(cell + 1j * s, return_index=True, return_inverse=True, return_counts=True)
+    shared = count[node] > 1
+    columns, column = np.unique(node[shared], return_inverse=True)
+    rows, row = np.unique(owner[shared], return_inverse=True)
+    weights = np.zeros((rows.size, columns.size))
+    weights[row, column] = kw[shared]
+    mine = np.flatnonzero(~shared)
+    keep = np.concatenate([first[columns], mine])
+    starts = np.searchsorted(owner[mine], np.arange(tau.size))
+    plan = ReferencePlan(step, lo, int(cell.max()) + 1, cell[keep], s[keep], rows, weights, kw[mine], starts, tau.copy())
     for x in plan[3:]:
         x.setflags(write=False)
     _count("plans", 1)
-    _plans.put(key, plan, sum(x.nbytes for x in plan[3:]) + len(key[2]))
+    _plans.put(key, plan, sum(x.nbytes for x in plan[3:]))
     return plan
 
 
-def _reference_shells(kernel: CapKernel, f: "RadialFunction", rho: float, plan: ReferencePlan):
-    """Per shell of the plan f's partial mass at rho, each f at rho times
-    the plan's nodes against their kernel weights, times rho^n.  A grid point
-    r_i reads f through at_virtual shifted by i; any other centre locates its
-    nodes."""
-    if not (rho > 0.0 and abs(kernel.n * math.log(rho)) < 700.0):  # rho^n stays a normal float
-        raise _range_error(rho, kernel.n)
-    scale = rho**kernel.n
+def _plan_shells(kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, plan: ReferencePlan) -> np.ndarray:
+    """f's partial mass on every shell of the plan at every centre of rhos,
+    one row per centre: f at rho times the plan's nodes against their
+    kernel weights, times rho^n.  Blocks of centres of about _BLOCK_BYTES of
+    node values take one pass each: grid points r_i read f through
+    at_virtual, one row per shift i, and any other centre evaluates f at
+    its nodes.  Each distinct node is evaluated once per centre; the shells
+    take the shared nodes' sums from one product with the plan's weights
+    and their own nodes' from one add.reduceat.  A centre's row does not
+    depend on the block it is in."""
+    n = kernel.n
+    with np.errstate(divide="ignore"):
+        bad = ~(np.abs(n * np.log(rhos)) < 700.0)  # rho^n stays a normal float
+    if bad.any():
+        raise _range_error(float(rhos[bad][0]), n)
     pts = f.grid.points
-    i = int(np.searchsorted(pts, rho))
-    if i < pts.size and pts[i] == rho:
-        fr = f.at_virtual(plan.cell, plan.s, plan.lo, plan.span, i, plan.step)
-    else:
-        fr = f(rho * np.exp((plan.cell + (plan.lo - 1)) * plan.step + plan.s))
-    fr *= plan.kw
-    return plan.t_index, scale * np.add.reduceat(fr, plan.starts), fr.size
+    shift = np.minimum(np.searchsorted(pts, rhos), pts.size - 1)
+    on_grid = pts[shift] == rhos
+    out = np.empty((rhos.size, plan.starts.size))
+    size = max(1, _BLOCK_BYTES // (8 * plan.cell.size))
+    r_unit = np.exp((plan.cell + (plan.lo - 1)) * plan.step + plan.s)
+    shared = plan.weights.shape[1]
+    for group in (np.flatnonzero(on_grid), np.flatnonzero(~on_grid)):
+        for first in range(0, group.size, size):
+            block = group[first : first + size]
+            if on_grid[block[0]]:
+                fr = f.at_virtual(plan.cell, plan.s, plan.lo, plan.span, shift[block], plan.step)
+            else:
+                fr = f(np.ravel(rhos[block, None] * r_unit)).reshape(block.size, -1)
+            fr[:, shared:] *= plan.kw
+            partial = np.add.reduceat(fr[:, shared:], plan.starts, axis=1)
+            partial[:, plan.rows] += np.einsum("cj,kj->ck", fr[:, :shared], plan.weights)
+            out[block] = partial * rhos[block, None] ** n
+            _count("nodes", fr.size)
+    return out
 
 
 def _per_call_shells(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.ndarray):
@@ -428,9 +486,10 @@ def _per_call_shells(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.n
     if not np.isfinite(kw).all():
         raise _range_error(rho, kernel.n)
     fr = f(r)
+    _count("nodes", fr.size)
     fr *= kw
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return owner[starts], np.add.reduceat(fr, starts), fr.size
+    return owner[starts], np.add.reduceat(fr, starts)
 
 
 def check_radii(rho, t=(), r=()) -> None:
@@ -461,16 +520,19 @@ def ball_mass_batch(
     with many centres takes them in one call); else they are taken here.
     plan, where given, is the reference_plan of f's grid step whose radii
     tau give t = rho * tau, for a source without a jump at rho > 0; the
-    partial shells then take its quadrature, else quadrature built per call.
+    masses are then map_masses' at this one centre, else the partial shells
+    take quadrature built per call.
     """
     n = kernel.n
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
     check_radii(rho, t_arr)
+    if plan is not None:
+        return map_masses(kernel, f, np.array([float(rho)]), t_arr[None], plan, covered)[0].copy()
 
     # the masses kept for this centre, if they are this source's; at
     # rho = 0 every shell is full or empty
     if rho > 0.0:
-        key = (n, f.grid.points_key, rho, t_arr.tobytes(), plan is not None)
+        key = (n, f.grid.points_key, rho, t_arr.tobytes())
         kept = _masses.get(key)
         if kept is not None and kept[0] == f.source_key:
             return kept[1].copy()
@@ -481,21 +543,43 @@ def ball_mass_batch(
         out[inside] = covered
     elif inside.any():
         out[inside] = f.cumulative_mass(n, t_arr[inside] - rho)
-    if plan is not None:
-        shells = _reference_shells(kernel, f, rho, plan)
-    else:
-        shells = _per_call_shells(kernel, f, rho, t_arr)
+    shells = _per_call_shells(kernel, f, rho, t_arr)
     if shells is None:
         # no partial shell: the covered part alone, and nothing is kept
         return out
-
-    t_index, partial, nodes = shells
+    t_index, partial = shells
     out[t_index] += kernel.surface * partial
-    _count("nodes", nodes)
     masses = out.copy()
     masses.setflags(write=False)
     _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[3]))
     return out
+
+
+def map_masses(
+    kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, t: np.ndarray, plan: ReferencePlan, covered=None
+) -> np.ndarray:
+    """ball_mass_batch's masses with a plan at many centres at once, one
+    row per centre: rhos the centres (> 0), t the radii rho * plan.tau of
+    each centre's row, and covered, where the caller has them,
+    f.cumulative_mass(n, t - rho) at the t > rho, centre after centre (else
+    they are taken here).  One _plan_shells pass takes every centre's
+    partial shells.  The masses are kept, keyed by (n, the grid's points,
+    rhos, plan.tau), with the key of the source they are of, and returned
+    read-only."""
+    key = (kernel.n, f.grid.points_key, rhos.tobytes(), plan.tau.tobytes())
+    kept = _masses.get(key)
+    if kept is not None and kept[0] == f.source_key:
+        return kept[1]
+    inside = t > rhos[:, None]
+    masses = np.zeros(t.shape)
+    if covered is not None:
+        masses[inside] = covered
+    elif inside.any():
+        masses[inside] = f.cumulative_mass(kernel.n, (t - rhos[:, None])[inside])
+    masses += kernel.surface * _plan_shells(kernel, f, rhos, plan)
+    masses.setflags(write=False)
+    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[2]) + len(key[3]))
+    return masses
 
 
 def ball_mass(kernel: CapKernel, f: "RadialFunction", rho: float, t: float) -> float:

@@ -16,8 +16,7 @@ mass is the symmetric average of the closed-form cumulative mass.  Below
 t_max a ball's mass is its covered part, the cumulative mass at t - rho for
 t > rho, plus its partial shells.  One cumulative_mass call per map takes
 both kinds of cumulative mass for every centre, the window's and the
-covered ones, and ball_mass_batch takes each centre's covered masses as
-given.
+covered ones, and the ball masses take the covered ones as given.
 
 A map takes the shared path when its source grid is geometric
 (RadialGrid.log_step), its source has no jump (RadialFunction.has_jump),
@@ -38,15 +37,17 @@ node, ln t, and t below t_max, and the radii of the map's cumulative_mass
 call, all centres in flat arrays.  On the solver's 81-point grid a map takes
 cumulative masses at 10,368 window and 7,776 covered radii.
 
-A map then asks ball_mass_batch for each centre's masses straight into one
-flat array and takes the integrand's exp and log, the panel sums (one
-matrix-vector product with the Gauss weights) and the sum of each centre's
-panels (one add.reduceat) once for all centres, with the t < t_min closure
-vectorised too.  ball_mass_batch stays one call per centre: its kept masses
-are per centre, keyed by (rho, t), and the benchmark's layer tracer
-(perfbench/spans.py) counts its calls per centre.  evaluations() counts the
-wolff_eval_at calls of the process, which each Picard trace entry reports
-per iteration.
+On the shared path every centre has the plan's radii, so one
+geometry.map_masses call gives every centre's masses below t_max, one row
+each: one block pass over the plan for all centres, kept as one memo entry
+per map (the Riesz and Wolff images of one source at gamma = 2 share it).
+Any other map asks ball_mass_batch for each centre's masses in turn.  Either
+way they go straight into one flat array, and the integrand's exp and log,
+the panel sums (one matrix-vector product with the Gauss weights) and the
+sum of each centre's panels (one add.reduceat) are taken once for all
+centres, with the t < t_min closure vectorised too.  evaluations() counts
+the wolff_eval_at calls of the process, which each Picard trace entry
+reports per iteration.
 
 The declared tail of the output follows the mass trichotomy of the source
 tail exponent T against the dimension n:
@@ -76,7 +77,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergentIntegralError, ParameterError
-from .geometry import CapKernel, ball_mass_batch, check_radii, reference_plan
+from .geometry import CapKernel, ball_mass_batch, check_radii, map_masses, reference_plan
 from .params import validate_operator
 from .radial import BORDERLINE_TOL, RadialFunction, RadialGrid, _leggauss01
 
@@ -340,7 +341,6 @@ def wolff_eval_at(
         bounds = np.log(rhos)[:, None] + np.concatenate([relative, _window(relative[-1], a_eff)])
         t_min = rhos * np.exp(relative[0])
     else:
-        plan = None
         tau_lo, tau_hi = math.log(t_min), math.log(t_max)
         r_min, r_max = f.grid.r_min, f.grid.r_max
         beyond = _window(tau_hi, a_eff)
@@ -351,21 +351,25 @@ def wolff_eval_at(
     tau, t, widths, starts, t_starts, panel_starts, radii, covered_starts = _build_layout(rhos, bounds)
     # in the window t >> rho, and the symmetric cumulative average of the
     # ball mass kills its O(rho/t) term.  One cumulative_mass call gives
-    # every centre's window masses and its covered masses, which
-    # ball_mass_batch takes as given
+    # every centre's window masses and its covered masses, which the ball
+    # masses take as given
     cumulative = f.cumulative_mass(n, radii)
     far = _TAIL_PANELS * _PANEL_NODES
     minus, plus = cumulative[: 2 * far * rhos.size].reshape(2, rhos.size, far)
     window_mass = 0.5 * (minus + plus)
     covered = cumulative[2 * far * rhos.size :]
-    # every centre's masses, panels below t_max then the window, in one array
-    mass = np.empty(tau.size)
-    for i, rho in enumerate(rhos.tolist()):
-        lo, hi = t_starts[i], t_starts[i + 1]
-        at = starts[i] + hi - lo
-        own = covered[covered_starts[i] : covered_starts[i + 1]]
-        mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi], covered=own, plan=plan)
-        mass[at : starts[i + 1]] = window_mass[i]
+    # every centre's masses, panels below t_max then the window, in one
+    # array; on the shared path every centre has the plan's radii
+    if shared:
+        mass = np.hstack([map_masses(kernel, f, rhos, t.reshape(rhos.size, -1), plan, covered), window_mass]).ravel()
+    else:
+        mass = np.empty(tau.size)
+        for i, rho in enumerate(rhos.tolist()):
+            lo, hi = t_starts[i], t_starts[i + 1]
+            at = starts[i] + hi - lo
+            own = covered[covered_starts[i] : covered_starts[i + 1]]
+            mass[starts[i] : at] = ball_mass_batch(kernel, f, rho, t[lo:hi], covered=own)
+            mass[at : starts[i + 1]] = window_mass[i]
     # in logs: at the window's far end mass^{inv_power} overflows where
     # e^{-a ln t} underflows; a mass <= 0 gives exp(-inf) = 0
     with np.errstate(divide="ignore"):

@@ -22,8 +22,9 @@ tail v_a = v_N and m = T (+inf on a cut-off).  A log tail that is not cut
 off adds L ln(ln r / ln r_max) = L log1p(s / ln r_max) to the exponent at
 the tail positions, and the linear cells are patched over the result.
 at_virtual reads nodes given on a geometric grid continued past both ends
-(geometry's reference plans) the same way, from slot tables extended by
-virtual head and tail cells once per profile.
+(geometry's reference plans) the same way at a block of grid points, one
+row each, as Hankel rows of slot tables extended by virtual head and tail
+cells once per profile.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -394,20 +395,19 @@ class RadialFunction:
         np.copyto(s, r, where=slots["linear"].take(slot))
         return slot, s
 
-    def _power_laws(self, log_va, m, index, s, tail) -> np.ndarray:
-        """exp(ln v_a - m s) with the tables log_va and m read at index, and
-        on a log tail that is not cut off L ln(ln r / ln r_max) =
-        L log1p(offset / ln r_max) added at the positions and tail offsets
-        that tail() gives."""
-        out = m.take(index)
+    def _power_laws(self, log_va, m, s, tail) -> np.ndarray:
+        """exp(ln v_a - m s), in m's buffer, from the slot tables log_va and m
+        read at the nodes; on a log tail that is not cut off L ln(ln r /
+        ln r_max) = L log1p(offset / ln r_max) is added at the positions and
+        tail offsets that tail() gives."""
         # at s = +-_MAX_FLOAT (r = 0 or inf) the exponent overflows to its limit
         with np.errstate(over="ignore"):
-            out *= s
-            np.subtract(log_va.take(index), out, out=out)
+            m *= s
+            np.subtract(log_va, m, out=m)
             if self.tail_log_power != 0.0 and not self.cut_off:
                 at, offset = tail()
-                out[at] += self.tail_log_power * np.log1p(offset / math.log(self.grid.r_max))
-            return np.exp(out, out=out)
+                m[at] += self.tail_log_power * np.log1p(offset / math.log(self.grid.r_max))
+            return np.exp(m, out=m)
 
     def at_located(self, slot, s) -> np.ndarray:
         """f at radii located by locate: the power law of each slot, the
@@ -415,7 +415,7 @@ class RadialFunction:
         patched over it."""
         slots = self._slots
         tail = lambda: (at := np.flatnonzero(slot == self.grid.count), s[at])
-        out = self._power_laws(slots["log_va"], slots["m"], slot, s, tail)
+        out = self._power_laws(slots["log_va"].take(slot), slots["m"].take(slot), s, tail)
         if slots["any_linear"]:
             pts, v = self.grid.points, self.values
             lin = np.flatnonzero(slots["linear"].take(slot))
@@ -424,16 +424,16 @@ class RadialFunction:
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
         return out
 
-    def at_virtual(self, cell, s, lo: int, span: int, shift: int, step: float) -> np.ndarray:
-        """f at shift grid points out along nodes given on a geometric grid of
-        log step ln q = step continued past both ends: virtual cell
-        j = lo + cell is [q^{j-1}, q^j), s the offset from its left end, and
-        cell runs below span.  On the grid point r_shift the node lies in
-        slot clip(j + shift, 0, N) at offset
-        s + (j + shift - clip(j + shift, 1, N)) step, so the head and the
-        tail read as virtual cells whose power law starts at the grid's
-        ends.  Those tables are extended once per (lo, span, step), kept
-        with the profile, and read through a view offset by shift.  For
+    def at_virtual(self, cell, s, lo: int, span: int, shifts, step: float) -> np.ndarray:
+        """f at the grid points r_i, i in shifts, one row each, out along
+        nodes given on a geometric grid of log step ln q = step continued
+        past both ends: virtual cell j = lo + cell is [q^{j-1}, q^j), s the
+        offset from its left end, and cell runs below span.  From r_i the
+        node lies in slot clip(j + i, 0, N) at offset
+        s + (j + i - clip(j + i, 1, N)) step, so the head and the tail read
+        as virtual cells whose power law starts at the grid's ends.  Those
+        tables are extended once per (lo, span, step) and kept with the
+        profile; row i reads them as the Hankel row table[i + cell].  For
         sources without a vanishing value."""
         N = self.grid.count
         key = ("virtual", lo, span, step)
@@ -443,8 +443,17 @@ class RadialFunction:
             index = np.clip(j, 0, N)
             m = self._slots["m"].take(index)
             virtual = self._tables[key] = self._slots["log_va"].take(index) - m * ((j - np.clip(j, 1, N)) * step), m
-        tail = lambda: (at := np.flatnonzero(cell >= N - shift - lo), s[at] + (cell[at] + (lo + shift - N)) * step)
-        return self._power_laws(virtual[0][shift:], virtual[1][shift:], cell, s, tail)
+        hankel = shifts[:, None] + np.arange(span)
+        rows = [table[hankel].take(cell, axis=1) for table in virtual]
+
+        def tail():
+            # the nodes past r_max from the block's largest centre hold every row's
+            near = np.flatnonzero(cell >= (N - lo) - shifts.max())
+            row, at = np.nonzero(cell[near] >= (N - lo) - shifts[:, None])
+            col = near[at]
+            return (row, col), s[col] + (cell[col] + (lo - N) + shifts[row]) * step
+
+        return self._power_laws(*rows, s, tail)
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -238,7 +238,7 @@ def test_criterion_7_fast_rate_recovery(regime_name):
            f"picard, {result.iterations} iterations: {detail}")
 
 
-SHOOTING_INTEGRATIONS = {"FastFast": 25, "Logarithmic": 27, "Intermediate": 33}
+SHOOTING_INTEGRATIONS = {"FastFast": 22, "Logarithmic": 25, "Intermediate": 31}
 
 
 @pytest.mark.parametrize("regime_name", list(REGIME_CASES))
@@ -251,7 +251,8 @@ def test_criterion_7_fast_rate_recovery_by_shooting(regime_name):
     rates_ok, detail = _rate_defects(result, prediction)
     report(7, f"fast-rate recovery by shooting [{regime_name}]", result.converged and rates_ok,
            f"shooting, {result.iterations} integrations: {detail}")
-    # integrations, one per classified shot; measured 22, 25 and 31
+    # integrations, one per classified shot, as measured: a search that
+    # integrated any shot twice would exceed them
     assert result.iterations <= SHOOTING_INTEGRATIONS[regime_name]
 
 

@@ -300,11 +300,16 @@ def test_power_of_two_dilation_shares_plans_down_to_tiny_radii():
 
 
 def test_kernel_weights_out_of_range_raise():
-    # r^5 on a grid at 1e200 overflows for n = 6: an error, not inf masses
+    # r^5 on a grid at 1e200 overflows for n = 6: an error, not inf masses,
+    # from nodes built per call and, for a smooth source in balls that
+    # cover no shell whole, from the plan's rho^n
     grid = RadialGrid.per_decade(1e200, 1e202, 16)
     huge = RadialFunction(grid, np.ones(grid.count), tail_exponent=math.inf)
     with pytest.raises(ParameterError, match="floating-point range"):
         ball_mass_batch(CapKernel(6), huge, 3e202, np.array([2.5e202]))
+    smooth = huge.with_values(huge.values, tail_exponent=9.0)
+    with pytest.raises(ParameterError, match="rho = 3e\\+202 leave the floating-point range"):
+        _shared_masses(CapKernel(6), smooth, 3e202, np.geomspace(1e-3, 0.5, 20))
 
 
 def test_ball_mass_divergent_head_error():
@@ -407,8 +412,9 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
 
 def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
     # reference plans and kept masses sit in two least-recently-used stores,
-    # each under its byte cap with an exact byte count; a new source
-    # replaces one centre's masses and the other centres keep theirs
+    # each under its byte cap with an exact byte count, and neither hands
+    # out an array that can be written; a new source replaces one centre's
+    # masses and the other centres keep theirs
     k = CapKernel(3)
     tau = np.geomspace(1e-3, 1e4, 200)
     rhos = np.geomspace(0.1, 10.0, 5)
@@ -421,7 +427,7 @@ def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
             _shared_masses(k, f, float(rho), tau)
         for store in (plans, masses):
             assert 0 < store.nbytes == _held_bytes(store) <= store.max_bytes
-        assert not any(a.flags.writeable for plan, _ in plans._items.values() for a in plan[4:])
+        assert not any(a.flags.writeable for plan, _ in plans._items.values() for a in plan[3:])
         assert not any(m.flags.writeable for (_, m), _ in masses._items.values())
 
     for f in sources:
@@ -486,9 +492,9 @@ def test_switching_back_to_a_grid_builds_nothing(cap_calls):
 
 @pytest.fixture
 def source_calls(monkeypatch):
-    """Sizes of the arrays f is evaluated on: RadialFunction.__call__ and a
-    plan's nodes off the grid points both end in at_located, a plan's nodes
-    at a grid point in at_virtual."""
+    """The evaluations of f per call: RadialFunction.__call__ and a plan's
+    nodes off the grid points both end in at_located, a plan's nodes at a
+    block of grid points in at_virtual, one row per grid point."""
     calls = []
     at_located, at_virtual = RadialFunction.at_located, RadialFunction.at_virtual
 
@@ -496,9 +502,10 @@ def source_calls(monkeypatch):
         calls.append(np.size(s))
         return at_located(self, slot, s)
 
-    def counting_virtual(self, cell, s, *rest):
-        calls.append(np.size(s))
-        return at_virtual(self, cell, s, *rest)
+    def counting_virtual(self, *args):
+        out = at_virtual(self, *args)
+        calls.append(out.size)
+        return out
 
     monkeypatch.setattr(RadialFunction, "at_located", counting)
     monkeypatch.setattr(RadialFunction, "at_virtual", counting_virtual)
@@ -610,7 +617,9 @@ def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
 def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     # two system-map applications on the solver's default 81-point grid:
     # one reference plan serves every centre of all four maps, and it is
-    # served again after its masses are dropped
+    # served again after its masses are dropped.  Its 15,590 nodes are
+    # 7,960 distinct ones: 270 shared by 7,900 node slots, the rest each
+    # one shell's own
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     cfg = SolveConfig()
     u, v = make_ansatz(params, default_solver_grid())
@@ -620,7 +629,9 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
     assert len(cap_calls) == 1 and u.grid.count == 81
     ((plan, _),) = geometry._plans._items.values()
     assert geometry._plans.nbytes <= 2 * 2**20
-    assert plan.cell.size == 15_590 and not plan.cell.flags.writeable
+    assert plan.cell.size == 7_960 and plan.weights.shape[1] == 270
+    assert np.count_nonzero(plan.weights) + plan.kw.size == 15_590
+    assert not any(a.flags.writeable for a in plan[3:])
     clear_stores()
     cold = potential_images(params, u, v, cfg)
     for a, b in zip(first, cold):
@@ -698,26 +709,83 @@ def test_kept_plans_stay_under_two_mib_at_every_resolution(cap_calls):
 
 
 def test_masses_keys_share_the_grids_one_points_key():
-    # every masses-memo key on a grid holds the grid's one points key, whose
-    # bytes the memo counts once: after one map at 64 points a decade the
-    # 321 centres' entries count 2,568 bytes of points in all, 320 x 2,568 =
-    # 821,760 fewer than a copy per key (1,810,440 bytes in all, measured)
+    # a map keeps one memo entry, keyed by the grid's one points key, the
+    # centres and the plan's radii, whose bytes the memo counts exactly:
+    # after one map at 64 points a decade it holds the 321 centres' masses
+    # and the grid's 2,568 bytes of points once
     clear_stores()
     u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 64), 1.0, 3.0)
     wolff_eval(u, 5, 1.0, 2.0)
     items = geometry._masses._items
-    assert len(items) == 321 and all(key[1] is u.grid.points_key for key in items)
-    entries = sum(masses.nbytes + len(key[3]) for key, ((_, masses), _) in items.items())
-    copies = len(items) * u.grid.points.nbytes
-    assert geometry._masses.nbytes == _held_bytes(geometry._masses) == entries + u.grid.points.nbytes
-    assert entries + copies - geometry._masses.nbytes == 320 * 2568
-    # a second source on the grid hits no kept masses and replaces them all;
+    ((key, ((_, masses), nbytes)),) = items.items()
+    assert key[1] is u.grid.points_key and key[2] == u.grid.points.tobytes() and masses.shape[0] == 321
+    assert nbytes == masses.nbytes + len(key[2]) + len(key[3])
+    assert geometry._masses.nbytes == _held_bytes(geometry._masses) == nbytes + u.grid.points.nbytes == nbytes + 2568
+    # a second source on the grid hits no kept masses and replaces them;
     # the first source's map again replaces them back, bit for bit
-    first = {key: masses for key, ((_, masses), _) in items.items()}
     wolff_eval(u.scaled(3.0), 5, 1.0, 2.0)
     wolff_eval(u, 5, 1.0, 2.0)
-    assert all(np.array_equal(first[key], masses) for key, ((_, masses), _) in items.items())
-    assert geometry._masses.nbytes == entries + u.grid.points.nbytes
+    ((again, ((_, kept), _)),) = items.items()
+    assert again == key and np.array_equal(kept, masses)
+    assert geometry._masses.nbytes == nbytes + u.grid.points.nbytes
+
+
+def _block_masses(k, f, rhos, plan, centres, monkeypatch):
+    """_plan_shells at rhos in blocks of the given number of centres."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_BLOCK_BYTES", centres * 8 * plan.cell.size)
+        return geometry._plan_shells(k, f, rhos, plan)
+
+
+def _node_values(f, rho, i, r, step):
+    """f at rho times each node r, each node held as its virtual cell j,
+    [q^{j-1}, q^j), and its offset s in it.  Off the grid points (i None)
+    through RadialFunction.__call__; at the grid point r_i on f's grid
+    continued past both ends by its log step, node by node: the node lies in
+    slot j + i, whose power law, moved out by whole cells past the grid's
+    ends, reads exp((ln v_a - m k step) - m s), and on a log tail
+    L log1p(offset / ln r_max) more."""
+    below = np.floor(np.log(r) / step)
+    s = np.log(r) - below * step
+    if i is None:
+        return f(rho * np.exp(below * step + s))
+    N = f.grid.count
+    j = (below + 1 + i).astype(int)
+    k = np.clip(j, 0, N)
+    m = f._slots["m"][k]
+    exponent = (f._slots["log_va"][k] - m * ((j - np.clip(j, 1, N)) * step)) - m * s
+    tail = j >= N
+    offset = s[tail] + (j[tail] - N) * step
+    exponent[tail] += f.tail_log_power * np.log1p(offset / np.log(f.grid.r_max))
+    return np.exp(exponent)
+
+
+@pytest.mark.parametrize("tail", ["plain", "log"])
+def test_block_pass_matches_a_sum_over_every_plan_node(tail, monkeypatch):
+    # every shell's partial mass from the block pass (distinct nodes, shared
+    # sums by one product, owned ones by add.reduceat) against an
+    # independent sum: f at rho times every plan node, times its kernel
+    # weight, summed shell by shell; at the grid points on the continued
+    # grid, node by node.  On the 81
+    # grid points and 81 centres between them, in blocks of 1 and of 81
+    # centres; a centre's row is the same in either
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    u, v = make_ansatz(params, default_solver_grid())
+    f = v if tail == "log" else power_tail_profile(u.grid, 1.0, 7.0)
+    assert (f.tail_log_power != 0.0) == (tail == "log")
+    k, step = CapKernel(5), f.grid.log_step
+    tau = np.geomspace(1e-3, 1e3, 97)
+    plan = geometry.reference_plan(k, step, tau)
+    r, kw, owner = geometry._plan_nodes(k, step, tau)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    pts = f.grid.points
+    for on_grid, rhos in ((True, pts), (False, pts * 10 ** (1 / 32))):
+        values = [_node_values(f, rho, i if on_grid else None, r, step) for i, rho in enumerate(rhos)]
+        want = np.stack([rho**5 * np.add.reduceat(fr * kw, starts) for rho, fr in zip(rhos, values)])
+        alone = _block_masses(k, f, rhos, plan, 1, monkeypatch)
+        together = _block_masses(k, f, rhos, plan, 81, monkeypatch)
+        assert np.array_equal(alone, together)
+        assert np.max(np.abs(together / want - 1.0)) <= 1e-14
 
 
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)

@@ -428,9 +428,9 @@ def _store_holds_plans_and_masses_only():
 def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     # on the solver's 81-point grid, after a cold map of the log-tailed
     # source, a map of a source with another tail model (T, L) builds no
-    # plan, makes one cumulative_mass call and evaluates the plan's nodes at
-    # every centre: the reference plan is free of the model, and the stores
-    # keep nothing per model but the masses
+    # plan, makes one cumulative_mass call and evaluates the plan's 7,960
+    # distinct nodes at every centre: the reference plan is free of the
+    # model, and the stores keep nothing per model but the masses
     params, log_tailed, other = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = log_tailed.grid.count
@@ -438,7 +438,7 @@ def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     assert model(other) != model(log_tailed)
     assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, 1)
     calls, built, nodes, warm = _map_costs(monkeypatch, other, n, beta, gamma)
-    assert (calls, built, nodes) == (1, 0, count * 15_590)
+    assert (calls, built, nodes) == (1, 0, count * 7_960)
     assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(other, n, beta, gamma).values)
@@ -502,38 +502,51 @@ class _CountingLock:
 def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
     # a warm map on the solver's 81-point grid: one cumulative_mass call for
     # every centre's window (2 x 81 x 64 radii) and covered radii (81 x 96),
-    # so no further mass call from ball_mass_batch, one ball_mass_batch call
-    # per centre, at most two takings of the masses store's lock per centre
-    # (one lookup and one put) and one of the plan store's per map
+    # so no further mass call, each centre's masses taken once per map (one
+    # block pass over all 81 centres and no ball_mass_batch call), one
+    # lookup and one put in the masses store and one lookup in the plan store
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = f.grid.count
     wolff_eval(f, n, beta, gamma)  # cold: the plans
-    mass_calls, batch_calls = [], []
+    mass_calls, batch_calls, passes = [], [], []
     cumulative_mass = RadialFunction.cumulative_mass
-    ball_mass_batch = potential.ball_mass_batch
+    plan_shells = geometry._plan_shells
 
     def counting_mass(self, n, x):
         mass_calls.append(np.size(x))
         return cumulative_mass(self, n, x)
 
-    def counting_batch(*args, **kwargs):
-        batch_calls.append(np.size(args[3]))
-        return ball_mass_batch(*args, **kwargs)
+    def counting_pass(kernel, source, rhos, plan):
+        passes.append(rhos.tolist())
+        return plan_shells(kernel, source, rhos, plan)
 
     lock, plan_lock = _CountingLock(), _CountingLock()
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
-    monkeypatch.setattr(potential, "ball_mass_batch", counting_batch)
+    monkeypatch.setattr(geometry, "_plan_shells", counting_pass)
+    monkeypatch.setattr(potential, "ball_mass_batch", lambda *a, **k: batch_calls.append(a))
     monkeypatch.setattr(geometry._masses, "_lock", lock)
     monkeypatch.setattr(geometry._plans, "_lock", plan_lock)
     warm = wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma)
     assert count == 81 and len(cap_calls) == 1
     assert mass_calls == [2 * count * 64 + count * 96]
-    assert len(batch_calls) == count
-    assert 0 < lock.taken <= 2 * count and plan_lock.taken == 1
+    assert passes == [f.grid.points.tolist()] and not batch_calls
+    assert lock.taken == 2 and plan_lock.taken == 1
     monkeypatch.undo()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma).values)
+
+
+def test_warm_map_evaluates_each_distinct_plan_node_once_per_centre(cap_calls):
+    # a warm 81-centre map of a T = 7 bump (n = 5, 16 points a decade)
+    # evaluates the source once per distinct node of the plan per centre:
+    # 7,960 x 81, where a node shared by several shells counted once per
+    # shell would give 15,590 x 81
+    u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 16), 1.0, 7.0)
+    wolff_eval(u, 5, 1.0, 2.0)
+    nodes = geometry.nodes_evaluated()
+    wolff_eval(u.scaled(2.0), 5, 1.0, 2.0)
+    assert u.grid.count == 81 and geometry.nodes_evaluated() - nodes == 7_960 * 81 == 644_760
 
 
 def _covered_sources():
@@ -585,15 +598,21 @@ def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
 @pytest.mark.parametrize("case", [0, 1], ids=["log tail", "ball"])
 def test_maps_give_what_covered_masses_taken_per_centre_give(cap_calls, monkeypatch, case):
     # a map's covered masses from its one cumulative_mass call against a map
-    # whose ball_mass_batch calls take their own, cold and warm
+    # whose centres take their own, cold and warm, through ball_mass_batch:
+    # with the plan, a block of one centre (the log tail), or built per call
+    # (the ball)
     n, f, g = _covered_sources()[case]
     maps = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
     ball_mass_batch = geometry.ball_mass_batch
 
-    def taking_its_own(kernel, source, rho, t, covered=None, plan=None):
-        return ball_mass_batch(kernel, source, rho, t, plan=plan)
+    def taking_its_own(kernel, source, rho, t, covered=None):
+        return ball_mass_batch(kernel, source, rho, t)
+
+    def centre_by_centre(kernel, source, rhos, t, plan, covered):
+        return np.stack([ball_mass_batch(kernel, source, rho, row, plan=plan) for rho, row in zip(rhos, t)])
 
     monkeypatch.setattr(potential, "ball_mass_batch", taking_its_own)
+    monkeypatch.setattr(potential, "map_masses", centre_by_centre)
     clear_stores()
     alone = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
     for a, b in zip(maps, alone):

@@ -8,6 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from wolffkit import geometry
+from wolffkit.potential import wolff_eval
+from wolffkit.radial import RadialGrid
+
+from conftest import clear_stores, power_tail_profile
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,10 +38,21 @@ def test_classify_sweep_passes_through_every_regime():
 
 
 def test_bubble_residual_decreases_with_resolution():
+    # the residual falls with resolution, and each warm map evaluates its
+    # source once per distinct node of the grid's plan per centre
     out = run_script("bubble_residual.py", "--n", "3", "--resolutions", "8", "12")
     residuals = [float(x) for x in re.findall(r"residual (\S+)", out)]
     assert len(residuals) == 2
     assert residuals[1] < residuals[0]
+    warm = re.findall(r"warm map (\S+) ms, (\d+) evaluations", out)
+    assert len(warm) == 2
+    for npd, (ms, evaluations) in zip((8, 12), warm):
+        grid = RadialGrid.per_decade(1e-2, 1e3, npd)
+        clear_stores()
+        wolff_eval(power_tail_profile(grid, 1.0, 6.0), 3, 1.0, 2.0)
+        ((plan, _),) = geometry._plans._items.values()
+        assert float(ms) > 0.0 and int(evaluations) == plan.cell.size * grid.count
+    clear_stores()
 
 
 def test_regime_rates_shooting_side_recovers_every_predicted_rate():
