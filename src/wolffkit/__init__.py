@@ -53,6 +53,7 @@ from .solver import (
     SolveConfig,
     SolveResult,
     bubble_profile,
+    exact_bubble,
     make_ansatz,
     solve_system,
     system_residual,

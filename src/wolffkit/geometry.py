@@ -52,17 +52,37 @@ n = 5), so their kernel weights cap_fraction * r^{n-1} * w form a small
 dense matrix, one row per shell that holds them; each shell's own edge
 nodes follow in shell order with their weights.
 
-_plan_shells takes the partial shells of a block of centres in one pass:
-f once at every distinct node of every centre, then the shared nodes' sums
-by one product with that matrix and the own nodes' by one add.reduceat,
-scaled by rho^n.  Grid points r_i read f through RadialFunction.at_virtual,
-one row per centre: slot k + i, clipped to the head and the tail, at offset
-s + (k + i - clip(k + i, 1, N)) ln q, from the source's slot tables
-extended once by virtual head and tail cells.  A centre that is not a grid
-point evaluates f at rho times the nodes.  The blocks hold about
-_BLOCK_BYTES of node values, and a centre's row does not depend on its
-block, so ball_mass_batch (a plan passed as plan=, a block of one) and
-map_masses agree bit for bit.
+The plan also holds a stencil.  At the grid point r_i, plan cell c lies in
+f's virtual cell k = lo + c + i: slot clip(k, 0, N), at offset
+s + (k - clip(k, 1, N)) ln q (RadialFunction.at_virtual), so the head and
+the tail read as virtual cells whose power laws start at the grid's ends,
+with plan offsets from the rounded RadialGrid.log_step.  A source without
+a jump is smooth in s inside each virtual cell, exp(ln v_a - m s) (plus
+L log1p(...) on a log tail), and its interpolant at 16 first-kind
+Chebyshev points of the cell is within ~2e-14 of it while |m| ln q <= 3
+(Trefethen, Approximation Theory and Approximation Practice, ch. 8).  Each
+shell's sum over the nodes of cell c is then a fixed linear map of the
+cell's Chebyshev coefficients: the moments, sum kw T_l(2 s / ln q - 1),
+kept per cell for the contiguous range of shells its nodes feed (2,753
+(cell, shell) pairs of the 105 x 192 of the solver's plan at n = 5, at
+most 148 shells a cell).
+
+_plan_shells takes the partial shells of a set of centres, scaled by
+rho^n.  Grid points take theirs from the stencil where f's steepest
+virtual cell has |m| ln q <= 3 (RadialFunction.cell_steepness): f at the
+16 Chebyshev points of each of the span + N - 1 virtual cells in one
+at_virtual call (2,960 samples on the solver's grid, where f at every
+distinct node of every centre takes 7,960 x 81), one 16 x 16 product to
+coefficients, and per plan cell one small product of its moments with the
+coefficients of the N cells it reads, into every grid point's sums.  Every
+product's shape is fixed by the grid and the plan, so every grid point's
+row is computed whichever centres are asked for.  Any other centre, and
+every centre of a steeper source, evaluates f once at rho times every
+distinct node, in blocks of about _BLOCK_BYTES of node values; the shared
+nodes' sums come from one product with the matrix and the own nodes' from
+one add.reduceat, and a centre's row does not depend on its block.  So
+ball_mass_batch (a plan passed as plan=, a single centre) and map_masses
+agree bit for bit.
 
 Any other call, a source with a jump (a cut-off tail or a vanishing value,
 whose interpolant has kinks the plan does not know), a grid that is not
@@ -72,8 +92,9 @@ directly and keeps nothing.  A grid so far from 1 that a kernel weight or
 rho^n leaves the floating-point range raises ParameterError rather than
 returning inf or zero masses.
 
-Plans are kept in one least-recently-used store of 2 MiB (0.41 MB for the
-plan of the solver's grid at n = 5), and masses in another of 4 MiB, with
+Plans are kept in one least-recently-used store of 4 MiB (0.76 MB for the
+plan of the solver's grid at n = 5, 0.35 MB of it the stencil's moments,
+and 1.7 MB at 64 points a decade), and masses in another of 4 MiB, with
 the key of the source they are of (RadialFunction.source_key): its values
 and its head and tail models.  ball_mass_batch keeps each centre's, keyed
 by (n, the grid's points, rho, t, the path), and map_masses each map's,
@@ -86,8 +107,8 @@ which replace them.  Cold, repeat and kept masses come from one
 computation, so they agree bit for bit.  Both stores are locked
 (radial.LruStore), so threads may share them.  plans_built() counts the
 reference plans built in the process and nodes_evaluated() the source
-evaluations made for partial shells; each Picard trace entry reports both
-for its iteration.
+evaluations made for partial shells, stencil samples and node values;
+each Picard trace entry reports both for its iteration.
 """
 
 from __future__ import annotations
@@ -109,10 +130,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EDGE_NODES = 20
 _MID_NODES = 10
-_PLAN_BYTES = 2 * 2**20
+_PLAN_BYTES = 4 * 2**20
 _MASS_BYTES = 4 * 2**20
 # the node values of one block of centres in _plan_shells
 _BLOCK_BYTES = 2**18
+# the stencil's Chebyshev samples per cell, and the steepest cell it takes:
+# |d ln f / d ln r| ln q <= 3 keeps its interpolant within ~2e-14 of f
+_CHEBYSHEV_NODES = 16
+_STENCIL_STEEPNESS = 3.0
 
 
 @dataclass(frozen=True)
@@ -348,7 +373,13 @@ class ReferencePlan(NamedTuple):
     weights their kernel weights cap_fraction * r^{n-1} * w, one row per
     shell of rows.  The rest each belong to one shell, in shell order: kw
     their kernel weights and starts each shell's first.  Shell k is the
-    ball of the relative radius tau[k] the plan was built for."""
+    ball of the relative radius tau[k] the plan was built for.
+
+    The stencil: the nodes of cell c feed the shells first[c] to
+    first[c] + bounds[c + 1] - bounds[c] - 1, and moments[bounds[c] + i, l]
+    is the sum of kw T_l(2 s / step - 1) over the nodes of cell c in shell
+    first[c] + i, every node counted once per shell that holds it, for the
+    Chebyshev polynomials T_l, l < moments.shape[1]."""
 
     step: float
     lo: int
@@ -360,6 +391,9 @@ class ReferencePlan(NamedTuple):
     kw: np.ndarray
     starts: np.ndarray
     tau: np.ndarray
+    first: np.ndarray
+    bounds: np.ndarray
+    moments: np.ndarray
 
 
 _plans = LruStore(_PLAN_BYTES)
@@ -380,8 +414,9 @@ def plans_built() -> int:
 
 def nodes_evaluated() -> int:
     """Source evaluations made for partial shells in this process so far, by
-    every thread: a plan's distinct nodes once per centre, or a call's own
-    nodes; masses served from the memo evaluate none."""
+    every thread: a stencil's samples once per map of grid points, a plan's
+    distinct nodes once per other centre, or a call's own nodes; masses
+    served from the memo evaluate none."""
     return _counts["nodes"]
 
 
@@ -401,6 +436,29 @@ def _plan_nodes(kernel: CapKernel, step: float, tau: np.ndarray):
     return r, _cap_weights(kernel, 1.0, tau[owner], r, w), owner
 
 
+def _stencil(cell, s, step: float, kw, owner, span: int):
+    """The plan's stencil (first, bounds, moments; see ReferencePlan) from
+    every node of the plan: its cell, its offset s, its kernel weight and
+    its shell.  Each cell's range of shells runs from the first to the last
+    shell its nodes feed, and is empty for a cell without nodes (pieces
+    wider than two cells can skip one)."""
+    first = np.full(span, owner.max())
+    np.minimum.at(first, cell, owner)
+    last = np.zeros(span, dtype=owner.dtype)
+    np.maximum.at(last, cell, owner)
+    bounds = np.concatenate([[0], np.cumsum(np.maximum(last - first + 1, 0))])
+    pair = bounds[cell] + owner - first[cell]
+    # T_l(z), z = 2 s / step - 1, by T_{l+1} = 2z T_l - T_{l-1} from
+    # T_{-1} = T_1 = z, one column of moments at a time
+    z = 2.0 * (s / step) - 1.0
+    moments = np.empty((bounds[-1], _CHEBYSHEV_NODES))
+    previous, chebyshev = z, np.ones_like(z)
+    for column in moments.T:
+        column[:] = np.bincount(pair, kw * chebyshev, bounds[-1])
+        previous, chebyshev = chebyshev, 2.0 * z * chebyshev - previous
+    return first, bounds, moments
+
+
 def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> ReferencePlan:
     """The kept reference plan of (n, step, tau), built and kept on a miss,
     for distinct radii tau.  The pieces between two of _plan_nodes' splits
@@ -411,11 +469,15 @@ def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> Reference
     if plan is not None:
         return plan
     r, kw, owner = _plan_nodes(kernel, step, tau)
-    log_r = np.log(r)
-    below = np.floor(log_r / step)  # the node's virtual cell is below + 1
+    s = np.log(r, out=r)
+    below = np.floor(s / step)  # the node's virtual cell is below + 1
+    s -= below * step
     lo = int(below.min()) + 1
     cell = (below + (1 - lo)).astype(np.intp)
-    s = log_r - below * step
+    del below
+    span = int(cell.max()) + 1
+    # the stencil first, while few of the node arrays are held
+    stencil = _stencil(cell, s, step, kw, owner, span)
     # the distinct nodes, equal (cell, s) (cell + i s sorts by cell, then
     # s, exactly), and the nodes of more than one shell among them
     _, first, node, count = np.unique(cell + 1j * s, return_index=True, return_inverse=True, return_counts=True)
@@ -427,7 +489,7 @@ def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> Reference
     mine = np.flatnonzero(~shared)
     keep = np.concatenate([first[columns], mine])
     starts = np.searchsorted(owner[mine], np.arange(tau.size))
-    plan = ReferencePlan(step, lo, int(cell.max()) + 1, cell[keep], s[keep], rows, weights, kw[mine], starts, tau.copy())
+    plan = ReferencePlan(step, lo, span, cell[keep], s[keep], rows, weights, kw[mine], starts, tau.copy(), *stencil)
     for x in plan[3:]:
         x.setflags(write=False)
     _count("plans", 1)
@@ -435,16 +497,52 @@ def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> Reference
     return plan
 
 
+@lru_cache(maxsize=4)
+def _chebyshev_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-kind Chebyshev points of [0, 1], x_j = (1 + cos((2j+1) pi / 2count)) / 2,
+    and the matrix that takes f at them to the coefficients of its
+    interpolant in T_l(2x - 1), l < count."""
+    z = np.cos((2 * np.arange(count) + 1) * math.pi / (2 * count))
+    transform = np.polynomial.chebyshev.chebvander(z, count - 1).T * (2.0 / count)
+    transform[0] *= 0.5
+    return 0.5 * (1.0 + z), transform
+
+
+def _stencil_shells(f: "RadialFunction", plan: ReferencePlan) -> np.ndarray:
+    """f's partial mass on every shell of the plan at every grid point at
+    rho = 1, one row per shell and one column per grid point.  The grid
+    point r_i reads plan cell c in f's virtual cell lo + c + i (see
+    RadialFunction.at_virtual), where f is a smooth function of the offset.
+    So f is sampled at the Chebyshev points of each of the span + N - 1
+    virtual cells once, the samples become coefficients by one product, and
+    each plan cell adds one (its shells x count) @ (count x N) product of
+    its moments and the coefficients to its shells' sums."""
+    count, N = plan.moments.shape[1], f.grid.count
+    x, transform = _chebyshev_rule(count)
+    cells = plan.span + N - 1
+    j = np.repeat(np.arange(plan.lo, plan.lo + cells), count)
+    samples = f.at_virtual(j, np.tile(plan.step * x, cells), plan.step)
+    _count("nodes", samples.size)
+    coefficients = transform @ samples.reshape(cells, count).T
+    out = np.zeros((plan.starts.size, N))
+    bounds = plan.bounds.tolist()
+    for c, k in enumerate(plan.first.tolist()):
+        a, b = bounds[c], bounds[c + 1]
+        out[k : k + b - a] += plan.moments[a:b] @ coefficients[:, c : c + N]
+    return out
+
+
 def _plan_shells(kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, plan: ReferencePlan) -> np.ndarray:
     """f's partial mass on every shell of the plan at every centre of rhos,
-    one row per centre: f at rho times the plan's nodes against their
-    kernel weights, times rho^n.  Blocks of centres of about _BLOCK_BYTES of
-    node values take one pass each: grid points r_i read f through
-    at_virtual, one row per shift i, and any other centre evaluates f at
-    its nodes.  Each distinct node is evaluated once per centre; the shells
-    take the shared nodes' sums from one product with the plan's weights
-    and their own nodes' from one add.reduceat.  A centre's row does not
-    depend on the block it is in."""
+    one row per centre, times rho^n.  Grid points take their rows from the
+    plan's stencil (_stencil_shells), which gives every grid point's row at
+    once, where f's steepest virtual cell has |m| ln q <= 3.  Any other
+    centre takes f at rho times the plan's nodes against their kernel
+    weights, in blocks of centres of about _BLOCK_BYTES of node values:
+    each distinct node evaluated once per centre, the shared nodes' sums
+    from one product with the plan's weights and the own nodes' from one
+    add.reduceat.  Either way a centre's row does not depend on the other
+    centres asked for."""
     n = kernel.n
     with np.errstate(divide="ignore"):
         bad = ~(np.abs(n * np.log(rhos)) < 700.0)  # rho^n stays a normal float
@@ -454,21 +552,24 @@ def _plan_shells(kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, plan:
     shift = np.minimum(np.searchsorted(pts, rhos), pts.size - 1)
     on_grid = pts[shift] == rhos
     out = np.empty((rhos.size, plan.starts.size))
+    rest = np.arange(rhos.size)
+    if on_grid.any() and f.cell_steepness(plan.step) <= _STENCIL_STEEPNESS:
+        rest = np.flatnonzero(~on_grid)
+        at = np.flatnonzero(on_grid)
+        partial = _stencil_shells(f, plan)
+        partial *= pts**n  # rho^n at every grid point, rhos[at]^n at the centres
+        out[at] = partial.T[shift[at]]
     size = max(1, _BLOCK_BYTES // (8 * plan.cell.size))
     r_unit = np.exp((plan.cell + (plan.lo - 1)) * plan.step + plan.s)
     shared = plan.weights.shape[1]
-    for group in (np.flatnonzero(on_grid), np.flatnonzero(~on_grid)):
-        for first in range(0, group.size, size):
-            block = group[first : first + size]
-            if on_grid[block[0]]:
-                fr = f.at_virtual(plan.cell, plan.s, plan.lo, plan.span, shift[block], plan.step)
-            else:
-                fr = f(np.ravel(rhos[block, None] * r_unit)).reshape(block.size, -1)
-            fr[:, shared:] *= plan.kw
-            partial = np.add.reduceat(fr[:, shared:], plan.starts, axis=1)
-            partial[:, plan.rows] += np.einsum("cj,kj->ck", fr[:, :shared], plan.weights)
-            out[block] = partial * rhos[block, None] ** n
-            _count("nodes", fr.size)
+    for first in range(0, rest.size, size):
+        block = rest[first : first + size]
+        fr = f(np.ravel(rhos[block, None] * r_unit)).reshape(block.size, -1)
+        fr[:, shared:] *= plan.kw
+        partial = np.add.reduceat(fr[:, shared:], plan.starts, axis=1)
+        partial[:, plan.rows] += np.einsum("cj,kj->ck", fr[:, :shared], plan.weights)
+        out[block] = partial * rhos[block, None] ** n
+        _count("nodes", fr.size)
     return out
 
 

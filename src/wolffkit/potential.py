@@ -39,8 +39,10 @@ cumulative masses at 10,368 window and 7,776 covered radii.
 
 On the shared path every centre has the plan's radii, so one
 geometry.map_masses call gives every centre's masses below t_max, one row
-each: one block pass over the plan for all centres, kept as one memo entry
-per map (the Riesz and Wolff images of one source at gamma = 2 share it).
+each: the plan's stencil for the grid points (16 source samples per
+virtual cell, 2,960 on that grid) and its nodes for any other centre, kept
+as one memo entry per map (the Riesz and Wolff images of one source at
+gamma = 2 share it).
 Any other map asks ball_mass_batch for each centre's masses in turn.  Either
 way they go straight into one flat array, and the integrand's exp and log,
 the panel sums (one matrix-vector product with the Gauss weights) and the

@@ -21,10 +21,11 @@ exp(ln v_a - m s), on every slot: on the head v_a = v_0 and m = h, on the
 tail v_a = v_N and m = T (+inf on a cut-off).  A log tail that is not cut
 off adds L ln(ln r / ln r_max) = L log1p(s / ln r_max) to the exponent at
 the tail positions, and the linear cells are patched over the result.
-at_virtual reads nodes given on a geometric grid continued past both ends
-(geometry's reference plans) the same way at a block of grid points, one
-row each, as Hankel rows of slot tables extended by virtual head and tail
-cells once per profile.
+at_virtual reads radii given by their cell and offset on the grid continued
+past both ends by its log step (geometry's stencil samples) the same way:
+the head and the tail read as virtual cells whose power laws start at the
+grid's ends.  cell_steepness bounds |d ln f / d ln r| times that step over
+those cells, which decides whether the stencil's interpolants hold.
 
 RadialFunction alone decides what its model does outside the grid, through
 three predicates (k = n for masses, k = n + w for norms of weight r^w):
@@ -424,36 +425,35 @@ class RadialFunction:
             out[lin] = v[il] + (v[il + 1] - v[il]) * frac
         return out
 
-    def at_virtual(self, cell, s, lo: int, span: int, shifts, step: float) -> np.ndarray:
-        """f at the grid points r_i, i in shifts, one row each, out along
-        nodes given on a geometric grid of log step ln q = step continued
-        past both ends: virtual cell j = lo + cell is [q^{j-1}, q^j), s the
-        offset from its left end, and cell runs below span.  From r_i the
-        node lies in slot clip(j + i, 0, N) at offset
-        s + (j + i - clip(j + i, 1, N)) step, so the head and the tail read
-        as virtual cells whose power law starts at the grid's ends.  Those
-        tables are extended once per (lo, span, step) and kept with the
-        profile; row i reads them as the Hankel row table[i + cell].  For
-        sources without a vanishing value."""
+    def at_virtual(self, j, s, step: float) -> np.ndarray:
+        """f at the radii r_min q^{j-1} e^s on f's grid continued past both
+        ends by its log step ln q = step: j the virtual cell
+        [r_min q^{j-1}, r_min q^j), the grid's cell j for 0 < j < N, and s
+        the offset in it.  The radius lies in slot clip(j, 0, N) at offset
+        s + (j - clip(j, 1, N)) step, so the head and the tail read as
+        virtual cells whose power laws start at the grid's ends, and a log
+        tail adds L log1p(offset / ln r_max) there.  For sources without a
+        vanishing value."""
         N = self.grid.count
-        key = ("virtual", lo, span, step)
-        virtual = self._tables.get(key)
-        if virtual is None:  # two threads may both build it; alike
-            j = np.arange(lo, lo + span + N - 1)
-            index = np.clip(j, 0, N)
-            m = self._slots["m"].take(index)
-            virtual = self._tables[key] = self._slots["log_va"].take(index) - m * ((j - np.clip(j, 1, N)) * step), m
-        hankel = shifts[:, None] + np.arange(span)
-        rows = [table[hankel].take(cell, axis=1) for table in virtual]
+        slot = np.clip(j, 0, N)
+        moved = (j - np.clip(j, 1, N)) * step
+        m = self._slots["m"].take(slot)
+        log_va = self._slots["log_va"].take(slot) - m * moved
+        return self._power_laws(log_va, m, s, lambda: (at := np.flatnonzero(j >= N), s[at] + moved[at]))
 
-        def tail():
-            # the nodes past r_max from the block's largest centre hold every row's
-            near = np.flatnonzero(cell >= (N - lo) - shifts.max())
-            row, at = np.nonzero(cell[near] >= (N - lo) - shifts[:, None])
-            col = near[at]
-            return (row, col), s[col] + (cell[col] + (lo - N) + shifts[row]) * step
-
-        return self._power_laws(*rows, s, tail)
+    def cell_steepness(self, step: float) -> float:
+        """The largest |d ln f / d ln r| step over the cells of at_virtual's
+        continued grid of log step ln q = step: |m| step on the head, the
+        cells and the tail, where a log tail's L log1p(s / ln r_max) adds
+        |L| step / ln r_max, and inf on a log tail whose singularity, at
+        s = -ln r_max, lies within two steps of the tail.  The Chebyshev
+        interpolants of geometry's stencil converge where it is small.  For
+        sources without a jump."""
+        m = np.abs(self._slots["m"])
+        if self.tail_log_power != 0.0:
+            lam = math.log(self.grid.r_max)
+            m[-1] += abs(self.tail_log_power) / lam if lam >= 2.0 * step else math.inf
+        return float(m.max()) * step
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -523,8 +523,7 @@ class RadialFunction:
 
     @cached_property
     def _tables(self) -> dict:
-        """The integral tables of _table, per (k, p), and at_virtual's, kept
-        with the profile."""
+        """The integral tables of _table, per (k, p), kept with the profile."""
         return {}
 
     def _table(self, k: float, p: float = 1.0) -> dict:
@@ -625,7 +624,15 @@ class RadialFunction:
         if shape is None:
             nodes, wts = _leggauss01(32)
             lam = lam0 + np.outer(span, nodes)
-            shape = (np.exp(a * (lam - lam0)) * (lam / lam0) ** Lp * wts).sum(axis=1)
+            # e^{a (lam - lam0)} (lam/lam0)^{Lp} wts in two (radii x 32) buffers
+            terms = lam - lam0
+            terms *= a
+            np.exp(terms, out=terms)
+            lam /= lam0
+            lam **= Lp
+            terms *= lam
+            terms *= wts
+            shape = terms.sum(axis=1)
             shape.setflags(write=False)
             _log_tail_rules.put(key, shape, 2 * span.nbytes)
         return scale * shape * span

@@ -101,9 +101,10 @@ class SolveResult:
     1 in the first iteration, which builds the grid's plan, 0 after), the
     potential evaluations it made, potential_evals (potential.evaluations),
     and the source evaluations its partial shells made, nodes
-    (geometry.nodes_evaluated: the plan's distinct nodes once per centre of
-    each map, 7,960 x 81 per map on the default grid at n = 5, and 0 for
-    masses served from the memo).
+    (geometry.nodes_evaluated: the stencil's samples, 16 in each of the
+    plan's span + N - 1 virtual cells per map, 2,960 per map on the default
+    grid at n = 5, where every distinct plan node of every centre took
+    7,960 x 81; 0 for masses served from the memo).
     to_report_dict leaves the trace out, so reports written with
     --no-timestamp stay byte-identical.
     """
@@ -377,18 +378,29 @@ def solve_system(params: Parameters, cfg: Optional[SolveConfig] = None) -> Solve
     )
 
 
-def bubble_profile(n: int, grid: RadialGrid) -> RadialFunction:
-    """Exact normalized scalar fixed point at the critical second-order exponent.
+def exact_bubble(n: int, sigma: float, grid: RadialGrid) -> tuple[RadialFunction, float]:
+    """The exact fixed point of the Hardy-weighted scalar map and its exponent.
 
-    u(r) = lam * (1 + r^2)^{-(n-2)/2} with lam = (n(n-2)/s_{n-1})^{(n-2)/4}
-    satisfies u = W_{1,2}(u^{(n+2)/(n-2)}) exactly; the constant comes from
-    -Delta (1+r^2)^{-(n-2)/2} = n(n-2)(1+r^2)^{-(n+2)/2} and the Newtonian
-    potential normalization.
+    U(r) = lam (1 + r^{2+sigma})^{-(n-2)/(2+sigma)} with
+    p = (n + 2 + 2 sigma)/(n - 2) and lam^{p-1} = (n-2)(n+sigma)/s_{n-1}
+    satisfies U = W_{1,2}(r^sigma U^p) exactly, for sigma > -2: the
+    Hardy-Sobolev extremal solves -Delta U = s_{n-1} r^sigma U^p, and
+    W_{1,2} f is s_{n-1} times the Newtonian potential of f.  Returns
+    (U, p); U's tail exponent is n - 2.
     """
     if n < 3:
         raise ParameterError("bubble profile requires n >= 3")
-    c1 = n * (n - 2) / sphere_surface(n)
-    lam = c1 ** ((n - 2) / 4.0)
+    if not sigma > -2.0:
+        raise ParameterError(f"exact bubble requires sigma > -2, got {sigma}")
+    p = (n + 2 + 2 * sigma) / (n - 2)
+    lam = ((n - 2) * (n + sigma) / sphere_surface(n)) ** ((n - 2) / (4 + 2 * sigma))
     r = grid.points
-    vals = lam * (1.0 + r**2) ** (-(n - 2) / 2.0)
-    return RadialFunction(grid, vals, head_exponent=0.0, tail_exponent=float(n - 2))
+    vals = lam * (1.0 + r ** (2 + sigma)) ** (-(n - 2) / (2 + sigma))
+    return RadialFunction(grid, vals, head_exponent=0.0, tail_exponent=float(n - 2)), p
+
+
+def bubble_profile(n: int, grid: RadialGrid) -> RadialFunction:
+    """The critical bubble u(r) = lam (1 + r^2)^{-(n-2)/2}, exact_bubble's
+    sigma = 0 case: u = W_{1,2}(u^{(n+2)/(n-2)}) with
+    lam = (n(n-2)/s_{n-1})^{(n-2)/4}."""
+    return exact_bubble(n, 0, grid)[0]

@@ -788,6 +788,82 @@ def test_block_pass_matches_a_sum_over_every_plan_node(tail, monkeypatch):
         assert np.max(np.abs(together / want - 1.0)) <= 1e-14
 
 
+def _cliff(steepness):
+    """A source on the solver's 81-point grid, flat up to r = 1, falling at
+    the log-log slope steepness / ln q over the next three cells, then at
+    the slope of its T = 6 tail: its steepest cell has |m| ln q =
+    steepness."""
+    grid = default_solver_grid()
+    x = np.log(grid.points)
+    width = 3 * grid.log_step
+    values = np.exp(-steepness / grid.log_step * np.clip(x, 0.0, width) - 6.0 * np.maximum(x - width, 0.0))
+    return RadialFunction(grid, values, head_exponent=0.0, tail_exponent=6.0)
+
+
+def _grid_point_shells(f, plan, on_stencil):
+    """_plan_shells at f's grid points, the source evaluations it made, and
+    the independent per-node sum of the block-pass test: on the continued
+    grid for the stencil, f(rho r) for the nodes."""
+    k, step, pts = CapKernel(5), plan.step, f.grid.points
+    r, kw, owner = geometry._plan_nodes(k, step, plan.tau)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    values = [_node_values(f, rho, i if on_stencil else None, r, step) for i, rho in enumerate(pts)]
+    want = np.stack([rho**5 * np.add.reduceat(fr * kw, starts) for rho, fr in zip(pts, values)])
+    nodes = geometry.nodes_evaluated()
+    got = geometry._plan_shells(k, f, pts, plan)
+    return got, geometry.nodes_evaluated() - nodes, want
+
+
+@pytest.mark.parametrize("steepness, on_stencil", [(2.9, True), (3.1, False)])
+def test_steep_cells_choose_the_stencil_or_the_nodes(steepness, on_stencil):
+    # at |m| ln q = 2.9 the grid points take the stencil, 16 samples in each
+    # of the span + N - 1 virtual cells; at 3.1 f at every distinct plan
+    # node of every centre.  Either way every shell agrees with the
+    # per-node sum
+    f = _cliff(steepness)
+    assert abs(f.cell_steepness(f.grid.log_step) - steepness) <= 1e-12
+    plan = geometry.reference_plan(CapKernel(5), f.grid.log_step, np.geomspace(1e-3, 1e3, 97))
+    got, evaluations, want = _grid_point_shells(f, plan, on_stencil)
+    N = f.grid.count
+    assert evaluations == (16 * (plan.span + N - 1) if on_stencil else N * plan.cell.size)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
+def test_a_twelve_point_stencil_misses_the_steep_cell(monkeypatch):
+    # 12 Chebyshev samples a cell leave the 2.9 cliff's interpolant 1e-10
+    # off (measured 1.1e-10)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_CHEBYSHEV_NODES", 12)
+        clear_stores()
+        f = _cliff(2.9)
+        plan = geometry.reference_plan(CapKernel(5), f.grid.log_step, np.geomspace(1e-3, 1e3, 97))
+        got, evaluations, want = _grid_point_shells(f, plan, True)
+    clear_stores()
+    assert evaluations == 12 * (plan.span + f.grid.count - 1)
+    assert np.max(np.abs(got / want - 1.0)) > 1e-11
+
+
+def test_log_tail_near_one_leaves_the_stencil():
+    # a log tail's factor (1 + s / ln r_max)^L is singular at s = -ln r_max:
+    # with r_max = 1.2, under two cells from the tail, no interpolant of 16
+    # samples holds, so its grid points read every node; at r_max = 100 the
+    # factor adds |L| ln q / ln r_max to the tail's |T| ln q
+    def log_tailed(r_max):
+        grid = RadialGrid.per_decade(1e-2, r_max, 16)
+        values = (1.0 + grid.points**2) ** -2.0
+        return RadialFunction(grid, values, head_exponent=0.0, tail_exponent=4.0, tail_log_power=1.5)
+
+    near, far = log_tailed(1.2), log_tailed(100.0)
+    step = far.grid.log_step
+    assert far.cell_steepness(step) == pytest.approx((4.0 + 1.5 / math.log(100.0)) * step, rel=1e-12)
+    step = near.grid.log_step
+    assert near.cell_steepness(step) == math.inf
+    plan = geometry.reference_plan(CapKernel(5), step, np.geomspace(1e-3, 1e3, 97))
+    got, evaluations, want = _grid_point_shells(near, plan, False)
+    assert evaluations == near.grid.count * plan.cell.size
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
 _BUMP = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
 GEOMETRY_RAISE_SITES = [
     ("cap rho", lambda: cap_fraction(CapKernel(3), -1.0, 1.0, 1.0), "rho must be nonnegative"),

@@ -428,9 +428,10 @@ def _store_holds_plans_and_masses_only():
 def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     # on the solver's 81-point grid, after a cold map of the log-tailed
     # source, a map of a source with another tail model (T, L) builds no
-    # plan, makes one cumulative_mass call and evaluates the plan's 7,960
-    # distinct nodes at every centre: the reference plan is free of the
-    # model, and the stores keep nothing per model but the masses
+    # plan, makes one cumulative_mass call and samples the source 16 times
+    # in each of the plan's 105 + 81 - 1 virtual cells, 2,960 samples for
+    # every centre together: the reference plan and its stencil are free of
+    # the model, and the stores keep nothing per model but the masses
     params, log_tailed, other = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = log_tailed.grid.count
@@ -438,7 +439,8 @@ def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     assert model(other) != model(log_tailed)
     assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, 1)
     calls, built, nodes, warm = _map_costs(monkeypatch, other, n, beta, gamma)
-    assert (calls, built, nodes) == (1, 0, count * 7_960)
+    ((plan, _),) = geometry._plans._items.values()
+    assert plan.span == 105 and (calls, built, nodes) == (1, 0, 16 * (plan.span + count - 1)) == (1, 0, 2_960)
     assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(other, n, beta, gamma).values)
@@ -538,15 +540,23 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
 
 
 def test_warm_map_evaluates_each_distinct_plan_node_once_per_centre(cap_calls):
-    # a warm 81-centre map of a T = 7 bump (n = 5, 16 points a decade)
-    # evaluates the source once per distinct node of the plan per centre:
-    # 7,960 x 81, where a node shared by several shells counted once per
-    # shell would give 15,590 x 81
+    # a warm 81-centre map of a T = 7 bump (n = 5, 16 points a decade) at
+    # the grid points samples the source 16 times in each of the plan's
+    # 105 + 81 - 1 virtual cells: 2,960 samples, where f at every distinct
+    # node of the plan per centre would give 7,960 x 81 = 644,760.  At the
+    # 81 centres between the grid points it evaluates the source once per
+    # distinct node per centre, where a node shared by several shells
+    # counted once per shell would give 15,590 x 81
     u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 16), 1.0, 7.0)
     wolff_eval(u, 5, 1.0, 2.0)
     nodes = geometry.nodes_evaluated()
     wolff_eval(u.scaled(2.0), 5, 1.0, 2.0)
-    assert u.grid.count == 81 and geometry.nodes_evaluated() - nodes == 7_960 * 81 == 644_760
+    assert u.grid.count == 81 and geometry.nodes_evaluated() - nodes == 16 * (105 + 81 - 1) == 2_960
+    between = u.grid.points * 10 ** (1 / 32)
+    wolff_eval_at(u, 5, 1.0, 2.0, between)
+    nodes = geometry.nodes_evaluated()
+    wolff_eval_at(u.scaled(2.0), 5, 1.0, 2.0, between)
+    assert geometry.nodes_evaluated() - nodes == 7_960 * 81 == 644_760
 
 
 def _covered_sources():

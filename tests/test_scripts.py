@@ -38,20 +38,21 @@ def test_classify_sweep_passes_through_every_regime():
 
 
 def test_bubble_residual_decreases_with_resolution():
-    # the residual falls with resolution, and each warm map evaluates its
-    # source once per distinct node of the grid's plan per centre
+    # the residual falls with resolution, and each warm map samples its
+    # source 16 times in each of the span + N - 1 virtual cells of the
+    # grid's plan, for every centre together
     out = run_script("bubble_residual.py", "--n", "3", "--resolutions", "8", "12")
     residuals = [float(x) for x in re.findall(r"residual (\S+)", out)]
     assert len(residuals) == 2
     assert residuals[1] < residuals[0]
-    warm = re.findall(r"warm map (\S+) ms, (\d+) evaluations", out)
+    warm = re.findall(r"warm map (\S+) ms wall, (\S+) ms CPU, (\d+) samples", out)
     assert len(warm) == 2
-    for npd, (ms, evaluations) in zip((8, 12), warm):
+    for npd, (wall, cpu, samples) in zip((8, 12), warm):
         grid = RadialGrid.per_decade(1e-2, 1e3, npd)
         clear_stores()
         wolff_eval(power_tail_profile(grid, 1.0, 6.0), 3, 1.0, 2.0)
         ((plan, _),) = geometry._plans._items.values()
-        assert float(ms) > 0.0 and int(evaluations) == plan.cell.size * grid.count
+        assert float(wall) > 0.0 and float(cpu) >= 0.0 and int(samples) == 16 * (plan.span + grid.count - 1)
     clear_stores()
 
 

@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,11 +18,13 @@ from wolffkit.errors import (
     ParameterError,
 )
 from wolffkit.params import Parameters, classify_regime
+from wolffkit.potential import weighted_source, wolff_eval
 from wolffkit.radial import RadialFunction, RadialGrid
 from wolffkit.solver import (
     SolveConfig,
     bubble_profile,
     default_solver_grid,
+    exact_bubble,
     make_ansatz,
     potential_images,
     solve_system,
@@ -53,6 +58,84 @@ def test_bubble_profile_is_a_near_fixed_point():
     )
     assert res_u <= 1e-2
     assert res_v <= 1e-2
+
+
+# max |W_{1,2}(r^sigma U^p) / U - 1| of exact_bubble on per_decade(1e-2, 1e3, .)
+# at 16 and 32 points a decade, as the block-pass map read it (the stencil
+# moved no figure in its first four digits).  The residual is the log-linear
+# interpolant's second-order error, largest at r = 1, except at n = 3,
+# sigma = -1, where it is the head model's at r_min
+_HARDY_RESIDUALS = {
+    (3, -1.0): (1.0825e-3, 3.1578e-4),
+    (3, -0.5): (2.0617e-3, 5.1976e-4),
+    (3, 0.0): (3.3292e-3, 8.4108e-4),
+    (3, 0.5): (4.8806e-3, 1.2359e-3),
+    (5, -1.0): (2.0234e-3, 5.1438e-4),
+    (5, -0.5): (3.5084e-3, 8.9428e-4),
+    (5, 0.0): (5.2866e-3, 1.3514e-3),
+    (5, 0.5): (7.3507e-3, 1.8846e-3),
+}
+
+
+def _hardy_failures(n, sigma, scale=1.0):
+    """The checks that the map of exact_bubble's U, times scale, fails: each
+    residual within 10 % of the measured one, and halving the step divides
+    it by at least 3.3 (second order; 3.43 at n = 3, sigma = -1, where the
+    head model sets it, 3.90-3.97 elsewhere)."""
+    residuals = []
+    for npd in (16, 32):
+        u, p = exact_bubble(n, sigma, RadialGrid.per_decade(1e-2, 1e3, npd))
+        u = u.scaled(scale)
+        image = wolff_eval(weighted_source(sigma, p, u), n, 1.0, 2.0)
+        residuals.append(float(np.max(np.abs(image.values / u.values - 1.0))))
+    failures = [
+        f"{npd}/dec residual {got:.4e} > 1.1 x {want:.4e}"
+        for npd, got, want in zip((16, 32), residuals, _HARDY_RESIDUALS[(n, sigma)])
+        if not got <= 1.1 * want
+    ]
+    if not residuals[0] >= 3.3 * residuals[1]:
+        failures.append(f"order: {residuals[0]:.4e} / {residuals[1]:.4e} < 3.3")
+    return failures
+
+
+@pytest.mark.parametrize("n, sigma", sorted(_HARDY_RESIDUALS))
+def test_exact_bubble_is_a_fixed_point_of_the_map_to_second_order(n, sigma):
+    # an oracle that shares no code with the map: U = W(r^sigma U^p) holds
+    # exactly, so the map's residual is its discretization error alone
+    assert _hardy_failures(n, sigma) == []
+
+
+@pytest.mark.parametrize("n, sigma", sorted(_HARDY_RESIDUALS))
+def test_exact_bubble_check_fails_one_percent_off_the_constant(n, sigma):
+    # lam x 1.01 is no fixed point: W(r^sigma (1.01 U)^p) = 1.01^p W(...),
+    # a relative residual of about (p - 1) %, which no resolution removes;
+    # all three checks fail
+    assert len(_hardy_failures(n, sigma, scale=1.01)) == 3
+
+
+def test_bubble_profile_is_exact_bubble_at_sigma_zero():
+    grid = default_solver_grid()
+    u, p = exact_bubble(5, 0.0, grid)
+    assert p == 7 / 3 and np.array_equal(bubble_profile(5, grid).values, u.values)
+    with pytest.raises(ParameterError, match="sigma > -2"):
+        exact_bubble(5, -2.0, grid)
+
+
+def test_solves_and_the_inequality_battery_import_no_scipy():
+    # a Logarithmic Picard solve and the gamma = 1.6 inequality battery run
+    # on numpy alone
+    code = (
+        "import sys\n"
+        "from wolffkit.params import Parameters\n"
+        "from wolffkit.solver import solve_system\n"
+        "from wolffkit.verify import check_inequalities\n"
+        "solve_system(Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0))\n"
+        "check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_undamped_step_is_plain_image():
@@ -250,12 +333,12 @@ def test_trace_records_time_constants_and_damping(tmp_path):
     assert all(set(entry) == keys for entry in res.trace)
     # the first map builds the grid's one reference plan, which serves the rest
     assert [e["plans_built"] for e in res.trace] == [1] + [0] * (res.iterations - 1)
-    # each iteration's two potentials evaluate their sources at every plan
-    # node of every centre
+    # each iteration's two potentials sample their sources 16 times in each
+    # of the plan's span + N - 1 virtual cells, for every centre together
     ((plan, _),) = geometry._plans._items.values()
-    plan_nodes = grid.count * plan.cell.size
-    assert plan_nodes > 0
-    assert all(e["potential_evals"] == 2 and e["nodes"] == 2 * plan_nodes for e in res.trace)
+    samples = 16 * (plan.span + grid.count - 1)
+    assert plan.span == 105 and samples == 2_704
+    assert all(e["potential_evals"] == 2 and e["nodes"] == 2 * samples for e in res.trace)
     assert [e["damping"] for e in res.trace] == [0.8] * (res.iterations - 1) + [None]
     # the residual falls at every step here, so each step combines every
     # earlier iterate up to the depth
