@@ -92,20 +92,16 @@ directly and keeps nothing.  A grid so far from 1 that a kernel weight or
 rho^n leaves the floating-point range raises ParameterError rather than
 returning inf or zero masses.
 
-Plans are kept in one least-recently-used store of 4 MiB (0.76 MB for the
-plan of the solver's grid at n = 5, 0.35 MB of it the stencil's moments,
-and 1.7 MB at 64 points a decade), and masses in another of 4 MiB, with
-the key of the source they are of (RadialFunction.source_key): its values
-and its head and tail models.  ball_mass_batch keeps each centre's, keyed
-by (n, the grid's points, rho, t, the path), and map_masses each map's,
-keyed by (n, the grid's points, the centres, tau).  Every key on a grid
-holds the grid's one RadialGrid.points_key, whose bytes the store counts
-once.  A call with a bit-equal source, such as the Wolff image of a source
-whose Riesz image was just taken on the same t nodes, returns the kept
-masses and evaluates nothing; a call with another source computes its own,
-which replace them.  Cold, repeat and kept masses come from one
-computation, so they agree bit for bit.  Both stores are locked
-(radial.LruStore), so threads may share them.  plans_built() counts the
+Plans are kept by value, per (n, ln q, tau), in a least-recently-used
+cache of _PLANS = 2 plans: every workload reads one, and the inequality
+battery two where its Riesz and Wolff maps take other t nodes (n = 5,
+gamma = 1.6).  A plan is 0.76 MB on the solver's grid at n = 5 (0.35 MB of
+it the stencil's moments) and 1.7 MB at 64 points a decade, so the cache
+holds at most 3.5 MB there.  ball_mass_batch and map_masses keep nothing:
+a call computes its masses, and equal arguments give equal masses bit for
+bit, from any thread.  The one reuse of masses, a map whose source,
+centres and t nodes equal the last map's, is the potential's
+(potential._shared_masses).  plans_built() counts the
 reference plans built in the process and nodes_evaluated() the source
 evaluations made for partial shells, stencil samples and node values;
 each Picard trace entry reports both for its iteration.
@@ -123,15 +119,15 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .radial import _PIECE_LOGWIDTH, LruStore, _leggauss01, sphere_surface
+from .radial import _PIECE_LOGWIDTH, _leggauss01, sphere_surface
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radial import RadialFunction
 
 _EDGE_NODES = 20
 _MID_NODES = 10
-_PLAN_BYTES = 4 * 2**20
-_MASS_BYTES = 4 * 2**20
+# the reference plans kept (_built_plan)
+_PLANS = 2
 # the node values of one block of centres in _plan_shells
 _BLOCK_BYTES = 2**18
 # the stencil's Chebyshev samples per cell, and the steepest cell it takes:
@@ -396,8 +392,6 @@ class ReferencePlan(NamedTuple):
     moments: np.ndarray
 
 
-_plans = LruStore(_PLAN_BYTES)
-_masses = LruStore(_MASS_BYTES, shared=1)
 _counts_lock = threading.Lock()
 _counts = {"plans": 0, "nodes": 0}
 
@@ -415,8 +409,7 @@ def plans_built() -> int:
 def nodes_evaluated() -> int:
     """Source evaluations made for partial shells in this process so far, by
     every thread: a stencil's samples once per map of grid points, a plan's
-    distinct nodes once per other centre, or a call's own nodes; masses
-    served from the memo evaluate none."""
+    distinct nodes once per other centre, or a call's own nodes."""
     return _counts["nodes"]
 
 
@@ -460,14 +453,17 @@ def _stencil(cell, s, step: float, kw, owner, span: int):
 
 
 def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> ReferencePlan:
-    """The kept reference plan of (n, step, tau), built and kept on a miss,
-    for distinct radii tau.  The pieces between two of _plan_nodes' splits
-    are shared by every shell that spans them; each shell's two edge
-    pieces are its own, so every shell owns nodes."""
-    key = (kernel.n, step, tau.tobytes())
-    plan = _plans.get(key)
-    if plan is not None:
-        return plan
+    """The reference plan of (n, step, tau), for distinct radii tau, kept
+    by value (_built_plan)."""
+    return _built_plan(kernel, step, np.asarray(tau, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=_PLANS)
+def _built_plan(kernel: CapKernel, step: float, tau: bytes) -> ReferencePlan:
+    """reference_plan's plan, built on a miss.  The pieces between two of
+    _plan_nodes' splits are shared by every shell that spans them; each
+    shell's two edge pieces are its own, so every shell owns nodes."""
+    tau = np.frombuffer(tau)
     r, kw, owner = _plan_nodes(kernel, step, tau)
     s = np.log(r, out=r)
     below = np.floor(s / step)  # the node's virtual cell is below + 1
@@ -489,11 +485,10 @@ def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> Reference
     mine = np.flatnonzero(~shared)
     keep = np.concatenate([first[columns], mine])
     starts = np.searchsorted(owner[mine], np.arange(tau.size))
-    plan = ReferencePlan(step, lo, span, cell[keep], s[keep], rows, weights, kw[mine], starts, tau.copy(), *stencil)
+    plan = ReferencePlan(step, lo, span, cell[keep], s[keep], rows, weights, kw[mine], starts, tau, *stencil)
     for x in plan[3:]:
         x.setflags(write=False)
     _count("plans", 1)
-    _plans.put(key, plan, sum(x.nbytes for x in plan[3:]))
     return plan
 
 
@@ -628,15 +623,7 @@ def ball_mass_batch(
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
     check_radii(rho, t_arr)
     if plan is not None:
-        return map_masses(kernel, f, np.array([float(rho)]), t_arr[None], plan, covered)[0].copy()
-
-    # the masses kept for this centre, if they are this source's; at
-    # rho = 0 every shell is full or empty
-    if rho > 0.0:
-        key = (n, f.grid.points_key, rho, t_arr.tobytes())
-        kept = _masses.get(key)
-        if kept is not None and kept[0] == f.source_key:
-            return kept[1].copy()
+        return map_masses(kernel, f, np.array([float(rho)]), t_arr[None], plan, covered)[0]
 
     out = np.zeros(t_arr.size)
     inside = t_arr > rho
@@ -645,14 +632,9 @@ def ball_mass_batch(
     elif inside.any():
         out[inside] = f.cumulative_mass(n, t_arr[inside] - rho)
     shells = _per_call_shells(kernel, f, rho, t_arr)
-    if shells is None:
-        # no partial shell: the covered part alone, and nothing is kept
-        return out
-    t_index, partial = shells
-    out[t_index] += kernel.surface * partial
-    masses = out.copy()
-    masses.setflags(write=False)
-    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[3]))
+    if shells is not None:
+        t_index, partial = shells
+        out[t_index] += kernel.surface * partial
     return out
 
 
@@ -664,13 +646,7 @@ def map_masses(
     each centre's row, and covered, where the caller has them,
     f.cumulative_mass(n, t - rho) at the t > rho, centre after centre (else
     they are taken here).  One _plan_shells pass takes every centre's
-    partial shells.  The masses are kept, keyed by (n, the grid's points,
-    rhos, plan.tau), with the key of the source they are of, and returned
-    read-only."""
-    key = (kernel.n, f.grid.points_key, rhos.tobytes(), plan.tau.tobytes())
-    kept = _masses.get(key)
-    if kept is not None and kept[0] == f.source_key:
-        return kept[1]
+    partial shells."""
     inside = t > rhos[:, None]
     masses = np.zeros(t.shape)
     if covered is not None:
@@ -678,8 +654,6 @@ def map_masses(
     elif inside.any():
         masses[inside] = f.cumulative_mass(kernel.n, (t - rhos[:, None])[inside])
     masses += kernel.surface * _plan_shells(kernel, f, rhos, plan)
-    masses.setflags(write=False)
-    _masses.put(key, (f.source_key, masses), masses.nbytes + len(key[2]) + len(key[3]))
     return masses
 
 

@@ -40,14 +40,20 @@ cumulative masses at 10,368 window and 7,776 covered radii.
 On the shared path every centre has the plan's radii, so one
 geometry.map_masses call gives every centre's masses below t_max, one row
 each: the plan's stencil for the grid points (16 source samples per
-virtual cell, 2,960 on that grid) and its nodes for any other centre, kept
-as one memo entry per map (the Riesz and Wolff images of one source at
-gamma = 2 share it).
-Any other map asks ball_mass_batch for each centre's masses in turn.  Either
-way they go straight into one flat array, and the integrand's exp and log,
-the panel sums (one matrix-vector product with the Gauss weights) and the
-sum of each centre's panels (one add.reduceat) are taken once for all
-centres, with the t < t_min closure vectorised too.  evaluations() counts
+virtual cell, 2,960 on that grid) and its nodes for any other centre.  The
+last shared map's masses are kept in one slot (_shared_masses), keyed by
+value by n, the centres, the plan's radii and the source's grid points,
+values and head and tail models, and a map with that key takes them.  That
+is the one reuse of masses the product paths have: the inequality
+battery's Wolff image of a source right after its Riesz image on the same
+t nodes (2 of the 5 maps of a two-bump battery at n = 3, gamma = 1.6), and
+a diagonal Picard solve's v-source, a bit-equal copy of its u-source (one
+of each iteration's two maps).  Any other map asks ball_mass_batch for each
+centre's masses in turn and keeps nothing.  Either way they go straight
+into one flat array, and the integrand's exp and log, the panel sums (one
+matrix-vector product with the Gauss weights) and the sum of each centre's
+panels (one add.reduceat) are taken once for all centres, with the
+t < t_min closure vectorised too.  evaluations() counts
 the wolff_eval_at calls of the process, which each Picard trace entry
 reports per iteration.
 
@@ -276,6 +282,29 @@ def _window(tau_hi, a_eff) -> np.ndarray:
     return np.linspace(tau_hi, tau_hi + _TAIL_DECAY_SPAN / a_eff, _TAIL_PANELS + 1)[1:]
 
 
+# the last shared map's key and masses, see _shared_masses
+_last_map = None
+
+
+def _shared_masses(kernel, f, rhos, t, plan, covered) -> np.ndarray:
+    """map_masses' masses of a map on the shared path, read-only.  The last
+    such map's are kept in one slot with their key: n, the centres, the t
+    nodes relative to each centre (the plan's radii, which with the centres
+    give t) and f's grid points, values and head and tail models, as bytes
+    and floats compared by value.  A map with the slot's key takes its
+    masses and evaluates nothing; any other replaces them."""
+    global _last_map
+    key = (kernel.n, rhos.tobytes(), plan.tau.tobytes(), f.grid.points.tobytes(), f.values.tobytes(),
+           f.head_exponent, f.tail_exponent, f.tail_log_power)
+    last = _last_map  # read once, as another thread may replace it
+    if last is not None and last[0] == key:
+        return last[1]
+    masses = map_masses(kernel, f, rhos, t, plan, covered)
+    masses.setflags(write=False)
+    _last_map = key, masses
+    return masses
+
+
 _evaluations_lock = threading.Lock()
 _evaluations = 0
 
@@ -363,7 +392,8 @@ def wolff_eval_at(
     # every centre's masses, panels below t_max then the window, in one
     # array; on the shared path every centre has the plan's radii
     if shared:
-        mass = np.hstack([map_masses(kernel, f, rhos, t.reshape(rhos.size, -1), plan, covered), window_mass]).ravel()
+        below = _shared_masses(kernel, f, rhos, t.reshape(rhos.size, -1), plan, covered)
+        mass = np.hstack([below, window_mass]).ravel()
     else:
         mass = np.empty(tau.size)
         for i, rho in enumerate(rhos.tolist()):

@@ -66,10 +66,11 @@ may put the radii of many balls in one cumulative_mass call.
 
 The Gauss-Legendre rule of a log tail to finite x, its weighted integrand
 sums, depends on f only through ln r_max, the rate and L p, so it is kept
-per (ln r_max, rate, L p, ln(x / r_max)) in a 2 MiB least-recently-used
-store: every Picard iterate on one grid shares its tail model, and the
-potential asks for the same radii each map (0.31 MB on the solver's 81-point
-grid with a log-corrected source).
+by value per (ln r_max, rate, L p, ln(x / r_max)) in a least-recently-used
+cache of _LOG_TAIL_RULES = 2 rules (_log_tail_rule): every Picard iterate
+on one grid shares its tail model, and the potential asks for the same
+radii each map.  A rule and its key take 0.17 MB on the solver's 81-point
+grid with a log-corrected source and 0.68 MB at 64 points a decade.
 
 Divergent norms are reported through the symbolic sentinel ``INFINITE``
 rather than a float infinity.
@@ -80,13 +81,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -102,6 +101,8 @@ _MAX_FLOAT = float(np.finfo(float).max)
 # the kernel quadrature's pieces span the fewest cells whose log-width
 # reaches an eighth of a decade (geometry's reference plans take it too)
 _PIECE_LOGWIDTH = 0.125 * math.log(10.0)
+# the log-tail rules kept (_log_tail_rule)
+_LOG_TAIL_RULES = 2
 
 
 class _Infinite:
@@ -151,63 +152,26 @@ def _laggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(m)
 
 
-class LruStore:
-    """Values bounded by max_bytes in all (keys included, as the caller counts
-    them), the least recently used dropped first; thread-safe.  A put
-    replaces the value a key held.  Keys may share a part, key[shared] (a
-    grid's points key), whose bytes count once while any held key has it.
-    It keeps the log-tail rules here and geometry's reference plans and ball
-    masses."""
-
-    def __init__(self, max_bytes: int, shared: Optional[int] = None):
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._items = OrderedDict()
-        self._shared = shared
-        self._holders = {}  # shared part -> the number of held keys that have it
-        self.nbytes = 0
-
-    def get(self, key):
-        with self._lock:
-            item = self._items.get(key)
-            if item is None:
-                return None
-            self._items.move_to_end(key)
-            return item[0]
-
-    def _count(self, key, nbytes: int, change: int):
-        """Count a held key in (change = 1) or out (-1): its nbytes and, for
-        the first or the last key that has it, its shared part's bytes."""
-        self.nbytes += change * nbytes
-        if self._shared is not None:
-            part = key[self._shared]
-            held = self._holders.pop(part, 0) + change
-            if held:
-                self._holders[part] = held
-            if held == (change > 0):
-                self.nbytes += change * len(part)
-
-    def put(self, key, value, nbytes: int):
-        with self._lock:
-            if key in self._items:
-                self._count(key, self._items.pop(key)[1], -1)
-            if nbytes > self.max_bytes:
-                return
-            self._items[key] = (value, nbytes)
-            self._count(key, nbytes, 1)
-            while self.nbytes > self.max_bytes:
-                dropped, (_, size) = self._items.popitem(last=False)
-                self._count(dropped, size, -1)
-
-    def clear(self):
-        with self._lock:
-            self._items.clear()
-            self._holders.clear()
-            self.nbytes = 0
-
-
-# the log-tail quadrature of _integrals, per (ln r_max, rate, L p, ln(x / r_max))
-_log_tail_rules = LruStore(2 * 2**20)
+@lru_cache(maxsize=_LOG_TAIL_RULES)
+def _log_tail_rule(lam0: float, a: float, Lp: float, span: bytes) -> np.ndarray:
+    """_log_tail's 32-node Gauss-Legendre sums to x = r_max e^span, one per
+    radius, for scale 1 and per unit of span.  They are free of f's values,
+    and Picard iterates share their tail models, so they are kept per
+    (ln r_max, a, L p, span)."""
+    span = np.frombuffer(span)
+    nodes, wts = _leggauss01(32)
+    lam = lam0 + np.outer(span, nodes)
+    # e^{a (lam - lam0)} (lam/lam0)^{Lp} wts in two (radii x 32) buffers
+    terms = lam - lam0
+    terms *= a
+    np.exp(terms, out=terms)
+    lam /= lam0
+    lam **= Lp
+    terms *= lam
+    terms *= wts
+    shape = terms.sum(axis=1)
+    shape.setflags(write=False)
+    return shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +228,6 @@ class RadialGrid:
     @property
     def r_max(self) -> float:
         return float(self.points[-1])
-
-    @cached_property
-    def points_key(self) -> bytes:
-        """The points as bytes, made once: every store key on this grid holds this one object."""
-        return self.points.tobytes()
 
     @property
     def count(self) -> int:
@@ -369,12 +328,6 @@ class RadialFunction:
             "any_linear": bool(linear.any()),
             "width": np.concatenate([[0.0], np.where(linear, pts[1:], dlr), [_MAX_FLOAT]]),
         }
-
-    @cached_property
-    def source_key(self) -> tuple:
-        """What f's masses depend on beyond the grid: the values and the head
-        and tail models."""
-        return (self.values.tobytes(), self.head_exponent, self.tail_exponent, self.tail_log_power)
 
     def locate(self, r):
         """Slot and offset of each radius r, for at_located; sources on one
@@ -617,25 +570,7 @@ class RadialFunction:
                 return scale * lam0 / (-Lp - 1.0)  # pure log, Lp < -1
             nodes, wts = _laggauss(96)
             return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
-        # the rule is free of f's values, and Picard iterates share their
-        # tail models, so it is kept per (ln r_max, a, L p, span)
-        key = (lam0, a, Lp, span.tobytes())
-        shape = _log_tail_rules.get(key)
-        if shape is None:
-            nodes, wts = _leggauss01(32)
-            lam = lam0 + np.outer(span, nodes)
-            # e^{a (lam - lam0)} (lam/lam0)^{Lp} wts in two (radii x 32) buffers
-            terms = lam - lam0
-            terms *= a
-            np.exp(terms, out=terms)
-            lam /= lam0
-            lam **= Lp
-            terms *= lam
-            terms *= wts
-            shape = terms.sum(axis=1)
-            shape.setflags(write=False)
-            _log_tail_rules.put(key, shape, 2 * span.nbytes)
-        return scale * shape * span
+        return scale * _log_tail_rule(lam0, a, Lp, span.tobytes()) * span
 
     def cumulative_mass(self, n: int, x) -> np.ndarray:
         """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wolffkit import geometry
+from wolffkit import geometry, potential, radial
 from wolffkit.radial import RadialFunction, RadialGrid
 
 
@@ -32,14 +32,16 @@ def power_tail_profile(grid: RadialGrid, scale: float, m: float) -> RadialFuncti
 
 
 def clear_stores():
-    """Empty geometry's reference plans and kept ball masses."""
-    geometry._plans.clear()
-    geometry._masses.clear()
+    """Empty the kept reference plans and log-tail rules, and the slot of
+    the last map's masses."""
+    geometry._built_plan.cache_clear()
+    radial._log_tail_rule.cache_clear()
+    potential._last_map = None
 
 
 @pytest.fixture
 def cap_calls(monkeypatch):
-    """Empty geometry's stores and count cap_fraction calls."""
+    """Empty the caches and the slot, and count cap_fraction calls."""
     clear_stores()
     calls = []
     cap_fraction = geometry.cap_fraction
@@ -51,6 +53,20 @@ def cap_calls(monkeypatch):
     monkeypatch.setattr(geometry, "cap_fraction", counting)
     yield calls
     clear_stores()
+
+
+@pytest.fixture
+def plans_read(monkeypatch):
+    """The reference plan of every map on the shared path, in order."""
+    plans = []
+    reference_plan = potential.reference_plan
+
+    def recording(kernel, step, tau):
+        plans.append(reference_plan(kernel, step, tau))
+        return plans[-1]
+
+    monkeypatch.setattr(potential, "reference_plan", recording)
+    return plans
 
 
 # the benchmark's oracles (Newton's shell theorem, the 2F1 spherical mean and

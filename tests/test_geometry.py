@@ -9,12 +9,12 @@ from scipy.special import beta, betainc, factorial, poch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolffkit import geometry
+from wolffkit import geometry, potential
 from wolffkit.errors import DivergentIntegralError, ParameterError
 from wolffkit.geometry import CapKernel, ball_mass, ball_mass_batch, cap_fraction
 from wolffkit.params import Parameters
-from wolffkit.potential import wolff_eval
-from wolffkit.radial import LruStore, RadialFunction, RadialGrid, unit_ball_volume
+from wolffkit.potential import wolff_eval, wolff_eval_at
+from wolffkit.radial import RadialFunction, RadialGrid, unit_ball_volume
 from wolffkit.solver import SolveConfig, default_solver_grid, make_ansatz, potential_images
 
 from conftest import clear_stores, indicator_of_ball, power_tail_profile
@@ -333,7 +333,7 @@ def test_indicator_shifted_center_matches_quadrature():
     assert ball_mass(k, ind, rho, t) == pytest.approx(oracle, rel=1e-6)
 
 
-# -- reference plans and kept masses -------------------------------------
+# -- kept reference plans and the last map's masses ----------------------
 
 
 def _shared_masses(k, f, rho, tau):
@@ -341,11 +341,6 @@ def _shared_masses(k, f, rho, tau):
     step for the relative radii tau, at t = rho tau."""
     plan = geometry.reference_plan(k, f.grid.log_step, tau)
     return ball_mass_batch(k, f, rho, rho * tau, plan=plan)
-
-
-def _held_bytes(store):
-    """A store's bytes: its entries' and, once, each key part they share."""
-    return sum(nbytes for _, nbytes in store._items.values()) + sum(len(part) for part in store._holders)
 
 
 def _store_profiles(n):
@@ -393,64 +388,52 @@ def test_stored_weights_match_cold_values(n, cap_calls):
 
 
 def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
+    # after f's map the slot of the last map's masses answers f alone: f in
+    # another dimension (the same t nodes) evaluates f again, and a hard
+    # cut-off or a vanishing last value (jumps) take nodes built per call;
+    # each map gives what it gives after the slot is cleared
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     f = power_tail_profile(grid, 1.0, 9.0)
-    ts = np.geomspace(1e-2, 1e3, 40)
+    rhos = [0.5, 2.0, float(grid.points[30])]
     variants = [
-        (CapKernel(4), f),
-        (CapKernel(5), f),  # another dimension
-        (CapKernel(5), f.with_values(f.values, tail_exponent=math.inf)),  # hard cut-off
-        (CapKernel(5), f.with_values(np.append(f.values[:-1], 0.0))),  # vanishing last value
+        (4, f),
+        (5, f),  # another dimension
+        (5, f.with_values(f.values, tail_exponent=math.inf)),  # hard cut-off
+        (5, f.with_values(np.append(f.values[:-1], 0.0))),  # vanishing last value
     ]
-    for k, g in variants:
-        before = len(cap_calls)
-        got = ball_mass_batch(k, g, 2.0, ts)
-        assert len(cap_calls) == before + 1
-        clear_stores()
-        assert np.array_equal(got, ball_mass_batch(k, g, 2.0, ts))
+    wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+    for n, g in variants:
+        nodes = geometry.nodes_evaluated()
+        got = wolff_eval_at(g, n, 1.0, 2.0, rhos)
+        assert geometry.nodes_evaluated() > nodes
+        potential._last_map = None
+        assert np.array_equal(got, wolff_eval_at(g, n, 1.0, 2.0, rhos))
+    # a plan per dimension, and per-call nodes at every centre of the jumps' two maps each
+    assert len(cap_calls) == 2 + 2 * 2 * len(rhos)
 
 
-def test_store_stays_under_its_byte_cap(cap_calls, monkeypatch):
-    # reference plans and kept masses sit in two least-recently-used stores,
-    # each under its byte cap with an exact byte count, and neither hands
-    # out an array that can be written; a new source replaces one centre's
-    # masses and the other centres keep theirs
+def test_store_stays_under_its_byte_cap(cap_calls):
+    # reference plans are kept by value in a cache of geometry._PLANS plans
+    # (at most 2 x 1.7 MB, at 64 points a decade), the least recently used
+    # dropped first, and none hands out an array that can be written; a
+    # plan built again is the cold plan
     k = CapKernel(3)
     tau = np.geomspace(1e-3, 1e4, 200)
     rhos = np.geomspace(0.1, 10.0, 5)
-    plans, masses = geometry._plans, geometry._masses
     # eight grid steps, eight plans
     sources = [power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16 + j), 1.0, 6.0) for j in range(8)]
-
-    def serve(f):
+    built = geometry.plans_built()
+    first = [_shared_masses(k, sources[0], float(rho), tau) for rho in rhos]
+    for f in sources:
         for rho in rhos:
             _shared_masses(k, f, float(rho), tau)
-        for store in (plans, masses):
-            assert 0 < store.nbytes == _held_bytes(store) <= store.max_bytes
-        assert not any(a.flags.writeable for plan, _ in plans._items.values() for a in plan[3:])
-        assert not any(m.flags.writeable for (_, m), _ in masses._items.values())
-
-    for f in sources:
-        serve(f)
-    assert len(cap_calls) == len(plans._items) == 8
-    g = sources[-1].with_values(2.0 * sources[-1].values)
-    _shared_masses(k, g, 0.1, tau)
-    held = [source for (source, _), _ in masses._items.values()]
-    assert held.count(g.source_key) == 1 and held.count(sources[-1].source_key) == 4
-    assert masses.nbytes == _held_bytes(masses)
-    # under room for three plans the least recently used go first, and a
-    # plan built again is the cold plan
-    size = max(nbytes for _, nbytes in plans._items.values())
-    monkeypatch.setattr(plans, "max_bytes", 3 * size)
-    clear_stores()
-    first = [_shared_masses(k, sources[0], float(rho), tau) for rho in rhos]
-    for j, f in enumerate(sources):
-        serve(f)
-        assert len(plans._items) == min(j + 1, 3)
-    before = len(cap_calls)
-    masses.clear()
+    assert len(cap_calls) == geometry.plans_built() - built == 8
+    kept = [geometry.reference_plan(k, f.grid.log_step, tau) for f in sources[-geometry._PLANS :]]
+    assert geometry.plans_built() - built == 8 and geometry._built_plan.cache_info().currsize == geometry._PLANS
+    assert not any(a.flags.writeable for plan in kept for a in plan[3:])
+    assert sum(a.nbytes for plan in kept for a in plan[3:]) <= geometry._PLANS * 2 * 2**20
     again = [_shared_masses(k, sources[0], float(rho), tau) for rho in rhos]
-    assert len(cap_calls) == before + 1
+    assert geometry.plans_built() - built == len(cap_calls) == 9
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
 
@@ -521,9 +504,10 @@ def _sums_source():
 
 
 def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, monkeypatch):
-    # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives:
-    # its ball masses come from the stored masses, without evaluating f or
-    # its cumulative mass again
+    # a bit-equal copy in other objects, as weighted_source(0, 1, f) gives,
+    # mapped right after f at the same centres: its masses come from the
+    # slot of the last map's masses, without evaluating the source; the
+    # map's one cumulative_mass call still takes the window's masses
     mass_calls = []
     cumulative_mass = RadialFunction.cumulative_mass
 
@@ -532,29 +516,30 @@ def test_bit_equal_source_reuses_partial_shell_sums(cap_calls, source_calls, mon
         return cumulative_mass(self, n, x)
 
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting)
-    k = CapKernel(5)
     f = _sums_source()
     copy = RadialFunction(
         RadialGrid(f.grid.points.copy()), f.values.copy(), f.head_exponent, f.tail_exponent, f.tail_log_power
     )
-    ts = np.geomspace(1e-3, 1e4, 120)
-    rhos = (0.005, 0.3, 1.0, 40.0)
-    first = [ball_mass_batch(k, f, rho, ts) for rho in rhos]
-    assert len(cap_calls) == len(source_calls) == len(mass_calls) == len(rhos)
-    again = [ball_mass_batch(k, copy, rho, ts) for rho in rhos]
-    assert len(cap_calls) == len(source_calls) == len(mass_calls) == len(rhos)
-    for a, b in zip(first, again):
-        assert np.array_equal(a, b)
-    # a hit hands out a copy: writing to it leaves the stored masses intact
-    again[0][:] = -1.0
-    assert np.array_equal(ball_mass_batch(k, copy, rhos[0], ts), first[0])
-    # a centre the masses do not hold yet still takes one evaluation
-    ball_mass_batch(k, copy, 2.0, ts)
-    assert len(source_calls) == len(rhos) + 1
+    rhos = [0.005, 0.3, 1.0, 40.0, float(f.grid.points[40])]
+    first = wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+    calls = len(source_calls)
+    assert len(cap_calls) == len(mass_calls) == 1 and calls > 0
+    again = wolff_eval_at(copy, 5, 1.0, 2.0, rhos)
+    assert len(cap_calls) == 1 and len(mass_calls) == 2 and len(source_calls) == calls
+    assert np.array_equal(first, again)
+    # a map hands out its own array: writing to it leaves the kept masses intact
+    again[:] = -1.0
+    assert np.array_equal(wolff_eval_at(copy, 5, 1.0, 2.0, rhos), first) and len(source_calls) == calls
+    # centres the slot does not hold take their own evaluations
+    wolff_eval_at(copy, 5, 1.0, 2.0, rhos[1:])
+    assert len(source_calls) > calls
 
 
-def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
-    k = CapKernel(5)
+def test_changed_source_misses_partial_shell_sums(cap_calls):
+    # after f's map, a map of a source that differs from f by one ulp in one
+    # value, or in its head or tail model, evaluates its own masses, and f's
+    # map after it evaluates f again: the slot holds one map.  Each gives
+    # what it gives after the slot is cleared, and f's plan serves them all
     f = _sums_source()
     nudged = f.values.copy()
     nudged[40] = np.nextafter(nudged[40], 1.0)
@@ -564,71 +549,88 @@ def test_changed_source_misses_partial_shell_sums(cap_calls, source_calls):
         f.with_values(f.values, tail_exponent=9.5),
         f.with_values(f.values, tail_log_power=0.0),
     ]
-    tau = np.geomspace(1e-3, 1e4, 120)
     # off the grid, below r_min, and on a grid point
-    for rho in (0.005, 1.0, float(f.grid.points[40])):
-        _shared_masses(k, f, rho, tau)
-        for g in variants:
-            caps, calls = len(cap_calls), len(source_calls)
-            warm = _shared_masses(k, g, rho, tau)
-            assert len(cap_calls) == caps == 1  # the plan serves g
-            assert len(source_calls) == calls + 1  # f's masses do not
-            _shared_masses(k, f, rho, tau)
-            assert len(source_calls) == calls + 2  # one source at a time
-            geometry._masses.clear()
-            assert np.array_equal(warm, _shared_masses(k, g, rho, tau))
-            _shared_masses(k, f, rho, tau)
+    rhos = [0.005, 1.0, float(f.grid.points[40])]
+    wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+    for g in variants:
+        nodes = geometry.nodes_evaluated()
+        warm = wolff_eval_at(g, 5, 1.0, 2.0, rhos)
+        assert geometry.nodes_evaluated() > nodes
+        nodes = geometry.nodes_evaluated()
+        wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+        assert geometry.nodes_evaluated() > nodes
+        potential._last_map = None
+        assert np.array_equal(warm, wolff_eval_at(g, 5, 1.0, 2.0, rhos))
+    assert len(cap_calls) == 1
 
 
-def test_each_centre_keeps_the_masses_of_its_own_last_source(cap_calls, source_calls):
-    # two sources on one grid, each served last at its own centre: each
-    # centre hands back its own source's masses without evaluating it again
-    k = CapKernel(5)
+def test_the_slot_keeps_the_last_maps_masses_only(cap_calls):
+    # two sources on one grid mapped in turn: each map replaces the slot, so
+    # f's map after g's evaluates f again, and a repeat of the last map
+    # evaluates nothing.  After a map at 64 points a decade the slot holds
+    # the 321 centres' read-only masses and a key of bytes no larger than
+    # the centres, the plan's radii and the source's points and values
+    f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 64), 1.0, 3.0)
+    g = f.scaled(3.0)
+    f_image = wolff_eval(f, 5, 1.0, 2.0).values
+    key, masses = potential._last_map
+    size = masses.shape[1]
+    assert masses.shape[0] == f.grid.count == 321 and not masses.flags.writeable
+    assert sum(len(part) for part in key if isinstance(part, bytes)) == 8 * (3 * 321 + size)
+    g_image = wolff_eval(g, 5, 1.0, 2.0).values
+    nodes = geometry.nodes_evaluated()
+    assert np.array_equal(wolff_eval(f, 5, 1.0, 2.0).values, f_image)
+    assert geometry.nodes_evaluated() > nodes
+    again, kept = potential._last_map
+    assert again == key and np.array_equal(kept, masses)
+    nodes = geometry.nodes_evaluated()
+    assert np.array_equal(wolff_eval(f, 5, 1.0, 2.0).values, f_image)
+    assert geometry.nodes_evaluated() == nodes and potential._last_map[1] is kept
+    assert not np.array_equal(g_image, f_image) and len(cap_calls) == 1
+
+
+def test_moved_grid_point_misses_the_store(cap_calls):
+    # the slot compares grid points: f's values on f's grid dilated by
+    # 1 + 1e-13 (one log step, so f's plan serves it) at f's centres
+    # evaluate their own masses; a moved point leaves the grid without a
+    # log step, so its maps take nodes built per call, every map
     f = _sums_source()
-    g = f.with_values(2.0 * f.values)
-    ts = np.geomspace(1e-3, 1e4, 120)
-    f_masses = ball_mass_batch(k, f, 0.3, ts)
-    g_masses = ball_mass_batch(k, g, 1.0, ts)
-    calls = len(source_calls)
-    assert np.array_equal(ball_mass_batch(k, f, 0.3, ts), f_masses)
-    assert np.array_equal(ball_mass_batch(k, g, 1.0, ts), g_masses)
-    assert len(source_calls) == calls and len(cap_calls) == 2
+    pts = f.grid.points
+    dilated = RadialFunction(RadialGrid(pts * (1.0 + 1e-13)), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
+    moved_pts = pts.copy()
+    moved_pts[3] *= 0.99
+    moved = RadialFunction(RadialGrid(moved_pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
+    assert dilated.grid.log_step == f.grid.log_step and moved.grid.log_step is None
+    rhos = [0.005, 1.0]
+    for g in (dilated, moved):
+        wolff_eval_at(f, 5, 1.0, 2.0, rhos)
+        nodes = geometry.nodes_evaluated()
+        warm = wolff_eval_at(g, 5, 1.0, 2.0, rhos)
+        assert geometry.nodes_evaluated() > nodes
+        potential._last_map = None
+        assert np.array_equal(warm, wolff_eval_at(g, 5, 1.0, 2.0, rhos))
+    nodes = geometry.nodes_evaluated()
+    wolff_eval_at(moved, 5, 1.0, 2.0, rhos)
+    assert geometry.nodes_evaluated() > nodes
+    assert len(cap_calls) == 1 + 3 * len(rhos)
 
 
-def test_moved_grid_point_misses_the_store(cap_calls, source_calls):
-    # a moved point leaves the grid without a log step, so the grid takes
-    # nodes built per call, and f's kept masses do not answer for it
-    k = CapKernel(5)
-    f = _sums_source()
-    pts = f.grid.points.copy()
-    pts[3] *= 0.99
-    moved = RadialFunction(RadialGrid(pts), f.values, f.head_exponent, f.tail_exponent, f.tail_log_power)
-    assert f.grid.log_step is not None and moved.grid.log_step is None
-    ts = np.geomspace(1e-3, 1e4, 120)
-    for rho in (0.005, 1.0):
-        ball_mass_batch(k, f, rho, ts)
-        caps, calls = len(cap_calls), len(source_calls)
-        warm = ball_mass_batch(k, moved, rho, ts)
-        assert len(cap_calls) == caps + 1 and len(source_calls) == calls + 1
-        clear_stores()
-        assert np.array_equal(warm, ball_mass_batch(k, moved, rho, ts))
-
-
-def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
+def test_picard_plans_are_stored_located_under_the_cap(cap_calls, plans_read):
     # two system-map applications on the solver's default 81-point grid:
     # one reference plan serves every centre of all four maps, and it is
-    # served again after its masses are dropped.  Its 15,590 nodes are
-    # 7,960 distinct ones: 270 shared by 7,900 node slots, the rest each
-    # one shell's own
+    # served again after the slot is cleared.  Its 15,590 nodes are 7,960
+    # distinct ones: 270 shared by 7,900 node slots, the rest each one
+    # shell's own
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     cfg = SolveConfig()
     u, v = make_ansatz(params, default_solver_grid())
     first = potential_images(params, u, v, cfg)
-    geometry._masses.clear()
+    potential._last_map = None
     potential_images(params, u, v, cfg)
     assert len(cap_calls) == 1 and u.grid.count == 81
-    ((plan, _),) = geometry._plans._items.values()
-    assert geometry._plans.nbytes <= 2 * 2**20
+    plan = plans_read[0]
+    assert len(plans_read) == 4 and all(p is plan for p in plans_read)
+    assert sum(a.nbytes for a in plan[3:]) <= 2 * 2**20
     assert plan.cell.size == 7_960 and plan.weights.shape[1] == 270
     assert np.count_nonzero(plan.weights) + plan.kw.size == 15_590
     assert not any(a.flags.writeable for a in plan[3:])
@@ -640,38 +642,50 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls):
 
 def test_centre_with_only_empty_shells_stores_nothing(cap_calls):
     # a truncated source far from the centre: no t leaves a partial shell
-    # inside r <= 1, so only the covered mass remains
+    # inside r <= 1, so only the covered mass remains, and nothing is built
+    # or evaluated
     ind = indicator_of_ball(1.0)
     k = CapKernel(4)
     ts = np.array([10.0, 50.0, 150.0, 1e3])
+    built, nodes = geometry.plans_built(), geometry.nodes_evaluated()
     got = ball_mass_batch(k, ind, 100.0, ts)
     assert np.allclose(got, [0.0, 0.0, unit_ball_volume(4), unit_ball_volume(4)], rtol=1e-12)
     assert got[0] == got[1] == 0.0
-    assert not cap_calls and geometry._masses.nbytes == geometry._plans.nbytes == 0
+    assert not cap_calls and geometry.plans_built() == built and geometry.nodes_evaluated() == nodes
 
 
-def test_store_stress_concurrent_grids_and_centres():
-    # more threads than cores, switching often: lookups, puts that replace a
-    # centre's masses and the dropping of the least recently used entries
-    # interleave on a masses store; a lost update would break the byte
-    # count or hand a centre another centre's or another source's masses
-    store = LruStore(56 * 40)
-    errors = []
+def test_slot_race_gives_every_map_its_own_masses():
+    # more threads than cores, switching often, map two sources at two sets
+    # of centres on one grid in turn, through the one slot of the last
+    # map's masses: each map reads the slot once and replaces it with one
+    # assignment, so a lost update or a torn read would hand a map another
+    # map's masses.  Every map equals its single-thread map bit for bit,
+    # and the slot served some of them
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    sources = [power_tail_profile(grid, 1.0, 7.0), power_tail_profile(grid, 0.5, 9.0)]
+    centres = [grid.points, grid.points[::4] * 1.01]
+    clear_stores()
+    want, cost = {}, {}
+    for s in range(2):
+        for c in range(2):
+            potential._last_map = None
+            nodes = geometry.nodes_evaluated()
+            want[s, c] = wolff_eval_at(sources[s], 3, 1.0, 2.0, centres[c])
+            cost[s, c] = geometry.nodes_evaluated() - nodes
+    errors, made = [], []
 
     def worker(seed):
         rng = np.random.default_rng(seed)
         try:
-            for _ in range(400):
-                grid = int(rng.integers(3))
-                centre = int(rng.integers(64))
-                source = int(rng.integers(2))
-                kept = store.get((grid, centre))
-                if kept is not None and not np.all(kept[1] == 1000 * grid + 100 * kept[0] + centre):
-                    errors.append((grid, centre))
-                store.put((grid, centre), (source, np.full(5, 1000.0 * grid + 100 * source + centre)), 40)
+            for _ in range(30):
+                s, c = int(rng.integers(2)), int(rng.integers(2))
+                made.append(cost[s, c])
+                if not np.array_equal(wolff_eval_at(sources[s], 3, 1.0, 2.0, centres[c]), want[s, c]):
+                    errors.append((s, c))
         except Exception as exc:  # surfaced through the assertion below
             errors.append(exc)
 
+    nodes = geometry.nodes_evaluated()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -679,55 +693,29 @@ def test_store_stress_concurrent_grids_and_centres():
         for th in threads:
             th.start()
         for th in threads:
-            th.join(timeout=60)
+            th.join(timeout=120)
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
-    assert not errors
-    # the cap holds 56 of the 192 keys: entries were dropped, every entry
-    # left is its own key's, and the bytes count exactly
-    entries = list(store._items.items())
-    assert 0 < len(entries) <= 56
-    for (grid, centre), ((source, masses), _) in entries:
-        assert np.all(masses == 1000 * grid + 100 * source + centre)
-    assert store.nbytes == _held_bytes(store) == 40 * len(entries) <= store.max_bytes
+    assert not errors and len(made) == 180
+    assert geometry.nodes_evaluated() - nodes < sum(made)
+    clear_stores()
 
 
-def test_kept_plans_stay_under_two_mib_at_every_resolution(cap_calls):
+def test_kept_plans_stay_under_two_mib_at_every_resolution(cap_calls, plans_read):
     # the solver's grid at 16, 32 and 64 points a decade: one reference
-    # plan per grid step, well under 2 MiB in all, and a map of a second
-    # source builds none
+    # plan per grid step, each under 2 MiB, and a map of a second source
+    # builds none
     for npd in (16, 32, 64):
         clear_stores()
+        plans_read.clear()
         u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, npd), 1.0, 3.0)
         before = len(cap_calls)
         wolff_eval(u, 5, 1.0, 2.0)
         built = geometry.plans_built()
         wolff_eval(u.scaled(3.0), 5, 1.0, 2.0)
         assert geometry.plans_built() == built and len(cap_calls) == before + 1
-        assert len(geometry._plans._items) == 1 and geometry._plans.nbytes <= 2 * 2**20
-
-
-def test_masses_keys_share_the_grids_one_points_key():
-    # a map keeps one memo entry, keyed by the grid's one points key, the
-    # centres and the plan's radii, whose bytes the memo counts exactly:
-    # after one map at 64 points a decade it holds the 321 centres' masses
-    # and the grid's 2,568 bytes of points once
-    clear_stores()
-    u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 64), 1.0, 3.0)
-    wolff_eval(u, 5, 1.0, 2.0)
-    items = geometry._masses._items
-    ((key, ((_, masses), nbytes)),) = items.items()
-    assert key[1] is u.grid.points_key and key[2] == u.grid.points.tobytes() and masses.shape[0] == 321
-    assert nbytes == masses.nbytes + len(key[2]) + len(key[3])
-    assert geometry._masses.nbytes == _held_bytes(geometry._masses) == nbytes + u.grid.points.nbytes == nbytes + 2568
-    # a second source on the grid hits no kept masses and replaces them;
-    # the first source's map again replaces them back, bit for bit
-    wolff_eval(u.scaled(3.0), 5, 1.0, 2.0)
-    wolff_eval(u, 5, 1.0, 2.0)
-    ((again, ((_, kept), _)),) = items.items()
-    assert again == key and np.array_equal(kept, masses)
-    assert geometry._masses.nbytes == nbytes + u.grid.points.nbytes
+        assert plans_read[0] is plans_read[1] and sum(a.nbytes for a in plans_read[0][3:]) <= 2 * 2**20
 
 
 def _block_masses(k, f, rhos, plan, centres, monkeypatch):

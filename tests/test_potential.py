@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -412,26 +411,19 @@ def _map_costs(monkeypatch, f, n, beta, gamma):
     return len(mass_calls), geometry.plans_built() - plans, geometry.nodes_evaluated() - nodes, image
 
 
-def _store_holds_plans_and_masses_only():
-    """The stores hold reference plans and (source key, masses) pairs, and
-    count their bytes exactly."""
-    plans = [plan for plan, _ in geometry._plans._items.values()]
-    kept = [value for value, _ in geometry._masses._items.values()]
-    return all(isinstance(p, geometry.ReferencePlan) for p in plans) and all(
-        isinstance(m, np.ndarray) for _, m in kept
-    ) and all(
-        store.nbytes == sum(b for _, b in store._items.values()) + sum(len(part) for part in store._holders)
-        for store in (geometry._plans, geometry._masses)
-    )
+def _one_plan_and_the_last_maps_masses():
+    """The plan cache holds one reference plan, and the slot an array of
+    masses, the last map's."""
+    return geometry._built_plan.cache_info().currsize == 1 and isinstance(potential._last_map[1], np.ndarray)
 
 
-def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
+def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, plans_read, monkeypatch):
     # on the solver's 81-point grid, after a cold map of the log-tailed
     # source, a map of a source with another tail model (T, L) builds no
     # plan, makes one cumulative_mass call and samples the source 16 times
     # in each of the plan's 105 + 81 - 1 virtual cells, 2,960 samples for
     # every centre together: the reference plan and its stencil are free of
-    # the model, and the stores keep nothing per model but the masses
+    # the model, and nothing is kept per model but the last map's masses
     params, log_tailed, other = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = log_tailed.grid.count
@@ -439,9 +431,9 @@ def test_warm_wolff_map_does_only_value_dependent_work(cap_calls, monkeypatch):
     assert model(other) != model(log_tailed)
     assert _map_costs(monkeypatch, log_tailed, n, beta, gamma)[:2] == (1, 1)
     calls, built, nodes, warm = _map_costs(monkeypatch, other, n, beta, gamma)
-    ((plan, _),) = geometry._plans._items.values()
+    plan = plans_read[0]
     assert plan.span == 105 and (calls, built, nodes) == (1, 0, 16 * (plan.span + count - 1)) == (1, 0, 2_960)
-    assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
+    assert len(cap_calls) == 1 and plans_read[1] is plan and _one_plan_and_the_last_maps_masses()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(other, n, beta, gamma).values)
 
@@ -458,7 +450,7 @@ def test_battery_bumps_with_other_tails_share_their_grid_plans(cap_calls, monkey
     assert calls == 1 and built == 1
     calls, built, warm_nodes, warm = _map_costs(monkeypatch, second, n, beta, gamma)
     assert (calls, built, warm_nodes) == (1, 0, nodes)
-    assert len(cap_calls) == 1 and _store_holds_plans_and_masses_only()
+    assert len(cap_calls) == 1 and _one_plan_and_the_last_maps_masses()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(second, n, beta, gamma).values)
 
@@ -485,28 +477,12 @@ def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
         assert np.array_equal(kept, masses(g, rho))
 
 
-class _CountingLock:
-    """A lock that counts how often it is taken."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.taken = 0
-
-    def __enter__(self):
-        self._lock.acquire()
-        self.taken += 1
-        return self
-
-    def __exit__(self, *exc):
-        self._lock.release()
-
-
-def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
+def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, plans_read, monkeypatch):
     # a warm map on the solver's 81-point grid: one cumulative_mass call for
     # every centre's window (2 x 81 x 64 radii) and covered radii (81 x 96),
     # so no further mass call, each centre's masses taken once per map (one
-    # block pass over all 81 centres and no ball_mass_batch call), one
-    # lookup and one put in the masses store and one lookup in the plan store
+    # block pass over all 81 centres and no ball_mass_batch call), one plan
+    # lookup that builds nothing, and one new key and masses in the slot
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
     count = f.grid.count
@@ -523,20 +499,44 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, monkeypatch):
         passes.append(rhos.tolist())
         return plan_shells(kernel, source, rhos, plan)
 
-    lock, plan_lock = _CountingLock(), _CountingLock()
     monkeypatch.setattr(RadialFunction, "cumulative_mass", counting_mass)
     monkeypatch.setattr(geometry, "_plan_shells", counting_pass)
     monkeypatch.setattr(potential, "ball_mass_batch", lambda *a, **k: batch_calls.append(a))
-    monkeypatch.setattr(geometry._masses, "_lock", lock)
-    monkeypatch.setattr(geometry._plans, "_lock", plan_lock)
+    cold_key, built = potential._last_map[0], geometry.plans_built()
     warm = wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma)
     assert count == 81 and len(cap_calls) == 1
     assert mass_calls == [2 * count * 64 + count * 96]
     assert passes == [f.grid.points.tolist()] and not batch_calls
-    assert lock.taken == 2 and plan_lock.taken == 1
+    assert len(plans_read) == 2 and plans_read[1] is plans_read[0] and geometry.plans_built() == built
+    key, masses = potential._last_map
+    assert key != cold_key and masses.shape == (count, 192)
     monkeypatch.undo()
     clear_stores()
     assert np.array_equal(warm.values, wolff_eval(f.with_values(2.0 * f.values), n, beta, gamma).values)
+
+
+def test_the_slot_serves_riesz_wolff_pairs_and_picard_copies(monkeypatch):
+    # what the slot of the last map's masses is for: the inequality battery
+    # maps each bump by the Riesz and then the Wolff operator on the same t
+    # nodes (n = 3, gamma = 1.6), so its 5 maps make 3 stencil passes; a
+    # diagonal Picard solve (Hardy FastFast) maps a v-source that is a
+    # bit-equal copy of the u-source, so it makes one pass per iteration
+    from wolffkit.params import Parameters
+    from wolffkit.solver import solve_system
+    from wolffkit.verify import check_inequalities
+
+    passes, maps = [], []
+    stencil_shells, wolff_eval_at_ = geometry._stencil_shells, potential.wolff_eval_at
+    monkeypatch.setattr(geometry, "_stencil_shells", lambda f, plan: passes.append(1) or stencil_shells(f, plan))
+    monkeypatch.setattr(potential, "wolff_eval_at", lambda *a, **k: maps.append(1) or wolff_eval_at_(*a, **k))
+    clear_stores()
+    check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)
+    assert (len(passes), len(maps)) == (3, 5)
+    passes.clear()
+    maps.clear()
+    result = solve_system(Parameters(5, 1.0, 2.0, 2.0, 2.0, -0.5, -0.5))
+    assert result.converged and len(passes) == result.iterations and len(maps) == 2 * result.iterations
+    clear_stores()
 
 
 def test_warm_map_evaluates_each_distinct_plan_node_once_per_centre(cap_calls):
@@ -598,7 +598,6 @@ def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
         clear_stores()
         assert np.array_equal(given(f, rho), alone_cold)
         alone_warm = mass(g, rho)  # f's plan serves g
-        geometry._masses.clear()
         mass(f, rho)
         assert np.array_equal(given(g, rho), alone_warm)
         clear_stores()
@@ -760,7 +759,7 @@ def test_bad_centres_are_refused_before_any_work(layout_builds, cap_calls, monke
             geometry.ball_mass_batch(geometry.CapKernel(3), _SOURCE, rho, t)
     assert potential.evaluations() == evaluations
     assert not (layout_builds or cap_calls or calls)
-    assert geometry._masses.nbytes == geometry._plans.nbytes == 0
+    assert potential._last_map is None and geometry._built_plan.cache_info().currsize == 0
 
 
 # the shared path: every centre's quadrature is the reference plan's, shifted

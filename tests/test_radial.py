@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from wolffkit import radial
+from wolffkit import potential, radial
 from wolffkit.errors import ParameterError, ProfileFormatError
+from wolffkit.potential import wolff_eval
 from wolffkit.radial import (
     INFINITE,
     RadialFunction,
@@ -321,6 +322,14 @@ def test_integral_tables_do_not_keep_a_profile_alive():
     lp_norm(f, 2.0, 0.0, 3)
     ref = weakref.ref(f)
     del f
+    gc.collect()
+    assert ref() is None
+    # nor does the slot of the last map's masses, which holds arrays
+    g = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 6.0)
+    wolff_eval(g, 3, 1.0, 2.0)
+    assert potential._last_map is not None
+    ref = weakref.ref(g)
+    del g
     gc.collect()
     assert ref() is None
 
@@ -695,8 +704,9 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
     # the log tail's quadrature rule is kept per (ln r_max, a = n - T, L,
     # ln(x / r_max));
     # each variant differs in one of them from the first source, whose rule
-    # is in the store, and must give what a cold store gives
-    radial._log_tail_rules.clear()
+    # is kept, and must give what a cleared cache gives
+    rules = radial._log_tail_rule
+    rules.cache_clear()
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     x = np.geomspace(2e2, 1e6, 7)
 
@@ -706,10 +716,10 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
         return RadialFunction(grid, values, tail_exponent=T, tail_log_power=L)
 
     first = log_tail(grid).cumulative_mass(5, x)
-    held = radial._log_tail_rules.nbytes
-    # new values, same tail model and radii: served from the store
+    assert rules.cache_info()[:2] == (0, 1)
+    # new values, same tail model and radii: served from the cache
     doubled = log_tail(grid, scale=2.0).cumulative_mass(5, x)
-    assert radial._log_tail_rules.nbytes == held
+    assert rules.cache_info()[:2] == (1, 1)
     assert np.allclose(doubled, 2.0 * first, rtol=1e-14, atol=0.0)
     variants = {
         "ln r_max": (log_tail(RadialGrid.per_decade(1e-2, 1.5e2, 16)), x),
@@ -718,49 +728,13 @@ def test_log_tail_rule_is_kept_per_tail_model_and_radii():
         "x": (log_tail(grid), 1.5 * x),
     }
     for name, (f, at) in variants.items():
+        misses = rules.cache_info().misses
         warm = f.cumulative_mass(5, at)
-        radial._log_tail_rules.clear()
+        assert rules.cache_info().misses == misses + 1, name
+        rules.cache_clear()
         assert np.array_equal(f.cumulative_mass(5, at), warm), name
         log_tail(grid).cumulative_mass(5, x)  # the first source's rule again
-    radial._log_tail_rules.clear()
-
-
-def test_lru_store_refuses_values_above_its_cap_and_replaces_keys_it_holds():
-    store = radial.LruStore(100)
-    store.put("big", "too big", 101)
-    assert store.get("big") is None and store.nbytes == 0
-    store.put("a", "first", 60)
-    store.put("a", "second", 30)  # a held key takes the new value and its size
-    assert store.get("a") == "second" and store.nbytes == 30
-    store.put("b", "third", 60)
-    assert store.nbytes == 90
-    store.put("c", "fourth", 40)  # 130 bytes: a, the least recently used, goes
-    assert store.get("a") is None and store.get("b") == "third" and store.nbytes == 100
-    store.put("b", "too big", 101)  # a replacement above the cap drops the key
-    assert store.get("b") is None and store.nbytes == 40
-
-
-def test_lru_store_charges_a_shared_key_part_once_while_a_held_key_has_it():
-    # keys (part, i) with shared=0: the part's bytes count once, however
-    # many held keys have it, and go when the last of them goes
-    store = radial.LruStore(100, shared=0)
-    grid_a, grid_b = b"a" * 10, b"b" * 20
-    store.put((grid_a, 1), "x", 30)
-    store.put((grid_a, 2), "y", 30)
-    assert store.nbytes == 70 and store.get((grid_a, 2)) == "y"
-    store.put((grid_a, 2), "z", 20)  # a replacement keeps the part held
-    assert store.nbytes == 60
-    store.put((grid_b, 1), "w", 20)  # 100 bytes: nothing is dropped
-    assert store.nbytes == 100 and len(store._items) == 3
-    store.put((grid_b, 2), "v", 45)  # drops (grid_a, 1), then (grid_a, 2) and grid_a's part
-    assert list(store._items) == [(grid_b, 1), (grid_b, 2)]
-    assert store.nbytes == 20 + 45 + 20 and store._holders == {grid_b: 2}
-    store.put((grid_b, 1), "too big", 101)
-    store.put((grid_b, 2), "too big", 101)  # the last key with grid_b goes, and its part
-    assert store.nbytes == 0 and store._holders == {}
-    store.put((grid_a, 1), "x", 30)
-    store.clear()
-    assert store.nbytes == 0 and store._holders == {} and store.get((grid_a, 1)) is None
+    rules.cache_clear()
 
 
 def test_power_cell_integrals_near_k_equal_mp_match_mpmath():

@@ -1,5 +1,8 @@
-"""Smoke tests of scripts/: each runs as a subprocess on the package in src/."""
+"""Smoke tests of scripts/: each runs as a subprocess on the package in src/.
+Also a check that the names the benchmark reads from the package resolve."""
 
+import ast
+import importlib.util
 import json
 import math
 import os
@@ -8,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wolffkit import geometry
 from wolffkit.potential import wolff_eval
 from wolffkit.radial import RadialGrid
 
@@ -37,7 +39,7 @@ def test_classify_sweep_passes_through_every_regime():
     assert all(a < b for a, b in zip(ps, ps[1:]))
 
 
-def test_bubble_residual_decreases_with_resolution():
+def test_bubble_residual_decreases_with_resolution(plans_read):
     # the residual falls with resolution, and each warm map samples its
     # source 16 times in each of the span + N - 1 virtual cells of the
     # grid's plan, for every centre together
@@ -51,7 +53,7 @@ def test_bubble_residual_decreases_with_resolution():
         grid = RadialGrid.per_decade(1e-2, 1e3, npd)
         clear_stores()
         wolff_eval(power_tail_profile(grid, 1.0, 6.0), 3, 1.0, 2.0)
-        ((plan, _),) = geometry._plans._items.values()
+        plan = plans_read[-1]
         assert float(wall) > 0.0 and float(cpu) >= 0.0 and int(samples) == 16 * (plan.span + grid.count - 1)
     clear_stores()
 
@@ -90,3 +92,28 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
     out = run_script("code_lines.py", str(tmp_path))
     counts = dict(line.split() for line in out.splitlines())
     assert counts == {"a.py": "4", "b.py": "2", "total": "6"}
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark wraps wolffkit functions by name
+    # (perfbench/spans.py, TARGETS) and its worker imports names from
+    # wolffkit: every such name resolves, so a deletion in wolffkit fails
+    # here rather than in a --trace 1 run.  Both files are only read
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(module, path) for module, path, *_ in spans.TARGETS if module.startswith("wolffkit")]
+    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    names += [
+        (node.module, alias.name)
+        for node in ast.walk(worker)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wolffkit")
+        for alias in node.names
+    ]
+    assert ("wolffkit.geometry", "ball_mass_batch") in names and ("wolffkit.potential", "_thread_count") in names
+    for module, path in names:
+        target = importlib.import_module(module)
+        for part in path.split("."):
+            assert hasattr(target, part), f"{module}.{path}"
+            target = getattr(target, part)
+        assert callable(target), f"{module}.{path}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_stores
-from wolffkit import geometry, solver
+from wolffkit import solver
 from wolffkit.cli import main
 from wolffkit.errors import (
     DegenerateIterationError,
@@ -317,7 +317,7 @@ def test_potential_images_of_one_profile_take_one_wolff_eval(monkeypatch, coeffi
     assert not np.array_equal(img_u.values, img_v.values)
 
 
-def test_trace_records_time_constants_and_damping(tmp_path):
+def test_trace_records_time_constants_and_damping(tmp_path, plans_read):
     fast_fast = Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0)
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     cfg = SolveConfig(max_iters=12, rel_tol=5e-3, damping=0.8, grid=grid)
@@ -335,7 +335,8 @@ def test_trace_records_time_constants_and_damping(tmp_path):
     assert [e["plans_built"] for e in res.trace] == [1] + [0] * (res.iterations - 1)
     # each iteration's two potentials sample their sources 16 times in each
     # of the plan's span + N - 1 virtual cells, for every centre together
-    ((plan, _),) = geometry._plans._items.values()
+    plan = plans_read[0]
+    assert all(p is plan for p in plans_read)
     samples = 16 * (plan.span + grid.count - 1)
     assert plan.span == 105 and samples == 2_704
     assert all(e["potential_evals"] == 2 and e["nodes"] == 2 * samples for e in res.trace)
