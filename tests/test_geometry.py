@@ -564,19 +564,15 @@ def test_changed_source_misses_partial_shell_sums(cap_calls):
     assert len(cap_calls) == 1
 
 
-def test_the_slot_keeps_the_last_maps_masses_only(cap_calls):
-    # two sources on one grid mapped in turn: each map replaces the slot, so
-    # f's map after g's evaluates f again, and a repeat of the last map
-    # evaluates nothing.  After a map at 64 points a decade the slot holds
-    # the 321 centres' read-only masses and a key of bytes no larger than
-    # the centres, the plan's radii and the source's points and values
+def test_each_centre_keeps_the_masses_of_its_own_last_source(cap_calls):
+    # the slot keeps, for each centre of the last map, that map's source's
+    # masses: a repeat of the last map evaluates nothing and hands back the
+    # kept masses, while f's map after g's evaluates f again, as g's map
+    # replaced f's masses at every centre.  Each map gives its cold image
     f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 64), 1.0, 3.0)
     g = f.scaled(3.0)
     f_image = wolff_eval(f, 5, 1.0, 2.0).values
     key, masses = potential._last_map
-    size = masses.shape[1]
-    assert masses.shape[0] == f.grid.count == 321 and not masses.flags.writeable
-    assert sum(len(part) for part in key if isinstance(part, bytes)) == 8 * (3 * 321 + size)
     g_image = wolff_eval(g, 5, 1.0, 2.0).values
     nodes = geometry.nodes_evaluated()
     assert np.array_equal(wolff_eval(f, 5, 1.0, 2.0).values, f_image)
@@ -587,6 +583,35 @@ def test_the_slot_keeps_the_last_maps_masses_only(cap_calls):
     assert np.array_equal(wolff_eval(f, 5, 1.0, 2.0).values, f_image)
     assert geometry.nodes_evaluated() == nodes and potential._last_map[1] is kept
     assert not np.array_equal(g_image, f_image) and len(cap_calls) == 1
+    potential._last_map = None
+    assert np.array_equal(wolff_eval(g, 5, 1.0, 2.0).values, g_image)
+
+
+def test_masses_keys_share_the_grids_one_points_key():
+    # a map keeps one slot, keyed by n, the centres, the plan's radii and
+    # the grid's points, values and head and tail models: after one map at
+    # 64 points a decade it holds the 321 centres' read-only masses, and
+    # the key holds the grid's 2,568 bytes of points once as the grid's and
+    # once as the centres (the map's centres are the grid points), so its
+    # bytes are exactly 8 x (3 x 321 + the plan's radii).  A second source on the grid
+    # replaces the slot, and the first source's map puts back a key equal to
+    # the first and bit-equal masses
+    clear_stores()
+    u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 64), 1.0, 3.0)
+    wolff_eval(u, 5, 1.0, 2.0)
+    key, masses = potential._last_map
+    size = masses.shape[1]
+    parts = [part for part in key if isinstance(part, bytes)]
+    points = u.grid.points.tobytes()
+    assert masses.shape[0] == u.grid.count == 321 and not masses.flags.writeable
+    assert len(points) == 2568 and key[1] == key[3] == points and parts.count(points) == 2
+    assert sum(len(part) for part in parts) == 8 * (3 * 321 + size)
+    wolff_eval(u.scaled(3.0), 5, 1.0, 2.0)
+    other, _ = potential._last_map
+    assert other != key and points in other
+    wolff_eval(u, 5, 1.0, 2.0)
+    again, kept = potential._last_map
+    assert again == key and np.array_equal(kept, masses)
 
 
 def test_moved_grid_point_misses_the_store(cap_calls):
