@@ -3,7 +3,8 @@
 All structured output is JSON (profiles travel as CSV with a JSON sidecar).
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 2 usage error.  Every report.json (solve, shoot, verify) carries provenance:
-the wolffkit, numpy and scipy versions and the settings as resolved, so that
+the wolffkit, numpy and scipy versions (scipy's from the installed package's
+metadata, null without it) and the settings as resolved, so that
 with --no-timestamp a report is byte-identical across runs.
 """
 
@@ -13,10 +14,10 @@ import argparse
 import json
 import sys
 import time
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ParameterError, ProfileFormatError, WolffkitError
@@ -79,12 +80,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _scipy_version():
+    """The installed scipy's version, None where scipy is absent; wolffkit does not import it."""
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _provenance(config: dict) -> dict:
     """What made a report: the library versions and the resolved settings."""
     return {
         "wolffkit": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "config": config,
     }
 

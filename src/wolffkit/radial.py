@@ -572,10 +572,10 @@ class RadialFunction:
             return scale / -a * float(np.dot(wts, ((lam0 - nodes / a) / lam0) ** Lp))
         return scale * _log_tail_rule(lam0, a, Lp, span.tobytes()) * span
 
-    def cumulative_mass(self, n: int, x) -> np.ndarray:
-        """s_{n-1} * integral_0^x f(r) r^{n-1} dr, exact on the declared model:
-        at the offsets locate gives, the prefix of the slots below plus the
-        rule of the module docstring; inf at x = inf where the tail is not
+    def integral(self, k: float, p: float, x) -> np.ndarray:
+        """integral_0^x r^{k-1} f(r)^p dr at each x >= 0, exact on the declared
+        model: at the offsets locate gives, the prefix of the slots below plus
+        the rule of the module docstring; inf at x = inf where the tail is not
         integrable."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # a NaN makes the min NaN, which fails the comparison
@@ -583,7 +583,11 @@ class RadialFunction:
             bad = float(x[~(x >= 0.0)].flat[0])
             raise ParameterError(f"cumulative mass requires x >= 0, got {bad}")
         slot, s = self.locate(x)
-        return sphere_surface(n) * (self._table(n)["prefix"].take(slot) + self._integrals(n, 1.0, slot, s))
+        return self._table(k, p)["prefix"].take(slot) + self._integrals(k, p, slot, s)
+
+    def cumulative_mass(self, n: int, x) -> np.ndarray:
+        """s_{n-1} * integral_0^x f(r) r^{n-1} dr (see integral)."""
+        return sphere_surface(n) * self.integral(n, 1.0, x)
 
 
 def lp_norm(f: RadialFunction, p: float, weight_exponent: float = 0.0, n: int = 3) -> NormValue:

@@ -238,7 +238,7 @@ def test_criterion_7_fast_rate_recovery(regime_name):
            f"picard, {result.iterations} iterations: {detail}")
 
 
-SHOOTING_INTEGRATIONS = {"FastFast": 22, "Logarithmic": 25, "Intermediate": 31}
+SHOOTING_INTEGRATIONS = {"FastFast": 21, "Logarithmic": 22, "Intermediate": 27}
 
 
 @pytest.mark.parametrize("regime_name", list(REGIME_CASES))

@@ -160,6 +160,32 @@ def _check_provenance(report, config):
     assert provenance["config"] == config
 
 
+def test_provenance_reads_scipy_version_without_importing_it(monkeypatch, tmp_path):
+    # the version comes from the installed package's metadata, null where
+    # scipy is absent, and a shoot through the CLI loads no scipy module
+    from importlib import metadata
+
+    import wolffkit.cli as cli
+
+    def absent(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", absent)
+    assert cli._provenance({})["scipy"] is None
+    code = (
+        "import sys\n"
+        "from wolffkit.cli import main\n"
+        "main(['shoot', '--n', '3', '--beta', '1', '--gamma', '2', '--p', '5', '--q', '5',\n"
+        "      '--sigma1', '0', '--sigma2', '0', '--a', '1.0', '--out', sys.argv[1]])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "res")],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_shoot_writes_result_directory(tmp_path):
     # with --no-timestamp the report, provenance included, repeats byte for byte
     for name in ("res", "again"):

@@ -73,8 +73,11 @@ def test_shoot_budget_reports_a_search_the_bubble_and_the_hardy_family():
     out = json.loads(run_script("shoot_budget.py", "--tuples", "FastFast", "--r-stop", "1e3"))
     assert out["r_stop"] == 1e3 and list(out["searches"]) == ["FastFast"]
     search = out["searches"]["FastFast"]
-    assert search["shots"]["bracket"] == 2 and search["shots"]["brent"] > 0
+    # the bracket's two ends and its midpoint
+    assert search["shots"]["bracket"] == 3 and search["shots"]["brent"] > 0
     assert search["steps"] > 10 * sum(search["shots"].values())
+    # twelve right-hand sides per accepted step, eleven per rejected one
+    assert search["evaluations"] >= 12 * search["steps"]
     assert search["integrations"] == sum(search["shots"].values())  # one per classified shot
     assert 1.0 < search["b_star"] < 1.1 and search["r_reached"] > 10.0
     for key in ("rate_u", "rate_v", "v_log_power", "residual_u", "residual_v", "seconds"):

@@ -122,20 +122,28 @@ def test_bubble_profile_is_exact_bubble_at_sigma_zero():
 
 
 def test_solves_and_the_inequality_battery_import_no_scipy():
-    # a Logarithmic Picard solve and the gamma = 1.6 inequality battery run
-    # on numpy alone
+    # the package, a Logarithmic Picard solve, the gamma = 1.6 inequality
+    # battery, a shot and a FastFast separatrix search run on numpy alone
     code = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import wolffkit\n"
+        "print(scipy_modules())\n"
         "from wolffkit.params import Parameters\n"
+        "from wolffkit.quasilinear import GroundStateConfig, ShootConfig, find_fast_ground_state, shoot\n"
         "from wolffkit.solver import solve_system\n"
         "from wolffkit.verify import check_inequalities\n"
         "solve_system(Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0))\n"
         "check_inequalities(0, Parameters(3, 1.0, 1.6, 2.0, 2.75, 0.0, 0.0), p=1.5, count=2)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "shoot(Parameters(3, 1.0, 2.0, 5.0, 5.0, 0.0, 0.0), 1.0, 1.0)\n"
+        "cfg = GroundStateConfig(shoot=ShootConfig(r_stop=1e3))\n"
+        "find_fast_ground_state(Parameters(5, 1.0, 2.0, 2.0, 2.75, 0.0, 0.0), cfg)\n"
+        "print(scipy_modules())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_undamped_step_is_plain_image():

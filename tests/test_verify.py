@@ -93,6 +93,53 @@ def test_fast_rate_and_integrability_checks_on_separatrix():
         assert e.status == "pass", (e.name, e.measured, e.expected)
 
 
+CRITERION7 = {
+    "FastFast": PINNED,
+    "Logarithmic": Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0),
+    "Intermediate": Parameters(5, 1.0, 2.0, 1.4, 49 / 11, 0.0, 0.0),
+}
+
+
+def test_integrability_endpoints_are_read_off_the_samples():
+    # the endpoint entries do not follow the sign of the tail fit: shooting
+    # output at r_stop 1e4, 1e5 and 1e6 passes with u fits from 2.9915 to
+    # 3.0001 (a fitted tail faster than r^-3 makes the declared L^{5/3} norm
+    # finite), and so does Picard output.  At the endpoint the truncated norm
+    # grows by 0.9998 to 3.09 per decade (the log-corrected v above 1);
+    # measured against the floor 10^{-0.25} = 0.56
+    rates = []
+    for params in CRITERION7.values():
+        for r_stop in (1e4, 1e5, 1e6):
+            cfg = GroundStateConfig(shoot=ShootConfig(r_stop=r_stop), final_r_stop=r_stop)
+            res = find_fast_ground_state(params, cfg)
+            rates.append(res.rate_u.exponent)
+            for e in check_integrability(res, params):
+                assert e.status == "pass", (params, r_stop, e.name, e.measured)
+    assert min(rates) < 3.0 < max(rates)
+    picard = solve_system(PINNED, SolveConfig(max_iters=25, rel_tol=5e-3, damping=0.8))
+    assert picard.converged
+    for e in check_integrability(picard, PINNED):
+        assert e.status == "pass", (e.name, e.measured)
+    assert _status(check_integrability(picard, PINNED), "u_norm_at_endpoint").measured == pytest.approx(
+        1.0, abs=0.01
+    )
+
+
+def test_integrability_endpoint_fails_on_a_faster_tail():
+    # samples of u ~ r^{-1.1 a}, a = 3 the endpoint rate: their L^{n/a} norm
+    # converges, and the truncated norm shrinks by 10^{-0.5} per decade.  The
+    # declared tail is the endpoint rate, which the old rule read as divergent
+    res = find_fast_ground_state(PINNED, GroundStateConfig(shoot=ShootConfig(r_stop=1e5)))
+    r = res.u.grid.points
+    faster = res.u.with_values((1.0 + r**2) ** -1.65, tail_exponent=3.0)
+    entries = check_integrability(replace(res, u=faster), PINNED)
+    endpoint = _status(entries, "u_norm_at_endpoint")
+    assert endpoint.status == "fail"
+    assert endpoint.measured == pytest.approx(10.0**-0.5, rel=1e-3)
+    assert _status(entries, "v_norm_at_endpoint").status == "pass"
+    assert _status(entries, "u_norm_inside_interval").status == "pass"
+
+
 def test_integrability_check_skips_when_not_converged():
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     picard = solve_system(PINNED, SolveConfig(max_iters=1, grid=grid))
