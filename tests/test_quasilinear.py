@@ -1,10 +1,13 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -753,6 +756,25 @@ def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
     assert sampled == [(b_star, 1e5), (b_far, 1e4)]
     assert res.trace[0]["r_reached"] == farthest
     assert res.iterations == len(integrated)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package loads neither scipy.integrate nor scipy.optimize: shots run
+    # on quasilinear's own DOP853 and Brent root finder
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys, wolffkit\n"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
