@@ -21,8 +21,9 @@ measure behaves like (distance to the breakpoint)^{(n-1)/2} there, so the
 quadrature splits at both breakpoints and uses a square-root substitution on
 the two edge pieces; interior pieces use Gauss-Legendre in ln r.
 
-ball_mass_batch takes one centre per call, map_masses every centre of a
-potential map at once.  The covered part of a ball, the shells
+ball_mass_batch takes one centre per call on nodes built for the call,
+map_masses every centre of a potential map at once through a reference
+plan.  The covered part of a ball, the shells
 r <= t - rho inside it whole, is the closed-form cumulative mass at
 t - rho: a map takes every centre's in one cumulative_mass call and passes
 them on (covered=), and a call without them takes its own in one call.
@@ -44,13 +45,10 @@ points a decade, 8 at 64), and its nodes at rho times those of the
 reference plan (reference_plan, ReferencePlan) built once at rho = 1 per
 (n, ln q, tau), tau = t / rho the relative ball radii.  Nothing in the plan
 depends on f or on the grid's ends, so every grid of that step, every
-centre on it and every source share it.  The plan keeps each distinct node
-once, as its virtual cell k, [q^{k-1}, q^k), and its offset s in it: the
-interior pieces between two splits are shared by every shell that spans
-them (270 nodes in 7,900 of the 15,590 node slots of the solver's plan at
-n = 5), so their kernel weights cap_fraction * r^{n-1} * w form a small
-dense matrix, one row per shell that holds them; each shell's own edge
-nodes follow in shell order with their weights.
+centre on it and every source share it.  The plan keeps every node slot of
+every shell, its radius r at rho = 1 and its kernel weight
+cap_fraction * r^{n-1} * w, shell after shell (15,590 slots on the
+solver's grid at n = 5).
 
 The plan also holds a stencil.  At the grid point r_i, plan cell c lies in
 f's virtual cell k = lo + c + i: slot clip(k, 0, N), at offset
@@ -71,18 +69,16 @@ _plan_shells takes the partial shells of a set of centres, scaled by
 rho^n.  Grid points take theirs from the stencil where f's steepest
 virtual cell has |m| ln q <= 3 (RadialFunction.cell_steepness): f at the
 16 Chebyshev points of each of the span + N - 1 virtual cells in one
-at_virtual call (2,960 samples on the solver's grid, where f at every
-distinct node of every centre takes 7,960 x 81), one 16 x 16 product to
+at_virtual call (2,960 samples on the solver's grid, where f at every node
+slot of every centre takes 15,590 x 81), one 16 x 16 product to
 coefficients, and per plan cell one small product of its moments with the
 coefficients of the N cells it reads, into every grid point's sums.  Every
 product's shape is fixed by the grid and the plan, so every grid point's
 row is computed whichever centres are asked for.  Any other centre, and
-every centre of a steeper source, evaluates f once at rho times every
-distinct node, in blocks of about _BLOCK_BYTES of node values; the shared
-nodes' sums come from one product with the matrix and the own nodes' from
-one add.reduceat, and a centre's row does not depend on its block.  So
-ball_mass_batch (a plan passed as plan=, a single centre) and map_masses
-agree bit for bit.
+every centre of a steeper source, evaluates f at rho times the plan's
+node slots, one centre at a time, and sums them against their kernel
+weights shell by shell with one add.reduceat (_shell_sums, which the
+per-call nodes end in too).
 
 Any other call, a source with a jump (a cut-off tail or a vanishing value,
 whose interpolant has kinks the plan does not know), a grid that is not
@@ -95,13 +91,13 @@ returning inf or zero masses.
 Plans are kept by value, per (n, ln q, tau), in a least-recently-used
 cache of _PLANS = 2 plans: every workload reads one, and the inequality
 battery two where its Riesz and Wolff maps take other t nodes (n = 5,
-gamma = 1.6).  A plan is 0.76 MB on the solver's grid at n = 5 (0.35 MB of
-it the stencil's moments) and 1.7 MB at 64 points a decade, so the cache
-holds at most 3.5 MB there.  ball_mass_batch and map_masses keep nothing:
-a call computes its masses, and equal arguments give equal masses bit for
-bit, from any thread.  The one reuse of masses, a map whose source,
-centres and t nodes equal the last map's, is the potential's
-(potential._shared_masses).  plans_built() counts the
+gamma = 1.6).  A plan is 0.61 MB on the solver's grid at n = 5 (0.35 MB of
+it the stencil's moments, 0.25 MB the node slots) and 1.6 MB at 64 points
+a decade, so the cache holds at most 3.2 MB there.  ball_mass_batch and
+map_masses keep nothing: a call computes its masses, and equal arguments
+give equal masses bit for bit, from any thread.  The one reuse of masses,
+a map whose source, centres and t nodes equal the last map's, is the
+potential's (potential._shared_masses).  plans_built() counts the
 reference plans built in the process and nodes_evaluated() the source
 evaluations made for partial shells, stencil samples and node values;
 each Picard trace entry reports both for its iteration.
@@ -128,8 +124,6 @@ _EDGE_NODES = 20
 _MID_NODES = 10
 # the reference plans kept (_built_plan)
 _PLANS = 2
-# the node values of one block of centres in _plan_shells
-_BLOCK_BYTES = 2**18
 # the stencil's Chebyshev samples per cell, and the steepest cell it takes:
 # |d ln f / d ln r| ln q <= 3 keeps its interpolant within ~2e-14 of f
 _CHEBYSHEV_NODES = 16
@@ -361,29 +355,24 @@ def _cap_weights(kernel: CapKernel, rho, t, r, w) -> np.ndarray:
 
 
 class ReferencePlan(NamedTuple):
-    """The partial-shell quadrature of a centre at rho = 1, free of f, over
-    its distinct nodes: the log step ln q = step of the grids it serves; per
-    node its virtual cell j = lo + cell, [q^{j-1}, q^j), and its offset
-    s = ln(r / q^{j-1}); cell runs below span.  The first weights.shape[1]
-    nodes are shared by several shells, rows the shells that hold them and
-    weights their kernel weights cap_fraction * r^{n-1} * w, one row per
-    shell of rows.  The rest each belong to one shell, in shell order: kw
-    their kernel weights and starts each shell's first.  Shell k is the
-    ball of the relative radius tau[k] the plan was built for.
+    """The partial-shell quadrature of a centre at rho = 1, free of f: the
+    log step ln q = step of the grids it serves; every node slot of every
+    shell, shell after shell, its radius r and its kernel weight
+    kw = cap_fraction * r^{n-1} * w, and starts each shell's first slot.
+    Shell k is the ball of the relative radius tau[k] the plan was built
+    for.
 
-    The stencil: the nodes of cell c feed the shells first[c] to
-    first[c] + bounds[c + 1] - bounds[c] - 1, and moments[bounds[c] + i, l]
-    is the sum of kw T_l(2 s / step - 1) over the nodes of cell c in shell
-    first[c] + i, every node counted once per shell that holds it, for the
-    Chebyshev polynomials T_l, l < moments.shape[1]."""
+    The stencil: a node lies in the virtual cell j = lo + c, [q^{j-1}, q^j),
+    at the offset s = ln(r / q^{j-1}), c below span.  The nodes of cell c
+    feed the shells first[c] to first[c] + bounds[c + 1] - bounds[c] - 1,
+    and moments[bounds[c] + i, l] is the sum of kw T_l(2 s / step - 1) over
+    the nodes of cell c in shell first[c] + i, for the Chebyshev
+    polynomials T_l, l < moments.shape[1]."""
 
     step: float
     lo: int
     span: int
-    cell: np.ndarray
-    s: np.ndarray
-    rows: np.ndarray
-    weights: np.ndarray
+    r: np.ndarray
     kw: np.ndarray
     starts: np.ndarray
     tau: np.ndarray
@@ -409,7 +398,7 @@ def plans_built() -> int:
 def nodes_evaluated() -> int:
     """Source evaluations made for partial shells in this process so far, by
     every thread: a stencil's samples once per map of grid points, a plan's
-    distinct nodes once per other centre, or a call's own nodes."""
+    node slots once per other centre, or a call's own nodes."""
     return _counts["nodes"]
 
 
@@ -460,32 +449,20 @@ def reference_plan(kernel: CapKernel, step: float, tau: np.ndarray) -> Reference
 
 @lru_cache(maxsize=_PLANS)
 def _built_plan(kernel: CapKernel, step: float, tau: bytes) -> ReferencePlan:
-    """reference_plan's plan, built on a miss.  The pieces between two of
-    _plan_nodes' splits are shared by every shell that spans them; each
-    shell's two edge pieces are its own, so every shell owns nodes."""
+    """reference_plan's plan, built on a miss.  Every shell of the plan
+    owns nodes (_plan_nodes), so its slots start where its owner first
+    appears."""
     tau = np.frombuffer(tau)
     r, kw, owner = _plan_nodes(kernel, step, tau)
-    s = np.log(r, out=r)
+    s = np.log(r)
     below = np.floor(s / step)  # the node's virtual cell is below + 1
     s -= below * step
     lo = int(below.min()) + 1
     cell = (below + (1 - lo)).astype(np.intp)
-    del below
     span = int(cell.max()) + 1
-    # the stencil first, while few of the node arrays are held
     stencil = _stencil(cell, s, step, kw, owner, span)
-    # the distinct nodes, equal (cell, s) (cell + i s sorts by cell, then
-    # s, exactly), and the nodes of more than one shell among them
-    _, first, node, count = np.unique(cell + 1j * s, return_index=True, return_inverse=True, return_counts=True)
-    shared = count[node] > 1
-    columns, column = np.unique(node[shared], return_inverse=True)
-    rows, row = np.unique(owner[shared], return_inverse=True)
-    weights = np.zeros((rows.size, columns.size))
-    weights[row, column] = kw[shared]
-    mine = np.flatnonzero(~shared)
-    keep = np.concatenate([first[columns], mine])
-    starts = np.searchsorted(owner[mine], np.arange(tau.size))
-    plan = ReferencePlan(step, lo, span, cell[keep], s[keep], rows, weights, kw[mine], starts, tau, *stencil)
+    starts = np.searchsorted(owner, np.arange(tau.size))
+    plan = ReferencePlan(step, lo, span, r, kw, starts, tau, *stencil)
     for x in plan[3:]:
         x.setflags(write=False)
     _count("plans", 1)
@@ -527,17 +504,23 @@ def _stencil_shells(f: "RadialFunction", plan: ReferencePlan) -> np.ndarray:
     return out
 
 
+def _shell_sums(f: "RadialFunction", r: np.ndarray, kw: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of f(r) kw over each shell's nodes, the shells' nodes
+    contiguous from starts on."""
+    fr = f(r)
+    _count("nodes", fr.size)
+    fr *= kw
+    return np.add.reduceat(fr, starts)
+
+
 def _plan_shells(kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, plan: ReferencePlan) -> np.ndarray:
     """f's partial mass on every shell of the plan at every centre of rhos,
     one row per centre, times rho^n.  Grid points take their rows from the
     plan's stencil (_stencil_shells), which gives every grid point's row at
     once, where f's steepest virtual cell has |m| ln q <= 3.  Any other
-    centre takes f at rho times the plan's nodes against their kernel
-    weights, in blocks of centres of about _BLOCK_BYTES of node values:
-    each distinct node evaluated once per centre, the shared nodes' sums
-    from one product with the plan's weights and the own nodes' from one
-    add.reduceat.  Either way a centre's row does not depend on the other
-    centres asked for."""
+    centre sums f at rho times the plan's node slots against their kernel
+    weights (_shell_sums), one centre at a time.  Either way a centre's row
+    does not depend on the other centres asked for."""
     n = kernel.n
     with np.errstate(divide="ignore"):
         bad = ~(np.abs(n * np.log(rhos)) < 700.0)  # rho^n stays a normal float
@@ -554,17 +537,9 @@ def _plan_shells(kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, plan:
         partial = _stencil_shells(f, plan)
         partial *= pts**n  # rho^n at every grid point, rhos[at]^n at the centres
         out[at] = partial.T[shift[at]]
-    size = max(1, _BLOCK_BYTES // (8 * plan.cell.size))
-    r_unit = np.exp((plan.cell + (plan.lo - 1)) * plan.step + plan.s)
-    shared = plan.weights.shape[1]
-    for first in range(0, rest.size, size):
-        block = rest[first : first + size]
-        fr = f(np.ravel(rhos[block, None] * r_unit)).reshape(block.size, -1)
-        fr[:, shared:] *= plan.kw
-        partial = np.add.reduceat(fr[:, shared:], plan.starts, axis=1)
-        partial[:, plan.rows] += np.einsum("cj,kj->ck", fr[:, :shared], plan.weights)
-        out[block] = partial * rhos[block, None] ** n
-        _count("nodes", fr.size)
+    for i in rest:
+        rho = rhos[i]
+        out[i] = _shell_sums(f, rho * plan.r, plan.kw, plan.starts) * rho**n
     return out
 
 
@@ -581,11 +556,8 @@ def _per_call_shells(kernel: CapKernel, f: "RadialFunction", rho: float, t: np.n
     kw = _cap_weights(kernel, rho, t[owner], r, w)
     if not np.isfinite(kw).all():
         raise _range_error(rho, kernel.n)
-    fr = f(r)
-    _count("nodes", fr.size)
-    fr *= kw
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return owner[starts], np.add.reduceat(fr, starts)
+    return owner[starts], _shell_sums(f, r, kw, starts)
 
 
 def check_radii(rho, t=(), r=()) -> None:
@@ -604,9 +576,7 @@ def check_radii(rho, t=(), r=()) -> None:
             raise ParameterError(f"{name} must be positive, got {float(radii[~(radii > 0.0)].flat[0])}")
 
 
-def ball_mass_batch(
-    kernel: CapKernel, f: "RadialFunction", rho: float, t_values, covered=None, plan=None
-) -> np.ndarray:
+def ball_mass_batch(kernel: CapKernel, f: "RadialFunction", rho: float, t_values, covered=None) -> np.ndarray:
     """Masses of f over B_t(x) for |x| = rho and a batch of radii t.
 
     Exact on the declared profile model up to quadrature on the partial
@@ -614,17 +584,11 @@ def ball_mass_batch(
     covered, where the caller has them, are those masses,
     f.cumulative_mass(n, t - rho) at the radii t > rho in order (a caller
     with many centres takes them in one call); else they are taken here.
-    plan, where given, is the reference_plan of f's grid step whose radii
-    tau give t = rho * tau, for a source without a jump at rho > 0; the
-    masses are then map_masses' at this one centre, else the partial shells
-    take quadrature built per call.
+    The partial shells take quadrature built for the call.
     """
     n = kernel.n
     t_arr = np.atleast_1d(np.asarray(t_values, dtype=float))
     check_radii(rho, t_arr)
-    if plan is not None:
-        return map_masses(kernel, f, np.array([float(rho)]), t_arr[None], plan, covered)[0]
-
     out = np.zeros(t_arr.size)
     inside = t_arr > rho
     if covered is not None:
@@ -641,11 +605,12 @@ def ball_mass_batch(
 def map_masses(
     kernel: CapKernel, f: "RadialFunction", rhos: np.ndarray, t: np.ndarray, plan: ReferencePlan, covered=None
 ) -> np.ndarray:
-    """ball_mass_batch's masses with a plan at many centres at once, one
-    row per centre: rhos the centres (> 0), t the radii rho * plan.tau of
-    each centre's row, and covered, where the caller has them,
-    f.cumulative_mass(n, t - rho) at the t > rho, centre after centre (else
-    they are taken here).  One _plan_shells pass takes every centre's
+    """The masses of f over B_t(x) at many centres |x| = rho at once, one
+    row per centre, through plan, the reference_plan of f's grid step, for
+    a source without a jump: rhos the centres (> 0), t the radii
+    rho * plan.tau of each centre's row, and covered, where the caller has
+    them, f.cumulative_mass(n, t - rho) at the t > rho, centre after centre
+    (else they are taken here).  One _plan_shells pass takes every centre's
     partial shells."""
     inside = t > rhos[:, None]
     masses = np.zeros(t.shape)

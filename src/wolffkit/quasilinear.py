@@ -332,7 +332,10 @@ def _dop853(f, origin: float, t: float, y: tuple, t_end: float, h: float, steps=
         calls += 1
         fu, fv = (du2 - du1) / sku, (dv2 - dv1) / skv
         flu, flv = (dlu2 - dlu1) / sklu, (dlv2 - dlv1) / sklv
-        der2 = sqrt(fu * fu + fv * fv + flu * flu + flv * flv) / h
+        # an unknown at exactly 0 has the scale atol, so dnf overflows and
+        # h = 0: Hairer's code divides to der2 = inf, which gives h = 0 and
+        # "step size too small" below
+        der2 = sqrt(fu * fu + fv * fv + flu * flu + flv * flv) / h if h else math.inf
         der12 = max(abs(der2), sqrt(dnf))
         h1 = max(1e-6, abs(h) * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
         h = min(100 * abs(h), h1, h_max)

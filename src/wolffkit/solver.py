@@ -103,8 +103,8 @@ class SolveResult:
     and the source evaluations its partial shells made, nodes
     (geometry.nodes_evaluated: the stencil's samples, 16 in each of the
     plan's span + N - 1 virtual cells per map, 2,960 per map on the default
-    grid at n = 5, where every distinct plan node of every centre took
-    7,960 x 81; 0 for a map whose masses the last map's slot holds).
+    grid at n = 5, where every plan node slot of every centre would take
+    15,590 x 81; 0 for a map whose masses the last map's slot holds).
     to_report_dict leaves the trace out, so reports written with
     --no-timestamp stay byte-identical.
     """

@@ -337,10 +337,10 @@ def test_indicator_shifted_center_matches_quadrature():
 
 
 def _shared_masses(k, f, rho, tau):
-    """ball_mass_batch on the shared path: the reference plan of f's grid
+    """map_masses at the one centre rho: the reference plan of f's grid
     step for the relative radii tau, at t = rho tau."""
     plan = geometry.reference_plan(k, f.grid.log_step, tau)
-    return ball_mass_batch(k, f, rho, rho * tau, plan=plan)
+    return geometry.map_masses(k, f, np.array([rho]), (rho * tau)[None], plan)[0]
 
 
 def _store_profiles(n):
@@ -414,7 +414,7 @@ def test_store_misses_on_changed_dimension_or_truncation(cap_calls):
 
 def test_store_stays_under_its_byte_cap(cap_calls):
     # reference plans are kept by value in a cache of geometry._PLANS plans
-    # (at most 2 x 1.7 MB, at 64 points a decade), the least recently used
+    # (at most 2 x 1.6 MB, at 64 points a decade), the least recently used
     # dropped first, and none hands out an array that can be written; a
     # plan built again is the cold plan
     k = CapKernel(3)
@@ -643,9 +643,8 @@ def test_moved_grid_point_misses_the_store(cap_calls):
 def test_picard_plans_are_stored_located_under_the_cap(cap_calls, plans_read):
     # two system-map applications on the solver's default 81-point grid:
     # one reference plan serves every centre of all four maps, and it is
-    # served again after the slot is cleared.  Its 15,590 nodes are 7,960
-    # distinct ones: 270 shared by 7,900 node slots, the rest each one
-    # shell's own
+    # served again after the slot is cleared.  It keeps its 15,590 node
+    # slots, each slot's radius and kernel weight, 0.25 MB of its 0.61 MB
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     cfg = SolveConfig()
     u, v = make_ansatz(params, default_solver_grid())
@@ -655,9 +654,8 @@ def test_picard_plans_are_stored_located_under_the_cap(cap_calls, plans_read):
     assert len(cap_calls) == 1 and u.grid.count == 81
     plan = plans_read[0]
     assert len(plans_read) == 4 and all(p is plan for p in plans_read)
-    assert sum(a.nbytes for a in plan[3:]) <= 2 * 2**20
-    assert plan.cell.size == 7_960 and plan.weights.shape[1] == 270
-    assert np.count_nonzero(plan.weights) + plan.kw.size == 15_590
+    assert sum(a.nbytes for a in plan[3:]) <= 0.62e6
+    assert plan.r.size == plan.kw.size == 15_590 and plan.starts.size == plan.tau.size
     assert not any(a.flags.writeable for a in plan[3:])
     clear_stores()
     cold = potential_images(params, u, v, cfg)
@@ -743,13 +741,6 @@ def test_kept_plans_stay_under_two_mib_at_every_resolution(cap_calls, plans_read
         assert plans_read[0] is plans_read[1] and sum(a.nbytes for a in plans_read[0][3:]) <= 2 * 2**20
 
 
-def _block_masses(k, f, rhos, plan, centres, monkeypatch):
-    """_plan_shells at rhos in blocks of the given number of centres."""
-    with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_BLOCK_BYTES", centres * 8 * plan.cell.size)
-        return geometry._plan_shells(k, f, rhos, plan)
-
-
 def _node_values(f, rho, i, r, step):
     """f at rho times each node r, each node held as its virtual cell j,
     [q^{j-1}, q^j), and its offset s in it.  Off the grid points (i None)
@@ -774,14 +765,13 @@ def _node_values(f, rho, i, r, step):
 
 
 @pytest.mark.parametrize("tail", ["plain", "log"])
-def test_block_pass_matches_a_sum_over_every_plan_node(tail, monkeypatch):
-    # every shell's partial mass from the block pass (distinct nodes, shared
-    # sums by one product, owned ones by add.reduceat) against an
-    # independent sum: f at rho times every plan node, times its kernel
-    # weight, summed shell by shell; at the grid points on the continued
-    # grid, node by node.  On the 81
-    # grid points and 81 centres between them, in blocks of 1 and of 81
-    # centres; a centre's row is the same in either
+def test_stencil_matches_a_sum_over_every_plan_node(tail):
+    # every shell's partial mass from the stencil at the 81 grid points
+    # against an independent sum: f on the continued grid at rho times every
+    # plan node, node by node, times its kernel weight, summed shell by
+    # shell.  A centre's row, on the grid or between grid points, is the
+    # same asked alone as among the 81 (the node sums between grid points
+    # are checked against the oracles in test_potential)
     params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
     u, v = make_ansatz(params, default_solver_grid())
     f = v if tail == "log" else power_tail_profile(u.grid, 1.0, 7.0)
@@ -792,13 +782,14 @@ def test_block_pass_matches_a_sum_over_every_plan_node(tail, monkeypatch):
     r, kw, owner = geometry._plan_nodes(k, step, tau)
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     pts = f.grid.points
-    for on_grid, rhos in ((True, pts), (False, pts * 10 ** (1 / 32))):
-        values = [_node_values(f, rho, i if on_grid else None, r, step) for i, rho in enumerate(rhos)]
-        want = np.stack([rho**5 * np.add.reduceat(fr * kw, starts) for rho, fr in zip(rhos, values)])
-        alone = _block_masses(k, f, rhos, plan, 1, monkeypatch)
-        together = _block_masses(k, f, rhos, plan, 81, monkeypatch)
-        assert np.array_equal(alone, together)
-        assert np.max(np.abs(together / want - 1.0)) <= 1e-14
+    values = [_node_values(f, rho, i, r, step) for i, rho in enumerate(pts)]
+    want = np.stack([rho**5 * np.add.reduceat(fr * kw, starts) for rho, fr in zip(pts, values)])
+    got = geometry._plan_shells(k, f, pts, plan)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+    for rhos in (pts, pts * 10 ** (1 / 32)):
+        together = geometry._plan_shells(k, f, rhos, plan)
+        alone = np.vstack([geometry._plan_shells(k, f, rhos[i : i + 1], plan) for i in (0, 40, 80)])
+        assert np.array_equal(alone, together[[0, 40, 80]])
 
 
 def _cliff(steepness):
@@ -815,7 +806,7 @@ def _cliff(steepness):
 
 def _grid_point_shells(f, plan, on_stencil):
     """_plan_shells at f's grid points, the source evaluations it made, and
-    the independent per-node sum of the block-pass test: on the continued
+    the independent per-node sum of the stencil test: on the continued
     grid for the stencil, f(rho r) for the nodes."""
     k, step, pts = CapKernel(5), plan.step, f.grid.points
     r, kw, owner = geometry._plan_nodes(k, step, plan.tau)
@@ -830,15 +821,15 @@ def _grid_point_shells(f, plan, on_stencil):
 @pytest.mark.parametrize("steepness, on_stencil", [(2.9, True), (3.1, False)])
 def test_steep_cells_choose_the_stencil_or_the_nodes(steepness, on_stencil):
     # at |m| ln q = 2.9 the grid points take the stencil, 16 samples in each
-    # of the span + N - 1 virtual cells; at 3.1 f at every distinct plan
-    # node of every centre.  Either way every shell agrees with the
+    # of the span + N - 1 virtual cells; at 3.1 f at every plan node slot
+    # of every centre.  Either way every shell agrees with the
     # per-node sum
     f = _cliff(steepness)
     assert abs(f.cell_steepness(f.grid.log_step) - steepness) <= 1e-12
     plan = geometry.reference_plan(CapKernel(5), f.grid.log_step, np.geomspace(1e-3, 1e3, 97))
     got, evaluations, want = _grid_point_shells(f, plan, on_stencil)
     N = f.grid.count
-    assert evaluations == (16 * (plan.span + N - 1) if on_stencil else N * plan.cell.size)
+    assert evaluations == (16 * (plan.span + N - 1) if on_stencil else N * plan.r.size)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
@@ -859,7 +850,7 @@ def test_a_twelve_point_stencil_misses_the_steep_cell(monkeypatch):
 def test_log_tail_near_one_leaves_the_stencil():
     # a log tail's factor (1 + s / ln r_max)^L is singular at s = -ln r_max:
     # with r_max = 1.2, under two cells from the tail, no interpolant of 16
-    # samples holds, so its grid points read every node; at r_max = 100 the
+    # samples holds, so its grid points read every node slot; at r_max = 100 the
     # factor adds |L| ln q / ln r_max to the tail's |T| ln q
     def log_tailed(r_max):
         grid = RadialGrid.per_decade(1e-2, r_max, 16)
@@ -873,7 +864,7 @@ def test_log_tail_near_one_leaves_the_stencil():
     assert near.cell_steepness(step) == math.inf
     plan = geometry.reference_plan(CapKernel(5), step, np.geomspace(1e-3, 1e3, 97))
     got, evaluations, want = _grid_point_shells(near, plan, False)
-    assert evaluations == near.grid.count * plan.cell.size
+    assert evaluations == near.grid.count * plan.r.size
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 

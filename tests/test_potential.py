@@ -466,7 +466,7 @@ def test_warm_masses_match_a_cleared_store_bit_for_bit(cap_calls):
 
     def masses(source, rho):
         plan = geometry.reference_plan(kernel, source.grid.log_step, tau)
-        return geometry.ball_mass_batch(kernel, source, rho, rho * tau, plan=plan)
+        return geometry.map_masses(kernel, source, np.array([rho]), (rho * tau)[None], plan)[0]
 
     for rho in rhos:
         masses(f, rho)
@@ -481,7 +481,7 @@ def test_warm_map_pays_its_fixed_costs_once_per_map(cap_calls, plans_read, monke
     # a warm map on the solver's 81-point grid: one cumulative_mass call for
     # every centre's window (2 x 81 x 64 radii) and covered radii (81 x 96),
     # so no further mass call, each centre's masses taken once per map (one
-    # block pass over all 81 centres and no ball_mass_batch call), one plan
+    # _plan_shells pass over all 81 centres and no ball_mass_batch call), one plan
     # lookup that builds nothing, and one new key and masses in the slot
     params, f, _ = _log_tail_sources()
     n, beta, gamma = params.n, params.beta, params.gamma
@@ -539,14 +539,13 @@ def test_the_slot_serves_riesz_wolff_pairs_and_picard_copies(monkeypatch):
     clear_stores()
 
 
-def test_warm_map_evaluates_each_distinct_plan_node_once_per_centre(cap_calls):
+def test_warm_map_evaluates_each_plan_node_slot_once_per_centre(cap_calls):
     # a warm 81-centre map of a T = 7 bump (n = 5, 16 points a decade) at
     # the grid points samples the source 16 times in each of the plan's
-    # 105 + 81 - 1 virtual cells: 2,960 samples, where f at every distinct
-    # node of the plan per centre would give 7,960 x 81 = 644,760.  At the
+    # 105 + 81 - 1 virtual cells: 2,960 samples, where f at every node slot
+    # of the plan per centre would give 15,590 x 81 = 1,262,790.  At the
     # 81 centres between the grid points it evaluates the source once per
-    # distinct node per centre, where a node shared by several shells
-    # counted once per shell would give 15,590 x 81
+    # node slot per centre
     u = power_tail_profile(RadialGrid.per_decade(1e-2, 1e3, 16), 1.0, 7.0)
     wolff_eval(u, 5, 1.0, 2.0)
     nodes = geometry.nodes_evaluated()
@@ -556,7 +555,56 @@ def test_warm_map_evaluates_each_distinct_plan_node_once_per_centre(cap_calls):
     wolff_eval_at(u, 5, 1.0, 2.0, between)
     nodes = geometry.nodes_evaluated()
     wolff_eval_at(u.scaled(2.0), 5, 1.0, 2.0, between)
-    assert geometry.nodes_evaluated() - nodes == 7_960 * 81 == 644_760
+    assert geometry.nodes_evaluated() - nodes == 15_590 * 81 == 1_262_790
+
+
+# max relative error of riesz_eval_at at the 80 centres r_i 10^{1/32}
+# between the solver grid's points against the benchmark's oracles (the
+# shell theorem at alpha = 2, the 2F1 spherical mean otherwise), as
+# measured.  Off the grid points the map sums f at rho times every plan
+# node slot; the oracles share no code with it
+_OFF_GRID_ERRORS = {
+    ("bump", 5, 2.0): 2.632e-5,
+    ("bump", 5, 1.2): 2.117e-5,
+    ("bump", 3, 1.6): 1.409e-5,
+    ("logv", 5, 2.0): 2.672e-6,
+    ("logv", 5, 1.2): 4.694e-6,
+    ("logv", 3, 1.6): 2.865e-6,
+}
+
+
+def _case_id(case):
+    return "{}-{}-{}".format(*case)
+
+
+def _off_grid_error(oracles, case, scale=1.0):
+    """The case's error, with the map's values times scale: the T = 7 bump
+    or the Logarithmic tuple's v (log tail) on the solver's 81-point grid."""
+    from wolffkit.params import Parameters
+    from wolffkit.solver import default_solver_grid, make_ansatz
+
+    name, n, alpha = case
+    _, v = make_ansatz(Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0), default_solver_grid())
+    f = v if name == "logv" else power_tail_profile(v.grid, 1.0, 7.0)
+    rho = f.grid.points[:-1] * 10 ** (1 / 32)
+    assert not np.isin(rho, f.grid.points).any()
+    got = scale * riesz_eval_at(f, n, alpha, rho)
+    profile = oracles.Profile.of(f)
+    if alpha == 2.0:
+        want = oracles.shell_potential(profile, n, rho)
+    else:
+        want = oracles.spherical_mean_riesz(profile, n, alpha, rho)
+    return oracles.max_relative_error(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_GRID_ERRORS), ids=_case_id)
+def test_off_grid_maps_match_the_oracles(oracles, case):
+    assert _off_grid_error(oracles, case) <= 1.1 * _OFF_GRID_ERRORS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_OFF_GRID_ERRORS), ids=_case_id)
+def test_off_grid_check_fails_one_percent_high(oracles, case):
+    assert not _off_grid_error(oracles, case, scale=1.01) <= 1.1 * _OFF_GRID_ERRORS[case]
 
 
 def _covered_sources():
@@ -585,10 +633,10 @@ def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
         t = rho * tau if rho > 0.0 else tau
         if covered is not None:
             covered = source.cumulative_mass(n, t[t > rho] - rho)
-        plan = None
         if rho > 0.0 and not source.has_jump:
             plan = geometry.reference_plan(kernel, source.grid.log_step, tau)
-        return geometry.ball_mass_batch(kernel, source, rho, t, covered=covered, plan=plan)
+            return geometry.map_masses(kernel, source, np.array([rho]), t[None], plan, covered)[0]
+        return geometry.ball_mass_batch(kernel, source, rho, t, covered=covered)
 
     mass = lambda source, rho: call(source, rho)
     given = lambda source, rho: call(source, rho, covered=True)
@@ -607,18 +655,18 @@ def test_given_covered_masses_match_ball_mass_batch_alone(cap_calls, case):
 @pytest.mark.parametrize("case", [0, 1], ids=["log tail", "ball"])
 def test_maps_give_what_covered_masses_taken_per_centre_give(cap_calls, monkeypatch, case):
     # a map's covered masses from its one cumulative_mass call against a map
-    # whose centres take their own, cold and warm, through ball_mass_batch:
-    # with the plan, a block of one centre (the log tail), or built per call
+    # whose centres take their own, cold and warm: map_masses at one centre
+    # at a time (the log tail), or ball_mass_batch with nodes built per call
     # (the ball)
     n, f, g = _covered_sources()[case]
     maps = [wolff_eval_at(source, n, 1.0, 1.6, f.grid.points) for source in (f, g)]
-    ball_mass_batch = geometry.ball_mass_batch
+    ball_mass_batch, map_masses = geometry.ball_mass_batch, geometry.map_masses
 
     def taking_its_own(kernel, source, rho, t, covered=None):
         return ball_mass_batch(kernel, source, rho, t)
 
     def centre_by_centre(kernel, source, rhos, t, plan, covered):
-        return np.stack([ball_mass_batch(kernel, source, rho, row, plan=plan) for rho, row in zip(rhos, t)])
+        return np.vstack([map_masses(kernel, source, rhos[i : i + 1], t[i : i + 1], plan) for i in range(rhos.size)])
 
     monkeypatch.setattr(potential, "ball_mass_batch", taking_its_own)
     monkeypatch.setattr(potential, "map_masses", centre_by_centre)

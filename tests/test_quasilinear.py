@@ -112,6 +112,29 @@ def test_dop853_takes_the_compiled_dop853s_steps_bit_for_bit():
     assert y[0] == pytest.approx(math.exp(5.0), rel=1e-14)
 
 
+def test_dop853_start_at_zero_is_a_step_size_too_small_error():
+    # an unknown at exactly 0 has the scale ATOL, so the first-step choice's
+    # |y'| / scale overflows and its first guess is h = 0: scipy's compiled
+    # DOP853 stops there with "step size becomes too small", and the engine
+    # raises its own ParameterError rather than dividing by zero
+    from scipy.integrate import ode
+
+    def f(s, u, v, a, b):
+        return (u, -2.0 * v, b, -a)
+
+    y0 = (1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ParameterError, match="step size too small at r = 1$"):
+        quasilinear._dop853(f, 0.0, 0.0, y0, 5.0, 0.0)
+    compiled = ode(lambda t, y: f(t, *y.tolist())).set_integrator(
+        "dop853", rtol=quasilinear.RTOL, atol=quasilinear.ATOL, dfactor=0.2, ifactor=10.0
+    )
+    compiled.set_initial_value(np.array(y0), 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compiled.integrate(5.0)
+    assert compiled.get_return_code() == -3 and "step size becomes too small" in str(caught[0].message)
+
+
 def test_brentq_port_matches_scipys_iterates():
     # the same iterates as scipy's brentq, call for call, on a root the
     # secant, inverse quadratic and bisection steps all take part in

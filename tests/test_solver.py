@@ -113,6 +113,55 @@ def test_exact_bubble_check_fails_one_percent_off_the_constant(n, sigma):
     assert len(_hardy_failures(n, sigma, scale=1.01)) == 3
 
 
+# max |u / U_mu - 1| on [2e-2, 5e2] of the Picard solution u of the Hardy
+# FastFast tuple (5, 1, 2, 2, 2, -0.5, -0.5) on per_decade(1e-2, 1e3, .) at
+# 16 and 32 points a decade, after the best dilation U_mu(r) =
+# mu^{3/2} U(mu r) of exact_bubble(5, -0.5)'s U, as measured (mu =
+# 0.99998 at both).  Both solves take 4 iterations; the solution sits
+# 0.2-0.9 % above U at 16/dec, largest at the window's top
+_HARDY_PICARD_ERRORS = (8.6916e-3, 4.4354e-3)
+_HARDY_FASTFAST = Parameters(5, 1.0, 2.0, 2.0, 2.0, -0.5, -0.5)
+
+
+def _hardy_picard_failures(scale=1.0):
+    """The checks that Picard's Hardy FastFast solution fails against
+    exact_bubble's U times scale after the best dilation: each error within
+    10 % of the measured one."""
+    from scipy.optimize import minimize_scalar
+
+    failures = []
+    for npd, want in zip((16, 32), _HARDY_PICARD_ERRORS):
+        result = solve_system(_HARDY_FASTFAST, SolveConfig(grid=RadialGrid.per_decade(1e-2, 1e3, npd)))
+        assert result.converged and result.iterations == 4
+        r = result.u.grid.points
+        window = (r >= 2e-2) & (r <= 5e2)
+
+        def error(log_mu):
+            mu = math.exp(log_mu)
+            bubble = scale * mu**1.5 * exact_bubble(5, -0.5, RadialGrid(r * mu))[0].values
+            return float(np.max(np.abs(result.u.values[window] / bubble[window] - 1.0)))
+
+        got = minimize_scalar(error, bounds=(-1.0, 1.0), method="bounded", options={"xatol": 1e-10}).fun
+        if not got <= 1.1 * want:
+            failures.append(f"{npd}/dec error {got:.4e} > 1.1 x {want:.4e}")
+    return failures
+
+
+def test_picard_finds_the_hardy_bubble():
+    # an oracle that shares no code with the solver: the Hardy-Sobolev
+    # extremal U solves the diagonal tuple exactly, up to dilation
+    assert _hardy_picard_failures() == []
+
+
+@pytest.mark.parametrize("scale", [1.01, 0.99])
+def test_picard_bubble_check_fails_one_percent_off_the_constant(scale):
+    # lam x 1.01 reads 7.5e-3 at 16/dec, inside its bound, as the solution
+    # sits above U there, and 9.7e-3 at 32/dec, outside; lam x 0.99 reads
+    # 1.9e-2 and 1.5e-2
+    failures = _hardy_picard_failures(scale)
+    assert len(failures) == (1 if scale > 1.0 else 2) and "32/dec" in failures[-1]
+
+
 def test_bubble_profile_is_exact_bubble_at_sigma_zero():
     grid = default_solver_grid()
     u, p = exact_bubble(5, 0.0, grid)

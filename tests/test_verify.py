@@ -180,17 +180,19 @@ def test_inequality_ratio_boundedness_small_battery(monkeypatch):
         return riesz_eval(*args, **kwargs)
 
     monkeypatch.setattr(verify, "riesz_eval", counting_riesz)
+    monkeypatch.setattr(verify, "wolff_eval", lambda *args, **kwargs: calls.append("wolff"))
     entries = check_inequalities(0, PINNED, count=4)
     # sigma1 = 0: the weighted source is the profile itself, evaluated once,
     # and the sharp-constant extremal adds one
-    assert len(calls) == 4 + 1
-    # gamma = 2 adds no entry comparing the two potentials with each other
+    assert len(calls) == 4 + 1 and "wolff" not in calls
+    # at gamma = 2 the comparison ratio is n - alpha by construction: its
+    # entry is skipped, and no Wolff image is taken
     names = [e.name for e in entries]
     assert names == ["weighted_hls_ratio", "wolff_riesz_comparison", "sharp_hls_constant"]
     hls, cmp_, sharp = entries
     assert hls.status == "pass"
     assert hls.measured < 50.0  # far inside the 1e3 window
-    assert cmp_.status == "pass"
+    assert cmp_.status == "skipped" and "n - alpha" in cmp_.details["reason"]
     assert sharp.status == "pass"
     assert abs(sharp.measured / sharp.expected - 1.0) < 2.5e-3  # 2.2e-3 measured
 
