@@ -82,7 +82,7 @@ per-call nodes end in too).
 
 Any other call, a source with a jump (a cut-off tail or a vanishing value,
 whose interpolant has kinks the plan does not know), a grid that is not
-geometric or a map with a set t-range, splits its shells at
+geometric or a map with a centre at the origin, splits its shells at
 f.quad_boundaries, builds its nodes for the call, evaluates f at them
 directly and keeps nothing.  A grid so far from 1 that a kernel weight or
 rho^n leaves the floating-point range raises ParameterError rather than

@@ -18,23 +18,26 @@ t > rho, plus its partial shells.  One cumulative_mass call per map takes
 both kinds of cumulative mass for every centre, the window's and the
 covered ones, and the ball masses take the covered ones as given.
 
-A map takes the shared path when its source grid is geometric
-(RadialGrid.log_step), its source has no jump (RadialFunction.has_jump),
-every centre is > 0 and PotentialConfig leaves t_min and t_max unset; every
-Picard map and every map of the inequality battery's bumps does.  There each
-centre's panels are one relative layout shifted by ln rho: boundaries at
-ln rho + k h, a dyadic ladder rho (1 +- 2^-j), j <= 6, and the ends
-rho 10^-3 = t_min and rho 10^3 = t_max, where the head closure and the
-window start.  Every centre's partial shells then read one
-geometry.reference_plan, built for the layout's relative radii, so the
-map commutes with dilations and with shifts of the source by whole grid
-cells, up to rounding.  Any other map keeps one global t-range (t_min =
-r_min/10 and t_max = 100 r_max of the working grid, or the set ones), with
-panel boundaries at the structural radii |rho - r| and rho + r of the
-source grid edges, and ball_mass_batch builds its nodes per call.  Either
-way the layout is built per map: per centre the panel widths and, at every
-node, ln t, and t below t_max, and the radii of the map's cumulative_mass
-call, all centres in flat arrays.  On the solver's 81-point grid a map takes
+Every centre rho > 0 takes one relative layout shifted by ln rho: panel
+boundaries at ln rho + k h, a dyadic ladder rho (1 +- 2^-j), j <= 6, and
+the ends rho 10^-3 = t_min and rho 10^3 = t_max, where the head closure and
+the window start.  The origin takes [r_min/10, 100 r_max] of the source
+grid, split at r_min and r_max, on the same lattice k h.  A map takes the
+shared path when its source grid is geometric (RadialGrid.log_step), its
+source has no jump (RadialFunction.has_jump) and every centre is > 0;
+every Picard map and every map of the inequality battery's bumps does.
+There every centre's partial shells read one geometry.reference_plan,
+built for the layout's relative radii, so the map commutes with dilations
+and with shifts of the source by whole grid cells, up to rounding.  Any
+other map (a jump, a grid that is not geometric, a centre at the origin)
+has ball_mass_batch build its nodes per call, and also splits each
+positive centre's panels at the transits |rho - r| and rho + r of the
+source grid's edges r = r_min, r_max, where a jump there kinks the ball
+mass: composite Gauss with a panel split at every kink (Davis &
+Rabinowitz, Methods of Numerical Integration, 1984).  Either way the
+layout is built per map: per centre the panel widths and, at every node,
+ln t, and t below t_max, and the radii of the map's cumulative_mass call,
+all centres in flat arrays.  On the solver's 81-point grid a map takes
 cumulative masses at 10,368 window and 7,776 covered radii.
 
 On the shared path every centre has the plan's radii, so one
@@ -93,47 +96,26 @@ _PANEL_NODES = 8
 _TAIL_PANELS = 8
 _TAIL_DECAY_SPAN = 40.0
 _LADDER_DEPTH = 6
-# the shared path's t-panels cover [rho 10^-3, rho 10^3]
+# a centre rho > 0 takes t-panels over [rho 10^-3, rho 10^3], the origin
+# over [r_min / 10, 100 r_max] of the source grid
 _RELATIVE_DECADES = 3.0
+_ORIGIN_RANGE = (0.1, 100.0)
 
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Truncation and resolution of the outer t-integral.
+    """Resolution of the outer t-integral: t_nodes_per_decade sets the
+    t-panel width, h = min(8 ln 10 / t_nodes_per_decade, 6 / slope_cap).
+    The t-range is each centre's own, [rho 10^-3, rho 10^3], and
+    [r_min/10, 100 r_max] of the source grid at the origin (see the module
+    docstring)."""
 
-    With both truncations unset, a map on a geometric grid of a source
-    without a jump at centres > 0 takes each centre's own range,
-    [rho 10^-3, rho 10^3] (the shared path, see the module docstring).
-    Setting t_min or t_max keeps one global range for every centre, and the
-    map takes quadrature built per call.  An unset truncation then resolves
-    to t_min = r_min/10 or t_max = 100*r_max of the working grid (source and
-    evaluation ranges combined), so the default t_min also lies below every
-    positive centre.  A set t_min must lie below the source grid's r_min.
-    """
-
-    t_min: Optional[float] = None
-    t_max: Optional[float] = None
     t_nodes_per_decade: int = 16
 
     def __post_init__(self):
-        for name in ("t_min", "t_max"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, Real) and 0.0 < value < math.inf):
-                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
         npd = self.t_nodes_per_decade
         if not (isinstance(npd, Real) and npd >= 16):
             raise ParameterError(f"t_nodes_per_decade must be a number >= 16, got {npd!r}")
-
-    def resolve(self, f: RadialFunction, eval_r_min: float, eval_r_max: float):
-        r_lo = min(f.grid.r_min, eval_r_min)
-        r_hi = max(f.grid.r_max, eval_r_max)
-        t_min = self.t_min if self.t_min is not None else r_lo / 10.0
-        t_max = self.t_max if self.t_max is not None else 100.0 * r_hi
-        if not t_min < f.grid.r_min:
-            raise ParameterError(f"t_min = {t_min} must lie below the source r_min = {f.grid.r_min}")
-        if not t_max > 4.0 * r_hi:
-            raise ParameterError(f"t_max = {t_max} must exceed 4 * working r_max = {4 * r_hi}")
-        return t_min, t_max
 
     def to_dict(self):
         return asdict(self)
@@ -167,42 +149,35 @@ def _thread_count() -> int:
     return 1
 
 
-def _tau_panels(tau_lo: float, tau_hi: float, breakpoints, h: float):
-    """Panel boundaries in tau: uniform density plus structural breakpoints."""
-    count = max(1, int(math.ceil((tau_hi - tau_lo) / h)))
-    bounds = set(np.linspace(tau_lo, tau_hi, count + 1).tolist())
-    for b in breakpoints:
-        if tau_lo + 1e-12 < b < tau_hi - 1e-12:
-            bounds.add(float(b))
-    return np.array(sorted(bounds))
+def _panels(lo: float, hi: float, h: float, cuts=()) -> np.ndarray:
+    """Panel boundaries in tau on [lo, hi]: both ends, and the lattice k h
+    and the cuts that lie inside."""
+    lattice = (np.arange(math.ceil(lo / h), math.floor(hi / h) + 1) * h).tolist()
+    return np.array(sorted({lo, hi, *(x for x in lattice + list(cuts) if lo + 1e-12 < x < hi - 1e-12)}))
 
 
-def _structural_radii(rho: float, r_min: float, r_max: float):
-    """Outer-integral breakpoints: grid-edge transits plus a dyadic ladder at t = rho,
-    as ln t, from rho and the source grid's r_min and r_max.
-
-    The inner mass changes most rapidly as the ball boundary sweeps the bulk
-    of the source, i.e. for t near rho; grading the panels geometrically
-    toward ln(rho) resolves that transition for any source concentration.
-    """
-    radii = []
-    for r in (r_min, r_max):
-        radii.extend((abs(rho - r), rho + r))
-    if rho > 0.0:
-        radii.append(rho)
-        depth = min(_LADDER_DEPTH, max(1, int(math.ceil(math.log2(max(rho / r_min, 2.0)))) + 1))
-        for j in range(1, depth + 1):
-            radii.extend((rho * (1.0 - 2.0**-j), rho * (1.0 + 2.0**-j)))
-    return [math.log(x) for x in radii if x > 0.0]
-
-
-def _relative_panels(h: float) -> np.ndarray:
-    """The shared path's panel boundaries in ln(t / rho): the lattice k h,
-    the dyadic ladder ln(1 +- 2^-j), j <= 6, and the ends +-3 decades."""
+def _relative_panels(h: float, cuts=()) -> np.ndarray:
+    """Every positive centre's panel boundaries in ln(t / rho): the lattice
+    k h, the dyadic ladder ln(1 +- 2^-j), j <= 6, the cuts, and the ends
+    +-3 decades."""
     end = _RELATIVE_DECADES * math.log(10.0)
-    lattice = (np.arange(-math.floor(end / h), math.floor(end / h) + 1) * h).tolist()
     ladder = [math.log1p(sign * 2.0**-j) for j in range(1, _LADDER_DEPTH + 1) for sign in (-1.0, 1.0)]
-    return np.array(sorted({-end, end, *(x for x in lattice + ladder if abs(x) < end - 1e-12)}))
+    return _panels(-end, end, h, ladder + list(cuts))
+
+
+def _per_call_bounds(rho: float, r_min: float, r_max: float, h: float, a_eff: float) -> np.ndarray:
+    """One centre's panel boundaries in tau on the per-call path, the
+    window's included.  A centre rho > 0 takes the relative panels, split
+    at the transits |rho - r| and rho + r of the source grid's edges
+    r_min and r_max (where a jump's kink crosses the ball), shifted by
+    ln rho.  The origin takes [r_min/10, 100 r_max], split at r_min and
+    r_max."""
+    if rho > 0.0:
+        transits = [math.log(x / rho) for r in (r_min, r_max) for x in (abs(rho - r), rho + r) if x > 0.0]
+        relative = _relative_panels(h, transits)
+        return math.log(rho) + np.concatenate([relative, _window(relative[-1], a_eff)])
+    lo, hi = math.log(_ORIGIN_RANGE[0] * r_min), math.log(_ORIGIN_RANGE[1] * r_max)
+    return np.concatenate([_panels(lo, hi, h, [math.log(r_min), math.log(r_max)]), _window(hi, a_eff)])
 
 
 def _output_tail(f: RadialFunction, n: int, bg: float, g: float):
@@ -221,10 +196,10 @@ def _output_tail(f: RadialFunction, n: int, bg: float, g: float):
 def _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass0, t0) -> np.ndarray:
     """Analytic t < t_min closure of every centre: mass ~ k t^e near t = 0.
 
-    t_min is one for every centre or each centre's own.  e is n off the
-    origin and n - h at the origin (the head model).  k is read from the
-    mass the quadrature holds at its first node t0, which also sees a jump
-    of f at rho: there the ball holds half of f(rho) omega_n t^n.
+    t_min is each centre's own.  e is n off the origin and n - h at the
+    origin (the head model).  k is read from the mass the quadrature holds
+    at its first node t0, which also sees a jump of f at rho: there the
+    ball holds half of f(rho) omega_n t^n.
     """
     e = np.where(rhos > 0.0, float(n), n - f.head_exponent)
     rate = e * inv_power - a_decay  # local integrand slope in tau
@@ -235,8 +210,7 @@ def _head_piece(f, n, rhos, inv_power, a_decay, t_min, mass0, t0) -> np.ndarray:
         )
     out = np.zeros(rhos.size)
     e, rate = e[live], rate[live]
-    t_min = np.broadcast_to(t_min, rhos.shape)[live]
-    out[live] = (mass0[live] / t0[live] ** e) ** inv_power * t_min**rate / rate
+    out[live] = (mass0[live] / t0[live] ** e) ** inv_power * t_min[live] ** rate / rate
     return out
 
 
@@ -352,13 +326,6 @@ def wolff_eval_at(
     h = min(_PANEL_NODES * math.log(10.0) / cfg.t_nodes_per_decade, 6.0 / slope_cap)
     step = f.grid.log_step
     shared = step is not None and not f.has_jump and rhos.size and rhos.min() > 0.0
-    shared = shared and cfg.t_min is None and cfg.t_max is None
-    if not shared:
-        # the t < t_min closure assumes t << rho, so t_min follows the smallest centre
-        positive = rhos[rhos > 0]
-        eval_lo = float(positive.min()) if positive.size else f.grid.r_min
-        eval_hi = float(rhos.max()) if rhos.size else f.grid.r_max
-        t_min, t_max = cfg.resolve(f, eval_lo, eval_hi)
 
     if not (rhos.size and np.any(f.values > 0.0)):
         return np.zeros(rhos.size)
@@ -372,13 +339,9 @@ def wolff_eval_at(
         bounds = np.log(rhos)[:, None] + np.concatenate([relative, _window(relative[-1], a_eff)])
         t_min = rhos * np.exp(relative[0])
     else:
-        tau_lo, tau_hi = math.log(t_min), math.log(t_max)
         r_min, r_max = f.grid.r_min, f.grid.r_max
-        beyond = _window(tau_hi, a_eff)
-        bounds = [
-            np.append(_tau_panels(tau_lo, tau_hi, _structural_radii(rho, r_min, r_max), h), beyond)
-            for rho in rhos.tolist()
-        ]
+        bounds = [_per_call_bounds(rho, r_min, r_max, h, a_eff) for rho in rhos.tolist()]
+        t_min = np.exp([b[0] for b in bounds])
     tau, t, widths, starts, t_starts, panel_starts, radii, covered_starts = _build_layout(rhos, bounds)
     # in the window t >> rho, and the symmetric cumulative average of the
     # ball mass kills its O(rho/t) term.  One cumulative_mass call gives

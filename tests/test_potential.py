@@ -220,11 +220,7 @@ def test_vanishing_decay_rate_beyond_t_max_raises():
         wolff_eval_at(power_tail_profile(g, 1.0, 9.0), 3, 1.5 - 1e-11, 2.0, [1.0])
 
 
-def test_config_invariants(unit_indicator):
-    with pytest.raises(ParameterError):
-        wolff_eval(unit_indicator, 5, 1.0, 2.0, PotentialConfig(t_min=0.5))
-    with pytest.raises(ParameterError):
-        wolff_eval(unit_indicator, 5, 1.0, 2.0, PotentialConfig(t_max=2.0))
+def test_config_invariants():
     with pytest.raises(ParameterError):
         PotentialConfig(t_nodes_per_decade=4)
 
@@ -241,40 +237,40 @@ def test_parameter_validation(unit_indicator):
 
 
 def test_config_round_trip():
-    cfg = PotentialConfig(t_min=1e-4, t_max=1e5, t_nodes_per_decade=24)
+    cfg = PotentialConfig(t_nodes_per_decade=24)
     assert PotentialConfig.from_dict(cfg.to_dict()) == cfg
 
 
 @pytest.mark.parametrize("n, beta, gamma", [(5, 0.3, 2.0), (3, 0.3, 2.0)])
 @pytest.mark.parametrize("source", ["bump", "ball"])
-def test_head_closure_matches_a_lower_t_min(unit_indicator, source, n, beta, gamma):
-    # below t_min the outer integral is closed analytically; at small beta*gamma
-    # that piece is percents of the potential, and at r_max of the ball the
-    # density jumps, so the ball there holds half of f(rho) omega_n t^n
+def test_head_closure_matches_a_lower_t_min(unit_indicator, source, n, beta, gamma, monkeypatch):
+    # below t_min = rho 10^-3 the outer integral is closed analytically; at
+    # small beta*gamma that piece is percents of the potential, and at r_max
+    # of the ball the density jumps, so the ball there holds half of
+    # f(rho) omega_n t^n.  Against t_min = rho 10^-7 it reads <= 7.2e-6
     if source == "bump":
         f = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 9.0)
     else:
         f = unit_indicator
     rhos = np.append(f.grid.points[::4], f.grid.r_max)
     got = wolff_eval_at(f, n, beta, gamma, rhos)
-    ref = wolff_eval_at(f, n, beta, gamma, rhos, PotentialConfig(t_min=f.grid.r_min / 1e4))
+    monkeypatch.setattr(potential, "_RELATIVE_DECADES", 7.0)
+    ref = wolff_eval_at(f, n, beta, gamma, rhos)
     assert np.max(np.abs(got / ref - 1.0)) < 1e-4
 
 
 @pytest.mark.parametrize("n, beta, gamma", [(3, 0.8, 2.0), (5, 1.0, 2.0)])
-def test_default_t_min_follows_a_centre_below_r_min(n, beta, gamma):
+def test_default_t_min_follows_a_centre_below_r_min(n, beta, gamma, monkeypatch):
     # the t < t_min closure assumes t << rho; at rho = r_min/10 a t_min of
-    # r_min/10 = rho is off by 2.8e-3 and 6.0e-4 on this head-singular profile
+    # r_min/10 = rho is off by 2.8e-3 and 6.0e-4 on this head-singular
+    # profile, and t_min = rho 10^-3 against rho 10^-7 by 3.3e-6
     grid = RadialGrid.per_decade(1e-2, 1e2, 16)
     r = grid.points
     f = RadialFunction(grid, r**-1.5 * (1.0 + r**2) ** -3.0, head_exponent=1.5, tail_exponent=7.5)
     got = wolff_eval_at(f, n, beta, gamma, [1e-3])
-    ref = wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=1e-8))
+    monkeypatch.setattr(potential, "_RELATIVE_DECADES", 7.0)
+    ref = wolff_eval_at(f, n, beta, gamma, [1e-3])
     assert abs(got[0] / ref[0] - 1.0) < 1e-5
-    # a set t_min is still checked against the source's r_min only
-    wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=5e-3))
-    with pytest.raises(ParameterError, match="source r_min"):
-        wolff_eval_at(f, n, beta, gamma, [1e-3], PotentialConfig(t_min=1e-2))
 
 
 def test_repeat_wolff_eval_on_one_grid_reuses_kernel_weights(cap_calls):
@@ -328,9 +324,10 @@ def test_changed_t_resolution_misses_the_store(cap_calls):
     assert np.array_equal(fine, cold)
 
 
-def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max():
+def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max(monkeypatch):
     # the window's share is largest for slow (T < n) and log (T = n) tails;
-    # the panels of a 10x larger t_max integrate the same range directly
+    # the panels of a 10x larger t_max, rho 10^4 and 1000 r_max at the
+    # origin, integrate the same range directly (5.4e-12 measured)
     g = RadialGrid.per_decade(1e-2, 1e2, 16)
     r = g.points
     n = 5
@@ -339,10 +336,12 @@ def test_window_beyond_t_max_matches_panels_up_to_ten_times_t_max():
     )
     slow = power_tail_profile(g, 1.0, 4.0)  # T = 4 < n
     rhos = [0.0, 1.0, 70.0]
-    longer = PotentialConfig(t_max=10.0 * 100.0 * g.r_max)
     for f in (slow, log_tail):
         got = wolff_eval_at(f, n, 1.0, 2.0, rhos)
-        want = wolff_eval_at(f, n, 1.0, 2.0, rhos, longer)
+        with monkeypatch.context() as patch:
+            patch.setattr(potential, "_RELATIVE_DECADES", 4.0)
+            patch.setattr(potential, "_ORIGIN_RANGE", (0.1, 1000.0))
+            want = wolff_eval_at(f, n, 1.0, 2.0, rhos)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-8
 
 
@@ -351,7 +350,8 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     # covers all centres, and every centre's covered radii t - rho ride in
     # the same call; on a log tail and on a linear cell (a vanishing value)
     # each radius's mass is its own, so the centres of one map give what
-    # maps of one centre each give, bit for bit
+    # maps of one centre each give, bit for bit, on the shared path (the
+    # log tail) and on the per-call path (the vanishing value)
     calls = []
     cumulative_mass = RadialFunction.cumulative_mass
 
@@ -369,17 +369,16 @@ def test_window_masses_take_one_cumulative_mass_call(cap_calls, monkeypatch):
     holed[30] = 0.0  # two linear cells around r = 0.75
     linear = log_tailed.with_values(holed)
     rhos = [0.05, 1.0, 7.0, 100.0]
-    cfg = PotentialConfig(t_min=1e-4, t_max=1e5)
     for f in (log_tailed, linear):
         clear_stores()
         calls.clear()
-        together = wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+        together = wolff_eval_at(f, 5, 1.0, 1.6, rhos)
         assert len(calls) == 1
-        wolff_eval_at(f, 5, 1.0, 1.6, rhos, cfg)
+        wolff_eval_at(f, 5, 1.0, 1.6, rhos)
         assert len(calls) == 2
         # bit for bit what one call per centre gives
         clear_stores()
-        apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho], cfg) for rho in rhos])
+        apart = np.concatenate([wolff_eval_at(f, 5, 1.0, 1.6, [rho]) for rho in rhos])
         assert np.array_equal(together, apart)
 
 
@@ -692,8 +691,8 @@ def layout_builds(monkeypatch):
 
 
 LAYOUT_GRID = RadialGrid.per_decade(1e-2, 1e2, 16)
+# the origin among the centres puts a map on the per-call path
 LAYOUT_RHOS = [0.0, 0.05, 1.0, 7.0, 100.0]
-LAYOUT_CFG = PotentialConfig(t_min=1e-3, t_max=1e5)
 
 
 def test_warm_layout_serves_a_new_source_bit_for_bit(layout_builds):
@@ -701,11 +700,11 @@ def test_warm_layout_serves_a_new_source_bit_for_bit(layout_builds):
     # builds the layout the first built, one per map
     f = power_tail_profile(LAYOUT_GRID, 1.0, 7.0)
     g = power_tail_profile(LAYOUT_GRID, 0.5, 9.0)
-    wolff_eval_at(f, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
-    warm = wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG)
+    wolff_eval_at(f, 5, 1.0, 2.0, LAYOUT_RHOS)
+    warm = wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS)
     assert len(layout_builds) == 2 and layout_builds[0] == layout_builds[1]
     clear_stores()
-    assert np.array_equal(wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS, LAYOUT_CFG), warm)
+    assert np.array_equal(wolff_eval_at(g, 5, 1.0, 2.0, LAYOUT_RHOS), warm)
     assert len(layout_builds) == 3
 
 
@@ -714,11 +713,9 @@ def test_warm_layout_serves_a_new_source_bit_for_bit(layout_builds):
 # with equal a_eff (3) and equal slope_cap (5) respectively
 LAYOUT_KEY_CHANGES = {
     "c rho": dict(rhos=[0.0, 0.05, 1.5, 7.0, 100.0]),
-    "c t_min": dict(cfg=PotentialConfig(t_min=2e-3, t_max=1e5)),
-    "c t_max": dict(cfg=PotentialConfig(t_min=1e-3, t_max=2e5)),
     "c r_min": dict(grid=RadialGrid.per_decade(1.2e-2, 1e2, 16)),
     "c r_max": dict(grid=RadialGrid.per_decade(1e-2, 2e2, 16)),
-    "t_nodes_per_decade": dict(cfg=PotentialConfig(t_min=1e-3, t_max=1e5, t_nodes_per_decade=24)),
+    "t_nodes_per_decade": dict(cfg=PotentialConfig(t_nodes_per_decade=24)),
     "slope_cap": dict(op=(6, 1.5, 2.0)),
     "a_eff": dict(tail=4.5),
 }
@@ -726,7 +723,7 @@ LAYOUT_KEY_CHANGES = {
 
 @pytest.mark.parametrize("component", sorted(LAYOUT_KEY_CHANGES))
 def test_changing_one_layout_key_component_rebuilds(layout_builds, component):
-    def run(grid=LAYOUT_GRID, rhos=LAYOUT_RHOS, cfg=LAYOUT_CFG, op=(5, 1.0, 2.0), tail=7.0):
+    def run(grid=LAYOUT_GRID, rhos=LAYOUT_RHOS, cfg=None, op=(5, 1.0, 2.0), tail=7.0):
         return wolff_eval_at(power_tail_profile(grid, 1.0, tail), *op, rhos, cfg)
 
     run()
@@ -760,13 +757,73 @@ def test_wolff_unit_ball_matches_lens_oracle(unit_indicator, n, beta, gamma):
     assert np.max(np.abs(got / want - 1.0)) <= 1e-6
 
 
-_SOURCE = power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
+# max relative error of riesz_eval_at on the indicator of the ball of radius
+# R, on RadialGrid.per_decade(R/100, R, 16), at every grid point and at
+# r_i 10^{1/32}, against the 2F1 spherical mean, as measured (the same at
+# R = 1 and R = 1.7).  A ball's mass kinks where its boundary crosses the
+# jump at R, at t = |rho - R| and rho + R; without panel splits there the
+# maps are off by 4e-3 to 1.1e-2
+_TRANSIT_ERRORS = {
+    (3, 1.6): 2.581e-9,
+    (5, 2.0): 1.671e-10,
+    (5, 1.2): 7.487e-7,
+    (3, 1.2): 4.488e-7,
+}
+_TRANSIT_CASES = [(R, *op) for R in (1.0, 1.7) for op in _TRANSIT_ERRORS]
+
+
+def _transit_error(oracles, R, n, alpha, scale=1.0):
+    grid = RadialGrid.per_decade(math.nextafter(R / 100.0, 0.0), R, 16)
+    ball = RadialFunction(grid, np.ones(grid.count), head_exponent=0.0, tail_exponent=math.inf)
+    rho = np.concatenate([grid.points, grid.points[:-1] * 10 ** (1 / 32)])
+    got = scale * riesz_eval_at(ball, n, alpha, rho)
+    return oracles.max_relative_error(got, oracles.spherical_mean_riesz(oracles.Profile.of(ball), n, alpha, rho))
+
+
+@pytest.mark.parametrize("R, n, alpha", _TRANSIT_CASES)
+def test_ball_indicator_maps_split_at_the_edge_transits(oracles, R, n, alpha):
+    assert _transit_error(oracles, R, n, alpha) <= 1.1 * _TRANSIT_ERRORS[n, alpha]
+
+
+@pytest.mark.parametrize("R, n, alpha", _TRANSIT_CASES)
+def test_transit_check_fails_one_percent_high(oracles, R, n, alpha):
+    assert not _transit_error(oracles, R, n, alpha, scale=1.01) <= 1.1 * _TRANSIT_ERRORS[n, alpha]
+
+
+# the bump (1 + r^2)^{-5/2} with two vanishing values, r_20 and r_21: at
+# the centres r_19 ... r_22 and r_30, the head closure below rho 10^-3
+# against one below rho 10^-8, as measured.  Next to the zero cells the
+# ball's mass grows faster than the closure's t^n, so these are the
+# closure's largest errors
+_ZERO_CELL_CENTRES = [19, 20, 21, 22, 30]
+_ZERO_CELL_ERRORS = np.array([4.676e-6, 7.433e-6, 6.406e-6, 6.636e-6, 4.148e-7])
+
+
+def _zero_cell_errors(monkeypatch, scale=1.0):
+    grid = RadialGrid.per_decade(1e-2, 1e2, 16)
+    values = (1.0 + grid.points**2) ** -2.5
+    values[20] = values[21] = 0.0
+    f = RadialFunction(grid, values, tail_exponent=5.0)
+    rhos = grid.points[_ZERO_CELL_CENTRES]
+    got = scale * wolff_eval_at(f, 5, 0.3, 2.0, rhos)
+    with monkeypatch.context() as patch:
+        patch.setattr(potential, "_RELATIVE_DECADES", 8.0)
+        ref = wolff_eval_at(f, 5, 0.3, 2.0, rhos)
+    return np.abs(got / ref - 1.0)
+
+
+def test_head_closure_next_to_zero_cells(monkeypatch):
+    assert np.all(_zero_cell_errors(monkeypatch) <= 1.1 * _ZERO_CELL_ERRORS)
+
+
+def test_zero_cell_check_fails_one_percent_high(monkeypatch):
+    assert not np.all(_zero_cell_errors(monkeypatch, scale=1.01) <= 1.1 * _ZERO_CELL_ERRORS)
+
+
+_SOURCE =power_tail_profile(RadialGrid.per_decade(1e-2, 1e2, 16), 1.0, 8.0)
 POTENTIAL_RAISE_SITES = [
     ("weighted_source", lambda: weighted_source(0.0, 0.0, _SOURCE), ParameterError,
      "source exponent must be positive"),
-    ("t_min negative", lambda: PotentialConfig(t_min=-1.0), ParameterError, "t_min"),
-    ("t_min zero", lambda: PotentialConfig(t_min=0), ParameterError, "t_min"),
-    ("t_max inf", lambda: PotentialConfig(t_max=math.inf), ParameterError, "t_max"),
     ("t_nodes type", lambda: PotentialConfig(t_nodes_per_decade="x"), ParameterError,
      "t_nodes_per_decade"),
     ("slow tail", lambda: wolff_eval(power_tail_profile(_SOURCE.grid, 1.0, 1.5), 3, 1.0, 1.6),

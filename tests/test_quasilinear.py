@@ -781,6 +781,22 @@ def test_final_shot_made_when_final_r_stop_differs(monkeypatch):
     assert res.iterations == len(integrated)
 
 
+def test_final_r_stop_adds_one_counted_shot(monkeypatch):
+    # on the Logarithmic tuple, shot to r_stop = 1e3: a final_r_stop of 1e5
+    # adds b_star's shot to 1e5 to the classified shots and to `iterations`,
+    # and the sample reaches no less far than the farthest classified shot;
+    # an equal final_r_stop makes no extra shot
+    params = Parameters(5, 1.0, 2.0, 5 / 3, 31 / 9, 0.0, 0.0)
+    integrated, _ = _counting(monkeypatch)
+    res = find_fast_ground_state(params, GroundStateConfig(shoot=ShootConfig(r_stop=1e3), final_r_stop=1e5))
+    classified = len(res.trace) - 1
+    assert res.iterations == classified + 1 == len(integrated)
+    assert integrated[-1] == (res.trace[0]["b_star"], 1e5)
+    assert res.trace[0]["r_reached"] >= max(e["r_reached"] for e in res.trace[1:])
+    equal = find_fast_ground_state(params, GroundStateConfig(shoot=ShootConfig(r_stop=1e3), final_r_stop=1e3))
+    assert equal.iterations == len(equal.trace) - 1 == classified
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the package loads neither scipy.integrate nor scipy.optimize: shots run
     # on quasilinear's own DOP853 and Brent root finder
